@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <thread>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "core/squish.hpp"
 #include "layout/metal_gen.hpp"
 #include "litho/aerial.hpp"
+#include "litho/optics.hpp"
 #include "litho/process_window.hpp"
 #include "layout/shard.hpp"
 #include "nn/backend.hpp"
@@ -32,15 +34,59 @@ namespace {
 
 using namespace camo;
 
+// Dense forward 2D FFT at the coarse SOCS grids (64, 128) and the mask
+// grids (256, 512). Each iteration restores the input untimed: repeated
+// in-place transforms would overflow to inf within a few passes.
 void BM_Fft2d(benchmark::State& state) {
     const int n = static_cast<int>(state.range(0));
-    std::vector<litho::Complex> grid(static_cast<std::size_t>(n) * n, {0.5F, 0.0F});
+    Rng rng(1);
+    std::vector<litho::Complex> input(static_cast<std::size_t>(n) * n);
+    for (auto& c : input) c = {static_cast<float>(rng.uniform(0, 1)), 0.0F};
+    std::vector<litho::Complex> grid = input;
     for (auto _ : state) {
+        state.PauseTiming();
+        std::copy(input.begin(), input.end(), grid.begin());
+        state.ResumeTiming();
         litho::fft2d_forward(grid, n);
         benchmark::DoNotOptimize(grid.data());
+        benchmark::ClobberMemory();
     }
 }
-BENCHMARK(BM_Fft2d)->Arg(256)->Arg(512);
+BENCHMARK(BM_Fft2d)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
+
+// The incremental rebuild's mask spectrum: a via-like mask on the
+// production 512 grid, forward-transformed with empty rows skipped and only
+// the columns of the production kernel support transformed.
+void BM_MaskSpectrumPruned(benchmark::State& state) {
+    litho::LithoConfig cfg;
+    cfg.grid = static_cast<int>(state.range(0));
+    const int n = cfg.grid;
+    geo::Raster mask(n, cfg.pixel_nm);
+    for (int i = 0; i < 6; ++i) {
+        const int x = 300 + i * 250;
+        mask.add_polygon(geo::Polygon::from_rect({x, 600 + 40 * i, x + 70, 670 + 40 * i}));
+    }
+    mask.clamp01();
+    const auto data = mask.data();
+    std::vector<std::uint8_t> row_nonzero(static_cast<std::size_t>(n), 0);
+    for (std::size_t i = 0; i < data.size(); ++i) {
+        if (std::bit_cast<std::uint32_t>(data[i]) != 0) {
+            row_nonzero[i / static_cast<std::size_t>(n)] = 1;
+        }
+    }
+    std::vector<std::uint8_t> col_needed(static_cast<std::size_t>(n), 0);
+    for (const litho::FreqIndex& f : litho::tcc_support_freqs(cfg)) {
+        col_needed[static_cast<std::size_t>(((f.kx % n) + n) % n)] = 1;
+    }
+    std::vector<litho::Complex> grid(data.size());
+    for (auto _ : state) {
+        for (std::size_t i = 0; i < data.size(); ++i) grid[i] = {data[i], 0.0F};
+        litho::fft2d_forward_pruned(grid, n, row_nonzero, col_needed);
+        benchmark::DoNotOptimize(grid.data());
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(BM_MaskSpectrumPruned)->Arg(512);
 
 void BM_RasterizeClip(benchmark::State& state) {
     std::vector<geo::Polygon> polys;

@@ -1,6 +1,7 @@
 #include "litho/incremental.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <map>
 #include <numbers>
@@ -284,10 +285,22 @@ void IncrementalEvaluator::rebuild_cache(const geo::SegmentedLayout& layout,
         clamped_[i] = static_cast<float>(std::clamp(acc_[i], 0.0, 1.0));
     }
 
-    // Prime the support spectrum from one dense forward FFT.
+    // Prime the support spectrum from one forward FFT pruned to the rows the
+    // mask occupies and the columns the union support reads; the entries
+    // read below equal a dense fft2d_forward bit for bit. A row is empty
+    // only when every value is +0.0: std::clamp passes -0.0 through, and a
+    // row holding -0.0 does not transform to all +0.0.
     std::vector<Complex> grid(nn);
-    for (std::size_t i = 0; i < nn; ++i) grid[i] = Complex(clamped_[i], 0.0F);
-    fft2d_forward(grid, n);
+    std::vector<std::uint8_t> row_nonzero(static_cast<std::size_t>(n), 0);
+    for (std::size_t i = 0; i < nn; ++i) {
+        grid[i] = Complex(clamped_[i], 0.0F);
+        if (std::bit_cast<std::uint32_t>(clamped_[i]) != 0) {
+            row_nonzero[i / static_cast<std::size_t>(n)] = 1;
+        }
+    }
+    std::vector<std::uint8_t> col_needed(static_cast<std::size_t>(n), 0);
+    for (const int kx : union_kx_) col_needed[static_cast<std::size_t>(kx)] = 1;
+    fft2d_forward_pruned(grid, n, row_nonzero, col_needed);
     for (std::size_t j = 0; j < union_pos_.size(); ++j) {
         const Complex v = grid[static_cast<std::size_t>(union_pos_[j])];
         spectrum_[j] = {static_cast<double>(v.real()), static_cast<double>(v.imag())};
@@ -340,6 +353,14 @@ void IncrementalEvaluator::update_spectrum(const std::vector<PixelDelta>& deltas
             spec[j] += p.d * twiddle_[static_cast<std::size_t>(t)];
         }
     }
+}
+
+std::complex<double> IncrementalEvaluator::cached_spectrum(int kx, int ky) const {
+    const auto it = union_lookup_.find({kx, ky});
+    if (it == union_lookup_.end()) {
+        throw std::out_of_range("cached_spectrum: frequency outside the union support");
+    }
+    return spectrum_[static_cast<std::size_t>(it->second)];
 }
 
 geo::Raster IncrementalEvaluator::aerial_from_cache(const SupportApplicator& applicator,

@@ -45,6 +45,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -129,6 +130,12 @@ public:
     /// saw before (the batch determinism contract).
     WindowMetrics evaluate_window_full(const geo::SegmentedLayout& layout,
                                        std::span<const int> offsets, const WindowSpec& spec);
+
+    /// The cached effective mask (clamped coverage, row-major n*n) and the
+    /// cached mask spectrum at support frequency (kx, ky), unwrapped as in
+    /// KernelSet::support; throws std::out_of_range for other frequencies.
+    [[nodiscard]] std::span<const float> cached_mask() const { return clamped_; }
+    [[nodiscard]] std::complex<double> cached_spectrum(int kx, int ky) const;
 
     [[nodiscard]] long long incremental_count() const { return incremental_count_; }
     [[nodiscard]] long long full_count() const { return full_count_; }

@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <sstream>
@@ -18,6 +19,7 @@
 #include "common/rng.hpp"
 #include "layout/metal_gen.hpp"
 #include "layout/via_gen.hpp"
+#include "litho/aerial.hpp"
 #include "litho/incremental.hpp"
 #include "litho/simulator.hpp"
 
@@ -238,6 +240,40 @@ TEST_F(LithoIncrementalTest, LayoutSwitchTriggersFullRebuild) {
     const SimMetrics m = inc_sim.evaluate_incremental(b, ob, all_dirty_b);
     EXPECT_EQ(inc_sim.incremental_full_count(), 2);
     expect_equivalent(m, sim_->evaluate(b, ob), "layout switch");
+}
+
+// The rebuild primes the support spectrum through the pruned forward FFT;
+// at every union frequency it must equal the dense mask_spectrum of the
+// cached mask bit for bit.
+TEST_F(LithoIncrementalTest, RebuildSpectrumMatchesDenseMaskSpectrumBitwise) {
+    const LithoConfig& cfg = sim_->config();
+    const int n = cfg.grid;
+    IncrementalEvaluator eval(cfg, sim_->threshold(), sim_->nominal_kernels(),
+                              sim_->defocus_kernels());
+    for (const auto& layout : {via_layout(3, 31), metal_layout(24, 32)}) {
+        std::vector<int> offsets(static_cast<std::size_t>(layout.num_segments()));
+        for (std::size_t i = 0; i < offsets.size(); ++i) {
+            offsets[i] = static_cast<int>((i * 5) % 9) - 4;
+        }
+        (void)eval.evaluate_full(layout, offsets);
+
+        geo::Raster mask(n, cfg.pixel_nm);
+        const auto cached = eval.cached_mask();
+        ASSERT_EQ(cached.size(), mask.data().size());
+        std::copy(cached.begin(), cached.end(), mask.data().begin());
+        const std::vector<Complex> dense = mask_spectrum(mask);
+
+        for (const KernelSet* ks : {&sim_->nominal_kernels(), &sim_->defocus_kernels()}) {
+            for (const FreqIndex& f : ks->support) {
+                const std::complex<double> v = eval.cached_spectrum(f.kx, f.ky);
+                const Complex got(static_cast<float>(v.real()), static_cast<float>(v.imag()));
+                const Complex want = dense[static_cast<std::size_t>(
+                    ((f.ky % n + n) % n) * n + (f.kx % n + n) % n)];
+                ASSERT_EQ(std::memcmp(&got, &want, sizeof(Complex)), 0)
+                    << "kx=" << f.kx << " ky=" << f.ky << ": " << got << " vs " << want;
+            }
+        }
+    }
 }
 
 // ---- Golden-metrics regression fixtures ------------------------------------
