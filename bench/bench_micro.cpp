@@ -458,6 +458,30 @@ void BM_SquishEncode(benchmark::State& state) {
 }
 BENCHMARK(BM_SquishEncode)->Arg(32)->Arg(64);
 
+// One state encode of a fragmented 24-point metal clip into a feature
+// buffer reused across iterations, as the CAMO rollouts do. Arg = squish size.
+void BM_EncodeState(benchmark::State& state) {
+    Rng rng(5);
+    camo::layout::MetalGenOptions gen;
+    gen.clip_nm = 1000;
+    gen.margin_nm = 120;
+    const geo::SegmentedLayout layout(camo::layout::generate_metal_clip(24, rng, gen),
+                                      {geo::FragmentStyle::kMetal, 60}, {}, gen.clip_nm);
+    core::CamoConfig cfg;
+    cfg.squish.size = static_cast<int>(state.range(0));
+    cfg.policy.squish_size = cfg.squish.size;
+    const core::CamoEngine engine(cfg);
+    std::vector<int> offsets(static_cast<std::size_t>(layout.num_segments()));
+    for (std::size_t i = 0; i < offsets.size(); ++i) offsets[i] = static_cast<int>(i % 7) - 3;
+    std::vector<nn::Tensor> feats;
+    for (auto _ : state) {
+        engine.encode_state(layout, offsets, feats);
+        benchmark::DoNotOptimize(feats.data());
+    }
+    state.counters["windows"] = static_cast<double>(layout.num_segments());
+}
+BENCHMARK(BM_EncodeState)->Arg(32)->Arg(64)->Unit(benchmark::kMillisecond);
+
 void BM_PolicyForward(benchmark::State& state) {
     core::PolicyConfig cfg;
     cfg.squish_size = 32;

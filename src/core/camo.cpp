@@ -43,6 +43,14 @@ obs::MetricId reduction_counter() {
     static const obs::MetricId id = obs::register_counter("train.grad_reductions");
     return id;
 }
+obs::MetricId squish_hist() {
+    static const obs::MetricId id = obs::register_histogram("core.squish.ns");
+    return id;
+}
+obs::MetricId squish_windows_counter() {
+    static const obs::MetricId id = obs::register_counter("core.squish.windows");
+    return id;
+}
 
 // Applies the chosen actions and returns the indices whose offset actually
 // changed (no-move actions and clamped moves stay clean) — the dirty set for
@@ -186,16 +194,21 @@ void CamoEngine::optimizer_step() {
 
 std::vector<nn::Tensor> CamoEngine::encode_state(const geo::SegmentedLayout& layout,
                                                  std::span<const int> offsets) const {
-    const auto mask_polys = layout.reconstruct_mask(offsets);
-    std::vector<geo::Polygon> all_mask = mask_polys;
-    all_mask.insert(all_mask.end(), layout.srafs().begin(), layout.srafs().end());
-
     std::vector<nn::Tensor> feats;
-    feats.reserve(static_cast<std::size_t>(layout.num_segments()));
-    for (const geo::Segment& s : layout.segments()) {
-        feats.push_back(encode_squish_window(all_mask, layout.targets(), s.control(), cfg_.squish));
-    }
+    encode_state(layout, offsets, feats);
     return feats;
+}
+
+void CamoEngine::encode_state(const geo::SegmentedLayout& layout, std::span<const int> offsets,
+                              std::vector<nn::Tensor>& out) const {
+    const obs::Span span("core.squish", squish_hist());
+    std::vector<geo::Polygon> mask = layout.reconstruct_mask(offsets);
+    mask.insert(mask.end(), layout.srafs().begin(), layout.srafs().end());
+    std::vector<geo::FPoint> centers;
+    centers.reserve(layout.segments().size());
+    for (const geo::Segment& s : layout.segments()) centers.push_back(s.control());
+    encode_squish_windows(mask, layout.targets(), centers, cfg_.squish, out);
+    obs::counter_add(squish_windows_counter(), static_cast<long long>(centers.size()));
 }
 
 opc::EngineResult CamoEngine::optimize(const geo::SegmentedLayout& layout, litho::LithoSim& sim,
@@ -225,10 +238,11 @@ opc::EngineResult CamoEngine::infer(const geo::SegmentedLayout& layout, litho::L
     // A segment-free layout has no actions to take: the primed metrics are
     // already the fixed point, and the policy cannot run on an empty node set.
     const int steps = layout.num_segments() > 0 ? opt.max_iterations : 0;
+    std::vector<nn::Tensor> feats;  // squish buffer, overwritten every step
     for (int it = 0; it < steps; ++it) {
         if (opc::should_exit_early(m.sum_abs_epe, features, points, opt)) break;
 
-        const auto feats = encode_state(layout, offsets);
+        encode_state(layout, offsets, feats);
         const nn::Tensor logits = policy_.infer(feats, graph);
         const auto actions = pick_actions(logits, m.epe_segment, cfg_.modulator, rng);
 
@@ -255,9 +269,17 @@ std::vector<opc::EngineResult> CamoEngine::infer_batch(
         throw std::invalid_argument("CamoEngine::infer_batch: seeds must be empty or per-clip");
     }
 
-    Timer timer;
     const std::size_t count = layouts.size();
     std::vector<opc::EngineResult> results(count);
+    // Per-clip time accounting: every lap of this clock is charged to the
+    // clip that ran in it, or split over a batched forward's clips by node
+    // count, so the per-clip runtimes sum to the call's wall time.
+    Timer lap;
+    const auto take_lap = [&lap] {
+        const double s = lap.seconds();
+        lap.reset();
+        return s;
+    };
 
     // Per-clip rollout state, advanced one action wave at a time.
     struct ClipState {
@@ -269,7 +291,7 @@ std::vector<opc::EngineResult> CamoEngine::infer_batch(
         int features = 0;
         int points = 0;
         bool active = false;
-        std::vector<nn::Tensor> feats;  ///< current wave's squish features
+        std::vector<nn::Tensor> feats;  ///< squish buffer, overwritten every wave
     };
     std::vector<ClipState> states;
     states.reserve(count);
@@ -291,6 +313,7 @@ std::vector<opc::EngineResult> CamoEngine::infer_batch(
         st.features = static_cast<int>(layout.targets().size());
         st.points = static_cast<int>(st.m.epe.size());
         st.active = layout.num_segments() > 0;
+        res.runtime_s = take_lap();
     }
 
     for (int it = 0; it < opt.max_iterations; ++it) {
@@ -303,15 +326,23 @@ std::vector<opc::EngineResult> CamoEngine::infer_batch(
             if (!st.active) continue;
             if (opc::should_exit_early(st.m.sum_abs_epe, st.features, st.points, opt)) {
                 st.active = false;
-                continue;
+            } else {
+                encode_state(layouts[c], st.offsets, st.feats);
+                requests.push_back({&st.feats, &st.graph});
+                wave.push_back(c);
             }
-            st.feats = encode_state(layouts[c], st.offsets);
-            requests.push_back({&st.feats, &st.graph});
-            wave.push_back(c);
+            results[c].runtime_s += take_lap();
         }
         if (requests.empty()) break;
 
         const std::vector<nn::Tensor> logits = policy_.infer_batch(requests);
+        const double forward_s = take_lap();
+        std::size_t wave_nodes = 0;
+        for (const std::size_t c : wave) wave_nodes += states[c].feats.size();
+        for (const std::size_t c : wave) {
+            results[c].runtime_s += forward_s * static_cast<double>(states[c].feats.size()) /
+                                    static_cast<double>(wave_nodes);
+        }
 
         for (std::size_t r = 0; r < wave.size(); ++r) {
             const std::size_t c = wave[r];
@@ -326,15 +357,13 @@ std::vector<opc::EngineResult> CamoEngine::infer_batch(
             res.epe_history.push_back(st.m.sum_abs_epe);
             res.pvb_history.push_back(st.m.pvband_nm2);
             ++res.iterations;
-            st.feats.clear();
+            res.runtime_s += take_lap();
         }
     }
 
-    const double per_clip_s = count > 0 ? timer.seconds() / static_cast<double>(count) : 0.0;
     for (std::size_t c = 0; c < count; ++c) {
         results[c].final_offsets = std::move(states[c].offsets);
         results[c].final_metrics = std::move(states[c].m);
-        results[c].runtime_s = per_clip_s;
     }
     return results;
 }
@@ -652,6 +681,7 @@ double CamoEngine::run_phase2_episode(const std::vector<geo::SegmentedLayout>& c
         int points = 0;
         double reward = 0.0;
         std::optional<Rng> rng;
+        std::vector<nn::Tensor> feats;  ///< squish buffer, overwritten every step
     };
 
     std::vector<ClipState> st(clips.size());
@@ -695,8 +725,8 @@ double CamoEngine::run_phase2_episode(const std::vector<geo::SegmentedLayout>& c
             const geo::SegmentedLayout& layout = clips[c];
             ClipState& s = st[c];
 
-            const auto feats = encode_state(layout, s.offsets);
-            const nn::Tensor logits = net.forward(feats, graphs[c]);
+            encode_state(layout, s.offsets, s.feats);
+            const nn::Tensor logits = net.forward(s.feats, graphs[c]);
             const auto actions = pick_actions(logits, s.m.epe_segment, cfg_.modulator, &*s.rng);
 
             const auto dirty = apply_actions(s.offsets, actions, opt.max_total_offset_nm);

@@ -167,8 +167,10 @@ public:
     /// actions are sampled (matching infer() with Rng(seeds[i])). Per-clip
     /// results — offsets, metrics, histories, iteration counts — are
     /// identical to running infer() per clip on the same backend; only
-    /// runtime_s differs (the batch wall time is split evenly, as lockstep
-    /// waves have no meaningful per-clip attribution).
+    /// runtime_s differs. It is the clip's own setup, encode, action-pick
+    /// and litho time plus, for each batched forward it joined, the share
+    /// of that forward proportional to its node count, so the per-clip
+    /// values sum to the call's wall time.
     [[nodiscard]] std::vector<opc::EngineResult> infer_batch(
         std::span<const geo::SegmentedLayout> layouts, std::span<litho::LithoSim> sims,
         const opc::OpcOptions& opt, std::span<const std::uint64_t> seeds = {}) const;
@@ -240,6 +242,12 @@ public:
     /// Per-node squish features of the mask state given by `offsets`.
     [[nodiscard]] std::vector<nn::Tensor> encode_state(const geo::SegmentedLayout& layout,
                                                        std::span<const int> offsets) const;
+
+    /// The same features written into `out` (one tensor per segment),
+    /// reusing its tensors' storage: the rollouts keep one such buffer per
+    /// clip across iterations. Bit-identical to the returning overload.
+    void encode_state(const geo::SegmentedLayout& layout, std::span<const int> offsets,
+                      std::vector<nn::Tensor>& out) const;
 
 private:
     CamoConfig cfg_;

@@ -5,6 +5,7 @@
 
 #include <cstdio>
 
+#include "common/timer.hpp"
 #include "core/camo.hpp"
 #include "opc/sraf.hpp"
 
@@ -165,6 +166,35 @@ TEST_F(CamoTest, DeterministicInferenceAcrossRuns) {
     const auto rb = b.optimize(layout, *sim_, via_options());
     EXPECT_EQ(ra.final_offsets, rb.final_offsets);
     EXPECT_EQ(ra.iterations, rb.iterations);
+}
+
+TEST_F(CamoTest, BatchedRuntimeIsAttributedPerClip) {
+    // The via meets the per-point exit at once; the large square keeps
+    // iterating. Each clip's runtime_s is its own work plus its node share
+    // of every batched forward it joined, so the early exit costs less and
+    // the per-clip values add up to the call's wall time.
+    const CamoEngine engine(tiny_config());
+    std::vector<geo::SegmentedLayout> layouts;
+    layouts.push_back(via_layout());
+    layouts.emplace_back(std::vector<geo::Polygon>{geo::Polygon::from_rect({300, 300, 700, 700})},
+                         geo::FragmentOptions{geo::FragmentStyle::kVia, 60},
+                         std::vector<geo::Polygon>{}, 1000);
+    std::vector<litho::LithoSim> sims(layouts.size(), *sim_);
+    opc::OpcOptions opt = via_options();
+    opt.exit_epe_per_feature = 0.0;
+    opt.exit_epe_per_point = 3.0;
+
+    const Timer wall;
+    const auto results = engine.infer_batch(layouts, sims, opt);
+    const double wall_s = wall.seconds();
+
+    ASSERT_EQ(results.size(), 2U);
+    ASSERT_LT(results[0].iterations, results[1].iterations);
+    EXPECT_GT(results[0].runtime_s, 0.0);
+    EXPECT_LT(results[0].runtime_s, results[1].runtime_s);
+    const double sum = results[0].runtime_s + results[1].runtime_s;
+    EXPECT_LE(sum, wall_s);
+    EXPECT_NEAR(sum, wall_s, 0.05 * wall_s);
 }
 
 }  // namespace

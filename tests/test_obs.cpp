@@ -1,7 +1,8 @@
 // Telemetry layer suite: registry correctness under concurrency, histogram
 // bucket edges, JSON export well-formedness (parsed back by a minimal JSON
 // reader), disabled-mode no-ops, and — the hard contract — bit-identical
-// batch results and training weights with telemetry on vs off.
+// batch results, CAMO inference and training weights with telemetry on vs
+// off.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -550,6 +551,56 @@ TEST(ObsContract, TrainingWeightBytesIdenticalTelemetryOnVsOff) {
     // Training telemetry landed on the registry while enabled.
     EXPECT_GT(counter_value("train.teacher_samples"), 0);
     EXPECT_GT(counter_value("train.grad_reductions"), 0);
+}
+
+TEST(ObsContract, CamoInferBitIdenticalTelemetryOnVsOff) {
+    const auto clips = test_clips(2);
+    const opc::OpcOptions opt = test_opc_options();
+    const core::CamoEngine engine(tiny_train_config());
+
+    TelemetryGuard guard;  // telemetry OFF
+    std::vector<opc::EngineResult> off;
+    for (const geo::SegmentedLayout& clip : clips) {
+        litho::LithoSim sim(test_litho_config());
+        off.push_back(engine.infer(clip, sim, opt));
+    }
+
+    set_metrics_enabled(true);
+    set_tracing_enabled(true);
+    std::vector<opc::EngineResult> on;
+    for (const geo::SegmentedLayout& clip : clips) {
+        litho::LithoSim sim(test_litho_config());
+        on.push_back(engine.infer(clip, sim, opt));
+    }
+
+    long long windows = 0;
+    long long encodes = 0;
+    for (std::size_t i = 0; i < clips.size(); ++i) {
+        EXPECT_EQ(off[i].final_offsets, on[i].final_offsets) << "clip " << i;
+        EXPECT_EQ(off[i].iterations, on[i].iterations) << "clip " << i;
+        ASSERT_EQ(off[i].epe_history.size(), on[i].epe_history.size()) << "clip " << i;
+        EXPECT_EQ(0, std::memcmp(off[i].epe_history.data(), on[i].epe_history.data(),
+                                 off[i].epe_history.size() * sizeof(double)))
+            << "clip " << i;
+        EXPECT_EQ(0, std::memcmp(&off[i].final_metrics.pvband_nm2,
+                                 &on[i].final_metrics.pvband_nm2, sizeof(double)))
+            << "clip " << i;
+        encodes += on[i].iterations;
+        windows += static_cast<long long>(on[i].iterations) * clips[i].num_segments();
+    }
+
+    // One squish span per encoded state, one window per segment encoded.
+    ASSERT_GT(encodes, 0);
+    EXPECT_EQ(counter_value("core.squish.windows"), windows);
+    const auto snap = snapshot_metrics();
+    const MetricSnapshot* hist = find_metric(snap, "core.squish.ns");
+    ASSERT_NE(hist, nullptr);
+    EXPECT_EQ(hist->hist_count, encodes);
+    long long squish_spans = 0;
+    detail::visit_trace_events([&](int, const char* name, long long, long long) {
+        if (std::strcmp(name, "core.squish") == 0) ++squish_spans;
+    });
+    EXPECT_EQ(squish_spans, encodes);
 }
 
 }  // namespace
