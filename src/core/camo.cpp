@@ -52,26 +52,54 @@ obs::MetricId squish_windows_counter() {
     return id;
 }
 
-// Applies the chosen actions and returns the indices whose offset actually
-// changed (no-move actions and clamped moves stay clean) — the dirty set for
-// incremental lithography evaluation.
-std::vector<int> apply_actions(std::vector<int>& offsets, const std::vector<int>& actions,
-                               int bound) {
-    std::vector<int> dirty;
-    for (std::size_t i = 0; i < offsets.size(); ++i) {
-        const int next = std::clamp(offsets[i] + rl::action_to_move(actions[i]), -bound, bound);
-        if (next != offsets[i]) {
-            offsets[i] = next;
-            dirty.push_back(static_cast<int>(i));
-        }
+obs::MetricId wave_clips_hist() {
+    static const obs::MetricId id = obs::register_histogram("core.rollout.wave_clips");
+    return id;
+}
+obs::MetricId exit_converged_counter() {
+    static const obs::MetricId id = obs::register_counter("core.rollout.exit.converged");
+    return id;
+}
+obs::MetricId exit_iteration_cap_counter() {
+    static const obs::MetricId id = obs::register_counter("core.rollout.exit.iteration_cap");
+    return id;
+}
+obs::MetricId exit_segment_free_counter() {
+    static const obs::MetricId id = obs::register_counter("core.rollout.exit.segment_free");
+    return id;
+}
+
+// Per-segment offset moves (nm) of the chosen actions.
+std::vector<int> action_moves(const std::vector<int>& actions) {
+    std::vector<int> moves(actions.size());
+    std::transform(actions.begin(), actions.end(), moves.begin(),
+                   [](int a) { return rl::action_to_move(a); });
+    return moves;
+}
+
+// Row `node` of an [n, kNumActions] logit tensor.
+std::array<float, rl::kNumActions> logit_row(const nn::Tensor& logits, int node) {
+    std::array<float, rl::kNumActions> row{};
+    for (int a = 0; a < rl::kNumActions; ++a) row[static_cast<std::size_t>(a)] = logits.at(node, a);
+    return row;
+}
+
+// Logit gradient of sum_i coef(i) * log pi(actions[i] | node i), on the
+// unmodulated policy output: the update of both training phases.
+template <typename Coef>
+nn::Tensor policy_grad(const nn::Tensor& logits, std::span<const int> actions, const Coef& coef) {
+    const int n = logits.dim(0);
+    nn::Tensor dlogits({n, rl::kNumActions});
+    for (int i = 0; i < n; ++i) {
+        const auto g = nn::policy_logit_grad(logit_row(logits, i),
+                                             actions[static_cast<std::size_t>(i)], coef(i));
+        for (int a = 0; a < rl::kNumActions; ++a) dlogits.at(i, a) = g[static_cast<std::size_t>(a)];
     }
-    return dirty;
+    return dlogits;
 }
 
 std::array<double, rl::kNumActions> node_probs(const nn::Tensor& logits, int node) {
-    std::array<float, rl::kNumActions> row{};
-    for (int a = 0; a < rl::kNumActions; ++a) row[static_cast<std::size_t>(a)] = logits.at(node, a);
-    const auto p = nn::softmax(std::span<const float>(row.data(), row.size()));
+    const auto p = nn::softmax(logit_row(logits, node));
     std::array<double, rl::kNumActions> out{};
     for (int a = 0; a < rl::kNumActions; ++a) out[static_cast<std::size_t>(a)] = p[static_cast<std::size_t>(a)];
     return out;
@@ -110,6 +138,53 @@ std::vector<int> pick_actions(const nn::Tensor& logits, const std::vector<double
     return actions;
 }
 
+// One clip of a lockstep rollout: its rollout, segment graph, action RNG
+// (null = modulated argmax) and squish feature buffer, overwritten every
+// step.
+struct ClipRollout {
+    opc::Rollout rollout;
+    const Graph* graph = nullptr;
+    Rng* rng = nullptr;
+    std::vector<nn::Tensor> feats;
+};
+
+// The wave loop behind inference and phase-2 training (the DynaPlex
+// SetAction(span<Trajectory>) shape). Before every wave a clip leaves for
+// good, counted by reason, when it has no segments (the policy cannot run
+// on an empty node set, so the primed metrics are final), after
+// `max_iterations` steps, or when the paper's early-exit rules fire.
+// `act(wave)` then advances every clip index in `wave` (ascending) by
+// exactly one Rollout::step.
+template <typename Act>
+void run_waves(std::vector<ClipRollout>& clips, int max_iterations, const Act& act) {
+    std::vector<std::size_t> wave;
+    for (std::size_t c = 0; c < clips.size(); ++c) {
+        if (clips[c].rollout.layout().num_segments() > 0) {
+            wave.push_back(c);
+        } else {
+            obs::counter_add(exit_segment_free_counter());
+        }
+    }
+    const auto leaves = [&](std::size_t c) {
+        const opc::Rollout& r = clips[c].rollout;
+        if (r.iterations() >= max_iterations) {
+            obs::counter_add(exit_iteration_cap_counter());
+            return true;
+        }
+        if (r.should_exit()) {
+            obs::counter_add(exit_converged_counter());
+            return true;
+        }
+        return false;
+    };
+    for (;;) {
+        std::erase_if(wave, leaves);
+        if (wave.empty()) return;
+        obs::histogram_record(wave_clips_hist(), static_cast<long long>(wave.size()));
+        act(std::span<const std::size_t>(wave));
+    }
+}
+
 }  // namespace
 
 CamoConfig make_rlopc_config(const CamoConfig& base) {
@@ -130,16 +205,28 @@ struct CamoEngine::TrainRuntime {
     std::unique_ptr<runtime::ThreadPool> pool;             ///< null when workers == 1
     std::vector<std::unique_ptr<PolicyNetwork>> replicas;  ///< one per worker when pooled
 
-    /// Copy the master weights into every replica (called once per wave,
-    /// after the previous optimizer step made the replicas stale).
-    void sync_replicas(PolicyNetwork& master) {
-        for (auto& r : replicas) r->copy_weights_from(master);
-    }
-
-    /// The replica of the calling pool worker.
-    PolicyNetwork& worker_replica() {
-        const int w = pool->worker_index();
-        return *replicas[static_cast<std::size_t>(w < 0 ? 0 : w)];
+    /// Runs job(net, k) for every k < buffers.size() — across the pool on
+    /// the worker's replica, synced from `master` first (the previous
+    /// optimizer step made it stale), or serially on `master` — each job
+    /// capturing its gradient into buffers[k], then folds the buffers into
+    /// master's gradients in fixed order.
+    template <typename Job>
+    void run_and_reduce(PolicyNetwork& master, std::vector<nn::GradBuffer>& buffers,
+                        const Job& job) {
+        const std::size_t count = buffers.size();
+        if (pool && count > 1) {
+            for (auto& r : replicas) r->copy_weights_from(master);
+            pool->for_each_index(static_cast<int>(count), [&](int k) {
+                const int w = pool->worker_index();
+                job(*replicas[static_cast<std::size_t>(w < 0 ? 0 : w)],
+                    static_cast<std::size_t>(k));
+            });
+        } else {
+            for (std::size_t k = 0; k < count; ++k) job(master, k);
+        }
+        const obs::Span reduce_span("train.reduce", reduce_hist());
+        obs::counter_add(reduction_counter());
+        nn::reduce_in_order(buffers, master.params());
     }
 };
 
@@ -218,45 +305,8 @@ opc::EngineResult CamoEngine::optimize(const geo::SegmentedLayout& layout, litho
 
 opc::EngineResult CamoEngine::infer(const geo::SegmentedLayout& layout, litho::LithoSim& sim,
                                     const opc::OpcOptions& opt, Rng* rng) const {
-    Timer timer;
-    opc::EngineResult res;
-    const opc::WindowObjective objective(opt, sim.config(), cfg_.reward);
-    const Graph graph = build_segment_graph(layout, cfg_.graph_threshold_nm);
-
-    std::vector<int> offsets(static_cast<std::size_t>(layout.num_segments()),
-                             opt.initial_bias_nm);
-    // First evaluation primes the per-clip incremental cache; iterations then
-    // re-evaluate only what the actions touched (nominal mode: the dirty-set
-    // path; window modes: one cached-spectrum sweep serving every corner).
-    litho::SimMetrics m = objective.prime(sim, layout, offsets, &res.final_window);
-    res.epe_history.push_back(m.sum_abs_epe);
-    res.pvb_history.push_back(m.pvband_nm2);
-
-    const int features = static_cast<int>(layout.targets().size());
-    const int points = static_cast<int>(m.epe.size());
-
-    // A segment-free layout has no actions to take: the primed metrics are
-    // already the fixed point, and the policy cannot run on an empty node set.
-    const int steps = layout.num_segments() > 0 ? opt.max_iterations : 0;
-    std::vector<nn::Tensor> feats;  // squish buffer, overwritten every step
-    for (int it = 0; it < steps; ++it) {
-        if (opc::should_exit_early(m.sum_abs_epe, features, points, opt)) break;
-
-        encode_state(layout, offsets, feats);
-        const nn::Tensor logits = policy_.infer(feats, graph);
-        const auto actions = pick_actions(logits, m.epe_segment, cfg_.modulator, rng);
-
-        const auto dirty = apply_actions(offsets, actions, opt.max_total_offset_nm);
-        m = objective.evaluate(sim, layout, offsets, dirty, &res.final_window);
-        res.epe_history.push_back(m.sum_abs_epe);
-        res.pvb_history.push_back(m.pvband_nm2);
-        ++res.iterations;
-    }
-
-    res.final_offsets = std::move(offsets);
-    res.final_metrics = std::move(m);
-    res.runtime_s = timer.seconds();
-    return res;
+    Rng* const rngs[] = {rng};
+    return std::move(infer_waves({&layout, 1}, {&sim, 1}, opt, rngs).front());
 }
 
 std::vector<opc::EngineResult> CamoEngine::infer_batch(
@@ -268,9 +318,16 @@ std::vector<opc::EngineResult> CamoEngine::infer_batch(
     if (!seeds.empty() && seeds.size() != layouts.size()) {
         throw std::invalid_argument("CamoEngine::infer_batch: seeds must be empty or per-clip");
     }
+    std::vector<Rng> rngs(seeds.begin(), seeds.end());
+    std::vector<Rng*> rng_ptrs(layouts.size(), nullptr);
+    for (std::size_t c = 0; c < rngs.size(); ++c) rng_ptrs[c] = &rngs[c];
+    return infer_waves(layouts, sims, opt, rng_ptrs);
+}
 
+std::vector<opc::EngineResult> CamoEngine::infer_waves(
+    std::span<const geo::SegmentedLayout> layouts, std::span<litho::LithoSim> sims,
+    const opc::OpcOptions& opt, std::span<Rng* const> rngs) const {
     const std::size_t count = layouts.size();
-    std::vector<opc::EngineResult> results(count);
     // Per-clip time accounting: every lap of this clock is charged to the
     // clip that ran in it, or split over a batched forward's clips by node
     // count, so the per-clip runtimes sum to the call's wall time.
@@ -281,90 +338,50 @@ std::vector<opc::EngineResult> CamoEngine::infer_batch(
         return s;
     };
 
-    // Per-clip rollout state, advanced one action wave at a time.
-    struct ClipState {
-        opc::WindowObjective objective;
-        Graph graph;
-        std::vector<int> offsets;
-        litho::SimMetrics m;
-        std::optional<Rng> rng;
-        int features = 0;
-        int points = 0;
-        bool active = false;
-        std::vector<nn::Tensor> feats;  ///< squish buffer, overwritten every wave
-    };
-    std::vector<ClipState> states;
-    states.reserve(count);
+    std::vector<Graph> graphs;
+    graphs.reserve(count);
+    std::vector<ClipRollout> clips;
+    clips.reserve(count);
+    std::vector<double> runtime(count, 0.0);
     for (std::size_t c = 0; c < count; ++c) {
-        const geo::SegmentedLayout& layout = layouts[c];
-        litho::LithoSim& sim = sims[c];
-        opc::EngineResult& res = results[c];
-        states.push_back(ClipState{
-            .objective = opc::WindowObjective(opt, sim.config(), cfg_.reward),
-            .graph = build_segment_graph(layout, cfg_.graph_threshold_nm),
-            .offsets = std::vector<int>(static_cast<std::size_t>(layout.num_segments()),
-                                        opt.initial_bias_nm),
-        });
-        ClipState& st = states.back();
-        if (!seeds.empty()) st.rng.emplace(seeds[c]);
-        st.m = st.objective.prime(sim, layout, st.offsets, &res.final_window);
-        res.epe_history.push_back(st.m.sum_abs_epe);
-        res.pvb_history.push_back(st.m.pvband_nm2);
-        st.features = static_cast<int>(layout.targets().size());
-        st.points = static_cast<int>(st.m.epe.size());
-        st.active = layout.num_segments() > 0;
-        res.runtime_s = take_lap();
+        // The rollout primes the clip's simulator before the first wave.
+        opc::Rollout rollout(layouts[c], sims[c], opt, cfg_.reward);
+        graphs.push_back(build_segment_graph(layouts[c], cfg_.graph_threshold_nm));
+        clips.push_back(
+            {.rollout = std::move(rollout), .graph = &graphs.back(), .rng = rngs[c], .feats = {}});
+        runtime[c] = take_lap();
     }
 
-    for (int it = 0; it < opt.max_iterations; ++it) {
-        // Collect the wave: every still-running clip encodes its state and
-        // queues one batched-policy request (clip order, deterministic).
-        std::vector<PolicyNetwork::ClipRequest> requests;
-        std::vector<std::size_t> wave;  // request -> clip index
-        for (std::size_t c = 0; c < count; ++c) {
-            ClipState& st = states[c];
-            if (!st.active) continue;
-            if (opc::should_exit_early(st.m.sum_abs_epe, st.features, st.points, opt)) {
-                st.active = false;
-            } else {
-                encode_state(layouts[c], st.offsets, st.feats);
-                requests.push_back({&st.feats, &st.graph});
-                wave.push_back(c);
-            }
-            results[c].runtime_s += take_lap();
+    std::vector<PolicyNetwork::ClipRequest> requests;
+    run_waves(clips, opt.max_iterations, [&](std::span<const std::size_t> wave) {
+        // Every clip of the wave encodes its state; ONE batched forward
+        // then serves them all (clip order, deterministic).
+        requests.clear();
+        std::size_t wave_nodes = 0;
+        for (const std::size_t c : wave) {
+            ClipRollout& clip = clips[c];
+            encode_state(clip.rollout.layout(), clip.rollout.offsets(), clip.feats);
+            requests.push_back({&clip.feats, clip.graph});
+            wave_nodes += clip.feats.size();
+            runtime[c] += take_lap();
         }
-        if (requests.empty()) break;
-
         const std::vector<nn::Tensor> logits = policy_.infer_batch(requests);
         const double forward_s = take_lap();
-        std::size_t wave_nodes = 0;
-        for (const std::size_t c : wave) wave_nodes += states[c].feats.size();
-        for (const std::size_t c : wave) {
-            results[c].runtime_s += forward_s * static_cast<double>(states[c].feats.size()) /
-                                    static_cast<double>(wave_nodes);
-        }
-
         for (std::size_t r = 0; r < wave.size(); ++r) {
             const std::size_t c = wave[r];
-            ClipState& st = states[c];
-            opc::EngineResult& res = results[c];
-            const auto actions =
-                pick_actions(logits[r], st.m.epe_segment, cfg_.modulator,
-                             st.rng ? &*st.rng : nullptr);
-            const auto dirty = apply_actions(st.offsets, actions, opt.max_total_offset_nm);
-            st.m = st.objective.evaluate(sims[c], layouts[c], st.offsets, dirty,
-                                         &res.final_window);
-            res.epe_history.push_back(st.m.sum_abs_epe);
-            res.pvb_history.push_back(st.m.pvband_nm2);
-            ++res.iterations;
-            res.runtime_s += take_lap();
+            ClipRollout& clip = clips[c];
+            const auto actions = pick_actions(logits[r], clip.rollout.metrics().epe_segment,
+                                              cfg_.modulator, clip.rng);
+            clip.rollout.step(action_moves(actions));
+            runtime[c] += forward_s * static_cast<double>(clip.feats.size()) /
+                              static_cast<double>(wave_nodes) +
+                          take_lap();
         }
-    }
+    });
 
-    for (std::size_t c = 0; c < count; ++c) {
-        results[c].final_offsets = std::move(states[c].offsets);
-        results[c].final_metrics = std::move(states[c].m);
-    }
+    std::vector<opc::EngineResult> results;
+    results.reserve(count);
+    for (std::size_t c = 0; c < count; ++c) results.push_back(clips[c].rollout.finish(runtime[c]));
     return results;
 }
 
@@ -504,44 +521,20 @@ double CamoEngine::phase1_epoch_over(std::size_t sample_count, const std::vector
             const nn::Tensor logits =
                 net.forward(*s.features, graphs[static_cast<std::size_t>(s.clip)]);
             const int n = logits.dim(0);
-            nn::Tensor dlogits({n, rl::kNumActions});
             double nll = 0.0;
             for (int i = 0; i < n; ++i) {
-                std::array<float, rl::kNumActions> row{};
-                for (int a = 0; a < rl::kNumActions; ++a) {
-                    row[static_cast<std::size_t>(a)] = logits.at(i, a);
-                }
-                const std::span<const float> row_span(row.data(), row.size());
-                const int act = s.actions[static_cast<std::size_t>(i)];
-                nll -= nn::log_prob(row_span, act);
-                // coef = -w/n: gradient DEscent on class-weighted mean NLL.
-                const float coef =
-                    -action_weight[static_cast<std::size_t>(act)] / static_cast<float>(n);
-                const auto g = nn::policy_logit_grad(row_span, act, coef);
-                for (int a = 0; a < rl::kNumActions; ++a) {
-                    dlogits.at(i, a) = g[static_cast<std::size_t>(a)];
-                }
+                nll -= nn::log_prob(logit_row(logits, i), s.actions[static_cast<std::size_t>(i)]);
             }
-            net.backward(dlogits);
+            // coef = -w/n: gradient DEscent on class-weighted mean NLL.
+            net.backward(policy_grad(logits, s.actions, [&](int i) {
+                const int act = s.actions[static_cast<std::size_t>(i)];
+                return -action_weight[static_cast<std::size_t>(act)] / static_cast<float>(n);
+            }));
             buffers[k].capture(net.params());
             sample_nll[k] = nll;
             sample_nodes[k] = n;
         };
-
-        if (rt.pool && count > 1) {
-            rt.sync_replicas(policy_);
-            rt.pool->for_each_index(static_cast<int>(count), [&](int k) {
-                run_sample(rt.worker_replica(), static_cast<std::size_t>(k));
-            });
-        } else {
-            for (std::size_t k = 0; k < count; ++k) run_sample(policy_, k);
-        }
-
-        {
-            const obs::Span reduce_span("train.reduce", reduce_hist());
-            obs::counter_add(reduction_counter());
-            nn::reduce_in_order(buffers, policy_.params());
-        }
+        rt.run_and_reduce(policy_, buffers, run_sample);
         for (std::size_t k = 0; k < count; ++k) {
             total_nll += sample_nll[k];
             total_nodes += sample_nodes[k];
@@ -663,126 +656,72 @@ double CamoEngine::run_phase2_episode(const std::vector<geo::SegmentedLayout>& c
         throw std::invalid_argument("run_phase2_episode: clip_sims/clips size mismatch");
     }
     if (clips.empty()) return 0.0;  // degenerate episode: nothing to roll out
-    const opc::WindowObjective objective(opt, clip_sims.front().config(), cfg_.reward);
 
-    // Lockstep data-parallel rollout: at time step t every active clip acts
-    // with the same weight snapshot, each against its own simulator (whose
-    // incremental cache then carries that clip's state across steps) and its
-    // own splitmix RNG stream keyed by (seed, episode, clip) — never by
-    // scheduling order. The clips' Eq. (7) gradients are reduced in clip
-    // order and one optimizer step closes the wave.
-    struct ClipState {
-        bool active = false;
-        std::vector<int> offsets;
-        litho::SimMetrics m;
-        std::optional<litho::WindowMetrics> window_before;
-        std::optional<litho::WindowMetrics> window_after;
-        int features = 0;
-        int points = 0;
-        double reward = 0.0;
-        std::optional<Rng> rng;
-        std::vector<nn::Tensor> feats;  ///< squish buffer, overwritten every step
-    };
-
-    std::vector<ClipState> st(clips.size());
+    // Lockstep data-parallel rollout: every wave, each running clip acts
+    // with the same weight snapshot, against its own simulator (whose
+    // incremental cache then carries that clip's state across steps) and
+    // with its own splitmix RNG stream keyed by (seed, episode, clip) —
+    // never by scheduling order. The wave's Eq. (7) gradients are reduced
+    // in clip order and one optimizer step closes it. Segment-free clips
+    // have nothing to roll out and get no rollout.
     const std::uint64_t episode_seed = derive_seed(cfg_.seed ^ 0x5A17ULL,
                                                    static_cast<std::uint64_t>(episode));
+    std::vector<Rng> rngs;
+    rngs.reserve(clips.size());
+    std::vector<ClipRollout> rollouts;
+    rollouts.reserve(clips.size());
     for (std::size_t c = 0; c < clips.size(); ++c) {
-        const geo::SegmentedLayout& layout = clips[c];
-        if (layout.num_segments() == 0) continue;  // degenerate clip: no rollout
-        ClipState& s = st[c];
-        s.offsets.assign(static_cast<std::size_t>(layout.num_segments()), opt.initial_bias_nm);
-        s.m = objective.prime(clip_sims[c], layout, s.offsets, &s.window_before);
-        s.features = static_cast<int>(layout.targets().size());
-        s.points = static_cast<int>(s.m.epe.size());
-        s.rng.emplace(derive_seed(episode_seed, static_cast<std::uint64_t>(c)));
-        s.active = true;
+        if (clips[c].num_segments() == 0) continue;
+        rngs.emplace_back(derive_seed(episode_seed, static_cast<std::uint64_t>(c)));
+        rollouts.push_back({.rollout = opc::Rollout(clips[c], clip_sims[c], opt, cfg_.reward),
+                            .graph = &graphs[c],
+                            .rng = &rngs.back(),
+                            .feats = {}});
     }
 
     TrainRuntime& rt = train_runtime();
     double reward_sum = 0.0;
     int reward_count = 0;
-    std::vector<int> wave;
     std::vector<nn::GradBuffer> buffers;
+    std::vector<double> rewards;
 
-    for (int t = 0; t < opt.max_iterations; ++t) {
+    run_waves(rollouts, opt.max_iterations, [&](std::span<const std::size_t> wave) {
         const obs::Span wave_span("train.phase2.wave", phase2_wave_hist());
-        wave.clear();
-        for (std::size_t c = 0; c < clips.size(); ++c) {
-            ClipState& s = st[c];
-            if (!s.active) continue;
-            if (opc::should_exit_early(s.m.sum_abs_epe, s.features, s.points, opt)) {
-                s.active = false;
-                continue;
-            }
-            wave.push_back(static_cast<int>(c));
-        }
-        if (wave.empty()) break;
         buffers.assign(wave.size(), nn::GradBuffer{});
+        rewards.assign(wave.size(), 0.0);
 
         const auto run_clip = [&](PolicyNetwork& net, std::size_t k) {
-            const std::size_t c = static_cast<std::size_t>(wave[k]);
-            const geo::SegmentedLayout& layout = clips[c];
-            ClipState& s = st[c];
+            ClipRollout& clip = rollouts[wave[k]];
+            opc::Rollout& rollout = clip.rollout;
+            encode_state(rollout.layout(), rollout.offsets(), clip.feats);
+            const nn::Tensor logits = net.forward(clip.feats, *clip.graph);
+            const auto actions =
+                pick_actions(logits, rollout.metrics().epe_segment, cfg_.modulator, clip.rng);
 
-            encode_state(layout, s.offsets, s.feats);
-            const nn::Tensor logits = net.forward(s.feats, graphs[c]);
-            const auto actions = pick_actions(logits, s.m.epe_segment, cfg_.modulator, &*s.rng);
-
-            const auto dirty = apply_actions(s.offsets, actions, opt.max_total_offset_nm);
-            const litho::SimMetrics m2 =
-                objective.evaluate(clip_sims[c], layout, s.offsets, dirty, &s.window_after);
+            const opc::Rollout::Before before = rollout.step(action_moves(actions));
+            const litho::SimMetrics& after = rollout.metrics();
+            const opc::WindowObjective& objective = rollout.objective();
             const double r =
                 objective.active()
-                    ? rl::window_step_reward(*s.window_before, *s.window_after,
+                    ? rl::window_step_reward(*before.window, *rollout.window(),
                                              objective.reward())
-                    : rl::step_reward(s.m.sum_abs_epe, m2.sum_abs_epe, s.m.pvband_nm2,
-                                      m2.pvband_nm2, cfg_.reward);
-            s.reward = r;
+                    : rl::step_reward(before.metrics.sum_abs_epe, after.sum_abs_epe,
+                                      before.metrics.pvband_nm2, after.pvband_nm2, cfg_.reward);
+            rewards[k] = r;
 
-            // Eq. (7): gradient ascent on r * log pi(a|s), computed on the
-            // unmodulated policy output.
-            const int n = logits.dim(0);
-            nn::Tensor dlogits({n, rl::kNumActions});
-            for (int i = 0; i < n; ++i) {
-                std::array<float, rl::kNumActions> row{};
-                for (int a = 0; a < rl::kNumActions; ++a) {
-                    row[static_cast<std::size_t>(a)] = logits.at(i, a);
-                }
-                const auto g = nn::policy_logit_grad(
-                    std::span<const float>(row.data(), row.size()),
-                    actions[static_cast<std::size_t>(i)],
-                    cfg_.phase2_lr_scale * static_cast<float>(-r) / static_cast<float>(n));
-                for (int a = 0; a < rl::kNumActions; ++a) {
-                    dlogits.at(i, a) = g[static_cast<std::size_t>(a)];
-                }
-            }
-            net.backward(dlogits);
+            // Eq. (7): gradient ascent on r * log pi(a|s).
+            const float coef = cfg_.phase2_lr_scale * static_cast<float>(-r) /
+                               static_cast<float>(logits.dim(0));
+            net.backward(policy_grad(logits, actions, [coef](int) { return coef; }));
             buffers[k].capture(net.params());
-            s.m = m2;
-            s.window_before = std::move(s.window_after);
         };
-
-        if (rt.pool && wave.size() > 1) {
-            rt.sync_replicas(policy_);
-            rt.pool->for_each_index(static_cast<int>(wave.size()), [&](int k) {
-                run_clip(rt.worker_replica(), static_cast<std::size_t>(k));
-            });
-        } else {
-            for (std::size_t k = 0; k < wave.size(); ++k) run_clip(policy_, k);
-        }
-
-        {
-            const obs::Span reduce_span("train.reduce", reduce_hist());
-            obs::counter_add(reduction_counter());
-            nn::reduce_in_order(buffers, policy_.params());
-        }
-        for (int c : wave) {
-            reward_sum += st[static_cast<std::size_t>(c)].reward;
+        rt.run_and_reduce(policy_, buffers, run_clip);
+        for (const double r : rewards) {
+            reward_sum += r;
             ++reward_count;
         }
         optimizer_step();
-    }
+    });
     return reward_sum / std::max(1, reward_count);
 }
 

@@ -11,7 +11,9 @@
 //   Eq. (3), and the update is Eq. (7) on the *unmodulated* policy output.
 //
 // Inference picks argmax of the modulated probability per segment and stops
-// on the paper's early-exit rules.
+// on the paper's early-exit rules. Inference and phase 2 share one lockstep
+// wave driver over opc::Rollout (one rollout per clip); they differ only in
+// argmax vs sampling and in whether a reward and a gradient follow a step.
 #pragma once
 
 #include <array>
@@ -145,14 +147,16 @@ public:
     opc::EngineResult optimize(const geo::SegmentedLayout& layout, litho::LithoSim& sim,
                                const opc::OpcOptions& opt) override;
 
-    /// Read-only inference: the same loop as optimize() (modulated argmax,
-    /// paper early-exit rules) but const w.r.t. the engine, so one trained
-    /// snapshot can serve many batch workers concurrently — each worker must
-    /// pass its own simulator (the incremental-evaluation cache inside
-    /// LithoSim is per-instance, not shared). When `rng` is non-null,
+    /// Read-only inference: the same rollout as optimize() (modulated
+    /// argmax, paper early-exit rules) but const w.r.t. the engine, so one
+    /// trained snapshot can serve many batch workers concurrently — each
+    /// worker must pass its own simulator (the incremental-evaluation cache
+    /// inside LithoSim is per-instance, not shared). When `rng` is non-null,
     /// actions are sampled from the modulated distribution instead of
     /// argmax'd; pass a per-job Rng (seeded from the job index) so results
-    /// stay independent of scheduling.
+    /// stay independent of scheduling. A wave of one through the same
+    /// driver as infer_batch. Throws std::invalid_argument on out-of-bounds
+    /// offset options (see opc::Rollout).
     [[nodiscard]] opc::EngineResult infer(const geo::SegmentedLayout& layout,
                                           litho::LithoSim& sim, const opc::OpcOptions& opt,
                                           Rng* rng = nullptr) const;
@@ -264,6 +268,14 @@ private:
 
     void optimizer_step();
 
+    /// The inference wave driver behind infer and infer_batch: one rollout
+    /// per clip, one batched forward per wave. `rngs` holds one entry per
+    /// clip (null = modulated argmax).
+    std::vector<opc::EngineResult> infer_waves(std::span<const geo::SegmentedLayout> layouts,
+                                               std::span<litho::LithoSim> sims,
+                                               const opc::OpcOptions& opt,
+                                               std::span<Rng* const> rngs) const;
+
     /// One phase-1 sample as the epoch core consumes it. The in-memory path
     /// points straight into the Phase1Dataset; the replay path decodes into
     /// the owned_* storage (per worker-thread call, so streaming is
@@ -286,13 +298,14 @@ private:
                              const std::array<float, rl::kNumActions>& action_weight,
                              const LoadSample& load);
 
-    /// One phase-2 lockstep REINFORCE episode: every clip rolls out
-    /// synchronously — at each time step the active clips act in parallel
-    /// against per-clip simulators with per-(episode, clip) splitmix RNG
-    /// streams, their Eq. (7) gradients are reduced in clip order, and one
-    /// optimizer step follows. `clip_sims` (one per clip, shared across
-    /// episodes) are re-primed with a full rebuild at episode start, so
-    /// their carried-over caches never leak into results. Returns the
+    /// One phase-2 lockstep REINFORCE episode: the inference wave driver
+    /// with sampling — each wave, every running clip acts in parallel
+    /// against its own simulator with a per-(episode, clip) splitmix RNG
+    /// stream, is scored by Eq. (3) (window_step_reward under a window
+    /// objective), and its Eq. (7) gradient is reduced in clip order before
+    /// one optimizer step closes the wave. `clip_sims` (one per clip, shared
+    /// across episodes) are re-primed with a full rebuild at episode start,
+    /// so their carried-over caches never leak into results. Returns the
     /// episode's mean step reward.
     double run_phase2_episode(const std::vector<geo::SegmentedLayout>& clips,
                               const std::vector<Graph>& graphs,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace camo::opc {
 
@@ -134,6 +135,64 @@ litho::SimMetrics WindowObjective::evaluate(litho::LithoSim& sim,
     litho::SimMetrics view = objective_view(wm, reward_);
     if (window != nullptr) *window = std::move(wm);
     return view;
+}
+
+Rollout::Rollout(const geo::SegmentedLayout& layout, litho::LithoSim& sim, const OpcOptions& opt,
+                 const rl::RewardConfig& reward)
+    : layout_(&layout),
+      sim_(&sim),
+      opt_(&opt),
+      objective_(opt, sim.config(), reward),
+      features_(static_cast<int>(layout.targets().size())) {
+    const int bound = opt.max_total_offset_nm;
+    if (bound < 0) {
+        throw std::invalid_argument("opc::Rollout: max_total_offset_nm must be >= 0, got " +
+                                    std::to_string(bound));
+    }
+    if (opt.initial_bias_nm < -bound || opt.initial_bias_nm > bound) {
+        throw std::invalid_argument("opc::Rollout: |initial_bias_nm| = " +
+                                    std::to_string(opt.initial_bias_nm) +
+                                    " exceeds max_total_offset_nm = " + std::to_string(bound));
+    }
+    res_.final_offsets.assign(static_cast<std::size_t>(layout.num_segments()),
+                              opt.initial_bias_nm);
+    res_.final_metrics = objective_.prime(sim, layout, res_.final_offsets, &res_.final_window);
+    res_.epe_history.push_back(res_.final_metrics.sum_abs_epe);
+    res_.pvb_history.push_back(res_.final_metrics.pvband_nm2);
+    points_ = static_cast<int>(res_.final_metrics.epe.size());
+}
+
+bool Rollout::should_exit() const {
+    return should_exit_early(res_.final_metrics.sum_abs_epe, features_, points_, *opt_);
+}
+
+Rollout::Before Rollout::step(std::span<const int> moves) {
+    std::vector<int>& offsets = res_.final_offsets;
+    if (moves.size() != offsets.size()) {
+        throw std::invalid_argument("opc::Rollout::step: " + std::to_string(moves.size()) +
+                                    " moves for " + std::to_string(offsets.size()) +
+                                    " segments");
+    }
+    const int bound = opt_->max_total_offset_nm;
+    dirty_.clear();
+    for (std::size_t i = 0; i < offsets.size(); ++i) {
+        const int next = std::clamp(offsets[i] + moves[i], -bound, bound);
+        if (next != offsets[i]) {
+            offsets[i] = next;
+            dirty_.push_back(static_cast<int>(i));
+        }
+    }
+    Before before{std::move(res_.final_metrics), std::move(res_.final_window)};
+    res_.final_metrics = objective_.evaluate(*sim_, *layout_, offsets, dirty_, &res_.final_window);
+    res_.epe_history.push_back(res_.final_metrics.sum_abs_epe);
+    res_.pvb_history.push_back(res_.final_metrics.pvband_nm2);
+    ++res_.iterations;
+    return before;
+}
+
+EngineResult Rollout::finish(double runtime_s) {
+    res_.runtime_s = runtime_s;
+    return std::move(res_);
 }
 
 }  // namespace camo::opc

@@ -1,16 +1,21 @@
-// Shared window-objective plumbing for the segment-based OPC engines.
+// The OPC rollout every segment-moving engine steps through, and the
+// window objective it evaluates.
 //
-// Every engine iterates the same way: evaluate the mask, read per-segment
-// EPE as the feedback signal, test the early-exit rules on the scalar sum,
-// move segments, repeat. WindowObjective generalizes that loop over the
-// reward modes: in kNominal mode it is a zero-cost pass-through to the
-// legacy incremental evaluation (bit-identical); in the window modes it
-// evaluates the full dose x focus grid through the cached support spectrum
-// (LithoSim::evaluate_window_incremental — one sparse delta-DFT per step
-// serving every corner) and reduces the sweep to a SimMetrics "view" whose
-// per-segment EPE, scalar sum and PV band are the objective's. The rule,
-// one-shot and CAMO engines all drive their feedback off the view, so the
-// nominal-vs-window ablation compares engines under identical protocols.
+// Rollout (paper Algorithm 1's inner loop) owns one clip's offsets, metrics
+// and histories: construction primes the simulator, step(moves) clamps,
+// re-evaluates only what moved and records, should_exit() applies the
+// paper's early-exit rules, finish() returns the EngineResult. The rule,
+// one-shot and CAMO engines differ only in how they pick moves and when
+// they stop.
+//
+// WindowObjective generalizes the evaluation over the reward modes: in
+// kNominal mode it is a zero-cost pass-through to the legacy incremental
+// evaluation (bit-identical); in the window modes it evaluates the full dose
+// x focus grid through the cached support spectrum (one sparse delta-DFT
+// per step serving every corner) and reduces the sweep to a SimMetrics
+// "view" whose per-segment EPE, scalar sum and PV band are the objective's,
+// so the nominal-vs-window ablation compares engines under identical
+// protocols.
 #pragma once
 
 #include <optional>
@@ -75,6 +80,62 @@ public:
 private:
     rl::WindowRewardConfig reward_;
     litho::WindowSpec spec_;
+};
+
+/// One clip's OPC rollout: the offsets, the objective metrics and the
+/// EngineResult histories, advanced one step at a time. Holds non-owning
+/// pointers to the layout, the simulator and the options, which must
+/// outlive it.
+class Rollout {
+public:
+    /// The mask state a step replaced (moved out, not copied), for callers
+    /// that score the transition (phase-2 rewards).
+    struct Before {
+        litho::SimMetrics metrics;
+        std::optional<litho::WindowMetrics> window;
+    };
+
+    /// Resolves the window objective (`reward` is its Eq. (3) base), throws
+    /// std::invalid_argument naming the field when opt.max_total_offset_nm
+    /// < 0 or |opt.initial_bias_nm| exceeds it, then primes `sim` with every
+    /// segment at the initial bias (history entry 0).
+    Rollout(const geo::SegmentedLayout& layout, litho::LithoSim& sim, const OpcOptions& opt,
+            const rl::RewardConfig& reward = {});
+
+    [[nodiscard]] const geo::SegmentedLayout& layout() const { return *layout_; }
+    [[nodiscard]] const WindowObjective& objective() const { return objective_; }
+    [[nodiscard]] std::span<const int> offsets() const { return res_.final_offsets; }
+    /// The objective view of the current mask (see objective_view).
+    [[nodiscard]] const litho::SimMetrics& metrics() const { return res_.final_metrics; }
+    /// The current mask's window sweep; empty in kNominal mode.
+    [[nodiscard]] const std::optional<litho::WindowMetrics>& window() const {
+        return res_.final_window;
+    }
+    [[nodiscard]] int iterations() const { return res_.iterations; }
+
+    /// True when either of the paper's early-exit rules fires on the
+    /// current objective sum (should_exit_early).
+    [[nodiscard]] bool should_exit() const;
+
+    /// Moves segment i by moves[i] nm, clamped to +/-max_total_offset_nm,
+    /// re-evaluates only the segments whose offset changed, appends one
+    /// history entry and counts one iteration. Throws
+    /// std::invalid_argument unless there is one move per segment.
+    Before step(std::span<const int> moves);
+
+    /// The finished result with `runtime_s` as its wall time; the rollout
+    /// is spent afterwards.
+    EngineResult finish(double runtime_s);
+
+private:
+    const geo::SegmentedLayout* layout_;
+    litho::LithoSim* sim_;
+    const OpcOptions* opt_;
+    WindowObjective objective_;
+    int features_ = 0;
+    int points_ = 0;
+    EngineResult res_;
+    std::vector<int> dirty_;  ///< reused dirty-set storage
 };
 
 }  // namespace camo::opc

@@ -11,37 +11,18 @@ namespace camo::opc {
 EngineResult OneShotEngine::optimize(const geo::SegmentedLayout& layout, litho::LithoSim& sim,
                                      const OpcOptions& opt) {
     Timer timer;
-    EngineResult res;
-    const WindowObjective objective(opt, sim.config());
-    std::vector<int> offsets(static_cast<std::size_t>(layout.num_segments()),
-                             opt.initial_bias_nm);
-
-    const litho::SimMetrics m0 = objective.prime(sim, layout, offsets, &res.final_window);
-    res.epe_history.push_back(m0.sum_abs_epe);
-    res.pvb_history.push_back(m0.pvband_nm2);
-
+    Rollout rollout(layout, sim, opt);
     // One-shot moves nearly every segment, so the second evaluation usually
-    // exceeds the incremental fallback fraction and runs full — passing the
-    // dirty set anyway keeps the engines uniform and exercises the fallback.
-    std::vector<int> dirty;
-    for (std::size_t i = 0; i < offsets.size(); ++i) {
-        const int corr = static_cast<int>(std::lround(-opt_.gain * m0.epe_segment[i]));
-        const int next = std::clamp(offsets[i] + std::clamp(corr, -opt_.max_correction,
-                                                            opt_.max_correction),
-                                    -opt.max_total_offset_nm, opt.max_total_offset_nm);
-        if (next != offsets[i]) {
-            offsets[i] = next;
-            dirty.push_back(static_cast<int>(i));
-        }
+    // exceeds the incremental fallback fraction and runs full — the rollout
+    // passes the dirty set anyway, which exercises the fallback.
+    const std::vector<double>& epe_segment = rollout.metrics().epe_segment;
+    std::vector<int> moves(epe_segment.size());
+    for (std::size_t i = 0; i < moves.size(); ++i) {
+        const int corr = static_cast<int>(std::lround(-opt_.gain * epe_segment[i]));
+        moves[i] = std::clamp(corr, -opt_.max_correction, opt_.max_correction);
     }
-    res.iterations = 1;
-
-    res.final_metrics = objective.evaluate(sim, layout, offsets, dirty, &res.final_window);
-    res.epe_history.push_back(res.final_metrics.sum_abs_epe);
-    res.pvb_history.push_back(res.final_metrics.pvband_nm2);
-    res.final_offsets = std::move(offsets);
-    res.runtime_s = timer.seconds();
-    return res;
+    rollout.step(moves);
+    return rollout.finish(timer.seconds());
 }
 
 }  // namespace camo::opc

@@ -36,63 +36,24 @@ std::vector<int> feedback_moves(const std::vector<double>& epe_segment, double g
     return moves;
 }
 
-// Applies the moves and returns the indices whose offset actually changed
-// (the dirty set for incremental lithography evaluation).
-std::vector<int> apply_moves(std::vector<int>& offsets, const std::vector<int>& moves,
-                             int bound) {
-    std::vector<int> dirty;
-    for (std::size_t i = 0; i < offsets.size(); ++i) {
-        const int next = std::clamp(offsets[i] + moves[i], -bound, bound);
-        if (next != offsets[i]) {
-            offsets[i] = next;
-            dirty.push_back(static_cast<int>(i));
-        }
-    }
-    return dirty;
-}
-
 }  // namespace
 
 EngineResult RuleEngine::optimize(const geo::SegmentedLayout& layout, litho::LithoSim& sim,
                                   const OpcOptions& opt) {
     Timer timer;
-    EngineResult res;
-    const WindowObjective objective(opt, sim.config());
-    std::vector<int> offsets(static_cast<std::size_t>(layout.num_segments()),
-                             opt.initial_bias_nm);
-
-    litho::SimMetrics m = objective.prime(sim, layout, offsets, &res.final_window);
-    res.epe_history.push_back(m.sum_abs_epe);
-    res.pvb_history.push_back(m.pvband_nm2);
-
-    const int features = static_cast<int>(layout.targets().size());
-    const int points = static_cast<int>(m.epe.size());
-
-    for (int it = 0; it < opt.max_iterations; ++it) {
-        if (opt_.early_exit && should_exit_early(m.sum_abs_epe, features, points, opt)) break;
-        const auto moves = feedback_moves(m.epe_segment, opt_.gain, opt_.max_step_nm);
-        const auto dirty = apply_moves(offsets, moves, opt.max_total_offset_nm);
-        m = objective.evaluate(sim, layout, offsets, dirty, &res.final_window);
-        res.epe_history.push_back(m.sum_abs_epe);
-        res.pvb_history.push_back(m.pvband_nm2);
-        ++res.iterations;
+    Rollout rollout(layout, sim, opt);
+    while (rollout.iterations() < opt.max_iterations &&
+           !(opt_.early_exit && rollout.should_exit())) {
+        rollout.step(feedback_moves(rollout.metrics().epe_segment, opt_.gain, opt_.max_step_nm));
     }
-
-    res.final_offsets = std::move(offsets);
-    res.final_metrics = std::move(m);
-    res.runtime_s = timer.seconds();
-    return res;
+    return rollout.finish(timer.seconds());
 }
 
 rl::Trajectory RuleEngine::record_trajectory(const geo::SegmentedLayout& layout,
                                              litho::LithoSim& sim, const OpcOptions& opt,
                                              int steps) const {
     rl::Trajectory traj;
-    const WindowObjective objective(opt, sim.config());
-    std::vector<int> offsets(static_cast<std::size_t>(layout.num_segments()),
-                             opt.initial_bias_nm);
-    std::optional<litho::WindowMetrics> window;
-    litho::SimMetrics m = objective.prime(sim, layout, offsets, &window);
+    Rollout rollout(layout, sim, opt);
 
     const auto corner_epes = [](const litho::WindowMetrics& wm) {
         std::vector<double> epes;
@@ -102,11 +63,13 @@ rl::Trajectory RuleEngine::record_trajectory(const geo::SegmentedLayout& layout,
     };
 
     for (int t = 0; t < steps; ++t) {
+        const litho::SimMetrics& m = rollout.metrics();
+        const std::optional<litho::WindowMetrics>& window = rollout.window();
         // Teacher moves clamped to the learned engines' action space.
         const auto moves = feedback_moves(m.epe_segment, opt_.gain, 2);
 
         rl::StepRecord rec;
-        rec.offsets_before = offsets;
+        rec.offsets_before.assign(rollout.offsets().begin(), rollout.offsets().end());
         rec.sum_abs_epe_before = m.sum_abs_epe;
         rec.pvband_before = m.pvband_nm2;
         if (window) {
@@ -118,12 +81,12 @@ rl::Trajectory RuleEngine::record_trajectory(const geo::SegmentedLayout& layout,
         for (int mv : moves) rec.actions.push_back(rl::move_to_action(mv));
         traj.steps.push_back(std::move(rec));
 
-        const auto dirty = apply_moves(offsets, moves, opt.max_total_offset_nm);
-        m = objective.evaluate(sim, layout, offsets, dirty, &window);
+        rollout.step(moves);
     }
+    const litho::SimMetrics& m = rollout.metrics();
     traj.final_sum_abs_epe = m.sum_abs_epe;
     traj.final_pvband = m.pvband_nm2;
-    if (window) {
+    if (const std::optional<litho::WindowMetrics>& window = rollout.window()) {
         traj.final_worst_epe = window->worst_epe;
         traj.final_pv_band_exact = window->pv_band_exact_nm2;
         traj.final_corner_epe = corner_epes(*window);

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <exception>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -58,6 +59,26 @@ obs::MetricId queue_depth_gauge() {
 obs::MetricId inflight_gauge() {
     static const obs::MetricId id = obs::register_gauge("batch.inflight");
     return id;
+}
+
+// Adds the litho counters of `sims` to `stats`, times `sign` (-1 takes a
+// baseline out).
+void add_litho_counters(StreamStats& stats, std::span<const litho::LithoSim> sims,
+                        long long sign = 1) {
+    for (const litho::LithoSim& sim : sims) {
+        stats.litho_evaluations += sign * sim.evaluate_count();
+        stats.incremental_hits += sign * sim.incremental_hit_count();
+        stats.incremental_fulls += sign * sim.incremental_full_count();
+    }
+}
+
+// The batch.* counters of one finished stream or batch.
+void emit_batch_counters(const StreamStats& stats) {
+    obs::counter_add(clips_counter(), stats.delivered);
+    obs::counter_add(failed_counter(), stats.failed);
+    obs::counter_add(batch_evals_counter(), stats.litho_evaluations);
+    obs::counter_add(batch_hits_counter(), stats.incremental_hits);
+    obs::counter_add(batch_fulls_counter(), stats.incremental_fulls);
 }
 
 }  // namespace
@@ -127,15 +148,7 @@ StreamStats BatchScheduler::run_streaming(const std::vector<geo::SegmentedLayout
     const obs::Span run_span("batch.run", batch_hist());
     Timer wall;
     StreamStats stats;
-
-    long long evals_before = 0;
-    long long hits_before = 0;
-    long long fulls_before = 0;
-    for (const litho::LithoSim& sim : sims_) {
-        evals_before += sim.evaluate_count();
-        hits_before += sim.incremental_hit_count();
-        fulls_before += sim.incremental_full_count();
-    }
+    add_litho_counters(stats, sims_, -1);
 
     BoundedQueue<ClipResult> queue(static_cast<std::size_t>(stream.queue_capacity));
     std::vector<std::future<void>> jobs;
@@ -168,27 +181,7 @@ StreamStats BatchScheduler::run_streaming(const std::vector<geo::SegmentedLayout
                 out.name = name;
                 try {
                     out.segments = layout.num_segments();
-                    opc::EngineResult res = optimize(layout, sim, opt_.opc, job_seed);
-                    out.iterations = res.iterations;
-                    out.initial_epe = res.epe_history.empty() ? 0.0 : res.epe_history.front();
-                    out.final_epe = res.final_metrics.sum_abs_epe;
-                    out.pvband_nm2 = res.final_metrics.pvband_nm2;
-                    out.runtime_s = res.runtime_s;
-                    out.offsets = res.final_offsets;
-                    if (res.final_window &&
-                        (!opt_.window || same_window_spec(opt_.window_spec, opt_.opc.window))) {
-                        // Window reward mode: the engine's in-loop sweep already
-                        // evaluated the final mask at every corner.
-                        out.window = std::move(res.final_window);
-                    } else if (opt_.window) {
-                        // The engine's last incremental evaluation primed this
-                        // worker's cache at (or near) the final offsets, so the
-                        // sweep reuses the cached raster + spectrum; the cache
-                        // was primed by this job, so results stay independent of
-                        // scheduling order.
-                        out.window = sim.evaluate_window_incremental(layout, res.final_offsets,
-                                                                     opt_.window_spec);
-                    }
+                    fill_result(out, optimize(layout, sim, opt_.opc, job_seed), sim, layout);
                 } catch (const std::exception& e) {
                     out.error = e.what();
                 } catch (...) {
@@ -222,38 +215,39 @@ StreamStats BatchScheduler::run_streaming(const std::vector<geo::SegmentedLayout
     drain();
 
     stats.wall_s = wall.seconds();
-    for (const litho::LithoSim& sim : sims_) {
-        stats.litho_evaluations += sim.evaluate_count();
-        stats.incremental_hits += sim.incremental_hit_count();
-        stats.incremental_fulls += sim.incremental_full_count();
-    }
-    stats.litho_evaluations -= evals_before;
-    stats.incremental_hits -= hits_before;
-    stats.incremental_fulls -= fulls_before;
-    obs::counter_add(clips_counter(), stats.delivered);
-    obs::counter_add(failed_counter(), stats.failed);
-    obs::counter_add(batch_evals_counter(), stats.litho_evaluations);
-    obs::counter_add(batch_hits_counter(), stats.incremental_hits);
-    obs::counter_add(batch_fulls_counter(), stats.incremental_fulls);
+    add_litho_counters(stats, sims_);
+    emit_batch_counters(stats);
     return stats;
 }
 
-BatchResult BatchScheduler::run(const std::vector<geo::SegmentedLayout>& clips,
-                                const ClipOptimizer& optimize,
-                                const std::vector<std::string>& names) {
+void BatchScheduler::fill_result(ClipResult& out, opc::EngineResult res, litho::LithoSim& sim,
+                                 const geo::SegmentedLayout& layout) const {
+    out.iterations = res.iterations;
+    out.initial_epe = res.epe_history.empty() ? 0.0 : res.epe_history.front();
+    out.final_epe = res.final_metrics.sum_abs_epe;
+    out.pvband_nm2 = res.final_metrics.pvband_nm2;
+    out.runtime_s = res.runtime_s;
+    if (res.final_window && (!opt_.window || same_window_spec(opt_.window_spec, opt_.opc.window))) {
+        // Window reward mode: the engine's in-loop sweep already evaluated
+        // the final mask at every corner.
+        out.window = std::move(res.final_window);
+    } else if (opt_.window) {
+        // The engine's last incremental evaluation primed `sim`'s cache at
+        // (or near) the final offsets, so the sweep reuses the cached raster
+        // + spectrum; the cache was primed by this clip's rollout, so
+        // results stay independent of scheduling order.
+        out.window = sim.evaluate_window_incremental(layout, res.final_offsets, opt_.window_spec);
+    }
+    out.offsets = std::move(res.final_offsets);
+}
+
+BatchResult BatchScheduler::collect(std::vector<ClipResult> clips, const StreamStats& stats,
+                                    int threads) const {
     BatchResult batch;
+    batch.clips = std::move(clips);
     batch.reward_mode = opt_.opc.objective;
     batch.window_mode = opt_.window || opt_.opc.objective != rl::RewardMode::kNominal;
-    batch.threads = pool_.size();
-    batch.clips.resize(clips.size());
-
-    const StreamStats stats = run_streaming(
-        clips, optimize,
-        [&batch](ClipResult&& res) {
-            batch.clips[static_cast<std::size_t>(res.index)] = std::move(res);
-        },
-        names);
-
+    batch.threads = threads;
     batch.wall_s = stats.wall_s;
     for (const ClipResult& c : batch.clips) {
         if (!c.error.empty()) {
@@ -276,6 +270,19 @@ BatchResult BatchScheduler::run(const std::vector<geo::SegmentedLayout>& clips,
     return batch;
 }
 
+BatchResult BatchScheduler::run(const std::vector<geo::SegmentedLayout>& clips,
+                                const ClipOptimizer& optimize,
+                                const std::vector<std::string>& names) {
+    std::vector<ClipResult> results(clips.size());
+    const StreamStats stats = run_streaming(
+        clips, optimize,
+        [&results](ClipResult&& res) {
+            results[static_cast<std::size_t>(res.index)] = std::move(res);
+        },
+        names);
+    return collect(std::move(results), stats, pool_.size());
+}
+
 BatchResult BatchScheduler::run_rule(const std::vector<geo::SegmentedLayout>& clips,
                                      const opc::RuleEngineOptions& engine_opt,
                                      const std::vector<std::string>& names) {
@@ -294,31 +301,19 @@ BatchResult BatchScheduler::run_camo_batched(const std::vector<geo::SegmentedLay
                                              const std::vector<std::string>& names) {
     const obs::Span run_span("batch.run", batch_hist());
     Timer wall;
-    BatchResult batch;
-    batch.reward_mode = opt_.opc.objective;
-    batch.window_mode = opt_.window || opt_.opc.objective != rl::RewardMode::kNominal;
-    batch.threads = 1;
-    batch.clips.resize(clips.size());
+    std::vector<ClipResult> results(clips.size());
     for (std::size_t i = 0; i < clips.size(); ++i) {
-        batch.clips[i].index = static_cast<int>(i);
-        if (i < names.size()) batch.clips[i].name = names[i];
-        batch.clips[i].segments = clips[i].num_segments();
+        results[i].index = static_cast<int>(i);
+        if (i < names.size()) results[i].name = names[i];
+        results[i].segments = clips[i].num_segments();
     }
 
     // One simulator per clip (the incremental cache is per-instance). The
-    // copies share the worker simulators' kernel set but carry their source's
-    // counters, so deltas are taken against a baseline snapshot.
+    // copies share the worker simulators' kernel set and start with zero
+    // counters, so their sums are this batch's litho counters.
     std::vector<litho::LithoSim> csims;
     csims.reserve(clips.size());
     for (std::size_t i = 0; i < clips.size(); ++i) csims.emplace_back(sims_.front());
-    long long evals_before = 0;
-    long long hits_before = 0;
-    long long fulls_before = 0;
-    for (const litho::LithoSim& sim : csims) {
-        evals_before += sim.evaluate_count();
-        hits_before += sim.incremental_hit_count();
-        fulls_before += sim.incremental_full_count();
-    }
 
     std::vector<std::uint64_t> seeds;
     if (opt_.stochastic) {
@@ -326,62 +321,24 @@ BatchResult BatchScheduler::run_camo_batched(const std::vector<geo::SegmentedLay
         for (std::size_t i = 0; i < clips.size(); ++i) seeds.push_back(derive_seed(opt_.seed, i));
     }
 
+    StreamStats stats;
     try {
-        std::vector<opc::EngineResult> results =
+        std::vector<opc::EngineResult> engine_results =
             engine.infer_batch(clips, csims, opt_.opc, seeds);
         for (std::size_t i = 0; i < clips.size(); ++i) {
-            opc::EngineResult& res = results[i];
-            ClipResult& out = batch.clips[i];
-            out.iterations = res.iterations;
-            out.initial_epe = res.epe_history.empty() ? 0.0 : res.epe_history.front();
-            out.final_epe = res.final_metrics.sum_abs_epe;
-            out.pvband_nm2 = res.final_metrics.pvband_nm2;
-            out.runtime_s = res.runtime_s;
-            out.offsets = res.final_offsets;
-            if (res.final_window &&
-                (!opt_.window || same_window_spec(opt_.window_spec, opt_.opc.window))) {
-                out.window = std::move(res.final_window);
-            } else if (opt_.window) {
-                out.window = csims[i].evaluate_window_incremental(clips[i], res.final_offsets,
-                                                                  opt_.window_spec);
-            }
+            fill_result(results[i], std::move(engine_results[i]), csims[i], clips[i]);
         }
     } catch (const std::exception& e) {
         // The lockstep rollout is all-or-nothing; attribute the failure to
         // every clip rather than guessing which one threw.
-        for (ClipResult& c : batch.clips) c.error = e.what();
+        for (ClipResult& c : results) c.error = e.what();
     }
-
-    batch.wall_s = wall.seconds();
-    for (const ClipResult& c : batch.clips) {
-        if (!c.error.empty()) {
-            ++batch.failed;
-            continue;
-        }
-        batch.sum_initial_epe += c.initial_epe;
-        batch.sum_final_epe += c.final_epe;
-        batch.sum_pvband_nm2 += c.pvband_nm2;
-        batch.sum_clip_runtime_s += c.runtime_s;
-        if (c.window) {
-            batch.sum_worst_window_epe += c.window->worst_epe;
-            batch.sum_pv_band_exact_nm2 += c.window->pv_band_exact_nm2;
-        }
-    }
-    for (const litho::LithoSim& sim : csims) {
-        batch.litho_evaluations += sim.evaluate_count();
-        batch.incremental_hits += sim.incremental_hit_count();
-        batch.incremental_fulls += sim.incremental_full_count();
-    }
-    batch.litho_evaluations -= evals_before;
-    batch.incremental_hits -= hits_before;
-    batch.incremental_fulls -= fulls_before;
-    batch.throughput_cps = batch.wall_s > 0.0 ? batch.ok() / batch.wall_s : 0.0;
-    obs::counter_add(clips_counter(), static_cast<long long>(batch.clips.size()));
-    obs::counter_add(failed_counter(), batch.failed);
-    obs::counter_add(batch_evals_counter(), batch.litho_evaluations);
-    obs::counter_add(batch_hits_counter(), batch.incremental_hits);
-    obs::counter_add(batch_fulls_counter(), batch.incremental_fulls);
-    return batch;
+    stats.wall_s = wall.seconds();
+    stats.delivered = static_cast<int>(results.size());
+    for (const ClipResult& c : results) stats.failed += c.error.empty() ? 0 : 1;
+    add_litho_counters(stats, csims);
+    emit_batch_counters(stats);
+    return collect(std::move(results), stats, 1);
 }
 
 BatchResult BatchScheduler::run_camo(const std::vector<geo::SegmentedLayout>& clips,

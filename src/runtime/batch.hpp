@@ -210,6 +210,18 @@ public:
                                  const std::vector<std::string>& names = {});
 
 private:
+    /// The result fields of `out` from one clip's engine result (the shared
+    /// EngineResult -> ClipResult conversion of every run path). In window
+    /// mode the final sweep comes from the engine when its window matches,
+    /// else from `sim`, the simulator the engine just ran on.
+    void fill_result(ClipResult& out, opc::EngineResult res, litho::LithoSim& sim,
+                     const geo::SegmentedLayout& layout) const;
+
+    /// The clip-ordered BatchResult of `clips` with its aggregates, from the
+    /// stream envelope of the run that produced them.
+    BatchResult collect(std::vector<ClipResult> clips, const StreamStats& stats,
+                        int threads) const;
+
     BatchOptions opt_;
     ThreadPool pool_;
     std::vector<litho::LithoSim> sims_;  // one per worker, sharing one kernel set

@@ -270,6 +270,12 @@ TEST(PolicyBackend, BatchedMatchesSingleAcrossRewardModesAndSampling) {
                 EXPECT_EQ(single.clips[i].iterations, batched.clips[i].iterations)
                     << rl::reward_mode_name(mode) << " stochastic=" << stochastic;
             }
+            // Both paths prime every clip with a full rebuild and then move
+            // the same segments, so the litho work is the same too.
+            EXPECT_EQ(single.litho_evaluations, batched.litho_evaluations)
+                << rl::reward_mode_name(mode) << " stochastic=" << stochastic;
+            EXPECT_EQ(single.incremental_hits, batched.incremental_hits)
+                << rl::reward_mode_name(mode) << " stochastic=" << stochastic;
         }
     }
 }

@@ -558,35 +558,44 @@ TEST(ObsContract, CamoInferBitIdenticalTelemetryOnVsOff) {
     const opc::OpcOptions opt = test_opc_options();
     const core::CamoEngine engine(tiny_train_config());
 
+    // Every clip through infer, then all of them through one infer_batch.
+    const auto run_all = [&] {
+        std::vector<opc::EngineResult> out;
+        for (const geo::SegmentedLayout& clip : clips) {
+            litho::LithoSim sim(test_litho_config());
+            out.push_back(engine.infer(clip, sim, opt));
+        }
+        std::vector<litho::LithoSim> sims(clips.size(), litho::LithoSim(test_litho_config()));
+        for (opc::EngineResult& res : engine.infer_batch(clips, sims, opt)) {
+            out.push_back(std::move(res));
+        }
+        return out;
+    };
+
     TelemetryGuard guard;  // telemetry OFF
-    std::vector<opc::EngineResult> off;
-    for (const geo::SegmentedLayout& clip : clips) {
-        litho::LithoSim sim(test_litho_config());
-        off.push_back(engine.infer(clip, sim, opt));
-    }
+    const std::vector<opc::EngineResult> off = run_all();
 
     set_metrics_enabled(true);
     set_tracing_enabled(true);
-    std::vector<opc::EngineResult> on;
-    for (const geo::SegmentedLayout& clip : clips) {
-        litho::LithoSim sim(test_litho_config());
-        on.push_back(engine.infer(clip, sim, opt));
-    }
+    const std::vector<opc::EngineResult> on = run_all();
 
+    ASSERT_EQ(off.size(), 2 * clips.size());
+    ASSERT_EQ(on.size(), off.size());
     long long windows = 0;
     long long encodes = 0;
-    for (std::size_t i = 0; i < clips.size(); ++i) {
-        EXPECT_EQ(off[i].final_offsets, on[i].final_offsets) << "clip " << i;
-        EXPECT_EQ(off[i].iterations, on[i].iterations) << "clip " << i;
-        ASSERT_EQ(off[i].epe_history.size(), on[i].epe_history.size()) << "clip " << i;
+    for (std::size_t i = 0; i < on.size(); ++i) {
+        EXPECT_EQ(off[i].final_offsets, on[i].final_offsets) << "run " << i;
+        EXPECT_EQ(off[i].iterations, on[i].iterations) << "run " << i;
+        ASSERT_EQ(off[i].epe_history.size(), on[i].epe_history.size()) << "run " << i;
         EXPECT_EQ(0, std::memcmp(off[i].epe_history.data(), on[i].epe_history.data(),
                                  off[i].epe_history.size() * sizeof(double)))
-            << "clip " << i;
+            << "run " << i;
         EXPECT_EQ(0, std::memcmp(&off[i].final_metrics.pvband_nm2,
                                  &on[i].final_metrics.pvband_nm2, sizeof(double)))
-            << "clip " << i;
+            << "run " << i;
         encodes += on[i].iterations;
-        windows += static_cast<long long>(on[i].iterations) * clips[i].num_segments();
+        windows += static_cast<long long>(on[i].iterations) *
+                   clips[i % clips.size()].num_segments();
     }
 
     // One squish span per encoded state, one window per segment encoded.
@@ -601,6 +610,16 @@ TEST(ObsContract, CamoInferBitIdenticalTelemetryOnVsOff) {
         if (std::strcmp(name, "core.squish") == 0) ++squish_spans;
     });
     EXPECT_EQ(squish_spans, encodes);
+
+    // The wave loop: each wave records its clip count, so the samples sum to
+    // the steps taken; every rollout leaves exactly once, for one reason.
+    const MetricSnapshot* waves = find_metric(snap, "core.rollout.wave_clips");
+    ASSERT_NE(waves, nullptr);
+    EXPECT_EQ(waves->hist_sum, encodes);
+    EXPECT_EQ(counter_value("core.rollout.exit.converged") +
+                  counter_value("core.rollout.exit.iteration_cap") +
+                  counter_value("core.rollout.exit.segment_free"),
+              static_cast<long long>(on.size()));
 }
 
 }  // namespace

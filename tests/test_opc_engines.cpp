@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <span>
+#include <stdexcept>
+#include <string>
 
+#include "core/camo.hpp"
 #include "opc/ilt.hpp"
+#include "opc/objective.hpp"
 #include "opc/one_shot.hpp"
 #include "opc/rule_engine.hpp"
 #include "opc/sraf.hpp"
@@ -181,6 +187,226 @@ TEST_F(OpcEngineTest, IltWindowObjectiveReducesWorstCornerLoss) {
     const IltResult mres = weighted.optimize(via_layout(), *sim_);
     EXPECT_LT(mres.final_loss, mres.initial_loss);
     EXPECT_EQ(mres.corner_loss.size(), 6U);
+}
+
+// ---- Rollout core: every segment-moving engine steps through opc::Rollout.
+
+core::CamoConfig tiny_camo_config() {
+    core::CamoConfig cfg;
+    cfg.policy.squish_size = 16;
+    cfg.policy.embed_dim = 32;
+    cfg.policy.rnn_hidden = 16;
+    cfg.policy.rnn_layers = 2;
+    cfg.policy.conv_base = 4;
+    cfg.squish.size = 16;
+    cfg.squish.window_nm = 500;
+    return cfg;
+}
+
+void expect_same_metrics(const litho::SimMetrics& a, const litho::SimMetrics& b,
+                         const std::string& ctx) {
+    EXPECT_EQ(a.epe, b.epe) << ctx;
+    EXPECT_EQ(a.epe_segment, b.epe_segment) << ctx;
+    EXPECT_EQ(a.sum_abs_epe, b.sum_abs_epe) << ctx;
+    EXPECT_EQ(a.pvband_nm2, b.pvband_nm2) << ctx;
+}
+
+// Every EngineResult field except runtime_s.
+void expect_same_result(const EngineResult& a, const EngineResult& b, const std::string& ctx) {
+    EXPECT_EQ(a.final_offsets, b.final_offsets) << ctx;
+    expect_same_metrics(a.final_metrics, b.final_metrics, ctx);
+    EXPECT_EQ(a.epe_history, b.epe_history) << ctx;
+    EXPECT_EQ(a.pvb_history, b.pvb_history) << ctx;
+    EXPECT_EQ(a.iterations, b.iterations) << ctx;
+    ASSERT_EQ(a.final_window.has_value(), b.final_window.has_value()) << ctx;
+    if (!a.final_window) return;
+    const litho::WindowMetrics& wa = *a.final_window;
+    const litho::WindowMetrics& wb = *b.final_window;
+    ASSERT_EQ(wa.corners.size(), wb.corners.size()) << ctx;
+    for (std::size_t c = 0; c < wa.corners.size(); ++c) {
+        expect_same_metrics(wa.corners[c].metrics, wb.corners[c].metrics, ctx);
+        EXPECT_EQ(wa.corners[c].printed_area_nm2, wb.corners[c].printed_area_nm2) << ctx;
+    }
+    EXPECT_EQ(wa.worst_corner, wb.worst_corner) << ctx;
+    EXPECT_EQ(wa.worst_epe, wb.worst_epe) << ctx;
+    EXPECT_EQ(wa.cd_min_nm2, wb.cd_min_nm2) << ctx;
+    EXPECT_EQ(wa.cd_max_nm2, wb.cd_max_nm2) << ctx;
+    EXPECT_EQ(wa.pv_band_exact_nm2, wb.pv_band_exact_nm2) << ctx;
+    EXPECT_EQ(wa.pv_band_two_corner_nm2, wb.pv_band_two_corner_nm2) << ctx;
+}
+
+using EngineRun = std::function<EngineResult(const geo::SegmentedLayout&, litho::LithoSim&,
+                                             const OpcOptions&)>;
+
+TEST_F(OpcEngineTest, RolloutInvariantsHoldAtOptionExtremes) {
+    struct Case {
+        std::string name;
+        OpcOptions opt;
+        bool segment_free = false;
+    };
+    std::vector<Case> cases;
+    const auto add = [&cases](std::string name, const std::function<void(OpcOptions&)>& edit,
+                              bool segment_free = false) {
+        OpcOptions opt;
+        opt.max_iterations = 3;
+        edit(opt);
+        cases.push_back({std::move(name), opt, segment_free});
+    };
+    add("baseline", [](OpcOptions&) {});
+    add("zero-iterations", [](OpcOptions& o) { o.max_iterations = 0; });
+    add("zero-bound", [](OpcOptions& o) {
+        o.max_total_offset_nm = 0;
+        o.initial_bias_nm = 0;
+    });
+    add("bias-at-bound", [](OpcOptions& o) {
+        o.max_total_offset_nm = 4;
+        o.initial_bias_nm = -4;
+    });
+    add("immediate-exit", [](OpcOptions& o) {
+        o.exit_epe_per_feature = 1e9;
+        o.exit_epe_per_point = 1e9;
+    });
+    add("segment-free", [](OpcOptions&) {}, true);
+    add("worst-corner", [](OpcOptions& o) {
+        o.max_iterations = 2;
+        o.objective = rl::RewardMode::kWorstCorner;
+    });
+
+    const core::CamoEngine camo(tiny_camo_config());
+    const std::vector<std::pair<std::string, EngineRun>> engines = {
+        {"rule",
+         [](const geo::SegmentedLayout& l, litho::LithoSim& s, const OpcOptions& o) {
+             return RuleEngine({.gain = 0.6, .max_step_nm = 4, .early_exit = true})
+                 .optimize(l, s, o);
+         }},
+        {"one-shot",
+         [](const geo::SegmentedLayout& l, litho::LithoSim& s, const OpcOptions& o) {
+             return OneShotEngine().optimize(l, s, o);
+         }},
+        {"camo-infer",
+         [&camo](const geo::SegmentedLayout& l, litho::LithoSim& s, const OpcOptions& o) {
+             return camo.infer(l, s, o);
+         }},
+        {"camo-infer-batch",
+         [&camo](const geo::SegmentedLayout& l, litho::LithoSim& s, const OpcOptions& o) {
+             return std::move(camo.infer_batch({&l, 1}, {&s, 1}, o).front());
+         }},
+    };
+
+    const geo::SegmentedLayout empty(std::vector<geo::Polygon>{},
+                                     geo::FragmentOptions{geo::FragmentStyle::kVia, 60},
+                                     std::vector<geo::Polygon>{}, 1000);
+    for (const Case& c : cases) {
+        const geo::SegmentedLayout layout = c.segment_free ? empty : via_layout();
+        std::vector<EngineResult> camo_results;
+        for (const auto& [engine, run] : engines) {
+            const std::string ctx = c.name + " / " + engine;
+            litho::LithoSim sim(*sim_);  // fresh counters
+            const EngineResult res = run(layout, sim, c.opt);
+            EXPECT_EQ(res.epe_history.size(), static_cast<std::size_t>(res.iterations) + 1) << ctx;
+            EXPECT_EQ(res.pvb_history.size(), res.epe_history.size()) << ctx;
+            EXPECT_EQ(sim.evaluate_count(), 1 + res.iterations) << ctx;
+            EXPECT_EQ(static_cast<int>(res.final_offsets.size()), layout.num_segments()) << ctx;
+            for (const int off : res.final_offsets) {
+                EXPECT_LE(std::abs(off), c.opt.max_total_offset_nm) << ctx;
+            }
+            EXPECT_EQ(res.final_metrics.sum_abs_epe, res.epe_history.back()) << ctx;
+            EXPECT_EQ(res.final_window.has_value(),
+                      c.opt.objective != rl::RewardMode::kNominal && !c.segment_free)
+                << ctx;
+            if (engine != "one-shot") {
+                EXPECT_LE(res.iterations, c.opt.max_iterations) << ctx;
+            }
+            if (c.name == "immediate-exit" && engine != "one-shot") {
+                EXPECT_EQ(res.iterations, 0) << ctx;
+            }
+            if (c.segment_free && engine.starts_with("camo")) {
+                EXPECT_EQ(res.iterations, 0) << ctx;
+            }
+            if (engine.starts_with("camo")) camo_results.push_back(res);
+        }
+        ASSERT_EQ(camo_results.size(), 2U);
+        expect_same_result(camo_results[0], camo_results[1], c.name + " infer vs infer_batch");
+    }
+}
+
+TEST_F(OpcEngineTest, EveryEngineRejectsOutOfBoundOffsetOptions) {
+    const core::CamoEngine camo(tiny_camo_config());
+    const geo::SegmentedLayout layout = via_layout();
+    const std::vector<std::pair<std::string, std::function<void(const OpcOptions&)>>> engines = {
+        {"rule", [&](const OpcOptions& o) {
+             litho::LithoSim sim(*sim_);
+             (void)RuleEngine().optimize(layout, sim, o);
+         }},
+        {"rule-trajectory", [&](const OpcOptions& o) {
+             litho::LithoSim sim(*sim_);
+             (void)RuleEngine().record_trajectory(layout, sim, o, 2);
+         }},
+        {"one-shot", [&](const OpcOptions& o) {
+             litho::LithoSim sim(*sim_);
+             (void)OneShotEngine().optimize(layout, sim, o);
+         }},
+        {"camo-infer", [&](const OpcOptions& o) {
+             litho::LithoSim sim(*sim_);
+             (void)camo.infer(layout, sim, o);
+         }},
+        {"camo-infer-batch", [&](const OpcOptions& o) {
+             std::vector<litho::LithoSim> sims(1, *sim_);
+             (void)camo.infer_batch({&layout, 1}, sims, o);
+         }},
+    };
+
+    OpcOptions negative_bound;
+    negative_bound.initial_bias_nm = 0;
+    negative_bound.max_total_offset_nm = -1;
+    OpcOptions bias_above;
+    bias_above.initial_bias_nm = 26;  // default bound 25
+    OpcOptions bias_below;
+    bias_below.initial_bias_nm = -26;
+    const std::vector<std::pair<OpcOptions, std::string>> bad = {
+        {negative_bound, "max_total_offset_nm"},
+        {bias_above, "initial_bias_nm"},
+        {bias_below, "initial_bias_nm"},
+    };
+    for (const auto& [engine, run] : engines) {
+        for (const auto& [opt, field] : bad) {
+            try {
+                run(opt);
+                ADD_FAILURE() << engine << ": no throw for bad " << field;
+            } catch (const std::invalid_argument& e) {
+                EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+                    << engine << ": " << e.what();
+            }
+        }
+    }
+}
+
+TEST_F(OpcEngineTest, RolloutStepRejectsWrongMoveCount) {
+    litho::LithoSim sim(*sim_);
+    const geo::SegmentedLayout layout = via_layout();
+    Rollout rollout(layout, sim, OpcOptions{});
+    const std::vector<int> moves(static_cast<std::size_t>(layout.num_segments()) + 1, 0);
+    EXPECT_THROW(rollout.step(moves), std::invalid_argument);
+    EXPECT_EQ(rollout.iterations(), 0);
+}
+
+TEST_F(OpcEngineTest, RolloutNoMoveStepLeavesTheMaskClean) {
+    // A step whose moves all clamp away (or are zero) dirties nothing: the
+    // incremental evaluator serves it from the cache without a rebuild.
+    litho::LithoSim sim(*sim_);
+    const geo::SegmentedLayout layout = via_layout();
+    OpcOptions opt;
+    opt.max_total_offset_nm = 3;  // bias 3 sits on the bound
+    Rollout rollout(layout, sim, opt);
+    const double primed = rollout.metrics().sum_abs_epe;
+    const long long fulls = sim.incremental_full_count();
+    std::vector<int> moves(static_cast<std::size_t>(layout.num_segments()), 2);
+    const Rollout::Before before = rollout.step(moves);
+    EXPECT_EQ(sim.incremental_full_count(), fulls);
+    EXPECT_EQ(std::vector<int>(rollout.offsets().begin(), rollout.offsets().end()),
+              std::vector<int>(moves.size(), 3));
+    EXPECT_EQ(before.metrics.sum_abs_epe, primed);
+    EXPECT_EQ(rollout.iterations(), 1);
 }
 
 TEST(OpcExit, EarlyExitRules) {
