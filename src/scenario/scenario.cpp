@@ -1,7 +1,9 @@
 #include "scenario/scenario.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "core/experiment.hpp"
 #include "layout/metal_gen.hpp"
@@ -53,7 +55,18 @@ std::vector<geo::Polygon> chip_polygons(const Scenario& sc, int cols, int rows, 
         throw std::invalid_argument("chip_polygons: grid must be at least 1x1");
     }
     const int pitch = pitch_nm > 0 ? pitch_nm : sc.clip_nm;
-    const std::vector<layout::Clip> cells = sc.clips(cols * rows);
+    // The cell count and the chip extent (cell offset plus the cell's own
+    // clip) are ints downstream; reject a grid whose product overflows.
+    const long long cell_count = static_cast<long long>(cols) * rows;
+    const long long extent =
+        static_cast<long long>(std::max(cols, rows)) * std::max(pitch, sc.clip_nm);
+    if (cell_count > std::numeric_limits<int>::max() ||
+        extent > std::numeric_limits<int>::max()) {
+        throw std::invalid_argument("chip_polygons: " + std::to_string(cols) + "x" +
+                                    std::to_string(rows) + " grid at " + std::to_string(pitch) +
+                                    " nm pitch exceeds the int range");
+    }
+    const std::vector<layout::Clip> cells = sc.clips(static_cast<int>(cell_count));
     std::vector<geo::Polygon> chip;
     for (int cy = 0; cy < rows; ++cy) {
         for (int cx = 0; cx < cols; ++cx) {

@@ -78,6 +78,8 @@ struct Scenario {
 /// translated by (cx * pitch, cy * pitch); pitch_nm <= 0 uses the
 /// scenario's clip_nm, so cells never overlap). The result is one flat
 /// chip-coordinate polygon set, the input shape layout::TileSharder cuts.
+/// Throws std::invalid_argument on a grid below 1x1, or one whose cell count
+/// or extent in nm does not fit an int.
 [[nodiscard]] std::vector<geo::Polygon> chip_polygons(const Scenario& sc, int cols, int rows,
                                                       int pitch_nm = 0);
 

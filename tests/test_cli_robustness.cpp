@@ -13,8 +13,13 @@
 
 #include <sys/wait.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <cstdlib>
+#include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace {
 
@@ -51,6 +56,8 @@ TEST(CliRobustness, SingleClipFlags) {
     expect_usage_exit(base + "--iterations -3");
     expect_usage_exit(base + "--reward-mode bogus");
     expect_usage_exit(base + "--train-workers 1.5");
+    expect_usage_exit(base + "--style bogus");   // was fragmented as metal
+    expect_usage_exit(base + "--engine bogus");  // was checked after the GDS read
 }
 
 TEST(CliRobustness, BatchFlags) {
@@ -67,6 +74,9 @@ TEST(CliRobustness, BatchFlags) {
     expect_usage_exit("batch --engine bogus");
     expect_usage_exit("batch --batched --engine rule");  // batched is camo-only
     expect_usage_exit("batch --doses 1.0");              // sweep-only flag
+    // sweep-only whatever the flag order (batch --window is sweep mode).
+    expect_usage_exit("batch --window --doses 1.0 --focuses 0 --clips 1 --iterations 1 "
+                      "--threads 1 --quiet");
     expect_usage_exit("batch --no-such-flag");
 }
 
@@ -92,6 +102,9 @@ TEST(CliRobustness, CompareFlags) {
     expect_usage_exit("compare --slack -0.5");
     expect_usage_exit("compare --slack nan");
     expect_usage_exit("compare --rewards nominal,bogus");
+    expect_usage_exit("compare --engines ,");    // no items: was a 0-cell matrix
+    expect_usage_exit("compare --rewards ,");
+    expect_usage_exit("compare --scenarios ,");  // was every scenario
     expect_usage_exit("compare --no-such-flag");
     EXPECT_EQ(run_cli("compare --list-scenarios"), 0);
 }
@@ -164,25 +177,89 @@ TEST(CliRobustness, TrainFlags) {
     expect_usage_exit(base + "--out x.ctrj");  // collect-only flag
 }
 
-/// Exit status of `pretrain <args>` (CAMO_PRETRAIN_PATH) with output discarded.
-int run_pretrain(const std::string& args) {
-    const std::string cmd = std::string(CAMO_PRETRAIN_PATH) + " " + args + " >/dev/null 2>&1";
-    const int rc = std::system(cmd.c_str());
-    EXPECT_NE(rc, -1) << cmd;
-    EXPECT_TRUE(WIFEXITED(rc)) << "crashed (signal " << WTERMSIG(rc) << "): " << cmd;
-    return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
-}
-
 TEST(CliRobustness, PretrainFlags) {
     // atoi regression: garbage used to silently become 0 (= all hardware
     // threads); now every malformed value is a diagnostic + exit 2.
-    EXPECT_EQ(run_pretrain("--train-workers abc"), 2);
-    EXPECT_EQ(run_pretrain("--train-workers 1.5"), 2);
-    EXPECT_EQ(run_pretrain("--train-workers 2x"), 2);
-    EXPECT_EQ(run_pretrain("--train-workers 99999999999999999999"), 2);
-    EXPECT_EQ(run_pretrain("--train-workers"), 2);  // missing value
-    EXPECT_EQ(run_pretrain("--log-level bogus"), 2);
-    EXPECT_EQ(run_pretrain("--no-such-flag"), 2);
+    expect_usage_exit("pretrain --train-workers abc");
+    expect_usage_exit("pretrain --train-workers 1.5");
+    expect_usage_exit("pretrain --train-workers 2x");
+    expect_usage_exit("pretrain --train-workers 99999999999999999999");
+    expect_usage_exit("pretrain --train-workers");  // missing value
+    expect_usage_exit("pretrain --log-level bogus");
+    expect_usage_exit("pretrain --no-such-flag");
+}
+
+// Grid and request products that overflow int are rejected with a
+// diagnostic; each used to crash on an out-of-bounds clip index.
+TEST(CliRobustness, OversizedGridsAndRequests) {
+    const std::string out = testing::TempDir() + "cli_robustness_huge.gds";
+    EXPECT_EQ(run_cli("chipgen --out " + out + " --cols 50000 --rows 50000"), 1);
+    EXPECT_EQ(run_cli("shard --cols 50000 --rows 50000"), 1);
+    expect_usage_exit("serve --requests 1073741824 --clips 2");
+    std::remove(out.c_str());
+}
+
+/// What `camo_cli <args>` prints on stderr.
+std::string cli_stderr(const std::string& args) {
+    const std::string cmd = std::string(CAMO_CLI_PATH) + " " + args + " 2>&1 >/dev/null";
+    FILE* pipe = popen(cmd.c_str(), "r");
+    EXPECT_NE(pipe, nullptr) << cmd;
+    std::string text;
+    if (pipe == nullptr) return text;
+    char buf[256];
+    while (std::fgets(buf, sizeof buf, pipe) != nullptr) text += buf;
+    pclose(pipe);
+    return text;
+}
+
+/// Flags whose value name in a generated usage line is numeric: N, NM
+/// (integers), S (unsigned seed) or X (real).
+std::vector<std::pair<std::string, std::string>> numeric_flags(const std::string& usage) {
+    std::vector<std::pair<std::string, std::string>> out;
+    std::istringstream words(usage);
+    std::string prev;
+    std::string word;
+    while (words >> word) {
+        word.erase(std::remove(word.begin(), word.end(), '['), word.end());
+        word.erase(std::remove(word.begin(), word.end(), ']'), word.end());
+        const bool numeric = word == "N" || word == "NM" || word == "S" || word == "X";
+        if (numeric && prev.rfind("--", 0) == 0) out.emplace_back(prev, word);
+        prev = word;
+    }
+    return out;
+}
+
+// The usage lines are generated from the flag tables, so fuzzing every
+// numeric flag they list also covers any numeric flag added later. A real
+// (X) takes 20 digits as a valid 1e20, so its overflow case is 1e999.
+TEST(CliRobustness, EveryNumericUsageFlagRejectsGarbage) {
+    const std::string tmp = testing::TempDir();
+    const std::vector<std::pair<std::string, std::string>> modes = {
+        {"", "--in " + tmp + "a.gds --out " + tmp + "b.gds"},
+        {"batch", ""},
+        {"sweep", ""},
+        {"compare", ""},
+        {"chipgen", "--out " + tmp + "c.gds"},
+        {"shard", ""},
+        {"serve", ""},
+        {"collect", "--out " + tmp + "s.ctrj"},
+        {"train", "--from-store " + tmp + "s.ctrj --weights " + tmp + "w.bin"},
+        {"pretrain", ""},
+    };
+    for (const auto& [mode, base] : modes) {
+        const std::string usage = cli_stderr(mode + " --no-such-flag");
+        const auto flags = numeric_flags(usage);
+        EXPECT_FALSE(flags.empty()) << "no numeric flags in the usage of '" << mode
+                                    << "':\n" << usage;
+        const std::string prefix = mode + " " + base + " ";
+        for (const auto& [flag, meta] : flags) {
+            const std::string overflow = meta == "X" ? "1e999" : "99999999999999999999";
+            for (const std::string& value : {std::string("abc"), std::string("2x"), overflow}) {
+                expect_usage_exit(prefix + flag + " " + value);
+            }
+            expect_usage_exit(prefix + flag);  // missing value
+        }
+    }
 }
 
 TEST(CliRobustness, ChipgenHappyPathStillWorks) {

@@ -237,6 +237,17 @@ TEST(ScenarioMatrix, UnknownScenarioAndEngineThrow) {
     EXPECT_THROW(PolicyComparer(bad_engine).run(), std::invalid_argument);
 }
 
+// A chip grid whose cell count or nm extent overflows int is rejected up
+// front; the overflowed count used to index an empty clip vector.
+TEST(ScenarioChip, OversizedGridThrows) {
+    const Scenario sc = Registry::instance().get("via3");
+    EXPECT_THROW((void)chip_polygons(sc, 50000, 50000), std::invalid_argument);
+    EXPECT_THROW((void)chip_polygons(sc, 65536, 32768), std::invalid_argument);  // 2^31 cells
+    EXPECT_THROW((void)chip_polygons(sc, 2, 1, 2000000000), std::invalid_argument);
+    EXPECT_THROW((void)chip_polygons(sc, 3, 1, 0x40000000), std::invalid_argument);
+    EXPECT_EQ(chip_polygons(sc, 2, 1, 1000000).size(), chip_polygons(sc, 2, 1).size());
+}
+
 // Satellite: degenerate clips — empty (and therefore segment-free),
 // single-polygon, and a sub-resolution sliver that never prints — flow
 // through every engine and reward mode with finite metrics.

@@ -10,7 +10,18 @@
 //   camo_cli serve [--requests N] [--clips N] [--queue-capacity N] [serve options]
 //   camo_cli collect --out store.ctrj [--style S] [--clips N] [collect options]
 //   camo_cli train --from-store store.ctrj --weights out.bin [train options]
+//   camo_cli pretrain [--train-workers N] [telemetry options]
 //   camo_cli --list-scenarios
+//
+// Every mode parses its arguments against one flag table (name, value name,
+// checked setter); the same table generates the usage line printed on a bad
+// invocation, so the usage text cannot drift from what the parser accepts.
+//
+// pretrain trains the CAMO and RL-OPC policies for both layers and stores
+// the weights under data/, where the table benches load them; run it once
+// after changing the training configuration. Its --train-workers, like every
+// other mode's, only changes wall time: the weights are bit-identical at any
+// value, which is why the cache path does not encode it.
 //
 // collect / train split teacher-data collection from phase-1 imitation
 // training through the packed trajectory store (src/rl/trajstore.hpp): N
@@ -64,37 +75,26 @@
 // trained weights are bit-identical with the flags on or off.
 //
 // Batch mode runs the parallel runtime over a generated via-clip stream and
-// prints per-clip results plus aggregate throughput:
+// prints per-clip results plus aggregate throughput. --batched (camo engine
+// only) routes the batch through the lockstep batched inference path: every
+// wave issues one policy forward over all clips awaiting actions instead of
+// one forward per clip. Results are identical to the threaded path on the
+// same backend.
 //
-//   camo_cli batch [--clips N] [--threads N] [--engine rule|camo] [--batched]
-//                  [--seed S] [--iterations N] [--train-workers N]
-//                  [--reward-mode M] [--window] [--quiet]
-//
-// --batched (camo engine only) routes the batch through the lockstep batched
-// inference path: every wave issues one policy forward over all clips
-// awaiting actions instead of one forward per clip. Results are identical to
-// the threaded path on the same backend.
-//
-// Sweep mode is batch mode plus a multi-corner process-window evaluation of
-// every corrected mask (defaults to the standard {dose_min, 1, dose_max} x
-// {0, defocus} window; --doses/--focuses set an arbitrary grid):
-//
-//   camo_cli sweep [batch options] [--doses 0.96,1.0,1.04]
-//                  [--focuses 0,12.5,25]
+// Sweep mode (= batch --window) is batch mode plus a multi-corner
+// process-window evaluation of every corrected mask (defaults to the
+// standard {dose_min, 1, dose_max} x {0, defocus} window; the sweep-only
+// --doses/--focuses set an arbitrary grid).
 //
 // Compare mode runs the scenario-matrix quality gate — every engine x
 // registered scenario x reward mode through the batch runtime — prints the
 // ranked table, and optionally writes the table as JSON, checks it against
 // golden regression bounds (exit 1 on a violation), or regenerates the
-// golden file:
-//
-//   camo_cli compare [--scenarios a,b,..] [--engines rule,oneshot,camo,rlopc,ilt]
-//                    [--rewards nominal,worst,weighted] [--clips N]
-//                    [--threads N] [--seed S] [--iterations N]
-//                    [--ilt-iterations N] [--json PATH] [--golden PATH]
-//                    [--write-golden PATH] [--slack X] [--list-scenarios]
+// golden file.
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
+#include <functional>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -124,96 +124,229 @@ namespace {
 
 using namespace camo;
 
-// ---- Checked flag parsing ---------------------------------------------------
+// ---- Flag tables ------------------------------------------------------------
 // Every numeric flag goes through common/parse.hpp: the whole value must be a
 // well-formed, in-range number (no trailing garbage, no overflow, no
 // exceptions) and range violations get a flag-specific diagnostic before the
 // caller prints usage and exits 2. The std::sto* family this replaces
 // TERMINATED the process on "--threads foo" and silently read "1e99" as 1.
 
-bool flag_int(const char* flag, const std::string& v, int& out) {
-    if (!parse_int(v, out)) {
-        std::fprintf(stderr, "%s: expected an integer, got '%s'\n", flag, v.c_str());
-        return false;
+/// One command-line flag. `meta` names the value in the usage line (empty
+/// for a switch, which takes no value); `set` validates and stores a value,
+/// printing a flag-specific diagnostic and returning false on a bad one.
+struct Flag {
+    std::string name;
+    std::string meta;
+    std::function<bool(const std::string&)> set;
+    bool required = false;  ///< must be given a non-empty value
+};
+
+Flag required(Flag f) {
+    f.required = true;
+    return f;
+}
+
+Flag on(const char* name, bool& dst) {
+    return {name, "", [&dst](const std::string&) {
+                dst = true;
+                return true;
+            }};
+}
+
+Flag text(const char* name, const char* meta, std::string& dst) {
+    return {name, meta, [&dst](const std::string& v) {
+                dst = v;
+                return true;
+            }};
+}
+
+/// One of `options`; the usage line lists them as "a|b|c".
+Flag choice(const char* name, const std::vector<std::string>& options, std::string& dst) {
+    std::string meta;
+    std::string expected;
+    for (std::size_t i = 0; i < options.size(); ++i) {
+        meta += (i == 0 ? "" : "|") + options[i];
+        expected += (i == 0 ? "" : i + 1 == options.size() ? " or " : ", ") + options[i];
+    }
+    return {name, meta, [name, options, expected, &dst](const std::string& v) {
+                if (std::find(options.begin(), options.end(), v) == options.end()) {
+                    std::fprintf(stderr, "%s: expected %s, got '%s'\n", name, expected.c_str(),
+                                 v.c_str());
+                    return false;
+                }
+                dst = v;
+                return true;
+            }};
+}
+
+Flag integer(const char* name, const char* meta, int& dst,
+             int min = std::numeric_limits<int>::min()) {
+    return {name, meta, [name, min, &dst](const std::string& v) {
+                int x = 0;
+                if (!parse_int(v, x)) {
+                    std::fprintf(stderr, "%s: expected an integer, got '%s'\n", name, v.c_str());
+                    return false;
+                }
+                if (x < min) {
+                    std::fprintf(stderr, "%s: must be >= %d, got %d\n", name, min, x);
+                    return false;
+                }
+                dst = x;
+                return true;
+            }};
+}
+
+Flag u64(const char* name, const char* meta, std::uint64_t& dst) {
+    return {name, meta, [name, &dst](const std::string& v) {
+                if (!parse_u64(v, dst)) {
+                    std::fprintf(stderr, "%s: expected an unsigned integer, got '%s'\n", name,
+                                 v.c_str());
+                    return false;
+                }
+                return true;
+            }};
+}
+
+Flag real(const char* name, const char* meta, double min, double& dst) {
+    return {name, meta, [name, min, &dst](const std::string& v) {
+                double x = 0.0;
+                if (!parse_double(v, x)) {
+                    std::fprintf(stderr, "%s: expected a number, got '%s'\n", name, v.c_str());
+                    return false;
+                }
+                if (x < min) {
+                    std::fprintf(stderr, "%s: must be >= %g, got %g\n", name, min, x);
+                    return false;
+                }
+                dst = x;
+                return true;
+            }};
+}
+
+Flag doubles(const char* name, std::vector<double>& dst) {
+    return {name, "a,b,..", [name, &dst](const std::string& v) {
+                if (!parse_double_list(v, dst)) {
+                    std::fprintf(stderr,
+                                 "%s: expected a comma-separated list of numbers (e.g. "
+                                 "0.96,1.0,1.04), got '%s'\n",
+                                 name, v.c_str());
+                    return false;
+                }
+                return true;
+            }};
+}
+
+// "a,b,c" -> {"a","b","c"}; empty pieces are dropped.
+std::vector<std::string> split_list(const std::string& s) {
+    std::vector<std::string> out;
+    std::size_t pos = 0;
+    while (pos <= s.size()) {
+        const std::size_t comma = s.find(',', pos);
+        const std::size_t end = comma == std::string::npos ? s.size() : comma;
+        if (end > pos) out.push_back(s.substr(pos, end - pos));
+        if (comma == std::string::npos) break;
+        pos = comma + 1;
+    }
+    return out;
+}
+
+/// A comma-separated list of names; a value with no items is rejected.
+Flag name_list(const char* name, const char* meta, std::vector<std::string>& dst) {
+    return {name, meta, [name, &dst](const std::string& v) {
+                std::vector<std::string> items = split_list(v);
+                if (items.empty()) {
+                    std::fprintf(stderr, "%s: expected a comma-separated list, got '%s'\n", name,
+                                 v.c_str());
+                    return false;
+                }
+                dst = std::move(items);
+                return true;
+            }};
+}
+
+Flag reward(const char* name, rl::RewardMode& dst) {
+    return {name, "nominal|worst|weighted", [&dst](const std::string& v) {
+                if (!rl::parse_reward_mode(v, dst)) {
+                    std::fprintf(stderr, "unknown reward mode: %s\n", v.c_str());
+                    return false;
+                }
+                return true;
+            }};
+}
+
+/// Parses argv[first..argc) against `flags`. Returns false after a
+/// diagnostic on an unknown flag, a missing or bad value, or a required flag
+/// that was not given.
+bool parse_flags(int argc, char** argv, int first, const std::vector<Flag>& flags) {
+    std::vector<bool> given(flags.size(), false);
+    for (int i = first; i < argc; ++i) {
+        const std::string a = argv[i];
+        const auto f = std::find_if(flags.begin(), flags.end(),
+                                    [&a](const Flag& flag) { return flag.name == a; });
+        const bool takes_value = f != flags.end() && !f->meta.empty();
+        if (f == flags.end() || (takes_value && i + 1 >= argc)) {
+            std::fprintf(stderr, "unknown or incomplete argument: %s\n", a.c_str());
+            return false;
+        }
+        const std::string v = takes_value ? argv[++i] : "";
+        if (!f->set(v)) return false;
+        if (!v.empty()) given[static_cast<std::size_t>(f - flags.begin())] = true;
+    }
+    for (std::size_t k = 0; k < flags.size(); ++k) {
+        if (flags[k].required && !given[k]) {
+            std::fprintf(stderr, "missing required flag: %s %s\n", flags[k].name.c_str(),
+                         flags[k].meta.c_str());
+            return false;
+        }
     }
     return true;
 }
 
-bool flag_int_min(const char* flag, const std::string& v, int min, int& out) {
-    int x = 0;
-    if (!flag_int(flag, v, x)) return false;
-    if (x < min) {
-        std::fprintf(stderr, "%s: must be >= %d, got %d\n", flag, min, x);
-        return false;
+/// Prints `camo_cli <command>`'s usage line, generated from its flag table,
+/// and returns the usage exit code 2.
+int print_flags_usage(const std::string& command, const std::vector<Flag>& flags) {
+    std::string usage = "usage: camo_cli" + (command.empty() ? "" : " " + command);
+    const std::size_t indent = usage.size();
+    std::size_t width = indent;
+    for (const Flag& f : flags) {
+        std::string item = f.meta.empty() ? f.name : f.name + " " + f.meta;
+        if (!f.required) item = "[" + item + "]";
+        if (width + 1 + item.size() > 80) {
+            usage += "\n" + std::string(indent, ' ');
+            width = indent;
+        }
+        usage += " " + item;
+        width += 1 + item.size();
     }
-    out = x;
-    return true;
+    std::fprintf(stderr, "%s\n", usage.c_str());
+    return 2;
 }
 
-bool flag_u64(const char* flag, const std::string& v, std::uint64_t& out) {
-    if (!parse_u64(v, out)) {
-        std::fprintf(stderr, "%s: expected an unsigned integer, got '%s'\n", flag, v.c_str());
-        return false;
-    }
-    return true;
-}
-
-bool flag_double_min(const char* flag, const std::string& v, double min, double& out) {
-    double x = 0.0;
-    if (!parse_double(v, x)) {
-        std::fprintf(stderr, "%s: expected a number, got '%s'\n", flag, v.c_str());
-        return false;
-    }
-    if (x < min) {
-        std::fprintf(stderr, "%s: must be >= %g, got %g\n", flag, min, x);
-        return false;
-    }
-    out = x;
-    return true;
-}
-
-bool flag_double_list(const char* flag, const std::string& v, std::vector<double>& out) {
-    if (!parse_double_list(v, out)) {
-        std::fprintf(stderr,
-                     "%s: expected a comma-separated list of numbers (e.g. 0.96,1.0,1.04), "
-                     "got '%s'\n",
-                     flag, v.c_str());
-        return false;
-    }
-    return true;
-}
-
-// Shared telemetry/logging switches (--metrics-json / --trace / --log-level).
+// Shared telemetry/logging switches (--quiet / --log-level / --metrics-json /
+// --trace).
 struct ObsCliOptions {
     std::string metrics_json;  ///< empty = metrics registry disabled
     std::string trace;         ///< empty = span tracing disabled
     std::string log_level;     ///< empty = derived from --quiet
+    bool quiet = false;        ///< suppress progress logs
 };
 
-bool parse_log_level(const std::string& s, LogLevel& lvl) {
-    if (s == "quiet") {
-        lvl = LogLevel::kQuiet;
-    } else if (s == "info") {
-        lvl = LogLevel::kInfo;
-    } else if (s == "debug") {
-        lvl = LogLevel::kDebug;
-    } else {
-        return false;
-    }
-    return true;
+/// `flags` followed by the shared --log-level/--metrics-json/--trace group.
+std::vector<Flag> with_obs(std::vector<Flag> flags, ObsCliOptions& o) {
+    flags.push_back(choice("--log-level", {"quiet", "info", "debug"}, o.log_level));
+    flags.push_back(text("--metrics-json", "PATH", o.metrics_json));
+    flags.push_back(text("--trace", "PATH", o.trace));
+    return flags;
 }
 
-/// Returns false (after printing a diagnostic) on a bad --log-level value.
-bool apply_obs_options(const ObsCliOptions& o, bool quiet) {
-    LogLevel lvl = quiet ? LogLevel::kQuiet : LogLevel::kInfo;
-    if (!o.log_level.empty() && !parse_log_level(o.log_level, lvl)) {
-        std::fprintf(stderr, "unknown log level: %s\n", o.log_level.c_str());
-        return false;
-    }
+void apply_obs_options(const ObsCliOptions& o) {
+    LogLevel lvl = o.quiet ? LogLevel::kQuiet : LogLevel::kInfo;
+    if (o.log_level == "quiet") lvl = LogLevel::kQuiet;
+    if (o.log_level == "info") lvl = LogLevel::kInfo;
+    if (o.log_level == "debug") lvl = LogLevel::kDebug;
     set_log_level(lvl);
     if (!o.metrics_json.empty()) obs::set_metrics_enabled(true);
     if (!o.trace.empty()) obs::set_tracing_enabled(true);
-    return true;
 }
 
 void write_obs_reports(const ObsCliOptions& o) {
@@ -236,57 +369,8 @@ struct CliOptions {
     int train_workers = 1;  // data-parallel trainer width; <= 0 = all threads
     rl::RewardMode reward_mode = rl::RewardMode::kNominal;
     bool window = false;
-    bool quiet = false;
     ObsCliOptions obs;
 };
-
-bool parse_args(int argc, char** argv, CliOptions& o) {
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto next = [&](std::string& dst) {
-            if (i + 1 >= argc) return false;
-            dst = argv[++i];
-            return true;
-        };
-        std::string v;
-        if (a == "--in" && next(v)) {
-            o.in = v;
-        } else if (a == "--out" && next(v)) {
-            o.out = v;
-        } else if (a == "--engine" && next(v)) {
-            o.engine = v;
-        } else if (a == "--style" && next(v)) {
-            o.style = v;
-        } else if (a == "--layer" && next(v)) {
-            if (!flag_int_min("--layer", v, 0, o.layer)) return false;
-        } else if (a == "--clip" && next(v)) {
-            if (!flag_int_min("--clip", v, 1, o.clip_nm)) return false;
-        } else if (a == "--iterations" && next(v)) {
-            if (!flag_int_min("--iterations", v, 1, o.iterations)) return false;
-        } else if (a == "--train-workers" && next(v)) {
-            if (!flag_int("--train-workers", v, o.train_workers)) return false;
-        } else if (a == "--reward-mode" && next(v)) {
-            if (!parse_reward_mode(v, o.reward_mode)) {
-                std::fprintf(stderr, "unknown reward mode: %s\n", v.c_str());
-                return false;
-            }
-        } else if (a == "--window") {
-            o.window = true;
-        } else if (a == "--quiet") {
-            o.quiet = true;
-        } else if (a == "--log-level" && next(v)) {
-            o.obs.log_level = v;
-        } else if (a == "--metrics-json" && next(v)) {
-            o.obs.metrics_json = v;
-        } else if (a == "--trace" && next(v)) {
-            o.obs.trace = v;
-        } else {
-            std::fprintf(stderr, "unknown or incomplete argument: %s\n", a.c_str());
-            return false;
-        }
-    }
-    return !o.in.empty() && !o.out.empty();
-}
 
 struct BatchCliOptions {
     int clips = 32;
@@ -296,87 +380,39 @@ struct BatchCliOptions {
     int iterations = -1;
     int train_workers = 1;  // data-parallel trainer width; <= 0 = all threads
     rl::RewardMode reward_mode = rl::RewardMode::kNominal;
-    bool quiet = false;
     ObsCliOptions obs;
     bool window = false;             // sweep mode / batch --window
     bool batched = false;            // camo: lockstep batched policy inference
-    std::vector<double> doses;       // empty = standard window
-    std::vector<double> focuses_nm;  // empty = standard window
+    std::vector<double> doses;       // empty = standard window (sweep only)
+    std::vector<double> focuses_nm;  // empty = standard window (sweep only)
 };
 
-bool parse_batch_args(int argc, char** argv, BatchCliOptions& o) {
-    for (int i = 2; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto next = [&](std::string& dst) {
-            if (i + 1 >= argc) return false;
-            dst = argv[++i];
-            return true;
-        };
-        std::string v;
-        if (a == "--clips" && next(v)) {
-            if (!flag_int_min("--clips", v, 1, o.clips)) return false;
-        } else if (a == "--threads" && next(v)) {
-            if (!flag_int_min("--threads", v, 1, o.threads)) return false;
-        } else if (a == "--engine" && next(v)) {
-            o.engine = v;
-        } else if (a == "--seed" && next(v)) {
-            if (!flag_u64("--seed", v, o.seed)) return false;
-        } else if (a == "--iterations" && next(v)) {
-            if (!flag_int_min("--iterations", v, 1, o.iterations)) return false;
-        } else if (a == "--train-workers" && next(v)) {
-            if (!flag_int("--train-workers", v, o.train_workers)) return false;
-        } else if (a == "--batched") {
-            o.batched = true;
-        } else if (a == "--reward-mode" && next(v)) {
-            if (!parse_reward_mode(v, o.reward_mode)) {
-                std::fprintf(stderr, "unknown reward mode: %s\n", v.c_str());
-                return false;
-            }
-        } else if (a == "--window") {
-            o.window = true;  // batch --window == sweep mode
-        } else if (a == "--quiet") {
-            o.quiet = true;
-        } else if (a == "--log-level" && next(v)) {
-            o.obs.log_level = v;
-        } else if (a == "--metrics-json" && next(v)) {
-            o.obs.metrics_json = v;
-        } else if (a == "--trace" && next(v)) {
-            o.obs.trace = v;
-        } else if (o.window && a == "--doses" && next(v)) {
-            if (!flag_double_list("--doses", v, o.doses)) return false;
-        } else if (o.window && a == "--focuses" && next(v)) {
-            if (!flag_double_list("--focuses", v, o.focuses_nm)) return false;
-        } else {
-            std::fprintf(stderr, "unknown or incomplete argument: %s\n", a.c_str());
-            return false;
-        }
+/// batch and sweep share one table; only sweep takes an explicit window grid.
+std::vector<Flag> batch_flags(BatchCliOptions& o, bool sweep) {
+    std::vector<Flag> flags = {
+        integer("--clips", "N", o.clips, 1), integer("--threads", "N", o.threads, 1),
+        choice("--engine", {"rule", "camo"}, o.engine), on("--batched", o.batched),
+        u64("--seed", "S", o.seed), integer("--iterations", "N", o.iterations, 1),
+        integer("--train-workers", "N", o.train_workers),
+        reward("--reward-mode", o.reward_mode), on("--window", o.window),
+        on("--quiet", o.obs.quiet)};
+    if (sweep) {
+        flags.push_back(doubles("--doses", o.doses));
+        flags.push_back(doubles("--focuses", o.focuses_nm));
     }
-    if (o.engine != "rule" && o.engine != "camo") {
-        std::fprintf(stderr, "--engine: expected rule or camo, got '%s'\n", o.engine.c_str());
-        return false;
-    }
-    if (o.batched && o.engine != "camo") {
-        std::fprintf(stderr, "--batched requires --engine camo\n");
-        return false;
-    }
-    return true;
+    return with_obs(std::move(flags), o.obs);
 }
 
-int batch_main(int argc, char** argv, bool window) {
+int batch_main(int argc, char** argv, bool sweep) {
     BatchCliOptions cli;
-    cli.window = window;
-    if (!parse_batch_args(argc, argv, cli)) {
-        std::fprintf(stderr,
-                     "usage: camo_cli %s [--clips N] [--threads N] [--engine rule|camo]"
-                     " [--batched] [--seed S] [--iterations N] [--train-workers N]"
-                     " [--reward-mode nominal|worst|weighted]"
-                     " [--quiet] [--log-level quiet|info|debug]"
-                     " [--metrics-json PATH] [--trace PATH]%s\n",
-                     window ? "sweep" : "batch",
-                     window ? " [--doses a,b,..] [--focuses a,b,..]" : " [--window]");
-        return 2;
+    cli.window = sweep;
+    const std::vector<Flag> flags = batch_flags(cli, sweep);
+    if (!parse_flags(argc, argv, 2, flags)) return print_flags_usage(argv[1], flags);
+    if (cli.batched && cli.engine != "camo") {
+        std::fprintf(stderr, "--batched requires --engine camo\n");
+        return print_flags_usage(argv[1], flags);
     }
-    if (!apply_obs_options(cli.obs, cli.quiet)) return 2;
+    apply_obs_options(cli.obs);
 
     const std::vector<layout::Clip> raw = layout::via_batch_set(cli.seed, cli.clips);
     const std::vector<geo::SegmentedLayout> clips = core::fragment_via_clips(raw);
@@ -467,20 +503,6 @@ int batch_main(int argc, char** argv, bool window) {
     return res.failed == 0 ? 0 : 1;
 }
 
-// "a,b,c" -> {"a","b","c"}; empty pieces are dropped.
-std::vector<std::string> split_list(const std::string& s) {
-    std::vector<std::string> out;
-    std::size_t pos = 0;
-    while (pos <= s.size()) {
-        const std::size_t comma = s.find(',', pos);
-        const std::size_t end = comma == std::string::npos ? s.size() : comma;
-        if (end > pos) out.push_back(s.substr(pos, end - pos));
-        if (comma == std::string::npos) break;
-        pos = comma + 1;
-    }
-    return out;
-}
-
 void print_scenarios() {
     const scenario::Registry& reg = scenario::Registry::instance();
     for (const std::string& name : reg.names()) {
@@ -490,95 +512,42 @@ void print_scenarios() {
     }
 }
 
-void print_compare_usage() {
-    std::fprintf(stderr,
-                 "usage: camo_cli compare [--scenarios a,b,..]"
-                 " [--engines rule,oneshot,camo,rlopc,ilt]"
-                 " [--rewards nominal,worst,weighted] [--clips N] [--threads N]"
-                 " [--seed S] [--iterations N] [--ilt-iterations N]"
-                 " [--train-clips N] [--json PATH] [--golden PATH]"
-                 " [--write-golden PATH] [--slack X] [--list-scenarios]"
-                 " [--quiet] [--log-level quiet|info|debug]"
-                 " [--metrics-json PATH] [--trace PATH]\n");
-}
-
 int compare_main(int argc, char** argv) {
     scenario::CompareOptions cmp;
+    std::vector<std::string> rewards;  // empty = the comparer's default set
     std::string json_path;
     std::string golden_path;
     std::string write_golden_path;
     double slack = 0.25;
-    bool quiet = false;
     bool list = false;
     ObsCliOptions obs;
-
-    for (int i = 2; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto next = [&](std::string& dst) {
-            if (i + 1 >= argc) return false;
-            dst = argv[++i];
-            return true;
-        };
-        bool ok = true;
-        std::string v;
-        if (a == "--scenarios" && next(v)) {
-            cmp.scenarios = split_list(v);
-        } else if (a == "--engines" && next(v)) {
-            cmp.engines = split_list(v);
-        } else if (a == "--rewards" && next(v)) {
-            cmp.rewards.clear();
-            for (const std::string& r : split_list(v)) {
-                rl::RewardMode mode{};
-                if (!rl::parse_reward_mode(r, mode)) {
-                    std::fprintf(stderr, "unknown reward mode: %s\n", r.c_str());
-                    return 2;
-                }
-                cmp.rewards.push_back(mode);
-            }
-        } else if (a == "--clips" && next(v)) {
-            ok = flag_int_min("--clips", v, 1, cmp.clips);
-        } else if (a == "--threads" && next(v)) {
-            ok = flag_int_min("--threads", v, 1, cmp.threads);
-        } else if (a == "--seed" && next(v)) {
-            ok = flag_u64("--seed", v, cmp.seed);
-        } else if (a == "--iterations" && next(v)) {
-            ok = flag_int_min("--iterations", v, 1, cmp.max_iterations);
-        } else if (a == "--ilt-iterations" && next(v)) {
-            ok = flag_int_min("--ilt-iterations", v, 1, cmp.ilt_iterations);
-        } else if (a == "--train-clips" && next(v)) {
-            ok = flag_int_min("--train-clips", v, 1, cmp.train_clips);
-        } else if (a == "--json" && next(v)) {
-            json_path = v;
-        } else if (a == "--golden" && next(v)) {
-            golden_path = v;
-        } else if (a == "--write-golden" && next(v)) {
-            write_golden_path = v;
-        } else if (a == "--slack" && next(v)) {
-            ok = flag_double_min("--slack", v, 0.0, slack);
-        } else if (a == "--list-scenarios") {
-            list = true;
-        } else if (a == "--quiet") {
-            quiet = true;
-        } else if (a == "--log-level" && next(v)) {
-            obs.log_level = v;
-        } else if (a == "--metrics-json" && next(v)) {
-            obs.metrics_json = v;
-        } else if (a == "--trace" && next(v)) {
-            obs.trace = v;
-        } else {
-            std::fprintf(stderr, "unknown or incomplete argument: %s\n", a.c_str());
-            ok = false;
+    const std::vector<Flag> flags = with_obs(
+        {name_list("--scenarios", "a,b,..", cmp.scenarios),
+         name_list("--engines", "rule,oneshot,camo,rlopc,ilt", cmp.engines),
+         name_list("--rewards", "nominal,worst,weighted", rewards),
+         integer("--clips", "N", cmp.clips, 1), integer("--threads", "N", cmp.threads, 1),
+         u64("--seed", "S", cmp.seed), integer("--iterations", "N", cmp.max_iterations, 1),
+         integer("--ilt-iterations", "N", cmp.ilt_iterations, 1),
+         integer("--train-clips", "N", cmp.train_clips, 1), text("--json", "PATH", json_path),
+         text("--golden", "PATH", golden_path), text("--write-golden", "PATH", write_golden_path),
+         real("--slack", "X", 0.0, slack), on("--list-scenarios", list),
+         on("--quiet", obs.quiet)},
+        obs);
+    if (!parse_flags(argc, argv, 2, flags)) return print_flags_usage("compare", flags);
+    if (!rewards.empty()) cmp.rewards.clear();
+    for (const std::string& r : rewards) {
+        rl::RewardMode mode{};
+        if (!rl::parse_reward_mode(r, mode)) {
+            std::fprintf(stderr, "unknown reward mode: %s\n", r.c_str());
+            return print_flags_usage("compare", flags);
         }
-        if (!ok) {
-            print_compare_usage();
-            return 2;
-        }
+        cmp.rewards.push_back(mode);
     }
     if (list) {
         print_scenarios();
         return 0;
     }
-    if (!apply_obs_options(obs, quiet)) return 2;
+    apply_obs_options(obs);
 
     scenario::CompareResult result;
     try {
@@ -586,11 +555,10 @@ int compare_main(int argc, char** argv) {
         result = comparer.run();
     } catch (const std::exception& e) {
         std::fprintf(stderr, "compare failed: %s\n", e.what());
-        print_compare_usage();
-        return 2;
+        return print_flags_usage("compare", flags);
     }
 
-    if (!quiet) std::printf("%s\n", result.table().c_str());
+    if (!obs.quiet) std::printf("%s\n", result.table().c_str());
     int failed_cells = 0;
     for (const scenario::CellResult& c : result.cells) {
         if (c.failed > 0) ++failed_cells;
@@ -720,36 +688,11 @@ int chipgen_main(int argc, char** argv) {
     int cols = 3;
     int rows = 3;
     int pitch = 0;
-    bool parse_ok = true;
-    for (int i = 2; i < argc && parse_ok; ++i) {
-        const std::string a = argv[i];
-        auto next = [&](std::string& dst) {
-            if (i + 1 >= argc) return false;
-            dst = argv[++i];
-            return true;
-        };
-        std::string v;
-        if (a == "--out" && next(v)) {
-            out = v;
-        } else if (a == "--scenario" && next(v)) {
-            scenario_name = v;
-        } else if (a == "--cols" && next(v)) {
-            parse_ok = flag_int_min("--cols", v, 1, cols);
-        } else if (a == "--rows" && next(v)) {
-            parse_ok = flag_int_min("--rows", v, 1, rows);
-        } else if (a == "--pitch" && next(v)) {
-            parse_ok = flag_int_min("--pitch", v, 0, pitch);
-        } else {
-            std::fprintf(stderr, "unknown or incomplete argument: %s\n", a.c_str());
-            parse_ok = false;
-        }
-    }
-    if (!parse_ok || out.empty()) {
-        std::fprintf(stderr,
-                     "usage: camo_cli chipgen --out chip.gds [--scenario NAME]"
-                     " [--cols N] [--rows N] [--pitch NM]\n");
-        return 2;
-    }
+    const std::vector<Flag> flags = {
+        required(text("--out", "chip.gds", out)), text("--scenario", "NAME", scenario_name),
+        integer("--cols", "N", cols, 1), integer("--rows", "N", rows, 1),
+        integer("--pitch", "NM", pitch, 0)};
+    if (!parse_flags(argc, argv, 2, flags)) return print_flags_usage("chipgen", flags);
 
     try {
         const scenario::Scenario sc = scenario::Registry::instance().get(scenario_name);
@@ -785,81 +728,24 @@ struct ShardCliOptions {
     std::uint64_t seed = core::Experiment::kDatasetSeed;
     int iterations = -1;
     bool verify = false;
-    bool quiet = false;
     ObsCliOptions obs;
 };
 
-bool parse_shard_args(int argc, char** argv, ShardCliOptions& o) {
-    for (int i = 2; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto next = [&](std::string& dst) {
-            if (i + 1 >= argc) return false;
-            dst = argv[++i];
-            return true;
-        };
-        std::string v;
-        if (a == "--in" && next(v)) {
-            o.in = v;
-        } else if (a == "--out" && next(v)) {
-            o.out = v;
-        } else if (a == "--scenario" && next(v)) {
-            o.scenario = v;
-        } else if (a == "--engine" && next(v)) {
-            o.engine = v;
-        } else if (a == "--layer" && next(v)) {
-            if (!flag_int_min("--layer", v, 0, o.layer)) return false;
-        } else if (a == "--cols" && next(v)) {
-            if (!flag_int_min("--cols", v, 1, o.cols)) return false;
-        } else if (a == "--rows" && next(v)) {
-            if (!flag_int_min("--rows", v, 1, o.rows)) return false;
-        } else if (a == "--pitch" && next(v)) {
-            if (!flag_int_min("--pitch", v, 0, o.pitch)) return false;
-        } else if (a == "--tile" && next(v)) {
-            if (!flag_int_min("--tile", v, 1, o.tile_nm)) return false;
-        } else if (a == "--halo" && next(v)) {
-            if (!flag_int_min("--halo", v, 0, o.halo_nm)) return false;
-        } else if (a == "--threads" && next(v)) {
-            if (!flag_int_min("--threads", v, 1, o.threads)) return false;
-        } else if (a == "--queue-capacity" && next(v)) {
-            if (!flag_int_min("--queue-capacity", v, 1, o.queue_capacity)) return false;
-        } else if (a == "--seed" && next(v)) {
-            if (!flag_u64("--seed", v, o.seed)) return false;
-        } else if (a == "--iterations" && next(v)) {
-            if (!flag_int_min("--iterations", v, 1, o.iterations)) return false;
-        } else if (a == "--verify-monolithic") {
-            o.verify = true;
-        } else if (a == "--quiet") {
-            o.quiet = true;
-        } else if (a == "--log-level" && next(v)) {
-            o.obs.log_level = v;
-        } else if (a == "--metrics-json" && next(v)) {
-            o.obs.metrics_json = v;
-        } else if (a == "--trace" && next(v)) {
-            o.obs.trace = v;
-        } else {
-            std::fprintf(stderr, "unknown or incomplete argument: %s\n", a.c_str());
-            return false;
-        }
-    }
-    if (o.engine != "rule" && o.engine != "camo") {
-        std::fprintf(stderr, "--engine: expected rule or camo, got '%s'\n", o.engine.c_str());
-        return false;
-    }
-    return true;
-}
-
 int shard_main(int argc, char** argv) {
     ShardCliOptions cli;
-    if (!parse_shard_args(argc, argv, cli)) {
-        std::fprintf(stderr,
-                     "usage: camo_cli shard [--in chip.gds [--layer N] | --scenario NAME"
-                     " --cols N --rows N [--pitch NM]] [--tile NM] [--halo NM]"
-                     " [--engine rule|camo] [--threads N] [--queue-capacity N] [--seed S]"
-                     " [--iterations N] [--out mask.gds] [--verify-monolithic] [--quiet]"
-                     " [--log-level quiet|info|debug] [--metrics-json PATH] [--trace PATH]\n");
-        return 2;
-    }
-    if (!apply_obs_options(cli.obs, cli.quiet)) return 2;
+    const std::vector<Flag> flags = with_obs(
+        {text("--in", "chip.gds", cli.in), integer("--layer", "N", cli.layer, 0),
+         text("--scenario", "NAME", cli.scenario), integer("--cols", "N", cli.cols, 1),
+         integer("--rows", "N", cli.rows, 1), integer("--pitch", "NM", cli.pitch, 0),
+         integer("--tile", "NM", cli.tile_nm, 1), integer("--halo", "NM", cli.halo_nm, 0),
+         choice("--engine", {"rule", "camo"}, cli.engine),
+         integer("--threads", "N", cli.threads, 1),
+         integer("--queue-capacity", "N", cli.queue_capacity, 1), u64("--seed", "S", cli.seed),
+         integer("--iterations", "N", cli.iterations, 1), text("--out", "mask.gds", cli.out),
+         on("--verify-monolithic", cli.verify), on("--quiet", cli.obs.quiet)},
+        cli.obs);
+    if (!parse_flags(argc, argv, 2, flags)) return print_flags_usage("shard", flags);
+    apply_obs_options(cli.obs);
 
     try {
         const scenario::Scenario sc = scenario::Registry::instance().get(cli.scenario);
@@ -1000,73 +886,33 @@ struct ServeCliOptions {
     int queue_stream = 64;  ///< worker->sink queue inside each request
     std::uint64_t seed = core::Experiment::kDatasetSeed;
     int iterations = -1;
-    bool quiet = false;
     ObsCliOptions obs;
 };
 
-bool parse_serve_args(int argc, char** argv, ServeCliOptions& o) {
-    for (int i = 2; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto next = [&](std::string& dst) {
-            if (i + 1 >= argc) return false;
-            dst = argv[++i];
-            return true;
-        };
-        std::string v;
-        if (a == "--requests" && next(v)) {
-            if (!flag_int_min("--requests", v, 0, o.requests)) return false;
-        } else if (a == "--clips" && next(v)) {
-            if (!flag_int_min("--clips", v, 1, o.clips_per_request)) return false;
-        } else if (a == "--queue-capacity" && next(v)) {
-            if (!flag_int_min("--queue-capacity", v, 1, o.queue_capacity)) return false;
-        } else if (a == "--priority-levels" && next(v)) {
-            if (!flag_int_min("--priority-levels", v, 1, o.priority_levels)) return false;
-        } else if (a == "--deadline-s" && next(v)) {
-            if (!flag_double_min("--deadline-s", v, 0.0, o.deadline_s)) return false;
-        } else if (a == "--scenario" && next(v)) {
-            o.scenario = v;
-        } else if (a == "--engine" && next(v)) {
-            o.engine = v;
-        } else if (a == "--threads" && next(v)) {
-            if (!flag_int_min("--threads", v, 1, o.threads)) return false;
-        } else if (a == "--stream-queue" && next(v)) {
-            if (!flag_int_min("--stream-queue", v, 1, o.queue_stream)) return false;
-        } else if (a == "--seed" && next(v)) {
-            if (!flag_u64("--seed", v, o.seed)) return false;
-        } else if (a == "--iterations" && next(v)) {
-            if (!flag_int_min("--iterations", v, 1, o.iterations)) return false;
-        } else if (a == "--quiet") {
-            o.quiet = true;
-        } else if (a == "--log-level" && next(v)) {
-            o.obs.log_level = v;
-        } else if (a == "--metrics-json" && next(v)) {
-            o.obs.metrics_json = v;
-        } else if (a == "--trace" && next(v)) {
-            o.obs.trace = v;
-        } else {
-            std::fprintf(stderr, "unknown or incomplete argument: %s\n", a.c_str());
-            return false;
-        }
-    }
-    if (o.engine != "rule" && o.engine != "camo") {
-        std::fprintf(stderr, "--engine: expected rule or camo, got '%s'\n", o.engine.c_str());
-        return false;
-    }
-    return true;
-}
-
 int serve_main(int argc, char** argv) {
     ServeCliOptions cli;
-    if (!parse_serve_args(argc, argv, cli)) {
-        std::fprintf(stderr,
-                     "usage: camo_cli serve [--requests N] [--clips N] [--queue-capacity N]"
-                     " [--priority-levels N] [--deadline-s X] [--scenario NAME]"
-                     " [--engine rule|camo] [--threads N] [--stream-queue N] [--seed S]"
-                     " [--iterations N] [--quiet] [--log-level quiet|info|debug]"
-                     " [--metrics-json PATH] [--trace PATH]\n");
-        return 2;
+    const std::vector<Flag> flags = with_obs(
+        {integer("--requests", "N", cli.requests, 0),
+         integer("--clips", "N", cli.clips_per_request, 1),
+         integer("--queue-capacity", "N", cli.queue_capacity, 1),
+         integer("--priority-levels", "N", cli.priority_levels, 1),
+         real("--deadline-s", "X", 0.0, cli.deadline_s),
+         text("--scenario", "NAME", cli.scenario),
+         choice("--engine", {"rule", "camo"}, cli.engine),
+         integer("--threads", "N", cli.threads, 1),
+         integer("--stream-queue", "N", cli.queue_stream, 1), u64("--seed", "S", cli.seed),
+         integer("--iterations", "N", cli.iterations, 1), on("--quiet", cli.obs.quiet)},
+        cli.obs);
+    if (!parse_flags(argc, argv, 2, flags)) return print_flags_usage("serve", flags);
+    // Every request's clips are generated up front and indexed as one int
+    // range, so the total must fit an int.
+    if (static_cast<long long>(cli.requests) * cli.clips_per_request >
+        std::numeric_limits<int>::max()) {
+        std::fprintf(stderr, "--requests %d x --clips %d: more than %d clips in total\n",
+                     cli.requests, cli.clips_per_request, std::numeric_limits<int>::max());
+        return print_flags_usage("serve", flags);
     }
-    if (!apply_obs_options(cli.obs, cli.quiet)) return 2;
+    apply_obs_options(cli.obs);
 
     try {
         const scenario::Scenario sc = scenario::Registry::instance().get(cli.scenario);
@@ -1159,7 +1005,6 @@ struct StoreCliOptions {
     std::string weights;     ///< train --weights
     std::string stats_json;
     bool in_memory = false;  ///< train: collect in-process instead of replaying
-    bool quiet = false;
     ObsCliOptions obs;
 };
 
@@ -1202,88 +1047,29 @@ std::vector<geo::SegmentedLayout> build_store_clips(const std::string& style, st
     return core::fragment_metal_clips(raw);
 }
 
-bool parse_store_args(int argc, char** argv, bool train_mode, StoreCliOptions& o) {
-    for (int i = 2; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto next = [&](std::string& dst) {
-            if (i + 1 >= argc) return false;
-            dst = argv[++i];
-            return true;
-        };
-        std::string v;
-        if (!train_mode && a == "--out" && next(v)) {
-            o.store_path = v;
-        } else if (train_mode && a == "--from-store" && next(v)) {
-            o.store_path = v;
-        } else if (train_mode && a == "--weights" && next(v)) {
-            o.weights = v;
-        } else if (train_mode && a == "--epochs" && next(v)) {
-            if (!flag_int_min("--epochs", v, 1, o.epochs)) return false;
-        } else if (train_mode && a == "--in-memory") {
-            o.in_memory = true;
-        } else if (a == "--style" && next(v)) {
-            o.style = v;
-        } else if (a == "--clips" && next(v)) {
-            if (!flag_int_min("--clips", v, 1, o.clips)) return false;
-        } else if (a == "--train-workers" && next(v)) {
-            if (!flag_int("--train-workers", v, o.train_workers)) return false;
-        } else if (a == "--seed" && next(v)) {
-            if (!flag_u64("--seed", v, o.seed)) return false;
-        } else if (a == "--stats-json" && next(v)) {
-            o.stats_json = v;
-        } else if (a == "--quiet") {
-            o.quiet = true;
-        } else if (a == "--log-level" && next(v)) {
-            o.obs.log_level = v;
-        } else if (a == "--metrics-json" && next(v)) {
-            o.obs.metrics_json = v;
-        } else if (a == "--trace" && next(v)) {
-            o.obs.trace = v;
-        } else {
-            std::fprintf(stderr, "unknown or incomplete argument: %s\n", a.c_str());
-            return false;
-        }
+/// collect writes the store named by --out; train replays --from-store into
+/// --weights and alone takes --epochs and --in-memory.
+std::vector<Flag> store_flags(StoreCliOptions& o, bool train_mode) {
+    std::vector<Flag> flags = {
+        choice("--style", {"via", "metal"}, o.style), integer("--clips", "N", o.clips, 1),
+        integer("--train-workers", "N", o.train_workers), u64("--seed", "S", o.seed),
+        text("--stats-json", "PATH", o.stats_json), on("--quiet", o.obs.quiet)};
+    if (train_mode) {
+        flags.insert(flags.begin(), {required(text("--from-store", "store.ctrj", o.store_path)),
+                                     required(text("--weights", "out.bin", o.weights)),
+                                     integer("--epochs", "N", o.epochs, 1),
+                                     on("--in-memory", o.in_memory)});
+    } else {
+        flags.insert(flags.begin(), required(text("--out", "store.ctrj", o.store_path)));
     }
-    if (o.style != "via" && o.style != "metal") {
-        std::fprintf(stderr, "--style: expected via or metal, got '%s'\n", o.style.c_str());
-        return false;
-    }
-    if (o.store_path.empty()) {
-        std::fprintf(stderr, train_mode ? "train: --from-store PATH is required\n"
-                                        : "collect: --out PATH is required\n");
-        return false;
-    }
-    if (train_mode && o.weights.empty()) {
-        std::fprintf(stderr, "train: --weights PATH is required\n");
-        return false;
-    }
-    return true;
-}
-
-void print_collect_usage() {
-    std::fprintf(stderr,
-                 "usage: camo_cli collect --out store.ctrj [--style via|metal] [--clips N]\n"
-                 "                [--train-workers N] [--seed S] [--stats-json PATH]\n"
-                 "                [--quiet] [--log-level L] [--metrics-json PATH]"
-                 " [--trace PATH]\n");
-}
-
-void print_train_usage() {
-    std::fprintf(stderr,
-                 "usage: camo_cli train --from-store store.ctrj --weights out.bin\n"
-                 "                [--style via|metal] [--clips N] [--epochs N]\n"
-                 "                [--train-workers N] [--seed S] [--in-memory]\n"
-                 "                [--stats-json PATH] [--quiet] [--log-level L]\n"
-                 "                [--metrics-json PATH] [--trace PATH]\n");
+    return with_obs(std::move(flags), o.obs);
 }
 
 int collect_main(int argc, char** argv) {
     StoreCliOptions cli;
-    if (!parse_store_args(argc, argv, /*train_mode=*/false, cli)) {
-        print_collect_usage();
-        return 2;
-    }
-    if (!apply_obs_options(cli.obs, cli.quiet)) return 2;
+    const std::vector<Flag> flags = store_flags(cli, /*train_mode=*/false);
+    if (!parse_flags(argc, argv, 2, flags)) return print_flags_usage("collect", flags);
+    apply_obs_options(cli.obs);
     try {
         core::CamoConfig cfg =
             cli.style == "via" ? core::Experiment::via_camo_config()
@@ -1333,11 +1119,9 @@ int collect_main(int argc, char** argv) {
 
 int train_main(int argc, char** argv) {
     StoreCliOptions cli;
-    if (!parse_store_args(argc, argv, /*train_mode=*/true, cli)) {
-        print_train_usage();
-        return 2;
-    }
-    if (!apply_obs_options(cli.obs, cli.quiet)) return 2;
+    const std::vector<Flag> flags = store_flags(cli, /*train_mode=*/true);
+    if (!parse_flags(argc, argv, 2, flags)) return print_flags_usage("train", flags);
+    apply_obs_options(cli.obs);
     try {
         core::CamoConfig cfg =
             cli.style == "via" ? core::Experiment::via_camo_config()
@@ -1407,6 +1191,45 @@ int train_main(int argc, char** argv) {
     }
 }
 
+// ---- pretrain: the weight caches the table benches load ---------------------
+
+void pretrain_one(core::CamoConfig cfg, int train_workers, const std::string& tag,
+                  const std::vector<geo::SegmentedLayout>& clips, litho::LithoSim& sim,
+                  const opc::OpcOptions& opt) {
+    Timer timer;
+    cfg.train_workers = train_workers;
+    core::CamoEngine engine(cfg);
+    const std::string path = core::Experiment::weights_path(cfg, tag);
+    const bool cached = core::ensure_trained(engine, clips, sim, opt, path);
+    std::printf("%-12s %-6s %-7s %6.1fs -> %s\n", cfg.name.c_str(), tag.c_str(),
+                cached ? "cached" : "trained", timer.seconds(), path.c_str());
+}
+
+int pretrain_main(int argc, char** argv) {
+    int train_workers = 1;
+    ObsCliOptions obs;
+    const std::vector<Flag> flags =
+        with_obs({integer("--train-workers", "N", train_workers)}, obs);
+    if (!parse_flags(argc, argv, 2, flags)) return print_flags_usage("pretrain", flags);
+    apply_obs_options(obs);
+
+    litho::LithoSim sim(core::Experiment::litho_config());
+    const auto via_train = core::fragment_via_clips(
+        layout::via_training_set(core::Experiment::kDatasetSeed));
+    const auto metal_train = core::fragment_metal_clips(
+        layout::metal_training_set(core::Experiment::kDatasetSeed, 5));
+    pretrain_one(core::Experiment::via_camo_config(), train_workers, "via", via_train, sim,
+                 core::Experiment::via_options());
+    pretrain_one(core::Experiment::via_rlopc_config(), train_workers, "via", via_train, sim,
+                 core::Experiment::via_options());
+    pretrain_one(core::Experiment::metal_camo_config(), train_workers, "metal", metal_train,
+                 sim, core::Experiment::metal_options());
+    pretrain_one(core::Experiment::metal_rlopc_config(), train_workers, "metal", metal_train,
+                 sim, core::Experiment::metal_options());
+    write_obs_reports(obs);
+    return 0;
+}
+
 void print_usage() {
     std::fprintf(stderr,
                  "usage: camo_cli <subcommand> [options] | camo_cli --in ... --out ...\n"
@@ -1422,6 +1245,7 @@ void print_usage() {
                  "            deadlines and admission control over a warm scheduler\n"
                  "  collect   record rule-teacher trajectories into a packed store\n"
                  "  train     replay phase-1 training from a store and write weights\n"
+                 "  pretrain  train and cache every policy the table benches load\n"
                  "  --list-scenarios   print the registered scenarios\n"
                  "(no subcommand: single-clip GDSII mode; see --in/--out usage)\n");
 }
@@ -1429,43 +1253,47 @@ void print_usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
-    if (argc > 1 && std::strcmp(argv[1], "batch") == 0) return batch_main(argc, argv, false);
-    if (argc > 1 && std::strcmp(argv[1], "sweep") == 0) return batch_main(argc, argv, true);
-    if (argc > 1 && std::strcmp(argv[1], "compare") == 0) return compare_main(argc, argv);
-    if (argc > 1 && std::strcmp(argv[1], "chipgen") == 0) return chipgen_main(argc, argv);
-    if (argc > 1 && std::strcmp(argv[1], "shard") == 0) return shard_main(argc, argv);
-    if (argc > 1 && std::strcmp(argv[1], "serve") == 0) return serve_main(argc, argv);
-    if (argc > 1 && std::strcmp(argv[1], "collect") == 0) return collect_main(argc, argv);
-    if (argc > 1 && std::strcmp(argv[1], "train") == 0) return train_main(argc, argv);
-    if (argc > 1 && std::strcmp(argv[1], "--list-scenarios") == 0) {
+    const std::string sub = argc > 1 ? argv[1] : "";
+    if (sub == "batch") return batch_main(argc, argv, false);
+    if (sub == "sweep") return batch_main(argc, argv, true);
+    if (sub == "compare") return compare_main(argc, argv);
+    if (sub == "chipgen") return chipgen_main(argc, argv);
+    if (sub == "shard") return shard_main(argc, argv);
+    if (sub == "serve") return serve_main(argc, argv);
+    if (sub == "collect") return collect_main(argc, argv);
+    if (sub == "train") return train_main(argc, argv);
+    if (sub == "pretrain") return pretrain_main(argc, argv);
+    if (sub == "--list-scenarios") {
         print_scenarios();
         return 0;
     }
-    if (argc > 1 && (std::strcmp(argv[1], "--help") == 0 || std::strcmp(argv[1], "-h") == 0)) {
+    if (sub == "--help" || sub == "-h") {
         print_usage();
         return 0;
     }
-    if (argc > 1 && argv[1][0] != '-') {
+    if (!sub.empty() && sub[0] != '-') {
         std::fprintf(stderr, "unknown subcommand: %s\n", argv[1]);
         print_usage();
         return 2;
     }
-    if (argc <= 1) {
+    if (sub.empty()) {
         print_usage();
         return 2;
     }
 
     CliOptions cli;
-    if (!parse_args(argc, argv, cli)) {
-        std::fprintf(stderr,
-                     "usage: camo_cli --in layout.gds --out result.gds"
-                     " [--engine rule|oneshot|camo] [--style via|metal] [--layer N]"
-                     " [--clip N] [--iterations N] [--train-workers N]"
-                     " [--reward-mode nominal|worst|weighted] [--window] [--quiet]"
-                     " [--log-level quiet|info|debug] [--metrics-json PATH] [--trace PATH]\n");
-        return 2;
-    }
-    if (!apply_obs_options(cli.obs, cli.quiet)) return 2;
+    const std::vector<Flag> flags = with_obs(
+        {required(text("--in", "layout.gds", cli.in)),
+         required(text("--out", "result.gds", cli.out)),
+         choice("--engine", {"rule", "oneshot", "camo"}, cli.engine),
+         choice("--style", {"via", "metal"}, cli.style), integer("--layer", "N", cli.layer, 0),
+         integer("--clip", "N", cli.clip_nm, 1), integer("--iterations", "N", cli.iterations, 1),
+         integer("--train-workers", "N", cli.train_workers),
+         reward("--reward-mode", cli.reward_mode), on("--window", cli.window),
+         on("--quiet", cli.obs.quiet)},
+        cli.obs);
+    if (!parse_flags(argc, argv, 1, flags)) return print_flags_usage("", flags);
+    apply_obs_options(cli.obs);
 
     // Load targets.
     layout::GdsLibrary lib;
@@ -1504,7 +1332,7 @@ int main(int argc, char** argv) {
     } else if (cli.engine == "oneshot") {
         opc::OneShotEngine engine;
         res = engine.optimize(layout, sim, opt);
-    } else if (cli.engine == "camo") {
+    } else {  // camo
         core::CamoConfig cfg = via_style ? core::Experiment::via_camo_config()
                                          : core::Experiment::metal_camo_config();
         cfg.train_workers = cli.train_workers;
@@ -1519,9 +1347,6 @@ int main(int argc, char** argv) {
         core::ensure_trained(engine, train, sim, opt,
                              core::Experiment::weights_path(cfg, tag, cli.reward_mode));
         res = engine.optimize(layout, sim, opt);
-    } else {
-        std::fprintf(stderr, "unknown engine: %s\n", cli.engine.c_str());
-        return 2;
     }
 
     std::printf("%d segments, %d iterations: sum|EPE| %.1f -> %.1f nm, PVB %.0f nm^2, %.2f s\n",
