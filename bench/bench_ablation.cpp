@@ -142,8 +142,7 @@ void reward_mode_ablation(litho::LithoSim& sim) {
                 litho::LithoSim run_sim(sim);  // private incremental cache per run
                 const auto res = engine.optimize(layout, run_sim, opt);
                 // Judge every mode's final mask through the same dense sweep.
-                const litho::WindowMetrics judged =
-                    sim.evaluate_window(layout, res.final_offsets, spec);
+                const litho::WindowMetrics judged = sim.evaluate(layout, res.final_offsets, spec);
                 nominal_epe += judged.nominal_corner()->metrics.sum_abs_epe;
                 worst_epe += judged.worst_epe;
                 pvb_exact += judged.pv_band_exact_nm2;

@@ -140,8 +140,8 @@ void BM_FullEvaluate(benchmark::State& state) {
 BENCHMARK(BM_FullEvaluate);
 
 // ---- Incremental vs full evaluation ----------------------------------------
-// One metal clip (84 segments at the 60 nm pitch), swept over the dirty-set
-// size. Arg = percent of segments moved per evaluation; Arg 0 = the full
+// One metal clip (84 segments at the 60 nm pitch), swept over the number
+// of segments moved per step. Arg = percent of segments moved per evaluation; Arg 0 = the full
 // evaluate() baseline on the same layout. The speedup table is the ratio of
 // the Arg 0 row to each incremental row.
 
@@ -174,27 +174,24 @@ void BM_IncrementalEvaluate(benchmark::State& state) {
     litho::LithoSim sim(shared_sim());  // private incremental cache
     const geo::SegmentedLayout& layout = incremental_bench_layout();
     const int segments = layout.num_segments();
-    const int dirty_count =
-        std::max(1, segments * static_cast<int>(state.range(0)) / 100);
+    const int moved = std::max(1, segments * static_cast<int>(state.range(0)) / 100);
 
     std::vector<int> offsets(static_cast<std::size_t>(segments), 2);
-    benchmark::DoNotOptimize(sim.evaluate_incremental(layout, offsets).sum_abs_epe);
+    benchmark::DoNotOptimize(
+        sim.evaluate_incremental(layout, offsets, litho::Refresh::kPrime).sum_abs_epe);
 
     int cursor = 0;
     int sign = 1;
     for (auto _ : state) {
-        std::vector<int> dirty;
-        dirty.reserve(static_cast<std::size_t>(dirty_count));
-        for (int j = 0; j < dirty_count; ++j) {
-            const int i = cursor++ % segments;
-            offsets[static_cast<std::size_t>(i)] += sign;
-            dirty.push_back(i);
+        for (int j = 0; j < moved; ++j) {
+            offsets[static_cast<std::size_t>(cursor++ % segments)] += sign;
         }
         if (cursor >= segments) {
             cursor = 0;
             sign = -sign;  // walk offsets back so they stay bounded
         }
-        const litho::SimMetrics m = sim.evaluate_incremental(layout, offsets, dirty);
+        const litho::SimMetrics m =
+            sim.evaluate_incremental(layout, offsets, litho::Refresh::kUpdate);
         benchmark::DoNotOptimize(m.sum_abs_epe);
     }
     state.counters["hit_rate"] = benchmark::Counter(
@@ -231,11 +228,10 @@ BENCHMARK(BM_WindowIndependentEvaluates);
 void BM_WindowSweep(benchmark::State& state) {
     litho::LithoSim& sim = shared_sim();
     const geo::SegmentedLayout& layout = incremental_bench_layout();
-    const litho::ProcessWindowSweep sweep(sim.config(),
-                                          litho::WindowSpec::standard(sim.config()));
+    const litho::WindowSpec spec = litho::WindowSpec::standard(sim.config());
     const std::vector<int> offsets(static_cast<std::size_t>(layout.num_segments()), 2);
     for (auto _ : state) {
-        const litho::WindowMetrics w = sweep.evaluate(layout, offsets);
+        const litho::WindowMetrics w = sim.evaluate(layout, offsets, spec);
         benchmark::DoNotOptimize(w.worst_epe);
     }
 }
@@ -247,7 +243,8 @@ void BM_WindowSweepIncremental(benchmark::State& state) {
     const litho::WindowSpec spec = litho::WindowSpec::standard(sim.config());
     const int segments = layout.num_segments();
     std::vector<int> offsets(static_cast<std::size_t>(segments), 2);
-    benchmark::DoNotOptimize(sim.evaluate_incremental(layout, offsets).sum_abs_epe);
+    benchmark::DoNotOptimize(
+        sim.evaluate_incremental(layout, offsets, litho::Refresh::kPrime).sum_abs_epe);
 
     // One segment moves per sweep: the OPC-loop scenario where each window
     // evaluation reuses the cached raster + spectrum via one sparse delta.
@@ -259,7 +256,8 @@ void BM_WindowSweepIncremental(benchmark::State& state) {
             cursor = 0;
             sign = -sign;  // walk offsets back so they stay bounded
         }
-        const litho::WindowMetrics w = sim.evaluate_window_incremental(layout, offsets, spec);
+        const litho::WindowMetrics w =
+            sim.evaluate_incremental(layout, offsets, spec, litho::Refresh::kUpdate);
         benchmark::DoNotOptimize(w.worst_epe);
     }
 }
@@ -277,19 +275,18 @@ void BM_RewardNominalStep(benchmark::State& state) {
     const geo::SegmentedLayout& layout = incremental_bench_layout();
     const int segments = layout.num_segments();
     std::vector<int> offsets(static_cast<std::size_t>(segments), 2);
-    litho::SimMetrics m = sim.evaluate_incremental(layout, offsets);
+    litho::SimMetrics m = sim.evaluate_incremental(layout, offsets, litho::Refresh::kPrime);
 
     int cursor = 0;
     int sign = 1;
     for (auto _ : state) {
-        const int i = cursor++ % segments;
-        offsets[static_cast<std::size_t>(i)] += sign;
+        offsets[static_cast<std::size_t>(cursor++ % segments)] += sign;
         if (cursor >= segments) {
             cursor = 0;
             sign = -sign;  // walk offsets back so they stay bounded
         }
-        const std::vector<int> dirty{i};
-        const litho::SimMetrics m2 = sim.evaluate_incremental(layout, offsets, dirty);
+        const litho::SimMetrics m2 =
+            sim.evaluate_incremental(layout, offsets, litho::Refresh::kUpdate);
         const double r =
             rl::step_reward(m.sum_abs_epe, m2.sum_abs_epe, m.pvband_nm2, m2.pvband_nm2);
         benchmark::DoNotOptimize(r);
@@ -306,7 +303,8 @@ void BM_RewardWorstCornerStep(benchmark::State& state) {
     reward.mode = rl::RewardMode::kWorstCorner;
     const int segments = layout.num_segments();
     std::vector<int> offsets(static_cast<std::size_t>(segments), 2);
-    litho::WindowMetrics w = sim.evaluate_window_prime(layout, offsets, spec);
+    litho::WindowMetrics w =
+        sim.evaluate_incremental(layout, offsets, spec, litho::Refresh::kPrime);
 
     int cursor = 0;
     int sign = 1;
@@ -316,7 +314,8 @@ void BM_RewardWorstCornerStep(benchmark::State& state) {
             cursor = 0;
             sign = -sign;  // walk offsets back so they stay bounded
         }
-        const litho::WindowMetrics w2 = sim.evaluate_window_incremental(layout, offsets, spec);
+        const litho::WindowMetrics w2 =
+            sim.evaluate_incremental(layout, offsets, spec, litho::Refresh::kUpdate);
         const double r = rl::window_step_reward(w, w2, reward);
         benchmark::DoNotOptimize(r);
         w = w2;

@@ -1,8 +1,8 @@
 // Process-window analysis: how the printed CD of a corrected via moves
 // across dose and focus corners — the robustness view behind the paper's
-// PV-band metric. Uses LithoSim::evaluate_window, which rasterizes the mask
-// once and images every corner from one shared spectrum (one aerial per
-// focus plane), instead of re-imaging per corner by hand.
+// PV-band metric. Uses the window overload of LithoSim::evaluate, which
+// rasterizes the mask once and images every corner from one shared spectrum
+// (one aerial per focus plane), instead of re-imaging per corner by hand.
 //
 // Build & run:  ./build/examples/process_window
 #include <cstdio>
@@ -25,7 +25,7 @@ int main() {
     litho::WindowSpec spec;
     spec.doses = {0.96, 0.98, 1.00, 1.02, 1.04};
     spec.defocus_nm = {0.0, sim.config().defocus_nm};
-    const litho::WindowMetrics window = sim.evaluate_window(layout, res.final_offsets, spec);
+    const litho::WindowMetrics window = sim.evaluate(layout, res.final_offsets, spec);
 
     std::printf("process window for %s after OPC (printed area in 1e3 nm^2):\n",
                 clips[0].name.c_str());

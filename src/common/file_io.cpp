@@ -29,6 +29,14 @@ void BinaryWriter::write_bytes(const void* data, std::size_t n) {
 BinaryReader::BinaryReader(const std::string& path)
     : in_(path, std::ios::binary) {
     if (!in_) throw std::runtime_error("cannot open for reading: " + path);
+    in_.seekg(0, std::ios::end);
+    size_ = static_cast<std::uint64_t>(in_.tellg());
+    in_.seekg(0, std::ios::beg);
+}
+
+std::uint64_t BinaryReader::remaining() {
+    const std::streamoff pos = in_.tellg();
+    return pos < 0 ? 0 : size_ - static_cast<std::uint64_t>(pos);
 }
 
 std::uint32_t BinaryReader::read_u32() {

@@ -60,8 +60,14 @@ public:
     /// appended or concatenated blobs) instead of silently ignoring the tail.
     [[nodiscard]] bool at_end() { return in_.peek() == std::ifstream::traits_type::eof(); }
 
+    /// Bytes between the read position and the end of the file. Loaders
+    /// check an element count read from the file against it before sizing a
+    /// vector by that count.
+    [[nodiscard]] std::uint64_t remaining();
+
 private:
     std::ifstream in_;
+    std::uint64_t size_ = 0;
 };
 
 /// True if the file exists and is readable.

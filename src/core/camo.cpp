@@ -650,7 +650,7 @@ double CamoEngine::run_phase2_episode(const std::vector<geo::SegmentedLayout>& c
     // the exact PV band — and the modulation/exploration signal is the
     // objective corner's per-segment EPE, so phase-2 credit assignment
     // optimizes the same quantity the evaluation reports. Every sweep rides
-    // the cached support spectrum (evaluate_window_incremental): one sparse
+    // the cached support spectrum (the window evaluate_incremental): one sparse
     // delta-DFT per step serves every corner.
     if (clip_sims.size() != clips.size()) {
         throw std::invalid_argument("run_phase2_episode: clip_sims/clips size mismatch");

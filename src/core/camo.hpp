@@ -46,7 +46,7 @@ struct CamoConfig {
     /// Base Eq. (3) parameters (epsilon, beta). The reward *mode* — nominal,
     /// worst-corner or weighted-corner — is per-run, carried by
     /// opc::OpcOptions::objective: under a window objective, phase-2 updates
-    /// and inference both ride evaluate_window_incremental and score steps
+    /// and inference both ride the window evaluate_incremental and score steps
     /// with rl::window_step_reward built from this base config.
     rl::RewardConfig reward;
     SquishOptions squish;  ///< squish.size must equal policy.squish_size

@@ -44,7 +44,7 @@ public:
     /// Mask polygon of target `p` alone under the same offsets convention
     /// (`offsets` spans all segments; only polygon p's range is read). A
     /// segment's move affects exactly its owning polygon, which is what lets
-    /// incremental evaluation re-rasterize only the dirty polygons.
+    /// incremental evaluation re-rasterize only the polygons that moved.
     [[nodiscard]] Polygon reconstruct_polygon(int p, std::span<const int> offsets) const;
 
     /// Measure points of all `measured` segments, at segment centers on the

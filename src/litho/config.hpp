@@ -12,6 +12,13 @@ namespace camo::litho {
 /// sets; far tighter than the registry's 1e-3 nm focus-key quantization).
 inline constexpr double kFocusMatchTolNm = 1e-6;
 
+/// How LithoSim::evaluate_incremental treats the simulator's per-instance
+/// cache. kPrime rebuilds it from scratch — a clip's first evaluation, so a
+/// job's results never depend on what the simulator evaluated before.
+/// kUpdate brings it up to date with the segments whose offsets changed
+/// since the previous call (found by comparing against the cached offsets).
+enum class Refresh { kPrime, kUpdate };
+
 /// Immersion ArF scanner model with annular illumination and a constant
 /// threshold resist. Process window corners are (dose_max, best focus) for
 /// the outermost printed contour and (dose_min, defocus_nm) for the
@@ -53,8 +60,8 @@ struct LithoConfig {
     /// is clamped to +/- this value when no contour crossing is found.
     double epe_range_nm = 20.0;
 
-    /// evaluate_incremental() falls back to a full rebuild when more than
-    /// this fraction of the segments moved since the previous call (the
+    /// A Refresh::kUpdate evaluation falls back to a full rebuild when more
+    /// than this fraction of the segments moved since the previous call (the
     /// sparse delta-DFT stops paying off). Not part of the physics hash.
     double incremental_fallback_fraction = 0.3;
 

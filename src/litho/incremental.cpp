@@ -37,8 +37,9 @@ obs::MetricId rebuild_hist() {
     return id;
 }
 obs::MetricId focus_plane_hist() {
-    // Shared with ProcessWindowSweep's per-plane spans (registration is
-    // idempotent per name): one histogram covers dense and cached sweeps.
+    // Shared with the dense window LithoSim::evaluate's per-plane spans
+    // (registration is idempotent per name): one histogram covers dense and
+    // cached sweeps.
     static const obs::MetricId id = obs::register_histogram("window.focus_plane.ns");
     return id;
 }
@@ -435,30 +436,21 @@ std::pair<const SupportApplicator*, const std::vector<int>*> IncrementalEvaluato
     return {&extra_planes_.back()->applicator, &extra_planes_.back()->map};
 }
 
-SimMetrics IncrementalEvaluator::evaluate_full(const geo::SegmentedLayout& layout,
-                                               std::span<const int> offsets) {
-    if (static_cast<int>(offsets.size()) != layout.num_segments()) {
-        throw std::invalid_argument("evaluate_full: offsets size mismatch");
-    }
-    rebuild_cache(layout, offsets);
-    metrics_ = metrics_from_cache(layout);
-    ++full_count_;
-    obs::counter_add(fulls_counter());
-    return metrics_;
-}
-
 IncrementalEvaluator::CacheUpdate IncrementalEvaluator::refresh_cache(
-    const geo::SegmentedLayout& layout, std::span<const int> offsets) {
+    const geo::SegmentedLayout& layout, std::span<const int> offsets, Refresh refresh) {
     const int segments = layout.num_segments();
-    const bool cache_ok = cache_valid_ && static_cast<int>(offsets_.size()) == segments &&
+    if (static_cast<int>(offsets.size()) != segments) {
+        throw std::invalid_argument("IncrementalEvaluator: offsets size mismatch");
+    }
+    const bool cache_ok = refresh == Refresh::kUpdate && cache_valid_ &&
+                          static_cast<int>(offsets_.size()) == segments &&
                           layout_key_ == layout_fingerprint(layout);
     if (!cache_ok) {
         rebuild_cache(layout, offsets);
         return CacheUpdate::kRebuilt;
     }
 
-    // Verify against the cached offsets: the true dirty set is what actually
-    // changed, whatever the caller believes.
+    // What moved is whatever differs from the cached offsets.
     std::vector<int> changed;
     for (int i = 0; i < segments; ++i) {
         if (offsets[i] != offsets_[static_cast<std::size_t>(i)]) changed.push_back(i);
@@ -471,7 +463,7 @@ IncrementalEvaluator::CacheUpdate IncrementalEvaluator::refresh_cache(
         return CacheUpdate::kRebuilt;
     }
 
-    // Dirty polygons: a segment's move affects exactly its owning polygon.
+    // A segment's move affects exactly its owning polygon.
     std::vector<int> polys;
     for (int i : changed) {
         const int p = layout.segments()[static_cast<std::size_t>(i)].poly;
@@ -489,57 +481,31 @@ IncrementalEvaluator::CacheUpdate IncrementalEvaluator::refresh_cache(
     return CacheUpdate::kSparse;
 }
 
+void IncrementalEvaluator::count(CacheUpdate update) {
+    if (update == CacheUpdate::kRebuilt) {
+        ++full_count_;
+        obs::counter_add(fulls_counter());
+    } else {
+        ++incremental_count_;
+        obs::counter_add(hits_counter());
+    }
+}
+
 SimMetrics IncrementalEvaluator::evaluate(const geo::SegmentedLayout& layout,
-                                          std::span<const int> offsets,
-                                          std::span<const int> /*dirty*/) {
-    const int segments = layout.num_segments();
-    if (static_cast<int>(offsets.size()) != segments) {
-        throw std::invalid_argument("evaluate: offsets size mismatch");
-    }
-
-    switch (refresh_cache(layout, offsets)) {
-        case CacheUpdate::kUnchanged:  // nothing moved: cached metrics are exact
-            ++incremental_count_;
-            obs::counter_add(hits_counter());
-            return metrics_;
-        case CacheUpdate::kSparse:
-            metrics_ = metrics_from_cache(layout);
-            ++incremental_count_;
-            obs::counter_add(hits_counter());
-            return metrics_;
-        case CacheUpdate::kRebuilt:
-            metrics_ = metrics_from_cache(layout);
-            ++full_count_;
-            obs::counter_add(fulls_counter());
-            return metrics_;
-    }
-    throw std::logic_error("unreachable");
+                                          std::span<const int> offsets, Refresh refresh) {
+    const CacheUpdate update = refresh_cache(layout, offsets, refresh);
+    // Nothing moved: the cached metrics are exact.
+    if (update != CacheUpdate::kUnchanged) metrics_ = metrics_from_cache(layout);
+    count(update);
+    return metrics_;
 }
 
-WindowMetrics IncrementalEvaluator::evaluate_window(const geo::SegmentedLayout& layout,
-                                                    std::span<const int> offsets,
-                                                    const WindowSpec& spec) {
+WindowMetrics IncrementalEvaluator::evaluate(const geo::SegmentedLayout& layout,
+                                             std::span<const int> offsets,
+                                             const WindowSpec& spec, Refresh refresh) {
     spec.validate();
-    if (static_cast<int>(offsets.size()) != layout.num_segments()) {
-        throw std::invalid_argument("evaluate_window: offsets size mismatch");
-    }
-    return window_from_cache(layout, spec, refresh_cache(layout, offsets));
-}
+    const CacheUpdate update = refresh_cache(layout, offsets, refresh);
 
-WindowMetrics IncrementalEvaluator::evaluate_window_full(const geo::SegmentedLayout& layout,
-                                                         std::span<const int> offsets,
-                                                         const WindowSpec& spec) {
-    spec.validate();
-    if (static_cast<int>(offsets.size()) != layout.num_segments()) {
-        throw std::invalid_argument("evaluate_window_full: offsets size mismatch");
-    }
-    rebuild_cache(layout, offsets);
-    return window_from_cache(layout, spec, CacheUpdate::kRebuilt);
-}
-
-WindowMetrics IncrementalEvaluator::window_from_cache(const geo::SegmentedLayout& layout,
-                                                      const WindowSpec& spec,
-                                                      CacheUpdate update) {
     // One aerial per focus plane from the cached support spectrum. Resolve
     // every plane first: an extra plane may extend the union spectrum, and
     // the pointers stay valid because extra_planes_ elements are
@@ -559,14 +525,15 @@ WindowMetrics IncrementalEvaluator::window_from_cache(const geo::SegmentedLayout
                                                          clip_offset_, cfg_);
 
     // Keep the cached standard metrics consistent with the (possibly
-    // updated) cache so a later evaluate() with unchanged offsets can still
-    // return them outright. On the standard window the aggregation above
-    // already produced them with identical arguments — the dose-1.0 corner's
-    // EPE profile (threshold / 1.0 on the best-focus aerial) and the
-    // two-corner band over dose extremes equal to cfg's — so reuse those
-    // outright; otherwise recompute from the window's aerials (plane_for
-    // resolves the standard planes to the same applicators
-    // metrics_from_cache uses, so the arithmetic is identical either way).
+    // updated) cache so a later nominal evaluation with unchanged offsets
+    // can still return them outright. On the standard window the
+    // aggregation above already produced them with identical arguments —
+    // the dose-1.0 corner's EPE profile (threshold / 1.0 on the best-focus
+    // aerial) and the two-corner band over dose extremes equal to cfg's —
+    // so reuse those outright; otherwise recompute from the window's
+    // aerials (plane_for resolves the standard planes to the same
+    // applicators metrics_from_cache uses, so the arithmetic is identical
+    // either way).
     if (update != CacheUpdate::kUnchanged) {
         const int f_best = spec.find_focus(0.0);
         const int f_def = spec.find_focus(cfg_.defocus_nm);
@@ -585,13 +552,7 @@ WindowMetrics IncrementalEvaluator::window_from_cache(const geo::SegmentedLayout
             metrics_ = metrics_from_cache(layout);
         }
     }
-    if (update == CacheUpdate::kRebuilt) {
-        ++full_count_;
-        obs::counter_add(fulls_counter());
-    } else {
-        ++incremental_count_;
-        obs::counter_add(hits_counter());
-    }
+    count(update);
     return wm;
 }
 

@@ -6,12 +6,11 @@
 // segments the policy acted on. The incremental path exploits both:
 //
 //   * The mask raster is cached as a double-precision coverage accumulator.
-//     When a dirty segment set arrives, only the owning polygons are
-//     re-rasterized, restricted to their pixel footprint
-//     (geo::add_polygon_region), and the old polygon's contribution is
-//     subtracted exactly — per-pixel coverage is a pure function of
-//     (polygon, pixel), so the cache never drifts from a from-scratch
-//     rasterization beyond double rounding.
+//     When segments move, only their owning polygons are re-rasterized,
+//     restricted to their pixel footprint (geo::add_polygon_region), and
+//     the old polygon's contribution is subtracted exactly — per-pixel
+//     coverage is a pure function of (polygon, pixel), so the cache never
+//     drifts from a from-scratch rasterization beyond double rounding.
 //   * The mask spectrum is cached only at the union of the kernel support
 //     frequencies and updated with a sparse delta-DFT over the pixels whose
 //     clamped coverage changed: O(|delta pixels| * |support|) instead of
@@ -35,10 +34,9 @@
 //     threshold * dose now prints on both paths — so the remaining slack
 //     only covers pixels whose intensity the two float pipelines genuinely
 //     place on opposite sides of the (epsilon-shifted) contour.
-// With an empty dirty set and unchanged offsets the cached metrics are
-// returned unchanged (exact). The evaluator verifies the caller's dirty set
-// against its cached offsets, so a stale or incomplete hint degrades to a
-// larger re-rasterization (or a full rebuild), never to a wrong answer.
+// What moved is found by comparing the offsets against the cached ones, so
+// callers pass only the new offsets; with unchanged offsets the cached
+// metrics are returned unchanged (exact).
 #pragma once
 
 #include <complex>
@@ -101,35 +99,24 @@ public:
     IncrementalEvaluator(const LithoConfig& cfg, double threshold, const KernelSet& nominal,
                          const KernelSet& defocus);
 
-    /// Full evaluation that (re)primes the cache for `layout` + `offsets`.
-    SimMetrics evaluate_full(const geo::SegmentedLayout& layout, std::span<const int> offsets);
-
-    /// Evaluation where only `dirty` segment indices changed since the last
-    /// call. Falls back to evaluate_full() when the cache does not match
-    /// this layout or the verified dirty set exceeds
-    /// cfg.incremental_fallback_fraction of the segments.
+    /// Standard two-condition metrics of `offsets`. Refresh::kPrime rebuilds
+    /// the cache; Refresh::kUpdate reuses it outright when nothing moved,
+    /// applies a sparse delta-DFT for small moves, and rebuilds when the
+    /// cache holds another layout or more than
+    /// cfg.incremental_fallback_fraction of the segments moved.
     SimMetrics evaluate(const geo::SegmentedLayout& layout, std::span<const int> offsets,
-                        std::span<const int> dirty);
+                        Refresh refresh);
 
-    /// Multi-corner window evaluation on the cached raster + spectrum: the
-    /// cache is refreshed exactly as evaluate() would (unchanged offsets
-    /// reuse it outright, small moves go through the sparse delta-DFT, big
-    /// moves rebuild), then ONE aerial per focus plane is produced from the
-    /// cached support spectrum through per-focus SupportApplicators — no
-    /// per-corner rasterization or forward FFT. Extra focus planes acquire
-    /// their kernel sets from the registry on first use and are cached on
-    /// this evaluator. Metrics match the dense ProcessWindowSweep within the
+    /// Multi-corner window evaluation: the cache is refreshed as above, then
+    /// ONE aerial per focus plane is produced from the cached support
+    /// spectrum through per-focus SupportApplicators — no per-corner
+    /// rasterization or forward FFT. Extra focus planes acquire their kernel
+    /// sets from the registry on first use and are cached on this evaluator.
+    /// Metrics match the dense window LithoSim::evaluate within the
     /// incremental tolerances above. Refreshes the cached standard metrics,
-    /// so interleaving with evaluate() stays consistent.
-    WindowMetrics evaluate_window(const geo::SegmentedLayout& layout,
-                                  std::span<const int> offsets, const WindowSpec& spec);
-
-    /// Window evaluation that always (re)primes the cache with a full
-    /// rebuild first — the window counterpart of evaluate_full(), used for a
-    /// job's first evaluation so results never depend on what this evaluator
-    /// saw before (the batch determinism contract).
-    WindowMetrics evaluate_window_full(const geo::SegmentedLayout& layout,
-                                       std::span<const int> offsets, const WindowSpec& spec);
+    /// so interleaving with the nominal overload stays consistent.
+    WindowMetrics evaluate(const geo::SegmentedLayout& layout, std::span<const int> offsets,
+                           const WindowSpec& spec, Refresh refresh);
 
     /// The cached effective mask (clamped coverage, row-major n*n) and the
     /// cached mask spectrum at support frequency (kx, ky), unwrapped as in
@@ -160,11 +147,10 @@ private:
     /// How refresh_cache() brought the cache up to date with `offsets`.
     enum class CacheUpdate { kUnchanged, kSparse, kRebuilt };
 
-    CacheUpdate refresh_cache(const geo::SegmentedLayout& layout, std::span<const int> offsets);
-    /// Shared tail of the window paths: images every corner from the (just
-    /// refreshed) cache and keeps the cached standard metrics consistent.
-    WindowMetrics window_from_cache(const geo::SegmentedLayout& layout, const WindowSpec& spec,
-                                    CacheUpdate update);
+    CacheUpdate refresh_cache(const geo::SegmentedLayout& layout, std::span<const int> offsets,
+                              Refresh refresh);
+    /// Counts one evaluation as a hit (sparse or unchanged) or a full rebuild.
+    void count(CacheUpdate update);
     void rebuild_cache(const geo::SegmentedLayout& layout, std::span<const int> offsets);
     void apply_polygon_delta(const geo::Polygon& old_poly, const geo::Polygon& new_poly,
                              std::vector<PixelDelta>& deltas);

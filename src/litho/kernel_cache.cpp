@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <cmath>
 #include <filesystem>
 #include <system_error>
 
@@ -30,21 +31,31 @@ void write_kernel_set(BinaryWriter& w, const KernelSet& ks) {
     }
 }
 
-KernelSet read_kernel_set(BinaryReader& r) {
+// A kernel set as write_kernel_set stored it, or nullopt when the bytes
+// cannot be one. The applicators index kernel coefficients by support
+// position and size their grids from the support radius, so a set must
+// carry at least one kernel, one coefficient per support entry per kernel,
+// and only support frequencies on the grid (|kx|, |ky| <= grid / 2). Every
+// count is checked against the bytes left before it sizes a vector.
+std::optional<KernelSet> read_kernel_set(BinaryReader& r, int grid) {
+    const auto on_grid = [half = grid / 2](int k) { return k >= -half && k <= half; };
     KernelSet ks;
-    const auto ns = r.read_u64();
+    const std::uint64_t ns = r.read_u64();
+    if (ns > r.remaining() / (2 * sizeof(std::uint32_t))) return std::nullopt;
     ks.support.resize(ns);
     for (auto& f : ks.support) {
         f.kx = static_cast<int>(r.read_u32());
         f.ky = static_cast<int>(r.read_u32());
+        if (!on_grid(f.kx) || !on_grid(f.ky)) return std::nullopt;
     }
-    const auto ne = r.read_u64();
+    const std::uint64_t ne = r.read_u64();
+    if (ne == 0 || ne > r.remaining() / sizeof(double)) return std::nullopt;
     ks.eigenvalues.resize(ne);
     for (auto& e : ks.eigenvalues) e = r.read_f64();
     ks.coeffs.resize(ne);
     for (auto& coeff : ks.coeffs) {
-        const auto nc = r.read_u64();
-        coeff.resize(nc);
+        if (r.read_u64() != ns) return std::nullopt;
+        coeff.resize(ns);
         for (auto& c : coeff) {
             const float re = r.read_f32();
             const float im = r.read_f32();
@@ -67,11 +78,13 @@ std::optional<CachedKernels> load_kernel_cache(const LithoConfig& cfg) {
     try {
         BinaryReader r(path);
         if (r.read_u32() != kMagic || r.read_u32() != kVersion) return std::nullopt;
-        CachedKernels ck;
-        ck.threshold = r.read_f64();
-        ck.nominal = read_kernel_set(r);
-        ck.defocus = read_kernel_set(r);
-        return ck;
+        const double threshold = r.read_f64();
+        if (!(threshold > 0.0) || !std::isfinite(threshold)) return std::nullopt;
+        std::optional<KernelSet> nominal = read_kernel_set(r, cfg.grid);
+        if (!nominal) return std::nullopt;
+        std::optional<KernelSet> defocus = read_kernel_set(r, cfg.grid);
+        if (!defocus || !r.at_end()) return std::nullopt;
+        return CachedKernels{std::move(*nominal), std::move(*defocus), threshold};
     } catch (const std::exception&) {
         return std::nullopt;
     }

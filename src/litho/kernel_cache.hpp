@@ -20,7 +20,10 @@ struct CachedKernels {
 /// Path of the cache entry for this configuration.
 std::string kernel_cache_path(const LithoConfig& cfg);
 
-/// Load a cache entry; nullopt when missing or malformed.
+/// Load a cache entry; nullopt when missing or malformed: truncated, with
+/// trailing bytes, a count larger than the bytes left, a non-positive or
+/// non-finite threshold, a set without kernels, a coefficient count that
+/// differs from the support size, or a support frequency off the grid.
 std::optional<CachedKernels> load_kernel_cache(const LithoConfig& cfg);
 
 /// Store a cache entry (creates the cache directory if needed). No-op when

@@ -41,8 +41,8 @@ double measure_epe(const geo::Raster& aerial, double threshold, geo::FPoint pos,
 /// Two-corner process-variation band area (nm^2): pixels printed at the
 /// outer corner (dose_max, nominal focus) but not at the inner corner
 /// (dose_min, defocus), per pixel_prints(). This approximates the band from
-/// just two of the window's corners; ProcessWindowSweep computes the exact
-/// band over a full dose x focus grid.
+/// just two of the window's corners; the window LithoSim::evaluate computes
+/// the exact band over a full dose x focus grid.
 double pv_band_nm2(const geo::Raster& aerial_nominal, const geo::Raster& aerial_defocus,
                    double threshold, double dose_min, double dose_max);
 

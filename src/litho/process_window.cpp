@@ -4,26 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "litho/kernel_registry.hpp"
-#include "obs/trace.hpp"
-
 namespace camo::litho {
-namespace {
-
-obs::MetricId sweep_counter() {
-    static const obs::MetricId id = obs::register_counter("window.sweeps");
-    return id;
-}
-obs::MetricId sweep_hist() {
-    static const obs::MetricId id = obs::register_histogram("window.sweep.ns");
-    return id;
-}
-obs::MetricId focus_plane_hist() {
-    static const obs::MetricId id = obs::register_histogram("window.focus_plane.ns");
-    return id;
-}
-
-}  // namespace
 
 WindowSpec WindowSpec::standard(const LithoConfig& cfg) {
     WindowSpec spec;
@@ -149,38 +130,6 @@ WindowMetrics window_metrics_from_aerials(const geo::SegmentedLayout& layout,
                         aerials[static_cast<std::size_t>(f_def)], threshold, dose_lo, dose_hi);
     }
     return wm;
-}
-
-ProcessWindowSweep::ProcessWindowSweep(const LithoConfig& cfg, WindowSpec spec)
-    : cfg_(cfg), spec_(std::move(spec)) {
-    spec_.validate();
-    const SharedKernels kernels = acquire_kernels(cfg_);
-    threshold_ = cfg_.threshold > 0.0 ? cfg_.threshold : kernels.threshold;
-    planes_.reserve(spec_.defocus_nm.size());
-    for (double f : spec_.defocus_nm) planes_.push_back(acquire_focus_applicator(cfg_, f));
-}
-
-WindowMetrics ProcessWindowSweep::evaluate(const geo::SegmentedLayout& layout,
-                                           std::span<const int> offsets) const {
-    if (static_cast<int>(offsets.size()) != layout.num_segments()) {
-        throw std::invalid_argument("ProcessWindowSweep::evaluate: offsets size mismatch");
-    }
-    const obs::Span span("window.sweep", sweep_hist());
-    obs::counter_add(sweep_counter());
-    const auto mask_polys = layout.reconstruct_mask(offsets);
-    const geo::Raster mask =
-        rasterize_clip(cfg_, mask_polys, layout.srafs(), layout.clip_size_nm());
-    const std::vector<Complex> spectrum = mask_spectrum(mask);
-
-    std::vector<geo::Raster> aerials;
-    aerials.reserve(planes_.size());
-    for (const auto& plane : planes_) {
-        const obs::Span plane_span("window.focus_plane", focus_plane_hist());
-        aerials.push_back(plane->apply(spectrum, cfg_.pixel_nm));
-    }
-
-    const double clip_offset = cfg_.clip_frame_offset_nm(layout.clip_size_nm());
-    return window_metrics_from_aerials(layout, spec_, aerials, threshold_, clip_offset, cfg_);
 }
 
 }  // namespace camo::litho

@@ -1,12 +1,15 @@
 // Multi-corner process-window evaluation.
 //
 // The paper's robustness claims (Eq. 3 reward, PV band columns of the result
-// tables) are statements about a dose x focus window, but a plain evaluate()
-// call images only the two standard corners. ProcessWindowSweep evaluates a
-// segmented layout at an arbitrary dose x focus grid in one call:
+// tables) are statements about a dose x focus window, but a nominal
+// evaluate() call images only the two standard corners. A WindowSpec names
+// an arbitrary dose x focus grid, and the window overloads of
+// LithoSim::evaluate / evaluate_incremental evaluate a segmented layout at
+// every corner in one call:
 //
-//   * The mask is rasterized ONCE and forward-FFT'd ONCE; every corner reads
-//     the same spectrum.
+//   * The mask is rasterized and forward-FFT'd ONCE (or, incrementally,
+//     served from the cached support spectrum); every corner reads the same
+//     spectrum.
 //   * One aerial image is computed per focus plane (dose is a pure threshold
 //     scale, so all doses at a focus share its aerial). Per-focus kernel
 //     applicators come from the kernel registry: the two standard planes
@@ -14,28 +17,21 @@
 //     process with an interpolated kernel count.
 //   * Per-corner printed images use the shared epsilon-stable pixel_prints
 //     predicate, per-corner EPE the shared compute_epe_profile — so the
-//     (dose 1.0, best focus) corner reproduces LithoSim::evaluate bit for
-//     bit, and the exact PV band is consistent with LithoSim::printed.
+//     (dose 1.0, best focus) corner of the dense path reproduces the nominal
+//     LithoSim::evaluate bit for bit, and the exact PV band is consistent
+//     with LithoSim::printed.
 //
 // The exact PV band is the area between the union and the intersection of
 // the printed images over all corners. The legacy two-corner approximation
 // (pv_band_nm2) is also reported when the window contains both standard
 // focus planes; the exact band is always a pixelwise superset of it.
-//
-// Thread-safety: ProcessWindowSweep::evaluate is const and touches only
-// immutable shared kernel state — one sweep may serve many threads. The
-// incremental variant (LithoSim::evaluate_window_incremental) rides the
-// per-instance IncrementalEvaluator cache and is NOT thread-safe on one
-// simulator, same contract as evaluate_incremental.
 #pragma once
 
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "geometry/layout.hpp"
 #include "geometry/raster.hpp"
-#include "litho/aerial.hpp"
 #include "litho/config.hpp"
 #include "litho/metrics.hpp"
 
@@ -115,8 +111,8 @@ struct WindowMetrics {
 };
 
 /// Aggregate WindowMetrics from one aerial image per focus plane
-/// (aerials[f] images spec.defocus_nm[f]). Shared by the dense sweep and the
-/// incremental evaluator's window path so both aggregate through identical
+/// (aerials[f] images spec.defocus_nm[f]). Shared by the dense window path
+/// and the incremental evaluator's so both aggregate through identical
 /// arithmetic. `cfg` supplies dose_min/dose_max/defocus_nm for the legacy
 /// two-corner band and epe_range_nm for the per-corner EPE search.
 WindowMetrics window_metrics_from_aerials(const geo::SegmentedLayout& layout,
@@ -124,28 +120,5 @@ WindowMetrics window_metrics_from_aerials(const geo::SegmentedLayout& layout,
                                           std::span<const geo::Raster> aerials,
                                           double threshold, double clip_offset_nm,
                                           const LithoConfig& cfg);
-
-/// The dense (exact) sweep: per-focus kernel applicators resolved once at
-/// construction, then evaluate() images a mask at every corner from one
-/// rasterization and one forward FFT. Construction acquires shared kernels
-/// through the registry (cheap after the first acquisition per process).
-class ProcessWindowSweep {
-public:
-    ProcessWindowSweep(const LithoConfig& cfg, WindowSpec spec);
-
-    [[nodiscard]] const WindowSpec& spec() const { return spec_; }
-    [[nodiscard]] double threshold() const { return threshold_; }
-
-    /// Evaluate a segmented layout under per-segment offsets at every corner.
-    /// Const and thread-safe.
-    [[nodiscard]] WindowMetrics evaluate(const geo::SegmentedLayout& layout,
-                                         std::span<const int> offsets) const;
-
-private:
-    LithoConfig cfg_;
-    WindowSpec spec_;
-    double threshold_ = 0.0;
-    std::vector<std::shared_ptr<const KernelApplicator>> planes_;  ///< one per focus
-};
 
 }  // namespace camo::litho

@@ -10,9 +10,9 @@ namespace camo::litho {
 namespace {
 
 // Telemetry handles for the evaluation facade. `litho.evaluations` counts
-// every evaluate* entry point — the same events as the per-instance
-// evaluate_count_, so the registry total equals the sum over simulators
-// (what BatchResult::litho_evaluations reports per batch).
+// every evaluate / evaluate_incremental call — the same events as the
+// per-instance evaluate_count_, so the registry total equals the sum over
+// simulators (what BatchResult::litho_evaluations reports per batch).
 obs::MetricId eval_counter() {
     static const obs::MetricId id = obs::register_counter("litho.evaluations");
     return id;
@@ -28,6 +28,17 @@ obs::MetricId eval_incremental_hist() {
 obs::MetricId window_hist() {
     static const obs::MetricId id = obs::register_histogram("litho.evaluate_window.ns");
     return id;
+}
+obs::MetricId focus_plane_hist() {
+    // Shared with the incremental evaluator's per-plane spans (registration
+    // is idempotent per name): one histogram covers dense and cached sweeps.
+    static const obs::MetricId id = obs::register_histogram("window.focus_plane.ns");
+    return id;
+}
+
+void count_evaluation(std::atomic<long long>& count) {
+    count.fetch_add(1, std::memory_order_relaxed);
+    obs::counter_add(eval_counter());
 }
 
 }  // namespace
@@ -70,8 +81,7 @@ geo::Raster LithoSim::aerial_defocus(const geo::Raster& mask) const {
 SimMetrics LithoSim::evaluate(const geo::SegmentedLayout& layout,
                               std::span<const int> offsets) const {
     const obs::Span span("litho.evaluate", eval_hist());
-    evaluate_count_.fetch_add(1, std::memory_order_relaxed);
-    obs::counter_add(eval_counter());
+    count_evaluation(evaluate_count_);
     const auto mask_polys = layout.reconstruct_mask(offsets);
     const geo::Raster mask = rasterize(mask_polys, layout.srafs(), layout.clip_size_nm());
 
@@ -84,69 +94,47 @@ SimMetrics LithoSim::evaluate(const geo::SegmentedLayout& layout,
                                cfg_.dose_min, cfg_.dose_max);
 }
 
+WindowMetrics LithoSim::evaluate(const geo::SegmentedLayout& layout,
+                                 std::span<const int> offsets, const WindowSpec& spec) const {
+    const obs::Span span("litho.evaluate_window", window_hist());
+    count_evaluation(evaluate_count_);
+    spec.validate();  // before any kernel acquisition for the spec's planes
+    const auto mask_polys = layout.reconstruct_mask(offsets);
+    const geo::Raster mask = rasterize(mask_polys, layout.srafs(), layout.clip_size_nm());
+    const std::vector<Complex> spectrum = mask_spectrum(mask);
+
+    std::vector<geo::Raster> aerials;
+    aerials.reserve(spec.defocus_nm.size());
+    for (double f : spec.defocus_nm) {
+        const auto plane = acquire_focus_applicator(cfg_, f);
+        const obs::Span plane_span("window.focus_plane", focus_plane_hist());
+        aerials.push_back(plane->apply(spectrum, cfg_.pixel_nm));
+    }
+    return window_metrics_from_aerials(layout, spec, aerials, threshold_,
+                                       clip_offset_nm(layout.clip_size_nm()), cfg_);
+}
+
+IncrementalEvaluator& LithoSim::cache() {
+    count_evaluation(evaluate_count_);
+    if (!incremental_) {
+        incremental_ = std::make_unique<IncrementalEvaluator>(cfg_, threshold_,
+                                                              nominal_->kernels(),
+                                                              defocus_->kernels());
+    }
+    return *incremental_;
+}
+
 SimMetrics LithoSim::evaluate_incremental(const geo::SegmentedLayout& layout,
-                                          std::span<const int> offsets) {
+                                          std::span<const int> offsets, Refresh refresh) {
     const obs::Span span("litho.evaluate_incremental", eval_incremental_hist());
-    evaluate_count_.fetch_add(1, std::memory_order_relaxed);
-    obs::counter_add(eval_counter());
-    if (!incremental_) {
-        incremental_ = std::make_unique<IncrementalEvaluator>(cfg_, threshold_,
-                                                              nominal_->kernels(),
-                                                              defocus_->kernels());
-    }
-    return incremental_->evaluate_full(layout, offsets);
+    return cache().evaluate(layout, offsets, refresh);
 }
 
-SimMetrics LithoSim::evaluate_incremental(const geo::SegmentedLayout& layout,
-                                          std::span<const int> offsets,
-                                          std::span<const int> dirty) {
-    const obs::Span span("litho.evaluate_incremental", eval_incremental_hist());
-    evaluate_count_.fetch_add(1, std::memory_order_relaxed);
-    obs::counter_add(eval_counter());
-    if (!incremental_) {
-        incremental_ = std::make_unique<IncrementalEvaluator>(cfg_, threshold_,
-                                                              nominal_->kernels(),
-                                                              defocus_->kernels());
-    }
-    return incremental_->evaluate(layout, offsets, dirty);
-}
-
-WindowMetrics LithoSim::evaluate_window(const geo::SegmentedLayout& layout,
-                                        std::span<const int> offsets,
-                                        const WindowSpec& spec) const {
+WindowMetrics LithoSim::evaluate_incremental(const geo::SegmentedLayout& layout,
+                                             std::span<const int> offsets,
+                                             const WindowSpec& spec, Refresh refresh) {
     const obs::Span span("litho.evaluate_window", window_hist());
-    evaluate_count_.fetch_add(1, std::memory_order_relaxed);
-    obs::counter_add(eval_counter());
-    const ProcessWindowSweep sweep(cfg_, spec);
-    return sweep.evaluate(layout, offsets);
-}
-
-WindowMetrics LithoSim::evaluate_window_incremental(const geo::SegmentedLayout& layout,
-                                                    std::span<const int> offsets,
-                                                    const WindowSpec& spec) {
-    const obs::Span span("litho.evaluate_window", window_hist());
-    evaluate_count_.fetch_add(1, std::memory_order_relaxed);
-    obs::counter_add(eval_counter());
-    if (!incremental_) {
-        incremental_ = std::make_unique<IncrementalEvaluator>(cfg_, threshold_,
-                                                              nominal_->kernels(),
-                                                              defocus_->kernels());
-    }
-    return incremental_->evaluate_window(layout, offsets, spec);
-}
-
-WindowMetrics LithoSim::evaluate_window_prime(const geo::SegmentedLayout& layout,
-                                              std::span<const int> offsets,
-                                              const WindowSpec& spec) {
-    const obs::Span span("litho.evaluate_window", window_hist());
-    evaluate_count_.fetch_add(1, std::memory_order_relaxed);
-    obs::counter_add(eval_counter());
-    if (!incremental_) {
-        incremental_ = std::make_unique<IncrementalEvaluator>(cfg_, threshold_,
-                                                              nominal_->kernels(),
-                                                              defocus_->kernels());
-    }
-    return incremental_->evaluate_window_full(layout, offsets, spec);
+    return cache().evaluate(layout, offsets, spec, refresh);
 }
 
 long long LithoSim::incremental_hit_count() const {

@@ -8,12 +8,13 @@
 // plus the PV band — exactly the quantities the paper's reward (Eq. 3) and
 // result tables consume.
 //
-// Thread-safety contract: every const method touches only immutable shared
-// kernel state plus an atomic call counter, so one LithoSim may be used from
-// many threads concurrently. evaluate_incremental() is the exception: it
-// mutates a per-instance cache and must not be called on one instance from
-// two threads — the batch runtime gives each worker its own (cheap) copy, so
-// per-worker caches and evaluation counts stay contention-free.
+// Thread-safety contract, carried by the method names: evaluate() is const
+// and touches only immutable shared kernel state plus an atomic call
+// counter, so one LithoSim may be used from many threads concurrently.
+// evaluate_incremental() mutates a per-instance cache and must not be called
+// on one instance from two threads — the batch runtime gives each worker its
+// own (cheap) copy, so per-worker caches and evaluation counts stay
+// contention-free.
 #pragma once
 
 #include <atomic>
@@ -60,59 +61,34 @@ public:
     [[nodiscard]] SimMetrics evaluate(const geo::SegmentedLayout& layout,
                                       std::span<const int> offsets) const;
 
-    /// Incremental evaluation without a dirty set: always performs a full
-    /// evaluation and (re)primes the per-instance cache for `layout`, so a
-    /// job's results never depend on what this simulator evaluated before.
-    /// Call this for the first evaluation of a clip, then the dirty-set
-    /// overload inside the optimization loop.
-    [[nodiscard]] SimMetrics evaluate_incremental(const geo::SegmentedLayout& layout,
-                                                  std::span<const int> offsets);
-
-    /// Incremental evaluation: `dirty` lists the segment indices acted on
-    /// since the previous call on the same layout. The hint is advisory —
-    /// the evaluator cross-checks it against its cached offsets and works
-    /// from what actually changed, so a stale or incomplete hint costs
-    /// accuracy nothing. Re-rasterizes only the changed polygons and updates
-    /// the cached support spectrum with a sparse delta-DFT; falls back to a
-    /// full evaluation when the cache does not match this layout or too many
-    /// segments moved (cfg.incremental_fallback_fraction). Metrics match
-    /// evaluate() within the tolerances documented in litho/incremental.hpp.
-    /// Not thread-safe on one instance.
-    [[nodiscard]] SimMetrics evaluate_incremental(const geo::SegmentedLayout& layout,
-                                                  std::span<const int> offsets,
-                                                  std::span<const int> dirty);
-
     /// Multi-corner process-window evaluation through the dense (exact)
-    /// path: one rasterization + one forward FFT serve every corner, one
-    /// aerial image per focus plane serves every dose at that focus. The
-    /// (dose 1.0, best focus) corner is bit-identical to evaluate(). Const
-    /// and thread-safe; repeated sweeps with one spec should hold a
-    /// ProcessWindowSweep instead (this convenience wrapper re-resolves the
-    /// per-focus applicators from the registry on every call — cheap, but
-    /// not free).
-    [[nodiscard]] WindowMetrics evaluate_window(const geo::SegmentedLayout& layout,
-                                                std::span<const int> offsets,
-                                                const WindowSpec& spec) const;
+    /// path: the spec is validated, the mask rasterized and forward-FFT'd
+    /// once, and one aerial image per focus plane (through
+    /// acquire_focus_applicator) serves every dose at that focus. The
+    /// (dose 1.0, best focus) corner is bit-identical to evaluate().
+    [[nodiscard]] WindowMetrics evaluate(const geo::SegmentedLayout& layout,
+                                         std::span<const int> offsets,
+                                         const WindowSpec& spec) const;
 
-    /// Window evaluation riding the incremental cache: refreshes the cached
-    /// raster + support spectrum exactly like evaluate_incremental (sparse
-    /// delta-DFT for small moves, outright reuse for none), then images
-    /// every corner from the cached spectrum — no per-corner rasterization
-    /// or forward FFT. Matches evaluate_window within the incremental
-    /// tolerances of litho/incremental.hpp. Not thread-safe on one instance.
-    [[nodiscard]] WindowMetrics evaluate_window_incremental(const geo::SegmentedLayout& layout,
-                                                            std::span<const int> offsets,
-                                                            const WindowSpec& spec);
+    /// Evaluation through the per-instance incremental cache. Refresh::kPrime
+    /// rebuilds the cache for `layout` (call it for a clip's first
+    /// evaluation); Refresh::kUpdate re-rasterizes only the polygons whose
+    /// segments moved since the previous call and updates the cached
+    /// support spectrum with a sparse delta-DFT, falling back to a rebuild
+    /// when the cache holds another layout or too many segments moved
+    /// (cfg.incremental_fallback_fraction). Metrics match evaluate() within
+    /// the tolerances documented in litho/incremental.hpp. Not thread-safe
+    /// on one instance.
+    [[nodiscard]] SimMetrics evaluate_incremental(const geo::SegmentedLayout& layout,
+                                                  std::span<const int> offsets, Refresh refresh);
 
-    /// Window evaluation that always (re)primes the per-instance cache with
-    /// a full rebuild — the window counterpart of the no-dirty
-    /// evaluate_incremental overload. Window-objective engines call this for
-    /// the first evaluation of a clip, then evaluate_window_incremental
-    /// inside the loop, so a job's window metrics never depend on what this
-    /// simulator evaluated before. Not thread-safe on one instance.
-    [[nodiscard]] WindowMetrics evaluate_window_prime(const geo::SegmentedLayout& layout,
-                                                      std::span<const int> offsets,
-                                                      const WindowSpec& spec);
+    /// Window evaluation through the same cache: refreshed exactly as above,
+    /// then every corner is imaged from the cached support spectrum — no
+    /// rasterization or forward FFT. Matches the dense window evaluate()
+    /// within the incremental tolerances. Not thread-safe on one instance.
+    [[nodiscard]] WindowMetrics evaluate_incremental(const geo::SegmentedLayout& layout,
+                                                     std::span<const int> offsets,
+                                                     const WindowSpec& spec, Refresh refresh);
 
     /// Binary printed image at a dose, per the shared epsilon-stable
     /// pixel_prints predicate (litho/metrics.hpp).
@@ -124,7 +100,7 @@ public:
     }
 
     /// evaluate_incremental() calls served by the sparse delta path vs. by a
-    /// full rebuild (cache miss, large dirty set, or the no-dirty overload).
+    /// full rebuild (Refresh::kPrime, a cache miss or too many moved segments).
     [[nodiscard]] long long incremental_hit_count() const;
     [[nodiscard]] long long incremental_full_count() const;
 
@@ -141,6 +117,10 @@ private:
     std::shared_ptr<const KernelApplicator> defocus_;
     mutable std::atomic<long long> evaluate_count_{0};
     std::unique_ptr<IncrementalEvaluator> incremental_;  ///< lazily built, never copied
+
+    /// Counts one evaluation and returns the incremental evaluator, building
+    /// it on first use.
+    IncrementalEvaluator& cache();
 };
 
 }  // namespace camo::litho

@@ -32,7 +32,7 @@ struct OpcOptions {
 
     /// Which corner(s) of the process window the engine optimizes.
     /// kNominal preserves the legacy single-corner loop bit for bit. The
-    /// window modes ride LithoSim::evaluate_window_incremental — one cached
+    /// window modes ride the window LithoSim::evaluate_incremental — one cached
     /// spectrum serving every corner per step — and drive feedback, early
     /// exit and the histories off the window objective.
     rl::RewardMode objective = rl::RewardMode::kNominal;

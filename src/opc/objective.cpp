@@ -108,30 +108,15 @@ WindowObjective::WindowObjective(const OpcOptions& opt, const litho::LithoConfig
     spec_ = resolve_objective_window(opt.window, reward_, cfg);
 }
 
-litho::SimMetrics WindowObjective::prime(litho::LithoSim& sim,
-                                         const geo::SegmentedLayout& layout,
-                                         std::span<const int> offsets,
-                                         std::optional<litho::WindowMetrics>* window) const {
-    if (!active()) {
-        if (window != nullptr) window->reset();
-        return sim.evaluate_incremental(layout, offsets);
-    }
-    litho::WindowMetrics wm = sim.evaluate_window_prime(layout, offsets, spec_);
-    litho::SimMetrics view = objective_view(wm, reward_);
-    if (window != nullptr) *window = std::move(wm);
-    return view;
-}
-
 litho::SimMetrics WindowObjective::evaluate(litho::LithoSim& sim,
                                             const geo::SegmentedLayout& layout,
-                                            std::span<const int> offsets,
-                                            std::span<const int> dirty,
+                                            std::span<const int> offsets, litho::Refresh refresh,
                                             std::optional<litho::WindowMetrics>* window) const {
     if (!active()) {
         if (window != nullptr) window->reset();
-        return sim.evaluate_incremental(layout, offsets, dirty);
+        return sim.evaluate_incremental(layout, offsets, refresh);
     }
-    litho::WindowMetrics wm = sim.evaluate_window_incremental(layout, offsets, spec_);
+    litho::WindowMetrics wm = sim.evaluate_incremental(layout, offsets, spec_, refresh);
     litho::SimMetrics view = objective_view(wm, reward_);
     if (window != nullptr) *window = std::move(wm);
     return view;
@@ -156,7 +141,8 @@ Rollout::Rollout(const geo::SegmentedLayout& layout, litho::LithoSim& sim, const
     }
     res_.final_offsets.assign(static_cast<std::size_t>(layout.num_segments()),
                               opt.initial_bias_nm);
-    res_.final_metrics = objective_.prime(sim, layout, res_.final_offsets, &res_.final_window);
+    res_.final_metrics = objective_.evaluate(sim, layout, res_.final_offsets,
+                                             litho::Refresh::kPrime, &res_.final_window);
     res_.epe_history.push_back(res_.final_metrics.sum_abs_epe);
     res_.pvb_history.push_back(res_.final_metrics.pvband_nm2);
     points_ = static_cast<int>(res_.final_metrics.epe.size());
@@ -174,16 +160,12 @@ Rollout::Before Rollout::step(std::span<const int> moves) {
                                     " segments");
     }
     const int bound = opt_->max_total_offset_nm;
-    dirty_.clear();
     for (std::size_t i = 0; i < offsets.size(); ++i) {
-        const int next = std::clamp(offsets[i] + moves[i], -bound, bound);
-        if (next != offsets[i]) {
-            offsets[i] = next;
-            dirty_.push_back(static_cast<int>(i));
-        }
+        offsets[i] = std::clamp(offsets[i] + moves[i], -bound, bound);
     }
     Before before{std::move(res_.final_metrics), std::move(res_.final_window)};
-    res_.final_metrics = objective_.evaluate(*sim_, *layout_, offsets, dirty_, &res_.final_window);
+    res_.final_metrics = objective_.evaluate(*sim_, *layout_, offsets, litho::Refresh::kUpdate,
+                                             &res_.final_window);
     res_.epe_history.push_back(res_.final_metrics.sum_abs_epe);
     res_.pvb_history.push_back(res_.final_metrics.pvband_nm2);
     ++res_.iterations;

@@ -60,21 +60,16 @@ public:
     [[nodiscard]] const litho::WindowSpec& spec() const { return spec_; }
     [[nodiscard]] const rl::WindowRewardConfig& reward() const { return reward_; }
 
-    /// First evaluation of a clip: primes the simulator's incremental cache
-    /// with a full rebuild (nominal mode: the no-dirty evaluate_incremental
-    /// overload; window modes: evaluate_window_prime) so job results never
-    /// depend on what the simulator saw before. `window` (when non-null)
-    /// receives the sweep's per-corner metrics in the window modes and is
-    /// reset in nominal mode.
-    litho::SimMetrics prime(litho::LithoSim& sim, const geo::SegmentedLayout& layout,
-                            std::span<const int> offsets,
-                            std::optional<litho::WindowMetrics>* window = nullptr) const;
-
-    /// In-loop evaluation after `dirty` segments moved. Nominal mode
-    /// forwards to the dirty-set evaluate_incremental (bit-identical to the
-    /// legacy loop); window modes ride evaluate_window_incremental.
+    /// One evaluation of the objective through the simulator's incremental
+    /// cache. Refresh::kPrime (a clip's first evaluation) rebuilds the cache
+    /// so job results never depend on what the simulator saw before. Nominal
+    /// mode forwards to the nominal LithoSim::evaluate_incremental
+    /// (bit-identical to the legacy loop); window modes evaluate the spec
+    /// through the same cache and return objective_view. `window` (when
+    /// non-null) receives the sweep's per-corner metrics in the window modes
+    /// and is reset in nominal mode.
     litho::SimMetrics evaluate(litho::LithoSim& sim, const geo::SegmentedLayout& layout,
-                               std::span<const int> offsets, std::span<const int> dirty,
+                               std::span<const int> offsets, litho::Refresh refresh,
                                std::optional<litho::WindowMetrics>* window = nullptr) const;
 
 private:
@@ -118,7 +113,7 @@ public:
     [[nodiscard]] bool should_exit() const;
 
     /// Moves segment i by moves[i] nm, clamped to +/-max_total_offset_nm,
-    /// re-evaluates only the segments whose offset changed, appends one
+    /// re-evaluates only what moved (Refresh::kUpdate), appends one
     /// history entry and counts one iteration. Throws
     /// std::invalid_argument unless there is one move per segment.
     Before step(std::span<const int> moves);
@@ -135,7 +130,6 @@ private:
     int features_ = 0;
     int points_ = 0;
     EngineResult res_;
-    std::vector<int> dirty_;  ///< reused dirty-set storage
 };
 
 }  // namespace camo::opc

@@ -13,8 +13,8 @@ EngineResult OneShotEngine::optimize(const geo::SegmentedLayout& layout, litho::
     Timer timer;
     Rollout rollout(layout, sim, opt);
     // One-shot moves nearly every segment, so the second evaluation usually
-    // exceeds the incremental fallback fraction and runs full — the rollout
-    // passes the dirty set anyway, which exercises the fallback.
+    // exceeds the incremental fallback fraction and runs full, which
+    // exercises the fallback.
     const std::vector<double>& epe_segment = rollout.metrics().epe_segment;
     std::vector<int> moves(epe_segment.size());
     for (std::size_t i = 0; i < moves.size(); ++i) {

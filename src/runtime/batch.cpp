@@ -236,7 +236,8 @@ void BatchScheduler::fill_result(ClipResult& out, opc::EngineResult res, litho::
         // (or near) the final offsets, so the sweep reuses the cached raster
         // + spectrum; the cache was primed by this clip's rollout, so
         // results stay independent of scheduling order.
-        out.window = sim.evaluate_window_incremental(layout, res.final_offsets, opt_.window_spec);
+        out.window = sim.evaluate_incremental(layout, res.final_offsets, opt_.window_spec,
+                                              litho::Refresh::kUpdate);
     }
     out.offsets = std::move(res.final_offsets);
 }

@@ -7,8 +7,10 @@
 // mode), and never silently truncates an out-of-range value. Well-formed
 // fast-path invocations still exit 0.
 //
-// Each case only has to reach argument parsing, so the whole matrix runs in
-// well under a second — no training, litho or GDS work is triggered.
+// Each bad-argument case only has to reach argument parsing, so the whole
+// matrix runs in well under a second. The happy-path cases at the end
+// (chipgen, and a small serve run that overflows its admission queue) do
+// real work and stay well under a second each too.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -16,6 +18,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -199,9 +202,8 @@ TEST(CliRobustness, OversizedGridsAndRequests) {
     std::remove(out.c_str());
 }
 
-/// What `camo_cli <args>` prints on stderr.
-std::string cli_stderr(const std::string& args) {
-    const std::string cmd = std::string(CAMO_CLI_PATH) + " " + args + " 2>&1 >/dev/null";
+/// What shell command `cmd` prints on stdout.
+std::string command_output(const std::string& cmd) {
     FILE* pipe = popen(cmd.c_str(), "r");
     EXPECT_NE(pipe, nullptr) << cmd;
     std::string text;
@@ -210,6 +212,11 @@ std::string cli_stderr(const std::string& args) {
     while (std::fgets(buf, sizeof buf, pipe) != nullptr) text += buf;
     pclose(pipe);
     return text;
+}
+
+/// What `camo_cli <args>` prints on stderr.
+std::string cli_stderr(const std::string& args) {
+    return command_output(std::string(CAMO_CLI_PATH) + " " + args + " 2>&1 >/dev/null");
 }
 
 /// Flags whose value name in a generated usage line is numeric: N, NM
@@ -260,6 +267,22 @@ TEST(CliRobustness, EveryNumericUsageFlagRejectsGarbage) {
             expect_usage_exit(prefix + flag);  // missing value
         }
     }
+}
+
+// Admission control end to end: six requests against four queue slots
+// overflow the queue, and the rejections reach the metrics snapshot.
+TEST(CliRobustness, ServeAdmissionOverflowRejects) {
+    const std::string metrics = testing::TempDir() + "cli_robustness_serve.json";
+    const std::string out = command_output(
+        std::string(CAMO_CLI_PATH) +
+        " serve --requests 6 --clips 2 --queue-capacity 4 --threads 4 --iterations 2"
+        " --metrics-json " + metrics + " 2>/dev/null");
+    EXPECT_NE(out.find("serve: 6 requests, 4 accepted, 2 rejected"), std::string::npos) << out;
+    std::ifstream in(metrics);
+    std::stringstream json;
+    json << in.rdbuf();
+    EXPECT_NE(json.str().find("\"serve.rejected\""), std::string::npos) << json.str();
+    std::remove(metrics.c_str());
 }
 
 TEST(CliRobustness, ChipgenHappyPathStillWorks) {

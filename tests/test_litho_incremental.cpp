@@ -96,20 +96,18 @@ void run_equivalence_walk(LithoSim& inc_sim, const LithoSim& full_sim,
     Rng rng(seed);
     std::vector<int> offsets(static_cast<std::size_t>(segments), 3);
 
-    SimMetrics inc = inc_sim.evaluate_incremental(layout, offsets);
+    SimMetrics inc = inc_sim.evaluate_incremental(layout, offsets, Refresh::kPrime);
     expect_equivalent(inc, full_sim.evaluate(layout, offsets), "initial");
 
     for (int t = 0; t < steps; ++t) {
         const int moves =
             std::max(1, static_cast<int>(dirty_fraction * segments));
-        std::vector<int> dirty;
         for (int j = 0; j < moves; ++j) {
             const int i = rng.uniform_int(0, segments - 1);
             offsets[static_cast<std::size_t>(i)] = std::clamp(
                 offsets[static_cast<std::size_t>(i)] + rng.uniform_int(-2, 2), -15, 15);
-            dirty.push_back(i);
         }
-        inc = inc_sim.evaluate_incremental(layout, offsets, dirty);
+        inc = inc_sim.evaluate_incremental(layout, offsets, Refresh::kUpdate);
         const SimMetrics full = full_sim.evaluate(layout, offsets);
         expect_equivalent(inc, full, ("step " + std::to_string(t)).c_str());
     }
@@ -143,8 +141,8 @@ TEST_F(LithoIncrementalTest, EmptyDirtySetReturnsCachedMetricsExactly) {
     const auto layout = via_layout(2, 24);
     std::vector<int> offsets(static_cast<std::size_t>(layout.num_segments()), 3);
 
-    const SimMetrics first = inc_sim.evaluate_incremental(layout, offsets);
-    const SimMetrics again = inc_sim.evaluate_incremental(layout, offsets, {});
+    const SimMetrics first = inc_sim.evaluate_incremental(layout, offsets, Refresh::kPrime);
+    const SimMetrics again = inc_sim.evaluate_incremental(layout, offsets, Refresh::kUpdate);
 
     ASSERT_EQ(first.epe_segment.size(), again.epe_segment.size());
     for (std::size_t i = 0; i < first.epe_segment.size(); ++i) {
@@ -165,44 +163,35 @@ TEST_F(LithoIncrementalTest, FallbackThresholdBoundary) {
     const int segments = layout.num_segments();
     ASSERT_EQ(segments, 16);
     std::vector<int> offsets(static_cast<std::size_t>(segments), 3);
-    (void)inc_sim.evaluate_incremental(layout, offsets);
+    (void)inc_sim.evaluate_incremental(layout, offsets, Refresh::kPrime);
     const long long fulls0 = inc_sim.incremental_full_count();
 
     // Exactly at the boundary: incremental.
-    std::vector<int> dirty;
-    for (int i = 0; i < 8; ++i) {
-        offsets[static_cast<std::size_t>(i)] += 1;
-        dirty.push_back(i);
-    }
-    SimMetrics m = inc_sim.evaluate_incremental(layout, offsets, dirty);
+    for (int i = 0; i < 8; ++i) offsets[static_cast<std::size_t>(i)] += 1;
+    SimMetrics m = inc_sim.evaluate_incremental(layout, offsets, Refresh::kUpdate);
     EXPECT_EQ(inc_sim.incremental_full_count(), fulls0);
     EXPECT_EQ(inc_sim.incremental_hit_count(), 1);
     expect_equivalent(m, sim_->evaluate(layout, offsets), "at boundary");
 
     // One past the boundary: full rebuild.
-    dirty.clear();
-    for (int i = 0; i < 9; ++i) {
-        offsets[static_cast<std::size_t>(i)] -= 2;
-        dirty.push_back(i);
-    }
-    m = inc_sim.evaluate_incremental(layout, offsets, dirty);
+    for (int i = 0; i < 9; ++i) offsets[static_cast<std::size_t>(i)] -= 2;
+    m = inc_sim.evaluate_incremental(layout, offsets, Refresh::kUpdate);
     EXPECT_EQ(inc_sim.incremental_full_count(), fulls0 + 1);
     expect_equivalent(m, sim_->evaluate(layout, offsets), "past boundary");
 }
 
-TEST_F(LithoIncrementalTest, StaleDirtyHintDegradesGracefully) {
-    // The evaluator cross-checks the hint against its cached offsets: a
-    // caller that under-reports (here: claims nothing moved) still gets the
-    // right answer.
+TEST_F(LithoIncrementalTest, UpdateFindsMovesFromCachedOffsets) {
+    // The caller names no moved segments: the evaluator finds them by
+    // comparing against its cached offsets.
     LithoSim inc_sim(*sim_);
     const auto layout = via_layout(3, 26);
     std::vector<int> offsets(static_cast<std::size_t>(layout.num_segments()), 3);
-    (void)inc_sim.evaluate_incremental(layout, offsets);
+    (void)inc_sim.evaluate_incremental(layout, offsets, Refresh::kPrime);
 
     offsets[2] += 4;
     offsets[5] -= 3;
-    const SimMetrics m = inc_sim.evaluate_incremental(layout, offsets, {});
-    expect_equivalent(m, sim_->evaluate(layout, offsets), "stale hint");
+    const SimMetrics m = inc_sim.evaluate_incremental(layout, offsets, Refresh::kUpdate);
+    expect_equivalent(m, sim_->evaluate(layout, offsets), "moves found from cache");
 }
 
 TEST_F(LithoIncrementalTest, SameShapeDifferentLayoutIsNotMistakenForCached) {
@@ -217,9 +206,9 @@ TEST_F(LithoIncrementalTest, SameShapeDifferentLayoutIsNotMistakenForCached) {
     ASSERT_EQ(a.clip_size_nm(), b.clip_size_nm());
 
     std::vector<int> offsets(static_cast<std::size_t>(a.num_segments()), 3);
-    (void)inc_sim.evaluate_incremental(a, offsets);
+    (void)inc_sim.evaluate_incremental(a, offsets, Refresh::kPrime);
 
-    const SimMetrics m = inc_sim.evaluate_incremental(b, offsets, {});
+    const SimMetrics m = inc_sim.evaluate_incremental(b, offsets, Refresh::kUpdate);
     EXPECT_EQ(inc_sim.incremental_full_count(), 2);
     expect_equivalent(m, sim_->evaluate(b, offsets), "same-shape switch");
 }
@@ -231,15 +220,96 @@ TEST_F(LithoIncrementalTest, LayoutSwitchTriggersFullRebuild) {
     std::vector<int> oa(static_cast<std::size_t>(a.num_segments()), 3);
     std::vector<int> ob(static_cast<std::size_t>(b.num_segments()), 3);
 
-    (void)inc_sim.evaluate_incremental(a, oa);
-    const std::vector<int> all_dirty_b = [&] {
-        std::vector<int> v(static_cast<std::size_t>(b.num_segments()));
-        for (int i = 0; i < b.num_segments(); ++i) v[static_cast<std::size_t>(i)] = i;
-        return v;
-    }();
-    const SimMetrics m = inc_sim.evaluate_incremental(b, ob, all_dirty_b);
+    (void)inc_sim.evaluate_incremental(a, oa, Refresh::kPrime);
+    const SimMetrics m = inc_sim.evaluate_incremental(b, ob, Refresh::kUpdate);
     EXPECT_EQ(inc_sim.incremental_full_count(), 2);
     expect_equivalent(m, sim_->evaluate(b, ob), "layout switch");
+}
+
+// ---- Refresh contract ------------------------------------------------------
+// Refresh::kPrime discards whatever the cache held: priming at offsets C
+// after a prime at A and a sparse update to B must give the same bits as a
+// fresh simulator's prime at C. C is a small move from B, so only the
+// kPrime argument keeps the evaluator off the sparse path. The rollout's
+// determinism (a job's results never depend on what its worker's simulator
+// evaluated before) rests on it.
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof(double)) == 0; }
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+void expect_bit_identical(const SimMetrics& got, const SimMetrics& want, const std::string& where) {
+    EXPECT_TRUE(same_bits(got.epe, want.epe)) << where << ": epe";
+    EXPECT_TRUE(same_bits(got.epe_segment, want.epe_segment)) << where << ": epe_segment";
+    EXPECT_TRUE(same_bits(got.sum_abs_epe, want.sum_abs_epe)) << where << ": sum_abs_epe";
+    EXPECT_TRUE(same_bits(got.pvband_nm2, want.pvband_nm2)) << where << ": pvband_nm2";
+}
+
+struct RefreshWalk {
+    geo::SegmentedLayout layout;
+    std::vector<int> a, b, c;  ///< prime at a, sparse update to b, prime at c
+};
+
+RefreshWalk refresh_walk() {
+    RefreshWalk w{metal_layout(24, 51), {}, {}, {}};
+    w.a.assign(static_cast<std::size_t>(w.layout.num_segments()), 3);
+    w.b = w.a;
+    w.b[1] += 2;
+    w.b[4] -= 1;
+    w.c = w.b;
+    w.c[7] += 3;
+    w.c[10] -= 2;
+    return w;
+}
+
+TEST_F(LithoIncrementalTest, PrimeAfterUpdateMatchesFreshPrimeBitwise) {
+    const RefreshWalk w = refresh_walk();
+    LithoSim used(*sim_);
+    (void)used.evaluate_incremental(w.layout, w.a, Refresh::kPrime);
+    (void)used.evaluate_incremental(w.layout, w.b, Refresh::kUpdate);
+    ASSERT_EQ(used.incremental_hit_count(), 1);
+    const SimMetrics got = used.evaluate_incremental(w.layout, w.c, Refresh::kPrime);
+    EXPECT_EQ(used.incremental_full_count(), 2);
+
+    LithoSim fresh(*sim_);
+    expect_bit_identical(got, fresh.evaluate_incremental(w.layout, w.c, Refresh::kPrime),
+                         "nominal");
+}
+
+TEST_F(LithoIncrementalTest, WindowPrimeAfterUpdateMatchesFreshPrimeBitwise) {
+    const RefreshWalk w = refresh_walk();
+    const WindowSpec spec = WindowSpec::standard(sim_->config());
+    LithoSim used(*sim_);
+    (void)used.evaluate_incremental(w.layout, w.a, spec, Refresh::kPrime);
+    (void)used.evaluate_incremental(w.layout, w.b, spec, Refresh::kUpdate);
+    ASSERT_EQ(used.incremental_hit_count(), 1);
+    const WindowMetrics got = used.evaluate_incremental(w.layout, w.c, spec, Refresh::kPrime);
+    EXPECT_EQ(used.incremental_full_count(), 2);
+
+    LithoSim fresh(*sim_);
+    const WindowMetrics want = fresh.evaluate_incremental(w.layout, w.c, spec, Refresh::kPrime);
+    ASSERT_EQ(got.corners.size(), want.corners.size());
+    for (std::size_t i = 0; i < want.corners.size(); ++i) {
+        const std::string where = "corner " + std::to_string(i);
+        expect_bit_identical(got.corners[i].metrics, want.corners[i].metrics, where);
+        EXPECT_TRUE(same_bits(got.corners[i].printed_area_nm2, want.corners[i].printed_area_nm2))
+            << where;
+    }
+    EXPECT_EQ(got.worst_corner, want.worst_corner);
+    EXPECT_TRUE(same_bits(got.worst_epe, want.worst_epe));
+    EXPECT_TRUE(same_bits(got.pv_band_exact_nm2, want.pv_band_exact_nm2));
+    EXPECT_TRUE(same_bits(got.pv_band_two_corner_nm2, want.pv_band_two_corner_nm2));
+    EXPECT_TRUE(same_bits(got.cd_min_nm2, want.cd_min_nm2));
+    EXPECT_TRUE(same_bits(got.cd_max_nm2, want.cd_max_nm2));
+
+    // The primed cache also carries C's nominal metrics: an unchanged-offsets
+    // nominal update returns them, matching the fresh simulator's bits.
+    expect_bit_identical(used.evaluate_incremental(w.layout, w.c, Refresh::kUpdate),
+                         fresh.evaluate_incremental(w.layout, w.c, Refresh::kUpdate),
+                         "nominal after window prime");
 }
 
 // The rebuild primes the support spectrum through the pruned forward FFT;
@@ -255,7 +325,7 @@ TEST_F(LithoIncrementalTest, RebuildSpectrumMatchesDenseMaskSpectrumBitwise) {
         for (std::size_t i = 0; i < offsets.size(); ++i) {
             offsets[i] = static_cast<int>((i * 5) % 9) - 4;
         }
-        (void)eval.evaluate_full(layout, offsets);
+        (void)eval.evaluate(layout, offsets, Refresh::kPrime);
 
         geo::Raster mask(n, cfg.pixel_nm);
         const auto cached = eval.cached_mask();
@@ -378,21 +448,19 @@ TEST_F(LithoIncrementalTest, GoldenMetricsBothPaths) {
         EXPECT_NEAR(full.pvband_nm2, golden_pvb, kGoldenPvbTolNm2) << c.name << " full path";
 
         // The incremental path must reproduce the same goldens after
-        // arriving at the golden offsets through a sequence of small dirty
-        // sets (the state it would be in mid-OPC).
+        // arriving at the golden offsets through a sequence of small moves
+        // (the state it would be in mid-OPC).
         LithoSim inc_sim(*sim_);
         std::vector<int> offsets(static_cast<std::size_t>(c.layout.num_segments()), 0);
-        (void)inc_sim.evaluate_incremental(c.layout, offsets);
+        (void)inc_sim.evaluate_incremental(c.layout, offsets, Refresh::kPrime);
         const int chunk = std::max(1, c.layout.num_segments() / 12);
         SimMetrics inc;
         int cursor = 0;
         while (cursor < c.layout.num_segments()) {
-            std::vector<int> dirty;
             for (int j = 0; j < chunk && cursor < c.layout.num_segments(); ++j, ++cursor) {
                 offsets[static_cast<std::size_t>(cursor)] = c.offsets[static_cast<std::size_t>(cursor)];
-                dirty.push_back(cursor);
             }
-            inc = inc_sim.evaluate_incremental(c.layout, offsets, dirty);
+            inc = inc_sim.evaluate_incremental(c.layout, offsets, Refresh::kUpdate);
         }
         ASSERT_GT(inc_sim.incremental_hit_count(), 0) << c.name;
 

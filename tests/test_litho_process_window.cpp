@@ -1,9 +1,9 @@
 // Sweep equivalence suite for the multi-corner process-window evaluation.
 //
 // Contracts locked down here (see litho/process_window.hpp):
-//   * the (dose 1.0, best focus) corner of evaluate_window reproduces
-//     LithoSim::evaluate bit for bit (same rasterization, same applicator,
-//     same EPE arithmetic);
+//   * the (dose 1.0, best focus) corner of the window LithoSim::evaluate
+//     reproduces the nominal evaluate bit for bit (same rasterization, same
+//     applicator, same EPE arithmetic);
 //   * the exact PV band over all corners is a superset of the legacy
 //     two-corner approximation, and the approximation equals evaluate()'s
 //     pvband_nm2 exactly;
@@ -116,7 +116,7 @@ TEST_F(ProcessWindowTest, NominalCornerBitIdenticalToEvaluate) {
 
     const SimMetrics full = sim_->evaluate(layout, offsets);
     const WindowMetrics window =
-        sim_->evaluate_window(layout, offsets, WindowSpec::standard(sim_->config()));
+        sim_->evaluate(layout, offsets, WindowSpec::standard(sim_->config()));
 
     const CornerResult* nominal = window.nominal_corner();
     ASSERT_NE(nominal, nullptr);
@@ -137,7 +137,7 @@ TEST_F(ProcessWindowTest, ExactBandContainsTwoCornerBand) {
     const std::vector<int> offsets = patterned_offsets(layout, 9, 4);
 
     const WindowMetrics standard =
-        sim_->evaluate_window(layout, offsets, WindowSpec::standard(sim_->config()));
+        sim_->evaluate(layout, offsets, WindowSpec::standard(sim_->config()));
     EXPECT_GE(standard.pv_band_two_corner_nm2, 0.0);
     EXPECT_GE(standard.pv_band_exact_nm2, standard.pv_band_two_corner_nm2);
 
@@ -148,7 +148,7 @@ TEST_F(ProcessWindowTest, ExactBandContainsTwoCornerBand) {
     wide.doses.insert(wide.doses.begin(), 0.94);
     wide.doses.push_back(1.06);
     wide.defocus_nm.push_back(sim_->config().defocus_nm / 2.0);
-    const WindowMetrics wider = sim_->evaluate_window(layout, offsets, wide);
+    const WindowMetrics wider = sim_->evaluate(layout, offsets, wide);
     EXPECT_GE(wider.pv_band_two_corner_nm2, standard.pv_band_two_corner_nm2);
     EXPECT_GE(wider.pv_band_exact_nm2, standard.pv_band_exact_nm2);
     EXPECT_GE(wider.pv_band_exact_nm2, wider.pv_band_two_corner_nm2);
@@ -159,17 +159,30 @@ TEST_F(ProcessWindowTest, ExactBandContainsTwoCornerBand) {
     // exceed the exact band on single-dose windows).
     WindowSpec narrow = WindowSpec::standard(sim_->config());
     narrow.doses = {1.0};
-    const WindowMetrics narrowed = sim_->evaluate_window(layout, offsets, narrow);
+    const WindowMetrics narrowed = sim_->evaluate(layout, offsets, narrow);
     EXPECT_GE(narrowed.pv_band_two_corner_nm2, 0.0);
     EXPECT_GE(narrowed.pv_band_exact_nm2, narrowed.pv_band_two_corner_nm2);
 
     // Non-finite specs are rejected before any kernel work.
     WindowSpec bad = WindowSpec::standard(sim_->config());
     bad.defocus_nm.push_back(std::nan(""));
-    EXPECT_THROW(sim_->evaluate_window(layout, offsets, bad), std::invalid_argument);
+    EXPECT_THROW(sim_->evaluate(layout, offsets, bad), std::invalid_argument);
     bad = WindowSpec::standard(sim_->config());
     bad.doses.push_back(std::numeric_limits<double>::infinity());
-    EXPECT_THROW(sim_->evaluate_window(layout, offsets, bad), std::invalid_argument);
+    EXPECT_THROW(sim_->evaluate(layout, offsets, bad), std::invalid_argument);
+
+    // So are offsets that do not cover every segment, on every entry point.
+    const std::vector<int> short_offsets(offsets.begin(), offsets.end() - 1);
+    const WindowSpec spec = WindowSpec::standard(sim_->config());
+    LithoSim inc_sim(*sim_);
+    EXPECT_THROW((void)sim_->evaluate(layout, short_offsets), std::invalid_argument);
+    EXPECT_THROW((void)sim_->evaluate(layout, short_offsets, spec), std::invalid_argument);
+    for (const Refresh refresh : {Refresh::kPrime, Refresh::kUpdate}) {
+        EXPECT_THROW((void)inc_sim.evaluate_incremental(layout, short_offsets, refresh),
+                     std::invalid_argument);
+        EXPECT_THROW((void)inc_sim.evaluate_incremental(layout, short_offsets, spec, refresh),
+                     std::invalid_argument);
+    }
 
     // CD through window: the printed-area range covers every corner, and
     // areas grow monotonically with dose at fixed focus.
@@ -194,9 +207,10 @@ TEST_F(ProcessWindowTest, OneRasterizationServesAllCorners) {
     // Prime the cache (one full rebuild), then sweep at unchanged offsets:
     // no rebuild, no sparse delta — the cached raster + spectrum serve all
     // six corners outright.
-    (void)inc_sim.evaluate_incremental(layout, offsets);
+    (void)inc_sim.evaluate_incremental(layout, offsets, Refresh::kPrime);
     EXPECT_EQ(inc_sim.incremental_full_count(), 1);
-    const WindowMetrics warm = inc_sim.evaluate_window_incremental(layout, offsets, spec);
+    const WindowMetrics warm =
+        inc_sim.evaluate_incremental(layout, offsets, spec, Refresh::kUpdate);
     EXPECT_EQ(inc_sim.incremental_full_count(), 1);
     EXPECT_EQ(inc_sim.incremental_hit_count(), 1);
 
@@ -204,7 +218,8 @@ TEST_F(ProcessWindowTest, OneRasterizationServesAllCorners) {
     // delta-DFT and still never re-rasterizes the clip.
     offsets[0] += 2;
     offsets[2] -= 1;
-    const WindowMetrics moved = inc_sim.evaluate_window_incremental(layout, offsets, spec);
+    const WindowMetrics moved =
+        inc_sim.evaluate_incremental(layout, offsets, spec, Refresh::kUpdate);
     EXPECT_EQ(inc_sim.incremental_full_count(), 1);
     EXPECT_EQ(inc_sim.incremental_hit_count(), 2);
 
@@ -213,7 +228,7 @@ TEST_F(ProcessWindowTest, OneRasterizationServesAllCorners) {
     for (const WindowMetrics* wm : {&warm, &moved}) {
         const std::vector<int> offs =
             (wm == &warm) ? std::vector<int>(offsets.size(), 3) : offsets;
-        const WindowMetrics dense = sim_->evaluate_window(layout, offs, spec);
+        const WindowMetrics dense = sim_->evaluate(layout, offs, spec);
         ASSERT_EQ(wm->corners.size(), dense.corners.size());
         for (std::size_t c = 0; c < dense.corners.size(); ++c) {
             const auto& a = wm->corners[c].metrics.epe_segment;
@@ -231,7 +246,7 @@ TEST_F(ProcessWindowTest, OneRasterizationServesAllCorners) {
     // Interleaving: a plain evaluate() after the sweep still sees a
     // consistent cache (unchanged offsets return cached metrics that match a
     // fresh full evaluation).
-    const SimMetrics after = inc_sim.evaluate_incremental(layout, offsets, {});
+    const SimMetrics after = inc_sim.evaluate_incremental(layout, offsets, Refresh::kUpdate);
     const SimMetrics fresh = sim_->evaluate(layout, offsets);
     ASSERT_EQ(after.epe_segment.size(), fresh.epe_segment.size());
     for (std::size_t i = 0; i < after.epe_segment.size(); ++i) {
@@ -247,7 +262,7 @@ TEST_F(ProcessWindowTest, IncrementalWindowTracksDenseAcrossWalk) {
     Rng rng(91);
     std::vector<int> offsets(static_cast<std::size_t>(segments), 3);
 
-    (void)inc_sim.evaluate_incremental(layout, offsets);
+    (void)inc_sim.evaluate_incremental(layout, offsets, Refresh::kPrime);
     for (int t = 0; t < 6; ++t) {
         const int moves = std::max(1, segments / 12);
         for (int j = 0; j < moves; ++j) {
@@ -255,8 +270,9 @@ TEST_F(ProcessWindowTest, IncrementalWindowTracksDenseAcrossWalk) {
             offsets[static_cast<std::size_t>(i)] = std::clamp(
                 offsets[static_cast<std::size_t>(i)] + rng.uniform_int(-2, 2), -15, 15);
         }
-        const WindowMetrics inc = inc_sim.evaluate_window_incremental(layout, offsets, spec);
-        const WindowMetrics dense = sim_->evaluate_window(layout, offsets, spec);
+        const WindowMetrics inc =
+            inc_sim.evaluate_incremental(layout, offsets, spec, Refresh::kUpdate);
+        const WindowMetrics dense = sim_->evaluate(layout, offsets, spec);
         ASSERT_EQ(inc.corners.size(), dense.corners.size()) << "step " << t;
         for (std::size_t c = 0; c < dense.corners.size(); ++c) {
             EXPECT_NEAR(inc.corners[c].metrics.sum_abs_epe, dense.corners[c].metrics.sum_abs_epe,
@@ -275,7 +291,7 @@ TEST_F(ProcessWindowTest, ExtraFocusPlaneInterpolatesKernels) {
     WindowSpec spec;
     spec.doses = {0.98, 1.02};
     spec.defocus_nm = {0.0, sim_->config().defocus_nm / 2.0, sim_->config().defocus_nm};
-    const WindowMetrics wm = sim_->evaluate_window(layout, offsets, spec);
+    const WindowMetrics wm = sim_->evaluate(layout, offsets, spec);
 
     ASSERT_EQ(wm.corners.size(), 6U);
     for (const CornerResult& c : wm.corners) {
@@ -383,7 +399,7 @@ constexpr double kGoldenAreaTolNm2 = 64.0;
 TEST_F(ProcessWindowTest, GoldenWindowMetrics) {
     const WindowSpec spec = golden_window_spec(sim_->config());
     for (const WindowGoldenCase& c : window_golden_cases()) {
-        const WindowMetrics wm = sim_->evaluate_window(c.layout, c.offsets, spec);
+        const WindowMetrics wm = sim_->evaluate(c.layout, c.offsets, spec);
 
         if (std::getenv("CAMO_REGEN_GOLDENS") != nullptr) {
             write_window_golden(c, wm);

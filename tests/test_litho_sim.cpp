@@ -1,8 +1,38 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <limits>
+#include <new>
+#include <string>
 
+#include "litho/kernel_cache.hpp"
 #include "litho/simulator.hpp"
+
+// Largest single operator-new request since the last reset. The kernel-cache
+// corpus below uses it to check that a corrupt count is rejected before it
+// sizes a vector (the load fails either way; the allocation shows whether
+// the count was trusted first).
+namespace {
+std::atomic<std::size_t> g_largest_new{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+    std::size_t seen = g_largest_new.load(std::memory_order_relaxed);
+    while (n > seen && !g_largest_new.compare_exchange_weak(seen, n)) {
+    }
+    if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+    throw std::bad_alloc();
+}
+// Out of line, so the compiler never pairs an inlined free() with a
+// pointer it saw come from operator new.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace camo::litho {
 namespace {
@@ -218,6 +248,117 @@ TEST(LithoMetrics, PvBandCountsBandPixels) {
     // Identical images with identical dose corners -> zero band.
     const double zero_band = pv_band_nm2(nom, nom, 0.5, 1.0, 1.0);
     EXPECT_DOUBLE_EQ(zero_band, 0.0);
+}
+
+// ---- Kernel cache: a corrupt file is a miss, never a kernel set ------------
+// Each case writes a doctored entry (through store_kernel_cache, or by
+// patching the bytes of a good one) and expects load_kernel_cache to refuse
+// it, so the registry rebuilds the kernels instead of imaging with them.
+
+class KernelCacheCorpus : public ::testing::Test {
+protected:
+    void SetUp() override {
+        cfg_.grid = 64;
+        cfg_.cache_dir = ::testing::TempDir() + "camo_kernel_cache_corpus";
+        std::filesystem::remove_all(cfg_.cache_dir);
+    }
+    void TearDown() override { std::filesystem::remove_all(cfg_.cache_dir); }
+
+    // Two small kernels over a three-frequency support on the 64 grid.
+    static KernelSet kernel_set() {
+        KernelSet ks;
+        ks.support = {{0, 0}, {1, 0}, {0, -1}};
+        ks.eigenvalues = {1.0, 0.5};
+        ks.coeffs = {{{1.0F, 0.0F}, {0.5F, 0.25F}, {0.5F, -0.25F}},
+                     {{0.0F, 1.0F}, {0.25F, 0.5F}, {-0.25F, 0.5F}}};
+        return ks;
+    }
+    static CachedKernels good() { return {kernel_set(), kernel_set(), 0.2}; }
+
+    [[nodiscard]] bool loads(const CachedKernels& ck) const {
+        store_kernel_cache(cfg_, ck);
+        return load_kernel_cache(cfg_).has_value();
+    }
+    [[nodiscard]] std::string bytes() const {
+        std::ifstream in(kernel_cache_path(cfg_), std::ios::binary);
+        return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+    }
+    void write(const std::string& b) const {
+        std::ofstream(kernel_cache_path(cfg_), std::ios::binary | std::ios::trunc) << b;
+    }
+
+    // Byte offset of the nominal set's support count: magic, version and
+    // threshold come first.
+    static constexpr std::size_t kSupportCountAt = 4 + 4 + 8;
+
+    LithoConfig cfg_;
+};
+
+TEST_F(KernelCacheCorpus, GoodEntryLoads) {
+    store_kernel_cache(cfg_, good());
+    const auto loaded = load_kernel_cache(cfg_);
+    ASSERT_TRUE(loaded.has_value());
+    EXPECT_EQ(loaded->threshold, 0.2);
+    for (const KernelSet* ks : {&loaded->nominal, &loaded->defocus}) {
+        EXPECT_EQ(ks->support_size(), 3);
+        EXPECT_EQ(ks->eigenvalues, kernel_set().eigenvalues);
+        EXPECT_EQ(ks->coeffs, kernel_set().coeffs);
+    }
+}
+
+TEST_F(KernelCacheCorpus, CoefficientCountDiffersFromSupport) {
+    CachedKernels ck = good();
+    ck.nominal.coeffs[0].resize(1);
+    EXPECT_FALSE(loads(ck));
+    ck = good();
+    ck.defocus.coeffs[1].push_back({1.0F, 1.0F});
+    EXPECT_FALSE(loads(ck));
+}
+
+TEST_F(KernelCacheCorpus, NoKernels) {
+    CachedKernels ck = good();
+    ck.defocus.eigenvalues.clear();
+    ck.defocus.coeffs.clear();
+    EXPECT_FALSE(loads(ck));
+}
+
+TEST_F(KernelCacheCorpus, SupportFrequencyOffGrid) {
+    for (const FreqIndex f : {FreqIndex{33, 0}, FreqIndex{0, -33},
+                              FreqIndex{std::numeric_limits<int>::min(), 0}}) {
+        CachedKernels ck = good();
+        ck.nominal.support[1] = f;
+        EXPECT_FALSE(loads(ck)) << f.kx << "," << f.ky;
+    }
+    CachedKernels edge = good();
+    edge.nominal.support[1] = {32, -32};  // grid / 2 is still on the grid
+    EXPECT_TRUE(loads(edge));
+}
+
+TEST_F(KernelCacheCorpus, CountLargerThanFileIsRejectedBeforeAllocating) {
+    store_kernel_cache(cfg_, good());
+    std::string b = bytes();
+    const std::uint64_t huge = std::uint64_t{1} << 22;  // 32 MB of support entries
+    std::memcpy(b.data() + kSupportCountAt, &huge, sizeof huge);
+    write(b);
+    g_largest_new = 0;
+    EXPECT_FALSE(load_kernel_cache(cfg_).has_value());
+    // Reading allocates a stream buffer (a few KB), never the count's 32 MB.
+    EXPECT_LT(g_largest_new.load(), std::size_t{1} << 20) << "a count sized a vector unchecked";
+}
+
+TEST_F(KernelCacheCorpus, ThresholdNotFinitePositive) {
+    for (const double t : {0.0, -0.2, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+        CachedKernels ck = good();
+        ck.threshold = t;
+        EXPECT_FALSE(loads(ck)) << t;
+    }
+}
+
+TEST_F(KernelCacheCorpus, TrailingBytes) {
+    store_kernel_cache(cfg_, good());
+    write(bytes() + std::string(1, '\0'));
+    EXPECT_FALSE(load_kernel_cache(cfg_).has_value());
 }
 
 }  // namespace

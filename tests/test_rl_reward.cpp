@@ -272,8 +272,9 @@ TEST_F(WindowRewardSimTest, IncrementalRewardMatchesDenseWithinContractEpsilon) 
         const int segments = layout.num_segments();
         std::vector<int> offsets(static_cast<std::size_t>(segments), 3);
 
-        litho::WindowMetrics inc_prev = inc_sim.evaluate_window_prime(layout, offsets, spec);
-        litho::WindowMetrics dense_prev = sim_->evaluate_window(layout, offsets, spec);
+        litho::WindowMetrics inc_prev =
+            inc_sim.evaluate_incremental(layout, offsets, spec, litho::Refresh::kPrime);
+        litho::WindowMetrics dense_prev = sim_->evaluate(layout, offsets, spec);
         Rng rng(97 + segments);
 
         for (int t = 0; t < 5; ++t) {
@@ -285,8 +286,8 @@ TEST_F(WindowRewardSimTest, IncrementalRewardMatchesDenseWithinContractEpsilon) 
                     offsets[static_cast<std::size_t>(i)] + rng.uniform_int(-2, 2), -15, 15);
             }
             const litho::WindowMetrics inc =
-                inc_sim.evaluate_window_incremental(layout, offsets, spec);
-            const litho::WindowMetrics dense = sim_->evaluate_window(layout, offsets, spec);
+                inc_sim.evaluate_incremental(layout, offsets, spec, litho::Refresh::kUpdate);
+            const litho::WindowMetrics dense = sim_->evaluate(layout, offsets, spec);
 
             const double r_inc = window_step_reward(inc_prev, inc, cfg);
             const double r_dense = window_step_reward(dense_prev, dense, cfg);
@@ -349,9 +350,9 @@ TEST_F(WindowRewardSimTest, WorstCornerModeBeatsNominalAtEqualBudget) {
 
         // Judge both final masks through the same dense sweep.
         const litho::WindowMetrics judged_nominal =
-            sim_->evaluate_window(f.layout, nominal_res.final_offsets, spec);
+            sim_->evaluate(f.layout, nominal_res.final_offsets, spec);
         const litho::WindowMetrics judged_worst =
-            sim_->evaluate_window(f.layout, worst_res.final_offsets, spec);
+            sim_->evaluate(f.layout, worst_res.final_offsets, spec);
         EXPECT_LT(judged_worst.worst_epe, judged_nominal.worst_epe) << f.name;
 
         // The engine's own view agrees with the dense judgment within the
@@ -376,24 +377,19 @@ TEST_F(WindowRewardSimTest, NominalObjectiveIsBitIdenticalToLegacyLoop) {
     litho::LithoSim sim_a(*sim_);
     const opc::EngineResult res = engine.optimize(layout, sim_a, opt);
 
-    // Hand-rolled legacy loop: prime + dirty-set evaluations, same protocol.
+    // Hand-rolled legacy loop: prime + incremental updates, same protocol.
     litho::LithoSim sim_b(*sim_);
     std::vector<int> offsets(static_cast<std::size_t>(layout.num_segments()), 3);
-    litho::SimMetrics m = sim_b.evaluate_incremental(layout, offsets);
+    litho::SimMetrics m = sim_b.evaluate_incremental(layout, offsets, litho::Refresh::kPrime);
     EXPECT_EQ(res.epe_history.front(), m.sum_abs_epe);
     for (int it = 0; it < opt.max_iterations; ++it) {
-        std::vector<int> dirty;
         for (std::size_t i = 0; i < offsets.size(); ++i) {
             const double desired = -0.6 * m.epe_segment[i];
             const int step = std::clamp(static_cast<int>(std::lround(desired)), -2, 2);
-            const int next = std::clamp(offsets[i] + step, -opt.max_total_offset_nm,
-                                        opt.max_total_offset_nm);
-            if (next != offsets[i]) {
-                offsets[i] = next;
-                dirty.push_back(static_cast<int>(i));
-            }
+            offsets[i] = std::clamp(offsets[i] + step, -opt.max_total_offset_nm,
+                                    opt.max_total_offset_nm);
         }
-        m = sim_b.evaluate_incremental(layout, offsets, dirty);
+        m = sim_b.evaluate_incremental(layout, offsets, litho::Refresh::kUpdate);
         EXPECT_EQ(res.epe_history[static_cast<std::size_t>(it) + 1], m.sum_abs_epe) << it;
         EXPECT_EQ(res.pvb_history[static_cast<std::size_t>(it) + 1], m.pvband_nm2) << it;
     }

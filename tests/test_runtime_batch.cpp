@@ -243,8 +243,8 @@ TEST(BatchScheduler, WindowModeEvaluatesEveryCornerDeterministically) {
 }
 
 TEST(BatchScheduler, WorstCornerObjectiveBitIdenticalAcrossThreadCounts) {
-    // Window reward mode rides evaluate_window_incremental inside the engine
-    // loop; per-clip caches are still primed per job, so results remain
+    // Window reward mode rides the window evaluate_incremental inside the
+    // engine loop; per-clip caches are still primed per job, so results remain
     // bit-identical at any thread count.
     const auto clips = test_clips(4);
     BatchOptions opt = batch_options(1);

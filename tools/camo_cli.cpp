@@ -1357,8 +1357,8 @@ int main(int argc, char** argv) {
         // --window run sweeps the final mask at the standard window.
         const litho::WindowMetrics w =
             res.final_window ? *res.final_window
-                             : sim.evaluate_window(layout, res.final_offsets,
-                                                   litho::WindowSpec::standard(sim.config()));
+                             : sim.evaluate(layout, res.final_offsets,
+                                            litho::WindowSpec::standard(sim.config()));
         std::printf("window (%s reward): worst|EPE| %.1f nm, exact PVB %.0f nm^2, "
                     "CD range %.0f nm^2\n",
                     rl::reward_mode_name(cli.reward_mode), w.worst_epe, w.pv_band_exact_nm2,
