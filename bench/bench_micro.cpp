@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) of the computational substrates:
 // FFT, rasterization, aerial imaging, full vs incremental evaluation,
-// squish encoding and policy inference.
+// squish encoding, and policy inference and training steps.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -481,31 +481,75 @@ void BM_EncodeState(benchmark::State& state) {
 }
 BENCHMARK(BM_EncodeState)->Arg(32)->Arg(64)->Unit(benchmark::kMillisecond);
 
-void BM_PolicyForward(benchmark::State& state) {
+// One clip of n chained nodes at S = 32 with the default (paper-width)
+// policy: the shape of every policy row below.
+struct PolicyClip {
+    core::Graph graph;
+    std::vector<nn::Tensor> feats;
+
+    explicit PolicyClip(int n) {
+        graph.n = n;
+        graph.neighbors.assign(static_cast<std::size_t>(n), {});
+        for (int i = 0; i + 1 < n; ++i) {
+            graph.neighbors[static_cast<std::size_t>(i)].push_back(i + 1);
+            graph.neighbors[static_cast<std::size_t>(i + 1)].push_back(i);
+        }
+        Rng rng(1);
+        for (int i = 0; i < n; ++i) {
+            nn::Tensor t({6, 32, 32});
+            for (float& v : t.data()) v = static_cast<float>(rng.uniform(0, 1));
+            feats.push_back(std::move(t));
+        }
+    }
+};
+
+core::PolicyConfig bench_policy_config() {
     core::PolicyConfig cfg;
     cfg.squish_size = 32;
-    core::PolicyNetwork net(cfg);
-    const int n = static_cast<int>(state.range(0));
-    core::Graph g;
-    g.n = n;
-    g.neighbors.assign(static_cast<std::size_t>(n), {});
-    for (int i = 0; i + 1 < n; ++i) {
-        g.neighbors[static_cast<std::size_t>(i)].push_back(i + 1);
-        g.neighbors[static_cast<std::size_t>(i + 1)].push_back(i);
-    }
-    std::vector<nn::Tensor> feats;
-    Rng rng(1);
-    for (int i = 0; i < n; ++i) {
-        nn::Tensor t({6, 32, 32});
-        for (float& v : t.data()) v = static_cast<float>(rng.uniform(0, 1));
-        feats.push_back(std::move(t));
-    }
+    return cfg;
+}
+
+// Training forward alone (exact-order kernels, keeps the flat tape).
+void BM_PolicyForward(benchmark::State& state) {
+    core::PolicyNetwork net(bench_policy_config());
+    const PolicyClip clip(static_cast<int>(state.range(0)));
     for (auto _ : state) {
-        const nn::Tensor logits = net.forward(feats, g);
+        const nn::Tensor logits = net.forward(clip.feats, clip.graph);
         benchmark::DoNotOptimize(logits.data().data());
     }
 }
 BENCHMARK(BM_PolicyForward)->Arg(8)->Arg(24);
+
+// One training step's policy work: forward plus backward through the
+// training path (the per-sample unit of phase 1 and phase 2). Compare with
+// BM_PolicyInfer at the same n.
+void BM_PolicyTrainStep(benchmark::State& state) {
+    core::PolicyNetwork net(bench_policy_config());
+    const PolicyClip clip(static_cast<int>(state.range(0)));
+    nn::Tensor dlogits({clip.graph.n, 5});
+    for (std::size_t i = 0; i < dlogits.numel(); ++i) {
+        dlogits[i] = static_cast<float>(i % 7) * 0.1F - 0.3F;
+    }
+    for (auto _ : state) {
+        const nn::Tensor logits = net.forward(clip.feats, clip.graph);
+        net.backward(dlogits);
+        benchmark::DoNotOptimize(logits.data().data());
+    }
+    state.SetLabel(simd::level_name(simd::exact_ops().level));
+}
+BENCHMARK(BM_PolicyTrainStep)->Arg(8)->Arg(24)->Unit(benchmark::kMillisecond);
+
+// Packed inference of the same clip on the active (FMA) kernel table.
+void BM_PolicyInfer(benchmark::State& state) {
+    const core::PolicyNetwork net(bench_policy_config());
+    const PolicyClip clip(static_cast<int>(state.range(0)));
+    for (auto _ : state) {
+        const nn::Tensor logits = net.infer(clip.feats, clip.graph);
+        benchmark::DoNotOptimize(logits.data().data());
+    }
+    state.SetLabel(simd::level_name(simd::active_level()));
+}
+BENCHMARK(BM_PolicyInfer)->Arg(8)->Arg(24)->Unit(benchmark::kMillisecond);
 
 // ---- Inference backend (PR 9) ----------------------------------------------
 // Arg(0) on every row: 0 = scalar reference kernels, 1 = the best SIMD level

@@ -1,5 +1,6 @@
 #include "common/simd.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -8,11 +9,13 @@
 namespace camo::simd {
 namespace detail {
 
-// Provided by simd_avx2.cpp / simd_neon.cpp. Each returns nullptr when its
-// translation unit was not built with the matching ISA (the files are always
-// compiled; CMake decides whether to pass the vector flags).
+// Provided by simd_avx2.cpp / simd_neon.cpp / simd_avx2_exact.cpp. Each
+// returns nullptr when its translation unit was not built with the matching
+// ISA (the files are always compiled; CMake decides whether to pass the
+// vector flags).
 const Ops* avx2_ops();
 const Ops* neon_ops();
+const ExactOps* avx2_exact_ops();
 
 }  // namespace detail
 
@@ -98,6 +101,84 @@ const Ops kScalarOps = {
     Level::kScalar, scalar_gemm_blocked, scalar_conv2d_packed, scalar_cmul, scalar_norm_acc,
 };
 
+// ---- Scalar backward kernels (the exact table's reference) -----------------
+
+void scalar_gemm_nn(const float* x, int rows, int inner, const float* w, int cols, float* y) {
+    for (int r = 0; r < rows; ++r) {
+        const float* xr = x + static_cast<std::size_t>(r) * static_cast<std::size_t>(inner);
+        float* yr = y + static_cast<std::size_t>(r) * static_cast<std::size_t>(cols);
+        for (int c = 0; c < cols; ++c) {
+            float acc = 0.0F;
+            for (int j = 0; j < inner; ++j) {
+                acc += xr[j] * w[static_cast<std::size_t>(j) * static_cast<std::size_t>(cols) +
+                                 static_cast<std::size_t>(c)];
+            }
+            yr[c] = acc;
+        }
+    }
+}
+
+void scalar_gemm_tn_acc(const float* a, int a_row_stride, int a_col_stride, const float* b,
+                        int rows, int m, int k, float* c, bool descending) {
+    for (int i = 0; i < m; ++i) {
+        float* ci = c + static_cast<std::size_t>(i) * static_cast<std::size_t>(k);
+        for (int step = 0; step < rows; ++step) {
+            const int r = descending ? rows - 1 - step : step;
+            const float ar = a[static_cast<std::ptrdiff_t>(r) * a_row_stride +
+                               static_cast<std::ptrdiff_t>(i) * a_col_stride];
+            const float* br = b + static_cast<std::size_t>(r) * static_cast<std::size_t>(k);
+            for (int j = 0; j < k; ++j) ci[j] += ar * br[j];
+        }
+    }
+}
+
+// The per-sample layer loop's input-gradient scatter: zero output
+// gradients skipped, terms added in (oc, oy, ox) order.
+void scalar_conv2d_dx(const float* wt, const float* dy, int in_ch, int in_ch_padded, int h,
+                      int wdt, int out_ch, int k, int stride, int pad, int oh, int ow,
+                      float* dx) {
+    std::fill(dx, dx + static_cast<std::size_t>(in_ch) * static_cast<std::size_t>(h) *
+                           static_cast<std::size_t>(wdt),
+              0.0F);
+    for (int oc = 0; oc < out_ch; ++oc) {
+        for (int oy = 0; oy < oh; ++oy) {
+            for (int ox = 0; ox < ow; ++ox) {
+                const float g = dy[(static_cast<std::size_t>(oc) * static_cast<std::size_t>(oh) +
+                                    static_cast<std::size_t>(oy)) *
+                                       static_cast<std::size_t>(ow) +
+                                   static_cast<std::size_t>(ox)];
+                if (g == 0.0F) continue;
+                for (int ic = 0; ic < in_ch; ++ic) {
+                    for (int ky = 0; ky < k; ++ky) {
+                        const int iy = oy * stride - pad + ky;
+                        if (iy < 0 || iy >= h) continue;
+                        for (int kx = 0; kx < k; ++kx) {
+                            const int ix = ox * stride - pad + kx;
+                            if (ix < 0 || ix >= wdt) continue;
+                            const std::size_t widx =
+                                ((static_cast<std::size_t>(oc) * static_cast<std::size_t>(k) +
+                                  static_cast<std::size_t>(ky)) *
+                                     static_cast<std::size_t>(k) +
+                                 static_cast<std::size_t>(kx)) *
+                                    static_cast<std::size_t>(in_ch_padded) +
+                                static_cast<std::size_t>(ic);
+                            dx[(static_cast<std::size_t>(ic) * static_cast<std::size_t>(h) +
+                                static_cast<std::size_t>(iy)) *
+                                   static_cast<std::size_t>(wdt) +
+                               static_cast<std::size_t>(ix)] += g * wt[widx];
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+const ExactOps kScalarExactOps = {
+    Level::kScalar,     scalar_gemm_blocked, scalar_conv2d_packed,
+    scalar_gemm_nn,     scalar_gemm_tn_acc,  scalar_conv2d_dx,
+};
+
 // ---- Dispatch ---------------------------------------------------------------
 
 const Ops* table_for(Level level) {
@@ -170,6 +251,13 @@ Level active_level() { return active_table().load(std::memory_order_relaxed)->le
 const Ops& ops() { return *active_table().load(std::memory_order_relaxed); }
 
 const Ops& scalar_ops() { return kScalarOps; }
+
+const ExactOps& exact_ops() {
+    if (active_level() == Level::kAvx2) {
+        if (const ExactOps* t = detail::avx2_exact_ops()) return *t;
+    }
+    return kScalarExactOps;
+}
 
 ScopedOverride::ScopedOverride(Level level) : prev_(active_level()) {
     // Anything non-scalar clips to what this build + CPU can actually run.

@@ -1,11 +1,13 @@
-// Runtime-dispatched SIMD kernels for the inference and lithography hot
-// loops (the nn::Backend and litho::SupportApplicator compute cores).
+// Runtime-dispatched SIMD kernels for the policy network and the
+// lithography hot loops (the nn::Backend and litho::SupportApplicator
+// compute cores).
 //
 // Dispatch model: this translation unit is always compiled portably; the
 // vector implementations live in their own translation units
 // (simd_avx2.cpp, built with -mavx2 -mfma on x86; simd_neon.cpp on
-// aarch64, where NEON is baseline). At startup the active kernel table is
-// chosen as
+// aarch64, where NEON is baseline; simd_avx2_exact.cpp, the training
+// kernels, built with -mavx2 -ffp-contract=off). At startup the active
+// kernel table is chosen as
 //
 //     compiled kernels  ∩  CPU capabilities  ∩  CAMO_BACKEND environment
 //
@@ -18,10 +20,11 @@
 // level available.
 //
 // Equivalence contract: for every kernel the scalar entry reproduces the
-// legacy accumulation order exactly; the vector entries compute the same
-// sums with a different rounding schedule (blocked FMA), so results agree
-// to a few ULP — tests/test_nn_backend.cpp fuzzes the bound and pins the
-// end-to-end action-identity guarantee on every registered scenario.
+// legacy accumulation order exactly; the Ops vector entries compute the
+// same sums with a different rounding schedule (blocked FMA), so results
+// agree to a few ULP — tests/test_nn_backend.cpp fuzzes the bound and pins
+// the end-to-end action-identity guarantee on every registered scenario.
+// The ExactOps vector entries (training) keep the scalar bits exactly.
 #pragma once
 
 #include <complex>
@@ -67,9 +70,9 @@ struct Ops {
 
     /// One CHW conv sample with weights packed [ic][ky][kx][oc_padded]
     /// (output-channel innermost so the vector kernels broadcast the input
-    /// pixel across a block of output channels). Geometry mirrors
-    /// nn::Conv2d::forward: y[oc, oy, ox] = b[oc] + sum over (ic, ky, kx)
-    /// with zero padding handled by bounds checks.
+    /// pixel across a block of output channels): y[oc, oy, ox] = b[oc] +
+    /// sum over (ic, ky, kx) ascending, with out-of-image taps skipped (the
+    /// naive Conv2d::forward loop in tests/nn_reference_layers.hpp).
     void (*conv2d_packed)(const float* w, const float* bias, const float* x, int in_ch, int h,
                           int wdt, int out_ch, int out_ch_padded, int k, int stride, int pad,
                           float* y, int oh, int ow);
@@ -84,8 +87,51 @@ struct Ops {
                      std::size_t n);
 };
 
+/// Exact-order kernels for training. The forward entries have the same
+/// contracts as their Ops namesakes, and every output is bit-identical to
+/// the scalar table at every level: vector lanes run across output
+/// elements, each with one accumulator fed in the scalar order, and every
+/// product is rounded before it is added (no FMA). The backward entries
+/// reproduce the accumulation orders of the naive per-sample layer loops
+/// (Conv2d/Linear backward in tests/nn_reference_layers.hpp). The AVX2
+/// kernels live in simd_avx2_exact.cpp, built with -mavx2
+/// -ffp-contract=off and without -mfma; where no exact vector kernel
+/// exists (NEON, portable builds) the table is the scalar one.
+struct ExactOps {
+    Level level = Level::kScalar;
+
+    decltype(Ops::gemm_blocked) gemm_blocked;
+    decltype(Ops::conv2d_packed) conv2d_packed;
+
+    /// y[r, c] = sum over j ascending of x[r, j] * w[j, c], accumulated from
+    /// +0: x row-major [rows, inner], w row-major [inner, cols], y row-major
+    /// [rows, cols]. (A linear layer's input gradient dX = dY W.)
+    void (*gemm_nn)(const float* x, int rows, int inner, const float* w, int cols, float* y);
+
+    /// c[i, j] += a(r, i) * b[r, j] for r = 0 .. rows-1 (rows-1 .. 0 when
+    /// `descending`), one rounded product and one addition per r, straight
+    /// into c: a(r, i) = a[r * a_row_stride + i * a_col_stride], b row-major
+    /// [rows, k], c row-major [m, k]. (A weight gradient dW += dY^T X.)
+    void (*gemm_tn_acc)(const float* a, int a_row_stride, int a_col_stride, const float* b,
+                        int rows, int m, int k, float* c, bool descending);
+
+    /// A convolution's input gradient for one CHW sample: dx[ic, iy, ix] =
+    /// sum of dy[oc, oy, ox] * W[oc, ic, ky, kx] over the output pixels the
+    /// input pixel feeds, accumulated from +0 in (oc, oy, ox) ascending
+    /// order, zero dy skipped. Weights are packed [oc][ky][kx][in_ch_padded]
+    /// (input channel innermost); dy is [out_ch, oh, ow], dx [in_ch, h, wdt].
+    void (*conv2d_dx)(const float* wt, const float* dy, int in_ch, int in_ch_padded, int h,
+                      int wdt, int out_ch, int k, int stride, int pad, int oh, int ow,
+                      float* dx);
+};
+
 /// Kernel table of the active level (cheap: one atomic load after init).
 const Ops& ops();
+
+/// Exact-order table of the active level: the AVX2 exact kernels when the
+/// active level is AVX2, the scalar kernels otherwise (so CAMO_BACKEND and
+/// ScopedOverride select it like ops()).
+const ExactOps& exact_ops();
 
 /// The scalar reference table (always available; legacy loop order).
 const Ops& scalar_ops();

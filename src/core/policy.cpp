@@ -1,19 +1,20 @@
 #include "core/policy.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
 
-#include "nn/activations.hpp"
 #include "nn/backend.hpp"
+#include "nn/init.hpp"
 #include "nn/serialize.hpp"
 #include "rl/trajectory.hpp"
 
 namespace camo::core {
 
-/// Weights repacked for the inference backend (nn/backend.hpp). Rebuilt
-/// whenever weights_version_ moves past the version it was packed at.
-struct InferencePlan {
+/// Weights repacked for the backend kernels (nn/backend.hpp). infer()'s
+/// cached copy is rebuilt whenever weights_version_ moves past `version`.
+struct PackedWeights {
     std::uint64_t version = 0;
     nn::PackedConv2d conv1, conv2, conv3;
     nn::PackedLinear fc;    // flat -> embed
@@ -29,46 +30,152 @@ struct InferencePlan {
 
 namespace {
 
-int conv_out_size(int s) { return s / 8; }  // three stride-2 stages
+// Every encoder convolution is 3x3, stride 2, padding 1.
+constexpr int kKernel = 3;
+constexpr int kStride = 2;
+constexpr int kPad = 1;
 
-// Same arithmetic as nn::ReLU::forward (max with +0.0F), applied in place.
+int conv_out(int s) { return (s + 2 * kPad - kKernel) / kStride + 1; }
+
+std::size_t sz(int a) { return static_cast<std::size_t>(a); }
+
+// Width of the flattened encoder output: three stride-2 stages shrink S by 8.
+int flat_size(const PolicyConfig& cfg) {
+    return cfg.conv_base * 4 * (cfg.squish_size / 8) * (cfg.squish_size / 8);
+}
+
+// Same arithmetic as the reference ReLU (max with +0.0F), applied in place.
 void relu_inplace(float* p, std::size_t n) {
     for (std::size_t i = 0; i < n; ++i) p[i] = p[i] > 0.0F ? p[i] : 0.0F;
 }
 
+// ReLU backward from the layer's post-ReLU output y: y > 0 exactly where
+// the pre-activation was, so this is the reference's x > 0 ? g : 0.
+void relu_backward(float* g, const float* y, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) g[i] = y[i] > 0.0F ? g[i] : 0.0F;
+}
+
+// A dense layer's backward over `rows` nodes, in the per-node reference's
+// node order: dW += dy^T x and db += dy, one addition per node per element;
+// dx = dy W when `dx` is non-null.
+void dense_backward(const simd::ExactOps& k, nn::Parameter& w, nn::Parameter& b,
+                    const float* dy, const float* x, int rows, bool descending, float* dx) {
+    const int out = w.value.dim(0);
+    const int in = w.value.dim(1);
+    k.gemm_tn_acc(dy, out, 1, x, rows, out, in, w.grad.data().data(), descending);
+    for (int step = 0; step < rows; ++step) {
+        const int r = descending ? rows - 1 - step : step;
+        for (int o = 0; o < out; ++o) b.grad[sz(o)] += dy[sz(r) * sz(out) + sz(o)];
+    }
+    if (dx != nullptr) k.gemm_nn(dy, rows, out, w.value.data().data(), in, dx);
+}
+
+// Convolution weights [oc, ic, k, k] repacked [oc][ky][kx][ic_padded] for
+// ExactOps::conv2d_dx.
+std::vector<float> pack_conv_dx(const nn::Tensor& w, int& in_padded) {
+    const int oc_n = w.dim(0);
+    const int ic_n = w.dim(1);
+    in_padded = (ic_n + simd::kBlock - 1) / simd::kBlock * simd::kBlock;
+    std::vector<float> wt(sz(oc_n) * kKernel * kKernel * sz(in_padded), 0.0F);
+    for (int oc = 0; oc < oc_n; ++oc) {
+        for (int ic = 0; ic < ic_n; ++ic) {
+            for (int t = 0; t < kKernel * kKernel; ++t) {
+                wt[(sz(oc) * kKernel * kKernel + sz(t)) * sz(in_padded) + sz(ic)] =
+                    w.at(oc, ic, t / kKernel, t % kKernel);
+            }
+        }
+    }
+    return wt;
+}
+
+// Scratch reused across the per-node conv backward calls.
+struct ConvScratch {
+    std::vector<float> col;  // im2col [pixels, taps]
+    std::vector<float> gw;   // one node's weight gradient [oc, taps]
+};
+
+// One encoder convolution's backward for one node, in the reference's
+// orders: the node's weight gradient is its own sum over output pixels
+// (ascending, from zero) added into w.grad with one addition per element,
+// likewise the bias; dx (when non-null) accumulates in (oc, oy, ox) order.
+// In the weight gradient, out-of-image taps (im2col zeros) and zero output
+// gradients add exact zeros where the reference skips them: a sum that
+// starts at +0 never becomes -0, so this changes no bit for finite inputs.
+void conv_backward(const simd::ExactOps& k, nn::Parameter& w, nn::Parameter& b,
+                   const float* dy, const float* x, int h, int oh, const float* wt,
+                   int in_padded, float* dx, ConvScratch& s) {
+    const int out_ch = w.value.dim(0);
+    const int in_ch = w.value.dim(1);
+    const int taps = in_ch * kKernel * kKernel;
+    const int pixels = oh * oh;
+    s.col.resize(sz(pixels) * sz(taps));
+    for (int oy = 0; oy < oh; ++oy) {
+        for (int ox = 0; ox < oh; ++ox) {
+            float* crow = s.col.data() + (sz(oy) * sz(oh) + sz(ox)) * sz(taps);
+            for (int ic = 0; ic < in_ch; ++ic) {
+                for (int ky = 0; ky < kKernel; ++ky) {
+                    const int iy = oy * kStride - kPad + ky;
+                    for (int kx = 0; kx < kKernel; ++kx) {
+                        const int ix = ox * kStride - kPad + kx;
+                        const bool inside = iy >= 0 && iy < h && ix >= 0 && ix < h;
+                        *crow++ = inside ? x[(sz(ic) * sz(h) + sz(iy)) * sz(h) + sz(ix)] : 0.0F;
+                    }
+                }
+            }
+        }
+    }
+    s.gw.assign(sz(out_ch) * sz(taps), 0.0F);
+    k.gemm_tn_acc(dy, 1, pixels, s.col.data(), pixels, out_ch, taps, s.gw.data(), false);
+    float* gw = w.grad.data().data();
+    for (std::size_t i = 0; i < s.gw.size(); ++i) gw[i] += s.gw[i];
+    for (int oc = 0; oc < out_ch; ++oc) {
+        float gb = 0.0F;
+        for (int p = 0; p < pixels; ++p) gb += dy[sz(oc) * sz(pixels) + sz(p)];
+        b.grad[sz(oc)] += gb;
+    }
+    if (dx != nullptr) {
+        k.conv2d_dx(wt, dy, in_ch, in_padded, h, h, out_ch, kKernel, kStride, kPad, oh, oh, dx);
+    }
+}
+
 }  // namespace
 
+PolicyNetwork::Layer::Layer(std::vector<int> w_shape, int fan_in, Rng& rng)
+    : w(w_shape), b({w_shape.front()}) {
+    nn::init_he(w.value, fan_in, rng);
+}
+
 PolicyNetwork::PolicyNetwork(const PolicyConfig& cfg)
-    : cfg_(cfg), rng_(cfg.seed), head_(cfg.rnn_hidden, rl::kNumActions, rng_) {
-    const int c1 = cfg_.conv_base;
-    cnn_.emplace<nn::Conv2d>(6, c1, 3, 2, 1, rng_);
-    cnn_.emplace<nn::ReLU>();
-    cnn_.emplace<nn::Conv2d>(c1, c1 * 2, 3, 2, 1, rng_);
-    cnn_.emplace<nn::ReLU>();
-    cnn_.emplace<nn::Conv2d>(c1 * 2, c1 * 4, 3, 2, 1, rng_);
-    cnn_.emplace<nn::ReLU>();
-
-    const int flat = c1 * 4 * conv_out_size(cfg_.squish_size) * conv_out_size(cfg_.squish_size);
-    cnn_.emplace<nn::Linear>(flat, cfg_.embed_dim, rng_);
-    cnn_.emplace<nn::ReLU>();
-
-    if (cfg_.use_gnn) {
-        sage_ = std::make_unique<nn::Sequential>();
-        sage_->emplace<nn::Linear>(2 * cfg_.embed_dim, cfg_.embed_dim, rng_);
-        sage_->emplace<nn::ReLU>();
-    }
+    : cfg_(cfg),
+      rng_(cfg.seed),
+      head_({rl::kNumActions, cfg.rnn_hidden}, cfg.rnn_hidden, rng_),
+      conv1_({cfg.conv_base, 6, kKernel, kKernel}, 6 * kKernel * kKernel, rng_),
+      conv2_({cfg.conv_base * 2, cfg.conv_base, kKernel, kKernel},
+             cfg.conv_base * kKernel * kKernel, rng_),
+      conv3_({cfg.conv_base * 4, cfg.conv_base * 2, kKernel, kKernel},
+             cfg.conv_base * 2 * kKernel * kKernel, rng_),
+      fc_({cfg.embed_dim, flat_size(cfg)}, flat_size(cfg), rng_) {
+    if (cfg_.use_gnn) sage_.emplace(std::vector<int>{cfg_.embed_dim, 2 * cfg_.embed_dim},
+                                    2 * cfg_.embed_dim, rng_);
     if (cfg_.use_rnn) {
         rnn_ = std::make_unique<nn::Rnn>(cfg_.embed_dim, cfg_.rnn_hidden, cfg_.rnn_layers, rng_);
     } else {
-        proj_ = std::make_unique<nn::Sequential>();
-        proj_->emplace<nn::Linear>(cfg_.embed_dim, cfg_.rnn_hidden, rng_);
-        proj_->emplace<nn::ReLU>();
+        proj_.emplace(std::vector<int>{cfg_.rnn_hidden, cfg_.embed_dim}, cfg_.embed_dim, rng_);
     }
 }
 
 nn::Tensor PolicyNetwork::forward(const std::vector<nn::Tensor>& features, const Graph& graph) {
-    cache_ = Cache{};
-    return run_forward(features, graph, cache_);
+    tape_.valid = false;
+    const ClipRequest req{&features, &graph};
+    // Packed fresh from the current weights: training mutates them through
+    // params() pointers between calls, which the plan cache cannot see.
+    const std::vector<float> logits =
+        walk(nn::exact_backend(), pack_weights(), {&req, 1}, tape_, true);
+    tape_.graph = graph;
+    tape_.valid = true;
+    nn::Tensor out({graph.n, rl::kNumActions});
+    std::memcpy(out.data().data(), logits.data(), logits.size() * sizeof(float));
+    return out;
 }
 
 nn::Tensor PolicyNetwork::infer(const std::vector<nn::Tensor>& features,
@@ -77,46 +184,66 @@ nn::Tensor PolicyNetwork::infer(const std::vector<nn::Tensor>& features,
     return std::move(infer_batch({&req, 1}).front());
 }
 
-std::shared_ptr<const InferencePlan> PolicyNetwork::ensure_plan() const {
+std::shared_ptr<const PackedWeights> PolicyNetwork::ensure_plan() const {
     const std::uint64_t version = weights_version_.load(std::memory_order_acquire);
     std::lock_guard<std::mutex> lock(plan_mu_);
     if (plan_ && plan_->version == version) return plan_;
-
-    auto plan = std::make_shared<InferencePlan>();
+    auto plan = std::make_shared<PackedWeights>(pack_weights());
     plan->version = version;
-    plan->conv1 = nn::pack_conv2d(dynamic_cast<const nn::Conv2d&>(cnn_.layer(0)));
-    plan->conv2 = nn::pack_conv2d(dynamic_cast<const nn::Conv2d&>(cnn_.layer(2)));
-    plan->conv3 = nn::pack_conv2d(dynamic_cast<const nn::Conv2d&>(cnn_.layer(4)));
-    plan->fc = nn::pack_linear(dynamic_cast<const nn::Linear&>(cnn_.layer(6)));
-    if (sage_) plan->sage = nn::pack_linear(dynamic_cast<const nn::Linear&>(sage_->layer(0)));
-    if (rnn_) {
-        plan->rnn.reserve(static_cast<std::size_t>(rnn_->num_layers()));
-        for (int l = 0; l < rnn_->num_layers(); ++l) {
-            plan->rnn.push_back({nn::pack_linear(rnn_->u(l).value, &rnn_->b(l).value),
-                                 nn::pack_linear(rnn_->w(l).value, nullptr)});
-        }
-    }
-    if (proj_) plan->proj = nn::pack_linear(dynamic_cast<const nn::Linear&>(proj_->layer(0)));
-    plan->head = nn::pack_linear(head_);
     plan_ = plan;
     return plan;
 }
 
+PackedWeights PolicyNetwork::pack_weights() const {
+    PackedWeights p;
+    p.conv1 = nn::pack_conv2d(conv1_.w.value, conv1_.b.value, kStride, kPad);
+    p.conv2 = nn::pack_conv2d(conv2_.w.value, conv2_.b.value, kStride, kPad);
+    p.conv3 = nn::pack_conv2d(conv3_.w.value, conv3_.b.value, kStride, kPad);
+    p.fc = nn::pack_linear(fc_.w.value, &fc_.b.value);
+    if (sage_) p.sage = nn::pack_linear(sage_->w.value, &sage_->b.value);
+    if (rnn_) {
+        p.rnn.reserve(static_cast<std::size_t>(rnn_->num_layers()));
+        for (int l = 0; l < rnn_->num_layers(); ++l) {
+            p.rnn.push_back({nn::pack_linear(rnn_->u(l).value, &rnn_->b(l).value),
+                             nn::pack_linear(rnn_->w(l).value, nullptr)});
+        }
+    }
+    if (proj_) p.proj = nn::pack_linear(proj_->w.value, &proj_->b.value);
+    p.head = nn::pack_linear(head_.w.value, &head_.b.value);
+    return p;
+}
+
 std::vector<nn::Tensor> PolicyNetwork::infer_batch(std::span<const ClipRequest> clips) const {
-    const std::shared_ptr<const InferencePlan> plan = ensure_plan();
-    const nn::Backend& be = nn::active_backend();
+    FlatTape act;
+    const std::vector<float> logits = walk(nn::active_backend(), *ensure_plan(), clips, act, false);
+    std::vector<nn::Tensor> out;
+    out.reserve(clips.size());
+    std::size_t offset = 0;
+    for (const ClipRequest& req : clips) {
+        nn::Tensor t({req.graph->n, rl::kNumActions});
+        std::memcpy(t.data().data(), logits.data() + offset, t.numel() * sizeof(float));
+        offset += t.numel();
+        out.push_back(std::move(t));
+    }
+    return out;
+}
+
+std::vector<float> PolicyNetwork::walk(const nn::Backend& be, const PackedWeights& weights,
+                                       std::span<const ClipRequest> clips, FlatTape& act,
+                                       bool keep) const {
     const int S = cfg_.squish_size;
     const int embed = cfg_.embed_dim;
     const int hidden = cfg_.rnn_hidden;
 
-    // Node bookkeeping: clip c's nodes occupy global rows [start[c],
-    // start[c] + n_c) of every concatenated activation matrix.
+    // Node bookkeeping: clip c's nodes occupy rows [start[c], start[c] + n_c)
+    // of every activation matrix.
     std::vector<int> start(clips.size(), 0);
     int total = 0;
+    int widest = 0;
     for (std::size_t c = 0; c < clips.size(); ++c) {
         const ClipRequest& req = clips[c];
         if (req.features == nullptr || req.graph == nullptr) {
-            throw std::invalid_argument("PolicyNetwork::infer_batch: null request");
+            throw std::invalid_argument("PolicyNetwork: null clip request");
         }
         const int n = static_cast<int>(req.features->size());
         if (n == 0) throw std::invalid_argument("PolicyNetwork: empty node set");
@@ -125,306 +252,230 @@ std::vector<nn::Tensor> PolicyNetwork::infer_batch(std::span<const ClipRequest> 
         }
         start[c] = total;
         total += n;
+        widest = std::max(widest, n);
     }
 
-    // Stage 1: shared CNN encoder per node (conv chain is per-sample), then
-    // the flatten->embed projection as ONE wide GEMM over all nodes.
-    const int s1 = plan->conv1.out_size(S);
-    const int s2 = plan->conv2.out_size(s1);
-    const int s3 = plan->conv3.out_size(s2);
-    const std::size_t flat = static_cast<std::size_t>(plan->conv3.out_ch) *
-                             static_cast<std::size_t>(s3) * static_cast<std::size_t>(s3);
-    if (flat != static_cast<std::size_t>(plan->fc.in)) {
-        throw std::logic_error("PolicyNetwork::infer_batch: plan geometry mismatch");
+    // Stage 1: the shared CNN encoder per node (its conv chain is
+    // per-sample), then the flatten -> embed projection as ONE wide GEMM.
+    const int s1 = weights.conv1.out_size(S);
+    const int s2 = weights.conv2.out_size(s1);
+    const int s3 = weights.conv3.out_size(s2);
+    const std::size_t in_size = sz(weights.conv1.in_ch) * sz(S) * sz(S);
+    const std::size_t size1 = sz(weights.conv1.out_ch) * sz(s1) * sz(s1);
+    const std::size_t size2 = sz(weights.conv2.out_ch) * sz(s2) * sz(s2);
+    const std::size_t flat = sz(weights.conv3.out_ch) * sz(s3) * sz(s3);
+    if (flat != sz(weights.fc.in)) {
+        throw std::logic_error("PolicyNetwork: packed geometry mismatch");
     }
-    std::vector<float> b1(static_cast<std::size_t>(plan->conv1.out_ch) *
-                          static_cast<std::size_t>(s1) * static_cast<std::size_t>(s1));
-    std::vector<float> b2(static_cast<std::size_t>(plan->conv2.out_ch) *
-                          static_cast<std::size_t>(s2) * static_cast<std::size_t>(s2));
-    std::vector<float> flats(static_cast<std::size_t>(total) * flat);
-    int row = 0;
-    for (std::size_t c = 0; c < clips.size(); ++c) {
-        for (const nn::Tensor& f : *clips[c].features) {
-            if (f.rank() != 3 || f.dim(0) != plan->conv1.in_ch || f.dim(1) != S ||
+    const std::size_t conv_rows = keep ? sz(total) : 1;
+    if (keep) act.x.resize(sz(total) * in_size);
+    act.a1.resize(conv_rows * size1);
+    act.a2.resize(conv_rows * size2);
+    act.flat.resize(sz(total) * flat);
+    std::size_t row = 0;
+    for (const ClipRequest& req : clips) {
+        for (const nn::Tensor& f : *req.features) {
+            if (f.rank() != 3 || f.dim(0) != weights.conv1.in_ch || f.dim(1) != S ||
                 f.dim(2) != S) {
                 throw std::invalid_argument("PolicyNetwork: bad squish feature shape");
             }
-            float* out = flats.data() + static_cast<std::size_t>(row) * flat;
-            be.conv2d(plan->conv1, f.data().data(), S, S, b1.data());
-            relu_inplace(b1.data(), b1.size());
-            be.conv2d(plan->conv2, b1.data(), s1, s1, b2.data());
-            relu_inplace(b2.data(), b2.size());
-            be.conv2d(plan->conv3, b2.data(), s2, s2, out);
+            const std::size_t slot = keep ? row : 0;
+            float* a1 = act.a1.data() + slot * size1;
+            float* a2 = act.a2.data() + slot * size2;
+            float* out = act.flat.data() + row * flat;
+            if (keep) {
+                std::memcpy(act.x.data() + row * in_size, f.data().data(), in_size * sizeof(float));
+            }
+            be.conv2d(weights.conv1, f.data().data(), S, S, a1);
+            relu_inplace(a1, size1);
+            be.conv2d(weights.conv2, a1, s1, s1, a2);
+            relu_inplace(a2, size2);
+            be.conv2d(weights.conv3, a2, s2, s2, out);
             relu_inplace(out, flat);
             ++row;
         }
     }
-    std::vector<float> embeds(static_cast<std::size_t>(total) * static_cast<std::size_t>(embed));
-    be.linear(plan->fc, flats.data(), total, embeds.data());
-    relu_inplace(embeds.data(), embeds.size());
+    act.embed.resize(sz(total) * sz(embed));
+    be.linear(weights.fc, act.flat.data(), total, act.embed.data());
+    relu_inplace(act.embed.data(), act.embed.size());
 
-    // Stage 2: GraphSAGE fusion — the concatenation and neighbour mean are
-    // built exactly as the tape forward does (same accumulation order), the
-    // 2*embed -> embed projection is one wide GEMM.
-    std::vector<float> fused;
-    const float* fused_ptr = embeds.data();
+    // Stage 2: GraphSAGE, h_i = ReLU(W [e_i ; mean_{j in N(i)} e_j]). The
+    // neighbour mean accumulates in neighbour-list order; the projection is
+    // one wide GEMM.
+    const float* fused = act.embed.data();
     if (cfg_.use_gnn) {
-        std::vector<float> cat(static_cast<std::size_t>(total) * 2 *
-                                   static_cast<std::size_t>(embed),
-                               0.0F);
+        act.cat.assign(sz(total) * 2 * sz(embed), 0.0F);
         for (std::size_t c = 0; c < clips.size(); ++c) {
             const Graph& graph = *clips[c].graph;
             for (int i = 0; i < graph.n; ++i) {
-                const std::size_t g = static_cast<std::size_t>(start[c] + i);
-                float* crow = cat.data() + g * 2 * static_cast<std::size_t>(embed);
-                const float* e = embeds.data() + g * static_cast<std::size_t>(embed);
-                std::memcpy(crow, e, static_cast<std::size_t>(embed) * sizeof(float));
-                const auto& nbrs = graph.neighbors[static_cast<std::size_t>(i)];
+                const std::size_t g = sz(start[c] + i);
+                float* crow = act.cat.data() + g * 2 * sz(embed);
+                std::memcpy(crow, act.embed.data() + g * sz(embed), sz(embed) * sizeof(float));
+                const auto& nbrs = graph.neighbors[sz(i)];
                 if (nbrs.empty()) continue;
                 const float inv = 1.0F / static_cast<float>(nbrs.size());
                 for (int j : nbrs) {
-                    const float* ej = embeds.data() +
-                                      static_cast<std::size_t>(start[c] + j) *
-                                          static_cast<std::size_t>(embed);
-                    for (int d = 0; d < embed; ++d) {
-                        crow[static_cast<std::size_t>(embed + d)] +=
-                            inv * ej[static_cast<std::size_t>(d)];
-                    }
+                    const float* ej = act.embed.data() + sz(start[c] + j) * sz(embed);
+                    for (int d = 0; d < embed; ++d) crow[sz(embed + d)] += inv * ej[sz(d)];
                 }
             }
         }
-        fused.resize(static_cast<std::size_t>(total) * static_cast<std::size_t>(embed));
-        be.linear(plan->sage, cat.data(), total, fused.data());
-        relu_inplace(fused.data(), fused.size());
-        fused_ptr = fused.data();
+        act.fused.resize(sz(total) * sz(embed));
+        be.linear(weights.sage, act.cat.data(), total, act.fused.data());
+        relu_inplace(act.fused.data(), act.fused.size());
+        fused = act.fused.data();
     }
 
-    // Stage 3: sequential decision context. The RNN recurrence is inherently
-    // per-clip and per-step; the input contribution U x_t + b is batched over
-    // the whole sequence, then the recurrence W h_{t-1} resumes each row's
-    // accumulator (bit-identical to the tape cell's single fused sum under
-    // the scalar backend).
-    std::vector<float> ctx(static_cast<std::size_t>(total) * static_cast<std::size_t>(hidden));
+    // Stage 3: sequential decision context. The RNN recurrence is per clip
+    // and per step; the input contribution U x_t + b is one GEMM over the
+    // clip's sequence, then the recurrence W h_{t-1} resumes each row's
+    // accumulator — the reference cell's single accumulation chain.
+    act.ctx.resize(sz(total) * sz(hidden));
     if (cfg_.use_rnn) {
+        const std::size_t layers = weights.rnn.size();
+        if (keep) act.hs.resize(layers * sz(total) * sz(hidden));
+        std::vector<float> ping(sz(widest) * sz(hidden));
+        std::vector<float> pong(ping.size());
         for (std::size_t c = 0; c < clips.size(); ++c) {
             const int n = clips[c].graph->n;
-            std::vector<float> seq(fused_ptr + static_cast<std::size_t>(start[c]) *
-                                                   static_cast<std::size_t>(embed),
-                                   fused_ptr + static_cast<std::size_t>(start[c] + n) *
-                                                   static_cast<std::size_t>(embed));
-            for (const InferencePlan::RnnCell& cell : plan->rnn) {
-                std::vector<float> h(static_cast<std::size_t>(n) *
-                                     static_cast<std::size_t>(hidden));
-                be.linear(cell.u, seq.data(), n, h.data());
+            const float* in = fused + sz(start[c]) * sz(embed);
+            for (std::size_t l = 0; l < layers; ++l) {
+                const PackedWeights::RnnCell& cell = weights.rnn[l];
+                float* h = keep ? act.hs.data() + (l * sz(total) + sz(start[c])) * sz(hidden)
+                                : (l % 2 == 0 ? ping : pong).data();
+                be.linear(cell.u, in, n, h);
                 for (int t = 0; t < n; ++t) {
-                    float* ht = h.data() + static_cast<std::size_t>(t) *
-                                               static_cast<std::size_t>(hidden);
-                    if (t > 0) {
-                        be.linear_acc(cell.w,
-                                      h.data() + static_cast<std::size_t>(t - 1) *
-                                                     static_cast<std::size_t>(hidden),
-                                      1, ht);
-                    }
+                    float* ht = h + sz(t) * sz(hidden);
+                    if (t > 0) be.linear_acc(cell.w, ht - hidden, 1, ht);
                     for (int d = 0; d < hidden; ++d) ht[d] = std::tanh(ht[d]);
                 }
-                seq = std::move(h);
+                in = h;
             }
-            std::memcpy(ctx.data() + static_cast<std::size_t>(start[c]) *
-                                         static_cast<std::size_t>(hidden),
-                        seq.data(),
-                        static_cast<std::size_t>(n) * static_cast<std::size_t>(hidden) *
-                            sizeof(float));
+            std::memcpy(act.ctx.data() + sz(start[c]) * sz(hidden), in,
+                        sz(n) * sz(hidden) * sizeof(float));
         }
     } else {
-        be.linear(plan->proj, fused_ptr, total, ctx.data());
-        relu_inplace(ctx.data(), ctx.size());
+        be.linear(weights.proj, fused, total, act.ctx.data());
+        relu_inplace(act.ctx.data(), act.ctx.size());
     }
 
-    // Stage 4: the action head as one wide GEMM, then split per clip.
-    std::vector<float> logits(static_cast<std::size_t>(total) *
-                              static_cast<std::size_t>(rl::kNumActions));
-    be.linear(plan->head, ctx.data(), total, logits.data());
-
-    std::vector<nn::Tensor> out;
-    out.reserve(clips.size());
-    for (std::size_t c = 0; c < clips.size(); ++c) {
-        const int n = clips[c].graph->n;
-        nn::Tensor t({n, rl::kNumActions});
-        std::memcpy(t.data().data(),
-                    logits.data() + static_cast<std::size_t>(start[c]) *
-                                        static_cast<std::size_t>(rl::kNumActions),
-                    static_cast<std::size_t>(n) * static_cast<std::size_t>(rl::kNumActions) *
-                        sizeof(float));
-        out.push_back(std::move(t));
-    }
-    return out;
-}
-
-nn::Tensor PolicyNetwork::run_forward(const std::vector<nn::Tensor>& features,
-                                      const Graph& graph, Cache& cache) const {
-    const int n = static_cast<int>(features.size());
-    if (n == 0) throw std::invalid_argument("PolicyNetwork: empty node set");
-    if (graph.n != n) throw std::invalid_argument("PolicyNetwork: graph/feature size mismatch");
-
-    cache.graph = graph;
-    cache.n = n;
-    cache.cnn_tapes.resize(static_cast<std::size_t>(n));
-    cache.embeds.resize(static_cast<std::size_t>(n));
-    cache.head_tapes.resize(static_cast<std::size_t>(n));
-
-    // Shared CNN encoder per node. The flatten is a pure reshape.
-    for (int i = 0; i < n; ++i) {
-        const nn::Tensor& f = features[static_cast<std::size_t>(i)];
-        cache.embeds[static_cast<std::size_t>(i)] =
-            cnn_.forward(f, cache.cnn_tapes[static_cast<std::size_t>(i)]);
-    }
-
-    // GraphSAGE: h_i = ReLU(W [e_i ; mean_{j in N(i)} e_j]).
-    std::vector<nn::Tensor> fused(static_cast<std::size_t>(n));
-    if (cfg_.use_gnn) {
-        cache.sage_tapes.resize(static_cast<std::size_t>(n));
-        for (int i = 0; i < n; ++i) {
-            nn::Tensor cat({2 * cfg_.embed_dim});
-            const auto& e = cache.embeds[static_cast<std::size_t>(i)];
-            for (int d = 0; d < cfg_.embed_dim; ++d) cat[static_cast<std::size_t>(d)] = e[static_cast<std::size_t>(d)];
-            const auto& nbrs = graph.neighbors[static_cast<std::size_t>(i)];
-            if (!nbrs.empty()) {
-                const float inv = 1.0F / static_cast<float>(nbrs.size());
-                for (int j : nbrs) {
-                    const auto& ej = cache.embeds[static_cast<std::size_t>(j)];
-                    for (int d = 0; d < cfg_.embed_dim; ++d) {
-                        cat[static_cast<std::size_t>(cfg_.embed_dim + d)] += inv * ej[static_cast<std::size_t>(d)];
-                    }
-                }
-            }
-            fused[static_cast<std::size_t>(i)] =
-                sage_->forward(cat, cache.sage_tapes[static_cast<std::size_t>(i)]);
-        }
-    } else {
-        for (int i = 0; i < n; ++i) fused[static_cast<std::size_t>(i)] = cache.embeds[static_cast<std::size_t>(i)].reshaped({cfg_.embed_dim});
-    }
-
-    // Sequential decision context.
-    std::vector<nn::Tensor> ctx(static_cast<std::size_t>(n));
-    if (cfg_.use_rnn) {
-        nn::Tensor seq({n, cfg_.embed_dim});
-        for (int i = 0; i < n; ++i) {
-            for (int d = 0; d < cfg_.embed_dim; ++d) {
-                seq.at(i, d) = fused[static_cast<std::size_t>(i)][static_cast<std::size_t>(d)];
-            }
-        }
-        const nn::Tensor hidden = rnn_->forward(seq, cache.rnn_tape);
-        for (int i = 0; i < n; ++i) {
-            nn::Tensor h({cfg_.rnn_hidden});
-            for (int d = 0; d < cfg_.rnn_hidden; ++d) h[static_cast<std::size_t>(d)] = hidden.at(i, d);
-            ctx[static_cast<std::size_t>(i)] = std::move(h);
-        }
-    } else {
-        cache.proj_tapes.resize(static_cast<std::size_t>(n));
-        for (int i = 0; i < n; ++i) {
-            ctx[static_cast<std::size_t>(i)] = proj_->forward(
-                fused[static_cast<std::size_t>(i)], cache.proj_tapes[static_cast<std::size_t>(i)]);
-        }
-    }
-
-    nn::Tensor logits({n, rl::kNumActions});
-    for (int i = 0; i < n; ++i) {
-        const nn::Tensor o =
-            head_.forward(ctx[static_cast<std::size_t>(i)], cache.head_tapes[static_cast<std::size_t>(i)]);
-        for (int a = 0; a < rl::kNumActions; ++a) logits.at(i, a) = o[static_cast<std::size_t>(a)];
-    }
-    cache.valid = true;
+    // Stage 4: the action head as one wide GEMM.
+    std::vector<float> logits(sz(total) * rl::kNumActions);
+    be.linear(weights.head, act.ctx.data(), total, logits.data());
     return logits;
 }
 
 void PolicyNetwork::backward(const nn::Tensor& dlogits) {
-    if (!cache_.valid) throw std::logic_error("PolicyNetwork::backward without forward");
-    const int n = cache_.n;
-
-    // Head backward per node.
-    std::vector<nn::Tensor> dctx(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) {
-        nn::Tensor g({rl::kNumActions});
-        for (int a = 0; a < rl::kNumActions; ++a) g[static_cast<std::size_t>(a)] = dlogits.at(i, a);
-        dctx[static_cast<std::size_t>(i)] =
-            head_.backward(g, cache_.head_tapes[static_cast<std::size_t>(i)]);
+    if (!tape_.valid) throw std::logic_error("PolicyNetwork::backward without forward");
+    FlatTape& t = tape_;
+    const int n = t.graph.n;
+    if (dlogits.rank() != 2 || dlogits.dim(0) != n || dlogits.dim(1) != rl::kNumActions) {
+        throw std::invalid_argument("PolicyNetwork::backward: dlogits shape");
     }
+    t.valid = false;
+    const simd::ExactOps& k = simd::exact_ops();
+    const int S = cfg_.squish_size;
+    const int embed = cfg_.embed_dim;
+    const int hidden = cfg_.rnn_hidden;
+    const float* fused = cfg_.use_gnn ? t.fused.data() : t.embed.data();
 
-    // RNN (or projection) backward.
-    std::vector<nn::Tensor> dfused(static_cast<std::size_t>(n));
-    if (cfg_.use_rnn) {
-        nn::Tensor gseq({n, cfg_.rnn_hidden});
-        for (int i = 0; i < n; ++i) {
-            for (int d = 0; d < cfg_.rnn_hidden; ++d) {
-                gseq.at(i, d) = dctx[static_cast<std::size_t>(i)][static_cast<std::size_t>(d)];
-            }
-        }
-        const nn::Tensor gx = rnn_->backward(gseq, cache_.rnn_tape);
-        for (int i = 0; i < n; ++i) {
-            nn::Tensor g({cfg_.embed_dim});
-            for (int d = 0; d < cfg_.embed_dim; ++d) g[static_cast<std::size_t>(d)] = gx.at(i, d);
-            dfused[static_cast<std::size_t>(i)] = std::move(g);
-        }
+    // Head: the reference runs it node by node in ascending order.
+    std::vector<float> dctx(sz(n) * sz(hidden));
+    dense_backward(k, head_.w, head_.b, dlogits.data().data(), t.ctx.data(), n, false,
+                   dctx.data());
+
+    // RNN (full BPTT through nn::Rnn) or the projection (ascending).
+    std::vector<float> dfused(sz(n) * sz(embed));
+    if (rnn_) {
+        nn::Tape rnn_tape;
+        nn::Tensor seq({n, embed});
+        std::memcpy(seq.data().data(), fused, seq.numel() * sizeof(float));
+        nn::Tensor hs({rnn_->num_layers(), n, hidden});
+        std::memcpy(hs.data().data(), t.hs.data(), hs.numel() * sizeof(float));
+        rnn_tape.push(std::move(seq));
+        rnn_tape.push(std::move(hs));
+        nn::Tensor gseq({n, hidden});
+        std::memcpy(gseq.data().data(), dctx.data(), dctx.size() * sizeof(float));
+        const nn::Tensor gx = rnn_->backward(gseq, rnn_tape);
+        std::memcpy(dfused.data(), gx.data().data(), dfused.size() * sizeof(float));
     } else {
-        for (int i = 0; i < n; ++i) {
-            dfused[static_cast<std::size_t>(i)] = proj_->backward(
-                dctx[static_cast<std::size_t>(i)], cache_.proj_tapes[static_cast<std::size_t>(i)]);
-        }
+        relu_backward(dctx.data(), t.ctx.data(), dctx.size());
+        dense_backward(k, proj_->w, proj_->b, dctx.data(), fused, n, false, dfused.data());
     }
 
-    // SAGE backward: distribute into d(embeds).
-    std::vector<nn::Tensor> dembed(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) dembed[static_cast<std::size_t>(i)] = nn::Tensor({cfg_.embed_dim});
-    if (cfg_.use_gnn) {
+    // SAGE (descending), then its input gradient spread to each node and to
+    // its neighbours in the reference's node order.
+    std::vector<float> dembed;
+    if (sage_) {
+        relu_backward(dfused.data(), t.fused.data(), dfused.size());
+        std::vector<float> dcat(sz(n) * 2 * sz(embed));
+        dense_backward(k, sage_->w, sage_->b, dfused.data(), t.cat.data(), n, true, dcat.data());
+        dembed.assign(sz(n) * sz(embed), 0.0F);
         for (int i = n - 1; i >= 0; --i) {
-            const nn::Tensor gcat = sage_->backward(dfused[static_cast<std::size_t>(i)],
-                                                    cache_.sage_tapes[static_cast<std::size_t>(i)]);
-            for (int d = 0; d < cfg_.embed_dim; ++d) {
-                dembed[static_cast<std::size_t>(i)][static_cast<std::size_t>(d)] += gcat[static_cast<std::size_t>(d)];
-            }
-            const auto& nbrs = cache_.graph.neighbors[static_cast<std::size_t>(i)];
-            if (!nbrs.empty()) {
-                const float inv = 1.0F / static_cast<float>(nbrs.size());
-                for (int j : nbrs) {
-                    for (int d = 0; d < cfg_.embed_dim; ++d) {
-                        dembed[static_cast<std::size_t>(j)][static_cast<std::size_t>(d)] +=
-                            inv * gcat[static_cast<std::size_t>(cfg_.embed_dim + d)];
-                    }
-                }
+            const float* gcat = dcat.data() + sz(i) * 2 * sz(embed);
+            float* di = dembed.data() + sz(i) * sz(embed);
+            for (int d = 0; d < embed; ++d) di[d] += gcat[d];
+            const auto& nbrs = t.graph.neighbors[sz(i)];
+            if (nbrs.empty()) continue;
+            const float inv = 1.0F / static_cast<float>(nbrs.size());
+            for (int j : nbrs) {
+                float* dj = dembed.data() + sz(j) * sz(embed);
+                for (int d = 0; d < embed; ++d) dj[d] += inv * gcat[sz(embed + d)];
             }
         }
     } else {
-        for (int i = 0; i < n; ++i) dembed[static_cast<std::size_t>(i)] = std::move(dfused[static_cast<std::size_t>(i)]);
+        dembed = std::move(dfused);
     }
 
-    // Shared CNN backward per node (gradients accumulate in the weights).
+    // Encoder: fc over all nodes (descending), then the convolutions node by
+    // node, descending. conv1's input gradient is never needed.
+    relu_backward(dembed.data(), t.embed.data(), dembed.size());
+    const std::size_t flat = sz(fc_.w.value.dim(1));
+    std::vector<float> dflat(sz(n) * flat);
+    dense_backward(k, fc_.w, fc_.b, dembed.data(), t.flat.data(), n, true, dflat.data());
+    relu_backward(dflat.data(), t.flat.data(), dflat.size());
+
+    const int s1 = conv_out(S);
+    const int s2 = conv_out(s1);
+    const int s3 = conv_out(s2);
+    const std::size_t in_size = 6 * sz(S) * sz(S);
+    const std::size_t size1 = sz(conv1_.w.value.dim(0)) * sz(s1) * sz(s1);
+    const std::size_t size2 = sz(conv2_.w.value.dim(0)) * sz(s2) * sz(s2);
+    int pad2 = 0;
+    int pad3 = 0;
+    const std::vector<float> wt2 = pack_conv_dx(conv2_.w.value, pad2);
+    const std::vector<float> wt3 = pack_conv_dx(conv3_.w.value, pad3);
+    std::vector<float> d2(size2);
+    std::vector<float> d1(size1);
+    ConvScratch scratch;
     for (int i = n - 1; i >= 0; --i) {
-        (void)cnn_.backward(dembed[static_cast<std::size_t>(i)],
-                            cache_.cnn_tapes[static_cast<std::size_t>(i)]);
+        const float* a1 = t.a1.data() + sz(i) * size1;
+        const float* a2 = t.a2.data() + sz(i) * size2;
+        conv_backward(k, conv3_.w, conv3_.b, dflat.data() + sz(i) * flat, a2, s2, s3, wt3.data(),
+                      pad3, d2.data(), scratch);
+        relu_backward(d2.data(), a2, size2);
+        conv_backward(k, conv2_.w, conv2_.b, d2.data(), a1, s1, s2, wt2.data(), pad2, d1.data(),
+                      scratch);
+        relu_backward(d1.data(), a1, size1);
+        conv_backward(k, conv1_.w, conv1_.b, d1.data(), t.x.data() + sz(i) * in_size, S, s1,
+                      nullptr, 0, nullptr, scratch);
     }
-    cache_.valid = false;
 }
 
 std::vector<nn::Parameter*> PolicyNetwork::params() {
     // Handing out mutable parameter pointers (optimizers, trainers) may be
     // followed by in-place weight updates the plan cache cannot observe;
-    // conservatively invalidate so the next infer() repacks.
+    // conservatively invalidate so the next forward repacks.
     invalidate_plan();
-    std::vector<nn::Parameter*> out = cnn_.params();
-    if (sage_) {
-        auto p = sage_->params();
-        out.insert(out.end(), p.begin(), p.end());
-    }
+    std::vector<nn::Parameter*> out = {&conv1_.w, &conv1_.b, &conv2_.w, &conv2_.b,
+                                       &conv3_.w, &conv3_.b, &fc_.w,    &fc_.b};
+    if (sage_) out.insert(out.end(), {&sage_->w, &sage_->b});
     if (rnn_) {
         auto p = rnn_->params();
         out.insert(out.end(), p.begin(), p.end());
     }
-    if (proj_) {
-        auto p = proj_->params();
-        out.insert(out.end(), p.begin(), p.end());
-    }
-    auto p = head_.params();
-    out.insert(out.end(), p.begin(), p.end());
+    if (proj_) out.insert(out.end(), {&proj_->w, &proj_->b});
+    out.insert(out.end(), {&head_.w, &head_.b});
     return out;
 }
 

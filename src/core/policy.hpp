@@ -14,21 +14,24 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "core/graph.hpp"
-#include "nn/conv2d.hpp"
-#include "nn/linear.hpp"
+#include "nn/layer.hpp"
 #include "nn/rnn.hpp"
-#include "nn/sequential.hpp"
+
+namespace camo::nn {
+class Backend;
+}  // namespace camo::nn
 
 namespace camo::core {
 
-/// Packed-weight inference plan (built lazily from the current weights; see
-/// policy.cpp). Opaque here so policy.hpp stays free of backend headers.
-struct InferencePlan;
+/// The network's weights repacked for the backend kernels (see policy.cpp).
+struct PackedWeights;
 
 struct PolicyConfig {
     int squish_size = 32;  ///< S; paper uses 128 (via) / 64 (metal)
@@ -45,17 +48,21 @@ class PolicyNetwork {
 public:
     explicit PolicyNetwork(const PolicyConfig& cfg);
 
-    /// Forward the whole node set; features[i] is node i's [6,S,S] squish
-    /// tensor. Returns logits [n, 5]. Caches activations for one backward.
+    /// Training forward over the whole node set; features[i] is node i's
+    /// [6,S,S] squish tensor. Returns logits [n, 5] and keeps a flat tape of
+    /// the activations for one backward(). Runs the same layer walk as
+    /// infer() on the exact-order kernel table (simd::exact_ops), so the
+    /// logits, and the gradients backward() produces, are bit-identical on
+    /// every backend, CAMO_BACKEND=scalar included.
     nn::Tensor forward(const std::vector<nn::Tensor>& features, const Graph& graph);
 
     /// Inference-only forward through the packed-weight backend
-    /// (nn::backend.hpp): weights are repacked once per version into blocked
-    /// SIMD layouts and the forward runs through the active kernel table.
-    /// Under the scalar backend (CAMO_BACKEND=scalar) the result is bitwise
-    /// identical to forward(); under a vector backend it differs by ULP
-    /// rounding only. Thread-safe on a const (frozen) network. No backward()
-    /// may follow.
+    /// (nn/backend.hpp): weights are repacked once per version into blocked
+    /// SIMD layouts and the layer walk runs on the active kernel table.
+    /// Under CAMO_BACKEND=scalar the logits are bitwise identical to
+    /// forward(); under a vector backend (FMA) they differ by ULP rounding
+    /// only. Thread-safe on a const (frozen) network; keeps no tape, so no
+    /// backward() may follow.
     [[nodiscard]] nn::Tensor infer(const std::vector<nn::Tensor>& features,
                                    const Graph& graph) const;
 
@@ -67,7 +74,7 @@ public:
 
     /// Batched policy evaluation (the DynaPlex SetAction idiom): evaluate
     /// every clip's node set in one pass, concatenating nodes across clips so
-    /// the CNN/SAGE/head matmuls run as wide GEMMs instead of per-node GEMVs
+    /// the fc/SAGE/head matmuls run as wide GEMMs instead of per-node GEMVs
     /// (the RNN stays per-clip — it is sequential by construction). Per-row
     /// accumulation order is independent of batch composition, so clip c's
     /// logits are bitwise identical to infer(*clips[c].features,
@@ -76,13 +83,16 @@ public:
     [[nodiscard]] std::vector<nn::Tensor> infer_batch(
         std::span<const ClipRequest> clips) const;
 
-    /// Invalidate the cached packed-weight plan after an out-of-band weight
-    /// mutation (e.g. an optimizer step through pointers obtained earlier
-    /// from params()). Cheap: the next infer() rebuilds lazily.
+    /// Invalidate infer()'s cached packed weights after an out-of-band
+    /// weight mutation (e.g. an optimizer step through pointers obtained
+    /// earlier from params()). Cheap: the next infer() repacks lazily.
+    /// forward() always packs the current weights.
     void invalidate_plan() { weights_version_.fetch_add(1, std::memory_order_release); }
 
     /// Backward from d(logits) [n, 5]; accumulates parameter gradients.
-    /// Must follow the matching forward().
+    /// Must follow the matching forward(). Bit-identical to running the
+    /// naive per-node layer loops node by node (head and projection over
+    /// nodes ascending, SAGE and the encoder descending) for finite inputs.
     void backward(const nn::Tensor& dlogits);
 
     std::vector<nn::Parameter*> params();
@@ -99,39 +109,60 @@ public:
     [[nodiscard]] const PolicyConfig& config() const { return cfg_; }
 
 private:
+    /// A learnable weight ([out, in] or [out, in, k, k]) and bias [out],
+    /// He-initialized from `rng` over `fan_in`; the bias starts at zero.
+    struct Layer {
+        Layer(std::vector<int> w_shape, int fan_in, Rng& rng);
+        nn::Parameter w;
+        nn::Parameter b;
+    };
+
+    /// One forward walk's layer inputs and post-ReLU outputs, as flat
+    /// row-major arrays with one row per node (clips concatenated).
+    struct FlatTape {
+        std::vector<float> x;      // [n, 6, S, S] conv1 input
+        std::vector<float> a1;     // [n, c1, s1, s1] post-ReLU conv1
+        std::vector<float> a2;     // [n, c2, s2, s2] post-ReLU conv2
+        std::vector<float> flat;   // [n, c3 * s3 * s3] post-ReLU conv3 (fc input)
+        std::vector<float> embed;  // [n, embed] post-ReLU fc
+        std::vector<float> cat;    // [n, 2 * embed] SAGE input [e_i ; mean e_j]
+        std::vector<float> fused;  // [n, embed] post-ReLU SAGE
+        std::vector<float> hs;     // [rnn_layers, n, hidden] RNN hidden sequences
+        std::vector<float> ctx;    // [n, hidden] head input
+        Graph graph;               // forward()'s graph, for the SAGE backward
+        bool valid = false;
+    };
+
     PolicyConfig cfg_;
     Rng rng_;
 
-    nn::Sequential cnn_;                    // shared encoder -> embed_dim
-    std::unique_ptr<nn::Sequential> sage_;  // Linear(2*embed -> embed) + ReLU
-    std::unique_ptr<nn::Rnn> rnn_;          // embed -> rnn_hidden
-    std::unique_ptr<nn::Sequential> proj_;  // no-RNN path: embed -> rnn_hidden
-    nn::Linear head_;                       // rnn_hidden -> 5
+    // Declared in weight-initialization (RNG draw) order; params() lists
+    // them in save order (encoder, SAGE, RNN or projection, head).
+    Layer head_;                    // rnn_hidden -> 5
+    Layer conv1_, conv2_, conv3_;   // 3x3 stride-2 encoder convolutions, ReLU
+    Layer fc_;                      // flattened encoder -> embed_dim, ReLU
+    std::optional<Layer> sage_;     // [e_i ; mean e_j] -> embed_dim, ReLU
+    std::unique_ptr<nn::Rnn> rnn_;  // embed -> rnn_hidden
+    std::optional<Layer> proj_;     // no-RNN path: embed -> rnn_hidden, ReLU
 
-    struct Cache {
-        Graph graph;
-        std::vector<nn::Tape> cnn_tapes;
-        std::vector<nn::Tensor> embeds;  // e_i, kept for SAGE backward
-        std::vector<nn::Tape> sage_tapes;
-        nn::Tape rnn_tape;
-        std::vector<nn::Tape> proj_tapes;
-        std::vector<nn::Tape> head_tapes;
-        int n = 0;
-        bool valid = false;
-    };
-    Cache cache_;
+    FlatTape tape_;  // the last forward()'s activations
 
-    /// Lazily-built packed-weight plan, keyed by weights_version_. Guarded
-    /// by plan_mu_ so concurrent const infer() calls share one rebuild.
-    mutable std::shared_ptr<const InferencePlan> plan_;
+    /// infer()'s packed weights, keyed by weights_version_. Guarded by
+    /// plan_mu_ so concurrent const infer() calls share one rebuild.
+    mutable std::shared_ptr<const PackedWeights> plan_;
     mutable std::mutex plan_mu_;
     std::atomic<std::uint64_t> weights_version_{1};
 
-    [[nodiscard]] std::shared_ptr<const InferencePlan> ensure_plan() const;
+    [[nodiscard]] std::shared_ptr<const PackedWeights> ensure_plan() const;
+    [[nodiscard]] PackedWeights pack_weights() const;
 
-    /// Shared forward implementation; writes activations into `cache`.
-    nn::Tensor run_forward(const std::vector<nn::Tensor>& features, const Graph& graph,
-                           Cache& cache) const;
+    /// The one layer walk behind forward(), infer() and infer_batch(): runs
+    /// every clip's nodes through `be`'s kernels on the packed `weights`,
+    /// rows concatenated in clip order, and returns logits [rows, 5]. With
+    /// `keep`, `act` keeps every row's activations for backward(); without,
+    /// its per-node conv buffers hold one row at a time.
+    std::vector<float> walk(const nn::Backend& be, const PackedWeights& weights,
+                            std::span<const ClipRequest> clips, FlatTape& act, bool keep) const;
 };
 
 }  // namespace camo::core

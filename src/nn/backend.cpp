@@ -7,36 +7,39 @@ namespace {
 
 int pad_up(int n) { return (n + simd::kBlock - 1) / simd::kBlock * simd::kBlock; }
 
+// The two kernels a Backend routes to, taken from one simd table.
+struct Kernels {
+    simd::Level level;
+    decltype(simd::Ops::gemm_blocked) gemm;
+    decltype(simd::Ops::conv2d_packed) conv;
+};
+
 class OpsBackend : public Backend {
 public:
-    explicit OpsBackend(bool scalar) : scalar_(scalar) {}
+    // Read per call, so CAMO_BACKEND and simd::ScopedOverride apply.
+    using Table = Kernels (*)();
 
-    [[nodiscard]] const char* name() const override {
-        return scalar_ ? "scalar" : simd::level_name(simd::active_level());
-    }
+    explicit OpsBackend(Table table) : table_(table) {}
+
+    [[nodiscard]] const char* name() const override { return simd::level_name(table_().level); }
 
     void linear(const PackedLinear& m, const float* x, int rows, float* y) const override {
-        table().gemm_blocked(m.w.data(), m.b.data(), x, rows, m.in, m.out, m.out_padded, y,
-                             /*accumulate=*/false);
+        table_().gemm(m.w.data(), m.b.data(), x, rows, m.in, m.out, m.out_padded, y,
+                      /*accumulate=*/false);
     }
 
     void linear_acc(const PackedLinear& m, const float* x, int rows, float* y) const override {
-        table().gemm_blocked(m.w.data(), m.b.data(), x, rows, m.in, m.out, m.out_padded, y,
-                             /*accumulate=*/true);
+        table_().gemm(m.w.data(), m.b.data(), x, rows, m.in, m.out, m.out_padded, y,
+                      /*accumulate=*/true);
     }
 
     void conv2d(const PackedConv2d& m, const float* x, int h, int w, float* y) const override {
-        table().conv2d_packed(m.w.data(), m.b.data(), x, m.in_ch, h, w, m.out_ch,
-                              m.out_ch_padded, m.k, m.stride, m.pad, y, m.out_size(h),
-                              m.out_size(w));
+        table_().conv(m.w.data(), m.b.data(), x, m.in_ch, h, w, m.out_ch, m.out_ch_padded, m.k,
+                      m.stride, m.pad, y, m.out_size(h), m.out_size(w));
     }
 
 private:
-    [[nodiscard]] const simd::Ops& table() const {
-        return scalar_ ? simd::scalar_ops() : simd::ops();
-    }
-
-    bool scalar_;
+    Table table_;
 };
 
 }  // namespace
@@ -66,25 +69,23 @@ PackedLinear pack_linear(const Tensor& w, const Tensor* b) {
     return packed;
 }
 
-PackedLinear pack_linear(const Linear& layer) {
-    return pack_linear(layer.weight().value, &layer.bias().value);
-}
-
-PackedConv2d pack_conv2d(const Conv2d& layer) {
+PackedConv2d pack_conv2d(const Tensor& w, const Tensor& b, int stride, int pad) {
+    const auto& shape = w.shape();
+    if (shape.size() != 4 || shape[2] != shape[3]) {
+        throw std::invalid_argument("pack_conv2d: weight must be [out, in, k, k]");
+    }
     PackedConv2d packed;
-    packed.in_ch = layer.in_channels();
-    packed.out_ch = layer.out_channels();
+    packed.out_ch = shape[0];
+    packed.in_ch = shape[1];
     packed.out_ch_padded = pad_up(packed.out_ch);
-    packed.k = layer.kernel();
-    packed.stride = layer.stride();
-    packed.pad = layer.padding();
+    packed.k = shape[2];
+    packed.stride = stride;
+    packed.pad = pad;
     const std::size_t taps = static_cast<std::size_t>(packed.in_ch) *
                              static_cast<std::size_t>(packed.k) *
                              static_cast<std::size_t>(packed.k);
     packed.w.assign(taps * static_cast<std::size_t>(packed.out_ch_padded), 0.0F);
     packed.b.assign(static_cast<std::size_t>(packed.out_ch_padded), 0.0F);
-    const Tensor& w = layer.weight().value;
-    const Tensor& b = layer.bias().value;
     for (int oc = 0; oc < packed.out_ch; ++oc) {
         for (int ic = 0; ic < packed.in_ch; ++ic) {
             for (int ky = 0; ky < packed.k; ++ky) {
@@ -105,13 +106,19 @@ PackedConv2d pack_conv2d(const Conv2d& layer) {
     return packed;
 }
 
-const Backend& scalar_backend() {
-    static const OpsBackend backend{/*scalar=*/true};
+const Backend& active_backend() {
+    static const OpsBackend backend{[] {
+        const simd::Ops& t = simd::ops();
+        return Kernels{t.level, t.gemm_blocked, t.conv2d_packed};
+    }};
     return backend;
 }
 
-const Backend& active_backend() {
-    static const OpsBackend backend{/*scalar=*/false};
+const Backend& exact_backend() {
+    static const OpsBackend backend{[] {
+        const simd::ExactOps& t = simd::exact_ops();
+        return Kernels{t.level, t.gemm_blocked, t.conv2d_packed};
+    }};
     return backend;
 }
 

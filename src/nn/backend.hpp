@@ -1,17 +1,18 @@
-// Inference backend: packed-weight forward kernels behind an interface.
+// Policy backend: packed-weight forward kernels behind an interface.
 //
-// The tape-based Layer::forward path is kept for training (its accumulation
-// order is part of the repo's bit-identical training contract); inference
-// instead repacks weights once into SIMD-friendly blocked layouts
-// (common/simd.hpp) and runs through a Backend. Two implementations ship:
+// PolicyNetwork repacks its weights once per version into SIMD-friendly
+// blocked layouts (common/simd.hpp) and runs its one layer walk through a
+// Backend. Two implementations ship:
 //
-//   * scalar_backend() — the scalar reference kernels, byte-for-byte the
-//     legacy per-output accumulation order. PolicyNetwork::infer through
-//     this backend is bitwise identical to the tape forward.
+//   * exact_backend() — routes through simd::exact_ops(): the scalar
+//     reference bits (the naive layer loops' per-output accumulation order)
+//     at every level, vectorized across outputs where the CPU allows.
+//     Training forwards run here.
 //   * active_backend() — routes through simd::ops(), i.e. the best level
 //     the build + CPU + CAMO_BACKEND allow (which may itself be scalar).
+//     Inference runs here; its FMA kernels round differently.
 //
-// Both read the same packed buffers: the blocked layout only changes where
+// All read the same packed buffers: the blocked layout only changes where
 // W[o][i] lives, not the order the scalar kernel reads it in. A future
 // GPU / external-service backend implements the same interface on top of
 // the packed weights.
@@ -20,13 +21,11 @@
 #include <vector>
 
 #include "common/simd.hpp"
-#include "nn/conv2d.hpp"
-#include "nn/linear.hpp"
 #include "nn/tensor.hpp"
 
 namespace camo::nn {
 
-/// A Linear (or RNN cell matrix) repacked row-blocked for gemm_blocked:
+/// A dense weight matrix (or RNN cell matrix) repacked row-blocked for gemm_blocked:
 /// w[(blk * in + i) * kBlock + lane] = W[blk * kBlock + lane][i], with the
 /// output dimension zero-padded up to a multiple of kBlock.
 struct PackedLinear {
@@ -37,7 +36,7 @@ struct PackedLinear {
     std::vector<float> b;  // padded to out_padded
 };
 
-/// A Conv2d repacked [ic][ky][kx][oc_padded] (output channel innermost so
+/// Convolution weights repacked [ic][ky][kx][oc_padded] (output channel innermost so
 /// vector kernels broadcast one input pixel across a block of channels).
 struct PackedConv2d {
     int in_ch = 0;
@@ -54,8 +53,8 @@ struct PackedConv2d {
 
 /// Pack a weight matrix [out, in] (+ optional bias [out]; zeros otherwise).
 PackedLinear pack_linear(const Tensor& w, const Tensor* b);
-PackedLinear pack_linear(const Linear& layer);
-PackedConv2d pack_conv2d(const Conv2d& layer);
+/// Pack convolution weights [out, in, k, k] and bias [out].
+PackedConv2d pack_conv2d(const Tensor& w, const Tensor& b, int stride, int pad);
 
 class Backend {
 public:
@@ -66,7 +65,7 @@ public:
     /// y[r, :] = x[r, :] @ W^T + b for `rows` independent rows.
     virtual void linear(const PackedLinear& m, const float* x, int rows, float* y) const = 0;
 
-    /// y[r, :] += x[r, :] @ W^T (bias ignored). The scalar backend resumes
+    /// y[r, :] += x[r, :] @ W^T (bias ignored). The scalar kernel resumes
     /// the existing accumulator per output element, matching the legacy RNN
     /// cell's single fused accumulation chain.
     virtual void linear_acc(const PackedLinear& m, const float* x, int rows, float* y) const = 0;
@@ -75,12 +74,13 @@ public:
     virtual void conv2d(const PackedConv2d& m, const float* x, int h, int w, float* y) const = 0;
 };
 
-/// Scalar reference backend: legacy accumulation order, bit-identical to
-/// the tape forward. This is what CAMO_BACKEND=scalar pins end to end.
-const Backend& scalar_backend();
-
 /// Backend routed through the active SIMD dispatch table (honours
 /// CAMO_BACKEND and simd::ScopedOverride).
 const Backend& active_backend();
+
+/// Backend routed through the exact-order training table
+/// (simd::exact_ops()): bit-identical to the scalar table on every level,
+/// vectorized where the CPU allows.
+const Backend& exact_backend();
 
 }  // namespace camo::nn

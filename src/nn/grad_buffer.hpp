@@ -17,8 +17,8 @@
 //     capturing each call into its own buffer and folding in call order
 //     reproduces direct shared-buffer accumulation to 0 ULP (pinned by the
 //     GradReduce suite in tests/test_nn_training.cpp);
-//   * per SAMPLE: one trainer sample spans many calls into shared layers
-//     (the CNN encoder runs once per graph node), so a per-sample buffer is
+//   * per SAMPLE: one trainer sample adds many terms per shared weight
+//     (one per graph node for the CNN encoder), so a per-sample buffer is
 //     a partial sum that direct shared-buffer accumulation would interleave
 //     differently across samples. The trainer therefore runs THIS buffered
 //     path at every worker count — including 1 — as the one canonical

@@ -69,8 +69,8 @@ public:
     /// for bit — float addition is not associative, so interleaving a
     /// call's partial sums with the shared buffer would round differently.
     /// Note the granularity: the equality is per backward() CALL. A trainer
-    /// sample that invokes a shared layer several times (e.g. the CNN
-    /// encoder once per graph node) makes its per-sample buffer a partial
+    /// sample that feeds a shared weight several times (e.g. the policy's
+    /// CNN encoder, once per graph node) makes its per-sample buffer a partial
     /// sum, which is why the data-parallel trainer uses the buffered path
     /// at every worker count rather than treating serial direct
     /// accumulation as equivalent.

@@ -60,8 +60,10 @@ std::uint64_t TrajStoreWriter::intern_state(std::int32_t clip_index, std::span<c
             s.num_segments != static_cast<std::int32_t>(off32.size())) {
             continue;
         }
-        if (std::memcmp(i32_heap_.data() + s.offsets_pos, off32.data(),
-                        off32.size() * sizeof(std::int32_t)) == 0) {
+        // A zero-segment state matches outright: there is nothing to
+        // compare, and an empty heap's data() may be null.
+        if (off32.empty() || std::memcmp(i32_heap_.data() + s.offsets_pos, off32.data(),
+                                         off32.size() * sizeof(std::int32_t)) == 0) {
             ++dedupe_hits_;
             return id;
         }

@@ -1,11 +1,10 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
-#include "nn/activations.hpp"
 #include "nn/adam.hpp"
-#include "nn/linear.hpp"
-#include "nn/sequential.hpp"
 #include "nn/softmax.hpp"
+
+#include "nn_reference_layers.hpp"
 
 namespace camo::nn {
 namespace {

@@ -20,6 +20,7 @@
 
 #include <cmath>
 #include <complex>
+#include <cstring>
 #include <cstddef>
 #include <string>
 #include <vector>
@@ -28,11 +29,12 @@
 #include "common/simd.hpp"
 #include "core/camo.hpp"
 #include "nn/backend.hpp"
-#include "nn/conv2d.hpp"
 #include "nn/tensor.hpp"
 #include "opc/rule_engine.hpp"
 #include "runtime/batch.hpp"
 #include "scenario/scenario.hpp"
+
+#include "nn_reference_layers.hpp"
 
 namespace {
 
@@ -89,7 +91,10 @@ TEST(SimdOps, GemmBlockedMatchesScalarFuzz) {
         std::vector<float> ys(static_cast<std::size_t>(rows) * out, 0.0F);
         std::vector<float> yv(ys);
 
-        nn::scalar_backend().linear(m, x.data(), rows, ys.data());
+        {
+            simd::ScopedOverride force(simd::Level::kScalar);
+            nn::active_backend().linear(m, x.data(), rows, ys.data());
+        }
         {
             simd::ScopedOverride force(simd::detected_level());
             nn::active_backend().linear(m, x.data(), rows, yv.data());
@@ -99,7 +104,10 @@ TEST(SimdOps, GemmBlockedMatchesScalarFuzz) {
         // Accumulating variant folds into existing values, ignores bias.
         std::vector<float> as(ys);
         std::vector<float> av(ys);
-        nn::scalar_backend().linear_acc(m, x.data(), rows, as.data());
+        {
+            simd::ScopedOverride force(simd::Level::kScalar);
+            nn::active_backend().linear_acc(m, x.data(), rows, as.data());
+        }
         {
             simd::ScopedOverride force(simd::detected_level());
             nn::active_backend().linear_acc(m, x.data(), rows, av.data());
@@ -148,19 +156,125 @@ TEST(SimdOps, Conv2dPackedMatchesScalarFuzz) {
         const int h = rng.uniform_int(5, 9);
         Rng wrng(derive_seed(0xC0DE, static_cast<std::uint64_t>(trial)));
         nn::Conv2d layer(in_ch, out_ch, k, stride, 1, wrng);
-        const nn::PackedConv2d m = nn::pack_conv2d(layer);
+        const nn::PackedConv2d m =
+            nn::pack_conv2d(layer.weight().value, layer.bias().value, stride, 1);
 
         nn::Tensor x({in_ch, h, h});
         fill_uniform(x, rng);
         const int oh = m.out_size(h);
         std::vector<float> ys(static_cast<std::size_t>(out_ch) * oh * oh);
         std::vector<float> yv(ys.size());
-        nn::scalar_backend().conv2d(m, x.data().data(), h, h, ys.data());
+        {
+            simd::ScopedOverride force(simd::Level::kScalar);
+            nn::active_backend().conv2d(m, x.data().data(), h, h, ys.data());
+        }
         {
             simd::ScopedOverride force(simd::detected_level());
             nn::active_backend().conv2d(m, x.data().data(), h, h, yv.data());
         }
         expect_close(ys, yv);
+    }
+}
+
+// The exact-order training table must equal the scalar table byte for byte
+// at every shape, lane tails included.
+TEST(SimdOps, ExactKernelsBitIdenticalToScalarFuzz) {
+    const simd::ExactOps* scalar = nullptr;
+    const simd::ExactOps* vec = nullptr;
+    {
+        const simd::ScopedOverride force(simd::Level::kScalar);
+        scalar = &simd::exact_ops();
+    }
+    {
+        const simd::ScopedOverride force(simd::detected_level());
+        vec = &simd::exact_ops();
+    }
+    EXPECT_EQ(scalar->level, simd::Level::kScalar);
+    const auto same = [](const std::vector<float>& a, const std::vector<float>& b) {
+        return a.size() == b.size() &&
+               std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+    };
+    const auto random = [](std::size_t n, Rng& rng, bool zeros) {
+        std::vector<float> v(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            v[i] = zeros && i % 3 == 0 ? 0.0F : static_cast<float>(rng.uniform(-1.0, 1.0));
+        }
+        return v;
+    };
+    Rng rng(0xE8AC7);
+    for (int trial = 0; trial < 40; ++trial) {
+        const int rows = rng.uniform_int(1, 9);
+        const int in = rng.uniform_int(1, 70);
+        const int out = rng.uniform_int(1, 45);
+
+        nn::Tensor w({out, in});
+        nn::Tensor b({out});
+        fill_uniform(w, rng);
+        fill_uniform(b, rng);
+        const nn::PackedLinear m = nn::pack_linear(w, &b);
+        const std::vector<float> x = random(static_cast<std::size_t>(rows * in), rng, false);
+        for (const bool acc : {false, true}) {
+            std::vector<float> ys = random(static_cast<std::size_t>(rows * out), rng, false);
+            std::vector<float> yv = ys;
+            scalar->gemm_blocked(m.w.data(), m.b.data(), x.data(), rows, in, out, m.out_padded,
+                                 ys.data(), acc);
+            vec->gemm_blocked(m.w.data(), m.b.data(), x.data(), rows, in, out, m.out_padded,
+                              yv.data(), acc);
+            EXPECT_TRUE(same(ys, yv)) << "gemm_blocked trial " << trial;
+        }
+
+        const std::vector<float> dy = random(static_cast<std::size_t>(rows * out), rng, true);
+        std::vector<float> dxs(static_cast<std::size_t>(rows * in));
+        std::vector<float> dxv(dxs.size());
+        scalar->gemm_nn(dy.data(), rows, out, w.data().data(), in, dxs.data());
+        vec->gemm_nn(dy.data(), rows, out, w.data().data(), in, dxv.data());
+        EXPECT_TRUE(same(dxs, dxv)) << "gemm_nn trial " << trial;
+
+        for (const bool descending : {false, true}) {
+            // Row-major dy [rows, out], and the transposed view [out, rows].
+            for (const bool transposed : {false, true}) {
+                std::vector<float> cs = random(static_cast<std::size_t>(out * in), rng, false);
+                std::vector<float> cv = cs;
+                const int rs = transposed ? 1 : out;
+                const int cstride = transposed ? rows : 1;
+                scalar->gemm_tn_acc(dy.data(), rs, cstride, x.data(), rows, out, in, cs.data(),
+                                    descending);
+                vec->gemm_tn_acc(dy.data(), rs, cstride, x.data(), rows, out, in, cv.data(),
+                                 descending);
+                EXPECT_TRUE(same(cs, cv)) << "gemm_tn_acc trial " << trial;
+            }
+        }
+
+        const int in_ch = rng.uniform_int(1, 20);
+        const int out_ch = rng.uniform_int(1, 20);
+        const int stride = rng.uniform_int(1, 2);
+        const int h = rng.uniform_int(3, 12);
+        const int oh = (h + 2 - 3) / stride + 1;
+        nn::Tensor cw({out_ch, in_ch, 3, 3});
+        nn::Tensor cb({out_ch});
+        fill_uniform(cw, rng);
+        fill_uniform(cb, rng);
+        const nn::PackedConv2d pc = nn::pack_conv2d(cw, cb, stride, 1);
+        const std::vector<float> img = random(static_cast<std::size_t>(in_ch * h * h), rng, true);
+        std::vector<float> ys(static_cast<std::size_t>(out_ch * oh * oh));
+        std::vector<float> yv(ys.size());
+        scalar->conv2d_packed(pc.w.data(), pc.b.data(), img.data(), in_ch, h, h, out_ch,
+                              pc.out_ch_padded, 3, stride, 1, ys.data(), oh, oh);
+        vec->conv2d_packed(pc.w.data(), pc.b.data(), img.data(), in_ch, h, h, out_ch,
+                           pc.out_ch_padded, 3, stride, 1, yv.data(), oh, oh);
+        EXPECT_TRUE(same(ys, yv)) << "conv2d_packed trial " << trial;
+
+        const int icp = (in_ch + simd::kBlock - 1) / simd::kBlock * simd::kBlock;
+        const std::vector<float> wt =
+            random(static_cast<std::size_t>(out_ch * 9 * icp), rng, false);
+        const std::vector<float> cdy = random(ys.size(), rng, true);
+        std::vector<float> gs(img.size());
+        std::vector<float> gv(img.size());
+        scalar->conv2d_dx(wt.data(), cdy.data(), in_ch, icp, h, h, out_ch, 3, stride, 1, oh, oh,
+                          gs.data());
+        vec->conv2d_dx(wt.data(), cdy.data(), in_ch, icp, h, h, out_ch, 3, stride, 1, oh, oh,
+                       gv.data());
+        EXPECT_TRUE(same(gs, gv)) << "conv2d_dx trial " << trial;
     }
 }
 

@@ -1,12 +1,9 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
-#include "nn/activations.hpp"
-#include "nn/conv2d.hpp"
-#include "nn/gradcheck.hpp"
-#include "nn/linear.hpp"
 #include "nn/rnn.hpp"
-#include "nn/sequential.hpp"
+
+#include "nn_reference_layers.hpp"
 
 namespace camo::nn {
 namespace {

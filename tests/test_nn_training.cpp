@@ -7,16 +7,13 @@
 #include <memory>
 
 #include "common/rng.hpp"
-#include "nn/activations.hpp"
-#include "nn/conv2d.hpp"
 #include "nn/grad_buffer.hpp"
-#include "nn/gradcheck.hpp"
-#include "nn/linear.hpp"
 #include "nn/rnn.hpp"
 #include "nn/serialize.hpp"
-#include "nn/sequential.hpp"
 #include "nn/sgd.hpp"
 #include "nn/softmax.hpp"
+
+#include "nn_reference_layers.hpp"
 
 namespace camo::nn {
 namespace {

@@ -216,6 +216,28 @@ TEST(TrajStore, DedupesRepeatedStates) {
     std::remove(path.c_str());
 }
 
+TEST(TrajStore, DedupesZeroSegmentStates) {
+    // A state with no segments interns nothing into the offsets heap, so the
+    // dedupe compare must not touch the (possibly null) heap storage.
+    const std::string path = temp_path("trajstore_dedupe_empty.ctrj");
+    Trajectory t;
+    t.clip_index = 2;
+    t.steps.resize(3);  // three zero-segment steps: one state
+    TrajStoreWriter writer(path);
+    writer.append(t);
+    writer.append(t);
+    writer.flush();
+    EXPECT_EQ(writer.steps(), 6U);
+    EXPECT_EQ(writer.states(), 1U);
+    EXPECT_EQ(writer.dedupe_hits(), 5U);
+
+    TrajStoreReader reader(path);
+    EXPECT_EQ(reader.state_count(), 1U);
+    expect_same_trajectory(t, reader.decode(0));
+    expect_same_trajectory(t, reader.decode(1));
+    std::remove(path.c_str());
+}
+
 TEST(TrajStore, WriterRejectsMalformedInputWithoutMutating) {
     const std::string path = temp_path("trajstore_reject.ctrj");
     TrajStoreWriter writer(path);
