@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdio>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -487,7 +488,7 @@ struct PolicyClip {
     core::Graph graph;
     std::vector<nn::Tensor> feats;
 
-    explicit PolicyClip(int n) {
+    PolicyClip(int n, int squish) {
         graph.n = n;
         graph.neighbors.assign(static_cast<std::size_t>(n), {});
         for (int i = 0; i + 1 < n; ++i) {
@@ -496,23 +497,23 @@ struct PolicyClip {
         }
         Rng rng(1);
         for (int i = 0; i < n; ++i) {
-            nn::Tensor t({6, 32, 32});
+            nn::Tensor t({6, squish, squish});
             for (float& v : t.data()) v = static_cast<float>(rng.uniform(0, 1));
             feats.push_back(std::move(t));
         }
     }
 };
 
-core::PolicyConfig bench_policy_config() {
+core::PolicyConfig bench_policy_config(int squish = 32) {
     core::PolicyConfig cfg;
-    cfg.squish_size = 32;
+    cfg.squish_size = squish;
     return cfg;
 }
 
 // Training forward alone (exact-order kernels, keeps the flat tape).
 void BM_PolicyForward(benchmark::State& state) {
     core::PolicyNetwork net(bench_policy_config());
-    const PolicyClip clip(static_cast<int>(state.range(0)));
+    const PolicyClip clip(static_cast<int>(state.range(0)), 32);
     for (auto _ : state) {
         const nn::Tensor logits = net.forward(clip.feats, clip.graph);
         benchmark::DoNotOptimize(logits.data().data());
@@ -525,7 +526,7 @@ BENCHMARK(BM_PolicyForward)->Arg(8)->Arg(24);
 // BM_PolicyInfer at the same n.
 void BM_PolicyTrainStep(benchmark::State& state) {
     core::PolicyNetwork net(bench_policy_config());
-    const PolicyClip clip(static_cast<int>(state.range(0)));
+    const PolicyClip clip(static_cast<int>(state.range(0)), 32);
     nn::Tensor dlogits({clip.graph.n, 5});
     for (std::size_t i = 0; i < dlogits.numel(); ++i) {
         dlogits[i] = static_cast<float>(i % 7) * 0.1F - 0.3F;
@@ -539,17 +540,97 @@ void BM_PolicyTrainStep(benchmark::State& state) {
 }
 BENCHMARK(BM_PolicyTrainStep)->Arg(8)->Arg(24)->Unit(benchmark::kMillisecond);
 
-// Packed inference of the same clip on the active (FMA) kernel table.
-void BM_PolicyInfer(benchmark::State& state) {
-    const core::PolicyNetwork net(bench_policy_config());
-    const PolicyClip clip(static_cast<int>(state.range(0)));
+// Packed inference of the same clip on the active (FMA) kernel table, at
+// S = 32 and (the /S64/ rows) at the paper's metal resolution S = 64.
+void BM_PolicyInfer(benchmark::State& state, int squish) {
+    const core::PolicyNetwork net(bench_policy_config(squish));
+    const PolicyClip clip(static_cast<int>(state.range(0)), squish);
     for (auto _ : state) {
         const nn::Tensor logits = net.infer(clip.feats, clip.graph);
         benchmark::DoNotOptimize(logits.data().data());
     }
     state.SetLabel(simd::level_name(simd::active_level()));
 }
+void BM_PolicyInfer(benchmark::State& state) { BM_PolicyInfer(state, 32); }
 BENCHMARK(BM_PolicyInfer)->Arg(8)->Arg(24)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_PolicyInfer, S64, 64)->Arg(24)->Unit(benchmark::kMillisecond);
+
+// ---- Forward kernels, table by table ---------------------------------------
+// First arg: 0 = scalar reference, 1 = the inference (FMA) table, 2 = the
+// exact training table, both at the best level of this build + CPU.
+
+struct KernelTable {
+    decltype(simd::Ops::gemm_blocked) gemm;
+    decltype(simd::Ops::conv2d_packed) conv;
+    std::string label;
+};
+
+KernelTable kernel_table(int table) {
+    if (table == 0) {
+        const simd::Ops& t = simd::scalar_ops();
+        return {t.gemm_blocked, t.conv2d_packed, "scalar"};
+    }
+    if (table == 1) {
+        const simd::Ops& t = simd::ops();
+        return {t.gemm_blocked, t.conv2d_packed, std::string(simd::level_name(t.level)) + " fma"};
+    }
+    const simd::ExactOps& t = simd::exact_ops();
+    return {t.gemm_blocked, t.conv2d_packed, std::string(simd::level_name(t.level)) + " exact"};
+}
+
+// One sample through encoder conv 1, 2 or 3 at S = 32 (3x3, stride 2,
+// pad 1): 6 -> 8 channels on 32x32, 8 -> 16 on 16x16, 16 -> 32 on 8x8.
+void BM_ConvPacked(benchmark::State& state) {
+    const simd::ScopedOverride force(simd::detected_level());
+    const KernelTable kt = kernel_table(static_cast<int>(state.range(0)));
+    const int layer = static_cast<int>(state.range(1));
+    const int in_ch = layer == 1 ? 6 : 8 << (layer - 2);
+    const int out_ch = 8 << (layer - 1);
+    const int h = 32 >> (layer - 1);
+    Rng rng(11);
+    nn::Tensor w({out_ch, in_ch, 3, 3});
+    nn::Tensor b({out_ch});
+    for (float& v : w.data()) v = static_cast<float>(rng.uniform(-1, 1));
+    for (float& v : b.data()) v = static_cast<float>(rng.uniform(-1, 1));
+    const nn::PackedConv2d m = nn::pack_conv2d(w, b, 2, 1);
+    const int oh = m.out_size(h);
+    std::vector<float> x(static_cast<std::size_t>(in_ch * h * h));
+    for (float& v : x) v = static_cast<float>(rng.uniform(0, 1));
+    std::vector<float> y(static_cast<std::size_t>(out_ch * oh * oh));
+    for (auto _ : state) {
+        kt.conv(m.w.data(), m.b.data(), x.data(), in_ch, h, h, out_ch, m.out_ch_padded, 3, 2, 1,
+                y.data(), oh, oh);
+        benchmark::DoNotOptimize(y.data());
+    }
+    state.SetLabel(kt.label);
+}
+BENCHMARK(BM_ConvPacked)->ArgsProduct({{0, 1, 2}, {1, 2, 3}});
+
+// y = x W^T + b at the fc / SAGE shape (second arg 0: 24 rows, 512 -> 256)
+// and as the RNN recurrence's GEMV (1: one row, 64 -> 64, accumulating).
+void BM_GemmBlocked(benchmark::State& state) {
+    const simd::ScopedOverride force(simd::detected_level());
+    const KernelTable kt = kernel_table(static_cast<int>(state.range(0)));
+    const bool gemv = state.range(1) != 0;
+    const int rows = gemv ? 1 : 24;
+    const int in = gemv ? 64 : 512;
+    const int out = gemv ? 64 : 256;
+    Rng rng(12);
+    nn::Tensor w({out, in});
+    nn::Tensor b({out});
+    for (float& v : w.data()) v = static_cast<float>(rng.uniform(-1, 1));
+    for (float& v : b.data()) v = static_cast<float>(rng.uniform(-1, 1));
+    const nn::PackedLinear m = nn::pack_linear(w, &b);
+    std::vector<float> x(static_cast<std::size_t>(rows * in));
+    for (float& v : x) v = static_cast<float>(rng.uniform(-1, 1));
+    std::vector<float> y(static_cast<std::size_t>(rows * out), 0.0F);
+    for (auto _ : state) {
+        kt.gemm(m.w.data(), m.b.data(), x.data(), rows, in, out, m.out_padded, y.data(), gemv);
+        benchmark::DoNotOptimize(y.data());
+    }
+    state.SetLabel(kt.label);
+}
+BENCHMARK(BM_GemmBlocked)->ArgsProduct({{0, 1, 2}, {0, 1}});
 
 // ---- Inference backend (PR 9) ----------------------------------------------
 // Arg(0) on every row: 0 = scalar reference kernels, 1 = the best SIMD level

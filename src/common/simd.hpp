@@ -6,8 +6,9 @@
 // vector implementations live in their own translation units
 // (simd_avx2.cpp, built with -mavx2 -mfma on x86; simd_neon.cpp on
 // aarch64, where NEON is baseline; simd_avx2_exact.cpp, the training
-// kernels, built with -mavx2 -ffp-contract=off). At startup the active
-// kernel table is chosen as
+// kernels, built with -mavx2 -ffp-contract=off; the two AVX2 TUs share
+// the GEMM and conv register tiles of simd_avx2_tiles.hpp, each under its
+// own flags). At startup the active kernel table is chosen as
 //
 //     compiled kernels  ∩  CPU capabilities  ∩  CAMO_BACKEND environment
 //
@@ -21,10 +22,11 @@
 //
 // Equivalence contract: for every kernel the scalar entry reproduces the
 // legacy accumulation order exactly; the Ops vector entries compute the
-// same sums with a different rounding schedule (blocked FMA), so results
-// agree to a few ULP — tests/test_nn_backend.cpp fuzzes the bound and pins
-// the end-to-end action-identity guarantee on every registered scenario.
-// The ExactOps vector entries (training) keep the scalar bits exactly.
+// same sums in the same per-output order but with fused multiply-adds, so
+// results agree to a few ULP — tests/test_nn_backend.cpp fuzzes the bound
+// and pins the end-to-end action-identity guarantee on every registered
+// scenario. The ExactOps vector entries (training) keep the scalar bits
+// exactly.
 #pragma once
 
 #include <complex>
@@ -55,6 +57,15 @@ Level active_level();
 /// `out` is padded to a multiple of kBlock with zero rows at pack time.
 inline constexpr int kBlock = 8;
 
+/// Chain order (gemm_blocked, conv2d_packed). Every output element has one
+/// accumulator chain: it starts from its bias (or, accumulating, its
+/// existing y value) and takes one multiply-add per input term in the
+/// order documented on each entry. Vector levels may run many chains in
+/// lockstep (the AVX2 kernels tile rows x output blocks and pixels x
+/// channel blocks) but never split or reorder one, so tiling never shows
+/// in the bits: the AVX2 entries are memcmp-equal to one-chain-per-block
+/// FMA loops (SimdOps.FmaKernelsBitIdenticalToSingleChainReference), and
+/// the ExactOps entries to the scalar table.
 struct Ops {
     Level level = Level::kScalar;
 
@@ -64,15 +75,16 @@ struct Ops {
     /// `accumulate` is true the products fold into the existing y values
     /// and `bias` is ignored. Row r's accumulation order never depends on
     /// `rows`, so a batched call is bitwise identical to `rows` single-row
-    /// calls at every level.
+    /// calls at every level. Chain: i = 0 .. in-1 ascending.
     void (*gemm_blocked)(const float* w, const float* bias, const float* x, int rows, int in,
                          int out, int out_padded, float* y, bool accumulate);
 
     /// One CHW conv sample with weights packed [ic][ky][kx][oc_padded]
     /// (output-channel innermost so the vector kernels broadcast the input
     /// pixel across a block of output channels): y[oc, oy, ox] = b[oc] +
-    /// sum over (ic, ky, kx) ascending, with out-of-image taps skipped (the
-    /// naive Conv2d::forward loop in tests/nn_reference_layers.hpp).
+    /// sum over (ic, ky, kx) ascending, with out-of-image taps skipped, not
+    /// added as zeros (the naive Conv2d::forward loop in
+    /// tests/nn_reference_layers.hpp).
     void (*conv2d_packed)(const float* w, const float* bias, const float* x, int in_ch, int h,
                           int wdt, int out_ch, int out_ch_padded, int k, int stride, int pad,
                           float* y, int oh, int ow);

@@ -1,11 +1,14 @@
 // AVX2 exact-order kernels for training (simd::ExactOps). Every output is
 // bit-identical to the scalar table: lanes run across output elements, each
 // lane keeps one accumulator fed in the scalar loop's order, and every
-// product is rounded by _mm256_mul_ps before _mm256_add_ps adds it. CMake
-// builds this file with -mavx2 -ffp-contract=off and without -mfma; with FMA
-// contraction the compiler would fuse the multiply and the add and the bits
-// would change, so those flags are part of the contract. The dispatcher
-// (simd.cpp) only hands this table out when the active level is AVX2.
+// product is rounded by _mm256_mul_ps before _mm256_add_ps adds it. The
+// forward GEMM and conv are the register tiles of simd_avx2_tiles.hpp (the
+// same tile bodies as the FMA table) with that multiply-then-add step; the
+// backward kernels are below. CMake builds this file with -mavx2
+// -ffp-contract=off and without -mfma; with FMA contraction the compiler
+// would fuse the multiply and the add and the bits would change, so those
+// flags are part of the contract. The dispatcher (simd.cpp) only hands this
+// table out when the active level is AVX2.
 #include "common/simd.hpp"
 
 #if defined(__AVX2__) && !defined(CAMO_SIMD_OFF)
@@ -15,177 +18,25 @@
 #include <cstddef>
 #include <vector>
 
+#include "common/simd_avx2_tiles.hpp"
+
 namespace camo::simd {
 namespace {
-
-// Lane mask for the first `count` lanes (count in 1..8).
-inline __m256i lane_mask(int count) {
-    alignas(32) static const int kOnes[16] = {-1, -1, -1, -1, -1, -1, -1, -1,
-                                              0,  0,  0,  0,  0,  0,  0,  0};
-    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(kOnes + 8 - count));
-}
 
 inline __m256 madd(__m256 acc, __m256 a, __m256 b) {
     return _mm256_add_ps(acc, _mm256_mul_ps(a, b));
 }
 
-void exact_gemm_blocked(const float* w, const float* bias, const float* x, int rows, int in,
-                        int out, int out_padded, float* y, bool accumulate) {
-    const int blocks = out_padded / kBlock;
-    for (int blk = 0; blk < blocks; ++blk) {
-        const int o0 = blk * kBlock;
-        const int width = out - o0 < kBlock ? out - o0 : kBlock;
-        if (width <= 0) break;
-        const __m256i mask = lane_mask(width);
-        const float* wb = w + static_cast<std::size_t>(blk) * static_cast<std::size_t>(in) * kBlock;
-        const __m256 b8 = accumulate ? _mm256_setzero_ps() : _mm256_loadu_ps(bias + o0);
-
-        int r = 0;
-        for (; r + 4 <= rows; r += 4) {
-            const float* x0 = x + static_cast<std::size_t>(r) * static_cast<std::size_t>(in);
-            const float* x1 = x0 + in;
-            const float* x2 = x1 + in;
-            const float* x3 = x2 + in;
-            float* y0 = y + static_cast<std::size_t>(r) * static_cast<std::size_t>(out) + o0;
-            float* y1 = y0 + out;
-            float* y2 = y1 + out;
-            float* y3 = y2 + out;
-            __m256 a0 = accumulate ? _mm256_maskload_ps(y0, mask) : b8;
-            __m256 a1 = accumulate ? _mm256_maskload_ps(y1, mask) : b8;
-            __m256 a2 = accumulate ? _mm256_maskload_ps(y2, mask) : b8;
-            __m256 a3 = accumulate ? _mm256_maskload_ps(y3, mask) : b8;
-            for (int i = 0; i < in; ++i) {
-                const __m256 wv = _mm256_loadu_ps(wb + static_cast<std::size_t>(i) * kBlock);
-                a0 = madd(a0, wv, _mm256_set1_ps(x0[i]));
-                a1 = madd(a1, wv, _mm256_set1_ps(x1[i]));
-                a2 = madd(a2, wv, _mm256_set1_ps(x2[i]));
-                a3 = madd(a3, wv, _mm256_set1_ps(x3[i]));
-            }
-            _mm256_maskstore_ps(y0, mask, a0);
-            _mm256_maskstore_ps(y1, mask, a1);
-            _mm256_maskstore_ps(y2, mask, a2);
-            _mm256_maskstore_ps(y3, mask, a3);
-        }
-        for (; r < rows; ++r) {
-            const float* xr = x + static_cast<std::size_t>(r) * static_cast<std::size_t>(in);
-            float* yr = y + static_cast<std::size_t>(r) * static_cast<std::size_t>(out) + o0;
-            __m256 acc = accumulate ? _mm256_maskload_ps(yr, mask) : b8;
-            for (int i = 0; i < in; ++i) {
-                const __m256 wv = _mm256_loadu_ps(wb + static_cast<std::size_t>(i) * kBlock);
-                acc = madd(acc, wv, _mm256_set1_ps(xr[i]));
-            }
-            _mm256_maskstore_ps(yr, mask, acc);
-        }
-    }
-}
-
-// Stores one pixel's 8-channel block into channel-major y (stride plane).
-inline void store_pixel(float* ypix, std::size_t plane, int width, __m256 acc) {
-    alignas(32) float lanes[8];
-    _mm256_store_ps(lanes, acc);
-    for (int l = 0; l < width; ++l) ypix[static_cast<std::size_t>(l) * plane] = lanes[l];
-}
-
-// P horizontally adjacent output pixels whose taps all lie inside the
-// input row: P independent chains in lockstep, each in (ic, ky, kx) order.
-// With P == 1 and `clip`, taps outside the row are skipped per pixel.
-template <int P, bool clip>
-void conv_pixels(const float* w, __m256 b8, const float* x, int in_ch, int h, int wdt, int k,
-                 int stride, int out_ch_padded, int oc0, int iy0, int ix0, __m256* out) {
-    __m256 acc[P];
-    for (int q = 0; q < P; ++q) acc[q] = b8;
-    for (int ic = 0; ic < in_ch; ++ic) {
-        const float* xp = x + static_cast<std::size_t>(ic) * static_cast<std::size_t>(h) *
-                                  static_cast<std::size_t>(wdt);
-        for (int ky = 0; ky < k; ++ky) {
-            const int iy = iy0 + ky;
-            if (iy < 0 || iy >= h) continue;
-            const float* xrow = xp + static_cast<std::size_t>(iy) * static_cast<std::size_t>(wdt);
-            const float* wrow = w + ((static_cast<std::size_t>(ic) * static_cast<std::size_t>(k) +
-                                      static_cast<std::size_t>(ky)) *
-                                     static_cast<std::size_t>(k)) *
-                                        static_cast<std::size_t>(out_ch_padded) +
-                                static_cast<std::size_t>(oc0);
-            for (int kx = 0; kx < k; ++kx) {
-                const int ix = ix0 + kx;
-                if (clip && (ix < 0 || ix >= wdt)) continue;
-                const __m256 wv = _mm256_loadu_ps(
-                    wrow + static_cast<std::size_t>(kx) * static_cast<std::size_t>(out_ch_padded));
-                for (int q = 0; q < P; ++q) {
-                    acc[q] = madd(acc[q], wv, _mm256_set1_ps(xrow[ix + q * stride]));
-                }
-            }
-        }
-    }
-    for (int q = 0; q < P; ++q) out[q] = acc[q];
-}
-
-void exact_conv2d_packed(const float* w, const float* bias, const float* x, int in_ch, int h,
-                         int wdt, int out_ch, int out_ch_padded, int k, int stride, int pad,
-                         float* y, int oh, int ow) {
-    constexpr int kPix = 4;
-    const std::size_t plane = static_cast<std::size_t>(oh) * static_cast<std::size_t>(ow);
-    const auto interior = [&](int ox) {
-        const int ix0 = ox * stride - pad;
-        return ix0 >= 0 && ix0 + k <= wdt;
-    };
-    for (int oc0 = 0; oc0 < out_ch; oc0 += kBlock) {
-        const int width = out_ch - oc0 < kBlock ? out_ch - oc0 : kBlock;
-        const __m256 b8 = _mm256_loadu_ps(bias + oc0);
-        for (int oy = 0; oy < oh; ++oy) {
-            const int iy0 = oy * stride - pad;
-            float* yrow = y + static_cast<std::size_t>(oc0) * plane +
-                          static_cast<std::size_t>(oy) * static_cast<std::size_t>(ow);
-            for (int ox = 0; ox < ow;) {
-                int run = 0;
-                while (run < kPix && ox + run < ow && interior(ox + run)) ++run;
-                __m256 acc[kPix];
-                const int ix0 = ox * stride - pad;
-                switch (run) {
-                    case 4:
-                        conv_pixels<4, false>(w, b8, x, in_ch, h, wdt, k, stride, out_ch_padded,
-                                              oc0, iy0, ix0, acc);
-                        break;
-                    case 3:
-                        conv_pixels<3, false>(w, b8, x, in_ch, h, wdt, k, stride, out_ch_padded,
-                                              oc0, iy0, ix0, acc);
-                        break;
-                    case 2:
-                        conv_pixels<2, false>(w, b8, x, in_ch, h, wdt, k, stride, out_ch_padded,
-                                              oc0, iy0, ix0, acc);
-                        break;
-                    default:
-                        run = 1;
-                        conv_pixels<1, true>(w, b8, x, in_ch, h, wdt, k, stride, out_ch_padded,
-                                             oc0, iy0, ix0, acc);
-                        break;
-                }
-                for (int q = 0; q < run; ++q) store_pixel(yrow + ox + q, plane, width, acc[q]);
-                ox += run;
-            }
-        }
-    }
-}
-
-// Loads (stores) 8 columns at p; only a partial last block goes through
-// the lane mask.
-inline __m256 load_cols(const float* p, int width, __m256i mask) {
-    return width == kBlock ? _mm256_loadu_ps(p) : _mm256_maskload_ps(p, mask);
-}
-
-inline void store_cols(float* p, int width, __m256i mask, __m256 v) {
-    if (width == kBlock) {
-        _mm256_storeu_ps(p, v);
-    } else {
-        _mm256_maskstore_ps(p, mask, v);
-    }
-}
+// The forward tiles' step: acc + w * x, the product rounded before the add
+// (the scalar loop's `acc += w * x`).
+struct MulAddStep {
+    static __m256 step(__m256 acc, __m256 x, __m256 w) { return madd(acc, w, x); }
+};
 
 // 4 rows x 8 columns per tile: four independent accumulator chains.
 void exact_gemm_nn(const float* x, int rows, int inner, const float* w, int cols, float* y) {
     for (int c0 = 0; c0 < cols; c0 += kBlock) {
         const int width = cols - c0 < kBlock ? cols - c0 : kBlock;
-        const __m256i mask = lane_mask(width);
         const float* wc = w + c0;
         int r = 0;
         for (; r + 4 <= rows; r += 4) {
@@ -199,28 +50,28 @@ void exact_gemm_nn(const float* x, int rows, int inner, const float* w, int cols
             __m256 a3 = _mm256_setzero_ps();
             for (int j = 0; j < inner; ++j) {
                 const __m256 wv = load_cols(
-                    wc + static_cast<std::size_t>(j) * static_cast<std::size_t>(cols), width, mask);
+                    wc + static_cast<std::size_t>(j) * static_cast<std::size_t>(cols), width);
                 a0 = madd(a0, _mm256_set1_ps(x0[j]), wv);
                 a1 = madd(a1, _mm256_set1_ps(x1[j]), wv);
                 a2 = madd(a2, _mm256_set1_ps(x2[j]), wv);
                 a3 = madd(a3, _mm256_set1_ps(x3[j]), wv);
             }
             float* y0 = y + static_cast<std::size_t>(r) * static_cast<std::size_t>(cols) + c0;
-            store_cols(y0, width, mask, a0);
-            store_cols(y0 + cols, width, mask, a1);
-            store_cols(y0 + 2 * static_cast<std::size_t>(cols), width, mask, a2);
-            store_cols(y0 + 3 * static_cast<std::size_t>(cols), width, mask, a3);
+            store_cols(y0, width, a0);
+            store_cols(y0 + cols, width, a1);
+            store_cols(y0 + 2 * static_cast<std::size_t>(cols), width, a2);
+            store_cols(y0 + 3 * static_cast<std::size_t>(cols), width, a3);
         }
         for (; r < rows; ++r) {
             const float* xr = x + static_cast<std::size_t>(r) * static_cast<std::size_t>(inner);
             __m256 acc = _mm256_setzero_ps();
             for (int j = 0; j < inner; ++j) {
                 const __m256 wv = load_cols(
-                    wc + static_cast<std::size_t>(j) * static_cast<std::size_t>(cols), width, mask);
+                    wc + static_cast<std::size_t>(j) * static_cast<std::size_t>(cols), width);
                 acc = madd(acc, _mm256_set1_ps(xr[j]), wv);
             }
             store_cols(y + static_cast<std::size_t>(r) * static_cast<std::size_t>(cols) + c0, width,
-                       mask, acc);
+                       acc);
         }
     }
 }
@@ -232,16 +83,14 @@ void tn_acc_tile(const float* a, int a_row_stride, int a_col_stride, const float
                  int i0, int j0, int k, float* c, bool descending) {
     constexpr int kVecs = 4;
     int width[kVecs] = {};
-    __m256i mask[kVecs];
     __m256 acc[kRows][kVecs];
     int nvec = 0;
     for (; nvec < kVecs && j0 + nvec * kBlock < k; ++nvec) {
         const int left = k - j0 - nvec * kBlock;
         width[nvec] = left < kBlock ? left : kBlock;
-        mask[nvec] = lane_mask(width[nvec]);
         for (int q = 0; q < kRows; ++q) {
             const float* cq = c + static_cast<std::size_t>(i0 + q) * static_cast<std::size_t>(k);
-            acc[q][nvec] = load_cols(cq + j0 + nvec * kBlock, width[nvec], mask[nvec]);
+            acc[q][nvec] = load_cols(cq + j0 + nvec * kBlock, width[nvec]);
         }
     }
     for (int step = 0; step < rows; ++step) {
@@ -253,7 +102,7 @@ void tn_acc_tile(const float* a, int a_row_stride, int a_col_stride, const float
                                      static_cast<std::ptrdiff_t>(i0 + q) * a_col_stride]);
         }
         for (int v = 0; v < nvec; ++v) {
-            const __m256 bv = load_cols(br + v * kBlock, width[v], mask[v]);
+            const __m256 bv = load_cols(br + v * kBlock, width[v]);
             for (int q = 0; q < kRows; ++q) acc[q][v] = madd(acc[q][v], ar[q], bv);
         }
     }
@@ -261,7 +110,7 @@ void tn_acc_tile(const float* a, int a_row_stride, int a_col_stride, const float
         for (int v = 0; v < nvec; ++v) {
             store_cols(c + static_cast<std::size_t>(i0 + q) * static_cast<std::size_t>(k) + j0 +
                            v * kBlock,
-                       width[v], mask[v], acc[q][v]);
+                       width[v], acc[q][v]);
         }
     }
 }
@@ -334,8 +183,12 @@ void exact_conv2d_dx(const float* wt, const float* dy, int in_ch, int in_ch_padd
 }
 
 const ExactOps kAvx2ExactOps = {
-    Level::kAvx2,  exact_gemm_blocked, exact_conv2d_packed,
-    exact_gemm_nn, exact_gemm_tn_acc,  exact_conv2d_dx,
+    Level::kAvx2,
+    tiled_gemm_blocked<MulAddStep>,
+    tiled_conv2d_packed<MulAddStep>,
+    exact_gemm_nn,
+    exact_gemm_tn_acc,
+    exact_conv2d_dx,
 };
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include "nn/backend.hpp"
 #include "nn/init.hpp"
 #include "nn/serialize.hpp"
+#include "obs/trace.hpp"
 #include "rl/trajectory.hpp"
 
 namespace camo::core {
@@ -38,6 +39,12 @@ constexpr int kPad = 1;
 int conv_out(int s) { return (s + 2 * kPad - kKernel) / kStride + 1; }
 
 std::size_t sz(int a) { return static_cast<std::size_t>(a); }
+
+// One sample per infer_batch call: the packed inference walk of one wave.
+obs::MetricId infer_hist() {
+    static const obs::MetricId id = obs::register_histogram("core.policy.infer.ns");
+    return id;
+}
 
 // Width of the flattened encoder output: three stride-2 stages shrink S by 8.
 int flat_size(const PolicyConfig& cfg) {
@@ -215,7 +222,11 @@ PackedWeights PolicyNetwork::pack_weights() const {
 
 std::vector<nn::Tensor> PolicyNetwork::infer_batch(std::span<const ClipRequest> clips) const {
     FlatTape act;
-    const std::vector<float> logits = walk(nn::active_backend(), *ensure_plan(), clips, act, false);
+    std::vector<float> logits;
+    {
+        const obs::Span span("core.policy.infer", infer_hist());
+        logits = walk(nn::active_backend(), *ensure_plan(), clips, act, false);
+    }
     std::vector<nn::Tensor> out;
     out.reserve(clips.size());
     std::size_t offset = 0;

@@ -9,8 +9,9 @@
 //
 // Each bad-argument case only has to reach argument parsing, so the whole
 // matrix runs in well under a second. The happy-path cases at the end
-// (chipgen, and a small serve run that overflows its admission queue) do
-// real work and stay well under a second each too.
+// (chipgen, a small serve run that overflows its admission queue, and a
+// scalar-backend CAMO batch at two thread counts) do real work and stay
+// within a few seconds.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -18,13 +19,19 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/camo.hpp"
+#include "core/experiment.hpp"
+
 namespace {
+
+using namespace camo;
 
 /// Exit status of `camo_cli <args>` with stdout/stderr discarded.
 /// Fails the test outright if the process died on a signal.
@@ -283,6 +290,60 @@ TEST(CliRobustness, ServeAdmissionOverflowRejects) {
     json << in.rdbuf();
     EXPECT_NE(json.str().find("\"serve.rejected\""), std::string::npos) << json.str();
     std::remove(metrics.c_str());
+}
+
+/// The per-clip rows of a `camo_cli batch` table (Clip Segs Iters EPE0 EPE
+/// PVB RT), each without its RT column: everything but timing.
+std::vector<std::string> batch_rows_without_rt(const std::string& out) {
+    std::vector<std::string> rows;
+    std::istringstream lines(out);
+    std::string line;
+    bool in_table = false;
+    while (std::getline(lines, line)) {
+        if (line.rfind("Clip ", 0) == 0) {
+            in_table = true;
+            continue;
+        }
+        if (!in_table) continue;
+        std::istringstream cols(line);
+        std::vector<std::string> cells;
+        std::string cell;
+        while (cols >> cell) cells.push_back(cell);
+        if (cells.size() != 7) break;  // the summary line ends the table
+        cells.pop_back();
+        std::string row;
+        for (const std::string& c : cells) row += c + " ";
+        rows.push_back(row);
+    }
+    return rows;
+}
+
+// CAMO_BACKEND=scalar must force the reference kernels end to end, and a
+// CAMO batch on them must give the same per-clip results at any thread
+// count. The engine's weight cache is seeded with the untrained (seeded)
+// network, so the CLI skips its one-time training: thread invariance holds
+// for any fixed weights.
+TEST(CliRobustness, ScalarBackendCamoBatchThreadInvariant) {
+    namespace fs = std::filesystem;
+    const fs::path dir = fs::path(testing::TempDir()) / "cli_robustness_scalar_camo";
+    fs::create_directories(dir);
+    const core::CamoConfig cfg = core::Experiment::via_camo_config();
+    const fs::path weights = dir / core::Experiment::weights_path(cfg, "via");
+    fs::create_directories(weights.parent_path());
+    core::CamoEngine(cfg).save_weights(weights.string());
+
+    const auto batch = [&](int threads) {
+        return command_output("cd '" + dir.string() + "' && CAMO_BACKEND=scalar " +
+                              std::string(CAMO_CLI_PATH) +
+                              " batch --engine camo --clips 4 --iterations 2 --quiet --threads " +
+                              std::to_string(threads) + " 2>/dev/null");
+    };
+    const std::string one = batch(1);
+    const std::string two = batch(2);
+    const std::vector<std::string> rows = batch_rows_without_rt(one);
+    EXPECT_EQ(rows.size(), 4U) << one;
+    EXPECT_EQ(rows, batch_rows_without_rt(two)) << one << "\nvs\n" << two;
+    fs::remove_all(dir);
 }
 
 TEST(CliRobustness, ChipgenHappyPathStillWorks) {

@@ -22,7 +22,9 @@
 #include <complex>
 #include <cstring>
 #include <cstddef>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -35,6 +37,7 @@
 #include "scenario/scenario.hpp"
 
 #include "nn_reference_layers.hpp"
+#include "simd_fma_reference.hpp"
 
 namespace {
 
@@ -53,6 +56,12 @@ void expect_close(const std::vector<float>& a, const std::vector<float>& b) {
         const float tol = 1e-4F * (1.0F + std::abs(a[i]));
         EXPECT_NEAR(a[i], b[i], tol) << "element " << i;
     }
+}
+
+// Byte equality: the exact-order contracts are memcmp, not tolerance.
+bool same(const std::vector<float>& a, const std::vector<float>& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
 opc::OpcOptions quick_opc(scenario::Style style) {
@@ -190,10 +199,6 @@ TEST(SimdOps, ExactKernelsBitIdenticalToScalarFuzz) {
         vec = &simd::exact_ops();
     }
     EXPECT_EQ(scalar->level, simd::Level::kScalar);
-    const auto same = [](const std::vector<float>& a, const std::vector<float>& b) {
-        return a.size() == b.size() &&
-               std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
-    };
     const auto random = [](std::size_t n, Rng& rng, bool zeros) {
         std::vector<float> v(n);
         for (std::size_t i = 0; i < n; ++i) {
@@ -275,6 +280,102 @@ TEST(SimdOps, ExactKernelsBitIdenticalToScalarFuzz) {
         vec->conv2d_dx(wt.data(), cdy.data(), in_ch, icp, h, h, out_ch, 3, stride, 1, oh, oh,
                        gv.data());
         EXPECT_TRUE(same(gs, gv)) << "conv2d_dx trial " << trial;
+    }
+}
+
+// The FMA table's register tiles (src/common/simd_avx2_tiles.hpp) interleave
+// accumulator chains but never reorder one, so every output must equal the
+// single-chain kernels kept verbatim in simd_fma_reference.cpp byte for
+// byte: lane tails, row and pixel tails, image borders, -0 and +-inf.
+TEST(SimdOps, FmaKernelsBitIdenticalToSingleChainReference) {
+    const simd::ScopedOverride force(simd::detected_level());
+    if (simd::active_level() != simd::Level::kAvx2 || !simd_ref::fma_reference_available()) {
+        GTEST_SKIP() << "the FMA table is not active on this build/CPU";
+    }
+    const simd::Ops& vec = simd::ops();
+    constexpr float kInf = std::numeric_limits<float>::infinity();
+    // Uniform values; with `specials`, about one in 16 is -0, +0, +inf or -inf.
+    const auto fill = [](float* v, std::size_t n, Rng& rng, bool specials) {
+        const float kSpecial[4] = {-0.0F, 0.0F, kInf, -kInf};
+        for (std::size_t i = 0; i < n; ++i) {
+            v[i] = specials && rng.uniform_int(0, 15) == 0
+                       ? kSpecial[rng.uniform_int(0, 3)]
+                       : static_cast<float>(rng.uniform(-1.0, 1.0));
+        }
+    };
+
+    Rng rng(0xF3A);
+    struct GemmShape {
+        int rows, in, out;
+    };
+    std::vector<GemmShape> gemms = {{24, 512, 256}, {1, 64, 64}, {1, 256, 64}, {13, 515, 261},
+                                    {4, 1, 1},      {5, 7, 9},   {3, 64, 5}};
+    for (int trial = 0; trial < 39; ++trial) {
+        gemms.push_back({1 + trial % 13, rng.uniform_int(1, 515), rng.uniform_int(1, 261)});
+    }
+    for (std::size_t t = 0; t < gemms.size(); ++t) {
+        const auto [rows, in, out] = gemms[t];
+        const bool specials = t % 2 == 1;
+        nn::Tensor w({out, in});
+        nn::Tensor b({out});
+        fill(w.data().data(), w.numel(), rng, specials);
+        fill(b.data().data(), b.numel(), rng, specials);
+        if (specials) b[0] = -0.0F;
+        const nn::PackedLinear m = nn::pack_linear(w, &b);
+        std::vector<float> x(static_cast<std::size_t>(rows) * static_cast<std::size_t>(in));
+        fill(x.data(), x.size(), rng, specials);
+        for (const bool acc : {false, true}) {
+            std::vector<float> yr(static_cast<std::size_t>(rows) * static_cast<std::size_t>(out));
+            fill(yr.data(), yr.size(), rng, specials);
+            std::vector<float> yv = yr;
+            simd_ref::avx2_gemm_blocked(m.w.data(), m.b.data(), x.data(), rows, in, out,
+                                        m.out_padded, yr.data(), acc);
+            vec.gemm_blocked(m.w.data(), m.b.data(), x.data(), rows, in, out, m.out_padded,
+                             yv.data(), acc);
+            EXPECT_TRUE(same(yr, yv)) << "gemm rows " << rows << " in " << in << " out " << out
+                                      << " accumulate " << acc << " specials " << specials;
+        }
+    }
+
+    // The encoder's three convs, lane tails, and 3 and 4 + 1 channel blocks.
+    const std::pair<int, int> channels[] = {{6, 8},   {8, 16}, {16, 32}, {3, 13},
+                                            {20, 12}, {5, 21}, {2, 40}};
+    const std::pair<int, int> sizes[] = {{1, 1}, {1, 33}, {33, 1},  {2, 5},   {4, 4},
+                                         {5, 9}, {8, 8},  {16, 16}, {17, 31}, {33, 33}};
+    int case_id = 0;
+    for (const auto& [in_ch, out_ch] : channels) {
+        for (const int k : {1, 3, 5}) {
+            for (const int stride : {1, 2}) {
+                for (const int pad : {0, 1}) {
+                    for (const auto& [h, wdt] : sizes) {
+                        if (h + 2 * pad < k || wdt + 2 * pad < k) continue;
+                        const bool specials = ++case_id % 3 == 0;
+                        nn::Tensor cw({out_ch, in_ch, k, k});
+                        nn::Tensor cb({out_ch});
+                        fill(cw.data().data(), cw.numel(), rng, specials);
+                        fill(cb.data().data(), cb.numel(), rng, specials);
+                        if (specials) cb[0] = -0.0F;
+                        const nn::PackedConv2d pc = nn::pack_conv2d(cw, cb, stride, pad);
+                        const int oh = pc.out_size(h);
+                        const int ow = pc.out_size(wdt);
+                        std::vector<float> img(static_cast<std::size_t>(in_ch * h * wdt));
+                        fill(img.data(), img.size(), rng, specials);
+                        std::vector<float> yr(static_cast<std::size_t>(out_ch * oh * ow));
+                        std::vector<float> yv(yr.size());
+                        simd_ref::avx2_conv2d_packed(pc.w.data(), pc.b.data(), img.data(), in_ch,
+                                                     h, wdt, out_ch, pc.out_ch_padded, k, stride,
+                                                     pad, yr.data(), oh, ow);
+                        vec.conv2d_packed(pc.w.data(), pc.b.data(), img.data(), in_ch, h, wdt,
+                                          out_ch, pc.out_ch_padded, k, stride, pad, yv.data(), oh,
+                                          ow);
+                        EXPECT_TRUE(same(yr, yv))
+                            << "conv " << in_ch << "->" << out_ch << " k " << k << " stride "
+                            << stride << " pad " << pad << " " << h << "x" << wdt
+                            << " specials " << specials;
+                    }
+                }
+            }
+        }
     }
 }
 

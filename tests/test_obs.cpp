@@ -616,6 +616,15 @@ TEST(ObsContract, CamoInferBitIdenticalTelemetryOnVsOff) {
     const MetricSnapshot* waves = find_metric(snap, "core.rollout.wave_clips");
     ASSERT_NE(waves, nullptr);
     EXPECT_EQ(waves->hist_sum, encodes);
+    // One policy forward per wave: a span and a duration sample each.
+    const MetricSnapshot* infer = find_metric(snap, "core.policy.infer.ns");
+    ASSERT_NE(infer, nullptr);
+    EXPECT_EQ(infer->hist_count, waves->hist_count);
+    long long infer_spans = 0;
+    detail::visit_trace_events([&](int, const char* name, long long, long long) {
+        if (std::strcmp(name, "core.policy.infer") == 0) ++infer_spans;
+    });
+    EXPECT_EQ(infer_spans, waves->hist_count);
     EXPECT_EQ(counter_value("core.rollout.exit.converged") +
                   counter_value("core.rollout.exit.iteration_cap") +
                   counter_value("core.rollout.exit.segment_free"),
