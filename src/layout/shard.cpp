@@ -28,12 +28,21 @@ obs::MetricId stitch_hist() {
 
 /// Tile grid cell of a coordinate: floor((c - origin) / tile), clamped into
 /// [0, count). Floor (not truncating) division so polygons left of the
-/// origin still map deterministically.
-int grid_cell(int c, int origin, int tile, int count) {
-    const int rel = c - origin;
-    int cell = rel / tile;
+/// origin still map deterministically. 64-bit, so doubled coordinates and
+/// their differences cannot overflow.
+int grid_cell(long long c, long long origin, long long tile, int count) {
+    const long long rel = c - origin;
+    long long cell = rel / tile;
     if (rel < 0 && rel % tile != 0) --cell;
-    return std::clamp(cell, 0, count - 1);
+    return static_cast<int>(std::clamp<long long>(cell, 0, count - 1));
+}
+
+bool out_of_range(int c) {
+    return c < -ShardOptions::kMaxCoordNm || c > ShardOptions::kMaxCoordNm;
+}
+
+std::string coord_limit() {
+    return "+-" + std::to_string(ShardOptions::kMaxCoordNm) + " nm (2^29)";
 }
 
 }  // namespace
@@ -67,6 +76,11 @@ void ShardOptions::validate(const litho::LithoConfig& litho) const {
             std::to_string(static_cast<int>(litho.clip_span_nm())) +
             " nm; shrink tile_nm/halo_nm or enlarge the litho grid");
     }
+    if (!auto_origin && (out_of_range(origin.x) || out_of_range(origin.y))) {
+        throw std::invalid_argument("ShardOptions: origin (" + std::to_string(origin.x) + ", " +
+                                    std::to_string(origin.y) + ") lies beyond the " +
+                                    coord_limit() + " coordinate limit");
+    }
 }
 
 int Tile::owned_count() const {
@@ -88,8 +102,14 @@ TileSharder::TileSharder(std::vector<geo::Polygon> chip, ShardOptions opt,
     std::vector<geo::Rect> bboxes;
     bboxes.reserve(chip_.size());
     geo::Rect extent = chip_.front().bbox();
-    for (const auto& poly : chip_) {
-        const geo::Rect bb = poly.bbox();
+    for (std::size_t p = 0; p < chip_.size(); ++p) {
+        const geo::Rect bb = chip_[p].bbox();
+        if (out_of_range(bb.xlo) || out_of_range(bb.ylo) || out_of_range(bb.xhi) ||
+            out_of_range(bb.yhi)) {
+            throw std::invalid_argument("TileSharder: polygon " + std::to_string(p) +
+                                        " has a vertex beyond the " + coord_limit() +
+                                        " coordinate limit");
+        }
         bboxes.push_back(bb);
         extent.xlo = std::min(extent.xlo, bb.xlo);
         extent.ylo = std::min(extent.ylo, bb.ylo);
@@ -106,54 +126,52 @@ TileSharder::TileSharder(std::vector<geo::Polygon> chip, ShardOptions opt,
     // Ownership: the tile whose core contains the polygon's bbox center.
     // Centers may land on half-nm, so work in doubled coordinates; a center
     // exactly on a cut line gets floor'd into the upper tile consistently.
+    // Cells are (ty, tx) so that sorting them gives row-major order.
     std::vector<std::pair<int, int>> owner_cell(chip_.size());
     for (std::size_t p = 0; p < chip_.size(); ++p) {
-        const auto c = bboxes[p].center();
-        const int cx2 = static_cast<int>(2.0 * c.x);
-        const int cy2 = static_cast<int>(2.0 * c.y);
-        owner_cell[p] = {grid_cell(cx2, 2 * origin.x, 2 * tile, nx),
-                         grid_cell(cy2, 2 * origin.y, 2 * tile, ny)};
+        const geo::Rect& bb = bboxes[p];
+        owner_cell[p] = {grid_cell(bb.ylo + bb.yhi, 2LL * origin.y, 2LL * tile, ny),
+                         grid_cell(bb.xlo + bb.xhi, 2LL * origin.x, 2LL * tile, nx)};
     }
 
-    // Build tiles row-major, skipping cores that own nothing.
-    for (int ty = 0; ty < ny; ++ty) {
-        for (int tx = 0; tx < nx; ++tx) {
-            const geo::Rect core{origin.x + tx * tile, origin.y + ty * tile,
-                                 origin.x + (tx + 1) * tile, origin.y + (ty + 1) * tile};
-            const geo::Rect window = core.expanded(opt_.halo_nm);
+    // Build tiles row-major over the cells that own a polygon only: the
+    // grid over a sparse chip's bounding box can hold billions of empty cells.
+    std::vector<std::pair<int, int>> cells = owner_cell;
+    std::sort(cells.begin(), cells.end());
+    cells.erase(std::unique(cells.begin(), cells.end()), cells.end());
+    for (const auto& [ty, tx] : cells) {
+        const geo::Rect core{origin.x + tx * tile, origin.y + ty * tile,
+                             origin.x + (tx + 1) * tile, origin.y + (ty + 1) * tile};
+        const geo::Rect window = core.expanded(opt_.halo_nm);
 
-            Tile t;
-            t.tx = tx;
-            t.ty = ty;
-            t.core = core;
-            t.window = window;
-            bool any_owned = false;
-            for (std::size_t p = 0; p < chip_.size(); ++p) {
-                const bool owns = owner_cell[p] == std::pair<int, int>{tx, ty};
-                if (owns || bboxes[p].intersects(window)) {
-                    t.members.push_back(static_cast<int>(p));
-                    t.owned.push_back(owns);
-                    any_owned |= owns;
-                }
+        Tile t;
+        t.tx = tx;
+        t.ty = ty;
+        t.core = core;
+        t.window = window;
+        for (std::size_t p = 0; p < chip_.size(); ++p) {
+            const bool owns = owner_cell[p] == std::pair<int, int>{ty, tx};
+            if (owns || bboxes[p].intersects(window)) {
+                t.members.push_back(static_cast<int>(p));
+                t.owned.push_back(owns);
             }
-            if (!any_owned) continue;
-
-            const int dx = -window.xlo;
-            const int dy = -window.ylo;
-            std::vector<geo::Polygon> local;
-            local.reserve(t.members.size());
-            for (const int p : t.members) local.push_back(translated(chip_[p], dx, dy));
-            std::vector<geo::Polygon> srafs;
-            if (opt_.sraf_gen) srafs = opt_.sraf_gen(local);
-            t.layout = geo::SegmentedLayout(std::move(local), opt_.fragment,
-                                            std::move(srafs), opt_.window_nm());
-
-            const int tile_index = static_cast<int>(tiles_.size());
-            for (std::size_t k = 0; k < t.members.size(); ++k) {
-                if (t.owned[k]) owner_[t.members[k]] = tile_index;
-            }
-            tiles_.push_back(std::move(t));
         }
+
+        const int dx = -window.xlo;
+        const int dy = -window.ylo;
+        std::vector<geo::Polygon> local;
+        local.reserve(t.members.size());
+        for (const int p : t.members) local.push_back(translated(chip_[p], dx, dy));
+        std::vector<geo::Polygon> srafs;
+        if (opt_.sraf_gen) srafs = opt_.sraf_gen(local);
+        t.layout = geo::SegmentedLayout(std::move(local), opt_.fragment, std::move(srafs),
+                                        opt_.window_nm());
+
+        const int tile_index = static_cast<int>(tiles_.size());
+        for (std::size_t k = 0; k < t.members.size(); ++k) {
+            if (t.owned[k]) owner_[t.members[k]] = tile_index;
+        }
+        tiles_.push_back(std::move(t));
     }
     obs::counter_add(tiles_counter(), static_cast<long long>(tiles_.size()));
 }

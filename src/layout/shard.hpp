@@ -59,6 +59,11 @@ namespace camo::layout {
 using SrafGenerator = std::function<std::vector<geo::Polygon>(const std::vector<geo::Polygon>&)>;
 
 struct ShardOptions {
+    /// Largest |coordinate| the sharder accepts, for chip vertices and a
+    /// pinned origin: doubled coordinates must fit an int. 2^29 nm is about
+    /// 537 mm, far beyond any reticle (<= 33 mm).
+    static constexpr int kMaxCoordNm = 1 << 29;
+
     int tile_nm = 512;  ///< core tile edge
     int halo_nm = 256;  ///< context margin added on every side of the core
 
@@ -76,8 +81,8 @@ struct ShardOptions {
 
     /// Throws std::invalid_argument when the geometry cannot work: a
     /// non-positive tile, a halo below litho::interaction_radius_nm(litho)
-    /// (seam segments would lose optical context), or a window that does
-    /// not fit the simulation frame.
+    /// (seam segments would lose optical context), a window that does
+    /// not fit the simulation frame, or a pinned origin beyond kMaxCoordNm.
     void validate(const litho::LithoConfig& litho) const;
 };
 
@@ -105,7 +110,8 @@ struct Tile {
 class TileSharder {
 public:
     /// Validates `opt` against `litho` (see ShardOptions::validate), then
-    /// shards. An empty chip yields zero tiles.
+    /// shards. An empty chip yields zero tiles. Throws std::invalid_argument
+    /// when a chip vertex lies beyond ShardOptions::kMaxCoordNm.
     TileSharder(std::vector<geo::Polygon> chip, ShardOptions opt,
                 const litho::LithoConfig& litho);
 

@@ -9,9 +9,10 @@
 //
 // Each bad-argument case only has to reach argument parsing, so the whole
 // matrix runs in well under a second. The happy-path cases at the end
-// (chipgen, a small serve run that overflows its admission queue, and a
-// scalar-backend CAMO batch at two thread counts) do real work and stay
-// within a few seconds.
+// (chipgen, a small serve run that overflows its admission queue, a
+// scalar-backend CAMO batch at two thread counts, rule batches under both
+// reward modes, and collect -> train plus a torn store) do real work and
+// stay within a few seconds each.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -343,6 +344,41 @@ TEST(CliRobustness, ScalarBackendCamoBatchThreadInvariant) {
     const std::vector<std::string> rows = batch_rows_without_rt(one);
     EXPECT_EQ(rows.size(), 4U) << one;
     EXPECT_EQ(rows, batch_rows_without_rt(two)) << one << "\nvs\n" << two;
+    fs::remove_all(dir);
+}
+
+// Every reward mode's path through the batch runtime runs to completion:
+// exit 0 means no clip failed.
+TEST(CliRobustness, BatchRewardModesRun) {
+    const std::string base = "batch --clips 4 --threads 2 --iterations 2 --quiet";
+    EXPECT_EQ(run_cli(base), 0);
+    EXPECT_EQ(run_cli(base + " --reward-mode worst"), 0);
+}
+
+// The trajectory-store workflow through the CLI: collect a store, train from
+// it, and reject the same store with its last bytes lost (a torn tail) with
+// a typed error instead of training on it.
+TEST(CliRobustness, CollectTrainAndTornStore) {
+    namespace fs = std::filesystem;
+    const fs::path dir = fs::path(testing::TempDir()) / "cli_robustness_store";
+    fs::create_directories(dir);
+    const fs::path store = dir / "store.ctrj";
+    const fs::path torn = dir / "torn.ctrj";
+    const fs::path weights = dir / "w.bin";
+
+    ASSERT_EQ(run_cli("collect --out " + store.string() + " --clips 1"), 0);
+    EXPECT_EQ(run_cli("train --from-store " + store.string() + " --weights " +
+                      weights.string() + " --clips 1 --epochs 1"),
+              0);
+    EXPECT_TRUE(fs::exists(weights));
+
+    fs::copy_file(store, torn);
+    fs::resize_file(torn, fs::file_size(store) - 5);
+    const std::string train_torn = "train --from-store " + torn.string() + " --weights " +
+                                   (dir / "torn.bin").string() + " --clips 1 --epochs 1";
+    EXPECT_EQ(run_cli(train_torn), 1);
+    const std::string err = cli_stderr(train_torn);
+    EXPECT_NE(err.find("torn tail"), std::string::npos) << err;
     fs::remove_all(dir);
 }
 

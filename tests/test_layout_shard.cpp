@@ -1,13 +1,16 @@
 // Tile sharder + stitch: the full-chip correctness contract.
 //
-// The load-bearing test here is IsolatedClustersMatchIndependentClipsBitwise:
-// a synthetic chip whose via clusters are farther apart than the halo, so
+// The load-bearing tests here are IsolatedClustersMatchIndependentClipsBitwise
+// — a synthetic chip whose via clusters are farther apart than the halo, so
 // every tile window contains exactly one cluster and the shard -> stream ->
-// stitch pipeline must reproduce — byte for byte, at 1/2/8 workers — the
-// offsets of optimizing each cluster as a standalone clip.
+// stitch pipeline must reproduce, byte for byte at 1/2/8 workers, the
+// offsets of optimizing each cluster as a standalone clip — and
+// ScenarioChipStreamedStitchMatchesBarrier, the same stitch over a dense
+// scenario chip whose tiles share seams, against the barrier runtime.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -225,6 +228,72 @@ TEST(Shard, CenterOnCutLineBelongsToUpperTile) {
     EXPECT_FALSE(sharder.tiles()[0].owned[1]);
 }
 
+// A chip whose cells sit 20 mm apart has a bounding box of ~1.5e9 empty
+// 512 nm tile cells; the sharder must visit only the cells that own a
+// polygon, still in row-major order.
+TEST(Shard, SparseChipVisitsOnlyOwningCells) {
+    const scenario::Scenario sc = scenario::Registry::instance().get("via3");
+    const std::vector<geo::Polygon> chip = scenario::chip_polygons(sc, 2, 2, 20000000);
+    ShardOptions opt = shard_options();
+    opt.auto_origin = true;
+    const TileSharder sharder(chip, opt, sc.litho);
+
+    ASSERT_EQ(sharder.owner().size(), chip.size());
+    for (std::size_t p = 0; p < chip.size(); ++p) {
+        const int owner = sharder.owner()[p];
+        ASSERT_GE(owner, 0) << "polygon " << p << " has no owner tile";
+        const Tile& tile = sharder.tiles()[static_cast<std::size_t>(owner)];
+        const geo::Rect bb = chip[p].bbox();
+        EXPECT_GE(bb.xlo + bb.xhi, 2 * tile.core.xlo);
+        EXPECT_LT(bb.xlo + bb.xhi, 2 * tile.core.xhi);
+        EXPECT_GE(bb.ylo + bb.yhi, 2 * tile.core.ylo);
+        EXPECT_LT(bb.ylo + bb.yhi, 2 * tile.core.yhi);
+    }
+    for (std::size_t t = 0; t < sharder.tiles().size(); ++t) {
+        const Tile& tile = sharder.tiles()[t];
+        EXPECT_GT(tile.owned_count(), 0);
+        if (t == 0) continue;
+        const Tile& prev = sharder.tiles()[t - 1];
+        EXPECT_LT(std::make_pair(prev.ty, prev.tx), std::make_pair(tile.ty, tile.tx))
+            << "tiles must be in row-major order";
+    }
+}
+
+// Doubled coordinates must fit an int: chip vertices (and a pinned origin)
+// beyond +-2^29 nm are rejected up front, and the extremes of the accepted
+// range shard without overflow.
+TEST(Shard, RejectsCoordinatesBeyondLimit) {
+    const litho::LithoConfig litho = quick_litho();
+    ShardOptions opt = shard_options();
+    opt.auto_origin = true;
+    const int far = 1500000000;
+    const std::vector<geo::Polygon> chip = {
+        geo::Polygon({{10, 10}, {50, 10}, {50, 50}, {10, 50}}),
+        geo::Polygon({{far, 0}, {far + 40, 0}, {far + 40, 40}, {far, 40}}),
+    };
+    try {
+        const TileSharder sharder(chip, opt, litho);
+        ADD_FAILURE() << "a vertex at x = 1.5e9 was accepted";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("536870912"), std::string::npos) << e.what();
+    }
+
+    ShardOptions pinned = shard_options();
+    pinned.origin = {-far, 0};
+    EXPECT_THROW(pinned.validate(litho), std::invalid_argument);
+
+    const int m = ShardOptions::kMaxCoordNm;
+    const std::vector<geo::Polygon> extremes = {
+        geo::Polygon({{-m, -m}, {-m + 40, -m}, {-m + 40, -m + 40}, {-m, -m + 40}}),
+        geo::Polygon({{m - 40, m - 40}, {m, m - 40}, {m, m}, {m - 40, m}}),
+    };
+    const TileSharder sharder(extremes, opt, litho);
+    ASSERT_EQ(sharder.tiles().size(), 2U);
+    EXPECT_EQ(sharder.owner()[0], 0);
+    EXPECT_EQ(sharder.owner()[1], 1);
+    EXPECT_EQ(sharder.tiles()[1].core.xhi, m);  // the grid is anchored at -m
+}
+
 TEST(Shard, StitchRejectsSizeMismatch) {
     const ClusterChip cc = isolated_cluster_chip();
     const TileSharder sharder(cc.chip, shard_options(), quick_litho());
@@ -338,6 +407,62 @@ TEST(Shard, IsolatedClustersMatchIndependentClipsBitwise) {
         } else {
             EXPECT_EQ(stitched.offsets, golden) << threads << " workers diverged from 1";
         }
+    }
+}
+
+// The full-chip contract end to end: a dense via3 chip (seam-sharing tiles,
+// SRAFs, the scenario's production litho) streamed through the rule engine
+// at 1, 2 and 8 workers stitches to the same offsets and mask, bit for bit,
+// as the barrier run() over the same tiles.
+TEST(Shard, ScenarioChipStreamedStitchMatchesBarrier) {
+    const scenario::Scenario sc = scenario::Registry::instance().get("via3");
+    ShardOptions opt;
+    opt.tile_nm = 512;
+    opt.halo_nm = 256;
+    opt.fragment.style = geo::FragmentStyle::kVia;
+    opt.sraf_gen = [](const std::vector<geo::Polygon>& t) { return opc::insert_srafs(t); };
+    const TileSharder sharder(scenario::chip_polygons(sc, 3, 3, 0), opt, sc.litho);
+    ASSERT_GT(sharder.tiles().size(), 9U) << "cells should spill across tile seams";
+
+    const std::vector<geo::SegmentedLayout> layouts = sharder.tile_layouts();
+    const std::vector<std::string> names = sharder.tile_names();
+    const geo::SegmentedLayout chip_layout = sharder.chip_layout();
+    const runtime::ClipOptimizer rule = [](const geo::SegmentedLayout& layout,
+                                           litho::LithoSim& sim, const opc::OpcOptions& o,
+                                           std::uint64_t) {
+        opc::RuleEngine engine;
+        return engine.optimize(layout, sim, o);
+    };
+    runtime::BatchOptions bopt;
+    bopt.threads = 2;
+    bopt.opc.max_iterations = 3;
+    bopt.opc.initial_bias_nm = 3;
+
+    runtime::BatchScheduler barrier(sc.litho, bopt);
+    const runtime::BatchResult ref = barrier.run(layouts, rule, names);
+    ASSERT_EQ(ref.failed, 0);
+    std::vector<std::vector<int>> ref_offsets(layouts.size());
+    for (const runtime::ClipResult& c : ref.clips) {
+        ref_offsets[static_cast<std::size_t>(c.index)] = c.offsets;
+    }
+    const StitchResult golden = stitch(sharder, chip_layout, ref_offsets);
+
+    for (const int threads : {1, 2, 8}) {
+        runtime::BatchOptions topt = bopt;
+        topt.threads = threads;
+        runtime::BatchScheduler sched(sc.litho, topt);
+        std::vector<std::vector<int>> tile_offsets(layouts.size());
+        const runtime::StreamStats stats = sched.run_streaming(
+            layouts, rule,
+            [&tile_offsets](runtime::ClipResult&& r) {
+                ASSERT_TRUE(r.error.empty()) << r.error;
+                tile_offsets[static_cast<std::size_t>(r.index)] = std::move(r.offsets);
+            },
+            names);
+        ASSERT_EQ(stats.failed, 0);
+        const StitchResult got = stitch(sharder, chip_layout, tile_offsets);
+        EXPECT_EQ(got.offsets, golden.offsets) << threads << " workers";
+        EXPECT_EQ(got.mask, golden.mask) << threads << " workers";
     }
 }
 

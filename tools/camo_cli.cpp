@@ -6,7 +6,7 @@
 //   camo_cli compare [compare options]
 //   camo_cli chipgen --out chip.gds [--scenario S] [--cols N] [--rows N] [--pitch NM]
 //   camo_cli shard [--in chip.gds | --scenario S --cols N --rows N] [--tile NM]
-//                  [--halo NM] [--verify-monolithic] [shard options]
+//                  [--halo NM] [shard options]
 //   camo_cli serve [--requests N] [--clips N] [--queue-capacity N] [serve options]
 //   camo_cli collect --out store.ctrj [--style S] [--clips N] [collect options]
 //   camo_cli train --from-store store.ctrj --weights out.bin [train options]
@@ -27,14 +27,14 @@
 // training through the packed trajectory store (src/rl/trajstore.hpp): N
 // collect runs can feed one trainer, and `train --from-store` needs no
 // lithography simulator at all. The store's canonical append order makes
-// `train --from-store` weights byte-identical to `train --in-memory` at any
-// --train-workers value.
+// replayed weights byte-identical to in-memory training at any
+// --train-workers value (TrajStoreDeterminism in tests/test_rl_trajstore.cpp).
 //
 // The streaming trio covers the full-chip path: chipgen writes a synthetic
 // multi-tile chip from a registered scenario generator, shard cuts it into
 // halo-padded tiles and streams them through the batch runtime before
-// stitching one chip mask (--verify-monolithic proves the stream matches
-// the barrier path bit-for-bit at 1/2/8 workers), and serve runs a
+// stitching one chip mask (bit-identical to the barrier path at any worker
+// count: tests/test_layout_shard.cpp), and serve runs a
 // long-lived request queue — priority scheduling, soft deadlines, and
 // admission control that rejects with a reason when the queue is full —
 // over one warm scheduler (kernels, simulators, policy shared across
@@ -727,7 +727,6 @@ struct ShardCliOptions {
     int queue_capacity = 64;
     std::uint64_t seed = core::Experiment::kDatasetSeed;
     int iterations = -1;
-    bool verify = false;
     ObsCliOptions obs;
 };
 
@@ -742,7 +741,7 @@ int shard_main(int argc, char** argv) {
          integer("--threads", "N", cli.threads, 1),
          integer("--queue-capacity", "N", cli.queue_capacity, 1), u64("--seed", "S", cli.seed),
          integer("--iterations", "N", cli.iterations, 1), text("--out", "mask.gds", cli.out),
-         on("--verify-monolithic", cli.verify), on("--quiet", cli.obs.quiet)},
+         on("--quiet", cli.obs.quiet)},
         cli.obs);
     if (!parse_flags(argc, argv, 2, flags)) return print_flags_usage("shard", flags);
     apply_obs_options(cli.obs);
@@ -794,30 +793,20 @@ int shard_main(int argc, char** argv) {
         runtime::StreamOptions stream;
         stream.queue_capacity = cli.queue_capacity;
 
-        int stream_failed = 0;
-        const auto run_stitched = [&](int threads, runtime::StreamStats* stats_out) {
-            runtime::BatchOptions b = bopt;
-            b.threads = threads;
-            runtime::BatchScheduler sched(sc.litho, b);
-            std::vector<std::vector<int>> tile_offsets(layouts.size());
-            const runtime::StreamStats stats = sched.run_streaming(
-                layouts, optimize,
-                [&tile_offsets](runtime::ClipResult&& r) {
-                    if (!r.error.empty()) {
-                        std::fprintf(stderr, "tile %s FAILED: %s\n", r.name.c_str(),
-                                     r.error.c_str());
-                        return;  // stitch rejects the missing tile below
-                    }
-                    tile_offsets[static_cast<std::size_t>(r.index)] = std::move(r.offsets);
-                },
-                names, stream);
-            if (stats_out) *stats_out = stats;
-            return layout::stitch(sharder, chip_layout, tile_offsets);
-        };
-
-        runtime::StreamStats stats;
-        const layout::StitchResult stitched = run_stitched(cli.threads, &stats);
-        stream_failed = stats.failed;
+        runtime::BatchScheduler sched(sc.litho, bopt);
+        std::vector<std::vector<int>> tile_offsets(layouts.size());
+        const runtime::StreamStats stats = sched.run_streaming(
+            layouts, optimize,
+            [&tile_offsets](runtime::ClipResult&& r) {
+                if (!r.error.empty()) {
+                    std::fprintf(stderr, "tile %s FAILED: %s\n", r.name.c_str(),
+                                 r.error.c_str());
+                    return;  // stitch rejects the missing tile below
+                }
+                tile_offsets[static_cast<std::size_t>(r.index)] = std::move(r.offsets);
+            },
+            names, stream);
+        const layout::StitchResult stitched = layout::stitch(sharder, chip_layout, tile_offsets);
 
         std::printf("shard: %zu polygons -> %zu tiles (%d nm core + %d nm halo = %d nm "
                     "window), %d owned segments\n",
@@ -839,35 +828,8 @@ int shard_main(int argc, char** argv) {
             std::printf("wrote %s (targets: layer 1, mask: layer 10)\n", cli.out.c_str());
         }
 
-        int rc = stream_failed > 0 ? 1 : 0;
-        if (cli.verify) {
-            // The refactor gate: the streaming path must reproduce the
-            // barrier path bit-for-bit over the same tiles, at any worker
-            // count. Reference = BatchScheduler::run() (the pre-refactor
-            // caller surface), candidates = run_streaming at 1/2/8 workers.
-            runtime::BatchScheduler ref_sched(sc.litho, bopt);
-            const runtime::BatchResult ref = ref_sched.run(layouts, optimize, names);
-            std::vector<std::vector<int>> ref_offsets(layouts.size());
-            for (const runtime::ClipResult& c : ref.clips) {
-                if (c.error.empty()) {
-                    ref_offsets[static_cast<std::size_t>(c.index)] = c.offsets;
-                }
-            }
-            const layout::StitchResult golden =
-                layout::stitch(sharder, chip_layout, ref_offsets);
-            bool ok = true;
-            for (const int workers : {1, 2, 8}) {
-                const layout::StitchResult got = run_stitched(workers, nullptr);
-                const bool match =
-                    got.offsets == golden.offsets && got.mask == golden.mask;
-                std::printf("verify-monolithic @ %d workers: %s\n", workers,
-                            match ? "PASS (bit-identical stitch)" : "FAIL");
-                ok = ok && match;
-            }
-            if (!ok) rc = 1;
-        }
         write_obs_reports(cli.obs);
-        return rc;
+        return stats.failed > 0 ? 1 : 0;
     } catch (const std::exception& e) {
         std::fprintf(stderr, "shard failed: %s\n", e.what());
         return 1;
@@ -991,9 +953,7 @@ int serve_main(int argc, char** argv) {
 // collect records rule-teacher trajectories (plus their squish-encoded
 // states) into a packed trajectory store; train replays phase-1 imitation
 // minibatches straight from the store's memory mapping and writes the
-// trained policy weights. The split lets N machines collect and one train;
-// `train --in-memory` runs the classic collect-and-train path with the same
-// configuration, so CI can byte-compare the two weight files.
+// trained policy weights. The split lets N machines collect and one train.
 
 struct StoreCliOptions {
     std::string style = "via";
@@ -1004,7 +964,6 @@ struct StoreCliOptions {
     std::string store_path;  ///< collect --out / train --from-store
     std::string weights;     ///< train --weights
     std::string stats_json;
-    bool in_memory = false;  ///< train: collect in-process instead of replaying
     ObsCliOptions obs;
 };
 
@@ -1048,7 +1007,7 @@ std::vector<geo::SegmentedLayout> build_store_clips(const std::string& style, st
 }
 
 /// collect writes the store named by --out; train replays --from-store into
-/// --weights and alone takes --epochs and --in-memory.
+/// --weights and alone takes --epochs.
 std::vector<Flag> store_flags(StoreCliOptions& o, bool train_mode) {
     std::vector<Flag> flags = {
         choice("--style", {"via", "metal"}, o.style), integer("--clips", "N", o.clips, 1),
@@ -1057,8 +1016,7 @@ std::vector<Flag> store_flags(StoreCliOptions& o, bool train_mode) {
     if (train_mode) {
         flags.insert(flags.begin(), {required(text("--from-store", "store.ctrj", o.store_path)),
                                      required(text("--weights", "out.bin", o.weights)),
-                                     integer("--epochs", "N", o.epochs, 1),
-                                     on("--in-memory", o.in_memory)});
+                                     integer("--epochs", "N", o.epochs, 1)});
     } else {
         flags.insert(flags.begin(), required(text("--out", "store.ctrj", o.store_path)));
     }
@@ -1133,50 +1091,36 @@ int train_main(int argc, char** argv) {
 
         // Open the store before any expensive setup so a bad path or a torn
         // file fails in milliseconds, not after clip generation.
-        std::unique_ptr<rl::TrajStoreReader> store;
-        if (!cli.in_memory) {
-            store = std::make_unique<rl::TrajStoreReader>(cli.store_path);
-            if (store->dataset_tag() != tag) {
-                std::fprintf(stderr,
-                             "train: store %s was collected on a different dataset "
-                             "(tag %llu, expected %llu for --style %s --seed %llu --clips %d)\n",
-                             cli.store_path.c_str(),
-                             static_cast<unsigned long long>(store->dataset_tag()),
-                             static_cast<unsigned long long>(tag), cli.style.c_str(),
-                             static_cast<unsigned long long>(cli.seed), cli.clips);
-                return 1;
-            }
+        const rl::TrajStoreReader store(cli.store_path);
+        if (store.dataset_tag() != tag) {
+            std::fprintf(stderr,
+                         "train: store %s was collected on a different dataset "
+                         "(tag %llu, expected %llu for --style %s --seed %llu --clips %d)\n",
+                         cli.store_path.c_str(),
+                         static_cast<unsigned long long>(store.dataset_tag()),
+                         static_cast<unsigned long long>(tag), cli.style.c_str(),
+                         static_cast<unsigned long long>(cli.seed), cli.clips);
+            return 1;
         }
 
         const auto clips = build_store_clips(cli.style, cli.seed, cli.clips);
         core::CamoEngine engine(cfg);
         Timer timer;
+        // No lithography simulator at all: training cost is pure policy
+        // forward/backward over the mapped store.
+        const core::Phase1Replay replay = engine.make_phase1_replay(store, clips);
         double loss = 0.0;
-        if (cli.in_memory) {
-            litho::LithoSim sim(core::Experiment::litho_config());
-            const opc::OpcOptions opt = cli.style == "via" ? core::Experiment::via_options()
-                                                           : core::Experiment::metal_options();
-            const core::Phase1Dataset data = engine.collect_teacher_data(clips, sim, opt);
-            for (int e = 0; e < epochs; ++e) loss = engine.run_phase1_epoch(data);
-        } else {
-            // Replay path: no lithography simulator at all — training cost is
-            // pure policy forward/backward over the mapped store.
-            const core::Phase1Replay replay = engine.make_phase1_replay(*store, clips);
-            for (int e = 0; e < epochs; ++e) loss = engine.run_phase1_epoch(replay);
-        }
+        for (int e = 0; e < epochs; ++e) loss = engine.run_phase1_epoch(replay);
         engine.save_weights(cli.weights);
-        std::printf("train: %d epochs over %llu steps (%s), final loss %.6f -> %s (%.1fs)\n",
-                    epochs,
-                    static_cast<unsigned long long>(store ? store->step_count() : 0ULL),
-                    cli.in_memory ? "in-memory" : "store replay", loss, cli.weights.c_str(),
-                    timer.seconds());
+        std::printf("train: %d epochs over %llu steps (store replay), final loss %.6f -> %s "
+                    "(%.1fs)\n",
+                    epochs, static_cast<unsigned long long>(store.step_count()), loss,
+                    cli.weights.c_str(), timer.seconds());
         if (!cli.stats_json.empty()) {
             std::string json = "{\n";
             json += "  \"epochs\": " + std::to_string(epochs) + ",\n";
-            json += "  \"steps\": " +
-                    std::to_string(store ? store->step_count() : 0ULL) + ",\n";
-            json += "  \"mode\": \"" + std::string(cli.in_memory ? "in-memory" : "replay") +
-                    "\",\n";
+            json += "  \"steps\": " + std::to_string(store.step_count()) + ",\n";
+            json += "  \"mode\": \"replay\",\n";
             json += "  \"final_loss\": " + std::to_string(loss) + "\n}\n";
             write_text_atomic(cli.stats_json, json);
         }
@@ -1240,7 +1184,7 @@ void print_usage() {
                  "            x reward table, golden regression bounds)\n"
                  "  chipgen   write a synthetic multi-tile chip GDS from a scenario grid\n"
                  "  shard     full-chip OPC: cut into halo-padded tiles, stream-optimize,\n"
-                 "            stitch (--verify-monolithic checks the barrier path bitwise)\n"
+                 "            stitch one chip mask\n"
                  "  serve     long-running service loop: queued requests with priority,\n"
                  "            deadlines and admission control over a warm scheduler\n"
                  "  collect   record rule-teacher trajectories into a packed store\n"
