@@ -653,7 +653,7 @@ void BM_LinearForward(benchmark::State& state) {
     std::vector<float> y(static_cast<std::size_t>(rows) * kOut);
 
     simd::ScopedOverride force(simd_on ? simd::detected_level() : simd::Level::kScalar);
-    const nn::Backend& be = nn::active_backend();
+    const nn::OpsBackend& be = nn::active_backend();
     for (auto _ : state) {
         be.linear(m, x.data(), rows, y.data());
         benchmark::DoNotOptimize(y.data());

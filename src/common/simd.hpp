@@ -1,5 +1,5 @@
 // Runtime-dispatched SIMD kernels for the policy network and the
-// lithography hot loops (the nn::Backend and litho::SupportApplicator
+// lithography hot loops (the nn::OpsBackend and litho::SupportApplicator
 // compute cores).
 //
 // Dispatch model: this translation unit is always compiled portably; the

@@ -231,19 +231,13 @@ struct CamoEngine::TrainRuntime {
 };
 
 CamoEngine::CamoEngine(CamoConfig cfg)
-    : cfg_(std::move(cfg)), policy_(cfg_.policy) {
+    : cfg_(std::move(cfg)),
+      policy_(cfg_.policy),
+      adam_(policy_.params(), nn::Adam::Options{.lr = cfg_.lr,
+                                                .clip_norm = cfg_.clip_norm,
+                                                .weight_decay = cfg_.weight_decay}) {
     if (cfg_.squish.size != cfg_.policy.squish_size) {
         throw std::invalid_argument("CamoEngine: squish.size != policy.squish_size");
-    }
-    if (cfg_.optimizer == CamoConfig::Optimizer::kAdam) {
-        adam_.emplace(policy_.params(), nn::Adam::Options{.lr = cfg_.lr,
-                                                          .clip_norm = cfg_.clip_norm,
-                                                          .weight_decay = cfg_.weight_decay});
-    } else {
-        sgd_.emplace(policy_.params(), nn::Sgd::Options{.lr = cfg_.lr,
-                                                        .momentum = cfg_.momentum,
-                                                        .clip_norm = cfg_.clip_norm,
-                                                        .weight_decay = cfg_.weight_decay});
     }
 }
 
@@ -268,12 +262,8 @@ CamoEngine::TrainRuntime& CamoEngine::train_runtime() {
 }
 
 void CamoEngine::optimizer_step() {
-    if (adam_) {
-        adam_->step();
-    } else {
-        sgd_->step();
-    }
-    // The optimizers mutate weights through Parameter pointers captured at
+    adam_.step();
+    // Adam mutates weights through Parameter pointers captured at
     // construction; the packed inference plan cannot see that, so stale it
     // explicitly.
     policy_.invalidate_plan();

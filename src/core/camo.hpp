@@ -18,7 +18,6 @@
 
 #include <array>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -27,7 +26,6 @@
 #include "core/policy.hpp"
 #include "core/squish.hpp"
 #include "nn/adam.hpp"
-#include "nn/sgd.hpp"
 #include "opc/engine.hpp"
 #include "opc/rule_engine.hpp"
 #include "rl/reward.hpp"
@@ -52,14 +50,11 @@ struct CamoConfig {
     SquishOptions squish;  ///< squish.size must equal policy.squish_size
     double graph_threshold_nm = 250.0;
 
-    /// Optimizer choice. The paper uses SGD (lr 3e-4) over 500 GPU epochs;
-    /// Adam reaches the same imitation accuracy in far fewer CPU epochs
-    /// because it rescales the small discriminative gradient component.
-    enum class Optimizer { kAdam, kSgd };
-    Optimizer optimizer = Optimizer::kAdam;
-
-    float lr = 1e-3F;        ///< Adam default; use 3e-4 with kSgd (paper)
-    float momentum = 0.9F;   ///< SGD only
+    /// Adam step size. The paper trains with SGD at lr 3e-4 over 500 GPU
+    /// epochs; Adam (nn/adam.hpp) reaches the same imitation accuracy in far
+    /// fewer CPU epochs because it rescales the small discriminative
+    /// gradient component.
+    float lr = 1e-3F;
     float clip_norm = 5.0F;  ///< global gradient-norm bound
     float weight_decay = 1e-4F;
 
@@ -256,8 +251,7 @@ public:
 private:
     CamoConfig cfg_;
     PolicyNetwork policy_;
-    std::optional<nn::Adam> adam_;
-    std::optional<nn::Sgd> sgd_;
+    nn::Adam adam_;
 
     /// Lazily-built data-parallel training runtime: a thread pool plus one
     /// policy replica per worker (none when the resolved worker count is 1).

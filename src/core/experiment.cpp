@@ -1,5 +1,6 @@
 #include "core/experiment.hpp"
 
+#include <bit>
 #include <cstdlib>
 #include <filesystem>
 
@@ -16,6 +17,11 @@ std::uint64_t fnv_mix(std::uint64_t h, long long v) {
         h *= 1099511628211ULL;
     }
     return h;
+}
+
+// Real-valued settings hash their bit pattern.
+std::uint64_t fnv_mix_real(std::uint64_t h, double v) {
+    return fnv_mix(h, std::bit_cast<long long>(v));
 }
 
 }  // namespace
@@ -108,15 +114,15 @@ std::string Experiment::weights_path(const CamoConfig& cfg, const std::string& l
     // Bumped whenever the trainer's update schedule or RNG derivation
     // changes (v2: data-parallel trainer — phase-2 lockstep waves +
     // per-(episode, clip) splitmix streams replaced the sequential shared
-    // sampling RNG), so weights cached by an older trainer are never
-    // silently served as if the current trainer produced them.
-    constexpr long long kTrainerSchemaVersion = 2;
+    // sampling RNG; v3: every weight-changing setting is hashed), so
+    // weights cached by an older trainer are never silently served as if
+    // the current trainer produced them.
+    constexpr long long kTrainerSchemaVersion = 3;
 
     std::uint64_t h = 14695981039346656037ULL;
     h = fnv_mix(h, kTrainerSchemaVersion);
-    // Nominal mode contributes nothing so pre-existing cache paths survive;
-    // window modes both hash AND tag the name, keeping the distinction
-    // visible in data/ listings.
+    // Nominal mode contributes nothing; window modes both hash AND tag the
+    // name, keeping the distinction visible in data/ listings.
     std::string tag = layer_tag;
     if (objective != rl::RewardMode::kNominal) {
         h = fnv_mix(h, static_cast<long long>(objective));
@@ -132,13 +138,28 @@ std::string Experiment::weights_path(const CamoConfig& cfg, const std::string& l
     h = fnv_mix(h, static_cast<long long>(cfg.policy.seed));
     h = fnv_mix(h, cfg.phase1_epochs);
     h = fnv_mix(h, cfg.phase2_episodes);
+    // Every other setting that reaches the trained weights: the optimizer,
+    // the teacher rollouts, the graph, the reward, the modulator and the
+    // squish window.
+    h = fnv_mix_real(h, static_cast<double>(cfg.lr));
+    h = fnv_mix_real(h, static_cast<double>(cfg.clip_norm));
+    h = fnv_mix_real(h, static_cast<double>(cfg.weight_decay));
+    h = fnv_mix(h, cfg.teacher_steps);
+    h = fnv_mix_real(h, static_cast<double>(cfg.phase2_lr_scale));
+    h = fnv_mix_real(h, cfg.graph_threshold_nm);
+    h = fnv_mix_real(h, cfg.reward.epsilon);
+    h = fnv_mix_real(h, cfg.reward.beta);
+    h = fnv_mix_real(h, cfg.modulator.k);
+    h = fnv_mix(h, cfg.modulator.n);
+    h = fnv_mix_real(h, cfg.modulator.b);
+    h = fnv_mix(h, cfg.modulator.enabled ? 1 : 0);
+    h = fnv_mix(h, cfg.squish.window_nm);
     // phase1_batch changes the optimizer-step schedule, so it is part of the
-    // key (the default per-sample schedule contributes nothing, keeping
-    // pre-existing cache paths unchanged). train_workers is deliberately
-    // NOT hashed: the trainer's fixed-order gradient reduction makes the
-    // trained weights bit-identical at any worker count, so weights cached
-    // at one worker count serve every other.
-    if (cfg.phase1_batch != 1) h = fnv_mix(h, cfg.phase1_batch);
+    // key. train_workers is deliberately NOT hashed: the trainer's
+    // fixed-order gradient reduction makes the trained weights bit-identical
+    // at any worker count, so weights cached at one worker count serve
+    // every other.
+    h = fnv_mix(h, cfg.phase1_batch);
     h = fnv_mix(h, static_cast<long long>(cfg.teacher_biases.size()));
     for (int b : cfg.teacher_biases) h = fnv_mix(h, b);
     h = fnv_mix(h, static_cast<long long>(Experiment::kDatasetSeed));

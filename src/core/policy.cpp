@@ -145,11 +145,67 @@ void conv_backward(const simd::ExactOps& k, nn::Parameter& w, nn::Parameter& b,
     }
 }
 
+// One RNN layer's BPTT over a sequence of n steps, in the reference Rnn's
+// orders (tests/nn_reference_layers.hpp): steps descending; within a step,
+// hidden units ascending, skipping exact-zero pre-activation gradients.
+// dU, dW and db sum into zeroed locals over the whole sweep and fold into
+// the grads with one addition per element. `in` [n, in_l] is the layer's
+// input and `h` [n, hidden] its hidden sequence; `dh` [n, hidden] is the
+// gradient arriving at h from above; the input gradient accumulates into
+// `din` [n, in_l], which the caller zeroes.
+void rnn_layer_backward(nn::Parameter& u, nn::Parameter& w, nn::Parameter& b, const float* in,
+                        const float* h, const float* dh, int n, float* din) {
+    const int hidden = w.value.dim(0);
+    const int in_l = u.value.dim(1);
+    const float* uv = u.value.data().data();
+    const float* wv = w.value.data().data();
+    std::vector<float> gu(u.value.numel(), 0.0F);
+    std::vector<float> gw(w.value.numel(), 0.0F);
+    std::vector<float> gb(sz(hidden), 0.0F);
+    std::vector<float> carry(sz(hidden), 0.0F);  // dL/dh(t) via step t + 1
+    std::vector<float> gpre(sz(hidden));
+    for (int t = n - 1; t >= 0; --t) {
+        const float* ht = h + sz(t) * sz(hidden);
+        for (int k = 0; k < hidden; ++k) {
+            const float gtotal = dh[sz(t) * sz(hidden) + sz(k)] + carry[sz(k)];
+            gpre[sz(k)] = gtotal * (1.0F - ht[k] * ht[k]);
+        }
+        std::fill(carry.begin(), carry.end(), 0.0F);
+        const float* xt = in + sz(t) * sz(in_l);
+        float* dxt = din + sz(t) * sz(in_l);
+        for (int k = 0; k < hidden; ++k) {
+            const float gp = gpre[sz(k)];
+            if (gp == 0.0F) continue;
+            gb[sz(k)] += gp;
+            for (int i = 0; i < in_l; ++i) {
+                gu[sz(k) * sz(in_l) + sz(i)] += gp * xt[i];
+                dxt[i] += gp * uv[sz(k) * sz(in_l) + sz(i)];
+            }
+            if (t > 0) {
+                const float* hprev = ht - hidden;
+                for (int i = 0; i < hidden; ++i) {
+                    gw[sz(k) * sz(hidden) + sz(i)] += gp * hprev[i];
+                    carry[sz(i)] += gp * wv[sz(k) * sz(hidden) + sz(i)];
+                }
+            }
+        }
+    }
+    for (std::size_t i = 0; i < gu.size(); ++i) u.grad[i] += gu[i];
+    for (std::size_t i = 0; i < gw.size(); ++i) w.grad[i] += gw[i];
+    for (std::size_t i = 0; i < gb.size(); ++i) b.grad[i] += gb[i];
+}
+
 }  // namespace
 
 PolicyNetwork::Layer::Layer(std::vector<int> w_shape, int fan_in, Rng& rng)
     : w(w_shape), b({w_shape.front()}) {
     nn::init_he(w.value, fan_in, rng);
+}
+
+PolicyNetwork::RnnCell::RnnCell(int in, int hidden, Rng& rng)
+    : u({hidden, in}), w({hidden, hidden}), b({hidden}) {
+    nn::init_xavier(u.value, in, hidden, rng);
+    nn::init_xavier(w.value, hidden, hidden, rng);
 }
 
 PolicyNetwork::PolicyNetwork(const PolicyConfig& cfg)
@@ -165,7 +221,10 @@ PolicyNetwork::PolicyNetwork(const PolicyConfig& cfg)
     if (cfg_.use_gnn) sage_.emplace(std::vector<int>{cfg_.embed_dim, 2 * cfg_.embed_dim},
                                     2 * cfg_.embed_dim, rng_);
     if (cfg_.use_rnn) {
-        rnn_ = std::make_unique<nn::Rnn>(cfg_.embed_dim, cfg_.rnn_hidden, cfg_.rnn_layers, rng_);
+        rnn_.reserve(sz(cfg_.rnn_layers));
+        for (int l = 0; l < cfg_.rnn_layers; ++l) {
+            rnn_.emplace_back(l == 0 ? cfg_.embed_dim : cfg_.rnn_hidden, cfg_.rnn_hidden, rng_);
+        }
     } else {
         proj_.emplace(std::vector<int>{cfg_.rnn_hidden, cfg_.embed_dim}, cfg_.embed_dim, rng_);
     }
@@ -208,12 +267,10 @@ PackedWeights PolicyNetwork::pack_weights() const {
     p.conv3 = nn::pack_conv2d(conv3_.w.value, conv3_.b.value, kStride, kPad);
     p.fc = nn::pack_linear(fc_.w.value, &fc_.b.value);
     if (sage_) p.sage = nn::pack_linear(sage_->w.value, &sage_->b.value);
-    if (rnn_) {
-        p.rnn.reserve(static_cast<std::size_t>(rnn_->num_layers()));
-        for (int l = 0; l < rnn_->num_layers(); ++l) {
-            p.rnn.push_back({nn::pack_linear(rnn_->u(l).value, &rnn_->b(l).value),
-                             nn::pack_linear(rnn_->w(l).value, nullptr)});
-        }
+    p.rnn.reserve(rnn_.size());
+    for (const RnnCell& cell : rnn_) {
+        p.rnn.push_back({nn::pack_linear(cell.u.value, &cell.b.value),
+                         nn::pack_linear(cell.w.value, nullptr)});
     }
     if (proj_) p.proj = nn::pack_linear(proj_->w.value, &proj_->b.value);
     p.head = nn::pack_linear(head_.w.value, &head_.b.value);
@@ -239,7 +296,7 @@ std::vector<nn::Tensor> PolicyNetwork::infer_batch(std::span<const ClipRequest> 
     return out;
 }
 
-std::vector<float> PolicyNetwork::walk(const nn::Backend& be, const PackedWeights& weights,
+std::vector<float> PolicyNetwork::walk(const nn::OpsBackend& be, const PackedWeights& weights,
                                        std::span<const ClipRequest> clips, FlatTape& act,
                                        bool keep) const {
     const int S = cfg_.squish_size;
@@ -395,20 +452,23 @@ void PolicyNetwork::backward(const nn::Tensor& dlogits) {
     dense_backward(k, head_.w, head_.b, dlogits.data().data(), t.ctx.data(), n, false,
                    dctx.data());
 
-    // RNN (full BPTT through nn::Rnn) or the projection (ascending).
+    // RNN (full BPTT, layers descending; each layer's input gradient is the
+    // gradient arriving at the layer below) or the projection (ascending).
     std::vector<float> dfused(sz(n) * sz(embed));
-    if (rnn_) {
-        nn::Tape rnn_tape;
-        nn::Tensor seq({n, embed});
-        std::memcpy(seq.data().data(), fused, seq.numel() * sizeof(float));
-        nn::Tensor hs({rnn_->num_layers(), n, hidden});
-        std::memcpy(hs.data().data(), t.hs.data(), hs.numel() * sizeof(float));
-        rnn_tape.push(std::move(seq));
-        rnn_tape.push(std::move(hs));
-        nn::Tensor gseq({n, hidden});
-        std::memcpy(gseq.data().data(), dctx.data(), dctx.size() * sizeof(float));
-        const nn::Tensor gx = rnn_->backward(gseq, rnn_tape);
-        std::memcpy(dfused.data(), gx.data().data(), dfused.size() * sizeof(float));
+    if (cfg_.use_rnn) {
+        std::vector<float> dh = std::move(dctx);
+        std::vector<float> dbelow;
+        for (std::size_t l = rnn_.size(); l-- > 0;) {
+            const float* h = t.hs.data() + l * sz(n) * sz(hidden);
+            float* din = dfused.data();
+            if (l > 0) {
+                dbelow.assign(sz(n) * sz(hidden), 0.0F);
+                din = dbelow.data();
+            }
+            rnn_layer_backward(rnn_[l].u, rnn_[l].w, rnn_[l].b,
+                               l == 0 ? fused : h - sz(n) * sz(hidden), h, dh.data(), n, din);
+            dh.swap(dbelow);
+        }
     } else {
         relu_backward(dctx.data(), t.ctx.data(), dctx.size());
         dense_backward(k, proj_->w, proj_->b, dctx.data(), fused, n, false, dfused.data());
@@ -481,10 +541,7 @@ std::vector<nn::Parameter*> PolicyNetwork::params() {
     std::vector<nn::Parameter*> out = {&conv1_.w, &conv1_.b, &conv2_.w, &conv2_.b,
                                        &conv3_.w, &conv3_.b, &fc_.w,    &fc_.b};
     if (sage_) out.insert(out.end(), {&sage_->w, &sage_->b});
-    if (rnn_) {
-        auto p = rnn_->params();
-        out.insert(out.end(), p.begin(), p.end());
-    }
+    for (RnnCell& cell : rnn_) out.insert(out.end(), {&cell.u, &cell.w, &cell.b});
     if (proj_) out.insert(out.end(), {&proj_->w, &proj_->b});
     out.insert(out.end(), {&head_.w, &head_.b});
     return out;

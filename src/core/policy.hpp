@@ -21,11 +21,10 @@
 
 #include "common/rng.hpp"
 #include "core/graph.hpp"
-#include "nn/layer.hpp"
-#include "nn/rnn.hpp"
+#include "nn/tensor.hpp"
 
 namespace camo::nn {
-class Backend;
+class OpsBackend;
 }  // namespace camo::nn
 
 namespace camo::core {
@@ -117,6 +116,16 @@ private:
         nn::Parameter b;
     };
 
+    /// One Elman RNN layer, h(t) = tanh(U in(t) + W h(t-1) + b): U
+    /// [hidden, in] then W [hidden, hidden] Xavier-initialized from `rng`;
+    /// the bias starts at zero.
+    struct RnnCell {
+        RnnCell(int in, int hidden, Rng& rng);
+        nn::Parameter u;
+        nn::Parameter w;
+        nn::Parameter b;
+    };
+
     /// One forward walk's layer inputs and post-ReLU outputs, as flat
     /// row-major arrays with one row per node (clips concatenated).
     struct FlatTape {
@@ -142,7 +151,7 @@ private:
     Layer conv1_, conv2_, conv3_;   // 3x3 stride-2 encoder convolutions, ReLU
     Layer fc_;                      // flattened encoder -> embed_dim, ReLU
     std::optional<Layer> sage_;     // [e_i ; mean e_j] -> embed_dim, ReLU
-    std::unique_ptr<nn::Rnn> rnn_;  // embed -> rnn_hidden
+    std::vector<RnnCell> rnn_;      // embed -> rnn_hidden, one cell per layer
     std::optional<Layer> proj_;     // no-RNN path: embed -> rnn_hidden, ReLU
 
     FlatTape tape_;  // the last forward()'s activations
@@ -161,7 +170,7 @@ private:
     /// rows concatenated in clip order, and returns logits [rows, 5]. With
     /// `keep`, `act` keeps every row's activations for backward(); without,
     /// its per-node conv buffers hold one row at a time.
-    std::vector<float> walk(const nn::Backend& be, const PackedWeights& weights,
+    std::vector<float> walk(const nn::OpsBackend& be, const PackedWeights& weights,
                             std::span<const ClipRequest> clips, FlatTape& act, bool keep) const;
 };
 

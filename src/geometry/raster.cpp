@@ -42,9 +42,11 @@ void add_polygon_region(std::span<float> buf, const PixelRect& region, const Pol
     const int rows = region.rows();
     const int cols = region.cols();
 
-    // Same difference-array scheme as Raster::add_polygon, restricted to the
-    // region's columns. Keeping the loop structure, clamps and accumulation
-    // order identical is what makes the result bit-compatible.
+    // Every horizontal edge touches O(width) columns and O(1) rows via a
+    // per-column difference array over the region's columns: rows [0, ry)
+    // get the edge's full contribution, row ry a partial one. The running
+    // sums per column are the only accumulation, so a pixel's value does not
+    // depend on which other columns the region spans.
     std::vector<float> col_diff(static_cast<std::size_t>(cols) * static_cast<std::size_t>(rows + 1),
                                 0.0F);
     auto col_diff_at = [&](int row, int lc) -> float& {
@@ -106,63 +108,7 @@ Raster::Raster(int n, double pixel_nm) : n_(n), pixel_(pixel_nm) {
 void Raster::fill(float v) { std::fill(a_.begin(), a_.end(), v); }
 
 void Raster::add_polygon(const Polygon& poly, float weight) {
-    const auto& v = poly.vertices();
-    const int nv = static_cast<int>(v.size());
-    if (nv < 4) return;
-
-    // Per-column running contribution of full rows, applied bottom-up:
-    // full[c] accumulates the signed x-coverage active from row `r` upward is
-    // handled edge by edge instead: every horizontal edge touches O(width)
-    // columns and O(1) rows via a difference array.
-    std::vector<float> col_diff(static_cast<std::size_t>(n_) * static_cast<std::size_t>(n_ + 1),
-                                0.0F);
-
-    auto col_diff_at = [&](int row, int col) -> float& {
-        return col_diff[static_cast<std::size_t>(col) * static_cast<std::size_t>(n_ + 1) +
-                        static_cast<std::size_t>(row)];
-    };
-
-    for (int i = 0; i < nv; ++i) {
-        const Point& a = v[i];
-        const Point& b = v[(i + 1) % nv];
-        if (a.y != b.y || a.x == b.x) continue;  // horizontal edges only
-
-        const float sign = (b.x < a.x) ? weight : -weight;
-        const double x0 = std::min(a.x, b.x) / pixel_;
-        const double x1 = std::max(a.x, b.x) / pixel_;
-        const double y = a.y / pixel_;
-        if (y <= 0.0) continue;  // region (-inf, y] misses the grid entirely
-
-        const int c0 = std::max(0, static_cast<int>(std::floor(x0)));
-        const int c1 = std::min(n_ - 1, static_cast<int>(std::ceil(x1)) - 1);
-        if (c0 > c1) continue;
-
-        const double y_clamped = std::min(y, static_cast<double>(n_));
-        const int ry = static_cast<int>(std::floor(y_clamped));
-        const double fy = y_clamped - ry;  // fraction of partial row covered
-
-        for (int c = c0; c <= c1; ++c) {
-            const double lo = std::max(x0, static_cast<double>(c));
-            const double hi = std::min(x1, static_cast<double>(c + 1));
-            const double fx = hi - lo;
-            if (fx <= 0.0) continue;
-            const float val = sign * static_cast<float>(fx);
-            // Rows [0, ry) get the full contribution, row ry a partial one.
-            col_diff_at(0, c) += val;
-            if (ry < n_) {
-                col_diff_at(ry, c) -= val;
-                a_[idx(ry, c)] += val * static_cast<float>(fy);
-            }
-        }
-    }
-
-    for (int c = 0; c < n_; ++c) {
-        float run = 0.0F;
-        for (int r = 0; r < n_; ++r) {
-            run += col_diff_at(r, c);
-            a_[idx(r, c)] += run;
-        }
-    }
+    add_polygon_region(a_, {0, 0, n_, n_}, poly, pixel_, n_, weight);
 }
 
 void Raster::rasterize(std::span<const Polygon> polys) {

@@ -54,7 +54,8 @@ public:
 
     void fill(float v);
 
-    /// Accumulate the signed coverage of a polygon scaled by `weight`.
+    /// Accumulate the signed coverage of a polygon scaled by `weight`:
+    /// add_polygon_region over the whole grid.
     void add_polygon(const Polygon& poly, float weight = 1.0F);
 
     /// Accumulate several polygons then clamp into [0, 1].

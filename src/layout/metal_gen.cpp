@@ -97,7 +97,7 @@ std::vector<Clip> metal_test_set(std::uint64_t seed, const MetalGenOptions& opt)
         const bool regular = (i == 7 || i == 8);  // M8, M9
         auto polys = regular ? generate_regular_metal_clip(quota, rng, opt)
                              : generate_metal_clip(quota, rng, opt);
-        clips.push_back({"M" + std::to_string(i + 1), std::move(polys), opt.clip_nm});
+        clips.push_back({clip_name('M', i + 1), std::move(polys), opt.clip_nm});
     }
     return clips;
 }

@@ -88,7 +88,13 @@ int Tile::owned_count() const {
 }
 
 std::string Tile::name() const {
-    return "t" + std::to_string(tx) + "x" + std::to_string(ty);
+    // Appended: GCC 12 flags "t" + std::string&& with a -Wrestrict false
+    // positive.
+    std::string s = "t";
+    s += std::to_string(tx);
+    s += 'x';
+    s += std::to_string(ty);
+    return s;
 }
 
 TileSharder::TileSharder(std::vector<geo::Polygon> chip, ShardOptions opt,

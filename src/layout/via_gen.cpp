@@ -12,6 +12,14 @@ constexpr int kTrainViaCounts[] = {2, 2, 3, 3, 3, 4, 4, 4, 5, 5, 5};
 
 }  // namespace
 
+std::string clip_name(char prefix, int index) {
+    // Appended, not "V" + std::to_string(...): GCC 12 flags that prepend
+    // with a -Wrestrict false positive.
+    std::string name(1, prefix);
+    name += std::to_string(index);
+    return name;
+}
+
 std::vector<geo::Polygon> generate_via_clip(int via_count, Rng& rng, const ViaGenOptions& opt) {
     const int lo = opt.margin_nm;
     const int hi = opt.clip_nm - opt.margin_nm - opt.via_nm;
@@ -51,7 +59,7 @@ std::vector<Clip> via_training_set(std::uint64_t seed, const ViaGenOptions& opt)
     int idx = 1;
     for (int count : kTrainViaCounts) {
         Rng rng(seed + static_cast<std::uint64_t>(idx) * 7919ULL);
-        clips.push_back({"T" + std::to_string(idx), generate_via_clip(count, rng, opt),
+        clips.push_back({clip_name('T', idx), generate_via_clip(count, rng, opt),
                          opt.clip_nm});
         ++idx;
     }
@@ -64,7 +72,7 @@ std::vector<Clip> via_test_set(std::uint64_t seed, const ViaGenOptions& opt) {
     for (int count : kTestViaCounts) {
         // Offset the stream so test clips never repeat training clips.
         Rng rng(seed + 1000003ULL + static_cast<std::uint64_t>(idx) * 104729ULL);
-        clips.push_back({"V" + std::to_string(idx), generate_via_clip(count, rng, opt),
+        clips.push_back({clip_name('V', idx), generate_via_clip(count, rng, opt),
                          opt.clip_nm});
         ++idx;
     }
@@ -78,7 +86,7 @@ std::vector<Clip> via_batch_set(std::uint64_t seed, int count, const ViaGenOptio
         const std::uint64_t clip_seed = derive_seed(seed, static_cast<std::uint64_t>(i));
         Rng rng(clip_seed);
         const int vias = 2 + static_cast<int>(clip_seed % 5);  // 2..6, seed-determined
-        clips.push_back({"B" + std::to_string(i + 1), generate_via_clip(vias, rng, opt),
+        clips.push_back({clip_name('B', i + 1), generate_via_clip(vias, rng, opt),
                          opt.clip_nm});
     }
     return clips;

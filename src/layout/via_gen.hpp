@@ -31,6 +31,9 @@ struct Clip {
     int clip_nm = 2000;
 };
 
+/// A clip name: `prefix` followed by the decimal `index` ("V3").
+std::string clip_name(char prefix, int index);
+
 /// Random clip with exactly `via_count` vias satisfying the spacing rule.
 std::vector<geo::Polygon> generate_via_clip(int via_count, Rng& rng,
                                             const ViaGenOptions& opt = {});

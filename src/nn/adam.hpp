@@ -1,15 +1,15 @@
-// Adam optimizer.
+// Adam optimizer: the trainer's one optimizer.
 //
 // The paper trains with plain SGD (lr 3e-4, 500 epochs, GPU). On a CPU
 // budget the same architecture trains an order of magnitude faster under
 // Adam because the discriminative gradient component — tiny next to the
-// common mode in imitation data — is rescaled per parameter. Both
-// optimizers are provided; CamoConfig::optimizer selects one.
+// common mode in imitation data — is rescaled per parameter. CamoEngine
+// steps with Adam only (lr 1e-3, tens of epochs at the quick scale).
 #pragma once
 
 #include <vector>
 
-#include "nn/layer.hpp"
+#include "nn/tensor.hpp"
 
 namespace camo::nn {
 

@@ -7,42 +7,22 @@ namespace {
 
 int pad_up(int n) { return (n + simd::kBlock - 1) / simd::kBlock * simd::kBlock; }
 
-// The two kernels a Backend routes to, taken from one simd table.
-struct Kernels {
-    simd::Level level;
-    decltype(simd::Ops::gemm_blocked) gemm;
-    decltype(simd::Ops::conv2d_packed) conv;
-};
-
-class OpsBackend : public Backend {
-public:
-    // Read per call, so CAMO_BACKEND and simd::ScopedOverride apply.
-    using Table = Kernels (*)();
-
-    explicit OpsBackend(Table table) : table_(table) {}
-
-    [[nodiscard]] const char* name() const override { return simd::level_name(table_().level); }
-
-    void linear(const PackedLinear& m, const float* x, int rows, float* y) const override {
-        table_().gemm(m.w.data(), m.b.data(), x, rows, m.in, m.out, m.out_padded, y,
-                      /*accumulate=*/false);
-    }
-
-    void linear_acc(const PackedLinear& m, const float* x, int rows, float* y) const override {
-        table_().gemm(m.w.data(), m.b.data(), x, rows, m.in, m.out, m.out_padded, y,
-                      /*accumulate=*/true);
-    }
-
-    void conv2d(const PackedConv2d& m, const float* x, int h, int w, float* y) const override {
-        table_().conv(m.w.data(), m.b.data(), x, m.in_ch, h, w, m.out_ch, m.out_ch_padded, m.k,
-                      m.stride, m.pad, y, m.out_size(h), m.out_size(w));
-    }
-
-private:
-    Table table_;
-};
-
 }  // namespace
+
+void OpsBackend::linear(const PackedLinear& m, const float* x, int rows, float* y) const {
+    table_().gemm(m.w.data(), m.b.data(), x, rows, m.in, m.out, m.out_padded, y,
+                  /*accumulate=*/false);
+}
+
+void OpsBackend::linear_acc(const PackedLinear& m, const float* x, int rows, float* y) const {
+    table_().gemm(m.w.data(), m.b.data(), x, rows, m.in, m.out, m.out_padded, y,
+                  /*accumulate=*/true);
+}
+
+void OpsBackend::conv2d(const PackedConv2d& m, const float* x, int h, int w, float* y) const {
+    table_().conv(m.w.data(), m.b.data(), x, m.in_ch, h, w, m.out_ch, m.out_ch_padded, m.k,
+                  m.stride, m.pad, y, m.out_size(h), m.out_size(w));
+}
 
 PackedLinear pack_linear(const Tensor& w, const Tensor* b) {
     const auto& shape = w.shape();
@@ -106,18 +86,18 @@ PackedConv2d pack_conv2d(const Tensor& w, const Tensor& b, int stride, int pad) 
     return packed;
 }
 
-const Backend& active_backend() {
+const OpsBackend& active_backend() {
     static const OpsBackend backend{[] {
         const simd::Ops& t = simd::ops();
-        return Kernels{t.level, t.gemm_blocked, t.conv2d_packed};
+        return OpsBackend::Kernels{t.gemm_blocked, t.conv2d_packed};
     }};
     return backend;
 }
 
-const Backend& exact_backend() {
+const OpsBackend& exact_backend() {
     static const OpsBackend backend{[] {
         const simd::ExactOps& t = simd::exact_ops();
-        return Kernels{t.level, t.gemm_blocked, t.conv2d_packed};
+        return OpsBackend::Kernels{t.gemm_blocked, t.conv2d_packed};
     }};
     return backend;
 }

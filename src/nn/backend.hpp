@@ -1,8 +1,8 @@
-// Policy backend: packed-weight forward kernels behind an interface.
+// Policy kernels: packed-weight forward kernels taken from one SIMD table.
 //
 // PolicyNetwork repacks its weights once per version into SIMD-friendly
-// blocked layouts (common/simd.hpp) and runs its one layer walk through a
-// Backend. Two implementations ship:
+// blocked layouts (common/simd.hpp) and runs its one layer walk on an
+// OpsBackend. Two ship:
 //
 //   * exact_backend() — routes through simd::exact_ops(): the scalar
 //     reference bits (the naive layer loops' per-output accumulation order)
@@ -12,10 +12,8 @@
 //     the build + CPU + CAMO_BACKEND allow (which may itself be scalar).
 //     Inference runs here; its FMA kernels round differently.
 //
-// All read the same packed buffers: the blocked layout only changes where
-// W[o][i] lives, not the order the scalar kernel reads it in. A future
-// GPU / external-service backend implements the same interface on top of
-// the packed weights.
+// Both read the same packed buffers: the blocked layout only changes where
+// W[o][i] lives, not the order the scalar kernel reads it in.
 #pragma once
 
 #include <vector>
@@ -56,31 +54,40 @@ PackedLinear pack_linear(const Tensor& w, const Tensor* b);
 /// Pack convolution weights [out, in, k, k] and bias [out].
 PackedConv2d pack_conv2d(const Tensor& w, const Tensor& b, int stride, int pad);
 
-class Backend {
+/// The two kernels the layer walk calls, read from a simd table on every
+/// call so CAMO_BACKEND and simd::ScopedOverride apply.
+class OpsBackend {
 public:
-    virtual ~Backend() = default;
+    struct Kernels {
+        decltype(simd::Ops::gemm_blocked) gemm;
+        decltype(simd::Ops::conv2d_packed) conv;
+    };
+    using Table = Kernels (*)();
 
-    [[nodiscard]] virtual const char* name() const = 0;
+    explicit OpsBackend(Table table) : table_(table) {}
 
     /// y[r, :] = x[r, :] @ W^T + b for `rows` independent rows.
-    virtual void linear(const PackedLinear& m, const float* x, int rows, float* y) const = 0;
+    void linear(const PackedLinear& m, const float* x, int rows, float* y) const;
 
     /// y[r, :] += x[r, :] @ W^T (bias ignored). The scalar kernel resumes
-    /// the existing accumulator per output element, matching the legacy RNN
-    /// cell's single fused accumulation chain.
-    virtual void linear_acc(const PackedLinear& m, const float* x, int rows, float* y) const = 0;
+    /// the existing accumulator per output element, matching the reference
+    /// RNN cell's single fused accumulation chain.
+    void linear_acc(const PackedLinear& m, const float* x, int rows, float* y) const;
 
     /// One CHW sample: x [in_ch, h, w] -> y [out_ch, oh, ow].
-    virtual void conv2d(const PackedConv2d& m, const float* x, int h, int w, float* y) const = 0;
+    void conv2d(const PackedConv2d& m, const float* x, int h, int w, float* y) const;
+
+private:
+    Table table_;
 };
 
-/// Backend routed through the active SIMD dispatch table (honours
-/// CAMO_BACKEND and simd::ScopedOverride).
-const Backend& active_backend();
+/// Kernels from the active SIMD dispatch table (honours CAMO_BACKEND and
+/// simd::ScopedOverride).
+const OpsBackend& active_backend();
 
-/// Backend routed through the exact-order training table
-/// (simd::exact_ops()): bit-identical to the scalar table on every level,
-/// vectorized where the CPU allows.
-const Backend& exact_backend();
+/// Kernels from the exact-order training table (simd::exact_ops()):
+/// bit-identical to the scalar table on every level, vectorized where the
+/// CPU allows.
+const OpsBackend& exact_backend();
 
 }  // namespace camo::nn

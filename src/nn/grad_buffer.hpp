@@ -12,11 +12,12 @@
 // and make results depend on the worker count; the fixed left fold makes
 // the reduced result a pure function of the per-sample buffers in canonical
 // order. Two scopes of bitwise equality follow:
-//   * per backward CALL: each Layer::backward adds exactly one value per
-//     parameter element per call (the contract note in layer.hpp), so
-//     capturing each call into its own buffer and folding in call order
-//     reproduces direct shared-buffer accumulation to 0 ULP (pinned by the
-//     GradReduce suite in tests/test_nn_training.cpp);
+//   * per backward CALL: a backward that adds exactly one value per
+//     parameter element per call (each of the reference layers in
+//     tests/nn_reference_layers.hpp sums into zeroed locals and folds them
+//     in once) makes capturing each call into its own buffer and folding in
+//     call order reproduce direct shared-buffer accumulation to 0 ULP
+//     (pinned by the GradReduce suite in tests/test_nn_training.cpp);
 //   * per SAMPLE: one trainer sample adds many terms per shared weight
 //     (one per graph node for the CNN encoder), so a per-sample buffer is
 //     a partial sum that direct shared-buffer accumulation would interleave
@@ -28,7 +29,7 @@
 
 #include <vector>
 
-#include "nn/layer.hpp"
+#include "nn/tensor.hpp"
 
 namespace camo::nn {
 

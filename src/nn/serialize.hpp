@@ -5,7 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "nn/layer.hpp"
+#include "nn/tensor.hpp"
 
 namespace camo::nn {
 

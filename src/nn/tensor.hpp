@@ -75,4 +75,14 @@ private:
     std::vector<float> data_;
 };
 
+/// A learnable tensor with its accumulated gradient.
+struct Parameter {
+    Tensor value;
+    Tensor grad;
+
+    explicit Parameter(std::vector<int> shape) : value(shape), grad(shape) {}
+
+    void zero_grad() { grad.fill(0.0F); }
+};
+
 }  // namespace camo::nn

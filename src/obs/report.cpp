@@ -48,6 +48,14 @@ void append_number(std::string& out, long long v) {
     out += buf;
 }
 
+// Appends `"name": ` piece by piece: GCC 12 flags "\"" + std::string&&
+// with a -Wrestrict false positive.
+void append_key(std::string& out, const std::string& name) {
+    out += '"';
+    out += json_escape(name);
+    out += "\": ";
+}
+
 }  // namespace
 
 std::string render_metrics_json() {
@@ -59,19 +67,20 @@ std::string render_metrics_json() {
         switch (m.type) {
             case MetricType::kCounter: {
                 if (!counters.empty()) counters += ",\n    ";
-                counters += "\"" + json_escape(m.name) + "\": ";
+                append_key(counters, m.name);
                 append_number(counters, m.counter);
                 break;
             }
             case MetricType::kGauge: {
                 if (!gauges.empty()) gauges += ",\n    ";
-                gauges += "\"" + json_escape(m.name) + "\": ";
+                append_key(gauges, m.name);
                 append_number(gauges, m.gauge);
                 break;
             }
             case MetricType::kHistogram: {
                 if (!histograms.empty()) histograms += ",\n    ";
-                histograms += "\"" + json_escape(m.name) + "\": {\"count\": ";
+                append_key(histograms, m.name);
+                histograms += "{\"count\": ";
                 append_number(histograms, m.hist_count);
                 histograms += ", \"sum\": ";
                 append_number(histograms, m.hist_sum);

@@ -1,11 +1,13 @@
-// Naive per-sample Conv2d and Linear layers: the reference loops that
-// specify PolicyNetwork's batched forward and backward. Their accumulation
-// orders, run once per graph node, are what the exact-order kernels
-// (common/simd.hpp, simd::ExactOps) reproduce;
-// tests/test_core_policy_oracle.cpp memcmp's the batched path against them,
-// and the nn tests use them as gradient-check and optimizer fixtures. The
-// tape-based ReLU/Tanh/MaxPool2d layers, the Sequential container and the
-// finite-difference gradient check below serve the same tests.
+// The reference layer framework: the tape-based Layer interface and the
+// naive per-sample Conv2d, Linear and multi-layer Rnn loops that specify
+// PolicyNetwork's batched forward and backward. Their accumulation orders,
+// run once per graph node (the Rnn once per node sequence), are what the
+// exact-order kernels (common/simd.hpp, simd::ExactOps) and the policy's
+// flat BPTT reproduce; tests/test_core_policy_oracle.cpp memcmp's the
+// batched path against them, and the nn tests use them as gradient-check
+// and optimizer fixtures. The ReLU/Tanh/MaxPool2d layers, the Sequential
+// container and the finite-difference gradient check below serve the same
+// tests.
 #pragma once
 
 #include <algorithm>
@@ -16,9 +18,77 @@
 
 #include "common/rng.hpp"
 #include "nn/init.hpp"
-#include "nn/layer.hpp"
+#include "nn/tensor.hpp"
 
 namespace camo::nn {
+
+// ---- Tape and Layer: the per-call activation stack and the layer interface
+
+/// LIFO activation storage. forward() pushes, backward() pops; a layer must
+/// pop exactly what it pushed, in reverse order.
+class Tape {
+public:
+    void push(Tensor t) { stack_.push_back(std::move(t)); }
+
+    Tensor pop() {
+        if (stack_.empty()) throw std::logic_error("Tape::pop on empty tape");
+        Tensor t = std::move(stack_.back());
+        stack_.pop_back();
+        return t;
+    }
+
+    [[nodiscard]] bool empty() const { return stack_.empty(); }
+    [[nodiscard]] std::size_t size() const { return stack_.size(); }
+    void clear() { stack_.clear(); }
+
+private:
+    std::vector<Tensor> stack_;
+};
+
+class Layer {
+public:
+    virtual ~Layer() = default;
+
+    /// forward() is const: it reads parameters and pushes activations onto
+    /// the caller-owned tape, never mutating layer state. This is the
+    /// thread-safety contract the batch runtime relies on — one set of
+    /// weights may run concurrent forwards as long as each caller owns its
+    /// own Tape.
+    virtual Tensor forward(const Tensor& x, Tape& tape) const = 0;
+
+    /// Propagate grad_out to the input gradient; parameter gradients are
+    /// *accumulated* into params()[i]->grad.
+    ///
+    /// Accumulation contract: one backward() call adds exactly ONE value per
+    /// parameter element (the per-call gradient is computed into a local
+    /// buffer and folded in with a single addition). Capturing each call
+    /// into a detached buffer (nn/grad_buffer.hpp) and reducing the buffers
+    /// in call order then reproduces direct shared-buffer accumulation bit
+    /// for bit — float addition is not associative, so interleaving a
+    /// call's partial sums with the shared buffer would round differently.
+    /// Note the granularity: the equality is per backward() CALL. A trainer
+    /// sample that feeds a shared weight several times (e.g. the policy's
+    /// CNN encoder, once per graph node) makes its per-sample buffer a partial
+    /// sum, which is why the data-parallel trainer uses the buffered path
+    /// at every worker count rather than treating serial direct
+    /// accumulation as equivalent.
+    virtual Tensor backward(const Tensor& grad_out, Tape& tape) = 0;
+
+    virtual std::vector<Parameter*> params() { return {}; }
+};
+
+/// Collect the parameters of several layers/modules into one flat list.
+template <typename... Modules>
+std::vector<Parameter*> collect_params(Modules&... modules) {
+    std::vector<Parameter*> out;
+    (
+        [&out](auto& m) {
+            auto p = m.params();
+            out.insert(out.end(), p.begin(), p.end());
+        }(modules),
+        ...);
+    return out;
+}
 
 // ---- Conv2d: 2D convolution over a single CHW sample -----------------------
 
@@ -322,6 +392,172 @@ inline Tensor MaxPool2d::backward(const Tensor& grad_out, Tape& tape) {
                 const int flat = static_cast<int>(argmax.at(ch, oy, ox));
                 gx.at(ch, flat / w, flat % w) += grad_out.at(ch, oy, ox);
             }
+        }
+    }
+    return gx;
+}
+
+// ---- Rnn: multi-layer Elman RNN over a node sequence ----------------------
+//
+// Layer l at step t: h_l(t) = tanh(U_l in_l(t) + W_l h_l(t-1) + b_l), where
+// in_0 = the input sequence and in_l = h_{l-1}. The output is the top
+// layer's hidden sequence.
+
+class Rnn : public Layer {
+public:
+    Rnn(int input, int hidden, int layers, Rng& rng);
+
+    /// x: [T, input] -> [T, hidden]. Full BPTT on backward.
+    Tensor forward(const Tensor& x, Tape& tape) const override;
+    Tensor backward(const Tensor& grad_out, Tape& tape) override;
+    std::vector<Parameter*> params() override;
+
+    [[nodiscard]] int hidden_size() const { return hidden_; }
+    [[nodiscard]] int input_size() const { return input_; }
+    [[nodiscard]] int num_layers() const { return layers_; }
+
+    /// Read-only per-layer parameter views for the inference backend.
+    [[nodiscard]] const Parameter& u(int layer) const {
+        return u_[static_cast<std::size_t>(layer)];
+    }
+    [[nodiscard]] const Parameter& w(int layer) const {
+        return w_[static_cast<std::size_t>(layer)];
+    }
+    [[nodiscard]] const Parameter& b(int layer) const {
+        return b_[static_cast<std::size_t>(layer)];
+    }
+
+private:
+    int input_;
+    int hidden_;
+    int layers_;
+    std::vector<Parameter> u_;  // per layer: [hidden, in_l]
+    std::vector<Parameter> w_;  // per layer: [hidden, hidden]
+    std::vector<Parameter> b_;  // per layer: [hidden]
+};
+
+inline Rnn::Rnn(int input, int hidden, int layers, Rng& rng)
+    : input_(input), hidden_(hidden), layers_(layers) {
+    for (int l = 0; l < layers_; ++l) {
+        const int in_l = (l == 0) ? input_ : hidden_;
+        u_.emplace_back(std::vector<int>{hidden_, in_l});
+        w_.emplace_back(std::vector<int>{hidden_, hidden_});
+        b_.emplace_back(std::vector<int>{hidden_});
+        init_xavier(u_.back().value, in_l, hidden_, rng);
+        init_xavier(w_.back().value, hidden_, hidden_, rng);
+    }
+}
+
+inline std::vector<Parameter*> Rnn::params() {
+    std::vector<Parameter*> out;
+    for (int l = 0; l < layers_; ++l) {
+        out.push_back(&u_[static_cast<std::size_t>(l)]);
+        out.push_back(&w_[static_cast<std::size_t>(l)]);
+        out.push_back(&b_[static_cast<std::size_t>(l)]);
+    }
+    return out;
+}
+
+inline Tensor Rnn::forward(const Tensor& x, Tape& tape) const {
+    if (x.rank() != 2 || x.dim(1) != input_) throw std::invalid_argument("Rnn: input shape");
+    const int t_len = x.dim(0);
+
+    // hs[l] holds the hidden sequence of layer l: [T, hidden].
+    Tensor hs({layers_, t_len, hidden_});
+
+    for (int l = 0; l < layers_; ++l) {
+        const int in_l = (l == 0) ? input_ : hidden_;
+        const auto& u = u_[static_cast<std::size_t>(l)].value;
+        const auto& w = w_[static_cast<std::size_t>(l)].value;
+        const auto& b = b_[static_cast<std::size_t>(l)].value;
+        for (int t = 0; t < t_len; ++t) {
+            for (int h = 0; h < hidden_; ++h) {
+                float acc = b[static_cast<std::size_t>(h)];
+                for (int i = 0; i < in_l; ++i) {
+                    const float xin = (l == 0) ? x.at(t, i) : hs.at(l - 1, t, i);
+                    acc += u.at(h, i) * xin;
+                }
+                if (t > 0) {
+                    for (int i = 0; i < hidden_; ++i) acc += w.at(h, i) * hs.at(l, t - 1, i);
+                }
+                hs.at(l, t, h) = std::tanh(acc);
+            }
+        }
+    }
+
+    Tensor y({t_len, hidden_});
+    for (int t = 0; t < t_len; ++t) {
+        for (int h = 0; h < hidden_; ++h) y.at(t, h) = hs.at(layers_ - 1, t, h);
+    }
+    tape.push(x.reshaped(x.shape()));
+    tape.push(std::move(hs));
+    return y;
+}
+
+inline Tensor Rnn::backward(const Tensor& grad_out, Tape& tape) {
+    const Tensor hs = tape.pop();
+    const Tensor x = tape.pop();
+    const int t_len = x.dim(0);
+
+    // Gradient flowing into each layer's hidden outputs; start with the top
+    // layer receiving grad_out, lower layers receive via U^T as we descend.
+    Tensor gh_from_above({t_len, hidden_});
+    for (int t = 0; t < t_len; ++t) {
+        for (int h = 0; h < hidden_; ++h) gh_from_above.at(t, h) = grad_out.at(t, h);
+    }
+
+    Tensor gx({t_len, input_});
+
+    for (int l = layers_ - 1; l >= 0; --l) {
+        const int in_l = (l == 0) ? input_ : hidden_;
+        const auto& u = u_[static_cast<std::size_t>(l)].value;
+        const auto& w = w_[static_cast<std::size_t>(l)].value;
+        // Per-call gradients accumulate into locals across the time sweep and
+        // fold into the parameters with one addition per element at the end
+        // (the Layer::backward accumulation contract).
+        Tensor gu(u_[static_cast<std::size_t>(l)].grad.shape());
+        Tensor gw(w_[static_cast<std::size_t>(l)].grad.shape());
+        Tensor gb(b_[static_cast<std::size_t>(l)].grad.shape());
+
+        Tensor gh_below({t_len, in_l});           // gradient to the layer below (or input)
+        std::vector<float> carry(static_cast<std::size_t>(hidden_), 0.0F);  // dL/dh(t) via t+1
+
+        for (int t = t_len - 1; t >= 0; --t) {
+            // Total gradient at h_l(t), then through tanh.
+            std::vector<float> gpre(static_cast<std::size_t>(hidden_));
+            for (int h = 0; h < hidden_; ++h) {
+                const float ht = hs.at(l, t, h);
+                const float gtotal = gh_from_above.at(t, h) + carry[static_cast<std::size_t>(h)];
+                gpre[static_cast<std::size_t>(h)] = gtotal * (1.0F - ht * ht);
+            }
+            std::fill(carry.begin(), carry.end(), 0.0F);
+
+            for (int h = 0; h < hidden_; ++h) {
+                const float gp = gpre[static_cast<std::size_t>(h)];
+                if (gp == 0.0F) continue;
+                gb[static_cast<std::size_t>(h)] += gp;
+                for (int i = 0; i < in_l; ++i) {
+                    const float xin = (l == 0) ? x.at(t, i) : hs.at(l - 1, t, i);
+                    gu.at(h, i) += gp * xin;
+                    gh_below.at(t, i) += gp * u.at(h, i);
+                }
+                if (t > 0) {
+                    for (int i = 0; i < hidden_; ++i) {
+                        gw.at(h, i) += gp * hs.at(l, t - 1, i);
+                        carry[static_cast<std::size_t>(i)] += gp * w.at(h, i);
+                    }
+                }
+            }
+        }
+
+        u_[static_cast<std::size_t>(l)].grad.add_(gu);
+        w_[static_cast<std::size_t>(l)].grad.add_(gw);
+        b_[static_cast<std::size_t>(l)].grad.add_(gb);
+
+        if (l == 0) {
+            gx = std::move(gh_below);
+        } else {
+            gh_from_above = std::move(gh_below);
         }
     }
     return gx;

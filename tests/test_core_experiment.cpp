@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "core/experiment.hpp"
 
 namespace camo::core {
@@ -59,13 +62,34 @@ TEST(Experiment, WeightsPathDistinguishesConfigs) {
     EXPECT_NE(Experiment::weights_path(camo, "via"), Experiment::weights_path(rlopc, "via"));
     EXPECT_NE(Experiment::weights_path(camo, "via"), Experiment::weights_path(camo, "metal"));
 
-    CamoConfig changed = camo;
-    changed.phase1_epochs += 1;
-    EXPECT_NE(Experiment::weights_path(camo, "via"), Experiment::weights_path(changed, "via"));
+    // Every setting that changes the trained weights moves the path.
+    const std::vector<std::pair<const char*, void (*)(CamoConfig&)>> flips = {
+        {"phase1_epochs", [](CamoConfig& c) { c.phase1_epochs += 1; }},
+        {"phase2_episodes", [](CamoConfig& c) { c.phase2_episodes += 1; }},
+        {"lr", [](CamoConfig& c) { c.lr *= 2.0F; }},
+        {"clip_norm", [](CamoConfig& c) { c.clip_norm += 1.0F; }},
+        {"weight_decay", [](CamoConfig& c) { c.weight_decay *= 2.0F; }},
+        {"teacher_steps", [](CamoConfig& c) { c.teacher_steps += 1; }},
+        {"phase2_lr_scale", [](CamoConfig& c) { c.phase2_lr_scale *= 2.0F; }},
+        {"graph_threshold_nm", [](CamoConfig& c) { c.graph_threshold_nm += 10.0; }},
+        {"reward.epsilon", [](CamoConfig& c) { c.reward.epsilon *= 2.0; }},
+        {"reward.beta", [](CamoConfig& c) { c.reward.beta *= 2.0; }},
+        {"modulator.k", [](CamoConfig& c) { c.modulator.k *= 2.0; }},
+        {"modulator.n", [](CamoConfig& c) { c.modulator.n += 2; }},
+        {"modulator.b", [](CamoConfig& c) { c.modulator.b += 1.0; }},
+        {"modulator.enabled", [](CamoConfig& c) { c.modulator.enabled = !c.modulator.enabled; }},
+        {"squish.window_nm", [](CamoConfig& c) { c.squish.window_nm += 100; }},
+    };
+    for (const auto& [field, flip] : flips) {
+        CamoConfig changed = camo;
+        flip(changed);
+        EXPECT_NE(Experiment::weights_path(camo, "via"), Experiment::weights_path(changed, "via"))
+            << field;
+    }
 
     // The training reward mode is part of the key: a policy trained under
     // one objective must never be served to runs requesting another.
-    // Nominal mode keeps the pre-existing path unchanged.
+    // Nominal mode is the default.
     EXPECT_EQ(Experiment::weights_path(camo, "via"),
               Experiment::weights_path(camo, "via", rl::RewardMode::kNominal));
     EXPECT_NE(Experiment::weights_path(camo, "via"),
@@ -91,8 +115,7 @@ TEST(Experiment, WeightsPathIndependentOfTrainWorkers) {
     }
 
     // The minibatch size DOES change the optimizer-step schedule (and hence
-    // the weights), so it is part of the key; the default per-sample
-    // schedule keeps pre-existing cache paths unchanged.
+    // the weights), so it is part of the key.
     CamoConfig batched = base;
     batched.phase1_batch = 8;
     EXPECT_NE(Experiment::weights_path(base, "via"), Experiment::weights_path(batched, "via"));

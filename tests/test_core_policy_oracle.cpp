@@ -2,7 +2,8 @@
 //
 // ReferencePolicy below is PolicyNetwork written per node: a Sequential of
 // the naive Conv2d/Linear/ReLU layers (nn_reference_layers.hpp) run once
-// per graph node, with one nn::Tape per node and per layer. It is the
+// per graph node, with one nn::Tape per node and per layer, and the
+// reference nn::Rnn run once over the node sequence. It is the
 // bit-level specification of the batched walk. The tests memcmp
 // PolicyNetwork's logits and every parameter gradient against it, at every
 // SIMD level, over use_gnn x use_rnn, n in {1, 2, 24} with isolated nodes,
@@ -13,7 +14,10 @@
 //   * SAGE and fc dW/db: nodes descending, straight into the grad;
 //   * conv dW/db: a per-node sum over output pixels, added into the grad in
 //     descending node order;
-//   * conv dX: accumulated in (oc, oy, ox) order.
+//   * conv dX: accumulated in (oc, oy, ox) order;
+//   * RNN dU/dW/db: summed into zeroed locals over steps descending (hidden
+//     units ascending, zero pre-activation gradients skipped), then added
+//     into the grad once per layer.
 // Inputs are finite: in the conv weight gradient the reference skips zero
 // output gradients and out-of-image taps, which the batched path adds as
 // exact zeros — a no-op for finite values only.
@@ -26,7 +30,6 @@
 #include "common/rng.hpp"
 #include "common/simd.hpp"
 #include "core/policy.hpp"
-#include "nn/rnn.hpp"
 #include "rl/trajectory.hpp"
 
 #include "nn_reference_layers.hpp"

@@ -129,7 +129,7 @@ TEST(SimdOps, BatchedRowsBitwiseEqualSingleRows) {
     Rng rng(0xF00D);
     for (const simd::Level level : {simd::Level::kScalar, simd::detected_level()}) {
         simd::ScopedOverride force(level);
-        const nn::Backend& be = nn::active_backend();
+        const nn::OpsBackend& be = nn::active_backend();
         for (int trial = 0; trial < 10; ++trial) {
             const int in = rng.uniform_int(1, 32);
             const int out = rng.uniform_int(1, 24);

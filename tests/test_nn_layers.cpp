@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
-#include "nn/rnn.hpp"
 
 #include "nn_reference_layers.hpp"
 

@@ -7,10 +7,9 @@
 #include <memory>
 
 #include "common/rng.hpp"
+#include "nn/adam.hpp"
 #include "nn/grad_buffer.hpp"
-#include "nn/rnn.hpp"
 #include "nn/serialize.hpp"
-#include "nn/sgd.hpp"
 #include "nn/softmax.hpp"
 
 #include "nn_reference_layers.hpp"
@@ -65,90 +64,6 @@ TEST(Softmax, PolicyLogitGradMatchesNumeric) {
     }
 }
 
-TEST(Sgd, ConvergesOnQuadratic) {
-    // Minimize ||W x - y||^2 for a fixed x, y via the Linear layer.
-    Rng rng(10);
-    Linear layer(3, 2, rng);
-    Tensor x({3});
-    x[0] = 1.0F;
-    x[1] = -0.5F;
-    x[2] = 2.0F;
-    const float target0 = 0.7F;
-    const float target1 = -0.2F;
-
-    Sgd opt(layer.params(), {.lr = 0.05F});
-    float last_loss = 1e9F;
-    for (int it = 0; it < 200; ++it) {
-        Tape tape;
-        const Tensor y = layer.forward(x, tape);
-        Tensor gy({2});
-        gy[0] = 2.0F * (y[0] - target0);
-        gy[1] = 2.0F * (y[1] - target1);
-        last_loss = (y[0] - target0) * (y[0] - target0) + (y[1] - target1) * (y[1] - target1);
-        (void)layer.backward(gy, tape);
-        opt.step();
-    }
-    EXPECT_LT(last_loss, 1e-4F);
-}
-
-TEST(Sgd, MomentumConvergesOnQuadratic) {
-    // Momentum must still converge (it can oscillate short-term, so compare
-    // against the target rather than against plain SGD at a fixed step).
-    Rng rng(11);
-    Linear layer(4, 1, rng);
-    Tensor x({4});
-    x.fill(1.0F);
-    Sgd opt(layer.params(), {.lr = 0.005F, .momentum = 0.9F});
-    float loss = 1e9F;
-    for (int it = 0; it < 300; ++it) {
-        Tape tape;
-        const Tensor y = layer.forward(x, tape);
-        Tensor gy({1});
-        gy[0] = 2.0F * (y[0] - 3.0F);
-        loss = (y[0] - 3.0F) * (y[0] - 3.0F);
-        (void)layer.backward(gy, tape);
-        opt.step();
-    }
-    EXPECT_LT(loss, 1e-4F);
-}
-
-TEST(Sgd, ClipNormBoundsUpdates) {
-    Rng rng(12);
-    Linear layer(2, 1, rng);
-    const Tensor before = layer.params()[0]->value.reshaped({2});
-
-    Tensor x({2});
-    x.fill(100.0F);  // produce a huge gradient
-    Tape tape;
-    const Tensor y = layer.forward(x, tape);
-    Tensor gy({1});
-    gy[0] = 1000.0F;
-    (void)layer.backward(gy, tape);
-
-    Sgd opt(layer.params(), {.lr = 0.01F, .clip_norm = 1.0F});
-    opt.step();
-    const Tensor after = layer.params()[0]->value.reshaped({2});
-    // The whole update vector is bounded by lr * clip_norm.
-    double norm = 0.0;
-    for (int i = 0; i < 2; ++i) {
-        const double d = after[static_cast<std::size_t>(i)] - before[static_cast<std::size_t>(i)];
-        norm += d * d;
-    }
-    EXPECT_LE(std::sqrt(norm), 0.01 + 1e-6);
-}
-
-TEST(Sgd, WeightDecayShrinksWeights) {
-    Rng rng(13);
-    Linear layer(3, 2, rng);
-    double before = 0.0;
-    for (float v : layer.params()[0]->value.data()) before += v * v;
-    Sgd opt(layer.params(), {.lr = 0.1F, .weight_decay = 0.5F});
-    opt.step();  // zero gradient: only the decay term acts
-    double after = 0.0;
-    for (float v : layer.params()[0]->value.data()) after += v * v;
-    EXPECT_LT(after, before);
-}
-
 TEST(Training, OverfitsTinyClassification) {
     // 4 points, 2 classes, tiny MLP: cross-entropy must fall substantially.
     Rng rng(13);
@@ -160,7 +75,7 @@ TEST(Training, OverfitsTinyClassification) {
     const std::vector<std::pair<std::vector<float>, int>> data = {
         {{0.0F, 0.0F}, 0}, {{1.0F, 1.0F}, 0}, {{0.0F, 1.0F}, 1}, {{1.0F, 0.0F}, 1}};
 
-    Sgd opt(net.params(), {.lr = 0.1F, .momentum = 0.9F});
+    Adam opt(net.params(), {.lr = 0.01F});
     double first_loss = 0.0;
     double last_loss = 0.0;
     for (int epoch = 0; epoch < 200; ++epoch) {
@@ -190,9 +105,9 @@ TEST(Training, OverfitsTinyClassification) {
 // The data-parallel trainer captures per-sample gradients into detached
 // buffers (nn/grad_buffer.hpp) and folds them back in fixed order. Because
 // every Layer::backward adds exactly one value per parameter element per
-// call (the accumulation contract in layer.hpp), the reduced gradients must
-// equal direct single-buffer accumulation to 0 ULP — this is what makes
-// training results independent of the worker count.
+// call (the accumulation contract in nn_reference_layers.hpp), the reduced
+// gradients must equal direct single-buffer accumulation to 0 ULP — this
+// is what makes training results independent of the worker count.
 
 Tensor random_tensor(std::vector<int> shape, Rng& rng) {
     Tensor t(std::move(shape));
