@@ -69,6 +69,23 @@ obs::MetricId exit_segment_free_counter() {
     return id;
 }
 
+// One counter per action class, named after its offset move in nm
+// (rl::action_to_move): core.action.move-2 ... core.action.move+2.
+const std::array<obs::MetricId, rl::kNumActions>& action_counters() {
+    static const std::array<obs::MetricId, rl::kNumActions> ids = [] {
+        std::array<obs::MetricId, rl::kNumActions> out{};
+        for (int a = 0; a < rl::kNumActions; ++a) {
+            const int move = rl::action_to_move(a);
+            std::string name = "core.action.move";
+            if (move >= 0) name += '+';
+            name += std::to_string(move);
+            out[static_cast<std::size_t>(a)] = obs::register_counter(name);
+        }
+        return out;
+    }();
+    return ids;
+}
+
 // Per-segment offset moves (nm) of the chosen actions.
 std::vector<int> action_moves(const std::vector<int>& actions) {
     std::vector<int> moves(actions.size());
@@ -125,16 +142,21 @@ std::vector<int> pick_actions(const nn::Tensor& logits, const std::vector<double
                               const ModulatorConfig& mod, Rng* rng) {
     const int n = logits.dim(0);
     std::vector<int> actions(static_cast<std::size_t>(n), 0);
+    std::array<long long, rl::kNumActions> counts{};
     for (int i = 0; i < n; ++i) {
         auto probs = node_probs(logits, i);
         probs = modulate_probs(probs, epe_segment[static_cast<std::size_t>(i)], mod);
+        int& action = actions[static_cast<std::size_t>(i)];
         if (rng != nullptr) {
-            actions[static_cast<std::size_t>(i)] = rng->sample_weighted(probs);
+            action = rng->sample_weighted(probs);
         } else {
-            actions[static_cast<std::size_t>(i)] = static_cast<int>(
-                std::max_element(probs.begin(), probs.end()) - probs.begin());
+            action = static_cast<int>(std::max_element(probs.begin(), probs.end()) -
+                                      probs.begin());
         }
+        ++counts[static_cast<std::size_t>(action)];
     }
+    const auto& counters = action_counters();
+    for (std::size_t a = 0; a < counters.size(); ++a) obs::counter_add(counters[a], counts[a]);
     return actions;
 }
 

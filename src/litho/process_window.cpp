@@ -35,6 +35,15 @@ void WindowSpec::validate() const {
     }
 }
 
+WindowSpec WindowSpec::resolved(const LithoConfig& cfg) const {
+    const WindowSpec standard_window = standard(cfg);
+    WindowSpec spec = *this;
+    if (spec.doses.empty()) spec.doses = standard_window.doses;
+    if (spec.defocus_nm.empty()) spec.defocus_nm = standard_window.defocus_nm;
+    spec.validate();
+    return spec;
+}
+
 const CornerResult* WindowMetrics::nominal_corner() const {
     for (const CornerResult& c : corners) {
         if (std::abs(c.corner.dose - 1.0) < 1e-12 &&

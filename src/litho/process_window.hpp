@@ -68,6 +68,13 @@ struct WindowSpec {
     /// Throws std::invalid_argument on an empty axis, a non-positive or
     /// non-finite dose, or a non-finite focus.
     void validate() const;
+
+    /// The one window resolution rule: each empty axis takes its values from
+    /// standard(cfg), a set axis is kept as given, and the result is
+    /// validated. Every window setting (OpcOptions::window,
+    /// IltOptions::window, Scenario::window, the CLI sweep grid) resolves
+    /// through this.
+    [[nodiscard]] WindowSpec resolved(const LithoConfig& cfg) const;
 };
 
 /// One corner's outcome: EPE measured against this corner's printed contour

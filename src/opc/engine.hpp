@@ -37,14 +37,9 @@ struct OpcOptions {
     /// exit and the histories off the window objective.
     rl::RewardMode objective = rl::RewardMode::kNominal;
 
-    /// Window for the window objectives; empty axes resolve to
-    /// litho::WindowSpec::standard of the simulator's config. Ignored in
-    /// kNominal mode.
+    /// Window for the window objectives, resolved against the simulator's
+    /// config by litho::WindowSpec::resolved. Ignored in kNominal mode.
     litho::WindowSpec window;
-
-    /// Per-corner weights for kWeightedCorner in WindowSpec::corner order
-    /// (empty = uniform). Ignored in the other modes.
-    std::vector<double> corner_weights;
 };
 
 struct EngineResult {

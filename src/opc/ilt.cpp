@@ -9,7 +9,6 @@
 #include "litho/fft.hpp"
 #include "litho/kernel_registry.hpp"
 #include "litho/process_window.hpp"
-#include "opc/objective.hpp"
 
 namespace camo::opc {
 namespace {
@@ -27,11 +26,10 @@ struct Plane {
     std::vector<double> intensity;
 };
 
-// A (dose, plane) corner with its objective weight.
+// A (dose, plane) corner of the objective.
 struct CornerRef {
     int plane = 0;
     double dose = 1.0;
-    double weight = 1.0;
 };
 
 std::vector<int> wrapped_positions(const litho::KernelSet& kernels, int n) {
@@ -60,10 +58,7 @@ IltResult IltEngine::optimize(const geo::SegmentedLayout& layout, litho::LithoSi
     // the pre-window loss bit for bit.
     litho::WindowSpec spec;
     if (windowed) {
-        rl::WindowRewardConfig reward;
-        reward.mode = opt_.objective;
-        reward.corner_weights = opt_.corner_weights;
-        spec = resolve_objective_window(opt_.window, reward, cfg);
+        spec = opt_.window.resolved(cfg);
     } else {
         spec.doses = {1.0};
         spec.defocus_nm = {0.0};
@@ -88,17 +83,9 @@ IltResult IltEngine::optimize(const geo::SegmentedLayout& layout, litho::LithoSi
     std::vector<CornerRef> corners;
     corners.reserve(static_cast<std::size_t>(spec.corner_count()));
     for (int i = 0; i < spec.corner_count(); ++i) {
-        CornerRef ref;
-        ref.plane = i / spec.dose_count();
-        ref.dose = spec.corner(i).dose;
-        ref.weight = (opt_.objective == rl::RewardMode::kWeightedCorner &&
-                      !opt_.corner_weights.empty())
-                         ? opt_.corner_weights[static_cast<std::size_t>(i)]
-                         : 1.0;
-        corners.push_back(ref);
+        corners.push_back({i / spec.dose_count(), spec.corner(i).dose});
     }
-    double weight_sum = 0.0;
-    for (const CornerRef& c : corners) weight_sum += c.weight;
+    const double corner_count = static_cast<double>(corners.size());
 
     // Target image Z in the simulation frame.
     geo::Raster target(n, cfg.pixel_nm);
@@ -188,11 +175,9 @@ IltResult IltEngine::optimize(const geo::SegmentedLayout& layout, litho::LithoSi
                 break;
             }
             case rl::RewardMode::kWeightedCorner:
-                for (std::size_t c = 0; c < corners.size(); ++c) {
-                    loss += corners[c].weight * corner_loss[c];
-                    corner_dl_scale[c] = corners[c].weight / weight_sum;
-                }
-                loss /= weight_sum;
+                for (const double corner : corner_loss) loss += corner;
+                loss /= corner_count;
+                std::fill(corner_dl_scale.begin(), corner_dl_scale.end(), 1.0 / corner_count);
                 break;
         }
         res.loss_history.push_back(loss);
@@ -283,9 +268,7 @@ IltResult IltEngine::optimize(const geo::SegmentedLayout& layout, litho::LithoSi
         // Nominal objective: the optimization never touched off-focus
         // kernels, so resolve the evaluation window now and image the final
         // spectrum once per focus plane.
-        rl::WindowRewardConfig eval_reward;
-        eval_reward.mode = rl::RewardMode::kWorstCorner;
-        const litho::WindowSpec eval_spec = resolve_objective_window(opt_.window, eval_reward, cfg);
+        const litho::WindowSpec eval_spec = opt_.window.resolved(cfg);
         std::vector<geo::Raster> plane_aerials;
         plane_aerials.reserve(eval_spec.defocus_nm.size());
         for (double f : eval_spec.defocus_nm) {

@@ -11,8 +11,8 @@
 // the coherent fields are computed once and shared by every dose at that
 // plane (dose scales the intensity, i.e. the resist argument is I*d - thr),
 // so the window loss costs one extra SOCS forward/adjoint pass per extra
-// focus plane, not per corner. kWeightedCorner descends on the weighted sum
-// of per-corner losses; kWorstCorner takes the subgradient of the max —
+// focus plane, not per corner. kWeightedCorner descends on the mean of the
+// per-corner losses; kWorstCorner takes the subgradient of the max —
 // each iteration descends on the currently-worst corner's loss.
 #pragma once
 
@@ -36,14 +36,11 @@ struct IltOptions {
     /// bit; the window modes optimize the process-window loss above.
     rl::RewardMode objective = rl::RewardMode::kNominal;
 
-    /// Window for the window objectives; empty axes resolve to
-    /// litho::WindowSpec::standard of the simulator's config.
+    /// Window for the window objectives and for evaluate_window, resolved
+    /// against the simulator's config by litho::WindowSpec::resolved.
     litho::WindowSpec window;
 
-    /// Per-corner weights for kWeightedCorner (empty = uniform).
-    std::vector<double> corner_weights;
-
-    /// Evaluate the final mask over the (resolved) `window` and fill
+    /// Evaluate the final mask over the resolved `window` and fill
     /// IltResult::final_window, regardless of objective mode. In the window
     /// modes this reuses the per-plane aerials already computed for
     /// worst_corner_epe; in kNominal mode it adds one focus-applicator apply

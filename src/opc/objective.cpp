@@ -54,7 +54,6 @@ litho::SimMetrics objective_view(const litho::WindowMetrics& wm,
             break;
         }
         case rl::RewardMode::kWeightedCorner: {
-            cfg.validate(static_cast<int>(wm.corners.size()));
             if (wm.corners.empty()) {
                 throw std::invalid_argument("objective_view: window has no corners");
             }
@@ -62,20 +61,15 @@ litho::SimMetrics objective_view(const litho::WindowMetrics& wm,
             const std::size_t segments = wm.corners.front().metrics.epe_segment.size();
             view.epe.assign(points, 0.0);
             view.epe_segment.assign(segments, 0.0);
-            double weight_sum = 0.0;
-            for (std::size_t c = 0; c < wm.corners.size(); ++c) {
-                const double w = cfg.corner_weights.empty() ? 1.0 : cfg.corner_weights[c];
-                const litho::SimMetrics& m = wm.corners[c].metrics;
-                for (std::size_t i = 0; i < points; ++i) view.epe[i] += w * m.epe[i];
+            for (const litho::CornerResult& c : wm.corners) {
+                for (std::size_t i = 0; i < points; ++i) view.epe[i] += c.metrics.epe[i];
                 for (std::size_t i = 0; i < segments; ++i) {
-                    view.epe_segment[i] += w * m.epe_segment[i];
+                    view.epe_segment[i] += c.metrics.epe_segment[i];
                 }
-                weight_sum += w;
             }
-            if (weight_sum > 0.0) {
-                for (double& e : view.epe) e /= weight_sum;
-                for (double& e : view.epe_segment) e /= weight_sum;
-            }
+            const double count = static_cast<double>(wm.corners.size());
+            for (double& e : view.epe) e /= count;
+            for (double& e : view.epe_segment) e /= count;
             break;
         }
     }
@@ -87,25 +81,13 @@ litho::SimMetrics objective_view(const litho::WindowMetrics& wm,
     return view;
 }
 
-litho::WindowSpec resolve_objective_window(const litho::WindowSpec& window,
-                                           const rl::WindowRewardConfig& reward,
-                                           const litho::LithoConfig& cfg) {
-    litho::WindowSpec spec = window;
-    if (spec.doses.empty() && spec.defocus_nm.empty()) {
-        spec = litho::WindowSpec::standard(cfg);
-    }
-    spec.validate();
-    reward.validate(spec.corner_count());
-    return spec;
-}
-
 WindowObjective::WindowObjective(const OpcOptions& opt, const litho::LithoConfig& cfg,
                                  const rl::RewardConfig& base) {
     reward_.base = base;
     reward_.mode = opt.objective;
-    reward_.corner_weights = opt.corner_weights;
     if (!active()) return;
-    spec_ = resolve_objective_window(opt.window, reward_, cfg);
+    spec_ = opt.window.resolved(cfg);
+    reward_.validate();
 }
 
 litho::SimMetrics WindowObjective::evaluate(litho::LithoSim& sim,

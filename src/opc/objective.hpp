@@ -34,23 +34,16 @@ namespace camo::opc {
 ///     printed edge across the window minimises its worst-corner |EPE|;
 ///     chasing the argmax corner's profile oscillates) — with sum_abs_epe =
 ///     the worst corner's sum |EPE| and pvband_nm2 = the exact band;
-///   * kWeightedCorner: the per-segment / per-point weighted mean profile,
-///     sum_abs_epe = rl::window_objective_epe, pvband_nm2 = exact band.
+///   * kWeightedCorner: the per-segment / per-point mean profile over
+///     corners, sum_abs_epe = rl::window_objective_epe, pvband_nm2 = exact
+///     band.
 litho::SimMetrics objective_view(const litho::WindowMetrics& wm,
                                  const rl::WindowRewardConfig& cfg);
 
-/// Resolve a window-objective spec against the simulator's config: a fully
-/// empty window becomes litho::WindowSpec::standard(cfg); the spec and the
-/// reward config (mode + corner weights) are then validated. Shared by
-/// WindowObjective and the ILT engine so resolution semantics cannot drift.
-litho::WindowSpec resolve_objective_window(const litho::WindowSpec& window,
-                                           const rl::WindowRewardConfig& reward,
-                                           const litho::LithoConfig& cfg);
-
 /// Resolved window-objective context for one engine run. Construction
-/// resolves opt.objective / opt.window / opt.corner_weights against the
-/// simulator's config (empty window axes become the standard window) and
-/// validates the spec and weights; in kNominal mode it is inert.
+/// resolves opt.window against the simulator's config
+/// (litho::WindowSpec::resolved) and validates the reward config; in
+/// kNominal mode it is inert.
 class WindowObjective {
 public:
     WindowObjective(const OpcOptions& opt, const litho::LithoConfig& cfg,

@@ -51,29 +51,12 @@ bool parse_reward_mode(const std::string& name, RewardMode& out) {
     return true;
 }
 
-void WindowRewardConfig::validate(int corner_count) const {
+void WindowRewardConfig::validate() const {
     if (!std::isfinite(base.epsilon) || base.epsilon <= 0.0) {
         throw std::invalid_argument("WindowRewardConfig: epsilon must be finite and > 0");
     }
     if (!std::isfinite(base.beta)) {
         throw std::invalid_argument("WindowRewardConfig: beta must be finite");
-    }
-    if (mode == RewardMode::kWeightedCorner && !corner_weights.empty()) {
-        if (static_cast<int>(corner_weights.size()) != corner_count) {
-            throw std::invalid_argument(
-                "WindowRewardConfig: corner_weights size must equal the corner count");
-        }
-        double sum = 0.0;
-        for (double w : corner_weights) {
-            if (!std::isfinite(w) || w < 0.0) {
-                throw std::invalid_argument(
-                    "WindowRewardConfig: corner weights must be finite and >= 0");
-            }
-            sum += w;
-        }
-        if (sum <= 0.0) {
-            throw std::invalid_argument("WindowRewardConfig: corner weights are all zero");
-        }
     }
 }
 
@@ -90,16 +73,9 @@ double window_objective_epe(const litho::WindowMetrics& wm, const WindowRewardCo
         case RewardMode::kWorstCorner:
             return wm.worst_epe;
         case RewardMode::kWeightedCorner: {
-            cfg.validate(static_cast<int>(wm.corners.size()));
             double sum = 0.0;
-            double weight_sum = 0.0;
-            for (std::size_t c = 0; c < wm.corners.size(); ++c) {
-                const double w =
-                    cfg.corner_weights.empty() ? 1.0 : cfg.corner_weights[c];
-                sum += w * wm.corners[c].metrics.sum_abs_epe;
-                weight_sum += w;
-            }
-            return weight_sum > 0.0 ? sum / weight_sum : 0.0;
+            for (const litho::CornerResult& c : wm.corners) sum += c.metrics.sum_abs_epe;
+            return wm.corners.empty() ? 0.0 : sum / static_cast<double>(wm.corners.size());
         }
     }
     throw std::logic_error("window_objective_epe: unknown mode");

@@ -6,14 +6,13 @@
 //
 // The window-aware extension scores a step on a full process-window sweep
 // (litho::WindowMetrics) instead of the nominal corner: the |EPE| term reads
-// the worst corner (or a weighted combination of corners) and the PV term
+// the worst corner (or the mean over corners) and the PV term
 // the exact union-minus-intersection band. RewardMode::kNominal reduces
 // bit-identically to step_reward on the nominal corner's metrics — the two
 // formulas are the same function applied to the same doubles.
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "litho/process_window.hpp"
 
@@ -39,7 +38,7 @@ double step_reward(double epe_before, double epe_after, double pvb_before, doubl
 enum class RewardMode {
     kNominal,         ///< legacy Eq. (3): nominal corner only (bit-identical)
     kWorstCorner,     ///< |EPE| of the worst corner + exact PV band
-    kWeightedCorner,  ///< weighted per-corner |EPE| + exact PV band
+    kWeightedCorner,  ///< mean per-corner |EPE| + exact PV band
 };
 
 /// Short stable names ("nominal", "worst-corner", "weighted-corner") for
@@ -54,20 +53,15 @@ struct WindowRewardConfig {
     RewardConfig base;  ///< epsilon / beta of the underlying Eq. (3)
     RewardMode mode = RewardMode::kNominal;
 
-    /// kWeightedCorner only: per-corner weights in WindowSpec::corner order
-    /// (empty = uniform). Must be finite, non-negative, and not all zero.
-    std::vector<double> corner_weights;
-
-    /// Throws std::invalid_argument on a non-finite or non-positive epsilon,
-    /// a non-finite beta, or (in kWeightedCorner mode) weights that are
-    /// non-finite, negative, all zero, or sized unlike `corner_count`.
-    void validate(int corner_count) const;
+    /// Throws std::invalid_argument on a non-finite or non-positive epsilon
+    /// or a non-finite beta.
+    void validate() const;
 };
 
 /// The scalar |EPE| objective of a window under `cfg.mode`: the nominal
 /// corner's sum |EPE| (throws std::invalid_argument if the window lacks the
-/// (dose 1.0, best focus) corner), the worst corner's, or the
-/// weighted-corner mean.
+/// (dose 1.0, best focus) corner), the worst corner's, or the uniform mean
+/// over corners.
 double window_objective_epe(const litho::WindowMetrics& wm, const WindowRewardConfig& cfg);
 
 /// The scalar PV-band objective: in kNominal mode the legacy two-corner band

@@ -17,10 +17,6 @@ namespace camo::runtime {
 
 namespace {
 
-bool same_window_spec(const litho::WindowSpec& a, const litho::WindowSpec& b) {
-    return a.doses == b.doses && a.defocus_nm == b.defocus_nm;
-}
-
 // Migrated BatchResult counters: the registry deltas recorded at the end of
 // run() equal the litho_evaluations / incremental_hits / incremental_fulls
 // fields of the BatchResult returned by that run.
@@ -108,24 +104,10 @@ std::string BatchResult::summary() const {
 
 BatchScheduler::BatchScheduler(const litho::LithoConfig& litho_cfg, BatchOptions opt)
     : opt_(std::move(opt)), pool_(opt_.threads) {
-    if (opt_.window) {
-        if (opt_.window_spec.doses.empty() && opt_.window_spec.defocus_nm.empty()) {
-            opt_.window_spec = litho::WindowSpec::standard(litho_cfg);
-        }
-        opt_.window_spec.validate();
+    if (opt_.window || opt_.opc.objective != rl::RewardMode::kNominal) {
+        opt_.opc.window = opt_.opc.window.resolved(litho_cfg);
         // Resolve the per-focus kernel sets once, up front: workers then hit
         // the registry's fast path instead of racing the first build.
-        for (double f : opt_.window_spec.defocus_nm) {
-            (void)litho::acquire_focus_applicator(litho_cfg, f);
-        }
-    }
-    if (opt_.opc.objective != rl::RewardMode::kNominal) {
-        // Window reward mode: resolve and pre-acquire the objective's window
-        // the same way, so worker engines never race the first kernel build.
-        if (opt_.opc.window.doses.empty() && opt_.opc.window.defocus_nm.empty()) {
-            opt_.opc.window = litho::WindowSpec::standard(litho_cfg);
-        }
-        opt_.opc.window.validate();
         for (double f : opt_.opc.window.defocus_nm) {
             (void)litho::acquire_focus_applicator(litho_cfg, f);
         }
@@ -227,16 +209,16 @@ void BatchScheduler::fill_result(ClipResult& out, opc::EngineResult res, litho::
     out.final_epe = res.final_metrics.sum_abs_epe;
     out.pvband_nm2 = res.final_metrics.pvband_nm2;
     out.runtime_s = res.runtime_s;
-    if (res.final_window && (!opt_.window || same_window_spec(opt_.window_spec, opt_.opc.window))) {
+    if (res.final_window) {
         // Window reward mode: the engine's in-loop sweep already evaluated
-        // the final mask at every corner.
+        // the final mask at every corner of opc.window.
         out.window = std::move(res.final_window);
     } else if (opt_.window) {
         // The engine's last incremental evaluation primed `sim`'s cache at
         // (or near) the final offsets, so the sweep reuses the cached raster
         // + spectrum; the cache was primed by this clip's rollout, so
         // results stay independent of scheduling order.
-        out.window = sim.evaluate_incremental(layout, res.final_offsets, opt_.window_spec,
+        out.window = sim.evaluate_incremental(layout, res.final_offsets, opt_.opc.window,
                                               litho::Refresh::kUpdate);
     }
     out.offsets = std::move(res.final_offsets);

@@ -44,20 +44,19 @@ struct BatchOptions {
     int threads = 0;             ///< worker count; <= 0 selects all hardware threads
     std::uint64_t seed = 42;     ///< batch seed; job i runs with derive_seed(seed, i)
     bool stochastic = false;     ///< CAMO path: sample actions from the per-job Rng
-    opc::OpcOptions opc;         ///< per-clip OPC protocol (iterations, exits, bias)
+    /// Per-clip OPC protocol (iterations, exits, bias). `opc.window` is the
+    /// batch's one process window: the scheduler resolves it once
+    /// (litho::WindowSpec::resolved) when `window` is set or the objective
+    /// is not nominal.
+    opc::OpcOptions opc;
 
-    /// Window mode: after OPC, evaluate each clip's final mask at every
-    /// corner of `window_spec` (empty axes = the standard window of the
-    /// litho config). The sweep rides the worker simulator's incremental
-    /// cache, which the engine just primed with the final offsets, so it
-    /// typically costs only one aerial per focus plane per clip.
-    ///
-    /// Reward mode (opc.objective != kNominal) composes with this: the
-    /// engines then optimize the window objective in-loop and return the
-    /// final sweep themselves, which run() reuses when its spec matches
-    /// window_spec (ClipResult::window is populated in either mode).
+    /// Window mode: report every clip's final mask at every corner of
+    /// opc.window (ClipResult::window). In reward mode (opc.objective !=
+    /// kNominal) the engines already swept that window in-loop and the
+    /// final sweep is reused; otherwise the sweep rides the worker
+    /// simulator's incremental cache, which the engine just primed with the
+    /// final offsets, so it typically costs one aerial per focus plane.
     bool window = false;
-    litho::WindowSpec window_spec;
 };
 
 /// Outcome of one clip job. `error` is non-empty when the job threw; the
@@ -211,9 +210,9 @@ public:
 
 private:
     /// The result fields of `out` from one clip's engine result (the shared
-    /// EngineResult -> ClipResult conversion of every run path). In window
-    /// mode the final sweep comes from the engine when its window matches,
-    /// else from `sim`, the simulator the engine just ran on.
+    /// EngineResult -> ClipResult conversion of every run path). The final
+    /// sweep is the engine's when it returned one, else (in window mode)
+    /// from `sim`, the simulator the engine just ran on.
     void fill_result(ClipResult& out, opc::EngineResult res, litho::LithoSim& sim,
                      const geo::SegmentedLayout& layout) const;
 

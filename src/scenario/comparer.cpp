@@ -49,18 +49,14 @@ std::string quoted(const std::string& s) {
     return out;
 }
 
-opc::OpcOptions cell_opc_options(const Scenario& sc, rl::RewardMode mode,
-                                 const litho::WindowSpec& window, int max_iterations) {
+opc::OpcOptions cell_opc_options(const Scenario& sc, rl::RewardMode mode, int max_iterations) {
     opc::OpcOptions o;
     o.max_iterations = max_iterations;
     o.initial_bias_nm = sc.style == Style::kVia ? 3 : 0;
     o.exit_epe_per_feature = sc.style == Style::kVia ? 4.0 : 0.0;
     o.exit_epe_per_point = sc.style == Style::kMetal ? 1.0 : 0.0;
     o.objective = mode;
-    // Fully specified (never empty axes): the batch scheduler's
-    // same-spec check then reuses the engines' in-loop final sweep, and
-    // every engine is scored on this exact window.
-    o.window = window;
+    o.window = sc.window;
     return o;
 }
 
@@ -240,38 +236,27 @@ std::string bounds_json(const CompareResult& result, double rel_slack, double ab
     return out;
 }
 
-PolicyComparer::PolicyComparer(CompareOptions opt) : opt_(std::move(opt)) {}
-PolicyComparer::~PolicyComparer() = default;
-
-core::CamoEngine& PolicyComparer::trained_engine(const std::string& engine, Style style) {
-    const std::string key = engine + "|" + style_name(style);
-    const auto it = trained_.find(key);
-    if (it != trained_.end()) return *it->second;
-
-    // Tiny deterministic training recipe: rule-teacher imitation only
-    // (phase2_episodes = 0), serial trainer so the comparer's results
-    // cannot depend on worker count, no on-disk weight cache — the matrix
-    // must regenerate from seeds alone. The same weights serve every reward
-    // mode; the comparer measures how one policy holds up under each
-    // objective, not reward-specific retraining.
+std::unique_ptr<core::CamoEngine> train_warm_policy(const std::string& name, Style style,
+                                                    int clips, int epochs,
+                                                    const litho::LithoConfig& litho,
+                                                    const opc::OpcOptions& opt, bool rlopc) {
     core::CamoConfig cfg;
-    cfg.name = engine + "-cmp";
+    cfg.name = name;
     cfg.seed = 7;
     cfg.teacher_biases = {3, 0};
     cfg.teacher_steps = 3;
-    cfg.phase1_epochs = opt_.phase1_epochs;
+    cfg.phase1_epochs = epochs;
     cfg.phase2_episodes = 0;
     cfg.train_workers = 1;
-    if (engine == "rlopc") cfg = core::make_rlopc_config(cfg);
+    if (rlopc) cfg = core::make_rlopc_config(cfg);
+    auto engine = std::make_unique<core::CamoEngine>(cfg);
 
-    auto eng = std::make_unique<core::CamoEngine>(cfg);
-
-    std::vector<layout::Clip> clips;
-    clips.reserve(static_cast<std::size_t>(std::max(0, opt_.train_clips)));
-    for (int i = 0; i < opt_.train_clips; ++i) {
+    std::vector<layout::Clip> train;
+    train.reserve(static_cast<std::size_t>(std::max(0, clips)));
+    for (int i = 0; i < clips; ++i) {
         Rng rng(derive_seed(0xC0FFEEULL, static_cast<std::uint64_t>(i)));
         layout::Clip clip;
-        clip.name = key + "_train_" + std::to_string(i);
+        clip.name = name + "_train_" + std::to_string(i);
         clip.clip_nm = 1000;
         if (style == Style::kVia) {
             layout::ViaGenOptions vg;
@@ -284,18 +269,34 @@ core::CamoEngine& PolicyComparer::trained_engine(const std::string& engine, Styl
             mg.clip_nm = 1000;
             clip.targets = layout::generate_metal_clip(24, rng, mg);
         }
-        clips.push_back(std::move(clip));
+        train.push_back(std::move(clip));
     }
     const std::vector<geo::SegmentedLayout> layouts =
-        style == Style::kVia ? core::fragment_via_clips(clips) : core::fragment_metal_clips(clips);
+        style == Style::kVia ? core::fragment_via_clips(train) : core::fragment_metal_clips(train);
+    litho::LithoSim sim(litho);
+    engine->train(layouts, sim, opt);
+    return engine;
+}
 
-    litho::LithoSim sim(quick_litho());
+PolicyComparer::PolicyComparer(CompareOptions opt) : opt_(std::move(opt)) {}
+PolicyComparer::~PolicyComparer() = default;
+
+core::CamoEngine& PolicyComparer::trained_engine(const std::string& engine, Style style) {
+    const std::string key = engine + "|" + style_name(style);
+    const auto it = trained_.find(key);
+    if (it != trained_.end()) return *it->second;
+
+    // The same weights serve every reward mode: the comparer measures how
+    // one policy holds up under each objective, not reward-specific
+    // retraining.
     opc::OpcOptions topt;
     topt.max_iterations = opt_.max_iterations;
     topt.initial_bias_nm = style == Style::kVia ? 3 : 0;
-    eng->train(layouts, sim, topt);
-
-    return *trained_.emplace(key, std::move(eng)).first->second;
+    return *trained_
+                .emplace(key, train_warm_policy(engine + "-cmp", style, opt_.train_clips,
+                                                opt_.phase1_epochs, quick_litho(), topt,
+                                                engine == "rlopc"))
+                .first->second;
 }
 
 CompareResult PolicyComparer::run(int threads_override) {
@@ -314,7 +315,6 @@ CompareResult PolicyComparer::run(int threads_override) {
         std::vector<std::string> clip_names;
         clip_names.reserve(static_cast<std::size_t>(nclips));
         for (int i = 0; i < nclips; ++i) clip_names.push_back(sname + "_" + std::to_string(i));
-        const litho::WindowSpec window = sc.resolved_window();
 
         for (const rl::RewardMode mode : opt_.rewards) {
             runtime::BatchOptions bopt;
@@ -323,8 +323,7 @@ CompareResult PolicyComparer::run(int threads_override) {
             // when other scenarios are added to / removed from the run.
             bopt.seed = derive_seed(opt_.seed, fnv1a(sname));
             bopt.window = true;
-            bopt.window_spec = window;
-            bopt.opc = cell_opc_options(sc, mode, window, opt_.max_iterations);
+            bopt.opc = cell_opc_options(sc, mode, opt_.max_iterations);
             runtime::BatchScheduler sched(sc.litho, bopt);
 
             std::vector<CellResult> group;
@@ -360,7 +359,6 @@ CompareResult PolicyComparer::run(int threads_override) {
                             io.iterations = ilt_iters;
                             io.objective = opt.objective;
                             io.window = opt.window;
-                            io.corner_weights = opt.corner_weights;
                             io.evaluate_window = true;
                             const opc::IltResult ir = opc::IltEngine(io).optimize(l, sim);
                             opc::EngineResult res;

@@ -10,8 +10,9 @@
 // regression check in tests/golden/scenario_matrix.json.
 //
 // Every engine is scored on the SAME WindowMetrics sweep of its final mask
-// (the scenario's resolved window), so segment engines and the pixel ILT
-// engine are comparable even though their in-loop objectives differ.
+// (the scenario's window, resolved once per batch by the scheduler), so
+// segment engines and the pixel ILT engine are comparable even though their
+// in-loop objectives differ.
 //
 // Determinism: cell metrics inherit the batch runtime's contract — results
 // are bit-identical at any worker count — and learned engines are trained
@@ -30,6 +31,9 @@
 
 namespace camo::core {
 class CamoEngine;
+}
+namespace camo::opc {
+struct OpcOptions;
 }
 
 namespace camo::scenario {
@@ -128,6 +132,20 @@ std::vector<std::string> check_bounds(const CompareResult& result,
 /// slack — it is an area). Used by `camo_cli compare --write-golden`.
 std::string bounds_json(const CompareResult& result, double rel_slack = 0.25,
                         double abs_slack = 2.0);
+
+/// The warm-policy recipe of the comparer's learned engines and the
+/// streaming CLI paths: a tiny CAMO policy that regenerates from seeds
+/// alone. It imitates the rule teacher (seed 7, teacher biases {3, 0},
+/// 3 teacher steps) for `epochs` phase-1 epochs on `clips` generated clips
+/// of `style` (clip i from derive_seed(0xC0FFEE, i)), with no phase 2, one
+/// trainer worker and no weight cache, so the weights cannot depend on
+/// worker count. `rlopc` strips the policy to the RL-OPC baseline
+/// (core::make_rlopc_config).
+std::unique_ptr<core::CamoEngine> train_warm_policy(const std::string& name, Style style,
+                                                    int clips, int epochs,
+                                                    const litho::LithoConfig& litho,
+                                                    const opc::OpcOptions& opt,
+                                                    bool rlopc = false);
 
 class PolicyComparer {
   public:

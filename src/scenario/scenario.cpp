@@ -79,17 +79,6 @@ std::vector<geo::Polygon> chip_polygons(const Scenario& sc, int cols, int rows, 
     return chip;
 }
 
-litho::WindowSpec Scenario::resolved_window() const {
-    if (window.doses.empty() && window.defocus_nm.empty()) {
-        return litho::WindowSpec::standard(litho);
-    }
-    litho::WindowSpec spec = window;
-    if (spec.doses.empty()) spec.doses = {litho.dose_min, 1.0, litho.dose_max};
-    if (spec.defocus_nm.empty()) spec.defocus_nm = {0.0, litho.defocus_nm};
-    spec.validate();
-    return spec;
-}
-
 namespace {
 
 // The eight builtin scenarios. All run on the quick-scale frame with a

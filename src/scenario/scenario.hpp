@@ -49,8 +49,8 @@ struct Scenario {
 
     litho::LithoConfig litho = quick_litho();
 
-    /// Process window the scenario is scored on; empty axes resolve to
-    /// litho::WindowSpec::standard(litho) via resolved_window().
+    /// Process window the scenario is scored on, as
+    /// window.resolved(litho) (litho::WindowSpec::resolved).
     litho::WindowSpec window;
 
     std::uint64_t seed = 1;  ///< base seed of the clip stream
@@ -67,9 +67,6 @@ struct Scenario {
 
     /// clips(count) fragmented per `style` (kVia adds SRAFs).
     [[nodiscard]] std::vector<geo::SegmentedLayout> layouts(int count) const;
-
-    /// `window` with empty axes resolved to the standard window of `litho`.
-    [[nodiscard]] litho::WindowSpec resolved_window() const;
 };
 
 /// Synthetic full chip for the sharding/streaming paths: clips

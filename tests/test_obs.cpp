@@ -601,6 +601,13 @@ TEST(ObsContract, CamoInferBitIdenticalTelemetryOnVsOff) {
     // One squish span per encoded state, one window per segment encoded.
     ASSERT_GT(encodes, 0);
     EXPECT_EQ(counter_value("core.squish.windows"), windows);
+    // Every segment acted on lands in exactly one action class.
+    long long actions = 0;
+    for (const char* name : {"core.action.move-2", "core.action.move-1", "core.action.move+0",
+                             "core.action.move+1", "core.action.move+2"}) {
+        actions += counter_value(name);
+    }
+    EXPECT_EQ(actions, windows);
     const auto snap = snapshot_metrics();
     const MetricSnapshot* hist = find_metric(snap, "core.squish.ns");
     ASSERT_NE(hist, nullptr);

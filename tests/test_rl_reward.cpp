@@ -184,26 +184,13 @@ TEST(WindowReward, WeightedModeAveragesCorners) {
     WindowRewardConfig cfg;
     cfg.mode = RewardMode::kWeightedCorner;
     const auto wm = synthetic_window({6.0, 12.0, 18.0}, 1200.0, 800.0);
-    // Uniform weights = plain mean.
+    // The uniform mean over corners.
     EXPECT_DOUBLE_EQ(window_objective_epe(wm, cfg), 12.0);
     EXPECT_EQ(window_objective_pvb(wm, cfg), 1200.0);
-    // Explicit weights.
-    cfg.corner_weights = {1.0, 0.0, 3.0};
-    EXPECT_DOUBLE_EQ(window_objective_epe(wm, cfg), (6.0 + 3.0 * 18.0) / 4.0);
 }
 
 TEST(WindowReward, ValidatesModeInputs) {
-    WindowRewardConfig cfg;
-    cfg.mode = RewardMode::kWeightedCorner;
     const auto wm = synthetic_window({6.0, 12.0}, 100.0, 80.0);
-    cfg.corner_weights = {1.0};  // size mismatch
-    EXPECT_THROW((void)window_objective_epe(wm, cfg), std::invalid_argument);
-    cfg.corner_weights = {1.0, -2.0};  // negative
-    EXPECT_THROW((void)window_objective_epe(wm, cfg), std::invalid_argument);
-    cfg.corner_weights = {0.0, 0.0};  // all zero
-    EXPECT_THROW((void)window_objective_epe(wm, cfg), std::invalid_argument);
-    cfg.corner_weights = {1.0, std::nan("")};  // non-finite
-    EXPECT_THROW((void)window_objective_epe(wm, cfg), std::invalid_argument);
 
     // Nominal mode demands the nominal corner.
     WindowRewardConfig nominal;

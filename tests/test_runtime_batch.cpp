@@ -213,7 +213,7 @@ TEST(BatchScheduler, WindowModeEvaluatesEveryCornerDeterministically) {
 
     BatchScheduler one(test_litho_config(), opt);
     BatchScheduler four(test_litho_config(), opt4);
-    ASSERT_EQ(one.options().window_spec.corner_count(), 6);
+    ASSERT_EQ(one.options().opc.window.corner_count(), 6);
 
     const BatchResult r1 = one.run_rule(clips);
     const BatchResult r4 = four.run_rule(clips);
@@ -281,6 +281,34 @@ TEST(BatchScheduler, WorstCornerObjectiveBitIdenticalAcrossThreadCounts) {
     const std::string digest = r1.summary();
     EXPECT_NE(digest.find("worst-corner"), std::string::npos) << digest;
     EXPECT_NE(digest.find("window:"), std::string::npos) << digest;
+}
+
+TEST(BatchScheduler, RewardModeWindowReusesTheEngineSweep) {
+    // One window per batch: in reward mode the engines already swept
+    // opc.window at the final mask, so window mode adds no evaluation, even
+    // for a window other than the standard one.
+    const auto clips = test_clips(3);
+    BatchOptions opt = batch_options(2);
+    opt.opc.objective = rl::RewardMode::kWorstCorner;
+    opt.opc.window.doses = {0.98, 1.0, 1.02};
+    opt.opc.window.defocus_nm = {0.0, 30.0};
+    BatchOptions windowed = opt;
+    windowed.window = true;
+
+    BatchScheduler plain_sched(test_litho_config(), opt);
+    BatchScheduler window_sched(test_litho_config(), windowed);
+    const BatchResult plain = plain_sched.run_rule(clips);
+    const BatchResult swept = window_sched.run_rule(clips);
+    ASSERT_EQ(plain.failed, 0);
+    ASSERT_EQ(swept.failed, 0);
+    EXPECT_EQ(swept.litho_evaluations, plain.litho_evaluations);
+    for (std::size_t i = 0; i < clips.size(); ++i) {
+        ASSERT_TRUE(swept.clips[i].window.has_value()) << "clip " << i;
+        EXPECT_EQ(swept.clips[i].window->corners.size(), 6U) << "clip " << i;
+        EXPECT_EQ(swept.clips[i].window->worst_epe, plain.clips[i].window->worst_epe)
+            << "clip " << i;
+        EXPECT_EQ(swept.clips[i].window->corners.front().corner.dose, 0.98) << "clip " << i;
+    }
 }
 
 TEST(BatchScheduler, WorstCornerPhase2TraceIsByteIdentical) {

@@ -22,6 +22,9 @@
 #include <vector>
 
 #include "common/json_mini.hpp"
+#include "litho/simulator.hpp"
+#include "opc/ilt.hpp"
+#include "opc/rule_engine.hpp"
 #include "runtime/thread_pool.hpp"
 #include "scenario/comparer.hpp"
 #include "scenario/scenario.hpp"
@@ -94,7 +97,7 @@ TEST(ScenarioRegistry, BuiltinScenariosProduceValidClips) {
             }
         }
         // The resolved window is valid and covers the nominal corner.
-        const litho::WindowSpec spec = sc.resolved_window();
+        const litho::WindowSpec spec = sc.window.resolved(sc.litho);
         EXPECT_NO_THROW(spec.validate()) << name;
         EXPECT_GE(spec.corner_count(), 2) << name;
         // Fragmentation works and yields measurable layouts.
@@ -102,6 +105,44 @@ TEST(ScenarioRegistry, BuiltinScenariosProduceValidClips) {
         ASSERT_EQ(layouts.size(), 1U) << name;
         EXPECT_GT(layouts[0].num_segments(), 0) << name;
     }
+}
+
+TEST(ScenarioRegistry, EnginesResolveAPartialWindowLikeTheScenario) {
+    // multi-pitch sets only its focus planes. Handed to the engines as an
+    // OpcOptions / IltOptions window, the empty dose axis resolves exactly
+    // as the scenario's does: the standard doses of its litho config.
+    const Scenario sc = Registry::instance().get("multi-pitch");
+    ASSERT_TRUE(sc.window.doses.empty());
+    ASSERT_FALSE(sc.window.defocus_nm.empty());
+    const litho::WindowSpec spec = sc.window.resolved(sc.litho);
+    const std::vector<double> standard_doses = {sc.litho.dose_min, 1.0, sc.litho.dose_max};
+    EXPECT_EQ(spec.doses, standard_doses);
+    EXPECT_EQ(spec.defocus_nm, sc.window.defocus_nm);
+
+    const geo::SegmentedLayout layout = sc.layouts(1).front();
+    litho::LithoSim sim(sc.litho);
+    opc::OpcOptions opt;
+    opt.max_iterations = 1;
+    opt.objective = rl::RewardMode::kWorstCorner;
+    opt.window = sc.window;
+    const opc::EngineResult res = opc::RuleEngine().optimize(layout, sim, opt);
+    ASSERT_TRUE(res.final_window.has_value());
+    ASSERT_EQ(res.final_window->corners.size(), static_cast<std::size_t>(spec.corner_count()));
+    for (int i = 0; i < spec.corner_count(); ++i) {
+        const litho::Corner& got = res.final_window->corners[static_cast<std::size_t>(i)].corner;
+        EXPECT_EQ(got.dose, spec.corner(i).dose) << "corner " << i;
+        EXPECT_EQ(got.defocus_nm, spec.corner(i).defocus_nm) << "corner " << i;
+    }
+
+    opc::IltOptions io;
+    io.iterations = 1;
+    io.objective = rl::RewardMode::kWorstCorner;
+    io.window = sc.window;
+    io.evaluate_window = true;
+    const opc::IltResult ilt = opc::IltEngine(io).optimize(layout, sim);
+    EXPECT_EQ(ilt.corner_loss.size(), static_cast<std::size_t>(spec.corner_count()));
+    ASSERT_TRUE(ilt.final_window.has_value());
+    EXPECT_EQ(ilt.final_window->corners.size(), static_cast<std::size_t>(spec.corner_count()));
 }
 
 TEST(ScenarioRegistry, UnknownAndDuplicateHandling) {

@@ -426,21 +426,15 @@ int batch_main(int argc, char** argv, bool sweep) {
     opt.opc = core::Experiment::via_options();
     if (cli.iterations > 0) opt.opc.max_iterations = cli.iterations;
     opt.opc.objective = cli.reward_mode;
-    if (cli.window) {
-        opt.window = true;
-        litho::WindowSpec spec = litho::WindowSpec::standard(core::Experiment::litho_config());
-        if (!cli.doses.empty()) spec.doses = cli.doses;
-        if (!cli.focuses_nm.empty()) spec.defocus_nm = cli.focuses_nm;
-        try {
-            spec.validate();
-        } catch (const std::exception& e) {
-            std::fprintf(stderr, "bad window spec: %s\n", e.what());
-            return 2;
-        }
-        opt.window_spec = spec;
-        // A custom sweep window also becomes the reward-mode objective, so
-        // the engines optimize the same corners the report evaluates.
-        if (cli.reward_mode != rl::RewardMode::kNominal) opt.opc.window = spec;
+    opt.window = cli.window;
+    // One window for the sweep report and the reward-mode objective, so
+    // the engines optimize the same corners the report evaluates.
+    try {
+        opt.opc.window = litho::WindowSpec{cli.doses, cli.focuses_nm}.resolved(
+            core::Experiment::litho_config());
+    } catch (const std::exception& e) {
+        std::fprintf(stderr, "bad window spec: %s\n", e.what());
+        return 2;
     }
 
     runtime::BatchScheduler scheduler(core::Experiment::litho_config(), opt);
@@ -464,8 +458,7 @@ int batch_main(int argc, char** argv, bool sweep) {
     }
 
     if (cli.window || cli.reward_mode != rl::RewardMode::kNominal) {
-        const litho::WindowSpec& spec = cli.window ? scheduler.options().window_spec
-                                                   : scheduler.options().opc.window;
+        const litho::WindowSpec& spec = scheduler.options().opc.window;
         std::printf("process window: %d doses x %d focus planes = %d corners (reward %s)\n",
                     spec.dose_count(), spec.focus_count(), spec.corner_count(),
                     rl::reward_mode_name(cli.reward_mode));
@@ -621,49 +614,6 @@ opc::OpcOptions scenario_opc(scenario::Style style, int iterations) {
     return opt;
 }
 
-/// Tiny deterministic in-memory CAMO policy for serve/shard: the comparer's
-/// imitation-only recipe, trained once up front and shared read-only across
-/// every tile and request of the run — the warm policy cache of the service.
-std::shared_ptr<core::CamoEngine> warm_camo_engine(scenario::Style style,
-                                                   const litho::LithoConfig& litho,
-                                                   const opc::OpcOptions& opt) {
-    core::CamoConfig cfg;
-    cfg.name = "stream";
-    cfg.seed = 7;
-    cfg.teacher_biases = {3, 0};
-    cfg.teacher_steps = 3;
-    cfg.phase1_epochs = 4;
-    cfg.phase2_episodes = 0;
-    cfg.train_workers = 1;
-    auto engine = std::make_shared<core::CamoEngine>(cfg);
-
-    std::vector<layout::Clip> clips;
-    for (int i = 0; i < 2; ++i) {
-        Rng rng(derive_seed(0xC0FFEEULL, static_cast<std::uint64_t>(i)));
-        layout::Clip clip;
-        clip.name = "stream_train_" + std::to_string(i);
-        clip.clip_nm = 1000;
-        if (style == scenario::Style::kVia) {
-            layout::ViaGenOptions vg;
-            vg.clip_nm = 1000;
-            vg.margin_nm = 200;
-            vg.min_spacing_nm = 120;
-            clip.targets = layout::generate_via_clip(2 + i % 3, rng, vg);
-        } else {
-            layout::MetalGenOptions mg;
-            mg.clip_nm = 1000;
-            clip.targets = layout::generate_metal_clip(24, rng, mg);
-        }
-        clips.push_back(std::move(clip));
-    }
-    const std::vector<geo::SegmentedLayout> layouts =
-        style == scenario::Style::kVia ? core::fragment_via_clips(clips)
-                                       : core::fragment_metal_clips(clips);
-    litho::LithoSim sim(litho);
-    engine->train(layouts, sim, opt);
-    return engine;
-}
-
 /// Per-clip optimizer for the streaming paths: a fresh RuleEngine per job,
 /// or one warm CamoEngine snapshot inferred concurrently.
 runtime::ClipOptimizer make_optimizer(const std::string& engine, scenario::Style style,
@@ -676,7 +626,11 @@ runtime::ClipOptimizer make_optimizer(const std::string& engine, scenario::Style
             return eng.optimize(layout, sim, o);
         };
     }
-    const std::shared_ptr<core::CamoEngine> eng = warm_camo_engine(style, litho, opt);
+    // The comparer's warm-policy recipe, trained once up front and shared
+    // read-only across every tile and request of the run: the warm policy
+    // cache of the service.
+    const std::shared_ptr<core::CamoEngine> eng =
+        scenario::train_warm_policy("stream", style, 2, 4, litho, opt);
     return [eng](const geo::SegmentedLayout& layout, litho::LithoSim& sim,
                  const opc::OpcOptions& o,
                  std::uint64_t /*job_seed*/) { return eng->infer(layout, sim, o); };
