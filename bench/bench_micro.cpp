@@ -391,11 +391,9 @@ BENCHMARK(BM_Phase1Epoch)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // ---- Packed trajectory store ------------------------------------------------
-// Append+flush of a freshly collected teacher dataset into the packed store,
-// and one phase-1 epoch replayed from the memory mapping. The replay row is
-// directly comparable to BM_Phase1Epoch/1: the delta is the pure cost of
-// streaming minibatches from disk instead of RAM (feature materialization
-// from the f32 heap) — training math is byte-identical.
+// The store is the teacher dataset's file format: append+flush of a freshly
+// collected dataset, and the load that decodes it back into a
+// Phase1Dataset. Training on the loaded dataset is BM_Phase1Epoch/1.
 
 void BM_TrajAppend(benchmark::State& state) {
     litho::LithoSim sim(shared_sim());
@@ -408,14 +406,7 @@ void BM_TrajAppend(benchmark::State& state) {
     std::uint64_t bytes = 0;
     for (auto _ : state) {
         rl::TrajStoreWriter writer(path);
-        std::size_t k = 0;  // samples are flattened in trajectory-step order
-        for (std::size_t j = 0; j < data.trajectories.size(); ++j) {
-            std::vector<std::span<const nn::Tensor>> feats;
-            for (std::size_t t = 0; t < data.trajectories[j].steps.size(); ++t, ++k) {
-                feats.emplace_back(data.samples[k].features);
-            }
-            writer.append(data.trajectories[j], feats);
-        }
+        core::append_teacher_data(data, writer);
         writer.flush();
         bytes = writer.byte_size();
         benchmark::DoNotOptimize(bytes);
@@ -426,24 +417,25 @@ void BM_TrajAppend(benchmark::State& state) {
 }
 BENCHMARK(BM_TrajAppend)->Unit(benchmark::kMillisecond);
 
-void BM_TrajReplayEpoch(benchmark::State& state) {
+void BM_TrajLoad(benchmark::State& state) {
     core::CamoEngine engine(train_bench_config(1));
     litho::LithoSim sim(shared_sim());
-    const std::string path = "/tmp/camo_bench_traj_replay.ctrj";
+    const std::string path = "/tmp/camo_bench_traj_load.ctrj";
     rl::TrajStoreWriter writer(path);
-    engine.collect_teacher_data(train_bench_clips(), sim, core::Experiment::via_options(),
-                                &writer);
+    core::append_teacher_data(
+        engine.collect_teacher_data(train_bench_clips(), sim, core::Experiment::via_options()),
+        writer);
+    writer.flush();
     const rl::TrajStoreReader reader(path);
-    const core::Phase1Replay replay = engine.make_phase1_replay(reader, train_bench_clips());
     for (auto _ : state) {
-        const double nll = engine.run_phase1_epoch(replay);
-        benchmark::DoNotOptimize(nll);
+        const core::Phase1Dataset data = engine.load_teacher_data(reader, train_bench_clips());
+        benchmark::DoNotOptimize(data.samples.data());
     }
     state.counters["steps"] = static_cast<double>(reader.step_count());
     state.counters["states"] = static_cast<double>(reader.state_count());
     std::remove(path.c_str());
 }
-BENCHMARK(BM_TrajReplayEpoch)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TrajLoad)->Unit(benchmark::kMillisecond);
 
 void BM_SquishEncode(benchmark::State& state) {
     const std::vector<geo::Polygon> targets = {geo::Polygon::from_rect({465, 465, 535, 535})};

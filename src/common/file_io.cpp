@@ -12,6 +12,15 @@ std::atomic<LogLevel>& log_level_ref() {
     return level;
 }
 
+std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < n; ++i) {
+        h ^= p[i];
+        h *= 1099511628211ULL;
+    }
+    return h;
+}
+
 BinaryWriter::BinaryWriter(const std::string& path)
     : out_(path, std::ios::binary) {
     if (!out_) throw std::runtime_error("cannot open for writing: " + path);
@@ -24,6 +33,7 @@ void BinaryWriter::write_f32(float v) { write_bytes(&v, sizeof v); }
 
 void BinaryWriter::write_bytes(const void* data, std::size_t n) {
     out_.write(static_cast<const char*>(data), static_cast<std::streamsize>(n));
+    hash_ = fnv1a(hash_, data, n);
 }
 
 BinaryReader::BinaryReader(const std::string& path)
@@ -66,6 +76,7 @@ float BinaryReader::read_f32() {
 void BinaryReader::read_bytes(void* data, std::size_t n) {
     in_.read(static_cast<char*>(data), static_cast<std::streamsize>(n));
     if (!in_) throw std::runtime_error("unexpected end of file");
+    hash_ = fnv1a(hash_, data, n);
 }
 
 bool file_exists(const std::string& path) {

@@ -1,6 +1,8 @@
 // Binary serialization helpers shared by the kernel cache and the neural
 // network weight files. All files begin with a caller-chosen magic tag and a
-// version so stale caches are detected rather than misread.
+// version so stale caches are detected rather than misread; a format can
+// also end in an FNV-1a seal over its payload (BinaryWriter::hash), which
+// catches bit flips the structural checks cannot see.
 #pragma once
 
 #include <cstdint>
@@ -10,6 +12,11 @@
 #include <vector>
 
 namespace camo {
+
+/// FNV-1a 64 of `n` bytes, continued from `h` (start from kFnv1aBasis): the
+/// payload seal of the kernel cache and the trajectory store.
+inline constexpr std::uint64_t kFnv1aBasis = 14695981039346656037ULL;
+[[nodiscard]] std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n);
 
 class BinaryWriter {
 public:
@@ -30,8 +37,12 @@ public:
 
     [[nodiscard]] bool ok() const { return static_cast<bool>(out_); }
 
+    /// FNV-1a of every byte written so far; writing it last seals the file.
+    [[nodiscard]] std::uint64_t hash() const { return hash_; }
+
 private:
     std::ofstream out_;
+    std::uint64_t hash_ = kFnv1aBasis;
 };
 
 class BinaryReader {
@@ -65,9 +76,14 @@ public:
     /// vector by that count.
     [[nodiscard]] std::uint64_t remaining();
 
+    /// FNV-1a of every byte read so far, to compare with a seal written
+    /// from BinaryWriter::hash.
+    [[nodiscard]] std::uint64_t hash() const { return hash_; }
+
 private:
     std::ifstream in_;
     std::uint64_t size_ = 0;
+    std::uint64_t hash_ = kFnv1aBasis;
 };
 
 /// True if the file exists and is readable.

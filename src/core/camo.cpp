@@ -122,20 +122,41 @@ std::array<double, rl::kNumActions> node_probs(const nn::Tensor& logits, int nod
     return out;
 }
 
-// Inverse-frequency class weights from raw action counts (teacher data is
-// heavily skewed toward the no-move action once its trajectory converges).
-// Shared by in-memory collection and store replay so both derive identical
-// weights from identical counts.
-std::array<float, rl::kNumActions> action_weights_from_counts(
-    const std::array<long long, rl::kNumActions>& action_count, long long action_total) {
-    std::array<float, rl::kNumActions> out{};
+// Collection and store load both build a dataset the same way, so equal
+// samples give equal datasets: new_dataset first, then the samples, then
+// set_action_weights.
+//
+// An empty dataset with the per-clip segment graphs. They are built before
+// any sample: built after the samples, they raised via-chip-serve's peak
+// RSS by ~3 MB (~11%), through heap fragmentation.
+Phase1Dataset new_dataset(const std::vector<geo::SegmentedLayout>& clips,
+                          double graph_threshold_nm) {
+    Phase1Dataset data;
+    data.graphs.reserve(clips.size());
+    for (const geo::SegmentedLayout& c : clips) {
+        data.graphs.push_back(build_segment_graph(c, graph_threshold_nm));
+    }
+    return data;
+}
+
+// Inverse-frequency class weights from the samples' actions (teacher data
+// is heavily skewed toward the no-move action once its trajectory
+// converges).
+void set_action_weights(Phase1Dataset& data) {
+    std::array<long long, rl::kNumActions> action_count{};
+    long long action_total = 0;
+    for (const TeacherSample& s : data.samples) {
+        for (int a : s.actions) {
+            ++action_count[static_cast<std::size_t>(a)];
+            ++action_total;
+        }
+    }
     for (int a = 0; a < rl::kNumActions; ++a) {
         const long long cnt = std::max(1LL, action_count[static_cast<std::size_t>(a)]);
         const double w = static_cast<double>(action_total) /
                          (static_cast<double>(rl::kNumActions) * static_cast<double>(cnt));
-        out[static_cast<std::size_t>(a)] = static_cast<float>(std::min(w, 20.0));
+        data.action_weight[static_cast<std::size_t>(a)] = static_cast<float>(std::min(w, 20.0));
     }
-    return out;
 }
 
 std::vector<int> pick_actions(const nn::Tensor& logits, const std::vector<double>& epe_segment,
@@ -397,16 +418,29 @@ std::vector<opc::EngineResult> CamoEngine::infer_waves(
     return results;
 }
 
-Phase1Dataset CamoEngine::collect_teacher_data(const std::vector<geo::SegmentedLayout>& clips,
-                                               litho::LithoSim& sim, const opc::OpcOptions& opt,
-                                               rl::TrajStoreWriter* store) {
-    const obs::Span span("train.collect", collect_hist());
-    Phase1Dataset data;
-    data.graphs.reserve(clips.size());
-    for (const geo::SegmentedLayout& c : clips) {
-        data.graphs.push_back(build_segment_graph(c, cfg_.graph_threshold_nm));
+void append_teacher_data(const Phase1Dataset& data, rl::TrajStoreWriter& store) {
+    std::size_t steps = 0;
+    for (const rl::Trajectory& traj : data.trajectories) steps += traj.steps.size();
+    if (steps != data.samples.size()) {
+        throw std::invalid_argument("append_teacher_data: " + std::to_string(data.samples.size()) +
+                                    " samples for " + std::to_string(steps) +
+                                    " trajectory steps");
     }
+    auto sample = data.samples.begin();
+    std::vector<std::span<const nn::Tensor>> step_feats;
+    for (const rl::Trajectory& traj : data.trajectories) {
+        step_feats.clear();
+        for (std::size_t t = 0; t < traj.steps.size(); ++t, ++sample) {
+            step_feats.emplace_back(sample->features);
+        }
+        store.append(traj, step_feats);
+    }
+}
 
+Phase1Dataset CamoEngine::collect_teacher_data(const std::vector<geo::SegmentedLayout>& clips,
+                                               litho::LithoSim& sim, const opc::OpcOptions& opt) {
+    const obs::Span span("train.collect", collect_hist());
+    Phase1Dataset data = new_dataset(clips, cfg_.graph_threshold_nm);
     std::vector<int> biases = cfg_.teacher_biases;
     if (biases.empty()) biases.push_back(opt.initial_bias_nm);
 
@@ -465,51 +499,85 @@ Phase1Dataset CamoEngine::collect_teacher_data(const std::vector<geo::SegmentedL
         for (std::size_t j = 0; j < jobs.size(); ++j) run_job(sim, static_cast<int>(j));
     }
 
-    // Store-sink mode: append the gathered trajectories (with their per-step
-    // squish features) in job order — per-worker results were already merged
-    // into canonical clip-major / bias-minor order above, so the published
-    // file bytes never depend on cfg_.train_workers. One flush publishes the
-    // whole collection atomically.
-    if (store != nullptr) {
-        for (std::size_t j = 0; j < jobs.size(); ++j) {
-            std::vector<std::span<const nn::Tensor>> step_feats;
-            step_feats.reserve(per_job[j].size());
-            for (const TeacherSample& s : per_job[j]) step_feats.push_back(s.features);
-            store->append(data.trajectories[j], step_feats);
-        }
-        store->flush();
-    }
-
     for (std::vector<TeacherSample>& job_samples : per_job) {
         for (TeacherSample& s : job_samples) data.samples.push_back(std::move(s));
     }
-
-    std::array<long long, rl::kNumActions> action_count{};
-    long long action_total = 0;
-    for (const TeacherSample& s : data.samples) {
-        for (int a : s.actions) {
-            ++action_count[static_cast<std::size_t>(a)];
-            ++action_total;
-        }
-    }
-    data.action_weight = action_weights_from_counts(action_count, action_total);
+    set_action_weights(data);
     obs::counter_add(teacher_samples_counter(), static_cast<long long>(data.samples.size()));
     return data;
 }
 
-// Shared phase-1 minibatch loop. `load(idx, out)` fills one sample in place
-// (fill-in-place so a replay loader can reuse the scratch slot's owned
-// buffers); everything downstream — batch schedule, per-sample gradients,
-// fixed-order reduction, optimizer steps — is identical for the in-memory
-// and store-replay paths, which is what makes replay training bitwise
-// reproducible against collect-and-train.
-template <typename LoadSample>
-double CamoEngine::phase1_epoch_over(std::size_t sample_count, const std::vector<Graph>& graphs,
-                                     const std::array<float, rl::kNumActions>& action_weight,
-                                     const LoadSample& load) {
+Phase1Dataset CamoEngine::load_teacher_data(const rl::TrajStoreReader& store,
+                                            const std::vector<geo::SegmentedLayout>& clips) const {
+    if (store.feature_numel() == 0) {
+        throw std::invalid_argument(
+            "load_teacher_data: store has no squish features (featureless collection) — "
+            "phase-1 training needs per-step state encodings");
+    }
+    const auto dims = store.feature_dims();
+    const auto size = static_cast<std::uint32_t>(cfg_.squish.size);
+    if (dims[0] != static_cast<std::uint32_t>(kSquishChannels) || dims[1] != size ||
+        dims[2] != size) {
+        std::string msg = "load_teacher_data: store feature shape ";
+        msg += std::to_string(dims[0]) + "x" + std::to_string(dims[1]) + "x" +
+               std::to_string(dims[2]) + " is not the configured squish shape " +
+               std::to_string(kSquishChannels) + "x" + std::to_string(size) + "x" +
+               std::to_string(size);
+        throw std::invalid_argument(msg);
+    }
+    // Every stored state must land on a clip we were handed, with a matching
+    // segment count — catches a store loaded against the wrong clip set
+    // even when the caller forgot to check dataset_tag.
+    for (std::uint64_t id = 0; id < store.state_count(); ++id) {
+        const rl::TrajStoreReader::StateView st = store.state(id);
+        if (st.clip_index < 0 || static_cast<std::size_t>(st.clip_index) >= clips.size()) {
+            throw std::invalid_argument("load_teacher_data: state " + std::to_string(id) +
+                                        " references clip " + std::to_string(st.clip_index) +
+                                        " but only " + std::to_string(clips.size()) +
+                                        " clips were provided");
+        }
+        const auto segs = static_cast<std::size_t>(
+            clips[static_cast<std::size_t>(st.clip_index)].num_segments());
+        if (st.offsets.size() != segs) {
+            throw std::invalid_argument(
+                "load_teacher_data: state " + std::to_string(id) + " has " +
+                std::to_string(st.offsets.size()) + " segments but clip " +
+                std::to_string(st.clip_index) + " has " + std::to_string(segs));
+        }
+    }
+
+    // Sample index == store step index: trajectory step ranges tile the step
+    // table contiguously in append order (validated on open), and append
+    // order is the canonical job order.
+    Phase1Dataset data = new_dataset(clips, cfg_.graph_threshold_nm);
+    const std::vector<int> shape{kSquishChannels, cfg_.squish.size, cfg_.squish.size};
+    const std::size_t numel = store.feature_numel();
+    data.samples.resize(store.step_count());
+    for (std::uint64_t i = 0; i < store.step_count(); ++i) {
+        const rl::TrajStoreReader::StepView sv = store.step(i);
+        const rl::TrajStoreReader::StateView st = store.state(sv.state_id);
+        TeacherSample& s = data.samples[i];
+        s.clip = st.clip_index;
+        s.actions.assign(sv.actions.begin(), sv.actions.end());
+        s.features.reserve(st.offsets.size());
+        for (std::size_t k = 0; k < st.offsets.size(); ++k) {
+            nn::Tensor& t = s.features.emplace_back(shape);
+            std::copy_n(st.features.data() + k * numel, numel, t.data().data());
+        }
+    }
+    data.trajectories.reserve(store.traj_count());
+    for (std::uint64_t i = 0; i < store.traj_count(); ++i) {
+        data.trajectories.push_back(store.decode(i));
+    }
+    set_action_weights(data);
+    return data;
+}
+
+double CamoEngine::run_phase1_epoch(const Phase1Dataset& data) {
     const obs::Span span("train.phase1.epoch", phase1_epoch_hist());
-    if (sample_count == 0) return 0.0;  // degenerate dataset: no optimizer step
-    const std::size_t batch = cfg_.phase1_batch <= 0 ? sample_count
+    const std::vector<TeacherSample>& samples = data.samples;
+    if (samples.empty()) return 0.0;  // degenerate dataset: no optimizer step
+    const std::size_t batch = cfg_.phase1_batch <= 0 ? samples.size()
                                                      : static_cast<std::size_t>(cfg_.phase1_batch);
 
     TrainRuntime& rt = train_runtime();
@@ -518,20 +586,18 @@ double CamoEngine::phase1_epoch_over(std::size_t sample_count, const std::vector
     std::vector<nn::GradBuffer> buffers;
     std::vector<double> sample_nll(batch, 0.0);
     std::vector<long long> sample_nodes(batch, 0);
-    std::vector<Phase1Sample> scratch(batch);  ///< one slot per batch lane
 
-    for (std::size_t start = 0; start < sample_count; start += batch) {
-        const std::size_t count = std::min(batch, sample_count - start);
+    for (std::size_t start = 0; start < samples.size(); start += batch) {
+        const std::size_t count = std::min(batch, samples.size() - start);
         buffers.assign(count, nn::GradBuffer{});
 
         // Per-sample gradient of the class-weighted mean NLL, computed with
         // `net`'s (master-synced) weights and captured into the sample's own
         // buffer — the unit the fixed-order reduction folds back in.
         const auto run_sample = [&](PolicyNetwork& net, std::size_t k) {
-            Phase1Sample& s = scratch[k];
-            load(start + k, s);
+            const TeacherSample& s = samples[start + k];
             const nn::Tensor logits =
-                net.forward(*s.features, graphs[static_cast<std::size_t>(s.clip)]);
+                net.forward(s.features, data.graphs[static_cast<std::size_t>(s.clip)]);
             const int n = logits.dim(0);
             double nll = 0.0;
             for (int i = 0; i < n; ++i) {
@@ -540,7 +606,7 @@ double CamoEngine::phase1_epoch_over(std::size_t sample_count, const std::vector
             // coef = -w/n: gradient DEscent on class-weighted mean NLL.
             net.backward(policy_grad(logits, s.actions, [&](int i) {
                 const int act = s.actions[static_cast<std::size_t>(i)];
-                return -action_weight[static_cast<std::size_t>(act)] / static_cast<float>(n);
+                return -data.action_weight[static_cast<std::size_t>(act)] / static_cast<float>(n);
             }));
             buffers[k].capture(net.params());
             sample_nll[k] = nll;
@@ -554,102 +620,6 @@ double CamoEngine::phase1_epoch_over(std::size_t sample_count, const std::vector
         optimizer_step();
     }
     return total_nll / static_cast<double>(std::max(1LL, total_nodes));
-}
-
-double CamoEngine::run_phase1_epoch(const Phase1Dataset& data) {
-    const std::vector<TeacherSample>& samples = data.samples;
-    return phase1_epoch_over(samples.size(), data.graphs, data.action_weight,
-                             [&](std::size_t idx, Phase1Sample& out) {
-                                 const TeacherSample& s = samples[idx];
-                                 out.clip = s.clip;
-                                 out.features = &s.features;
-                                 out.actions = std::span<const int>(s.actions);
-                             });
-}
-
-double CamoEngine::run_phase1_epoch(const Phase1Replay& data) {
-    if (data.store == nullptr) return 0.0;
-    const rl::TrajStoreReader& store = *data.store;
-    const auto dims = store.feature_dims();
-    const std::size_t numel = store.feature_numel();
-    // Sample index == store step index: trajectory step ranges tile the step
-    // table contiguously in append order (validated on open), and append
-    // order is the canonical job order — so replay visits samples in exactly
-    // the sequence collect_teacher_data gathered them.
-    return phase1_epoch_over(
-        store.step_count(), data.graphs, data.action_weight,
-        [&](std::size_t idx, Phase1Sample& out) {
-            const rl::TrajStoreReader::StepView sv = store.step(idx);
-            const rl::TrajStoreReader::StateView st = store.state(sv.state_id);
-            out.clip = st.clip_index;
-            const std::size_t n = st.offsets.size();
-            out.owned_features.resize(n);
-            for (std::size_t i = 0; i < n; ++i) {
-                nn::Tensor& t = out.owned_features[i];
-                if (t.numel() != numel) {
-                    t = nn::Tensor({static_cast<int>(dims[0]), static_cast<int>(dims[1]),
-                                    static_cast<int>(dims[2])});
-                }
-                std::copy_n(st.features.data() + i * numel, numel, t.data().data());
-            }
-            out.features = &out.owned_features;
-            out.owned_actions.assign(sv.actions.begin(), sv.actions.end());
-            out.actions = std::span<const int>(out.owned_actions);
-        });
-}
-
-Phase1Replay CamoEngine::make_phase1_replay(const rl::TrajStoreReader& store,
-                                            const std::vector<geo::SegmentedLayout>& clips) const {
-    if (store.feature_numel() == 0) {
-        throw std::invalid_argument(
-            "make_phase1_replay: store has no squish features (featureless collection) — "
-            "phase-1 replay needs per-step state encodings");
-    }
-    const auto dims = store.feature_dims();
-    const auto want = static_cast<std::uint32_t>(cfg_.squish.size);
-    if (dims[1] != want || dims[2] != want) {
-        throw std::invalid_argument("make_phase1_replay: store feature shape " +
-                                    std::to_string(dims[1]) + "x" + std::to_string(dims[2]) +
-                                    " does not match configured squish size " +
-                                    std::to_string(cfg_.squish.size));
-    }
-    // Every stored state must land on a clip we were handed, with a matching
-    // segment count — catches a store replayed against the wrong clip set
-    // even when the caller forgot to check dataset_tag.
-    for (std::uint64_t id = 0; id < store.state_count(); ++id) {
-        const rl::TrajStoreReader::StateView st = store.state(id);
-        if (st.clip_index < 0 || static_cast<std::size_t>(st.clip_index) >= clips.size()) {
-            throw std::invalid_argument("make_phase1_replay: state " + std::to_string(id) +
-                                        " references clip " + std::to_string(st.clip_index) +
-                                        " but only " + std::to_string(clips.size()) +
-                                        " clips were provided");
-        }
-        const auto segs = static_cast<std::size_t>(
-            clips[static_cast<std::size_t>(st.clip_index)].num_segments());
-        if (st.offsets.size() != segs) {
-            throw std::invalid_argument(
-                "make_phase1_replay: state " + std::to_string(id) + " has " +
-                std::to_string(st.offsets.size()) + " segments but clip " +
-                std::to_string(st.clip_index) + " has " + std::to_string(segs));
-        }
-    }
-
-    Phase1Replay replay;
-    replay.store = &store;
-    replay.graphs.reserve(clips.size());
-    for (const geo::SegmentedLayout& c : clips) {
-        replay.graphs.push_back(build_segment_graph(c, cfg_.graph_threshold_nm));
-    }
-    std::array<long long, rl::kNumActions> action_count{};
-    long long action_total = 0;
-    for (std::uint64_t i = 0; i < store.step_count(); ++i) {
-        for (std::uint8_t a : store.step(i).actions) {
-            ++action_count[a];
-            ++action_total;
-        }
-    }
-    replay.action_weight = action_weights_from_counts(action_count, action_total);
-    return replay;
 }
 
 double CamoEngine::run_phase2_episode(const std::vector<geo::SegmentedLayout>& clips,

@@ -110,9 +110,14 @@ struct TeacherSample {
     std::vector<int> actions;
 };
 
-/// The phase-1 imitation dataset: samples in canonical (clip, bias, step)
-/// order, per-clip segment graphs, inverse-frequency action weights, and the
-/// raw teacher trajectories in (clip, bias) job order (with provenance set).
+/// The phase-1 imitation dataset, the one input of run_phase1_epoch:
+/// samples in canonical (clip, bias, step) order, per-clip segment graphs,
+/// inverse-frequency action weights, and the raw teacher trajectories in
+/// (clip, bias) job order (with provenance set). The samples are the
+/// trajectories' steps, flattened in order. Built by
+/// CamoEngine::collect_teacher_data or, from a packed trajectory store,
+/// CamoEngine::load_teacher_data; the store is only its file format
+/// (append_teacher_data writes it).
 struct Phase1Dataset {
     std::vector<TeacherSample> samples;
     std::vector<Graph> graphs;  ///< indexed by clip
@@ -120,17 +125,12 @@ struct Phase1Dataset {
     std::vector<rl::Trajectory> trajectories;
 };
 
-/// The phase-1 replay source: an open packed trajectory store plus the
-/// per-clip graphs and action weights rebuilt from it. Built by
-/// CamoEngine::make_phase1_replay; run_phase1_epoch then streams minibatch
-/// samples straight from the store's memory mapping (one step record =
-/// one sample, in stored — i.e. canonical collection — order), producing
-/// weights byte-identical to in-memory training on the same clips.
-struct Phase1Replay {
-    const rl::TrajStoreReader* store = nullptr;
-    std::vector<Graph> graphs;  ///< indexed by clip
-    std::array<float, rl::kNumActions> action_weight{};
-};
+/// Serialize a dataset into a trajectory store: each trajectory is appended
+/// in order with its steps' squish features (the samples, consumed in step
+/// order). Does not flush. Throws std::invalid_argument when the sample
+/// count is not the trajectories' step count, and whatever
+/// TrajStoreWriter::append throws on a malformed record.
+void append_teacher_data(const Phase1Dataset& data, rl::TrajStoreWriter& store);
 
 class CamoEngine : public opc::Engine {
 public:
@@ -190,43 +190,32 @@ public:
     /// squish features. Jobs run in parallel on the training runtime, each
     /// on its own simulator copy (record_trajectory primes the incremental
     /// cache with a full rebuild, so results never depend on scheduling);
-    /// the gathered dataset is bit-identical at any cfg.train_workers.
-    /// Clips without segments contribute no jobs.
-    ///
-    /// Store-sink mode: when `store` is non-null, every gathered trajectory
-    /// (with its per-step squish features) is appended to the trajectory
-    /// store in the same canonical clip-major / bias-minor order and the
-    /// store is flushed once — per-worker results are merged before any
-    /// byte is written, so the file bytes are identical at any
-    /// cfg.train_workers.
+    /// per-worker results are merged in job order, so the dataset — and a
+    /// store written from it by append_teacher_data — is bit-identical at
+    /// any cfg.train_workers. Clips without segments contribute no jobs.
     Phase1Dataset collect_teacher_data(const std::vector<geo::SegmentedLayout>& clips,
-                                       litho::LithoSim& sim, const opc::OpcOptions& opt,
-                                       rl::TrajStoreWriter* store = nullptr);
+                                       litho::LithoSim& sim, const opc::OpcOptions& opt);
+
+    /// Decode a packed trajectory store into a dataset, once: samples in
+    /// store step order (the order collect_teacher_data gathered them),
+    /// trajectories via TrajStoreReader::decode, and graphs and action
+    /// weights derived as collection derives them, so training on the
+    /// result is byte-identical to training on the collected dataset. The
+    /// store is checked against `clips` first: it must hold squish features
+    /// of shape {kSquishChannels, S, S} for this engine's squish size S, and
+    /// every state must reference a clip in range with that clip's segment
+    /// count. Throws std::invalid_argument on any mismatch — a store is
+    /// never silently trained against the wrong clip set. Every sample is
+    /// held in RAM, as in the process that collected it.
+    [[nodiscard]] Phase1Dataset load_teacher_data(
+        const rl::TrajStoreReader& store,
+        const std::vector<geo::SegmentedLayout>& clips) const;
 
     /// One phase-1 imitation epoch over the dataset (class-weighted NLL,
     /// minibatched per cfg.phase1_batch, per-sample gradients reduced in
     /// fixed order). Returns the epoch's mean NLL per node — finite (0.0)
     /// and step-free when the dataset is empty.
     double run_phase1_epoch(const Phase1Dataset& data);
-
-    /// Replay source over a packed trajectory store: rebuilds the per-clip
-    /// segment graphs and the inverse-frequency action weights from the
-    /// store, and cross-checks the store against `clips` (clip indices in
-    /// range, per-clip segment counts equal, feature tensors present and
-    /// shaped for this engine's squish config). Throws std::invalid_argument
-    /// on any mismatch — a store is never silently replayed against the
-    /// wrong clip set.
-    [[nodiscard]] Phase1Replay make_phase1_replay(
-        const rl::TrajStoreReader& store,
-        const std::vector<geo::SegmentedLayout>& clips) const;
-
-    /// The replay twin of run_phase1_epoch(Phase1Dataset): one imitation
-    /// epoch whose minibatch samples are decoded on demand from the store's
-    /// memory mapping (zero-copy feature spans, per-sample tensor
-    /// materialization on the worker thread). Identical update schedule and
-    /// reduction order, so the loss trace and the trained weights are
-    /// byte-identical to in-memory training on the same data.
-    double run_phase1_epoch(const Phase1Replay& data);
 
     /// Toggle the modulator (paper Section 4.4 / Figure 5 ablation).
     void set_modulator_enabled(bool enabled) { cfg_.modulator.enabled = enabled; }
@@ -269,28 +258,6 @@ private:
                                                std::span<litho::LithoSim> sims,
                                                const opc::OpcOptions& opt,
                                                std::span<Rng* const> rngs) const;
-
-    /// One phase-1 sample as the epoch core consumes it. The in-memory path
-    /// points straight into the Phase1Dataset; the replay path decodes into
-    /// the owned_* storage (per worker-thread call, so streaming is
-    /// scheduling-free).
-    struct Phase1Sample {
-        int clip = 0;
-        std::vector<nn::Tensor> owned_features;
-        std::vector<int> owned_actions;
-        const std::vector<nn::Tensor>* features = nullptr;
-        std::span<const int> actions;
-    };
-
-    /// Shared phase-1 epoch core: class-weighted NLL over `sample_count`
-    /// samples fetched through `load(k, out)` (thread-safe, called from
-    /// trainer workers), minibatched per cfg.phase1_batch with fixed-order
-    /// gradient reduction. Both run_phase1_epoch overloads delegate here, so
-    /// disk replay and in-memory training share one update schedule.
-    template <typename LoadSample>
-    double phase1_epoch_over(std::size_t sample_count, const std::vector<Graph>& graphs,
-                             const std::array<float, rl::kNumActions>& action_weight,
-                             const LoadSample& load);
 
     /// One phase-2 lockstep REINFORCE episode: the inference wave driver
     /// with sampling — each wave, every running clip acts in parallel

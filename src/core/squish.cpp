@@ -354,7 +354,7 @@ void encode_squish_windows(std::span<const geo::Polygon> mask,
     }
 
     Encoder enc(mask, targets, opt);
-    const std::vector<int> shape{6, opt.size, opt.size};
+    const std::vector<int> shape{kSquishChannels, opt.size, opt.size};
     out.resize(centers.size());
     for (std::size_t i = 0; i < centers.size(); ++i) {
         if (out[i].shape() != shape) out[i] = nn::Tensor(shape);

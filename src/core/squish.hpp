@@ -41,6 +41,10 @@
 
 namespace camo::core {
 
+/// Channels of one encoded window: three per scanline set (mask, mask +
+/// target).
+inline constexpr int kSquishChannels = 6;
+
 struct SquishOptions {
     int window_nm = 500;  ///< neighborhood window (paper: 500 nm)
     int size = 32;        ///< output grid edge (paper: 128 via / 64 metal)

@@ -12,7 +12,8 @@ namespace camo::litho {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x434B524EU;  // "CKRN"
-constexpr std::uint32_t kVersion = 2;
+// Version 3 ends in an FNV-1a seal over everything before it.
+constexpr std::uint32_t kVersion = 3;
 
 void write_kernel_set(BinaryWriter& w, const KernelSet& ks) {
     w.write_u64(ks.support.size());
@@ -83,7 +84,9 @@ std::optional<CachedKernels> load_kernel_cache(const LithoConfig& cfg) {
         std::optional<KernelSet> nominal = read_kernel_set(r, cfg.grid);
         if (!nominal) return std::nullopt;
         std::optional<KernelSet> defocus = read_kernel_set(r, cfg.grid);
-        if (!defocus || !r.at_end()) return std::nullopt;
+        if (!defocus) return std::nullopt;
+        const std::uint64_t seal = r.hash();
+        if (r.read_u64() != seal || !r.at_end()) return std::nullopt;
         return CachedKernels{std::move(*nominal), std::move(*defocus), threshold};
     } catch (const std::exception&) {
         return std::nullopt;
@@ -110,6 +113,7 @@ void store_kernel_cache(const LithoConfig& cfg, const CachedKernels& kernels) {
         w.write_f64(kernels.threshold);
         write_kernel_set(w, kernels.nominal);
         write_kernel_set(w, kernels.defocus);
+        w.write_u64(w.hash());
         if (!w.ok()) {
             std::filesystem::remove(tmp, ec);
             return;

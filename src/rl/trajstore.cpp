@@ -9,20 +9,18 @@
 #include <utility>
 
 #include "common/file_io.hpp"
+#include "obs/metrics.hpp"
 
 namespace camo::rl {
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-        h ^= p[i];
-        h *= kFnvPrime;
-    }
-    return h;
+obs::MetricId bytes_written_counter() {
+    static const obs::MetricId id = obs::register_counter("trajstore.bytes_written");
+    return id;
+}
+obs::MetricId bytes_read_counter() {
+    static const obs::MetricId id = obs::register_counter("trajstore.bytes_read");
+    return id;
 }
 
 template <typename T>
@@ -33,11 +31,11 @@ void append_raw(std::string& out, const T* data, std::size_t count) {
 }  // namespace
 
 std::uint64_t store_payload_hash(std::span<const char> payload) {
-    return fnv1a(kFnvOffset, payload.data(), payload.size());
+    return fnv1a(kFnv1aBasis, payload.data(), payload.size());
 }
 
 std::uint64_t state_key_hash(std::int32_t clip_index, std::span<const std::int32_t> offsets) {
-    std::uint64_t h = fnv1a(kFnvOffset, &clip_index, sizeof clip_index);
+    std::uint64_t h = fnv1a(kFnv1aBasis, &clip_index, sizeof clip_index);
     return fnv1a(h, offsets.data(), offsets.size() * sizeof(std::int32_t));
 }
 
@@ -259,6 +257,7 @@ void TrajStoreWriter::flush() {
     append_raw(buf, &f, 1);
 
     write_text_atomic(path_, buf);
+    obs::counter_add(bytes_written_counter(), static_cast<long long>(buf.size()));
 }
 
 // ---- Reader ----------------------------------------------------------------
@@ -342,6 +341,7 @@ TrajStoreReader::TrajStoreReader(const std::string& path) {
         }
 
         validate();
+        obs::counter_add(bytes_read_counter(), static_cast<long long>(size_));
     } catch (...) {
         ::munmap(map_, size_);
         map_ = nullptr;
@@ -403,7 +403,7 @@ void TrajStoreReader::validate() const {
         const std::uint64_t off =
             static_cast<std::uint64_t>(reinterpret_cast<const char*>(&t) - base);
         // Append-only invariant: trajectory step ranges tile the step table
-        // in order, so replay order is exactly append order.
+        // in order, so load order is exactly append order.
         if (t.step_begin != next_step || t.step_count > h.step_count - t.step_begin) {
             throw TrajStoreError("ragged trajectory: step range is not contiguous", off);
         }

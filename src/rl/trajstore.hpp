@@ -1,12 +1,14 @@
-// Packed on-disk trajectory store: collect-once / replay-many teacher data.
+// Packed on-disk trajectory store: the file format of the phase-1 teacher
+// dataset (core::Phase1Dataset), so teacher data is collected once and
+// trained on many times.
 //
-// Teacher trajectories used to live only as transient in-memory objects, so
-// every training run paid the full collection cost and training scale was
-// capped at one process. The store decouples the two: N collectors append
-// trajectories (plus their squish-encoded per-step states) into one packed
-// binary file, and any number of trainers replay phase-1 minibatches
-// straight from a memory mapping — zero-copy, byte-identical to in-memory
-// training.
+// A collector appends its dataset's trajectories (plus their squish-encoded
+// per-step states) into one packed binary file (core::append_teacher_data);
+// a trainer loads the file once back into the same dataset
+// (CamoEngine::load_teacher_data) and runs the one phase-1 epoch loop over
+// it, byte-identical to training in the collecting process. The reader
+// itself is zero-copy over a memory mapping; the load holds every sample in
+// RAM, as the collecting process does before it writes the store.
 //
 // File layout (version 1, all little-endian, every struct #pragma pack(1)):
 //
@@ -78,10 +80,10 @@ struct StoreHeader {
     std::uint64_t i32_count = 0;  ///< offset heap entries
     std::uint64_t u8_count = 0;   ///< action heap bytes
     /// Squish feature tensor shape shared by every state ({6, size, size});
-    /// all-zero in a featureless store (raw trajectories only, no replay).
+    /// all-zero in a featureless store (raw trajectories only, no training).
     std::uint32_t feature_dims[3] = {0, 0, 0};
     /// Caller-chosen provenance hash of the clip set the store was collected
-    /// on (generator style, seed, clip count, ...). Replay validates it so a
+    /// on (generator style, seed, clip count, ...). Trainers check it so a
     /// store is never silently trained against the wrong clips.
     std::uint64_t dataset_tag = 0;
     std::uint32_t reserved = 0;
@@ -154,8 +156,8 @@ inline constexpr std::uint32_t kStoreVersion = 1;
 
 /// Append-only store writer. Records accumulate in memory in append order
 /// (the caller is responsible for canonical clip-major / bias-minor order —
-/// CamoEngine::collect_teacher_data's gathered job order provides it, which
-/// is what makes the file bytes worker-count independent); flush() publishes
+/// core::append_teacher_data of a collected dataset provides it, which is
+/// what makes the file bytes worker-count independent); flush() publishes
 /// everything appended so far as one complete, validated file via atomic
 /// rename. States are deduped on (clip_index, offsets) as they arrive.
 class TrajStoreWriter {
@@ -164,13 +166,14 @@ public:
 
     /// Append one trajectory. `step_features[t]` holds the per-segment
     /// squish tensors of steps[t] (same tensor shape everywhere); pass an
-    /// empty span for a featureless store (no replay, raw records only).
+    /// empty span for a featureless store (raw records only, no training).
     /// Throws std::invalid_argument on malformed input (step/feature count
     /// mismatch, offsets/actions length mismatch, inconsistent shapes).
     void append(const Trajectory& traj,
                 std::span<const std::span<const nn::Tensor>> step_features = {});
 
-    /// Atomically publish all records appended so far (write tmp + rename).
+    /// Atomically publish all records appended so far (write tmp + rename)
+    /// and add the file's size to the `trajstore.bytes_written` counter.
     /// Throws std::runtime_error on I/O failure.
     void flush();
 
@@ -206,7 +209,9 @@ private:
 /// views straight into the mapping, valid for the reader's lifetime.
 class TrajStoreReader {
 public:
-    explicit TrajStoreReader(const std::string& path);  ///< throws TrajStoreError
+    /// Map and validate the file, then add its size to the
+    /// `trajstore.bytes_read` counter. Throws TrajStoreError.
+    explicit TrajStoreReader(const std::string& path);
     ~TrajStoreReader();
 
     TrajStoreReader(TrajStoreReader&&) noexcept;

@@ -361,5 +361,27 @@ TEST_F(KernelCacheCorpus, TrailingBytes) {
     EXPECT_FALSE(load_kernel_cache(cfg_).has_value());
 }
 
+TEST_F(KernelCacheCorpus, CoefficientBitFlipIsRejectedAndRebuilt) {
+    store_kernel_cache(cfg_, good());
+    std::string b = bytes();
+    // The nominal set's first coefficient: after the support count come
+    // three (kx, ky) pairs, the eigenvalue count, two eigenvalues and the
+    // first kernel's coefficient count. Flipping the lowest mantissa bit of
+    // its real part (1.0F) leaves a structurally valid file that only the
+    // payload seal can tell from the good one.
+    constexpr std::size_t kFirstCoeffAt = kSupportCountAt + 8 + 3 * 8 + 8 + 2 * 8 + 8;
+    float re = 0.0F;
+    std::memcpy(&re, b.data() + kFirstCoeffAt, sizeof re);
+    ASSERT_EQ(re, 1.0F);
+    b[kFirstCoeffAt] = static_cast<char>(b[kFirstCoeffAt] ^ 1);
+    write(b);
+    EXPECT_FALSE(load_kernel_cache(cfg_).has_value());
+
+    // A miss makes the simulator build the kernels and rewrite the entry.
+    const LithoSim sim(cfg_);
+    EXPECT_NE(bytes(), b);
+    EXPECT_TRUE(load_kernel_cache(cfg_).has_value());
+}
+
 }  // namespace
 }  // namespace camo::litho

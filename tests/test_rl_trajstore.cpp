@@ -1,14 +1,17 @@
 // Packed trajectory store suite (PR 10).
 //
-// Three layers of coverage:
+// Four layers of coverage:
 //  - format: round-trip fuzz over random trajectories (featureless and
 //    featureful), state dedupe, and a corrupt-file corpus in the spirit of
 //    the GDS parser corpus — every truncated / torn / bit-flipped / ragged
 //    variant must fail with a typed TrajStoreError, never misread.
-//  - determinism: collect_teacher_data's store sink writes byte-identical
-//    files at 1/2/8 train workers.
-//  - replay: phase-1 training streamed from the store produces weights
-//    byte-identical to in-memory training on the same collection.
+//  - determinism: a collected dataset appended by append_teacher_data
+//    writes byte-identical files at 1/2/8 train workers, and appending
+//    load_teacher_data's decode of a store re-publishes the same bytes.
+//  - load: phase-1 training on the dataset loaded from the store produces
+//    weights byte-identical to training on the collected dataset.
+//  - telemetry: the trajstore byte counters equal the bytes published and
+//    mapped.
 //
 // Corrupt-corpus technique: structural validators sit BEHIND the checksum
 // gate, so targeted corruptions re-seal the footer hash (store_payload_hash
@@ -27,6 +30,7 @@
 #include "core/experiment.hpp"
 #include "layout/via_gen.hpp"
 #include "litho/simulator.hpp"
+#include "obs/metrics.hpp"
 #include "rl/trajstore.hpp"
 
 namespace camo::rl {
@@ -362,7 +366,7 @@ TEST(TrajStore, CorruptCorpusIsRejectedTyped) {
     std::remove(path.c_str());
 }
 
-// ---- Determinism: collection sink and replay training ----------------------
+// ---- Determinism: collect, append, load, train -----------------------------
 
 litho::LithoConfig test_litho_config() {
     litho::LithoConfig cfg;
@@ -407,14 +411,19 @@ opc::OpcOptions short_opc_options() {
     return opt;
 }
 
-std::string collect_to_store(int train_workers, const std::string& name) {
+/// Collect teacher data on the small via set and write it as a store.
+std::string collect_to_store(int train_workers, const std::string& name,
+                             std::uint64_t tag = 1234) {
     const std::string path = temp_path(name);
     core::CamoConfig cfg = tiny_config();
     cfg.train_workers = train_workers;
     core::CamoEngine engine(cfg);
     litho::LithoSim sim(test_litho_config());
-    TrajStoreWriter writer(path, 1234);
-    engine.collect_teacher_data(small_via_clips(3), sim, short_opc_options(), &writer);
+    TrajStoreWriter writer(path, tag);
+    core::append_teacher_data(engine.collect_teacher_data(small_via_clips(3), sim,
+                                                          short_opc_options()),
+                              writer);
+    writer.flush();
     return path;
 }
 
@@ -436,9 +445,10 @@ TEST(TrajStoreDeterminism, StoreMatchesInMemoryDataset) {
     core::CamoEngine engine(tiny_config());
     litho::LithoSim sim(test_litho_config());
     const auto clips = small_via_clips(3);
+    const core::Phase1Dataset data = engine.collect_teacher_data(clips, sim, short_opc_options());
     TrajStoreWriter writer(path);
-    const core::Phase1Dataset data =
-        engine.collect_teacher_data(clips, sim, short_opc_options(), &writer);
+    core::append_teacher_data(data, writer);
+    writer.flush();
 
     TrajStoreReader reader(path);
     ASSERT_EQ(reader.traj_count(), data.trajectories.size());
@@ -447,12 +457,64 @@ TEST(TrajStoreDeterminism, StoreMatchesInMemoryDataset) {
         expect_same_trajectory(data.trajectories[i], reader.decode(i));
         steps += data.trajectories[i].steps.size();
     }
-    // Sample order == step order: the replay path walks samples exactly as
-    // the in-memory dataset laid them out.
+    // Sample order == step order: the load walks the store's steps exactly
+    // as the in-memory dataset laid out its samples.
     EXPECT_EQ(reader.step_count(), steps);
     EXPECT_EQ(reader.step_count(), data.samples.size());
     EXPECT_GT(reader.state_count(), 0U);
+
+    // The loaded dataset is the collected one.
+    const core::Phase1Dataset loaded = engine.load_teacher_data(reader, clips);
+    ASSERT_EQ(loaded.samples.size(), data.samples.size());
+    for (std::size_t k = 0; k < data.samples.size(); ++k) {
+        const core::TeacherSample& a = data.samples[k];
+        const core::TeacherSample& b = loaded.samples[k];
+        EXPECT_EQ(a.clip, b.clip);
+        EXPECT_EQ(a.actions, b.actions);
+        ASSERT_EQ(a.features.size(), b.features.size());
+        for (std::size_t i = 0; i < a.features.size(); ++i) {
+            EXPECT_EQ(a.features[i].shape(), b.features[i].shape());
+            EXPECT_EQ(std::memcmp(a.features[i].data().data(), b.features[i].data().data(),
+                                  a.features[i].numel() * sizeof(float)),
+                      0);
+        }
+    }
+    ASSERT_EQ(loaded.trajectories.size(), data.trajectories.size());
+    for (std::size_t i = 0; i < data.trajectories.size(); ++i) {
+        expect_same_trajectory(data.trajectories[i], loaded.trajectories[i]);
+    }
+    EXPECT_EQ(loaded.action_weight, data.action_weight);
+    EXPECT_EQ(loaded.graphs.size(), data.graphs.size());
     std::remove(path.c_str());
+}
+
+TEST(TrajStoreDeterminism, AppendOfLoadRepublishesIdenticalBytes) {
+    const std::string path = collect_to_store(2, "trajstore_roundtrip.ctrj", 4321);
+    const std::string copy_path = temp_path("trajstore_roundtrip_copy.ctrj");
+    {
+        const TrajStoreReader reader(path);
+        const core::CamoEngine engine(tiny_config());
+        TrajStoreWriter writer(copy_path, reader.dataset_tag());
+        core::append_teacher_data(engine.load_teacher_data(reader, small_via_clips(3)), writer);
+        writer.flush();
+    }
+    const std::string original = read_file(path);
+    ASSERT_FALSE(original.empty());
+    EXPECT_EQ(original, read_file(copy_path));
+    std::remove(path.c_str());
+    std::remove(copy_path.c_str());
+}
+
+TEST(TrajStoreDeterminism, AppendRejectsSamplesThatAreNotTheSteps) {
+    core::CamoEngine engine(tiny_config());
+    litho::LithoSim sim(test_litho_config());
+    core::Phase1Dataset data =
+        engine.collect_teacher_data(small_via_clips(1), sim, short_opc_options());
+    ASSERT_FALSE(data.samples.empty());
+    data.samples.pop_back();
+    TrajStoreWriter writer(temp_path("trajstore_short.ctrj"));
+    EXPECT_THROW(core::append_teacher_data(data, writer), std::invalid_argument);
+    EXPECT_EQ(writer.trajectories(), 0U);
 }
 
 TEST(TrajStoreDeterminism, ReplayWeightsByteIdenticalToInMemory) {
@@ -462,17 +524,20 @@ TEST(TrajStoreDeterminism, ReplayWeightsByteIdenticalToInMemory) {
 
     // Path A: classic collect-and-train, 4 phase-1 epochs.
     core::CamoEngine mem_engine(tiny_config());
-    TrajStoreWriter writer(store_path);
     const core::Phase1Dataset data =
-        mem_engine.collect_teacher_data(clips, sim, short_opc_options(), &writer);
+        mem_engine.collect_teacher_data(clips, sim, short_opc_options());
+    TrajStoreWriter writer(store_path);
+    core::append_teacher_data(data, writer);
+    writer.flush();
     for (int e = 0; e < 4; ++e) mem_engine.run_phase1_epoch(data);
 
-    // Path B: fresh engine, replay the same epochs from the mapped store.
+    // Path B: fresh engine, the same epochs over the dataset loaded from the
+    // store.
     core::CamoEngine replay_engine(tiny_config());
     TrajStoreReader reader(store_path);
-    const core::Phase1Replay replay = replay_engine.make_phase1_replay(reader, clips);
+    const core::Phase1Dataset loaded = replay_engine.load_teacher_data(reader, clips);
     double replay_loss = 0.0;
-    for (int e = 0; e < 4; ++e) replay_loss = replay_engine.run_phase1_epoch(replay);
+    for (int e = 0; e < 4; ++e) replay_loss = replay_engine.run_phase1_epoch(loaded);
     EXPECT_GT(replay_loss, 0.0);
 
     const std::string mem_w = temp_path("trajstore_mem_w.bin");
@@ -488,37 +553,75 @@ TEST(TrajStoreDeterminism, ReplayWeightsByteIdenticalToInMemory) {
     std::remove(rep_w.c_str());
 }
 
-TEST(TrajStoreDeterminism, MakeReplayValidatesStoreAgainstClips) {
-    const std::string path = temp_path("trajstore_validate.ctrj");
+TEST(TrajStoreDeterminism, LoadValidatesStoreAgainstClips) {
+    const std::string path = collect_to_store(1, "trajstore_validate.ctrj");
     const auto clips = small_via_clips(3);
     core::CamoEngine engine(tiny_config());
-    litho::LithoSim sim(test_litho_config());
-    TrajStoreWriter writer(path);
-    engine.collect_teacher_data(clips, sim, short_opc_options(), &writer);
     TrajStoreReader reader(path);
 
     // Fewer clips than the store references.
     const std::vector<geo::SegmentedLayout> too_few(clips.begin(), clips.begin() + 1);
-    EXPECT_THROW(engine.make_phase1_replay(reader, too_few), std::invalid_argument);
+    EXPECT_THROW((void)engine.load_teacher_data(reader, too_few), std::invalid_argument);
 
-    // A featureless store cannot feed phase-1 replay.
+    // A featureless store cannot feed phase-1 training.
     const std::string bare_path = temp_path("trajstore_bare.ctrj");
     TrajStoreWriter bare(bare_path);
     Rng rng(7);
     bare.append(random_trajectory(rng, 0, 2, 1));
     bare.flush();
     TrajStoreReader bare_reader(bare_path);
-    EXPECT_THROW(engine.make_phase1_replay(bare_reader, clips), std::invalid_argument);
+    EXPECT_THROW((void)engine.load_teacher_data(bare_reader, clips), std::invalid_argument);
 
     // Squish-size mismatch between store and engine config.
     core::CamoConfig other_cfg = tiny_config();
     other_cfg.policy.squish_size = 32;
     other_cfg.squish.size = 32;
     core::CamoEngine other(other_cfg);
-    EXPECT_THROW(other.make_phase1_replay(reader, clips), std::invalid_argument);
+    EXPECT_THROW((void)other.load_teacher_data(reader, clips), std::invalid_argument);
+
+    // Right window size, wrong channel count: {1, S, S} features for clip 0,
+    // with its real segment count. Rejected at load, not in the first epoch.
+    const int size = tiny_config().squish.size;
+    const int segments = clips[0].num_segments();
+    const Trajectory thin = random_trajectory(rng, 0, segments, 1);
+    const std::vector<nn::Tensor> thin_feats(static_cast<std::size_t>(segments),
+                                             nn::Tensor({1, size, size}));
+    const std::string thin_path = temp_path("trajstore_thin.ctrj");
+    TrajStoreWriter thin_writer(thin_path);
+    const std::span<const nn::Tensor> thin_step(thin_feats);
+    thin_writer.append(thin, {&thin_step, 1});
+    thin_writer.flush();
+    TrajStoreReader thin_reader(thin_path);
+    EXPECT_THROW((void)engine.load_teacher_data(thin_reader, clips), std::invalid_argument);
 
     std::remove(path.c_str());
     std::remove(bare_path.c_str());
+    std::remove(thin_path.c_str());
+}
+
+// ---- Telemetry ---------------------------------------------------------------
+
+TEST(TrajStoreTelemetry, ByteCountersMatchWriterAndReader) {
+    const std::string path = temp_path("trajstore_bytes.ctrj");
+    obs::reset_metrics();
+    obs::set_metrics_enabled(true);
+    TrajStoreWriter writer(path);
+    Rng rng(11);
+    for (int i = 0; i < 3; ++i) writer.append(random_trajectory(rng, i, 4, 2));
+    writer.flush();
+    const TrajStoreReader reader(path);
+    obs::set_metrics_enabled(false);
+
+    const auto snap = obs::snapshot_metrics();
+    const obs::MetricSnapshot* written = obs::find_metric(snap, "trajstore.bytes_written");
+    const obs::MetricSnapshot* read = obs::find_metric(snap, "trajstore.bytes_read");
+    ASSERT_NE(written, nullptr);
+    ASSERT_NE(read, nullptr);
+    EXPECT_EQ(written->counter, static_cast<long long>(writer.byte_size()));
+    EXPECT_EQ(read->counter, static_cast<long long>(reader.file_bytes()));
+    EXPECT_EQ(reader.file_bytes(), writer.byte_size());
+    obs::reset_metrics();
+    std::remove(path.c_str());
 }
 
 }  // namespace

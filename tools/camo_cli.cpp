@@ -24,11 +24,14 @@
 // value, which is why the cache path does not encode it.
 //
 // collect / train split teacher-data collection from phase-1 imitation
-// training through the packed trajectory store (src/rl/trajstore.hpp): N
-// collect runs can feed one trainer, and `train --from-store` needs no
-// lithography simulator at all. The store's canonical append order makes
-// replayed weights byte-identical to in-memory training at any
-// --train-workers value (TrajStoreDeterminism in tests/test_rl_trajstore.cpp).
+// training through the packed trajectory store (src/rl/trajstore.hpp), the
+// file format of the teacher dataset: collect gathers the dataset, appends
+// it and flushes; train loads the store once into the same in-memory
+// dataset (every sample in RAM, as in the collecting process) and runs the
+// one epoch loop over it, with no lithography simulator at all. The store's
+// canonical append order makes the trained weights byte-identical to
+// in-memory training at any --train-workers value (TrajStoreDeterminism in
+// tests/test_rl_trajstore.cpp).
 //
 // The streaming trio covers the full-chip path: chipgen writes a synthetic
 // multi-tile chip from a registered scenario generator, shard cuts it into
@@ -905,9 +908,9 @@ int serve_main(int argc, char** argv) {
 
 // ---- collect / train: trajectory-store workflow -----------------------------
 // collect records rule-teacher trajectories (plus their squish-encoded
-// states) into a packed trajectory store; train replays phase-1 imitation
-// minibatches straight from the store's memory mapping and writes the
-// trained policy weights. The split lets N machines collect and one train.
+// states) into a packed trajectory store; train loads the store once into a
+// teacher dataset, runs the phase-1 epochs over it and writes the trained
+// policy weights.
 
 struct StoreCliOptions {
     std::string style = "via";
@@ -923,7 +926,7 @@ struct StoreCliOptions {
 
 /// Provenance hash of the clip set a store was collected on. Derived from
 /// everything build_store_clips depends on (plus the squish size, which
-/// fixes the feature shape) so replaying against differently-built clips
+/// fixes the feature shape) so training against differently-built clips
 /// fails loudly instead of training on mismatched data.
 std::uint64_t store_dataset_tag(const std::string& style, std::uint64_t seed, int clip_cap,
                                 int squish_size) {
@@ -960,7 +963,7 @@ std::vector<geo::SegmentedLayout> build_store_clips(const std::string& style, st
     return core::fragment_metal_clips(raw);
 }
 
-/// collect writes the store named by --out; train replays --from-store into
+/// collect writes the store named by --out; train loads --from-store, writes
 /// --weights and alone takes --epochs.
 std::vector<Flag> store_flags(StoreCliOptions& o, bool train_mode) {
     std::vector<Flag> flags = {
@@ -997,7 +1000,8 @@ int collect_main(int argc, char** argv) {
         core::CamoEngine engine(cfg);
         rl::TrajStoreWriter writer(cli.store_path, tag);
         Timer timer;
-        engine.collect_teacher_data(clips, sim, opt, &writer);
+        core::append_teacher_data(engine.collect_teacher_data(clips, sim, opt), writer);
+        writer.flush();
         const double dedupe_rate =
             writer.steps() == 0
                 ? 0.0
@@ -1060,11 +1064,11 @@ int train_main(int argc, char** argv) {
         const auto clips = build_store_clips(cli.style, cli.seed, cli.clips);
         core::CamoEngine engine(cfg);
         Timer timer;
-        // No lithography simulator at all: training cost is pure policy
-        // forward/backward over the mapped store.
-        const core::Phase1Replay replay = engine.make_phase1_replay(store, clips);
+        // No lithography simulator at all: the store is decoded once, then
+        // training cost is pure policy forward/backward over the dataset.
+        const core::Phase1Dataset data = engine.load_teacher_data(store, clips);
         double loss = 0.0;
-        for (int e = 0; e < epochs; ++e) loss = engine.run_phase1_epoch(replay);
+        for (int e = 0; e < epochs; ++e) loss = engine.run_phase1_epoch(data);
         engine.save_weights(cli.weights);
         std::printf("train: %d epochs over %llu steps (store replay), final loss %.6f -> %s "
                     "(%.1fs)\n",
