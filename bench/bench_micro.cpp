@@ -19,6 +19,7 @@
 #include "core/squish.hpp"
 #include "layout/metal_gen.hpp"
 #include "litho/aerial.hpp"
+#include "litho/incremental.hpp"
 #include "litho/optics.hpp"
 #include "litho/process_window.hpp"
 #include "layout/shard.hpp"
@@ -738,6 +739,54 @@ void BM_SupportApply(benchmark::State& state) {
 }
 BENCHMARK(BM_SupportApply)->Args({0, 4096})->Args({1, 4096})->Args({0, 65536})
     ->Args({1, 65536});
+
+// One incremental evaluation's two aerial images from support values:
+// nominal + i*defocus through one packed SupportApplicator upsample.
+// Arg = fine grid: 256 is shared_sim()'s quick config, 512 the production
+// config of core::Experiment::litho_config() (8 + 6 kernels, coarse grid
+// 128).
+const litho::LithoSim& production_sim() {
+    static const litho::LithoSim sim(core::Experiment::litho_config());
+    return sim;
+}
+
+// A via-like mask's spectrum sampled at one kernel set's support.
+std::vector<litho::Complex> via_support_values(const litho::LithoSim& sim,
+                                               const litho::KernelSet& ks) {
+    const int n = sim.config().grid;
+    const int span = static_cast<int>(n * sim.config().pixel_nm);
+    geo::Raster mask(n, sim.config().pixel_nm);
+    for (int i = 0; i < 6; ++i) {
+        const int x = span / 8 + i * span / 8;
+        const int y = span / 3 + 20 * i;
+        mask.add_polygon(geo::Polygon::from_rect({x, y, x + 70, y + 70}));
+    }
+    mask.clamp01();
+    const std::vector<litho::Complex> spectrum = litho::mask_spectrum(mask);
+    std::vector<litho::Complex> vals;
+    for (const litho::FreqIndex& f : ks.support) {
+        vals.push_back(spectrum[static_cast<std::size_t>(((f.ky % n + n) % n) * n +
+                                                         (f.kx % n + n) % n)]);
+    }
+    return vals;
+}
+
+void BM_SupportApplyAerials(benchmark::State& state) {
+    const int grid = static_cast<int>(state.range(0));
+    const litho::LithoSim& sim = grid == 256 ? shared_sim() : production_sim();
+    const double px = sim.config().pixel_nm;
+    const litho::SupportApplicator nominal(sim.nominal_kernels(), grid);
+    const litho::SupportApplicator defocus(sim.defocus_kernels(), grid);
+    const std::vector<litho::Complex> nv = via_support_values(sim, sim.nominal_kernels());
+    const std::vector<litho::Complex> dv = via_support_values(sim, sim.defocus_kernels());
+    for (auto _ : state) {
+        const auto [nom, def] = nominal.apply_pair(nv, defocus, dv, px);
+        benchmark::DoNotOptimize(nom.data().data());
+        benchmark::DoNotOptimize(def.data().data());
+    }
+    state.SetLabel("coarse " + std::to_string(nominal.coarse_grid()));
+}
+BENCHMARK(BM_SupportApplyAerials)->Arg(256)->Arg(512)->Unit(benchmark::kMicrosecond);
 
 void BM_Modulator(benchmark::State& state) {
     double epe = -8.0;

@@ -14,8 +14,15 @@
 namespace camo {
 
 /// FNV-1a 64 of `n` bytes, continued from `h` (start from kFnv1aBasis): the
-/// payload seal of the kernel cache and the trajectory store.
+/// payload seal of the kernel cache and the trajectory store, and every
+/// cache key, seed and file-name hash. Bytes are hashed in memory order, so
+/// an integer hashes as its little-endian bytes on the little-endian hosts
+/// the binary formats already assume.
 inline constexpr std::uint64_t kFnv1aBasis = 14695981039346656037ULL;
+/// The standard basis with its last digit dropped. The comparison matrix's
+/// scenario seeds and the trajectory-store dataset tags were first hashed
+/// from it; it stays so their values (and existing stores) stay valid.
+inline constexpr std::uint64_t kFnv1aShortBasis = 1469598103934665603ULL;
 [[nodiscard]] std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n);
 
 class BinaryWriter {

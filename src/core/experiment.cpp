@@ -1,6 +1,5 @@
 #include "core/experiment.hpp"
 
-#include <bit>
 #include <cstdlib>
 #include <filesystem>
 
@@ -11,18 +10,10 @@
 namespace camo::core {
 namespace {
 
-std::uint64_t fnv_mix(std::uint64_t h, long long v) {
-    for (int i = 0; i < 8; ++i) {
-        h ^= static_cast<std::uint64_t>(v >> (8 * i)) & 0xFFU;
-        h *= 1099511628211ULL;
-    }
-    return h;
-}
+std::uint64_t fnv_mix(std::uint64_t h, long long v) { return fnv1a(h, &v, sizeof v); }
 
 // Real-valued settings hash their bit pattern.
-std::uint64_t fnv_mix_real(std::uint64_t h, double v) {
-    return fnv_mix(h, std::bit_cast<long long>(v));
-}
+std::uint64_t fnv_mix_real(std::uint64_t h, double v) { return fnv1a(h, &v, sizeof v); }
 
 }  // namespace
 
@@ -119,7 +110,7 @@ std::string Experiment::weights_path(const CamoConfig& cfg, const std::string& l
     // the current trainer produced them.
     constexpr long long kTrainerSchemaVersion = 3;
 
-    std::uint64_t h = 14695981039346656037ULL;
+    std::uint64_t h = kFnv1aBasis;
     h = fnv_mix(h, kTrainerSchemaVersion);
     // Nominal mode contributes nothing; window modes both hash AND tag the
     // name, keeping the distinction visible in data/ listings.

@@ -1,12 +1,14 @@
 #include "litho/incremental.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <map>
 #include <numbers>
 #include <stdexcept>
 
+#include "common/file_io.hpp"
 #include "common/simd.hpp"
 #include "litho/aerial.hpp"
 #include "litho/kernel_registry.hpp"
@@ -36,25 +38,24 @@ obs::MetricId rebuild_hist() {
     static const obs::MetricId id = obs::register_histogram("litho.incremental.rebuild.ns");
     return id;
 }
-obs::MetricId focus_plane_hist() {
-    // Shared with the dense window LithoSim::evaluate's per-plane spans
-    // (registration is idempotent per name): one histogram covers dense and
-    // cached sweeps.
-    static const obs::MetricId id = obs::register_histogram("window.focus_plane.ns");
-    return id;
+
+// Per-thread N x N complex buffer for the fine-grid transforms: the
+// upsample's inverse FFT and the rebuild's pruned forward FFT. Both fill it
+// before reading, so only the allocation carries over between calls; one
+// buffer per thread (not per evaluator) keeps the simulators of a batch from
+// each holding their own.
+std::span<Complex> fine_scratch(std::size_t size) {
+    thread_local std::vector<Complex> buffer;
+    if (buffer.size() < size) buffer.resize(size);
+    return {buffer.data(), size};
 }
 
-// FNV-1a over the layout geometry that determines the cached raster: target
-// and SRAF vertices plus the clip size. O(total vertices) per evaluation —
-// noise next to the evaluation itself.
+}  // namespace
+
+// O(total vertices) per evaluation: noise next to the evaluation itself.
 std::uint64_t layout_fingerprint(const geo::SegmentedLayout& layout) {
-    std::uint64_t h = 14695981039346656037ULL;
-    auto mix = [&h](std::uint64_t v) {
-        for (int b = 0; b < 8; ++b) {
-            h ^= (v >> (8 * b)) & 0xFFU;
-            h *= 1099511628211ULL;
-        }
-    };
+    std::uint64_t h = kFnv1aBasis;
+    const auto mix = [&h](std::uint64_t v) { h = fnv1a(h, &v, sizeof v); };
     mix(static_cast<std::uint64_t>(layout.num_segments()));
     mix(static_cast<std::uint64_t>(layout.clip_size_nm()));
     auto mix_polys = [&](const std::vector<geo::Polygon>& polys) {
@@ -71,8 +72,6 @@ std::uint64_t layout_fingerprint(const geo::SegmentedLayout& layout) {
     mix_polys(layout.srafs());
     return h;
 }
-
-}  // namespace
 
 // ---- SupportApplicator -----------------------------------------------------
 
@@ -126,8 +125,8 @@ SupportApplicator::SupportApplicator(const KernelSet& kernels, int grid) : n_(gr
     }
 }
 
-geo::Raster SupportApplicator::apply(std::span<const Complex> support_vals,
-                                     double pixel_nm) const {
+std::vector<float> SupportApplicator::coarse_intensity(
+    std::span<const Complex> support_vals) const {
     if (support_vals.size() != mpos_.size()) {
         throw std::invalid_argument("SupportApplicator: support value count mismatch");
     }
@@ -155,29 +154,66 @@ geo::Raster SupportApplicator::apply(std::span<const Complex> support_vals,
         const float lambda = eigenvalues_[static_cast<std::size_t>(k)];
         ops.norm_acc(field.data(), lambda, intensity.data(), mm);
     }
+    return intensity;
+}
 
-    geo::Raster out(n_, pixel_nm);
+void SupportApplicator::upsample(std::span<const float> re, std::span<const float> im,
+                                 geo::Raster& out_re, geo::Raster* out_im) const {
     if (m_ == n_) {
-        auto dst = out.data();
-        std::copy(intensity.begin(), intensity.end(), dst.begin());
-        return out;
+        std::copy(re.begin(), re.end(), out_re.data().begin());
+        if (out_im != nullptr) std::copy(im.begin(), im.end(), out_im->data().begin());
+        return;
     }
 
     // Exact band-limited upsample: forward FFT of the coarse intensity,
-    // scatter its band into the fine lattice, inverse FFT at full size.
-    std::vector<Complex> coarse(mm);
-    for (std::size_t i = 0; i < mm; ++i) coarse[i] = Complex(intensity[i], 0.0F);
+    // scatter its band into the fine lattice, inverse FFT at full size. Both
+    // coarse images are real and the band is symmetric (|k| <= 2R < m/2),
+    // so each one's truncated spectrum stays Hermitian: the inverse returns
+    // re's image in the real part and im's in the imaginary part.
+    std::vector<Complex> coarse(re.size());
+    for (std::size_t i = 0; i < coarse.size(); ++i) {
+        coarse[i] = Complex(re[i], im.empty() ? 0.0F : im[i]);
+    }
     fft2d_forward(coarse, m_);
 
-    std::vector<Complex> fine(static_cast<std::size_t>(n_) * static_cast<std::size_t>(n_));
+    const std::span<Complex> fine =
+        fine_scratch(static_cast<std::size_t>(n_) * static_cast<std::size_t>(n_));
+    std::fill(fine.begin(), fine.end(), Complex{});
     for (std::size_t i = 0; i < band_src_.size(); ++i) {
         fine[static_cast<std::size_t>(band_dst_[i])] =
             coarse[static_cast<std::size_t>(band_src_[i])] * upsample_scale_;
     }
     fft2d_inverse_rowsparse(fine, n_, nrow_nonzero_);
 
-    auto dst = out.data();
-    for (std::size_t i = 0; i < fine.size(); ++i) dst[i] = fine[i].real();
+    const auto dst_re = out_re.data();
+    for (std::size_t i = 0; i < fine.size(); ++i) dst_re[i] = fine[i].real();
+    if (out_im != nullptr) {
+        const auto dst_im = out_im->data();
+        for (std::size_t i = 0; i < fine.size(); ++i) dst_im[i] = fine[i].imag();
+    }
+}
+
+geo::Raster SupportApplicator::apply(std::span<const Complex> support_vals,
+                                     double pixel_nm) const {
+    geo::Raster out(n_, pixel_nm);
+    upsample(coarse_intensity(support_vals), {}, out, nullptr);
+    return out;
+}
+
+std::pair<geo::Raster, geo::Raster> SupportApplicator::apply_pair(
+    std::span<const Complex> support_vals, const SupportApplicator& other,
+    std::span<const Complex> other_vals, double pixel_nm) const {
+    if (!pairs_with(other)) {
+        throw std::invalid_argument("SupportApplicator: paired planes need the same grids");
+    }
+    std::pair<geo::Raster, geo::Raster> out{geo::Raster(n_, pixel_nm),
+                                            geo::Raster(n_, pixel_nm)};
+    // Same grids but different support radii: the wider band holds both
+    // planes' bands (each is a centred square), and the narrower plane's
+    // coarse spectrum beyond its own band is zero in exact arithmetic.
+    const SupportApplicator& wide = band_src_.size() >= other.band_src_.size() ? *this : other;
+    wide.upsample(coarse_intensity(support_vals), other.coarse_intensity(other_vals), out.first,
+                  &out.second);
     return out;
 }
 
@@ -291,7 +327,7 @@ void IncrementalEvaluator::rebuild_cache(const geo::SegmentedLayout& layout,
     // read below equal a dense fft2d_forward bit for bit. A row is empty
     // only when every value is +0.0: std::clamp passes -0.0 through, and a
     // row holding -0.0 does not transform to all +0.0.
-    std::vector<Complex> grid(nn);
+    const std::span<Complex> grid = fine_scratch(nn);
     std::vector<std::uint8_t> row_nonzero(static_cast<std::size_t>(n), 0);
     for (std::size_t i = 0; i < nn; ++i) {
         grid[i] = Complex(clamped_[i], 0.0F);
@@ -364,21 +400,43 @@ std::complex<double> IncrementalEvaluator::cached_spectrum(int kx, int ky) const
     return spectrum_[static_cast<std::size_t>(it->second)];
 }
 
-geo::Raster IncrementalEvaluator::aerial_from_cache(const SupportApplicator& applicator,
-                                                    const std::vector<int>& map) const {
+std::vector<Complex> IncrementalEvaluator::support_values(const std::vector<int>& map) const {
     std::vector<Complex> vals(map.size());
     for (std::size_t i = 0; i < map.size(); ++i) {
         const std::complex<double>& v = spectrum_[static_cast<std::size_t>(map[i])];
         vals[i] = {static_cast<float>(v.real()), static_cast<float>(v.imag())};
     }
-    return applicator.apply(vals, cfg_.pixel_nm);
+    return vals;
+}
+
+std::vector<geo::Raster> IncrementalEvaluator::aerials_from_cache(
+    std::span<const PlaneRef> planes) const {
+    std::vector<geo::Raster> aerials;
+    aerials.reserve(planes.size());
+    for (std::size_t i = 0; i < planes.size();) {
+        const auto& [applicator, map] = planes[i];
+        if (i + 1 < planes.size() && applicator->pairs_with(*planes[i + 1].first)) {
+            const auto& [other, other_map] = planes[i + 1];
+            auto [first, second] = applicator->apply_pair(support_values(*map), *other,
+                                                          support_values(*other_map),
+                                                          cfg_.pixel_nm);
+            aerials.push_back(std::move(first));
+            aerials.push_back(std::move(second));
+            i += 2;
+        } else {
+            aerials.push_back(applicator->apply(support_values(*map), cfg_.pixel_nm));
+            i += 1;
+        }
+    }
+    return aerials;
 }
 
 SimMetrics IncrementalEvaluator::metrics_from_cache(const geo::SegmentedLayout& layout) const {
-    const geo::Raster nom = aerial_from_cache(nominal_, map_nominal_);
-    const geo::Raster def = aerial_from_cache(defocus_, map_defocus_);
-    return compute_sim_metrics(layout, nom, def, threshold_, clip_offset_, cfg_.epe_range_nm,
-                               cfg_.dose_min, cfg_.dose_max);
+    const std::array<PlaneRef, 2> planes{PlaneRef{&nominal_, &map_nominal_},
+                                         PlaneRef{&defocus_, &map_defocus_}};
+    const std::vector<geo::Raster> aerials = aerials_from_cache(planes);
+    return compute_sim_metrics(layout, aerials[0], aerials[1], threshold_, clip_offset_,
+                               cfg_.epe_range_nm, cfg_.dose_min, cfg_.dose_max);
 }
 
 int IncrementalEvaluator::union_index(int kx, int ky) {
@@ -414,8 +472,7 @@ int IncrementalEvaluator::union_index(int kx, int ky) {
     return it->second;
 }
 
-std::pair<const SupportApplicator*, const std::vector<int>*> IncrementalEvaluator::plane_for(
-    double defocus_nm) {
+IncrementalEvaluator::PlaneRef IncrementalEvaluator::plane_for(double defocus_nm) {
     if (std::abs(defocus_nm) < kFocusMatchTolNm) return {&nominal_, &map_nominal_};
     if (std::abs(defocus_nm - cfg_.defocus_nm) < kFocusMatchTolNm) {
         return {&defocus_, &map_defocus_};
@@ -506,50 +563,42 @@ WindowMetrics IncrementalEvaluator::evaluate(const geo::SegmentedLayout& layout,
     spec.validate();
     const CacheUpdate update = refresh_cache(layout, offsets, refresh);
 
-    // One aerial per focus plane from the cached support spectrum. Resolve
-    // every plane first: an extra plane may extend the union spectrum, and
-    // the pointers stay valid because extra_planes_ elements are
-    // individually heap-allocated.
-    std::vector<std::pair<const SupportApplicator*, const std::vector<int>*>> planes;
+    // One aerial per focus plane from the cached support spectrum, in pairs.
+    // Resolve every plane first: an extra plane may extend the union
+    // spectrum, and the pointers stay valid because extra_planes_ elements
+    // are individually heap-allocated.
+    std::vector<PlaneRef> planes;
     planes.reserve(spec.defocus_nm.size());
     for (double f : spec.defocus_nm) planes.push_back(plane_for(f));
-
-    std::vector<geo::Raster> aerials;
-    aerials.reserve(planes.size());
-    for (const auto& [applicator, map] : planes) {
-        const obs::Span plane_span("window.focus_plane", focus_plane_hist());
-        aerials.push_back(aerial_from_cache(*applicator, *map));
-    }
+    const std::vector<geo::Raster> aerials = aerials_from_cache(planes);
 
     const WindowMetrics wm = window_metrics_from_aerials(layout, spec, aerials, threshold_,
                                                          clip_offset_, cfg_);
 
     // Keep the cached standard metrics consistent with the (possibly
     // updated) cache so a later nominal evaluation with unchanged offsets
-    // can still return them outright. On the standard window the
-    // aggregation above already produced them with identical arguments —
-    // the dose-1.0 corner's EPE profile (threshold / 1.0 on the best-focus
-    // aerial) and the two-corner band over dose extremes equal to cfg's —
-    // so reuse those outright; otherwise recompute from the window's
-    // aerials (plane_for resolves the standard planes to the same
-    // applicators metrics_from_cache uses, so the arithmetic is identical
-    // either way).
+    // can still return them outright. When the window's first pair is
+    // (best focus, cfg defocus), its two aerials are the bits
+    // metrics_from_cache would image (same applicators, same pair). On the
+    // standard doses the aggregation above already produced the metrics
+    // with identical arguments — the dose-1.0 corner's EPE profile
+    // (threshold / 1.0 on the best-focus aerial) and the two-corner band
+    // over dose extremes equal to cfg's — so reuse those outright;
+    // otherwise recompute from those two aerials. Any other window images
+    // the standard pair afresh.
     if (update != CacheUpdate::kUnchanged) {
-        const int f_best = spec.find_focus(0.0);
-        const int f_def = spec.find_focus(cfg_.defocus_nm);
         const CornerResult* nominal = wm.nominal_corner();
         const auto [lo_it, hi_it] = std::minmax_element(spec.doses.begin(), spec.doses.end());
-        if (nominal != nullptr && wm.pv_band_two_corner_nm2 >= 0.0 &&
-            *lo_it == cfg_.dose_min && *hi_it == cfg_.dose_max) {
+        if (spec.find_focus(0.0) != 0 || spec.find_focus(cfg_.defocus_nm) != 1) {
+            metrics_ = metrics_from_cache(layout);
+        } else if (nominal != nullptr && wm.pv_band_two_corner_nm2 >= 0.0 &&
+                   *lo_it == cfg_.dose_min && *hi_it == cfg_.dose_max) {
             metrics_ = nominal->metrics;
             metrics_.pvband_nm2 = wm.pv_band_two_corner_nm2;
-        } else if (f_best >= 0 && f_def >= 0) {
-            metrics_ = compute_sim_metrics(layout, aerials[static_cast<std::size_t>(f_best)],
-                                           aerials[static_cast<std::size_t>(f_def)], threshold_,
+        } else {
+            metrics_ = compute_sim_metrics(layout, aerials[0], aerials[1], threshold_,
                                            clip_offset_, cfg_.epe_range_nm, cfg_.dose_min,
                                            cfg_.dose_max);
-        } else {
-            metrics_ = metrics_from_cache(layout);
         }
     }
     count(update);

@@ -18,10 +18,17 @@
 //   * Aerial images are produced by SupportApplicator, which evaluates the
 //     SOCS sum on a small coarse grid m >= 4R+2 (R = support radius). The
 //     coherent fields are band-limited to R and the intensity to 2R, so the
-//     coarse intensity is an exact band-limited representation; one forward
-//     FFT at m and one row-sparse inverse FFT at N reconstruct the full-grid
-//     aerial image. This replaces the K per-kernel N-grid inverse FFTs of
-//     the dense path with K m-grid ones.
+//     coarse intensity is an exact band-limited representation. This
+//     replaces the K per-kernel N-grid inverse FFTs of the dense path with K
+//     m-grid ones.
+//   * The full-grid images come from one packed upsample per pair of focus
+//     planes: both coarse intensities are real, so nominal + i*defocus goes
+//     through one forward FFT at m, one band scatter and one row-sparse
+//     inverse FFT at N, and each plane is read back from its own component
+//     (the band is symmetric, so each plane's truncated spectrum stays
+//     Hermitian). A lone plane runs the same routine with a zero imaginary
+//     part. The N x N transform buffers (the upsample's and the rebuild's
+//     forward FFT's) are per-thread scratch, not per-call allocations.
 //
 // Equivalence contract (tested in tests/test_litho_incremental.cpp): the
 // incremental path is mathematically identical to LithoSim::evaluate but
@@ -61,6 +68,11 @@ namespace camo::litho {
 inline constexpr double kIncrementalEpeTolNm = 1e-3;
 inline constexpr double kIncrementalPvbPixelSlack = 4.0;  ///< border pixels that may flip
 
+/// Content key of the incremental cache: FNV-1a over the segment count, the
+/// clip size and every target and SRAF vertex. Two layouts with equal keys
+/// rasterize alike, whatever their addresses.
+[[nodiscard]] std::uint64_t layout_fingerprint(const geo::SegmentedLayout& layout);
+
 /// Applies one SOCS kernel set to a mask spectrum sampled at the kernel
 /// support only. Kernel coefficients are stored as one contiguous
 /// kernel-major array so the per-kernel multiply is a flat FMA-able complex
@@ -74,10 +86,31 @@ public:
     [[nodiscard]] geo::Raster apply(std::span<const Complex> support_vals,
                                     double pixel_nm) const;
 
+    /// Two planes through one packed upsample: this applicator's image of
+    /// `support_vals` and `other`'s image of `other_vals`. Each equals its
+    /// apply() to float rounding (the packed transform rounds differently),
+    /// not bit for bit. Throws std::invalid_argument unless pairs_with(other).
+    [[nodiscard]] std::pair<geo::Raster, geo::Raster> apply_pair(
+        std::span<const Complex> support_vals, const SupportApplicator& other,
+        std::span<const Complex> other_vals, double pixel_nm) const;
+
+    /// True when `other` images on the same fine and coarse grids, so
+    /// apply_pair can pack the two planes into one transform.
+    [[nodiscard]] bool pairs_with(const SupportApplicator& other) const {
+        return n_ == other.n_ && m_ == other.m_;
+    }
+
     [[nodiscard]] int support_size() const { return static_cast<int>(mpos_.size()); }
     [[nodiscard]] int coarse_grid() const { return m_; }
 
 private:
+    /// The SOCS sum on the coarse grid (m*m, row-major).
+    [[nodiscard]] std::vector<float> coarse_intensity(std::span<const Complex> support_vals) const;
+    /// Band-limited upsample of re + i*im into `out_re` and, when `out_im`
+    /// is given, `out_im` (im empty: a lone plane, zero imaginary part).
+    void upsample(std::span<const float> re, std::span<const float> im, geo::Raster& out_re,
+                  geo::Raster* out_im) const;
+
     int n_ = 0;        ///< fine (mask) grid
     int m_ = 0;        ///< coarse grid, smallest pow2 >= 4*radius + 2
     int kernels_ = 0;  ///< kernel count
@@ -110,7 +143,9 @@ public:
     /// Multi-corner window evaluation: the cache is refreshed as above, then
     /// ONE aerial per focus plane is produced from the cached support
     /// spectrum through per-focus SupportApplicators — no per-corner
-    /// rasterization or forward FFT. Extra focus planes acquire their kernel
+    /// rasterization or forward FFT. Planes are imaged two at a time in spec
+    /// order through SupportApplicator::apply_pair, so the standard window
+    /// {0, defocus} pairs exactly as the nominal overload does. Extra focus planes acquire their kernel
     /// sets from the registry on first use and are cached on this evaluator.
     /// Metrics match the dense window LithoSim::evaluate within the
     /// incremental tolerances above. Refreshes the cached standard metrics,
@@ -164,12 +199,17 @@ private:
     /// new entry from the cached mask by direct DFT) if a focus plane's
     /// support introduces a frequency the two standard sets lack.
     int union_index(int kx, int ky);
+    /// Applicator + gather map of one focus plane.
+    using PlaneRef = std::pair<const SupportApplicator*, const std::vector<int>*>;
     /// Applicator + gather map for one focus plane (standard planes resolve
     /// to the members built at construction, extra planes are built lazily).
-    [[nodiscard]] std::pair<const SupportApplicator*, const std::vector<int>*> plane_for(
-        double defocus_nm);
-    [[nodiscard]] geo::Raster aerial_from_cache(const SupportApplicator& applicator,
-                                                const std::vector<int>& map) const;
+    [[nodiscard]] PlaneRef plane_for(double defocus_nm);
+    /// One aerial per plane from the cached support spectrum, imaged in
+    /// consecutive pairs through apply_pair; a plane whose neighbour does
+    /// not pair with it (or the last of an odd count) is imaged alone.
+    [[nodiscard]] std::vector<geo::Raster> aerials_from_cache(std::span<const PlaneRef> planes) const;
+    /// The cached spectrum gathered at one plane's support.
+    [[nodiscard]] std::vector<Complex> support_values(const std::vector<int>& map) const;
 
     LithoConfig cfg_;
     double threshold_ = 0.0;

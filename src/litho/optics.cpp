@@ -3,6 +3,8 @@
 #include <cmath>
 #include <numbers>
 
+#include "common/file_io.hpp"
+
 namespace camo::litho {
 namespace {
 
@@ -16,21 +18,13 @@ double lattice_radius(const LithoConfig& cfg, FreqIndex f) {
 }  // namespace
 
 std::uint64_t LithoConfig::physics_hash() const {
-    // FNV-1a over the fields that change the cached kernels.
-    auto mix = [h = std::uint64_t{14695981039346656037ULL}](auto... vals) mutable {
-        auto add = [&h](double v) {
-            std::uint64_t bits = 0;
-            static_assert(sizeof bits == sizeof v);
-            __builtin_memcpy(&bits, &v, sizeof bits);
-            for (int i = 0; i < 8; ++i) {
-                h ^= (bits >> (8 * i)) & 0xFFU;
-                h *= 1099511628211ULL;
-            }
-        };
-        (add(static_cast<double>(vals)), ...);
+    // FNV-1a over the fields that change the cached kernels, each as a double.
+    const auto hash = [](auto... vals) {
+        std::uint64_t h = kFnv1aBasis;
+        for (const double v : {static_cast<double>(vals)...}) h = fnv1a(h, &v, sizeof v);
         return h;
     };
-    return mix(wavelength_nm, na, sigma_in, sigma_out, grid, pixel_nm, kernels_nominal,
+    return hash(wavelength_nm, na, sigma_in, sigma_out, grid, pixel_nm, kernels_nominal,
                kernels_defocus, defocus_nm, threshold, calibration_feature_nm,
                calibration_fraction, /*version=*/4.0);
 }

@@ -30,8 +30,8 @@ obs::MetricId window_hist() {
     return id;
 }
 obs::MetricId focus_plane_hist() {
-    // Shared with the incremental evaluator's per-plane spans (registration
-    // is idempotent per name): one histogram covers dense and cached sweeps.
+    // The dense sweep's per-plane aerials. The cached sweep images its
+    // planes in pairs (IncrementalEvaluator), timed by litho.evaluate_window.
     static const obs::MetricId id = obs::register_histogram("window.focus_plane.ns");
     return id;
 }

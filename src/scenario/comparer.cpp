@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <tuple>
 
+#include "common/file_io.hpp"
 #include "common/json_mini.hpp"
 #include "common/timer.hpp"
 #include "core/camo.hpp"
@@ -20,15 +21,6 @@
 
 namespace camo::scenario {
 namespace {
-
-std::uint64_t fnv1a(const std::string& s) {
-    std::uint64_t h = 1469598103934665603ULL;
-    for (const unsigned char c : s) {
-        h ^= c;
-        h *= 1099511628211ULL;
-    }
-    return h;
-}
 
 // One double format for every JSON/golden emission: %.10g round-trips the
 // deterministic batch metrics stably, so equal doubles always render to
@@ -299,6 +291,10 @@ core::CamoEngine& PolicyComparer::trained_engine(const std::string& engine, Styl
                 .first->second;
 }
 
+std::uint64_t scenario_batch_seed(std::uint64_t base, const std::string& name) {
+    return derive_seed(base, fnv1a(kFnv1aShortBasis, name.data(), name.size()));
+}
+
 CompareResult PolicyComparer::run(int threads_override) {
     Timer wall;
     const int threads = threads_override > 0 ? threads_override : opt_.threads;
@@ -319,9 +315,7 @@ CompareResult PolicyComparer::run(int threads_override) {
         for (const rl::RewardMode mode : opt_.rewards) {
             runtime::BatchOptions bopt;
             bopt.threads = threads;
-            // Seeded off the scenario name so a cell's results do not shift
-            // when other scenarios are added to / removed from the run.
-            bopt.seed = derive_seed(opt_.seed, fnv1a(sname));
+            bopt.seed = scenario_batch_seed(opt_.seed, sname);
             bopt.window = true;
             bopt.opc = cell_opc_options(sc, mode, opt_.max_iterations);
             runtime::BatchScheduler sched(sc.litho, bopt);

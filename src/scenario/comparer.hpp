@@ -59,6 +59,11 @@ struct CompareOptions {
     int phase1_epochs = 4;    ///< imitation epochs for camo / rlopc
 };
 
+/// Batch seed of every cell of scenario `name`: derive_seed(base, FNV-1a of
+/// the name), so a cell's results do not shift when other scenarios are
+/// added to or removed from the run.
+[[nodiscard]] std::uint64_t scenario_batch_seed(std::uint64_t base, const std::string& name);
+
 /// One (scenario, engine, reward) cell of the matrix. All EPE/PVB metrics
 /// read the WindowMetrics of each clip's final mask over the scenario's
 /// resolved window and are averaged over successful clips; a cell whose

@@ -29,6 +29,7 @@
 
 #include "core/camo.hpp"
 #include "core/experiment.hpp"
+#include "rl/trajstore.hpp"
 
 namespace {
 
@@ -367,6 +368,9 @@ TEST(CliRobustness, CollectTrainAndTornStore) {
     const fs::path weights = dir / "w.bin";
 
     ASSERT_EQ(run_cli("collect --out " + store.string() + " --clips 1"), 0);
+    // The dataset tag (FNV-1a of style, seed, clip cap and squish size) keys
+    // which stores a train run accepts: pinned so stores stay loadable.
+    EXPECT_EQ(rl::TrajStoreReader(store.string()).dataset_tag(), 423644996694706306ULL);
     EXPECT_EQ(run_cli("train --from-store " + store.string() + " --weights " +
                       weights.string() + " --clips 1 --epochs 1"),
               0);

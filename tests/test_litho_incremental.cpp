@@ -12,11 +12,14 @@
 #include <cstring>
 #include <fstream>
 #include <iomanip>
+#include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/simd.hpp"
 #include "layout/metal_gen.hpp"
 #include "layout/via_gen.hpp"
 #include "litho/aerial.hpp"
@@ -345,6 +348,258 @@ TEST_F(LithoIncrementalTest, RebuildSpectrumMatchesDenseMaskSpectrumBitwise) {
         }
     }
 }
+
+// The window overload's nominal corner on the standard window {0, defocus}
+// pairs its planes exactly as the nominal overload does, so along a walk of
+// sparse updates its metrics equal the nominal evaluate_incremental bit for
+// bit (the dense counterpart is ProcessWindowTest.NominalCornerBitIdenticalToEvaluate).
+TEST_F(LithoIncrementalTest, NominalCornerBitIdenticalToEvaluate) {
+    const auto layout = metal_layout(24, 52);
+    const WindowSpec spec = WindowSpec::standard(sim_->config());
+    LithoSim windowed(*sim_);
+    LithoSim nominal(*sim_);
+    std::vector<int> offsets(static_cast<std::size_t>(layout.num_segments()), 3);
+    Rng rng(53);
+    for (int t = 0; t < 6; ++t) {
+        const Refresh refresh = t == 0 ? Refresh::kPrime : Refresh::kUpdate;
+        const WindowMetrics wm = windowed.evaluate_incremental(layout, offsets, spec, refresh);
+        const SimMetrics want = nominal.evaluate_incremental(layout, offsets, refresh);
+        const std::string where = "step " + std::to_string(t);
+        const CornerResult* corner = wm.nominal_corner();
+        ASSERT_NE(corner, nullptr) << where;
+        SimMetrics got = corner->metrics;
+        got.pvband_nm2 = wm.pv_band_two_corner_nm2;
+        expect_bit_identical(got, want, where);
+
+        const int i = rng.uniform_int(0, layout.num_segments() - 1);
+        offsets[static_cast<std::size_t>(i)] += rng.uniform_int(1, 2);
+    }
+    EXPECT_GT(windowed.incremental_hit_count(), 0);
+}
+
+// ---- SupportApplicator: one packed upsample per pair of planes -------------
+
+// Verbatim copy of SupportApplicator's tables and its per-plane apply()
+// from before the upsample packed two planes into one transform: a lone
+// plane must keep these bits.
+geo::Raster reference_support_apply(const KernelSet& kernels, int grid,
+                                    std::span<const Complex> support_vals, double pixel_nm) {
+    const auto wrap = [](int k, int n) { return ((k % n) + n) % n; };
+    const int n_ = grid;
+    const int support_n = kernels.support_size();
+    const int kernels_ = kernels.count();
+    int radius = 0;
+    for (const FreqIndex& f : kernels.support) {
+        radius = std::max({radius, std::abs(f.kx), std::abs(f.ky)});
+    }
+    int m = 1;
+    while (m < 4 * radius + 2) m <<= 1;
+    const int m_ = std::min(m, n_);
+    std::vector<int> mpos_;
+    std::vector<std::uint8_t> mrow_nonzero_(static_cast<std::size_t>(m_), 0);
+    for (const FreqIndex& f : kernels.support) {
+        const int row = wrap(f.ky, m_);
+        const int col = wrap(f.kx, m_);
+        mpos_.push_back(row * m_ + col);
+        mrow_nonzero_[static_cast<std::size_t>(row)] = 1;
+    }
+    std::vector<float> eigenvalues_;
+    for (double ev : kernels.eigenvalues) eigenvalues_.push_back(static_cast<float>(ev));
+    std::vector<Complex> coeffs_(static_cast<std::size_t>(kernels_) *
+                                 static_cast<std::size_t>(support_n));
+    for (int k = 0; k < kernels_; ++k) {
+        const auto& src = kernels.coeffs[static_cast<std::size_t>(k)];
+        std::copy(src.begin(), src.end(),
+                  coeffs_.begin() + static_cast<std::ptrdiff_t>(k) * support_n);
+    }
+    std::vector<int> band_src_, band_dst_;
+    std::vector<std::uint8_t> nrow_nonzero_;
+    float upsample_scale_ = 1.0F;
+    if (m_ < n_) {
+        const int band = std::min(2 * radius, n_ / 2 - 1);
+        nrow_nonzero_.assign(static_cast<std::size_t>(n_), 0);
+        for (int dy = -band; dy <= band; ++dy) {
+            for (int dx = -band; dx <= band; ++dx) {
+                band_src_.push_back(wrap(dy, m_) * m_ + wrap(dx, m_));
+                band_dst_.push_back(wrap(dy, n_) * n_ + wrap(dx, n_));
+            }
+            nrow_nonzero_[static_cast<std::size_t>(wrap(dy, n_))] = 1;
+        }
+        upsample_scale_ =
+            static_cast<float>(static_cast<double>(m_) * m_ / (static_cast<double>(n_) * n_));
+    }
+
+    // apply():
+    const std::size_t support = mpos_.size();
+    const std::size_t mm = static_cast<std::size_t>(m_) * static_cast<std::size_t>(m_);
+    std::vector<Complex> prod(support);
+    std::vector<Complex> field(mm);
+    std::vector<float> intensity(mm, 0.0F);
+    const simd::Ops& ops = simd::ops();
+    for (int k = 0; k < kernels_; ++k) {
+        const Complex* coeff = coeffs_.data() + static_cast<std::size_t>(k) * support;
+        ops.cmul(coeff, support_vals.data(), prod.data(), support);
+        std::fill(field.begin(), field.end(), Complex{});
+        for (std::size_t i = 0; i < support; ++i) field[static_cast<std::size_t>(mpos_[i])] = prod[i];
+        fft2d_inverse_rowsparse(field, m_, mrow_nonzero_);
+        const float lambda = eigenvalues_[static_cast<std::size_t>(k)];
+        ops.norm_acc(field.data(), lambda, intensity.data(), mm);
+    }
+    geo::Raster out(n_, pixel_nm);
+    if (m_ == n_) {
+        auto dst = out.data();
+        std::copy(intensity.begin(), intensity.end(), dst.begin());
+        return out;
+    }
+    std::vector<Complex> coarse(mm);
+    for (std::size_t i = 0; i < mm; ++i) coarse[i] = Complex(intensity[i], 0.0F);
+    fft2d_forward(coarse, m_);
+    std::vector<Complex> fine(static_cast<std::size_t>(n_) * static_cast<std::size_t>(n_));
+    for (std::size_t i = 0; i < band_src_.size(); ++i) {
+        fine[static_cast<std::size_t>(band_dst_[i])] =
+            coarse[static_cast<std::size_t>(band_src_[i])] * upsample_scale_;
+    }
+    fft2d_inverse_rowsparse(fine, n_, nrow_nonzero_);
+    auto dst = out.data();
+    for (std::size_t i = 0; i < fine.size(); ++i) dst[i] = fine[i].real();
+    return out;
+}
+
+// A real mask's spectrum sampled at one kernel set's support.
+std::vector<Complex> support_values(const LithoSim& sim, const KernelSet& ks,
+                                    const geo::SegmentedLayout& layout,
+                                    const std::vector<int>& offsets) {
+    const int n = sim.config().grid;
+    const std::vector<Complex> spectrum = mask_spectrum(
+        sim.rasterize(layout.reconstruct_mask(offsets), layout.srafs(), layout.clip_size_nm()));
+    std::vector<Complex> vals;
+    vals.reserve(ks.support.size());
+    for (const FreqIndex& f : ks.support) {
+        vals.push_back(
+            spectrum[static_cast<std::size_t>(((f.ky % n + n) % n) * n + (f.kx % n + n) % n)]);
+    }
+    return vals;
+}
+
+// `ks` restricted to |kx|, |ky| <= radius.
+KernelSet truncated(const KernelSet& ks, int radius) {
+    KernelSet out;
+    out.eigenvalues = ks.eigenvalues;
+    out.coeffs.resize(ks.coeffs.size());
+    for (std::size_t i = 0; i < ks.support.size(); ++i) {
+        const FreqIndex& f = ks.support[i];
+        if (std::abs(f.kx) > radius || std::abs(f.ky) > radius) continue;
+        out.support.push_back(f);
+        for (std::size_t k = 0; k < ks.coeffs.size(); ++k) out.coeffs[k].push_back(ks.coeffs[k][i]);
+    }
+    return out;
+}
+
+int support_radius(const KernelSet& ks) {
+    int r = 0;
+    for (const FreqIndex& f : ks.support) r = std::max({r, std::abs(f.kx), std::abs(f.ky)});
+    return r;
+}
+
+float max_abs_diff(const geo::Raster& a, const geo::Raster& b) {
+    float d = 0.0F;
+    for (std::size_t i = 0; i < a.data().size(); ++i) {
+        d = std::max(d, std::abs(a.data()[i] - b.data()[i]));
+    }
+    return d;
+}
+
+// Param = fine grid. Both grids span the same 1024 nm frame (4 nm and 2 nm
+// pixels), so the kernels keep the 256 grid's support radius and build as
+// fast; the 512 case still runs the upsample at the production fine grid.
+class SupportApplicatorTest : public ::testing::TestWithParam<int> {
+protected:
+    static const LithoSim& sim(int grid) {
+        static std::map<int, std::unique_ptr<LithoSim>> sims;
+        auto& s = sims[grid];
+        if (!s) {
+            LithoConfig cfg;
+            cfg.grid = grid;
+            cfg.pixel_nm = 1024.0 / grid;
+            cfg.kernels_nominal = 6;
+            cfg.kernels_defocus = 5;
+            cfg.cache_dir = "";
+            s = std::make_unique<LithoSim>(cfg);
+        }
+        return *s;
+    }
+};
+
+TEST_P(SupportApplicatorTest, LonePlaneBitIdenticalToPerPlaneReference) {
+    const LithoSim& s = sim(GetParam());
+    const int n = s.config().grid;
+    for (const auto& layout : {via_layout(3, 61), metal_layout(24, 62)}) {
+        const std::vector<int> offsets(static_cast<std::size_t>(layout.num_segments()), 2);
+        for (const KernelSet* ks : {&s.nominal_kernels(), &s.defocus_kernels()}) {
+            const std::vector<Complex> vals = support_values(s, *ks, layout, offsets);
+            const SupportApplicator app(*ks, n);
+            ASSERT_LT(app.coarse_grid(), n);
+            const geo::Raster got = app.apply(vals, s.config().pixel_nm);
+            const geo::Raster want = reference_support_apply(*ks, n, vals, s.config().pixel_nm);
+            ASSERT_EQ(got.data().size(), want.data().size());
+            EXPECT_EQ(std::memcmp(got.data().data(), want.data().data(),
+                                  got.data().size() * sizeof(float)),
+                      0)
+                << "grid " << n;
+        }
+    }
+}
+
+TEST_P(SupportApplicatorTest, PackedPairMatchesTwoSingleApplies) {
+    const LithoSim& s = sim(GetParam());
+    const int n = s.config().grid;
+    const double px = s.config().pixel_nm;
+    const KernelSet& nom = s.nominal_kernels();
+    const KernelSet& def = s.defocus_kernels();
+    // Same grids, narrower support: apply_pair must scatter the wider band.
+    const KernelSet narrow = truncated(def, support_radius(def) - 1);
+    const SupportApplicator nom_app(nom, n);
+    const SupportApplicator def_app(def, n);
+    const SupportApplicator narrow_app(narrow, n);
+    ASSERT_TRUE(nom_app.pairs_with(def_app));
+    ASSERT_TRUE(nom_app.pairs_with(narrow_app));
+
+    for (const auto& layout : {via_layout(3, 63), metal_layout(24, 64)}) {
+        const std::vector<int> offsets(static_cast<std::size_t>(layout.num_segments()), -2);
+        const std::vector<Complex> nv = support_values(s, nom, layout, offsets);
+        for (const auto* other : {&def, &narrow}) {
+            const SupportApplicator& other_app = other == &def ? def_app : narrow_app;
+            const std::vector<Complex> ov = support_values(s, *other, layout, offsets);
+            const geo::Raster a = nom_app.apply(nv, px);
+            const geo::Raster b = other_app.apply(ov, px);
+            for (const bool swapped : {false, true}) {
+                const auto [first, second] = swapped ? other_app.apply_pair(ov, nom_app, nv, px)
+                                                     : nom_app.apply_pair(nv, other_app, ov, px);
+                const geo::Raster& pa = swapped ? second : first;
+                const geo::Raster& pb = swapped ? first : second;
+                float peak = 0.0F;
+                for (const float v : a.data()) peak = std::max(peak, v);
+                const float da = max_abs_diff(pa, a);
+                const float db = max_abs_diff(pb, b);
+                EXPECT_LE(da, 1e-6F) << "grid " << n << " nominal, peak " << peak;
+                EXPECT_LE(db, 1e-6F) << "grid " << n << " other, peak " << peak;
+                std::printf("grid %d support radius %d/%d swapped %d: peak %.3f, max |diff| %.2e %.2e\n",
+                            n, support_radius(nom), support_radius(*other), swapped ? 1 : 0,
+                            peak, da, db);
+            }
+        }
+    }
+
+    // Different coarse grids do not pair.
+    const SupportApplicator small(truncated(nom, support_radius(nom) / 2), n);
+    ASSERT_NE(small.coarse_grid(), nom_app.coarse_grid());
+    EXPECT_FALSE(nom_app.pairs_with(small));
+    const std::vector<Complex> nv(static_cast<std::size_t>(nom_app.support_size()));
+    const std::vector<Complex> sv(static_cast<std::size_t>(small.support_size()));
+    EXPECT_THROW((void)nom_app.apply_pair(nv, small, sv, px), std::invalid_argument);
+}
+
+INSTANTIATE_TEST_SUITE_P(Grids, SupportApplicatorTest, ::testing::Values(256, 512));
 
 // ---- Golden-metrics regression fixtures ------------------------------------
 

@@ -930,18 +930,11 @@ struct StoreCliOptions {
 /// fails loudly instead of training on mismatched data.
 std::uint64_t store_dataset_tag(const std::string& style, std::uint64_t seed, int clip_cap,
                                 int squish_size) {
-    std::uint64_t h = 1469598103934665603ULL;
-    const auto mix_byte = [&](std::uint8_t b) {
-        h ^= b;
-        h *= 1099511628211ULL;
-    };
-    const auto mix_u64 = [&](std::uint64_t v) {
-        for (int i = 0; i < 8; ++i) mix_byte(static_cast<std::uint8_t>(v >> (8 * i)));
-    };
-    for (char c : style) mix_byte(static_cast<std::uint8_t>(c));
-    mix_u64(seed);
-    mix_u64(static_cast<std::uint64_t>(clip_cap));
-    mix_u64(static_cast<std::uint64_t>(squish_size));
+    std::uint64_t h = fnv1a(kFnv1aShortBasis, style.data(), style.size());
+    for (const std::uint64_t v : {seed, static_cast<std::uint64_t>(clip_cap),
+                                  static_cast<std::uint64_t>(squish_size)}) {
+        h = fnv1a(h, &v, sizeof v);
+    }
     return h;
 }
 
