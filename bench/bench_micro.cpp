@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) of the computational substrates:
-// FFT, rasterization, aerial imaging, full vs incremental evaluation,
-// squish encoding, and policy inference and training steps.
+// FFT, rasterization, SOCS kernel builds, aerial imaging, full vs
+// incremental evaluation, squish encoding, and policy inference and
+// training steps.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -25,6 +26,7 @@
 #include "layout/shard.hpp"
 #include "nn/backend.hpp"
 #include "litho/simulator.hpp"
+#include "litho/tcc.hpp"
 #include "obs/trace.hpp"
 #include "opc/sraf.hpp"
 #include "rl/reward.hpp"
@@ -104,16 +106,18 @@ void BM_RasterizeClip(benchmark::State& state) {
 }
 BENCHMARK(BM_RasterizeClip);
 
+litho::LithoConfig quick_config() {
+    litho::LithoConfig cfg;
+    cfg.grid = 256;
+    cfg.pixel_nm = 4.0;
+    cfg.kernels_nominal = 6;
+    cfg.kernels_defocus = 5;
+    cfg.cache_dir = "data";
+    return cfg;
+}
+
 litho::LithoSim& shared_sim() {
-    static litho::LithoSim sim = [] {
-        litho::LithoConfig cfg;
-        cfg.grid = 256;
-        cfg.pixel_nm = 4.0;
-        cfg.kernels_nominal = 6;
-        cfg.kernels_defocus = 5;
-        cfg.cache_dir = "data";
-        return litho::LithoSim(cfg);
-    }();
+    static litho::LithoSim sim(quick_config());
     return sim;
 }
 
@@ -787,6 +791,20 @@ void BM_SupportApplyAerials(benchmark::State& state) {
     state.SetLabel("coarse " + std::to_string(nominal.coarse_grid()));
 }
 BENCHMARK(BM_SupportApplyAerials)->Arg(256)->Arg(512)->Unit(benchmark::kMicrosecond);
+
+// One nominal SOCS kernel set built from scratch, as a run without a disk
+// cache builds it: the TCC operator's pupil scan plus the randomized
+// subspace iteration. Arg = fine grid, configs as in BM_SupportApplyAerials.
+void BM_SocsKernelBuild(benchmark::State& state) {
+    const litho::LithoConfig cfg =
+        state.range(0) == 256 ? quick_config() : core::Experiment::litho_config();
+    for (auto _ : state) {
+        const litho::KernelSet ks = litho::compute_socs_kernels(cfg, 0.0, cfg.kernels_nominal);
+        benchmark::DoNotOptimize(ks.coeffs.data());
+    }
+    state.SetLabel("support " + std::to_string(litho::tcc_support_freqs(cfg).size()));
+}
+BENCHMARK(BM_SocsKernelBuild)->Arg(256)->Arg(512)->Unit(benchmark::kMillisecond);
 
 void BM_Modulator(benchmark::State& state) {
     double epe = -8.0;

@@ -25,24 +25,32 @@ std::vector<geo::Polygon> generate_via_clip(int via_count, Rng& rng, const ViaGe
     const int hi = opt.clip_nm - opt.margin_nm - opt.via_nm;
     if (hi <= lo) throw std::invalid_argument("via clip: margins leave no room");
 
+    // Greedy placement can box itself in: the first vias may leave no room
+    // for the rest although the count fits the frame. A round that spends
+    // its attempt budget short of the count starts over, on the same Rng
+    // stream, so a seed whose first round places gives the same vias.
     std::vector<geo::Rect> placed;
-    int attempts = 0;
     const int max_attempts = 20000;
-    while (static_cast<int>(placed.size()) < via_count && attempts < max_attempts) {
-        ++attempts;
-        const int snap = opt.grid_snap_nm;
-        const int x = lo + rng.uniform_int(0, (hi - lo) / snap) * snap;
-        const int y = lo + rng.uniform_int(0, (hi - lo) / snap) * snap;
-        const geo::Rect cand{x, y, x + opt.via_nm, y + opt.via_nm};
+    const int max_rounds = 8;
+    for (int round = 0; round < max_rounds && static_cast<int>(placed.size()) < via_count;
+         ++round) {
+        placed.clear();
+        for (int attempts = 0;
+             static_cast<int>(placed.size()) < via_count && attempts < max_attempts; ++attempts) {
+            const int snap = opt.grid_snap_nm;
+            const int x = lo + rng.uniform_int(0, (hi - lo) / snap) * snap;
+            const int y = lo + rng.uniform_int(0, (hi - lo) / snap) * snap;
+            const geo::Rect cand{x, y, x + opt.via_nm, y + opt.via_nm};
 
-        bool ok = true;
-        for (const geo::Rect& r : placed) {
-            if (geo::rect_gap(cand, r) < opt.min_spacing_nm) {
-                ok = false;
-                break;
+            bool ok = true;
+            for (const geo::Rect& r : placed) {
+                if (geo::rect_gap(cand, r) < opt.min_spacing_nm) {
+                    ok = false;
+                    break;
+                }
             }
+            if (ok) placed.push_back(cand);
         }
-        if (ok) placed.push_back(cand);
     }
     if (static_cast<int>(placed.size()) < via_count) {
         throw std::runtime_error("via clip: placement failed (spacing too tight)");

@@ -35,6 +35,9 @@ struct Clip {
 std::string clip_name(char prefix, int index);
 
 /// Random clip with exactly `via_count` vias satisfying the spacing rule.
+/// Placement is greedy rejection sampling. A round that boxes itself in
+/// restarts on the same stream; after a bounded number of rounds the call
+/// throws std::runtime_error (an infeasible count always does).
 std::vector<geo::Polygon> generate_via_clip(int via_count, Rng& rng,
                                             const ViaGenOptions& opt = {});
 

@@ -12,8 +12,11 @@ namespace camo::litho {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x434B524EU;  // "CKRN"
-// Version 3 ends in an FNV-1a seal over everything before it.
-constexpr std::uint32_t kVersion = 3;
+// Version 3 ends in an FNV-1a seal over everything before it. Version 4
+// holds the same layout for kernels built through the sparse TCC operator:
+// they differ from the dense solver's at rounding level, so a version 3
+// entry would make a cached run differ in bits from a fresh build.
+constexpr std::uint32_t kVersion = 4;
 
 void write_kernel_set(BinaryWriter& w, const KernelSet& ks) {
     w.write_u64(ks.support.size());

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <random>
+#include <utility>
 
 #include "litho/linalg.hpp"
 
@@ -10,70 +12,6 @@ namespace camo::litho {
 namespace {
 
 using Cd = std::complex<double>;
-
-// Dense Hermitian TCC stored row-major (m x m).
-struct TccMatrix {
-    int m = 0;
-    std::vector<Cd> a;
-
-    Cd& at(int r, int c) { return a[static_cast<std::size_t>(r) * m + c]; }
-    [[nodiscard]] Cd get(int r, int c) const { return a[static_cast<std::size_t>(r) * m + c]; }
-};
-
-TccMatrix build_tcc(const LithoConfig& cfg, double defocus_nm,
-                    const std::vector<FreqIndex>& freqs) {
-    const int m = static_cast<int>(freqs.size());
-    TccMatrix t;
-    t.m = m;
-    t.a.assign(static_cast<std::size_t>(m) * m, Cd{0.0, 0.0});
-
-    const auto source = sample_annular_source(cfg);
-
-    std::vector<int> idx;
-    std::vector<Cd> val;
-    idx.reserve(static_cast<std::size_t>(m));
-    val.reserve(static_cast<std::size_t>(m));
-
-    for (const SourcePoint& s : source) {
-        idx.clear();
-        val.clear();
-        for (int i = 0; i < m; ++i) {
-            const FreqIndex f{freqs[static_cast<std::size_t>(i)].kx + s.f.kx,
-                              freqs[static_cast<std::size_t>(i)].ky + s.f.ky};
-            const Cd p = pupil_value(cfg, f, defocus_nm);
-            if (p != Cd{0.0, 0.0}) {
-                idx.push_back(i);
-                val.push_back(p);
-            }
-        }
-        const int k = static_cast<int>(idx.size());
-        for (int ii = 0; ii < k; ++ii) {
-            const Cd wa = s.weight * val[static_cast<std::size_t>(ii)];
-            const int r = idx[static_cast<std::size_t>(ii)];
-            for (int jj = ii; jj < k; ++jj) {
-                t.at(r, idx[static_cast<std::size_t>(jj)]) +=
-                    wa * std::conj(val[static_cast<std::size_t>(jj)]);
-            }
-        }
-    }
-
-    // Mirror the upper triangle (Hermitian).
-    for (int r = 0; r < m; ++r) {
-        for (int c = r + 1; c < m; ++c) t.at(c, r) = std::conj(t.get(r, c));
-    }
-    return t;
-}
-
-// y = T x for column vectors stored contiguously.
-void tcc_matvec(const TccMatrix& t, const std::vector<Cd>& x, std::vector<Cd>& y) {
-    const int m = t.m;
-    for (int r = 0; r < m; ++r) {
-        Cd acc{0.0, 0.0};
-        const Cd* row = &t.a[static_cast<std::size_t>(r) * m];
-        for (int c = 0; c < m; ++c) acc += row[c] * x[static_cast<std::size_t>(c)];
-        y[static_cast<std::size_t>(r)] = acc;
-    }
-}
 
 // Modified Gram-Schmidt orthonormalization of `cols` (each length m).
 void orthonormalize(std::vector<std::vector<Cd>>& cols) {
@@ -96,7 +34,102 @@ void orthonormalize(std::vector<std::vector<Cd>>& cols) {
     }
 }
 
+// Q (r columns of length m) into the row-major block TccOperator::apply
+// takes, and back.
+void pack_columns(const std::vector<std::vector<Cd>>& cols, std::vector<Cd>& block) {
+    const std::size_t r = cols.size();
+    for (std::size_t j = 0; j < r; ++j) {
+        for (std::size_t k = 0; k < cols[j].size(); ++k) block[k * r + j] = cols[j][k];
+    }
+}
+
+void unpack_columns(const std::vector<Cd>& block, std::vector<std::vector<Cd>>& cols) {
+    const std::size_t r = cols.size();
+    for (std::size_t j = 0; j < r; ++j) {
+        for (std::size_t k = 0; k < cols[j].size(); ++k) cols[j][k] = block[k * r + j];
+    }
+}
+
 }  // namespace
+
+TccOperator::TccOperator(const LithoConfig& cfg, double defocus_nm,
+                         const std::vector<FreqIndex>& support)
+    : size_(static_cast<int>(support.size())) {
+    // The pupil is nonzero on a disk of lattice points p, and source point s
+    // sees it at the support frequencies f = p - s. So the pupil is
+    // evaluated once, and each shift walks the disk through a table from
+    // frequency to support position. The disk is walked ky-major, the
+    // order of tcc_support_freqs, so each shift's entries ascend.
+    const int bound = tcc_support_radius(cfg);
+    std::vector<std::pair<FreqIndex, Cd>> disk;
+    for (int ky = -bound; ky <= bound; ++ky) {
+        for (int kx = -bound; kx <= bound; ++kx) {
+            const Cd p = pupil_value(cfg, {kx, ky}, defocus_nm);
+            if (p != Cd{0.0, 0.0}) disk.emplace_back(FreqIndex{kx, ky}, p);
+        }
+    }
+
+    int reach = 0;
+    for (const FreqIndex& f : support) reach = std::max({reach, std::abs(f.kx), std::abs(f.ky)});
+    const int side = 2 * reach + 1;
+    std::vector<int> position(static_cast<std::size_t>(side) * side, -1);
+    for (int i = 0; i < size_; ++i) {
+        const FreqIndex& f = support[static_cast<std::size_t>(i)];
+        position[static_cast<std::size_t>(f.ky + reach) * side + (f.kx + reach)] = i;
+    }
+
+    for (const SourcePoint& s : sample_annular_source(cfg)) {
+        const std::size_t begin = index_.size();
+        for (const auto& [p, value] : disk) {
+            const int kx = p.kx - s.f.kx;
+            const int ky = p.ky - s.f.ky;
+            if (std::abs(kx) > reach || std::abs(ky) > reach) continue;
+            const int i = position[static_cast<std::size_t>(ky + reach) * side + (kx + reach)];
+            if (i < 0) continue;
+            index_.push_back(i);
+            pupil_.push_back(value);
+        }
+        shifts_.push_back({s.weight, begin, index_.size()});
+    }
+}
+
+void TccOperator::apply(const Cd* x, Cd* y, int cols) const {
+    const std::size_t nc = static_cast<std::size_t>(cols);
+    std::fill(y, y + static_cast<std::size_t>(size_) * nc, Cd{0.0, 0.0});
+    // Products are written out in real arithmetic: a std::complex product
+    // carries a NaN-recovery branch, which keeps the column loops scalar.
+    std::vector<double> dot_re(nc);
+    std::vector<double> dot_im(nc);
+    for (const Shift& s : shifts_) {
+        // dot = w_s p_s^H x
+        std::fill(dot_re.begin(), dot_re.end(), 0.0);
+        std::fill(dot_im.begin(), dot_im.end(), 0.0);
+        for (std::size_t e = s.begin; e < s.end; ++e) {
+            const double pr = pupil_[e].real();
+            const double pi = pupil_[e].imag();
+            const Cd* xi = x + static_cast<std::size_t>(index_[e]) * nc;
+            for (std::size_t j = 0; j < nc; ++j) {
+                const double xr = xi[j].real();
+                const double xm = xi[j].imag();
+                dot_re[j] += pr * xr + pi * xm;
+                dot_im[j] += pr * xm - pi * xr;
+            }
+        }
+        for (std::size_t j = 0; j < nc; ++j) {
+            dot_re[j] *= s.weight;
+            dot_im[j] *= s.weight;
+        }
+        // y += p_s dot
+        for (std::size_t e = s.begin; e < s.end; ++e) {
+            const double pr = pupil_[e].real();
+            const double pi = pupil_[e].imag();
+            Cd* yi = y + static_cast<std::size_t>(index_[e]) * nc;
+            for (std::size_t j = 0; j < nc; ++j) {
+                yi[j] += Cd{pr * dot_re[j] - pi * dot_im[j], pr * dot_im[j] + pi * dot_re[j]};
+            }
+        }
+    }
+}
 
 double tcc_trace(const LithoConfig& cfg, double defocus_nm) {
     // trace = sum_f sum_s w_s |P(s+f)|^2, computed without storing the matrix.
@@ -115,7 +148,7 @@ KernelSet compute_socs_kernels(const LithoConfig& cfg, double defocus_nm, int co
                                std::uint64_t seed) {
     const auto freqs = tcc_support_freqs(cfg);
     const int m = static_cast<int>(freqs.size());
-    const TccMatrix t = build_tcc(cfg, defocus_nm, freqs);
+    const TccOperator t(cfg, defocus_nm, freqs);
 
     const int r = std::min(m, count + 8);
 
@@ -129,20 +162,22 @@ KernelSet compute_socs_kernels(const LithoConfig& cfg, double defocus_nm, int co
     }
     orthonormalize(q);
 
-    std::vector<Cd> tmp(static_cast<std::size_t>(m));
+    std::vector<Cd> x(static_cast<std::size_t>(m) * r);
+    std::vector<Cd> tx(static_cast<std::size_t>(m) * r);
     const int power_iters = 3;
     for (int it = 0; it < power_iters; ++it) {
-        for (auto& col : q) {
-            tcc_matvec(t, col, tmp);
-            col = tmp;
-        }
+        pack_columns(q, x);
+        t.apply(x.data(), tx.data(), r);
+        unpack_columns(tx, q);
         orthonormalize(q);
     }
 
     // Rayleigh-Ritz projection S = Q^H T Q (r x r Hermitian).
     std::vector<std::vector<Cd>> tq(static_cast<std::size_t>(r),
                                     std::vector<Cd>(static_cast<std::size_t>(m)));
-    for (int j = 0; j < r; ++j) tcc_matvec(t, q[static_cast<std::size_t>(j)], tq[static_cast<std::size_t>(j)]);
+    pack_columns(q, x);
+    t.apply(x.data(), tx.data(), r);
+    unpack_columns(tx, tq);
 
     std::vector<Cd> s(static_cast<std::size_t>(r) * r);
     for (int i = 0; i < r; ++i) {

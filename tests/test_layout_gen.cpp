@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdint>
+
+#include "common/file_io.hpp"
 #include "layout/metal_gen.hpp"
 #include "layout/via_gen.hpp"
 
@@ -65,7 +69,64 @@ TEST(ViaGen, ImpossiblePlacementThrows) {
     ViaGenOptions opt;
     opt.min_spacing_nm = 3000;  // cannot fit two vias
     Rng rng(1);
+    const auto start = std::chrono::steady_clock::now();
     EXPECT_THROW(generate_via_clip(5, rng, opt), std::runtime_error);
+    // Every restart round spends its whole attempt budget here; the rounds
+    // are bounded, so giving up stays cheap.
+    EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(2));
+}
+
+// A frame where greedy placement of 3 vias can box itself in: before the
+// generator restarted after a dead end, 34 of seeds 0..199 threw here.
+TEST(ViaGen, DeadEndRestarts) {
+    ViaGenOptions opt;
+    opt.clip_nm = 1000;
+    opt.margin_nm = 250;
+    opt.min_spacing_nm = 200;
+    for (std::uint64_t seed = 0; seed < 200; ++seed) {
+        Rng rng(seed);
+        const auto vias = generate_via_clip(3, rng, opt);
+        ASSERT_EQ(vias.size(), 3U) << "seed " << seed;
+        for (std::size_t i = 0; i < vias.size(); ++i) {
+            for (std::size_t j = i + 1; j < vias.size(); ++j) {
+                EXPECT_GE(geo::rect_gap(vias[i].bbox(), vias[j].bbox()), opt.min_spacing_nm)
+                    << "seed " << seed;
+            }
+        }
+    }
+}
+
+// FNV-1a over a clip set's names and vertex coordinates.
+std::uint64_t clip_set_hash(const std::vector<Clip>& clips) {
+    std::uint64_t h = kFnv1aBasis;
+    for (const Clip& clip : clips) {
+        h = fnv1a(h, clip.name.data(), clip.name.size());
+        for (const geo::Polygon& poly : clip.targets) {
+            for (const geo::Point& v : poly.vertices()) {
+                const std::int32_t xy[2] = {v.x, v.y};
+                h = fnv1a(h, xy, sizeof xy);
+            }
+        }
+    }
+    return h;
+}
+
+// Values of the generator before it restarted: a seed whose first round
+// places every via must keep its vias, or every seeded dataset and
+// benchmark clip would move.
+TEST(ViaGen, PlaceableSeedsKeepTheirVias) {
+    ViaGenOptions quick;  // the quick-scale frame of the scenarios and the benchmark
+    quick.clip_nm = 1000;
+    quick.margin_nm = 200;
+    quick.min_spacing_nm = 120;
+    EXPECT_EQ(clip_set_hash(via_training_set(42)), 8770389557847519271ULL);
+    EXPECT_EQ(clip_set_hash(via_test_set(42)), 9008590941995371620ULL);
+    EXPECT_EQ(clip_set_hash(via_test_set(7)), 1268853427369767892ULL);
+    EXPECT_EQ(clip_set_hash(via_batch_set(42, 16)), 7486818024912313334ULL);
+    EXPECT_EQ(clip_set_hash(via_batch_set(1, 16, quick)), 14554532715358495274ULL);
+    EXPECT_EQ(clip_set_hash(via_batch_set(7, 16, quick)), 13973491313494420298ULL);
+    // Seed 42 hit a dead end in that frame; it places now.
+    EXPECT_EQ(via_batch_set(42, 16, quick).size(), 16U);
 }
 
 struct QuotaCase {

@@ -11,7 +11,9 @@
 #include <new>
 #include <string>
 
+#include "common/file_io.hpp"
 #include "litho/kernel_cache.hpp"
+#include "litho/kernel_registry.hpp"
 #include "litho/simulator.hpp"
 
 // Largest single operator-new request since the last reset. The kernel-cache
@@ -261,6 +263,9 @@ protected:
         cfg_.grid = 64;
         cfg_.cache_dir = ::testing::TempDir() + "camo_kernel_cache_corpus";
         std::filesystem::remove_all(cfg_.cache_dir);
+        // A LithoSim of an earlier case would otherwise hand its in-process
+        // kernels to this case's LithoSim, which then never reads the disk.
+        clear_kernel_registry();
     }
     void TearDown() override { std::filesystem::remove_all(cfg_.cache_dir); }
 
@@ -380,6 +385,33 @@ TEST_F(KernelCacheCorpus, CoefficientBitFlipIsRejectedAndRebuilt) {
     // A miss makes the simulator build the kernels and rewrite the entry.
     const LithoSim sim(cfg_);
     EXPECT_NE(bytes(), b);
+    EXPECT_TRUE(load_kernel_cache(cfg_).has_value());
+}
+
+TEST_F(KernelCacheCorpus, OlderVersionIsAMissAndRebuilt) {
+    // A well-formed entry of version 3, the last format whose kernels came
+    // from the dense TCC solver: header patched, seal recomputed, so only
+    // the version tells it from a current entry.
+    store_kernel_cache(cfg_, good());
+    std::string b = bytes();
+    constexpr std::size_t kVersionAt = 4;
+    std::uint32_t version = 0;
+    std::memcpy(&version, b.data() + kVersionAt, sizeof version);
+    ASSERT_EQ(version, 4U);
+    version = 3;
+    std::memcpy(b.data() + kVersionAt, &version, sizeof version);
+    const std::size_t payload = b.size() - sizeof(std::uint64_t);
+    const std::uint64_t seal = fnv1a(kFnv1aBasis, b.data(), payload);
+    std::memcpy(b.data() + payload, &seal, sizeof seal);
+    write(b);
+    EXPECT_FALSE(load_kernel_cache(cfg_).has_value());
+
+    // The registry rebuilds the kernels and rewrites the entry as version 4.
+    const LithoSim sim(cfg_);
+    const std::string rebuilt = bytes();
+    ASSERT_GE(rebuilt.size(), kVersionAt + sizeof version);
+    std::memcpy(&version, rebuilt.data() + kVersionAt, sizeof version);
+    EXPECT_EQ(version, 4U);
     EXPECT_TRUE(load_kernel_cache(cfg_).has_value());
 }
 
