@@ -507,20 +507,23 @@ core::PolicyConfig bench_policy_config(int squish = 32) {
     return cfg;
 }
 
-// Training forward alone (exact-order kernels, keeps the flat tape).
+// Training forward alone (exact-order kernels, keeps the flat tape), on
+// weights packed once, as the trainer packs once per weight update.
 void BM_PolicyForward(benchmark::State& state) {
     core::PolicyNetwork net(bench_policy_config());
     const PolicyClip clip(static_cast<int>(state.range(0)), 32);
+    const auto weights = net.pack();
     for (auto _ : state) {
-        const nn::Tensor logits = net.forward(clip.feats, clip.graph);
+        const nn::Tensor logits = net.forward(weights, clip.feats, clip.graph);
         benchmark::DoNotOptimize(logits.data().data());
     }
 }
-BENCHMARK(BM_PolicyForward)->Arg(8)->Arg(24);
+BENCHMARK(BM_PolicyForward)->Arg(8)->Arg(12)->Arg(24);
 
 // One training step's policy work: forward plus backward through the
-// training path (the per-sample unit of phase 1 and phase 2). Compare with
-// BM_PolicyInfer at the same n.
+// training path (the per-sample unit of phase 1 and phase 2), on weights
+// packed once outside the loop. Compare with BM_PolicyInfer at the same n;
+// n = 12 is the train workload's mean node count.
 void BM_PolicyTrainStep(benchmark::State& state) {
     core::PolicyNetwork net(bench_policy_config());
     const PolicyClip clip(static_cast<int>(state.range(0)), 32);
@@ -528,14 +531,15 @@ void BM_PolicyTrainStep(benchmark::State& state) {
     for (std::size_t i = 0; i < dlogits.numel(); ++i) {
         dlogits[i] = static_cast<float>(i % 7) * 0.1F - 0.3F;
     }
+    const auto weights = net.pack();
     for (auto _ : state) {
-        const nn::Tensor logits = net.forward(clip.feats, clip.graph);
+        const nn::Tensor logits = net.forward(weights, clip.feats, clip.graph);
         net.backward(dlogits);
         benchmark::DoNotOptimize(logits.data().data());
     }
     state.SetLabel(simd::level_name(simd::exact_ops().level));
 }
-BENCHMARK(BM_PolicyTrainStep)->Arg(8)->Arg(24)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PolicyTrainStep)->Arg(8)->Arg(12)->Arg(24)->Unit(benchmark::kMillisecond);
 
 // Packed inference of the same clip on the active (FMA) kernel table, at
 // S = 32 and (the /S64/ rows) at the paper's metal resolution S = 64.
@@ -628,6 +632,44 @@ void BM_GemmBlocked(benchmark::State& state) {
     state.SetLabel(kt.label);
 }
 BENCHMARK(BM_GemmBlocked)->ArgsProduct({{0, 1, 2}, {0, 1}});
+
+// One weight-gradient accumulation c += a^T b (ExactOps::gemm_tn_acc) at
+// the training shapes; first arg 0 = scalar reference, 2 = the exact table
+// at the best level of this build + CPU. Second arg: 0 = the fc / SAGE
+// weight gradient (24 nodes, 256 x 512, dy row-major), 1..3 = one node's
+// conv1..conv3 weight gradient (out_ch x taps over the output pixels, dy
+// channel-major). c keeps accumulating across iterations.
+void BM_GemmTnAcc(benchmark::State& state) {
+    const simd::ScopedOverride force(simd::detected_level());
+    const bool exact = state.range(0) != 0;
+    const simd::ExactOps& t = simd::exact_ops();
+    const auto kernel = exact ? t.gemm_tn_acc : [] {
+        const simd::ScopedOverride scalar(simd::Level::kScalar);
+        return simd::exact_ops().gemm_tn_acc;
+    }();
+    struct Shape {
+        int rows, m, k;
+        bool pixels_major;
+    };
+    static constexpr Shape kShapes[] = {
+        {24, 256, 512, false}, {256, 8, 54, true}, {64, 16, 72, true}, {16, 32, 144, true}};
+    const Shape s = kShapes[state.range(1)];
+    Rng rng(13);
+    std::vector<float> a(static_cast<std::size_t>(s.rows * s.m));
+    std::vector<float> b(static_cast<std::size_t>(s.rows * s.k));
+    for (float& v : a) v = static_cast<float>(rng.uniform(-1, 1));
+    for (float& v : b) v = static_cast<float>(rng.uniform(-1, 1));
+    std::vector<float> c(static_cast<std::size_t>(s.m * s.k), 0.0F);
+    const int row_stride = s.pixels_major ? 1 : s.m;
+    const int col_stride = s.pixels_major ? s.rows : 1;
+    for (auto _ : state) {
+        kernel(a.data(), row_stride, col_stride, b.data(), s.rows, s.m, s.k, c.data(),
+               !s.pixels_major);
+        benchmark::DoNotOptimize(c.data());
+    }
+    state.SetLabel(exact ? std::string(simd::level_name(t.level)) + " exact" : "scalar");
+}
+BENCHMARK(BM_GemmTnAcc)->ArgsProduct({{0, 2}, {0, 1, 2, 3}});
 
 // ---- Inference backend (PR 9) ----------------------------------------------
 // Arg(0) on every row: 0 = scalar reference kernels, 1 = the best SIMD level

@@ -123,7 +123,11 @@ struct ExactOps {
     /// c[i, j] += a(r, i) * b[r, j] for r = 0 .. rows-1 (rows-1 .. 0 when
     /// `descending`), one rounded product and one addition per r, straight
     /// into c: a(r, i) = a[r * a_row_stride + i * a_col_stride], b row-major
-    /// [rows, k], c row-major [m, k]. (A weight gradient dW += dY^T X.)
+    /// [rows, k], c row-major [m, k]. (A weight gradient dW += dY^T X.) The
+    /// AVX2 kernel holds a tile of 2 rows x up to 32 columns of c in
+    /// registers for the whole reduction (a k tail in one masked vector), so
+    /// each element of c is loaded and stored once per call; its gemm_nn is
+    /// this kernel from a zeroed y.
     void (*gemm_tn_acc)(const float* a, int a_row_stride, int a_col_stride, const float* b,
                         int rows, int m, int k, float* c, bool descending);
 

@@ -15,6 +15,7 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -33,101 +34,97 @@ struct MulAddStep {
     static __m256 step(__m256 acc, __m256 x, __m256 w) { return madd(acc, w, x); }
 };
 
-// 4 rows x 8 columns per tile: four independent accumulator chains.
-void exact_gemm_nn(const float* x, int rows, int inner, const float* w, int cols, float* y) {
-    for (int c0 = 0; c0 < cols; c0 += kBlock) {
-        const int width = cols - c0 < kBlock ? cols - c0 : kBlock;
-        const float* wc = w + c0;
-        int r = 0;
-        for (; r + 4 <= rows; r += 4) {
-            const float* x0 = x + static_cast<std::size_t>(r) * static_cast<std::size_t>(inner);
-            const float* x1 = x0 + inner;
-            const float* x2 = x1 + inner;
-            const float* x3 = x2 + inner;
-            __m256 a0 = _mm256_setzero_ps();
-            __m256 a1 = _mm256_setzero_ps();
-            __m256 a2 = _mm256_setzero_ps();
-            __m256 a3 = _mm256_setzero_ps();
-            for (int j = 0; j < inner; ++j) {
-                const __m256 wv = load_cols(
-                    wc + static_cast<std::size_t>(j) * static_cast<std::size_t>(cols), width);
-                a0 = madd(a0, _mm256_set1_ps(x0[j]), wv);
-                a1 = madd(a1, _mm256_set1_ps(x1[j]), wv);
-                a2 = madd(a2, _mm256_set1_ps(x2[j]), wv);
-                a3 = madd(a3, _mm256_set1_ps(x3[j]), wv);
-            }
-            float* y0 = y + static_cast<std::size_t>(r) * static_cast<std::size_t>(cols) + c0;
-            store_cols(y0, width, a0);
-            store_cols(y0 + cols, width, a1);
-            store_cols(y0 + 2 * static_cast<std::size_t>(cols), width, a2);
-            store_cols(y0 + 3 * static_cast<std::size_t>(cols), width, a3);
+// One gemm_tn_acc call's operands.
+struct TnAcc {
+    const float* a;
+    int a_row_stride, a_col_stride;
+    const float* b;
+    int rows, k;
+    float* c;
+    bool descending;
+};
+
+// Rows i0 .. i0+R-1 of c x columns j0 .. j0 + 8 * NV - 1, plus, with kTail,
+// one vector of columns masked by `tail`. R and the vector count are
+// template constants and every loop over them unrolls, so the R x (NV + 1)
+// accumulators stay in registers across the reduction; each b vector is
+// loaded once per step and feeds R chains.
+template <int R, int NV, bool kTail>
+void tn_acc_tile(const TnAcc& g, int i0, int j0, __m256i tail) {
+    constexpr int kVecs = NV + (kTail ? 1 : 0);
+    __m256 acc[R][kVecs];
+    #pragma GCC unroll 8
+    for (int q = 0; q < R; ++q) {
+        const float* cq = g.c + zu(i0 + q) * zu(g.k) + zu(j0);
+        #pragma GCC unroll 8
+        for (int v = 0; v < NV; ++v) acc[q][v] = _mm256_loadu_ps(cq + v * kBlock);
+        if constexpr (kTail) acc[q][NV] = _mm256_maskload_ps(cq + NV * kBlock, tail);
+    }
+    const float* a0 = g.a + static_cast<std::ptrdiff_t>(i0) * g.a_col_stride;
+    for (int step = 0; step < g.rows; ++step) {
+        const int r = g.descending ? g.rows - 1 - step : step;
+        const float* ar = a0 + static_cast<std::ptrdiff_t>(r) * g.a_row_stride;
+        const float* br = g.b + zu(r) * zu(g.k) + zu(j0);
+        __m256 av[R];
+        #pragma GCC unroll 8
+        for (int q = 0; q < R; ++q) {
+            av[q] = _mm256_set1_ps(ar[static_cast<std::ptrdiff_t>(q) * g.a_col_stride]);
         }
-        for (; r < rows; ++r) {
-            const float* xr = x + static_cast<std::size_t>(r) * static_cast<std::size_t>(inner);
-            __m256 acc = _mm256_setzero_ps();
-            for (int j = 0; j < inner; ++j) {
-                const __m256 wv = load_cols(
-                    wc + static_cast<std::size_t>(j) * static_cast<std::size_t>(cols), width);
-                acc = madd(acc, _mm256_set1_ps(xr[j]), wv);
-            }
-            store_cols(y + static_cast<std::size_t>(r) * static_cast<std::size_t>(cols) + c0, width,
-                       acc);
+        #pragma GCC unroll 8
+        for (int v = 0; v < kVecs; ++v) {
+            const __m256 bv = kTail && v == NV ? _mm256_maskload_ps(br + v * kBlock, tail)
+                                               : _mm256_loadu_ps(br + v * kBlock);
+            #pragma GCC unroll 8
+            for (int q = 0; q < R; ++q) acc[q][v] = madd(acc[q][v], av[q], bv);
         }
+    }
+    #pragma GCC unroll 8
+    for (int q = 0; q < R; ++q) {
+        float* cq = g.c + zu(i0 + q) * zu(g.k) + zu(j0);
+        #pragma GCC unroll 8
+        for (int v = 0; v < NV; ++v) _mm256_storeu_ps(cq + v * kBlock, acc[q][v]);
+        if constexpr (kTail) _mm256_maskstore_ps(cq + NV * kBlock, tail, acc[q][NV]);
     }
 }
 
-// Rows i0 .. i0+kRows-1 of c, columns j0 .. j0+31 (fewer at the edge):
-// each b block is loaded once per reduction step and feeds kRows chains.
-template <int kRows>
-void tn_acc_tile(const float* a, int a_row_stride, int a_col_stride, const float* b, int rows,
-                 int i0, int j0, int k, float* c, bool descending) {
-    constexpr int kVecs = 4;
-    int width[kVecs] = {};
-    __m256 acc[kRows][kVecs];
-    int nvec = 0;
-    for (; nvec < kVecs && j0 + nvec * kBlock < k; ++nvec) {
-        const int left = k - j0 - nvec * kBlock;
-        width[nvec] = left < kBlock ? left : kBlock;
-        for (int q = 0; q < kRows; ++q) {
-            const float* cq = c + static_cast<std::size_t>(i0 + q) * static_cast<std::size_t>(k);
-            acc[q][nvec] = load_cols(cq + j0 + nvec * kBlock, width[nvec]);
-        }
-    }
-    for (int step = 0; step < rows; ++step) {
-        const int r = descending ? rows - 1 - step : step;
-        const float* br = b + static_cast<std::size_t>(r) * static_cast<std::size_t>(k) + j0;
-        __m256 ar[kRows];
-        for (int q = 0; q < kRows; ++q) {
-            ar[q] = _mm256_set1_ps(a[static_cast<std::ptrdiff_t>(r) * a_row_stride +
-                                     static_cast<std::ptrdiff_t>(i0 + q) * a_col_stride]);
-        }
-        for (int v = 0; v < nvec; ++v) {
-            const __m256 bv = load_cols(br + v * kBlock, width[v]);
-            for (int q = 0; q < kRows; ++q) acc[q][v] = madd(acc[q][v], ar[q], bv);
-        }
-    }
-    for (int q = 0; q < kRows; ++q) {
-        for (int v = 0; v < nvec; ++v) {
-            store_cols(c + static_cast<std::size_t>(i0 + q) * static_cast<std::size_t>(k) + j0 +
-                           v * kBlock,
-                       width[v], acc[q][v]);
-        }
+// Rows i0 .. i0+R-1 over the `width` <= 32 columns from j0: the tile with
+// exactly that many full vectors and, for a k tail, one masked one.
+template <int R>
+void tn_acc_block(const TnAcc& g, int i0, int j0, int width) {
+    const int rem = width % kBlock;
+    const __m256i tail = lane_mask(rem == 0 ? kBlock : rem);
+    switch (width / kBlock * 2 + (rem != 0 ? 1 : 0)) {
+        case 1: tn_acc_tile<R, 0, true>(g, i0, j0, tail); break;
+        case 2: tn_acc_tile<R, 1, false>(g, i0, j0, tail); break;
+        case 3: tn_acc_tile<R, 1, true>(g, i0, j0, tail); break;
+        case 4: tn_acc_tile<R, 2, false>(g, i0, j0, tail); break;
+        case 5: tn_acc_tile<R, 2, true>(g, i0, j0, tail); break;
+        case 6: tn_acc_tile<R, 3, false>(g, i0, j0, tail); break;
+        case 7: tn_acc_tile<R, 3, true>(g, i0, j0, tail); break;
+        default: tn_acc_tile<R, 4, false>(g, i0, j0, tail); break;
     }
 }
 
-// Column tiles outermost, so each tile's slice of b stays in L1 while every
-// row of c passes over it.
+// Column blocks of 32 outermost, so each block's slice of b stays in L1
+// while every row pair of c passes over it.
 void exact_gemm_tn_acc(const float* a, int a_row_stride, int a_col_stride, const float* b,
                        int rows, int m, int k, float* c, bool descending) {
-    for (int j0 = 0; j0 < k; j0 += 4 * kBlock) {
+    const TnAcc g{a, a_row_stride, a_col_stride, b, rows, k, c, descending};
+    constexpr int kCols = 4 * kBlock;
+    for (int j0 = 0; j0 < k; j0 += kCols) {
+        const int width = k - j0 < kCols ? k - j0 : kCols;
         int i = 0;
-        for (; i + 2 <= m; i += 2) {
-            tn_acc_tile<2>(a, a_row_stride, a_col_stride, b, rows, i, j0, k, c, descending);
-        }
-        for (; i < m; ++i) {
-            tn_acc_tile<1>(a, a_row_stride, a_col_stride, b, rows, i, j0, k, c, descending);
-        }
+        for (; i + 2 <= m; i += 2) tn_acc_block<2>(g, i, j0, width);
+        if (i < m) tn_acc_block<1>(g, i, j0, width);
     }
+}
+
+// y = x w is the transposed-operand accumulation from zero, with y's rows as
+// c's rows and the reduction running over x's columns (a_row_stride 1,
+// a_col_stride inner) and w's rows, ascending: the same chain per output.
+void exact_gemm_nn(const float* x, int rows, int inner, const float* w, int cols, float* y) {
+    std::fill(y, y + zu(rows) * zu(cols), 0.0F);
+    exact_gemm_tn_acc(x, 1, inner, w, inner, rows, cols, y, false);
 }
 
 // Scatter in (oc, oy, ox) order into per-pixel input-channel vectors

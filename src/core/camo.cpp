@@ -239,37 +239,67 @@ CamoConfig make_rlopc_config(const CamoConfig& base) {
     return cfg;
 }
 
-// Per-worker state of the data-parallel training runtime. Workers compute
-// per-sample gradients on their own policy replica (synced from the master
-// weights before each wave), so the master's Parameter::grad is only ever
-// touched by the fixed-order reduction on the coordinating thread.
+// Per-worker state of the data-parallel training runtime. Every job of a
+// wave runs on one pack of the master's weights, made when the wave starts
+// (after the previous optimizer step), on its worker's replica or, serially,
+// on the master. A replica only holds a job's tape and gradients: its own
+// weight values are never read, so nothing syncs them. The master's grads
+// are only touched by the fixed-order fold, which runs by element range on
+// the pool like the optimizer update.
 struct CamoEngine::TrainRuntime {
     int workers = 1;
     std::unique_ptr<runtime::ThreadPool> pool;             ///< null when workers == 1
     std::vector<std::unique_ptr<PolicyNetwork>> replicas;  ///< one per worker when pooled
 
-    /// Runs job(net, k) for every k < buffers.size() — across the pool on
-    /// the worker's replica, synced from `master` first (the previous
-    /// optimizer step made it stale), or serially on `master` — each job
-    /// capturing its gradient into buffers[k], then folds the buffers into
-    /// master's gradients in fixed order.
+    /// What one epoch or episode keeps across its waves: a GradBuffer per
+    /// job, whose storage is then swapped in and out of the grads, and the
+    /// master's pack, rewritten in place every wave. Both go when the epoch
+    /// or episode ends, so a trained engine holds neither.
+    struct Waves {
+        std::vector<nn::GradBuffer> buffers;
+        std::shared_ptr<PackedWeights> weights;
+    };
+
+    /// The pool's fan-out for per-element work; empty (serial) without one.
+    [[nodiscard]] nn::ForEachIndex for_each() const {
+        if (!pool) return {};
+        return [p = pool.get()](int n, const std::function<void(int)>& fn) {
+            p->for_each_index(n, fn);
+        };
+    }
+
+    /// Runs job(net, weights, k) for every k < count, where `weights` is
+    /// master's current weights, repacked into waves.weights, and `net` the
+    /// worker's replica (or master, serially); captures each job's gradient
+    /// into waves.buffers[k], then folds the buffers into master's gradients
+    /// in fixed order.
     template <typename Job>
-    void run_and_reduce(PolicyNetwork& master, std::vector<nn::GradBuffer>& buffers,
-                        const Job& job) {
-        const std::size_t count = buffers.size();
+    void run_and_reduce(PolicyNetwork& master, Waves& waves, std::size_t count, const Job& job) {
+        // A new buffer gets its storage here, on the coordinating thread.
+        // Allocated on first capture in a worker's malloc arena instead, it
+        // raised the train benchmark's peak RSS by ~15 MB.
+        std::vector<nn::GradBuffer>& buffers = waves.buffers;
+        const std::size_t had = buffers.size();
+        buffers.resize(count);
+        for (std::size_t k = had; k < count; ++k) buffers[k].zeros_like(master.grads());
+        master.repack(waves.weights);
+        const std::shared_ptr<const PackedWeights> current = waves.weights;
+        const auto run = [&](PolicyNetwork& net, std::size_t k) {
+            job(net, current, k);
+            buffers[k].capture(net.grads());
+        };
         if (pool && count > 1) {
-            for (auto& r : replicas) r->copy_weights_from(master);
             pool->for_each_index(static_cast<int>(count), [&](int k) {
                 const int w = pool->worker_index();
-                job(*replicas[static_cast<std::size_t>(w < 0 ? 0 : w)],
+                run(*replicas[static_cast<std::size_t>(w < 0 ? 0 : w)],
                     static_cast<std::size_t>(k));
             });
         } else {
-            for (std::size_t k = 0; k < count; ++k) job(master, k);
+            for (std::size_t k = 0; k < count; ++k) run(master, k);
         }
         const obs::Span reduce_span("train.reduce", reduce_hist());
         obs::counter_add(reduction_counter());
-        nn::reduce_in_order(buffers, master.params());
+        nn::reduce_in_order(buffers, master.grads(), for_each());
     }
 };
 
@@ -296,7 +326,8 @@ CamoEngine::TrainRuntime& CamoEngine::train_runtime() {
             rt->pool = std::make_unique<runtime::ThreadPool>(workers);
             rt->replicas.reserve(static_cast<std::size_t>(workers));
             for (int i = 0; i < workers; ++i) {
-                rt->replicas.push_back(std::make_unique<PolicyNetwork>(cfg_.policy));
+                rt->replicas.push_back(
+                    std::make_unique<PolicyNetwork>(cfg_.policy, /*init_weights=*/false));
             }
         }
         train_rt_ = std::move(rt);
@@ -304,8 +335,8 @@ CamoEngine::TrainRuntime& CamoEngine::train_runtime() {
     return *train_rt_;
 }
 
-void CamoEngine::optimizer_step() {
-    adam_.step();
+void CamoEngine::optimizer_step(const TrainRuntime& rt) {
+    adam_.step(rt.for_each());
     // Adam mutates weights through Parameter pointers captured at
     // construction; the packed inference plan cannot see that, so stale it
     // explicitly.
@@ -583,21 +614,22 @@ double CamoEngine::run_phase1_epoch(const Phase1Dataset& data) {
     TrainRuntime& rt = train_runtime();
     double total_nll = 0.0;
     long long total_nodes = 0;
-    std::vector<nn::GradBuffer> buffers;
+    TrainRuntime::Waves waves;
     std::vector<double> sample_nll(batch, 0.0);
     std::vector<long long> sample_nodes(batch, 0);
 
     for (std::size_t start = 0; start < samples.size(); start += batch) {
         const std::size_t count = std::min(batch, samples.size() - start);
-        buffers.assign(count, nn::GradBuffer{});
 
-        // Per-sample gradient of the class-weighted mean NLL, computed with
-        // `net`'s (master-synced) weights and captured into the sample's own
-        // buffer — the unit the fixed-order reduction folds back in.
-        const auto run_sample = [&](PolicyNetwork& net, std::size_t k) {
+        // Per-sample gradient of the class-weighted mean NLL at the master's
+        // weights, captured into the sample's own buffer — the unit the
+        // fixed-order reduction folds back in.
+        const auto run_sample = [&](PolicyNetwork& net,
+                                    const std::shared_ptr<const PackedWeights>& weights,
+                                    std::size_t k) {
             const TeacherSample& s = samples[start + k];
             const nn::Tensor logits =
-                net.forward(s.features, data.graphs[static_cast<std::size_t>(s.clip)]);
+                net.forward(weights, s.features, data.graphs[static_cast<std::size_t>(s.clip)]);
             const int n = logits.dim(0);
             double nll = 0.0;
             for (int i = 0; i < n; ++i) {
@@ -608,16 +640,15 @@ double CamoEngine::run_phase1_epoch(const Phase1Dataset& data) {
                 const int act = s.actions[static_cast<std::size_t>(i)];
                 return -data.action_weight[static_cast<std::size_t>(act)] / static_cast<float>(n);
             }));
-            buffers[k].capture(net.params());
             sample_nll[k] = nll;
             sample_nodes[k] = n;
         };
-        rt.run_and_reduce(policy_, buffers, run_sample);
+        rt.run_and_reduce(policy_, waves, count, run_sample);
         for (std::size_t k = 0; k < count; ++k) {
             total_nll += sample_nll[k];
             total_nodes += sample_nodes[k];
         }
-        optimizer_step();
+        optimizer_step(rt);
     }
     return total_nll / static_cast<double>(std::max(1LL, total_nodes));
 }
@@ -664,19 +695,20 @@ double CamoEngine::run_phase2_episode(const std::vector<geo::SegmentedLayout>& c
     TrainRuntime& rt = train_runtime();
     double reward_sum = 0.0;
     int reward_count = 0;
-    std::vector<nn::GradBuffer> buffers;
+    TrainRuntime::Waves waves;
     std::vector<double> rewards;
 
     run_waves(rollouts, opt.max_iterations, [&](std::span<const std::size_t> wave) {
         const obs::Span wave_span("train.phase2.wave", phase2_wave_hist());
-        buffers.assign(wave.size(), nn::GradBuffer{});
         rewards.assign(wave.size(), 0.0);
 
-        const auto run_clip = [&](PolicyNetwork& net, std::size_t k) {
+        const auto run_clip = [&](PolicyNetwork& net,
+                                  const std::shared_ptr<const PackedWeights>& weights,
+                                  std::size_t k) {
             ClipRollout& clip = rollouts[wave[k]];
             opc::Rollout& rollout = clip.rollout;
             encode_state(rollout.layout(), rollout.offsets(), clip.feats);
-            const nn::Tensor logits = net.forward(clip.feats, *clip.graph);
+            const nn::Tensor logits = net.forward(weights, clip.feats, *clip.graph);
             const auto actions =
                 pick_actions(logits, rollout.metrics().epe_segment, cfg_.modulator, clip.rng);
 
@@ -695,14 +727,13 @@ double CamoEngine::run_phase2_episode(const std::vector<geo::SegmentedLayout>& c
             const float coef = cfg_.phase2_lr_scale * static_cast<float>(-r) /
                                static_cast<float>(logits.dim(0));
             net.backward(policy_grad(logits, actions, [coef](int) { return coef; }));
-            buffers[k].capture(net.params());
         };
-        rt.run_and_reduce(policy_, buffers, run_clip);
+        rt.run_and_reduce(policy_, waves, wave.size(), run_clip);
         for (const double r : rewards) {
             reward_sum += r;
             ++reward_count;
         }
-        optimizer_step();
+        optimizer_step(rt);
     });
     return reward_sum / std::max(1, reward_count);
 }

@@ -249,7 +249,8 @@ private:
     std::unique_ptr<TrainRuntime> train_rt_;
     TrainRuntime& train_runtime();
 
-    void optimizer_step();
+    /// One Adam step on the master, its per-element update on rt's pool.
+    void optimizer_step(const TrainRuntime& rt);
 
     /// The inference wave driver behind infer and infer_batch: one rollout
     /// per clip, one batched forward per wave. `rngs` holds one entry per

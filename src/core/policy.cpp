@@ -27,6 +27,17 @@ struct PackedWeights {
     std::vector<RnnCell> rnn;
     nn::PackedLinear proj;  // embed -> hidden (no-RNN path only)
     nn::PackedLinear head;  // hidden -> 5
+
+    /// What backward() reads besides the tape, copied at the same moment as
+    /// the forward weights (training packs only; infer()'s plan leaves it
+    /// empty): conv2/conv3 repacked for ExactOps::conv2d_dx, and the dense
+    /// and RNN weights row-major, as gemm_nn and the BPTT read them.
+    struct Backward {
+        std::vector<float> conv2_dx, conv3_dx;  // [oc][ky][kx][ic_padded]
+        int conv2_pad = 0, conv3_pad = 0;       // ic_padded of each
+        nn::Tensor fc, sage, proj, head;        // W [out, in]
+        std::vector<std::pair<nn::Tensor, nn::Tensor>> rnn;  // (U, W) per layer
+    } back;
 };
 
 namespace {
@@ -64,26 +75,27 @@ void relu_backward(float* g, const float* y, std::size_t n) {
 
 // A dense layer's backward over `rows` nodes, in the per-node reference's
 // node order: dW += dy^T x and db += dy, one addition per node per element;
-// dx = dy W when `dx` is non-null.
+// dx = dy W when `dx` is non-null, with W the forward's copy `wv`.
 void dense_backward(const simd::ExactOps& k, nn::Parameter& w, nn::Parameter& b,
-                    const float* dy, const float* x, int rows, bool descending, float* dx) {
-    const int out = w.value.dim(0);
-    const int in = w.value.dim(1);
+                    const nn::Tensor& wv, const float* dy, const float* x, int rows,
+                    bool descending, float* dx) {
+    const int out = w.grad.dim(0);
+    const int in = w.grad.dim(1);
     k.gemm_tn_acc(dy, out, 1, x, rows, out, in, w.grad.data().data(), descending);
     for (int step = 0; step < rows; ++step) {
         const int r = descending ? rows - 1 - step : step;
         for (int o = 0; o < out; ++o) b.grad[sz(o)] += dy[sz(r) * sz(out) + sz(o)];
     }
-    if (dx != nullptr) k.gemm_nn(dy, rows, out, w.value.data().data(), in, dx);
+    if (dx != nullptr) k.gemm_nn(dy, rows, out, wv.data().data(), in, dx);
 }
 
-// Convolution weights [oc, ic, k, k] repacked [oc][ky][kx][ic_padded] for
-// ExactOps::conv2d_dx.
-std::vector<float> pack_conv_dx(const nn::Tensor& w, int& in_padded) {
+// Convolution weights [oc, ic, k, k] repacked into `wt` as
+// [oc][ky][kx][ic_padded] for ExactOps::conv2d_dx; returns ic_padded.
+int pack_conv_dx(const nn::Tensor& w, std::vector<float>& wt) {
     const int oc_n = w.dim(0);
     const int ic_n = w.dim(1);
-    in_padded = (ic_n + simd::kBlock - 1) / simd::kBlock * simd::kBlock;
-    std::vector<float> wt(sz(oc_n) * kKernel * kKernel * sz(in_padded), 0.0F);
+    const int in_padded = (ic_n + simd::kBlock - 1) / simd::kBlock * simd::kBlock;
+    wt.assign(sz(oc_n) * kKernel * kKernel * sz(in_padded), 0.0F);
     for (int oc = 0; oc < oc_n; ++oc) {
         for (int ic = 0; ic < ic_n; ++ic) {
             for (int t = 0; t < kKernel * kKernel; ++t) {
@@ -92,7 +104,7 @@ std::vector<float> pack_conv_dx(const nn::Tensor& w, int& in_padded) {
             }
         }
     }
-    return wt;
+    return in_padded;
 }
 
 // Scratch reused across the per-node conv backward calls.
@@ -111,8 +123,8 @@ struct ConvScratch {
 void conv_backward(const simd::ExactOps& k, nn::Parameter& w, nn::Parameter& b,
                    const float* dy, const float* x, int h, int oh, const float* wt,
                    int in_padded, float* dx, ConvScratch& s) {
-    const int out_ch = w.value.dim(0);
-    const int in_ch = w.value.dim(1);
+    const int out_ch = w.grad.dim(0);
+    const int in_ch = w.grad.dim(1);
     const int taps = in_ch * kKernel * kKernel;
     const int pixels = oh * oh;
     s.col.resize(sz(pixels) * sz(taps));
@@ -152,15 +164,17 @@ void conv_backward(const simd::ExactOps& k, nn::Parameter& w, nn::Parameter& b,
 // the grads with one addition per element. `in` [n, in_l] is the layer's
 // input and `h` [n, hidden] its hidden sequence; `dh` [n, hidden] is the
 // gradient arriving at h from above; the input gradient accumulates into
-// `din` [n, in_l], which the caller zeroes.
-void rnn_layer_backward(nn::Parameter& u, nn::Parameter& w, nn::Parameter& b, const float* in,
+// `din` [n, in_l], which the caller zeroes. `weights` is the forward's
+// (U, W).
+void rnn_layer_backward(nn::Parameter& u, nn::Parameter& w, nn::Parameter& b,
+                        const std::pair<nn::Tensor, nn::Tensor>& weights, const float* in,
                         const float* h, const float* dh, int n, float* din) {
-    const int hidden = w.value.dim(0);
-    const int in_l = u.value.dim(1);
-    const float* uv = u.value.data().data();
-    const float* wv = w.value.data().data();
-    std::vector<float> gu(u.value.numel(), 0.0F);
-    std::vector<float> gw(w.value.numel(), 0.0F);
+    const int hidden = w.grad.dim(0);
+    const int in_l = u.grad.dim(1);
+    const float* uv = weights.first.data().data();
+    const float* wv = weights.second.data().data();
+    std::vector<float> gu(u.grad.numel(), 0.0F);
+    std::vector<float> gw(w.grad.numel(), 0.0F);
     std::vector<float> gb(sz(hidden), 0.0F);
     std::vector<float> carry(sz(hidden), 0.0F);  // dL/dh(t) via step t + 1
     std::vector<float> gpre(sz(hidden));
@@ -197,47 +211,65 @@ void rnn_layer_backward(nn::Parameter& u, nn::Parameter& w, nn::Parameter& b, co
 
 }  // namespace
 
-PolicyNetwork::Layer::Layer(std::vector<int> w_shape, int fan_in, Rng& rng)
+PolicyNetwork::Layer::Layer(std::vector<int> w_shape, int fan_in, Rng* rng)
     : w(w_shape), b({w_shape.front()}) {
-    nn::init_he(w.value, fan_in, rng);
+    if (rng != nullptr) nn::init_he(w.value, fan_in, *rng);
 }
 
-PolicyNetwork::RnnCell::RnnCell(int in, int hidden, Rng& rng)
+PolicyNetwork::RnnCell::RnnCell(int in, int hidden, Rng* rng)
     : u({hidden, in}), w({hidden, hidden}), b({hidden}) {
-    nn::init_xavier(u.value, in, hidden, rng);
-    nn::init_xavier(w.value, hidden, hidden, rng);
+    if (rng != nullptr) {
+        nn::init_xavier(u.value, in, hidden, *rng);
+        nn::init_xavier(w.value, hidden, hidden, *rng);
+    }
 }
 
-PolicyNetwork::PolicyNetwork(const PolicyConfig& cfg)
+PolicyNetwork::PolicyNetwork(const PolicyConfig& cfg, bool init_weights)
     : cfg_(cfg),
       rng_(cfg.seed),
-      head_({rl::kNumActions, cfg.rnn_hidden}, cfg.rnn_hidden, rng_),
-      conv1_({cfg.conv_base, 6, kKernel, kKernel}, 6 * kKernel * kKernel, rng_),
+      init_(init_weights ? &rng_ : nullptr),
+      head_({rl::kNumActions, cfg.rnn_hidden}, cfg.rnn_hidden, init_),
+      conv1_({cfg.conv_base, 6, kKernel, kKernel}, 6 * kKernel * kKernel, init_),
       conv2_({cfg.conv_base * 2, cfg.conv_base, kKernel, kKernel},
-             cfg.conv_base * kKernel * kKernel, rng_),
+             cfg.conv_base * kKernel * kKernel, init_),
       conv3_({cfg.conv_base * 4, cfg.conv_base * 2, kKernel, kKernel},
-             cfg.conv_base * 2 * kKernel * kKernel, rng_),
-      fc_({cfg.embed_dim, flat_size(cfg)}, flat_size(cfg), rng_) {
+             cfg.conv_base * 2 * kKernel * kKernel, init_),
+      fc_({cfg.embed_dim, flat_size(cfg)}, flat_size(cfg), init_) {
     if (cfg_.use_gnn) sage_.emplace(std::vector<int>{cfg_.embed_dim, 2 * cfg_.embed_dim},
-                                    2 * cfg_.embed_dim, rng_);
+                                    2 * cfg_.embed_dim, init_);
     if (cfg_.use_rnn) {
         rnn_.reserve(sz(cfg_.rnn_layers));
         for (int l = 0; l < cfg_.rnn_layers; ++l) {
-            rnn_.emplace_back(l == 0 ? cfg_.embed_dim : cfg_.rnn_hidden, cfg_.rnn_hidden, rng_);
+            rnn_.emplace_back(l == 0 ? cfg_.embed_dim : cfg_.rnn_hidden, cfg_.rnn_hidden, init_);
         }
     } else {
-        proj_.emplace(std::vector<int>{cfg_.rnn_hidden, cfg_.embed_dim}, cfg_.embed_dim, rng_);
+        proj_.emplace(std::vector<int>{cfg_.rnn_hidden, cfg_.embed_dim}, cfg_.embed_dim, init_);
     }
 }
 
 nn::Tensor PolicyNetwork::forward(const std::vector<nn::Tensor>& features, const Graph& graph) {
-    tape_.valid = false;
-    const ClipRequest req{&features, &graph};
-    // Packed fresh from the current weights: training mutates them through
+    // Packed fresh from the current weights: callers may write them through
     // params() pointers between calls, which the plan cache cannot see.
+    return forward(pack(), features, graph);
+}
+
+nn::Tensor PolicyNetwork::forward(std::shared_ptr<const PackedWeights> weights,
+                                  const std::vector<nn::Tensor>& features, const Graph& graph) {
+    tape_.valid = false;
+    if (!weights || weights->back.head.empty() ||
+        weights->back.fc.shape() != fc_.w.grad.shape() ||
+        weights->back.head.shape() != head_.w.grad.shape() ||
+        weights->back.sage.empty() == sage_.has_value() ||
+        weights->back.proj.empty() == proj_.has_value() ||
+        weights->back.rnn.size() != rnn_.size()) {
+        throw std::invalid_argument(
+            "PolicyNetwork::forward: weights not from pack() of this architecture");
+    }
+    const ClipRequest req{&features, &graph};
     const std::vector<float> logits =
-        walk(nn::exact_backend(), pack_weights(), {&req, 1}, tape_, true);
+        walk(nn::exact_backend(), *weights, {&req, 1}, tape_, true);
     tape_.graph = graph;
+    tape_.weights = std::move(weights);
     tape_.valid = true;
     nn::Tensor out({graph.n, rl::kNumActions});
     std::memcpy(out.data().data(), logits.data(), logits.size() * sizeof(float));
@@ -254,27 +286,52 @@ std::shared_ptr<const PackedWeights> PolicyNetwork::ensure_plan() const {
     const std::uint64_t version = weights_version_.load(std::memory_order_acquire);
     std::lock_guard<std::mutex> lock(plan_mu_);
     if (plan_ && plan_->version == version) return plan_;
-    auto plan = std::make_shared<PackedWeights>(pack_weights());
+    auto plan = std::make_shared<PackedWeights>();
+    pack_weights(false, *plan);
     plan->version = version;
     plan_ = plan;
     return plan;
 }
 
-PackedWeights PolicyNetwork::pack_weights() const {
-    PackedWeights p;
-    p.conv1 = nn::pack_conv2d(conv1_.w.value, conv1_.b.value, kStride, kPad);
-    p.conv2 = nn::pack_conv2d(conv2_.w.value, conv2_.b.value, kStride, kPad);
-    p.conv3 = nn::pack_conv2d(conv3_.w.value, conv3_.b.value, kStride, kPad);
-    p.fc = nn::pack_linear(fc_.w.value, &fc_.b.value);
-    if (sage_) p.sage = nn::pack_linear(sage_->w.value, &sage_->b.value);
-    p.rnn.reserve(rnn_.size());
-    for (const RnnCell& cell : rnn_) {
-        p.rnn.push_back({nn::pack_linear(cell.u.value, &cell.b.value),
-                         nn::pack_linear(cell.w.value, nullptr)});
+std::shared_ptr<const PackedWeights> PolicyNetwork::pack() const {
+    std::shared_ptr<PackedWeights> weights;
+    repack(weights);
+    return weights;
+}
+
+void PolicyNetwork::repack(std::shared_ptr<PackedWeights>& weights) const {
+    // Rewritten in place only when no tape or other holder could see it.
+    if (!weights || weights.use_count() > 1) weights = std::make_shared<PackedWeights>();
+    pack_weights(true, *weights);
+}
+
+void PolicyNetwork::pack_weights(bool for_backward, PackedWeights& p) const {
+    nn::pack_conv2d(conv1_.w.value, conv1_.b.value, kStride, kPad, p.conv1);
+    nn::pack_conv2d(conv2_.w.value, conv2_.b.value, kStride, kPad, p.conv2);
+    nn::pack_conv2d(conv3_.w.value, conv3_.b.value, kStride, kPad, p.conv3);
+    nn::pack_linear(fc_.w.value, &fc_.b.value, p.fc);
+    if (sage_) nn::pack_linear(sage_->w.value, &sage_->b.value, p.sage);
+    p.rnn.resize(rnn_.size());
+    for (std::size_t l = 0; l < rnn_.size(); ++l) {
+        nn::pack_linear(rnn_[l].u.value, &rnn_[l].b.value, p.rnn[l].u);
+        nn::pack_linear(rnn_[l].w.value, nullptr, p.rnn[l].w);
     }
-    if (proj_) p.proj = nn::pack_linear(proj_->w.value, &proj_->b.value);
-    p.head = nn::pack_linear(head_.w.value, &head_.b.value);
-    return p;
+    if (proj_) nn::pack_linear(proj_->w.value, &proj_->b.value, p.proj);
+    nn::pack_linear(head_.w.value, &head_.b.value, p.head);
+    if (for_backward) {
+        PackedWeights::Backward& b = p.back;
+        b.conv2_pad = pack_conv_dx(conv2_.w.value, b.conv2_dx);
+        b.conv3_pad = pack_conv_dx(conv3_.w.value, b.conv3_dx);
+        b.fc = fc_.w.value;
+        if (sage_) b.sage = sage_->w.value;
+        if (proj_) b.proj = proj_->w.value;
+        b.head = head_.w.value;
+        b.rnn.resize(rnn_.size());
+        for (std::size_t l = 0; l < rnn_.size(); ++l) {
+            b.rnn[l].first = rnn_[l].u.value;
+            b.rnn[l].second = rnn_[l].w.value;
+        }
+    }
 }
 
 std::vector<nn::Tensor> PolicyNetwork::infer_batch(std::span<const ClipRequest> clips) const {
@@ -441,6 +498,10 @@ void PolicyNetwork::backward(const nn::Tensor& dlogits) {
         throw std::invalid_argument("PolicyNetwork::backward: dlogits shape");
     }
     t.valid = false;
+    // Held here, not by the tape, so the trainer can rewrite the pack in
+    // place once every backward of its wave has returned.
+    const std::shared_ptr<const PackedWeights> weights = std::move(t.weights);
+    const PackedWeights::Backward& wb = weights->back;
     const simd::ExactOps& k = simd::exact_ops();
     const int S = cfg_.squish_size;
     const int embed = cfg_.embed_dim;
@@ -449,7 +510,7 @@ void PolicyNetwork::backward(const nn::Tensor& dlogits) {
 
     // Head: the reference runs it node by node in ascending order.
     std::vector<float> dctx(sz(n) * sz(hidden));
-    dense_backward(k, head_.w, head_.b, dlogits.data().data(), t.ctx.data(), n, false,
+    dense_backward(k, head_.w, head_.b, wb.head, dlogits.data().data(), t.ctx.data(), n, false,
                    dctx.data());
 
     // RNN (full BPTT, layers descending; each layer's input gradient is the
@@ -465,13 +526,14 @@ void PolicyNetwork::backward(const nn::Tensor& dlogits) {
                 dbelow.assign(sz(n) * sz(hidden), 0.0F);
                 din = dbelow.data();
             }
-            rnn_layer_backward(rnn_[l].u, rnn_[l].w, rnn_[l].b,
+            rnn_layer_backward(rnn_[l].u, rnn_[l].w, rnn_[l].b, wb.rnn[l],
                                l == 0 ? fused : h - sz(n) * sz(hidden), h, dh.data(), n, din);
             dh.swap(dbelow);
         }
     } else {
         relu_backward(dctx.data(), t.ctx.data(), dctx.size());
-        dense_backward(k, proj_->w, proj_->b, dctx.data(), fused, n, false, dfused.data());
+        dense_backward(k, proj_->w, proj_->b, wb.proj, dctx.data(), fused, n, false,
+                       dfused.data());
     }
 
     // SAGE (descending), then its input gradient spread to each node and to
@@ -480,7 +542,8 @@ void PolicyNetwork::backward(const nn::Tensor& dlogits) {
     if (sage_) {
         relu_backward(dfused.data(), t.fused.data(), dfused.size());
         std::vector<float> dcat(sz(n) * 2 * sz(embed));
-        dense_backward(k, sage_->w, sage_->b, dfused.data(), t.cat.data(), n, true, dcat.data());
+        dense_backward(k, sage_->w, sage_->b, wb.sage, dfused.data(), t.cat.data(), n, true,
+                       dcat.data());
         dembed.assign(sz(n) * sz(embed), 0.0F);
         for (int i = n - 1; i >= 0; --i) {
             const float* gcat = dcat.data() + sz(i) * 2 * sz(embed);
@@ -501,32 +564,28 @@ void PolicyNetwork::backward(const nn::Tensor& dlogits) {
     // Encoder: fc over all nodes (descending), then the convolutions node by
     // node, descending. conv1's input gradient is never needed.
     relu_backward(dembed.data(), t.embed.data(), dembed.size());
-    const std::size_t flat = sz(fc_.w.value.dim(1));
+    const std::size_t flat = sz(fc_.w.grad.dim(1));
     std::vector<float> dflat(sz(n) * flat);
-    dense_backward(k, fc_.w, fc_.b, dembed.data(), t.flat.data(), n, true, dflat.data());
+    dense_backward(k, fc_.w, fc_.b, wb.fc, dembed.data(), t.flat.data(), n, true, dflat.data());
     relu_backward(dflat.data(), t.flat.data(), dflat.size());
 
     const int s1 = conv_out(S);
     const int s2 = conv_out(s1);
     const int s3 = conv_out(s2);
     const std::size_t in_size = 6 * sz(S) * sz(S);
-    const std::size_t size1 = sz(conv1_.w.value.dim(0)) * sz(s1) * sz(s1);
-    const std::size_t size2 = sz(conv2_.w.value.dim(0)) * sz(s2) * sz(s2);
-    int pad2 = 0;
-    int pad3 = 0;
-    const std::vector<float> wt2 = pack_conv_dx(conv2_.w.value, pad2);
-    const std::vector<float> wt3 = pack_conv_dx(conv3_.w.value, pad3);
+    const std::size_t size1 = sz(conv1_.w.grad.dim(0)) * sz(s1) * sz(s1);
+    const std::size_t size2 = sz(conv2_.w.grad.dim(0)) * sz(s2) * sz(s2);
     std::vector<float> d2(size2);
     std::vector<float> d1(size1);
     ConvScratch scratch;
     for (int i = n - 1; i >= 0; --i) {
         const float* a1 = t.a1.data() + sz(i) * size1;
         const float* a2 = t.a2.data() + sz(i) * size2;
-        conv_backward(k, conv3_.w, conv3_.b, dflat.data() + sz(i) * flat, a2, s2, s3, wt3.data(),
-                      pad3, d2.data(), scratch);
+        conv_backward(k, conv3_.w, conv3_.b, dflat.data() + sz(i) * flat, a2, s2, s3,
+                      wb.conv3_dx.data(), wb.conv3_pad, d2.data(), scratch);
         relu_backward(d2.data(), a2, size2);
-        conv_backward(k, conv2_.w, conv2_.b, d2.data(), a1, s1, s2, wt2.data(), pad2, d1.data(),
-                      scratch);
+        conv_backward(k, conv2_.w, conv2_.b, d2.data(), a1, s1, s2, wb.conv2_dx.data(),
+                      wb.conv2_pad, d1.data(), scratch);
         relu_backward(d1.data(), a1, size1);
         conv_backward(k, conv1_.w, conv1_.b, d1.data(), t.x.data() + sz(i) * in_size, S, s1,
                       nullptr, 0, nullptr, scratch);
@@ -536,8 +595,18 @@ void PolicyNetwork::backward(const nn::Tensor& dlogits) {
 std::vector<nn::Parameter*> PolicyNetwork::params() {
     // Handing out mutable parameter pointers (optimizers, trainers) may be
     // followed by in-place weight updates the plan cache cannot observe;
-    // conservatively invalidate so the next forward repacks.
+    // conservatively invalidate so the next infer() repacks.
     invalidate_plan();
+    return param_list();
+}
+
+std::vector<nn::Tensor*> PolicyNetwork::grads() {
+    std::vector<nn::Tensor*> out;
+    for (nn::Parameter* p : param_list()) out.push_back(&p->grad);
+    return out;
+}
+
+std::vector<nn::Parameter*> PolicyNetwork::param_list() {
     std::vector<nn::Parameter*> out = {&conv1_.w, &conv1_.b, &conv2_.w, &conv2_.b,
                                        &conv3_.w, &conv3_.b, &fc_.w,    &fc_.b};
     if (sage_) out.insert(out.end(), {&sage_->w, &sage_->b});
@@ -547,23 +616,7 @@ std::vector<nn::Parameter*> PolicyNetwork::params() {
     return out;
 }
 
-void PolicyNetwork::copy_weights_from(PolicyNetwork& src) {
-    const auto dst_params = params();
-    const auto src_params = src.params();
-    if (dst_params.size() != src_params.size()) {
-        throw std::invalid_argument("PolicyNetwork::copy_weights_from: architecture mismatch");
-    }
-    for (std::size_t i = 0; i < dst_params.size(); ++i) {
-        if (dst_params[i]->value.shape() != src_params[i]->value.shape()) {
-            throw std::invalid_argument(
-                "PolicyNetwork::copy_weights_from: parameter shape mismatch");
-        }
-        dst_params[i]->value = src_params[i]->value;
-    }
-    invalidate_plan();
-}
-
-void PolicyNetwork::save(const std::string& path) { nn::save_params(path, params()); }
+void PolicyNetwork::save(const std::string& path) { nn::save_params(path, param_list()); }
 
 bool PolicyNetwork::load(const std::string& path) {
     const bool ok = nn::load_params(path, params());

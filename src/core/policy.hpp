@@ -45,15 +45,43 @@ struct PolicyConfig {
 
 class PolicyNetwork {
 public:
-    explicit PolicyNetwork(const PolicyConfig& cfg);
+    /// He/Xavier-initialized from cfg.seed. With `init_weights` false every
+    /// weight is zero and no random number is drawn: the trainer's replicas,
+    /// which only run forward(pack(), …) on the master's weights, skip the
+    /// ~18 ms of draws a paper-width network costs.
+    explicit PolicyNetwork(const PolicyConfig& cfg, bool init_weights = true);
 
     /// Training forward over the whole node set; features[i] is node i's
     /// [6,S,S] squish tensor. Returns logits [n, 5] and keeps a flat tape of
     /// the activations for one backward(). Runs the same layer walk as
     /// infer() on the exact-order kernel table (simd::exact_ops), so the
     /// logits, and the gradients backward() produces, are bit-identical on
-    /// every backend, CAMO_BACKEND=scalar included.
+    /// every backend, CAMO_BACKEND=scalar included. Packs the current
+    /// weights first: forward(pack(), features, graph).
     nn::Tensor forward(const std::vector<nn::Tensor>& features, const Graph& graph);
+
+    /// This network's current weights, packed for training: the forward
+    /// kernels' blocked layouts plus a copy of everything backward() reads.
+    /// Immutable; later weight changes never reach it.
+    [[nodiscard]] std::shared_ptr<const PackedWeights> pack() const;
+
+    /// pack() into `weights`, rewriting its storage in place when `weights`
+    /// is its only holder (no tape still refers to it: backward() lets go of
+    /// its forward's pack) and packing anew otherwise. The trainer repacks
+    /// one object per weight update, so its ~2.4 MB are not freshly
+    /// allocated, and page-faulted, every minibatch.
+    void repack(std::shared_ptr<PackedWeights>& weights) const;
+
+    /// The training forward on `weights`, a pack() of a network of the same
+    /// architecture, instead of this network's own weights; the tape keeps
+    /// the pack, so the backward() that follows differentiates exactly the
+    /// weights the forward ran on and accumulates into this network's
+    /// grads. This network's own weight values are never read. The trainer
+    /// packs the master once per weight update and runs every sample of the
+    /// minibatch, on any replica, on that one pack, so there is no pack
+    /// cache to go stale.
+    nn::Tensor forward(std::shared_ptr<const PackedWeights> weights,
+                       const std::vector<nn::Tensor>& features, const Graph& graph);
 
     /// Inference-only forward through the packed-weight backend
     /// (nn/backend.hpp): weights are repacked once per version into blocked
@@ -85,7 +113,7 @@ public:
     /// Invalidate infer()'s cached packed weights after an out-of-band
     /// weight mutation (e.g. an optimizer step through pointers obtained
     /// earlier from params()). Cheap: the next infer() repacks lazily.
-    /// forward() always packs the current weights.
+    /// forward() always runs on a pack() made for it.
     void invalidate_plan() { weights_version_.fetch_add(1, std::memory_order_release); }
 
     /// Backward from d(logits) [n, 5]; accumulates parameter gradients.
@@ -94,13 +122,15 @@ public:
     /// nodes ascending, SAGE and the encoder descending) for finite inputs.
     void backward(const nn::Tensor& dlogits);
 
+    /// Every parameter, in save order. Invalidates infer()'s packed weights,
+    /// since callers may write values through the pointers.
     std::vector<nn::Parameter*> params();
 
-    /// Copy `src`'s parameter values into this network (architectures must
-    /// match). Used by the data-parallel trainer to sync per-worker replicas
-    /// with the master weights before each minibatch wave; gradients are
-    /// left untouched.
-    void copy_weights_from(PolicyNetwork& src);
+    /// The parameters' gradients alone, in params() order: the view for
+    /// gradient bookkeeping (GradBuffer::capture, the fixed-order
+    /// reduction). It exposes no weight values, so it leaves infer()'s
+    /// packed weights valid.
+    std::vector<nn::Tensor*> grads();
 
     void save(const std::string& path);
     [[nodiscard]] bool load(const std::string& path);
@@ -109,18 +139,19 @@ public:
 
 private:
     /// A learnable weight ([out, in] or [out, in, k, k]) and bias [out],
-    /// He-initialized from `rng` over `fan_in`; the bias starts at zero.
+    /// He-initialized from `rng` over `fan_in` (zero when `rng` is null);
+    /// the bias starts at zero.
     struct Layer {
-        Layer(std::vector<int> w_shape, int fan_in, Rng& rng);
+        Layer(std::vector<int> w_shape, int fan_in, Rng* rng);
         nn::Parameter w;
         nn::Parameter b;
     };
 
     /// One Elman RNN layer, h(t) = tanh(U in(t) + W h(t-1) + b): U
-    /// [hidden, in] then W [hidden, hidden] Xavier-initialized from `rng`;
-    /// the bias starts at zero.
+    /// [hidden, in] then W [hidden, hidden] Xavier-initialized from `rng`
+    /// (zero when `rng` is null); the bias starts at zero.
     struct RnnCell {
-        RnnCell(int in, int hidden, Rng& rng);
+        RnnCell(int in, int hidden, Rng* rng);
         nn::Parameter u;
         nn::Parameter w;
         nn::Parameter b;
@@ -139,11 +170,13 @@ private:
         std::vector<float> hs;     // [rnn_layers, n, hidden] RNN hidden sequences
         std::vector<float> ctx;    // [n, hidden] head input
         Graph graph;               // forward()'s graph, for the SAGE backward
+        std::shared_ptr<const PackedWeights> weights;  // forward()'s pack, for backward()
         bool valid = false;
     };
 
     PolicyConfig cfg_;
     Rng rng_;
+    Rng* init_;  // &rng_, or null for a zero-weight network
 
     // Declared in weight-initialization (RNG draw) order; params() lists
     // them in save order (encoder, SAGE, RNN or projection, head).
@@ -163,7 +196,13 @@ private:
     std::atomic<std::uint64_t> weights_version_{1};
 
     [[nodiscard]] std::shared_ptr<const PackedWeights> ensure_plan() const;
-    [[nodiscard]] PackedWeights pack_weights() const;
+    /// The forward weights, plus backward()'s copy when `for_backward`,
+    /// written into `p`'s storage.
+    void pack_weights(bool for_backward, PackedWeights& p) const;
+
+    /// params() without invalidating the plan, for the members that only
+    /// read values or touch grads.
+    std::vector<nn::Parameter*> param_list();
 
     /// The one layer walk behind forward(), infer() and infer_batch(): runs
     /// every clip's nodes through `be`'s kernels on the packed `weights`,

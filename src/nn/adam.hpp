@@ -26,17 +26,28 @@ public:
 
     Adam(std::vector<Parameter*> params, Options opt);
 
-    /// One update from accumulated gradients; zeroes them afterwards.
-    void step();
+    /// One update from accumulated gradients; zeroes them afterwards. The
+    /// clip-norm sum is one serial double chain over every gradient element
+    /// in parameter order (it sets the bits of the clip scale); the
+    /// per-element update then runs by element range through `for_each`
+    /// (serial when empty), the same arithmetic on every element whichever
+    /// thread runs it.
+    void step(const ForEachIndex& for_each = {});
 
     void zero_grad();
 
     [[nodiscard]] const Options& options() const { return opt_; }
 
 private:
+    /// The update of elements [begin, end) of one parameter.
+    void update(float* __restrict g, float* __restrict w, float* __restrict m,
+                float* __restrict v, std::size_t begin, std::size_t end, float scale, float bc1,
+                float bc2) const;
+
     std::vector<Parameter*> params_;
     std::vector<Tensor> m_;
     std::vector<Tensor> v_;
+    std::vector<ElementRange> ranges_;  ///< the update's units of work
     Options opt_;
     long long t_ = 0;
 };

@@ -25,9 +25,14 @@ void OpsBackend::conv2d(const PackedConv2d& m, const float* x, int h, int w, flo
 }
 
 PackedLinear pack_linear(const Tensor& w, const Tensor* b) {
+    PackedLinear packed;
+    pack_linear(w, b, packed);
+    return packed;
+}
+
+void pack_linear(const Tensor& w, const Tensor* b, PackedLinear& packed) {
     const auto& shape = w.shape();
     if (shape.size() != 2) throw std::invalid_argument("pack_linear: weight must be rank 2");
-    PackedLinear packed;
     packed.out = shape[0];
     packed.in = shape[1];
     packed.out_padded = pad_up(packed.out);
@@ -46,15 +51,19 @@ PackedLinear pack_linear(const Tensor& w, const Tensor* b) {
         }
         if (b != nullptr) packed.b[static_cast<std::size_t>(o)] = (*b)[static_cast<std::size_t>(o)];
     }
-    return packed;
 }
 
 PackedConv2d pack_conv2d(const Tensor& w, const Tensor& b, int stride, int pad) {
+    PackedConv2d packed;
+    pack_conv2d(w, b, stride, pad, packed);
+    return packed;
+}
+
+void pack_conv2d(const Tensor& w, const Tensor& b, int stride, int pad, PackedConv2d& packed) {
     const auto& shape = w.shape();
     if (shape.size() != 4 || shape[2] != shape[3]) {
         throw std::invalid_argument("pack_conv2d: weight must be [out, in, k, k]");
     }
-    PackedConv2d packed;
     packed.out_ch = shape[0];
     packed.in_ch = shape[1];
     packed.out_ch_padded = pad_up(packed.out_ch);
@@ -83,7 +92,6 @@ PackedConv2d pack_conv2d(const Tensor& w, const Tensor& b, int stride, int pad) 
         }
         packed.b[static_cast<std::size_t>(oc)] = b[static_cast<std::size_t>(oc)];
     }
-    return packed;
 }
 
 const OpsBackend& active_backend() {

@@ -51,8 +51,12 @@ struct PackedConv2d {
 
 /// Pack a weight matrix [out, in] (+ optional bias [out]; zeros otherwise).
 PackedLinear pack_linear(const Tensor& w, const Tensor* b);
+/// The same into `out`, reusing its storage.
+void pack_linear(const Tensor& w, const Tensor* b, PackedLinear& out);
 /// Pack convolution weights [out, in, k, k] and bias [out].
 PackedConv2d pack_conv2d(const Tensor& w, const Tensor& b, int stride, int pad);
+/// The same into `out`, reusing its storage.
+void pack_conv2d(const Tensor& w, const Tensor& b, int stride, int pad, PackedConv2d& out);
 
 /// The two kernels the layer walk calls, read from a simd table on every
 /// call so CAMO_BACKEND and simd::ScopedOverride apply.

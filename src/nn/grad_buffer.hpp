@@ -3,9 +3,9 @@
 // A GradBuffer is a shadow copy of the accumulated gradients of a parameter
 // list. The data-parallel trainer gives every minibatch sample its own
 // buffer: a worker replica runs forward/backward with zeroed grads, then
-// capture() moves the per-sample gradient out of the replica, and
-// reduce_in_order() folds the buffers into the master parameters in
-// canonical sample order before the optimizer step.
+// capture() swaps the per-sample gradient's storage out of the replica (no
+// copy), and reduce_in_order() folds the buffers into the master
+// parameters in canonical sample order before the optimizer step.
 //
 // Reduction order is the whole contract. Float addition is not associative,
 // so a balanced-tree or per-worker-chunk reduction would round differently
@@ -27,6 +27,7 @@
 //     accumulation, or results would diverge between worker counts.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "nn/tensor.hpp"
@@ -37,10 +38,18 @@ class GradBuffer {
 public:
     GradBuffer() = default;
 
-    /// Move the accumulated gradients out of `params` into this buffer
-    /// (replacing any previous contents) and zero the parameters' grads,
-    /// leaving them ready for the next backward pass.
+    /// Take the accumulated gradients out of `grads` without copying them:
+    /// each tensor's storage is swapped with this buffer's, and the storage
+    /// swapped in (the previous capture's, reused, or a new tensor on the
+    /// first capture) is zeroed, leaving the grads ready for the next
+    /// backward pass. A buffer kept across minibatches therefore allocates
+    /// only once.
+    void capture(std::span<Tensor* const> grads);
+    /// The same over each parameter's grad.
     void capture(const std::vector<Parameter*>& params);
+
+    /// Zeroed storage shaped like `grads`, so the next capture() only swaps.
+    void zeros_like(std::span<Tensor* const> grads);
 
     /// Pairwise merge: this += other, elementwise. Shapes must match.
     void merge(const GradBuffer& other);
@@ -62,7 +71,13 @@ private:
 /// this computes the canonical left fold (((b0 + b1) + b2) + ...) — the same
 /// expression tree as serial single-buffer accumulation, so the result is
 /// independent of how the buffers were computed (thread count, scheduling).
-/// Empty buffers (skipped samples) are ignored.
+/// Empty buffers (skipped samples) are ignored. The work is split by element
+/// range through `for_each` (serial when empty): every element still takes
+/// its additions from buffers 0, 1, 2, ... in order, so the split never
+/// shows in the bits.
+void reduce_in_order(const std::vector<GradBuffer>& buffers, std::span<Tensor* const> grads,
+                     const ForEachIndex& for_each = {});
+/// The same over each parameter's grad, serially.
 void reduce_in_order(const std::vector<GradBuffer>& buffers,
                      const std::vector<Parameter*>& params);
 

@@ -50,4 +50,22 @@ float Tensor::abs_max() const {
     return m;
 }
 
+void for_each_index(const ForEachIndex& for_each, int n, const std::function<void(int)>& fn) {
+    if (for_each) {
+        for_each(n, fn);
+    } else {
+        for (int i = 0; i < n; ++i) fn(i);
+    }
+}
+
+std::vector<ElementRange> element_ranges(std::span<const std::size_t> sizes) {
+    constexpr std::size_t chunk = std::size_t{1} << 15;
+    std::vector<ElementRange> out;
+    for (std::size_t t = 0; t < sizes.size(); ++t) {
+        const std::size_t n = sizes[t];
+        for (std::size_t b = 0; b < n; b += chunk) out.push_back({t, b, std::min(n, b + chunk)});
+    }
+    return out;
+}
+
 }  // namespace camo::nn

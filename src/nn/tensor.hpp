@@ -5,6 +5,7 @@
 
 #include <cassert>
 #include <cstddef>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -84,5 +85,28 @@ struct Parameter {
 
     void zero_grad() { grad.fill(0.0F); }
 };
+
+/// Runs fn(i) once for every i in [0, n) and returns when all have run, in
+/// any order and on any threads (a thread pool's fan-out). Empty: serially,
+/// in the caller.
+using ForEachIndex = std::function<void(int n, const std::function<void(int)>& fn)>;
+
+/// fn(i) for every i in [0, n), through `for_each` when it is set.
+void for_each_index(const ForEachIndex& for_each, int n, const std::function<void(int)>& fn);
+
+/// Elements [begin, end) of the tensor at position `index` of a list.
+struct ElementRange {
+    std::size_t index = 0;
+    std::size_t begin = 0;
+    std::size_t end = 0;
+};
+
+/// Every element of tensors of the given sizes as ranges of at most 32768
+/// elements (128 KB of floats, a few per large weight matrix, so a pool
+/// task's overhead stays small beside its work), in list order: the units
+/// of per-element work (the gradient fold, the optimizer update) that
+/// ForEachIndex spreads over threads. Each element lies in exactly one
+/// range, so splitting never changes its arithmetic.
+std::vector<ElementRange> element_ranges(std::span<const std::size_t> sizes);
 
 }  // namespace camo::nn

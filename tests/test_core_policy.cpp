@@ -2,8 +2,10 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 
 #include "common/rng.hpp"
+#include "core/camo.hpp"
 #include "core/policy.hpp"
 
 namespace camo::core {
@@ -181,6 +183,117 @@ TEST(Policy, SaveLoadRoundtrip) {
     const nn::Tensor yb = b.forward(feats, g);
     for (std::size_t i = 0; i < ya.numel(); ++i) EXPECT_FLOAT_EQ(ya[i], yb[i]);
     std::remove(path.c_str());
+}
+
+bool same_bits(const nn::Tensor& a, const nn::Tensor& b) {
+    return a.shape() == b.shape() &&
+           std::memcmp(a.data().data(), b.data().data(), a.numel() * sizeof(float)) == 0;
+}
+
+// The stale-pack guard: `net`'s training forward, both the one that packs
+// for itself and the trainer's on a pack() taken now, is bit-identical to
+// the forward of a freshly built network (another seed) loaded with net's
+// current weights.
+void expect_forward_matches_fresh_load(PolicyNetwork& net, const std::vector<nn::Tensor>& feats,
+                                       const Graph& g, const std::string& what) {
+    const std::string path = testing::TempDir() + "camo_policy_fresh.bin";
+    net.save(path);
+    PolicyConfig cfg = net.config();
+    cfg.seed += 1000;
+    PolicyNetwork fresh(cfg);
+    ASSERT_TRUE(fresh.load(path)) << what;
+    std::remove(path.c_str());
+    const nn::Tensor want = fresh.forward(feats, g);
+    EXPECT_TRUE(same_bits(net.forward(feats, g), want)) << what << ": forward";
+    EXPECT_TRUE(same_bits(net.forward(net.pack(), feats, g), want)) << what << ": forward(pack())";
+}
+
+TEST(PolicyPack, TrainingForwardNeverSeesStaleWeights) {
+    PolicyNetwork net(tiny_config(true, true));
+    Rng rng(12);
+    const auto feats = random_features(3, 8, rng);
+    const Graph g = chain_graph(3);
+
+    // A write through a params() vector held across forwards.
+    const std::vector<nn::Parameter*> held = net.params();
+    (void)net.forward(feats, g);
+    (void)net.forward(net.pack(), feats, g);
+    for (nn::Parameter* p : held) p->value[0] += 0.25F;
+    expect_forward_matches_fresh_load(net, feats, g, "params() write");
+
+    // load() over weights the network has already run on.
+    PolicyConfig other = tiny_config(true, true);
+    other.seed = 77;
+    const std::string path = testing::TempDir() + "camo_policy_other.bin";
+    PolicyNetwork(other).save(path);
+    ASSERT_TRUE(net.load(path));
+    std::remove(path.c_str());
+    expect_forward_matches_fresh_load(net, feats, g, "load");
+}
+
+TEST(PolicyPack, OptimizerStepsReachTheNextPack) {
+    // run_phase1_epoch closes every minibatch with an optimizer step and
+    // packs the master afresh for the next one; serially and on the pool.
+    for (const int workers : {1, 2}) {
+        CamoConfig cfg;
+        cfg.policy = tiny_config(true, true);
+        cfg.squish.size = cfg.policy.squish_size;
+        cfg.train_workers = workers;
+        cfg.phase1_batch = 2;
+        CamoEngine engine(cfg);
+        Rng rng(13);
+        Phase1Dataset data;
+        data.graphs = {chain_graph(3), chain_graph(2)};
+        data.action_weight.fill(1.0F);
+        for (int k = 0; k < 5; ++k) {
+            TeacherSample s;
+            s.clip = k % 2;
+            s.features = random_features(data.graphs[static_cast<std::size_t>(s.clip)].n, 8, rng);
+            for (int i = 0; i < data.graphs[static_cast<std::size_t>(s.clip)].n; ++i) {
+                s.actions.push_back((k + i) % 5);
+            }
+            data.samples.push_back(std::move(s));
+        }
+        const auto feats = random_features(3, 8, rng);
+        const Graph g = chain_graph(3);
+        PolicyNetwork& net = engine.policy();
+        const nn::Tensor before = net.forward(net.pack(), feats, g);
+        (void)engine.run_phase1_epoch(data);
+        const nn::Tensor after = net.forward(net.pack(), feats, g);
+        EXPECT_FALSE(same_bits(before, after)) << "workers " << workers;
+        expect_forward_matches_fresh_load(net, feats, g,
+                                          "optimizer step, workers " + std::to_string(workers));
+    }
+}
+
+TEST(PolicyPack, ReplicaOnMastersPackGetsMastersGradient) {
+    // The trainer's replicas never copy the master's weights: a forward on
+    // the master's pack, then backward, must give a network with other
+    // weights exactly the master's own gradient.
+    PolicyNetwork master(tiny_config(true, true));
+    PolicyConfig other = tiny_config(true, true);
+    other.seed = 55;
+    PolicyNetwork replica(other);
+    Rng rng(14);
+    const auto feats = random_features(4, 8, rng);
+    const Graph g = chain_graph(4);
+    nn::Tensor dlogits({4, 5});
+    for (float& v : dlogits.data()) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+
+    const auto weights = master.pack();
+    const nn::Tensor lm = master.forward(weights, feats, g);
+    master.backward(dlogits);
+    const nn::Tensor lr = replica.forward(weights, feats, g);
+    replica.backward(dlogits);
+    EXPECT_TRUE(same_bits(lm, lr));
+    const std::vector<nn::Tensor*> gm = master.grads();
+    const std::vector<nn::Tensor*> gr = replica.grads();
+    ASSERT_EQ(gm.size(), gr.size());
+    for (std::size_t i = 0; i < gm.size(); ++i) EXPECT_TRUE(same_bits(*gm[i], *gr[i])) << i;
+
+    // A pack from another architecture is refused.
+    PolicyNetwork no_rnn(tiny_config(true, false));
+    EXPECT_THROW((void)no_rnn.forward(weights, feats, g), std::invalid_argument);
 }
 
 TEST(Policy, LoadRejectsDifferentArchitecture) {

@@ -283,6 +283,69 @@ TEST(SimdOps, ExactKernelsBitIdenticalToScalarFuzz) {
     }
 }
 
+// The weight-gradient kernel at the policy's own shapes, which the random
+// fuzz above (rows <= 9, k <= 70) never reaches: every register tile, the
+// masked k tail and the odd last row, byte for byte against the scalar
+// table. gemm_nn runs on the same tiles, so its fc / SAGE shapes ride along.
+TEST(SimdOps, ExactGemmTnAccBitIdenticalAtTrainingShapes) {
+    const simd::ExactOps* scalar = nullptr;
+    const simd::ExactOps* vec = nullptr;
+    {
+        const simd::ScopedOverride force(simd::Level::kScalar);
+        scalar = &simd::exact_ops();
+    }
+    {
+        const simd::ScopedOverride force(simd::detected_level());
+        vec = &simd::exact_ops();
+    }
+    Rng rng(0x7A11);
+    const auto random = [&rng](std::size_t n) {
+        std::vector<float> v(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            v[i] = i % 5 == 0 ? 0.0F : static_cast<float>(rng.uniform(-1.0, 1.0));
+        }
+        return v;
+    };
+    // c[m, k] += a(r, i) b[r, k] with a either row-major [rows, m] (the
+    // dense layers' dy) or channel-major [m, rows] (a conv's dy).
+    const auto check = [&](int rows, int m, int k, bool channel_major, bool descending) {
+        const std::vector<float> a = random(static_cast<std::size_t>(rows) * m);
+        const std::vector<float> b = random(static_cast<std::size_t>(rows) * k);
+        std::vector<float> cs = random(static_cast<std::size_t>(m) * k);
+        std::vector<float> cv = cs;
+        const int rs = channel_major ? 1 : m;
+        const int cstride = channel_major ? rows : 1;
+        scalar->gemm_tn_acc(a.data(), rs, cstride, b.data(), rows, m, k, cs.data(), descending);
+        vec->gemm_tn_acc(a.data(), rs, cstride, b.data(), rows, m, k, cv.data(), descending);
+        EXPECT_TRUE(same(cs, cv)) << "gemm_tn_acc rows " << rows << " m " << m << " k " << k
+                                  << (channel_major ? " channel-major" : " row-major")
+                                  << (descending ? " descending" : " ascending");
+    };
+    for (const int rows : {8, 12, 24}) {  // fc / SAGE weight gradients
+        for (const bool channel_major : {false, true}) {
+            for (const bool descending : {false, true}) {
+                check(rows, 256, 512, channel_major, descending);
+            }
+        }
+    }
+    check(256, 8, 54, true, false);  // conv1..conv3, one node each
+    check(64, 16, 72, true, false);
+    check(16, 32, 144, true, false);
+    for (const int m : {1, 3, 7, 13}) check(5, m, 96, false, true);  // odd m
+    for (int tail = 1; tail <= 7; ++tail) check(6, 5, 32 + tail, true, false);
+    for (int tail = 1; tail <= 7; ++tail) check(3, 4, 64 + tail, false, true);
+
+    for (const int rows : {8, 12, 24}) {  // dx = dy W at the fc / SAGE shape
+        const std::vector<float> dy = random(static_cast<std::size_t>(rows) * 256);
+        const std::vector<float> w = random(256 * 512);
+        std::vector<float> dxs(static_cast<std::size_t>(rows) * 512);
+        std::vector<float> dxv(dxs.size(), 1.0F);
+        scalar->gemm_nn(dy.data(), rows, 256, w.data(), 512, dxs.data());
+        vec->gemm_nn(dy.data(), rows, 256, w.data(), 512, dxv.data());
+        EXPECT_TRUE(same(dxs, dxv)) << "gemm_nn rows " << rows;
+    }
+}
+
 // The FMA table's register tiles (src/common/simd_avx2_tiles.hpp) interleave
 // accumulator chains but never reorder one, so every output must equal the
 // single-chain kernels kept verbatim in simd_fma_reference.cpp byte for
