@@ -410,7 +410,7 @@ void BM_TrajAppend(benchmark::State& state) {
         train_bench_clips(), sim, core::Experiment::via_options());
     std::uint64_t bytes = 0;
     for (auto _ : state) {
-        rl::TrajStoreWriter writer(path);
+        rl::TrajStoreWriter writer(path, collector.state_dims());
         core::append_teacher_data(data, writer);
         writer.flush();
         bytes = writer.byte_size();
@@ -426,7 +426,7 @@ void BM_TrajLoad(benchmark::State& state) {
     core::CamoEngine engine(train_bench_config(1));
     litho::LithoSim sim(shared_sim());
     const std::string path = "/tmp/camo_bench_traj_load.ctrj";
-    rl::TrajStoreWriter writer(path);
+    rl::TrajStoreWriter writer(path, engine.state_dims());
     core::append_teacher_data(
         engine.collect_teacher_data(train_bench_clips(), sim, core::Experiment::via_options()),
         writer);

@@ -3,11 +3,16 @@
 // test clips (V1..V13, via counts 2-6), reporting EPE (nm), PV band (nm^2)
 // and runtime (s) with Sum and Ratio rows.
 //
-// Expected shape at the default quick scale (measured; the paper's ordering
-// is not reproduced, see ROADMAP item N1): the rule engine has the lowest
-// sum |EPE| (28 nm), then the one-shot engine (41), RL-OPC (169) and CAMO
-// (269, about 10x the rule engine); CAMO has the lowest PV band, about 5%
-// below the others. The paper reports CAMO with the lowest EPE and PVB.
+// Measured at the default quick scale (weights trained from scratch), sum
+// |EPE| nm / sum PVB nm^2:
+//
+//   DAMO-proxy 41 / 28112   Calibre-proxy 28 / 28224
+//   RL-OPC    169 / 28224   CAMO         269 / 26752
+//
+// The paper's ordering is not reproduced: the rule engine has the lowest
+// EPE and CAMO about 10x it; CAMO has the lowest PV band, about 5% below
+// the others. The paper reports CAMO with the lowest EPE and PVB. README
+// "Reproducing the paper" lists the measured causes (ROADMAP item N1).
 #include <cstdio>
 
 #include "common/logging.hpp"

@@ -2,12 +2,16 @@
 // RL-OPC and CAMO on M1..M10 (measure-point counts matching the paper),
 // reporting Point #, EPE (nm), PV band (nm^2) and runtime (s).
 //
-// Expected shape at the default quick scale (measured; the paper's ordering
-// is not reproduced, see ROADMAP item N1): the rule engine has the lowest
-// sum |EPE| (315 nm), CAMO about 7x it (2328) and RL-OPC, which does not
-// converge on the metal layer, about 39x (12192); RL-OPC has the lowest PV
-// band and CAMO the highest. The paper reports CAMO beating the rule engine
-// on EPE.
+// Measured at the default quick scale (weights trained from scratch), sum
+// |EPE| nm / sum PVB nm^2:
+//
+//   Calibre-proxy 315 / 131552   RL-OPC 12192 / 120144   CAMO 2329 / 160016
+//
+// The paper's ordering is not reproduced: the rule engine has the lowest
+// EPE, CAMO about 7x it and RL-OPC, which does not converge on the metal
+// layer, about 39x; RL-OPC has the lowest PV band and CAMO the highest.
+// The paper reports CAMO beating the rule engine on EPE. README
+// "Reproducing the paper" lists the measured causes (ROADMAP item N1).
 #include <cstdio>
 
 #include "common/logging.hpp"

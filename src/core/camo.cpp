@@ -538,22 +538,20 @@ Phase1Dataset CamoEngine::collect_teacher_data(const std::vector<geo::SegmentedL
     return data;
 }
 
+std::array<std::uint32_t, 3> CamoEngine::state_dims() const {
+    const auto size = static_cast<std::uint32_t>(cfg_.squish.size);
+    return {static_cast<std::uint32_t>(kSquishChannels), size, size};
+}
+
 Phase1Dataset CamoEngine::load_teacher_data(const rl::TrajStoreReader& store,
                                             const std::vector<geo::SegmentedLayout>& clips) const {
-    if (store.feature_numel() == 0) {
-        throw std::invalid_argument(
-            "load_teacher_data: store has no squish features (featureless collection) — "
-            "phase-1 training needs per-step state encodings");
-    }
     const auto dims = store.feature_dims();
-    const auto size = static_cast<std::uint32_t>(cfg_.squish.size);
-    if (dims[0] != static_cast<std::uint32_t>(kSquishChannels) || dims[1] != size ||
-        dims[2] != size) {
+    if (dims != state_dims()) {
         std::string msg = "load_teacher_data: store feature shape ";
         msg += std::to_string(dims[0]) + "x" + std::to_string(dims[1]) + "x" +
                std::to_string(dims[2]) + " is not the configured squish shape " +
-               std::to_string(kSquishChannels) + "x" + std::to_string(size) + "x" +
-               std::to_string(size);
+               std::to_string(kSquishChannels) + "x" + std::to_string(cfg_.squish.size) + "x" +
+               std::to_string(cfg_.squish.size);
         throw std::invalid_argument(msg);
     }
     // Every stored state must land on a clip we were handed, with a matching

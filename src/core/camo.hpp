@@ -17,6 +17,7 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
@@ -196,15 +197,19 @@ public:
     Phase1Dataset collect_teacher_data(const std::vector<geo::SegmentedLayout>& clips,
                                        litho::LithoSim& sim, const opc::OpcOptions& opt);
 
+    /// Shape of one segment's squish state tensor, {kSquishChannels, S, S}
+    /// for this engine's squish size S: the feature dims a trajectory store
+    /// of this engine's teacher data is written with.
+    [[nodiscard]] std::array<std::uint32_t, 3> state_dims() const;
+
     /// Decode a packed trajectory store into a dataset, once: samples in
     /// store step order (the order collect_teacher_data gathered them),
     /// trajectories via TrajStoreReader::decode, and graphs and action
     /// weights derived as collection derives them, so training on the
     /// result is byte-identical to training on the collected dataset. The
-    /// store is checked against `clips` first: it must hold squish features
-    /// of shape {kSquishChannels, S, S} for this engine's squish size S, and
-    /// every state must reference a clip in range with that clip's segment
-    /// count. Throws std::invalid_argument on any mismatch — a store is
+    /// store is checked against `clips` first: its features must have this
+    /// engine's state_dims(), and every state must reference a clip in
+    /// range with that clip's segment count. Throws std::invalid_argument on any mismatch — a store is
     /// never silently trained against the wrong clip set. Every sample is
     /// held in RAM, as in the process that collected it.
     [[nodiscard]] Phase1Dataset load_teacher_data(

@@ -54,42 +54,18 @@ rl::Trajectory RuleEngine::record_trajectory(const geo::SegmentedLayout& layout,
                                              int steps) const {
     rl::Trajectory traj;
     Rollout rollout(layout, sim, opt);
-
-    const auto corner_epes = [](const litho::WindowMetrics& wm) {
-        std::vector<double> epes;
-        epes.reserve(wm.corners.size());
-        for (const litho::CornerResult& c : wm.corners) epes.push_back(c.metrics.sum_abs_epe);
-        return epes;
-    };
-
+    std::vector<int> moves;
     for (int t = 0; t < steps; ++t) {
-        const litho::SimMetrics& m = rollout.metrics();
-        const std::optional<litho::WindowMetrics>& window = rollout.window();
+        // Step into state t only when it is recorded: the state after the
+        // last move would label nothing, so it is never evaluated.
+        if (t > 0) rollout.step(moves);
         // Teacher moves clamped to the learned engines' action space.
-        const auto moves = feedback_moves(m.epe_segment, opt_.gain, 2);
+        moves = feedback_moves(rollout.metrics().epe_segment, opt_.gain, 2);
 
-        rl::StepRecord rec;
+        rl::StepRecord& rec = traj.steps.emplace_back();
         rec.offsets_before.assign(rollout.offsets().begin(), rollout.offsets().end());
-        rec.sum_abs_epe_before = m.sum_abs_epe;
-        rec.pvband_before = m.pvband_nm2;
-        if (window) {
-            rec.worst_epe_before = window->worst_epe;
-            rec.pv_band_exact_before = window->pv_band_exact_nm2;
-            rec.corner_epe_before = corner_epes(*window);
-        }
         rec.actions.reserve(moves.size());
         for (int mv : moves) rec.actions.push_back(rl::move_to_action(mv));
-        traj.steps.push_back(std::move(rec));
-
-        rollout.step(moves);
-    }
-    const litho::SimMetrics& m = rollout.metrics();
-    traj.final_sum_abs_epe = m.sum_abs_epe;
-    traj.final_pvband = m.pvband_nm2;
-    if (const std::optional<litho::WindowMetrics>& window = rollout.window()) {
-        traj.final_worst_epe = window->worst_epe;
-        traj.final_pv_band_exact = window->pv_band_exact_nm2;
-        traj.final_corner_epe = corner_epes(*window);
     }
     return traj;
 }

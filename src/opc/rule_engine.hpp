@@ -28,8 +28,10 @@ public:
     EngineResult optimize(const geo::SegmentedLayout& layout, litho::LithoSim& sim,
                           const OpcOptions& opt) override;
 
-    /// Run `steps` teacher iterations with the step clamp forced to 2 nm and
-    /// record the (offsets, action) pair of every step.
+    /// Record `steps` teacher iterations with the step clamp forced to 2 nm:
+    /// the (offsets, action) pair of every step. Costs max(steps, 1) litho
+    /// evaluations, the rollout's priming one included: the last move is
+    /// recorded but not applied.
     rl::Trajectory record_trajectory(const geo::SegmentedLayout& layout, litho::LithoSim& sim,
                                      const OpcOptions& opt, int steps) const;
 

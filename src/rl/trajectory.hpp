@@ -7,32 +7,15 @@
 namespace camo::rl {
 
 /// One environment step: the segment offsets *before* acting and the action
-/// index (0..4 for movements -2..+2 nm) chosen per segment.
+/// index (0..4 for movements -2..+2 nm) chosen per segment — the (state,
+/// action) pair phase-1 imitation learns from.
 struct StepRecord {
     std::vector<int> offsets_before;
     std::vector<int> actions;
-    double sum_abs_epe_before = 0.0;
-    double pvband_before = 0.0;
-
-    // Window-aware objectives (zero / empty when the trajectory was recorded
-    // at the nominal corner only): worst-corner sum |EPE|, exact PV band,
-    // and the per-corner sum |EPE| in WindowSpec::corner order before the
-    // step — the quantities window_step_reward and weighted-corner credit
-    // assignment consume.
-    double worst_epe_before = 0.0;
-    double pv_band_exact_before = 0.0;
-    std::vector<double> corner_epe_before;
 };
 
 struct Trajectory {
     std::vector<StepRecord> steps;
-    double final_sum_abs_epe = 0.0;
-    double final_pvband = 0.0;
-
-    // Window-aware finals, mirroring StepRecord's window fields.
-    double final_worst_epe = 0.0;
-    double final_pv_band_exact = 0.0;
-    std::vector<double> final_corner_epe;
 
     // Collection provenance, set by the parallel teacher-collection runtime:
     // which clip this trajectory was recorded on and the initial mask bias

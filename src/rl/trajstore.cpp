@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <cstddef>
 #include <cstring>
 #include <utility>
 
@@ -41,8 +42,13 @@ std::uint64_t state_key_hash(std::int32_t clip_index, std::span<const std::int32
 
 // ---- Writer ----------------------------------------------------------------
 
-TrajStoreWriter::TrajStoreWriter(std::string path, std::uint64_t dataset_tag)
-    : path_(std::move(path)), dataset_tag_(dataset_tag) {}
+TrajStoreWriter::TrajStoreWriter(std::string path, std::array<std::uint32_t, 3> feature_dims,
+                                 std::uint64_t dataset_tag)
+    : path_(std::move(path)), dataset_tag_(dataset_tag), feature_dims_(feature_dims) {
+    if (feature_dims_[0] == 0 || feature_dims_[1] == 0 || feature_dims_[2] == 0) {
+        throw std::invalid_argument("TrajStoreWriter: feature dims must be non-zero");
+    }
+}
 
 std::uint64_t TrajStoreWriter::intern_state(std::int32_t clip_index, std::span<const int> offsets,
                                             std::span<const nn::Tensor> features) {
@@ -71,47 +77,11 @@ std::uint64_t TrajStoreWriter::intern_state(std::int32_t clip_index, std::span<c
     s.clip_index = clip_index;
     s.num_segments = static_cast<std::int32_t>(off32.size());
     s.offsets_pos = i32_heap_.size();
+    s.features_pos = f32_heap_.size();
     s.key_hash = key;
     i32_heap_.insert(i32_heap_.end(), off32.begin(), off32.end());
-
-    if (!features.empty()) {
-        if (features.size() != off32.size()) {
-            throw std::invalid_argument("TrajStoreWriter: one feature tensor per segment required");
-        }
-        const auto& shape = features.front().shape();
-        std::uint32_t dims[3] = {0, 0, 0};
-        if (shape.size() != 3) {
-            throw std::invalid_argument("TrajStoreWriter: feature tensors must be rank 3");
-        }
-        for (int d = 0; d < 3; ++d) {
-            dims[d] = static_cast<std::uint32_t>(shape[static_cast<std::size_t>(d)]);
-        }
-        // The first featureful state fixes the store-wide tensor shape; a
-        // featureful append into a store that already interned featureless
-        // states would leave those states without data, so reject it.
-        if (feature_dims_[0] == 0 && feature_dims_[1] == 0 && feature_dims_[2] == 0) {
-            if (!states_.empty()) {
-                throw std::invalid_argument(
-                    "TrajStoreWriter: featureful append into a featureless store");
-            }
-            feature_dims_[0] = dims[0];
-            feature_dims_[1] = dims[1];
-            feature_dims_[2] = dims[2];
-        }
-        if (dims[0] != feature_dims_[0] || dims[1] != feature_dims_[1] ||
-            dims[2] != feature_dims_[2]) {
-            throw std::invalid_argument("TrajStoreWriter: inconsistent feature tensor shape");
-        }
-        s.features_pos = f32_heap_.size();
-        for (const nn::Tensor& t : features) {
-            if (t.shape() != shape) {
-                throw std::invalid_argument("TrajStoreWriter: inconsistent feature tensor shape");
-            }
-            f32_heap_.insert(f32_heap_.end(), t.data().begin(), t.data().end());
-        }
-    } else if (feature_dims_[0] != 0 && !off32.empty()) {
-        throw std::invalid_argument(
-            "TrajStoreWriter: featureless append into a store holding features");
+    for (const nn::Tensor& t : features) {
+        f32_heap_.insert(f32_heap_.end(), t.data().begin(), t.data().end());
     }
 
     const std::uint64_t id = states_.size();
@@ -122,14 +92,13 @@ std::uint64_t TrajStoreWriter::intern_state(std::int32_t clip_index, std::span<c
 
 void TrajStoreWriter::append(const Trajectory& traj,
                              std::span<const std::span<const nn::Tensor>> step_features) {
-    // Validate the WHOLE trajectory before mutating any table or heap: a
-    // throwing append must leave the writer exactly as it was, so the caller
-    // can drop the bad record and keep collecting.
-    const bool featureful = !step_features.empty();
-    if (featureful && step_features.size() != traj.steps.size()) {
-        throw std::invalid_argument("TrajStoreWriter: step_features/steps size mismatch");
+    // Every check runs here, before any table or heap changes: a throwing
+    // append leaves the writer exactly as it was, so the caller can drop
+    // the bad record and keep collecting.
+    if (step_features.size() != traj.steps.size()) {
+        throw std::invalid_argument("TrajStoreWriter: one feature span per step required");
     }
-    std::uint32_t want_dims[3] = {feature_dims_[0], feature_dims_[1], feature_dims_[2]};
+    const std::vector<int> shape(feature_dims_.begin(), feature_dims_.end());
     for (std::size_t i = 0; i < traj.steps.size(); ++i) {
         const StepRecord& rec = traj.steps[i];
         if (rec.actions.size() != rec.offsets_before.size()) {
@@ -140,38 +109,14 @@ void TrajStoreWriter::append(const Trajectory& traj,
                 throw std::invalid_argument("TrajStoreWriter: action index out of range");
             }
         }
-        if (featureful) {
-            const std::span<const nn::Tensor> feats = step_features[i];
-            if (feats.size() != rec.offsets_before.size()) {
+        if (step_features[i].size() != rec.offsets_before.size()) {
+            throw std::invalid_argument("TrajStoreWriter: one feature tensor per segment required");
+        }
+        for (const nn::Tensor& f : step_features[i]) {
+            if (f.shape() != shape) {
                 throw std::invalid_argument(
-                    "TrajStoreWriter: one feature tensor per segment required");
+                    "TrajStoreWriter: feature tensor shape is not the store's");
             }
-            if (!feats.empty() && want_dims[0] == 0 && want_dims[1] == 0 && want_dims[2] == 0 &&
-                !states_.empty()) {
-                throw std::invalid_argument(
-                    "TrajStoreWriter: featureful append into a featureless store");
-            }
-            for (const nn::Tensor& f : feats) {
-                const auto& shape = f.shape();
-                if (shape.size() != 3) {
-                    throw std::invalid_argument("TrajStoreWriter: feature tensors must be rank 3");
-                }
-                if (want_dims[0] == 0 && want_dims[1] == 0 && want_dims[2] == 0) {
-                    for (int d = 0; d < 3; ++d) {
-                        want_dims[d] =
-                            static_cast<std::uint32_t>(shape[static_cast<std::size_t>(d)]);
-                    }
-                }
-                if (static_cast<std::uint32_t>(shape[0]) != want_dims[0] ||
-                    static_cast<std::uint32_t>(shape[1]) != want_dims[1] ||
-                    static_cast<std::uint32_t>(shape[2]) != want_dims[2]) {
-                    throw std::invalid_argument(
-                        "TrajStoreWriter: inconsistent feature tensor shape");
-                }
-            }
-        } else if (feature_dims_[0] != 0 && !rec.offsets_before.empty()) {
-            throw std::invalid_argument(
-                "TrajStoreWriter: featureless append into a store holding features");
         }
     }
 
@@ -179,39 +124,13 @@ void TrajStoreWriter::append(const Trajectory& traj,
     t.clip_index = traj.clip_index;
     t.initial_bias_nm = traj.initial_bias_nm;
     t.step_begin = steps_.size();
-    t.step_count = static_cast<std::uint32_t>(traj.steps.size());
-    t.final_sum_abs_epe = traj.final_sum_abs_epe;
-    t.final_pvband = traj.final_pvband;
-    t.final_worst_epe = traj.final_worst_epe;
-    t.final_pv_band_exact = traj.final_pv_band_exact;
-    t.final_corner_pos = f64_heap_.size();
-    t.final_corner_count = static_cast<std::uint32_t>(traj.final_corner_epe.size());
-    f64_heap_.insert(f64_heap_.end(), traj.final_corner_epe.begin(), traj.final_corner_epe.end());
-
+    t.step_count = traj.steps.size();
     for (std::size_t i = 0; i < traj.steps.size(); ++i) {
         const StepRecord& rec = traj.steps[i];
-        if (rec.actions.size() != rec.offsets_before.size()) {
-            throw std::invalid_argument("TrajStoreWriter: offsets/actions length mismatch");
-        }
         PackedStep s;
-        s.state_id = intern_state(traj.clip_index, rec.offsets_before,
-                                  step_features.empty() ? std::span<const nn::Tensor>{}
-                                                        : step_features[i]);
+        s.state_id = intern_state(traj.clip_index, rec.offsets_before, step_features[i]);
         s.actions_pos = u8_heap_.size();
-        for (const int a : rec.actions) {
-            if (a < 0 || a >= kNumActions) {
-                throw std::invalid_argument("TrajStoreWriter: action index out of range");
-            }
-            u8_heap_.push_back(static_cast<std::uint8_t>(a));
-        }
-        s.sum_abs_epe_before = rec.sum_abs_epe_before;
-        s.pvband_before = rec.pvband_before;
-        s.worst_epe_before = rec.worst_epe_before;
-        s.pv_band_exact_before = rec.pv_band_exact_before;
-        s.corner_pos = f64_heap_.size();
-        s.corner_count = static_cast<std::uint32_t>(rec.corner_epe_before.size());
-        f64_heap_.insert(f64_heap_.end(), rec.corner_epe_before.begin(),
-                         rec.corner_epe_before.end());
+        for (const int a : rec.actions) u8_heap_.push_back(static_cast<std::uint8_t>(a));
         steps_.push_back(s);
     }
     trajs_.push_back(t);
@@ -220,7 +139,7 @@ void TrajStoreWriter::append(const Trajectory& traj,
 std::uint64_t TrajStoreWriter::byte_size() const {
     return sizeof(StoreHeader) + trajs_.size() * sizeof(PackedTraj) +
            steps_.size() * sizeof(PackedStep) + states_.size() * sizeof(PackedState) +
-           f64_heap_.size() * sizeof(double) + f32_heap_.size() * sizeof(float) +
+           f32_heap_.size() * sizeof(float) +
            i32_heap_.size() * sizeof(std::int32_t) + u8_heap_.size() + sizeof(StoreFooter);
 }
 
@@ -231,7 +150,6 @@ void TrajStoreWriter::flush() {
     h.traj_count = trajs_.size();
     h.step_count = steps_.size();
     h.state_count = states_.size();
-    h.f64_count = f64_heap_.size();
     h.f32_count = f32_heap_.size();
     h.i32_count = i32_heap_.size();
     h.u8_count = u8_heap_.size();
@@ -246,7 +164,6 @@ void TrajStoreWriter::flush() {
     append_raw(buf, trajs_.data(), trajs_.size());
     append_raw(buf, steps_.data(), steps_.size());
     append_raw(buf, states_.data(), states_.size());
-    append_raw(buf, f64_heap_.data(), f64_heap_.size());
     append_raw(buf, f32_heap_.data(), f32_heap_.size());
     append_raw(buf, i32_heap_.data(), i32_heap_.size());
     append_raw(buf, u8_heap_.data(), u8_heap_.size());
@@ -295,15 +212,14 @@ TrajStoreReader::TrajStoreReader(const std::string& path) {
         // already invalid — that also makes the multiply-free overflow guard.
         const StoreHeader& h = *header_;
         const std::uint64_t counts[] = {h.traj_count, h.step_count, h.state_count,
-                                        h.f64_count,  h.f32_count,  h.i32_count,
-                                        h.u8_count};
+                                        h.f32_count,  h.i32_count,  h.u8_count};
         for (const std::uint64_t c : counts) {
             if (c > size_) throw TrajStoreError("section count exceeds file size", 0);
         }
         const std::uint64_t expected =
             sizeof(StoreHeader) + h.traj_count * sizeof(PackedTraj) +
             h.step_count * sizeof(PackedStep) + h.state_count * sizeof(PackedState) +
-            h.f64_count * sizeof(double) + h.f32_count * sizeof(float) +
+            h.f32_count * sizeof(float) +
             h.i32_count * sizeof(std::int32_t) + h.u8_count + sizeof(StoreFooter);
         if (size_ < expected) {
             throw TrajStoreError("torn tail: file is " + std::to_string(size_) +
@@ -323,8 +239,6 @@ TrajStoreReader::TrajStoreReader(const std::string& path) {
         off += h.step_count * sizeof(PackedStep);
         states_ = reinterpret_cast<const PackedState*>(base + off);
         off += h.state_count * sizeof(PackedState);
-        f64_heap_ = reinterpret_cast<const double*>(base + off);
-        off += h.f64_count * sizeof(double);
         f32_heap_ = reinterpret_cast<const float*>(base + off);
         off += h.f32_count * sizeof(float);
         i32_heap_ = reinterpret_cast<const std::int32_t*>(base + off);
@@ -351,6 +265,10 @@ TrajStoreReader::TrajStoreReader(const std::string& path) {
 
 void TrajStoreReader::validate() const {
     const StoreHeader& h = *header_;
+    if (h.feature_dims[0] == 0 || h.feature_dims[1] == 0 || h.feature_dims[2] == 0) {
+        throw TrajStoreError("featureless store: zero feature dim",
+                             offsetof(StoreHeader, feature_dims));
+    }
     const std::uint64_t numel = feature_numel();
     const char* base = static_cast<const char*>(map_);
 
@@ -363,10 +281,8 @@ void TrajStoreReader::validate() const {
         if (s.offsets_pos > h.i32_count || n > h.i32_count - s.offsets_pos) {
             throw TrajStoreError("ragged state: offsets out of heap bounds", off);
         }
-        if (numel > 0) {
-            if (s.features_pos > h.f32_count || n * numel > h.f32_count - s.features_pos) {
-                throw TrajStoreError("ragged state: features out of heap bounds", off);
-            }
+        if (s.features_pos > h.f32_count || n * numel > h.f32_count - s.features_pos) {
+            throw TrajStoreError("ragged state: features out of heap bounds", off);
         }
         const std::uint64_t key = state_key_hash(
             s.clip_index, {i32_heap_ + s.offsets_pos, static_cast<std::size_t>(s.num_segments)});
@@ -392,9 +308,6 @@ void TrajStoreReader::validate() const {
                 throw TrajStoreError("ragged step: action index out of range", off);
             }
         }
-        if (s.corner_pos > h.f64_count || s.corner_count > h.f64_count - s.corner_pos) {
-            throw TrajStoreError("ragged step: corner range out of heap bounds", off);
-        }
     }
 
     std::uint64_t next_step = 0;
@@ -408,9 +321,13 @@ void TrajStoreReader::validate() const {
             throw TrajStoreError("ragged trajectory: step range is not contiguous", off);
         }
         next_step = t.step_begin + t.step_count;
-        if (t.final_corner_pos > h.f64_count ||
-            t.final_corner_count > h.f64_count - t.final_corner_pos) {
-            throw TrajStoreError("ragged trajectory: final corner range out of heap bounds", off);
+        // A trajectory is recorded on one clip, and its samples take their
+        // clip from the states: the two must agree.
+        for (std::uint64_t k = t.step_begin; k < next_step; ++k) {
+            if (states_[steps_[k].state_id].clip_index != t.clip_index) {
+                throw TrajStoreError("clip mismatch: a step's state belongs to another clip",
+                                     off);
+            }
         }
     }
     if (next_step != h.step_count) {
@@ -432,7 +349,6 @@ TrajStoreReader& TrajStoreReader::operator=(TrajStoreReader&& other) noexcept {
         trajs_ = other.trajs_;
         steps_ = other.steps_;
         states_ = other.states_;
-        f64_heap_ = other.f64_heap_;
         f32_heap_ = other.f32_heap_;
         i32_heap_ = other.i32_heap_;
         u8_heap_ = other.u8_heap_;
@@ -460,8 +376,7 @@ TrajStoreReader::StateView TrajStoreReader::state(std::uint64_t id) const {
     StateView v;
     v.clip_index = s.clip_index;
     v.offsets = {i32_heap_ + s.offsets_pos, n};
-    const std::uint64_t numel = feature_numel();
-    if (numel > 0) v.features = {f32_heap_ + s.features_pos, n * numel};
+    v.features = {f32_heap_ + s.features_pos, n * feature_numel()};
     return v;
 }
 
@@ -471,11 +386,6 @@ TrajStoreReader::StepView TrajStoreReader::step(std::uint64_t i) const {
     StepView v;
     v.state_id = s.state_id;
     v.actions = {u8_heap_ + s.actions_pos, n};
-    v.sum_abs_epe_before = s.sum_abs_epe_before;
-    v.pvband_before = s.pvband_before;
-    v.worst_epe_before = s.worst_epe_before;
-    v.pv_band_exact_before = s.pv_band_exact_before;
-    v.corner_epe_before = {f64_heap_ + s.corner_pos, s.corner_count};
     return v;
 }
 
@@ -486,11 +396,6 @@ TrajStoreReader::TrajView TrajStoreReader::traj(std::uint64_t i) const {
     v.initial_bias_nm = t.initial_bias_nm;
     v.step_begin = t.step_begin;
     v.steps = t.step_count;
-    v.final_sum_abs_epe = t.final_sum_abs_epe;
-    v.final_pvband = t.final_pvband;
-    v.final_worst_epe = t.final_worst_epe;
-    v.final_pv_band_exact = t.final_pv_band_exact;
-    v.final_corner_epe = {f64_heap_ + t.final_corner_pos, t.final_corner_count};
     return v;
 }
 
@@ -499,24 +404,13 @@ Trajectory TrajStoreReader::decode(std::uint64_t i) const {
     Trajectory out;
     out.clip_index = t.clip_index;
     out.initial_bias_nm = t.initial_bias_nm;
-    out.final_sum_abs_epe = t.final_sum_abs_epe;
-    out.final_pvband = t.final_pvband;
-    out.final_worst_epe = t.final_worst_epe;
-    out.final_pv_band_exact = t.final_pv_band_exact;
-    out.final_corner_epe.assign(t.final_corner_epe.begin(), t.final_corner_epe.end());
     out.steps.reserve(t.steps);
     for (std::uint64_t k = 0; k < t.steps; ++k) {
         const StepView s = step(t.step_begin + k);
         const StateView st = state(s.state_id);
         StepRecord rec;
         rec.offsets_before.assign(st.offsets.begin(), st.offsets.end());
-        rec.actions.reserve(s.actions.size());
-        for (const std::uint8_t a : s.actions) rec.actions.push_back(a);
-        rec.sum_abs_epe_before = s.sum_abs_epe_before;
-        rec.pvband_before = s.pvband_before;
-        rec.worst_epe_before = s.worst_epe_before;
-        rec.pv_band_exact_before = s.pv_band_exact_before;
-        rec.corner_epe_before.assign(s.corner_epe_before.begin(), s.corner_epe_before.end());
+        rec.actions.assign(s.actions.begin(), s.actions.end());
         out.steps.push_back(std::move(rec));
     }
     return out;

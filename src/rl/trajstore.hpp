@@ -10,20 +10,26 @@
 // itself is zero-copy over a memory mapping; the load holds every sample in
 // RAM, as the collecting process does before it writes the store.
 //
-// File layout (version 1, all little-endian, every struct #pragma pack(1)):
+// File layout (version 2, all little-endian, every struct #pragma pack(1)):
 //
-//   StoreHeader                         magic 'CTRJ', version, section counts
-//   PackedTraj  [traj_count]            fixed-width trajectory records
-//   PackedStep  [step_count]            fixed-width step records
+//   StoreHeader                         magic 'CTRJ', version, section counts,
+//                                       feature shape, dataset tag
+//   PackedTraj  [traj_count]            clip, initial bias, step range
+//   PackedStep  [step_count]            state id, action range
 //   PackedState [state_count]           deduped (clip, offsets) state table
-//   f64 heap    [f64_count]             per-corner |EPE| vectors
 //   f32 heap    [f32_count]             squish feature tensors
 //   i32 heap    [i32_count]             segment-offset vectors
 //   u8  heap    [u8_count]              action bytes (one per segment)
 //   StoreFooter                         end marker + FNV-1a payload hash
 //
-// Section order keeps every heap naturally aligned in the mapping (doubles
-// on 8, floats/ints on 4), so readers hand out spans over the raw bytes.
+// A store holds exactly what phase 1 trains on: each step's state (offsets
+// and squish features) and the teacher's actions. Every store has features
+// of one {6, S, S} shape, fixed when the writer is constructed. A version-1
+// store (it also held metric columns nothing read) is rejected as an
+// unsupported version.
+//
+// Section order keeps every heap naturally aligned in the mapping (floats
+// and ints on 4), so readers hand out spans over the raw bytes.
 //
 // Dedupe: steps reference states through a (clip_index, offsets)-keyed
 // table — the rule teacher revisits converged states constantly (with
@@ -38,9 +44,11 @@
 // footer end marker and the payload hash, then bounds-checks every record's
 // heap references and re-derives every state's dedupe key — truncated,
 // torn, concatenated or bit-flipped files fail with a typed TrajStoreError
-// (reason + byte offset), never a misread.
+// (reason + byte offset), never a misread. So are a header with a zero
+// feature dim and a trajectory whose steps reference another clip's states.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
@@ -75,12 +83,11 @@ struct StoreHeader {
     std::uint64_t traj_count = 0;
     std::uint64_t step_count = 0;
     std::uint64_t state_count = 0;
-    std::uint64_t f64_count = 0;  ///< corner-|EPE| heap entries
     std::uint64_t f32_count = 0;  ///< feature heap floats
     std::uint64_t i32_count = 0;  ///< offset heap entries
     std::uint64_t u8_count = 0;   ///< action heap bytes
     /// Squish feature tensor shape shared by every state ({6, size, size});
-    /// all-zero in a featureless store (raw trajectories only, no training).
+    /// no dim is zero.
     std::uint32_t feature_dims[3] = {0, 0, 0};
     /// Caller-chosen provenance hash of the clip set the store was collected
     /// on (generator style, seed, clip count, ...). Trainers check it so a
@@ -88,10 +95,10 @@ struct StoreHeader {
     std::uint64_t dataset_tag = 0;
     std::uint32_t reserved = 0;
 };
-static_assert(sizeof(StoreHeader) == 88);
+static_assert(sizeof(StoreHeader) == 80);
 
-/// One deduped mask state: the segment offsets and (optionally) the
-/// squish-encoded per-segment feature tensors observed at those offsets.
+/// One deduped mask state: the segment offsets and the squish-encoded
+/// per-segment feature tensors observed at those offsets.
 struct PackedState {
     std::int32_t clip_index = 0;
     std::int32_t num_segments = 0;
@@ -104,31 +111,16 @@ static_assert(sizeof(PackedState) == 32);
 struct PackedStep {
     std::uint64_t state_id = 0;    ///< index into the state table
     std::uint64_t actions_pos = 0; ///< u8 heap index, length = state.num_segments
-    double sum_abs_epe_before = 0.0;
-    double pvband_before = 0.0;
-    double worst_epe_before = 0.0;
-    double pv_band_exact_before = 0.0;
-    std::uint64_t corner_pos = 0;  ///< f64 heap index
-    std::uint32_t corner_count = 0;
-    std::uint32_t reserved = 0;
 };
-static_assert(sizeof(PackedStep) == 64);
+static_assert(sizeof(PackedStep) == 16);
 
 struct PackedTraj {
-    std::int32_t clip_index = 0;
+    std::int32_t clip_index = 0;   ///< every step's state belongs to this clip
     std::int32_t initial_bias_nm = 0;
     std::uint64_t step_begin = 0;  ///< index into the step table (contiguous)
-    std::uint32_t step_count = 0;
-    std::uint32_t reserved = 0;
-    double final_sum_abs_epe = 0.0;
-    double final_pvband = 0.0;
-    double final_worst_epe = 0.0;
-    double final_pv_band_exact = 0.0;
-    std::uint64_t final_corner_pos = 0;  ///< f64 heap index
-    std::uint32_t final_corner_count = 0;
-    std::uint32_t reserved2 = 0;
+    std::uint64_t step_count = 0;
 };
-static_assert(sizeof(PackedTraj) == 72);
+static_assert(sizeof(PackedTraj) == 24);
 
 struct StoreFooter {
     std::uint32_t magic = 0;  ///< kStoreEndMagic — torn-tail sentinel
@@ -141,7 +133,7 @@ static_assert(sizeof(StoreFooter) == 16);
 
 inline constexpr std::uint32_t kStoreMagic = 0x4A525443U;     // "CTRJ"
 inline constexpr std::uint32_t kStoreEndMagic = 0x43545246U;  // "FRTC"
-inline constexpr std::uint32_t kStoreVersion = 1;
+inline constexpr std::uint32_t kStoreVersion = 2;
 
 /// FNV-1a 64 over a byte range; the footer seals the whole payload with it.
 /// Exposed so tests can re-seal deliberately corrupted stores and exercise
@@ -162,15 +154,20 @@ inline constexpr std::uint32_t kStoreVersion = 1;
 /// rename. States are deduped on (clip_index, offsets) as they arrive.
 class TrajStoreWriter {
 public:
-    explicit TrajStoreWriter(std::string path, std::uint64_t dataset_tag = 0);
+    /// `feature_dims` is the shape of every per-segment feature tensor
+    /// ({6, S, S} for squish size S; CamoEngine::state_dims). Throws
+    /// std::invalid_argument if any dim is zero.
+    TrajStoreWriter(std::string path, std::array<std::uint32_t, 3> feature_dims,
+                    std::uint64_t dataset_tag = 0);
 
     /// Append one trajectory. `step_features[t]` holds the per-segment
-    /// squish tensors of steps[t] (same tensor shape everywhere); pass an
-    /// empty span for a featureless store (raw records only, no training).
-    /// Throws std::invalid_argument on malformed input (step/feature count
-    /// mismatch, offsets/actions length mismatch, inconsistent shapes).
+    /// squish tensors of steps[t], one per segment, each of the store's
+    /// feature shape. Throws std::invalid_argument on malformed input
+    /// (step/feature count mismatch, offsets/actions length mismatch, an
+    /// action out of range, a wrong shape) and then leaves the writer as
+    /// it was.
     void append(const Trajectory& traj,
-                std::span<const std::span<const nn::Tensor>> step_features = {});
+                std::span<const std::span<const nn::Tensor>> step_features);
 
     /// Atomically publish all records appended so far (write tmp + rename)
     /// and add the file's size to the `trajstore.bytes_written` counter.
@@ -192,11 +189,10 @@ private:
 
     std::string path_;
     std::uint64_t dataset_tag_ = 0;
-    std::uint32_t feature_dims_[3] = {0, 0, 0};
+    std::array<std::uint32_t, 3> feature_dims_;
     std::vector<PackedTraj> trajs_;
     std::vector<PackedStep> steps_;
     std::vector<PackedState> states_;
-    std::vector<double> f64_heap_;
     std::vector<float> f32_heap_;
     std::vector<std::int32_t> i32_heap_;
     std::vector<std::uint8_t> u8_heap_;
@@ -223,7 +219,7 @@ public:
     [[nodiscard]] std::uint64_t step_count() const { return header_->step_count; }
     [[nodiscard]] std::uint64_t state_count() const { return header_->state_count; }
     [[nodiscard]] std::uint64_t dataset_tag() const { return header_->dataset_tag; }
-    /// {0,0,0} in a featureless store.
+    /// Never zero in any dim: the reader rejects such a header.
     [[nodiscard]] std::array<std::uint32_t, 3> feature_dims() const;
     [[nodiscard]] std::uint64_t feature_numel() const;
     [[nodiscard]] std::uint64_t file_bytes() const { return size_; }
@@ -231,27 +227,17 @@ public:
     struct StateView {
         std::int32_t clip_index = 0;
         std::span<const std::int32_t> offsets;
-        std::span<const float> features;  ///< empty in a featureless store
+        std::span<const float> features;  ///< num_segments * feature_numel()
     };
     struct StepView {
         std::uint64_t state_id = 0;
         std::span<const std::uint8_t> actions;
-        double sum_abs_epe_before = 0.0;
-        double pvband_before = 0.0;
-        double worst_epe_before = 0.0;
-        double pv_band_exact_before = 0.0;
-        std::span<const double> corner_epe_before;
     };
     struct TrajView {
         std::int32_t clip_index = 0;
         std::int32_t initial_bias_nm = 0;
         std::uint64_t step_begin = 0;
-        std::uint32_t steps = 0;
-        double final_sum_abs_epe = 0.0;
-        double final_pvband = 0.0;
-        double final_worst_epe = 0.0;
-        double final_pv_band_exact = 0.0;
-        std::span<const double> final_corner_epe;
+        std::uint64_t steps = 0;
     };
 
     [[nodiscard]] StateView state(std::uint64_t id) const;
@@ -269,7 +255,6 @@ private:
     const PackedTraj* trajs_ = nullptr;
     const PackedStep* steps_ = nullptr;
     const PackedState* states_ = nullptr;
-    const double* f64_heap_ = nullptr;
     const float* f32_heap_ = nullptr;
     const std::int32_t* i32_heap_ = nullptr;
     const std::uint8_t* u8_heap_ = nullptr;

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <memory>
 
 #include "common/rng.hpp"
@@ -320,6 +322,40 @@ TEST(Serialize, RejectsTrailingBytes) {
         app.write(junk, sizeof junk);
     }
     EXPECT_FALSE(load_params(path, b.params()));
+    std::remove(path.c_str());
+}
+
+TEST(Serialize, RejectsFlippedWeightByte) {
+    // The file ends in an FNV-1a seal: a flipped byte inside a float keeps
+    // every shape valid, so only the seal can catch it.
+    const std::string path = testing::TempDir() + "camo_net_flipped.bin";
+    Rng rng(18);
+    Linear a(3, 4, rng);
+    Linear b(3, 4, rng);
+    save_params(path, a.params());
+    std::string bytes;
+    {
+        std::ifstream in(path, std::ios::binary);
+        bytes.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+    }
+    // magic, version, count; then the first parameter's rank, dims, floats.
+    const std::size_t first_float = 4 + 4 + 8 + 8 + 4 * a.params()[0]->value.shape().size();
+    ASSERT_LT(first_float + 1, bytes.size());
+    bytes[first_float + 1] = static_cast<char>(bytes[first_float + 1] ^ 0x10);
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    std::vector<std::vector<float>> before;
+    for (const Parameter* p : b.params()) {
+        before.emplace_back(p->value.data().begin(), p->value.data().end());
+    }
+    EXPECT_FALSE(load_params(path, b.params()));
+    for (std::size_t i = 0; i < before.size(); ++i) {
+        const std::span<const float> now = b.params()[i]->value.data();
+        EXPECT_TRUE(std::equal(now.begin(), now.end(), before[i].begin(), before[i].end()))
+            << "parameter " << i << " changed";
+    }
     std::remove(path.c_str());
 }
 

@@ -1,10 +1,11 @@
 // Packed trajectory store suite (PR 10).
 //
 // Four layers of coverage:
-//  - format: round-trip fuzz over random trajectories (featureless and
-//    featureful), state dedupe, and a corrupt-file corpus in the spirit of
-//    the GDS parser corpus — every truncated / torn / bit-flipped / ragged
-//    variant must fail with a typed TrajStoreError, never misread.
+//  - format: round-trip fuzz over random trajectories with random features,
+//    state dedupe, and a corrupt-file corpus in the spirit of the GDS
+//    parser corpus — every truncated / torn / bit-flipped / ragged /
+//    clip-inconsistent / old-version variant must fail with a typed
+//    TrajStoreError, never misread.
 //  - determinism: a collected dataset appended by append_teacher_data
 //    writes byte-identical files at 1/2/8 train workers, and appending
 //    load_teacher_data's decode of a store re-publishes the same bytes.
@@ -19,9 +20,11 @@
 // themselves catch the damage, not just the checksum.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -57,17 +60,25 @@ void reseal(std::string& bytes) {
     std::memcpy(bytes.data() + payload + offsetof(StoreFooter, payload_hash), &h, sizeof h);
 }
 
-void expect_rejected(const std::string& path, const std::string& bytes,
-                     const std::string& why_substr) {
+/// Expects opening `bytes` to fail with a TrajStoreError naming
+/// `why_substr`; returns the error's byte offset.
+std::uint64_t expect_rejected(const std::string& path, const std::string& bytes,
+                              const std::string& why_substr) {
     write_file(path, bytes);
     try {
         TrajStoreReader reader(path);
-        FAIL() << "expected TrajStoreError (" << why_substr << ")";
+        ADD_FAILURE() << "expected TrajStoreError (" << why_substr << ")";
     } catch (const TrajStoreError& e) {
         EXPECT_NE(std::string(e.what()).find(why_substr), std::string::npos)
             << "got: " << e.what();
+        return e.offset();
     }
+    return 0;
 }
+
+/// Feature shape of the format-level tests (the squish shape is {6, S, S};
+/// the store takes any non-zero shape).
+constexpr std::array<std::uint32_t, 3> kDims{2, 4, 4};
 
 /// Deterministic random trajectory; `segments` fixes the per-step width
 /// (one state per step, offsets drawn in the teacher's plausible range).
@@ -75,71 +86,102 @@ Trajectory random_trajectory(Rng& rng, int clip_index, int segments, int steps) 
     Trajectory t;
     t.clip_index = clip_index;
     t.initial_bias_nm = static_cast<int>(rng.uniform_int(0, 6)) - 3;
-    t.final_sum_abs_epe = rng.uniform(0.0, 1.0);
-    t.final_pvband = rng.uniform(0.0, 1.0);
-    t.final_worst_epe = rng.uniform(0.0, 1.0);
-    t.final_pv_band_exact = rng.uniform(0.0, 1.0);
-    const int corners = static_cast<int>(rng.uniform_int(0, 3));
-    for (int c = 0; c < corners; ++c) t.final_corner_epe.push_back(rng.uniform(0.0, 1.0));
     for (int s = 0; s < steps; ++s) {
         StepRecord rec;
         for (int i = 0; i < segments; ++i) {
             rec.offsets_before.push_back(static_cast<int>(rng.uniform_int(0, 16)) - 8);
             rec.actions.push_back(static_cast<int>(rng.uniform_int(0, kNumActions - 1)));
         }
-        rec.sum_abs_epe_before = rng.uniform(0.0, 1.0);
-        rec.pvband_before = rng.uniform(0.0, 1.0);
-        rec.worst_epe_before = rng.uniform(0.0, 1.0);
-        rec.pv_band_exact_before = rng.uniform(0.0, 1.0);
-        for (int c = 0; c < corners; ++c) rec.corner_epe_before.push_back(rng.uniform(0.0, 1.0));
         t.steps.push_back(std::move(rec));
     }
     return t;
 }
 
+/// Per-step feature tensors for `t`: one `dims`-shaped tensor per segment,
+/// filled from `rng`.
+using StepFeatures = std::vector<std::vector<nn::Tensor>>;
+StepFeatures random_features(Rng& rng, const Trajectory& t,
+                             std::array<std::uint32_t, 3> dims = kDims) {
+    const std::vector<int> shape(dims.begin(), dims.end());
+    StepFeatures feats(t.steps.size());
+    for (std::size_t s = 0; s < t.steps.size(); ++s) {
+        for (std::size_t i = 0; i < t.steps[s].offsets_before.size(); ++i) {
+            nn::Tensor& f = feats[s].emplace_back(shape);
+            for (float& v : f.data()) v = static_cast<float>(rng.uniform(0.0, 1.0));
+        }
+    }
+    return feats;
+}
+
+void append(TrajStoreWriter& writer, const Trajectory& t, const StepFeatures& feats) {
+    const std::vector<std::span<const nn::Tensor>> spans(feats.begin(), feats.end());
+    writer.append(t, spans);
+}
+
 void expect_same_trajectory(const Trajectory& a, const Trajectory& b) {
     EXPECT_EQ(a.clip_index, b.clip_index);
     EXPECT_EQ(a.initial_bias_nm, b.initial_bias_nm);
-    EXPECT_EQ(a.final_sum_abs_epe, b.final_sum_abs_epe);
-    EXPECT_EQ(a.final_pvband, b.final_pvband);
-    EXPECT_EQ(a.final_worst_epe, b.final_worst_epe);
-    EXPECT_EQ(a.final_pv_band_exact, b.final_pv_band_exact);
-    EXPECT_EQ(a.final_corner_epe, b.final_corner_epe);
     ASSERT_EQ(a.steps.size(), b.steps.size());
     for (std::size_t s = 0; s < a.steps.size(); ++s) {
         EXPECT_EQ(a.steps[s].offsets_before, b.steps[s].offsets_before);
         EXPECT_EQ(a.steps[s].actions, b.steps[s].actions);
-        EXPECT_EQ(a.steps[s].sum_abs_epe_before, b.steps[s].sum_abs_epe_before);
-        EXPECT_EQ(a.steps[s].pvband_before, b.steps[s].pvband_before);
-        EXPECT_EQ(a.steps[s].worst_epe_before, b.steps[s].worst_epe_before);
-        EXPECT_EQ(a.steps[s].pv_band_exact_before, b.steps[s].pv_band_exact_before);
-        EXPECT_EQ(a.steps[s].corner_epe_before, b.steps[s].corner_epe_before);
+    }
+}
+
+/// Feature floats of trajectory `i`'s steps must come back bit-exact —
+/// load determinism depends on it.
+void expect_same_features(const TrajStoreReader& reader, std::uint64_t i,
+                          const StepFeatures& feats) {
+    const TrajStoreReader::TrajView t = reader.traj(i);
+    ASSERT_EQ(t.steps, feats.size());
+    const std::uint64_t numel = reader.feature_numel();
+    for (std::size_t s = 0; s < feats.size(); ++s) {
+        const auto view = reader.state(reader.step(t.step_begin + s).state_id);
+        ASSERT_EQ(view.features.size(), feats[s].size() * numel);
+        for (std::size_t k = 0; k < feats[s].size(); ++k) {
+            EXPECT_EQ(std::memcmp(view.features.data() + k * numel, feats[s][k].data().data(),
+                                  numel * sizeof(float)),
+                      0)
+                << "trajectory " << i << " step " << s << " segment " << k;
+        }
     }
 }
 
 // ---- Format: round trip, dedupe, corruption --------------------------------
 
-TEST(TrajStore, RoundTripFuzzFeatureless) {
+TEST(TrajStore, RoundTripFuzz) {
     const std::string path = temp_path("trajstore_fuzz.ctrj");
     Rng rng(101);
     for (int round = 0; round < 5; ++round) {
-        TrajStoreWriter writer(path, 77);
+        TrajStoreWriter writer(path, kDims, 77);
         std::vector<Trajectory> ref;
+        std::vector<StepFeatures> ref_feats;
         const int count = 1 + static_cast<int>(rng.uniform_int(0, 5));
         for (int i = 0; i < count; ++i) {
             const int segments = static_cast<int>(rng.uniform_int(0, 8));  // 0 is legal
             const int steps = static_cast<int>(rng.uniform_int(0, 4));
             ref.push_back(random_trajectory(rng, i, segments, steps));
-            writer.append(ref.back());
+            ref_feats.push_back(random_features(rng, ref.back()));
+            append(writer, ref.back(), ref_feats.back());
         }
         writer.flush();
 
         TrajStoreReader reader(path);
         EXPECT_EQ(reader.dataset_tag(), 77U);
-        EXPECT_EQ(reader.feature_numel(), 0U);
+        EXPECT_EQ(reader.feature_dims(), kDims);
         ASSERT_EQ(reader.traj_count(), ref.size());
         for (std::size_t i = 0; i < ref.size(); ++i) {
             expect_same_trajectory(ref[i], reader.decode(i));
+        }
+        // Dedupe keeps the first encoding of each (clip, offsets) state.
+        std::map<std::pair<int, std::vector<int>>, const std::vector<nn::Tensor>*> first;
+        for (std::size_t i = 0; i < ref.size(); ++i) {
+            StepFeatures expected;
+            for (std::size_t t = 0; t < ref[i].steps.size(); ++t) {
+                const auto key = std::make_pair(ref[i].clip_index, ref[i].steps[t].offsets_before);
+                expected.push_back(*first.try_emplace(key, &ref_feats[i][t]).first->second);
+            }
+            expect_same_features(reader, i, expected);
         }
     }
     std::remove(path.c_str());
@@ -148,39 +190,17 @@ TEST(TrajStore, RoundTripFuzzFeatureless) {
 TEST(TrajStore, RoundTripWithFeaturesIsExact) {
     const std::string path = temp_path("trajstore_feat.ctrj");
     Rng rng(102);
-    const int segments = 3;
-    Trajectory t = random_trajectory(rng, 0, segments, 2);
-    std::vector<std::vector<nn::Tensor>> feats(t.steps.size());
-    for (auto& step_feats : feats) {
-        for (int i = 0; i < segments; ++i) {
-            nn::Tensor f({2, 4, 4});
-            for (std::size_t k = 0; k < f.numel(); ++k) {
-                f.data()[k] = static_cast<float>(rng.uniform(0.0, 1.0));
-            }
-            step_feats.push_back(std::move(f));
-        }
-    }
-    TrajStoreWriter writer(path);
-    std::vector<std::span<const nn::Tensor>> spans(feats.begin(), feats.end());
-    writer.append(t, spans);
+    const Trajectory t = random_trajectory(rng, 0, 3, 2);
+    const StepFeatures feats = random_features(rng, t);
+    TrajStoreWriter writer(path, kDims);
+    append(writer, t, feats);
     writer.flush();
 
     TrajStoreReader reader(path);
-    EXPECT_EQ(reader.feature_dims(), (std::array<std::uint32_t, 3>{2, 4, 4}));
+    EXPECT_EQ(reader.feature_dims(), kDims);
     EXPECT_EQ(reader.feature_numel(), 32U);
     expect_same_trajectory(t, reader.decode(0));
-    for (std::size_t s = 0; s < t.steps.size(); ++s) {
-        const auto view = reader.state(reader.step(s).state_id);
-        ASSERT_EQ(view.features.size(), segments * reader.feature_numel());
-        for (int i = 0; i < segments; ++i) {
-            // Feature floats must come back bit-exact — replay determinism
-            // depends on it.
-            EXPECT_EQ(std::memcmp(view.features.data() + i * reader.feature_numel(),
-                                  feats[s][static_cast<std::size_t>(i)].data().data(),
-                                  reader.feature_numel() * sizeof(float)),
-                      0);
-        }
-    }
+    expect_same_features(reader, 0, feats);
     std::remove(path.c_str());
 }
 
@@ -194,10 +214,12 @@ TEST(TrajStore, DedupesRepeatedStates) {
         rec.actions = {0, 2, 4};
         t.steps.push_back(rec);
     }
+    Rng rng(104);
+    const StepFeatures feats = random_features(rng, t);
     // A second trajectory revisiting the same offsets on the same clip.
-    TrajStoreWriter writer(path);
-    writer.append(t);
-    writer.append(t);
+    TrajStoreWriter writer(path, kDims);
+    append(writer, t, feats);
+    append(writer, t, feats);
     writer.flush();
 
     EXPECT_EQ(writer.steps(), 12U);
@@ -208,13 +230,16 @@ TEST(TrajStore, DedupesRepeatedStates) {
     EXPECT_EQ(reader.state_count(), 1U);
     expect_same_trajectory(t, reader.decode(0));
     expect_same_trajectory(t, reader.decode(1));
+    // The one stored state holds the first step's encoding.
+    const StepFeatures first(t.steps.size(), feats.front());
+    expect_same_features(reader, 1, first);
 
     // Same offsets on a DIFFERENT clip is a different state.
     Trajectory other = t;
     other.clip_index = 5;
-    TrajStoreWriter writer2(path);
-    writer2.append(t);
-    writer2.append(other);
+    TrajStoreWriter writer2(path, kDims);
+    append(writer2, t, feats);
+    append(writer2, other, feats);
     writer2.flush();
     EXPECT_EQ(writer2.states(), 2U);
     std::remove(path.c_str());
@@ -227,9 +252,10 @@ TEST(TrajStore, DedupesZeroSegmentStates) {
     Trajectory t;
     t.clip_index = 2;
     t.steps.resize(3);  // three zero-segment steps: one state
-    TrajStoreWriter writer(path);
-    writer.append(t);
-    writer.append(t);
+    const StepFeatures none(3);
+    TrajStoreWriter writer(path, kDims);
+    append(writer, t, none);
+    append(writer, t, none);
     writer.flush();
     EXPECT_EQ(writer.steps(), 6U);
     EXPECT_EQ(writer.states(), 1U);
@@ -243,43 +269,62 @@ TEST(TrajStore, DedupesZeroSegmentStates) {
 }
 
 TEST(TrajStore, WriterRejectsMalformedInputWithoutMutating) {
+    constexpr std::array<std::uint32_t, 3> zero_dim{6, 0, 16};
+    EXPECT_THROW(TrajStoreWriter(temp_path("trajstore_zero.ctrj"), zero_dim),
+                 std::invalid_argument);
+
     const std::string path = temp_path("trajstore_reject.ctrj");
-    TrajStoreWriter writer(path);
+    TrajStoreWriter writer(path, kDims);
+    Rng rng(105);
     Trajectory bad;
     bad.clip_index = 0;
     StepRecord rec;
     rec.offsets_before = {1, 2};
     rec.actions = {0};  // length mismatch
     bad.steps.push_back(rec);
-    EXPECT_THROW(writer.append(bad), std::invalid_argument);
+    StepFeatures feats(1);
+    feats[0].emplace_back(std::vector<int>{2, 4, 4});
+    feats[0].emplace_back(std::vector<int>{2, 4, 4});
+    EXPECT_THROW(append(writer, bad, feats), std::invalid_argument);
 
     bad.steps[0].actions = {0, 9};  // action out of range
-    EXPECT_THROW(writer.append(bad), std::invalid_argument);
+    EXPECT_THROW(append(writer, bad, feats), std::invalid_argument);
 
     bad.steps[0].actions = {0, 1};
-    std::vector<nn::Tensor> one_feat;
-    one_feat.emplace_back(std::vector<int>{1, 2, 2});
-    const std::vector<std::span<const nn::Tensor>> spans = {one_feat};  // 1 != 2 segments
-    EXPECT_THROW(writer.append(bad, spans), std::invalid_argument);
+    EXPECT_THROW(writer.append(bad, {}), std::invalid_argument);  // no feature span for the step
+
+    StepFeatures one_feat(1);
+    one_feat[0].emplace_back(std::vector<int>{2, 4, 4});  // 1 != 2 segments
+    EXPECT_THROW(append(writer, bad, one_feat), std::invalid_argument);
+
+    StepFeatures wrong_shape(1);
+    wrong_shape[0].emplace_back(std::vector<int>{2, 4, 4});
+    wrong_shape[0].emplace_back(std::vector<int>{2, 4, 5});  // not the store's shape
+    EXPECT_THROW(append(writer, bad, wrong_shape), std::invalid_argument);
 
     // Append is transactional: the failed calls above must not have interned
     // states or steps, so a good append still round-trips from pristine.
     EXPECT_EQ(writer.trajectories(), 0U);
     EXPECT_EQ(writer.steps(), 0U);
     EXPECT_EQ(writer.states(), 0U);
-    writer.append(bad);  // now well-formed and featureless
+    feats = random_features(rng, bad);
+    append(writer, bad, feats);  // now well-formed
     writer.flush();
     TrajStoreReader reader(path);
     EXPECT_EQ(reader.traj_count(), 1U);
     expect_same_trajectory(bad, reader.decode(0));
+    expect_same_features(reader, 0, feats);
     std::remove(path.c_str());
 }
 
 TEST(TrajStore, CorruptCorpusIsRejectedTyped) {
     const std::string path = temp_path("trajstore_corrupt.ctrj");
     Rng rng(103);
-    TrajStoreWriter writer(path, 9);
-    for (int i = 0; i < 3; ++i) writer.append(random_trajectory(rng, i, 4, 3));
+    TrajStoreWriter writer(path, kDims, 9);
+    for (int i = 0; i < 3; ++i) {
+        const Trajectory t = random_trajectory(rng, i, 4, 3);
+        append(writer, t, random_features(rng, t));
+    }
     writer.flush();
     const std::string good = read_file(path);
     ASSERT_GT(good.size(), sizeof(StoreHeader) + sizeof(StoreFooter));
@@ -305,6 +350,11 @@ TEST(TrajStore, CorruptCorpusIsRejectedTyped) {
     const std::uint32_t v99 = 99;
     std::memcpy(bad.data() + offsetof(StoreHeader, version), &v99, sizeof v99);
     expect_rejected(path, bad, "unsupported version");
+    // A version-1 store (it carried metric columns) is not read as version 2.
+    bad = good;
+    const std::uint32_t v1 = 1;
+    std::memcpy(bad.data() + offsetof(StoreHeader, version), &v1, sizeof v1);
+    expect_rejected(path, bad, "unsupported version 1");
 
     // Overwritten end marker (atomic-rename contract violated out-of-band).
     bad = good;
@@ -317,6 +367,23 @@ TEST(TrajStore, CorruptCorpusIsRejectedTyped) {
     expect_rejected(path, bad, "payload checksum mismatch");
 
     // ---- Structural corruption behind a re-sealed checksum ----
+
+    // A zero feature dim: no store is featureless.
+    bad = good;
+    const std::uint32_t zero = 0;
+    std::memcpy(bad.data() + offsetof(StoreHeader, feature_dims) + 4, &zero, sizeof zero);
+    reseal(bad);
+    expect_rejected(path, bad, "featureless store: zero feature dim");
+
+    // Clip mismatch: trajectory 0 claims clip 1, but its states are clip 0's.
+    // Its samples would take clip 0 from the states while the trajectory
+    // says clip 1, so the reader rejects it at the trajectory's offset.
+    bad = good;
+    const std::int32_t clip1 = 1;
+    std::memcpy(bad.data() + sizeof(StoreHeader) + offsetof(PackedTraj, clip_index), &clip1,
+                sizeof clip1);
+    reseal(bad);
+    EXPECT_EQ(expect_rejected(path, bad, "clip mismatch"), sizeof(StoreHeader));
 
     // Ragged trajectory: step range overlaps its neighbour.
     bad = good;
@@ -419,7 +486,7 @@ std::string collect_to_store(int train_workers, const std::string& name,
     cfg.train_workers = train_workers;
     core::CamoEngine engine(cfg);
     litho::LithoSim sim(test_litho_config());
-    TrajStoreWriter writer(path, tag);
+    TrajStoreWriter writer(path, engine.state_dims(), tag);
     core::append_teacher_data(engine.collect_teacher_data(small_via_clips(3), sim,
                                                           short_opc_options()),
                               writer);
@@ -446,7 +513,7 @@ TEST(TrajStoreDeterminism, StoreMatchesInMemoryDataset) {
     litho::LithoSim sim(test_litho_config());
     const auto clips = small_via_clips(3);
     const core::Phase1Dataset data = engine.collect_teacher_data(clips, sim, short_opc_options());
-    TrajStoreWriter writer(path);
+    TrajStoreWriter writer(path, engine.state_dims());
     core::append_teacher_data(data, writer);
     writer.flush();
 
@@ -494,7 +561,7 @@ TEST(TrajStoreDeterminism, AppendOfLoadRepublishesIdenticalBytes) {
     {
         const TrajStoreReader reader(path);
         const core::CamoEngine engine(tiny_config());
-        TrajStoreWriter writer(copy_path, reader.dataset_tag());
+        TrajStoreWriter writer(copy_path, engine.state_dims(), reader.dataset_tag());
         core::append_teacher_data(engine.load_teacher_data(reader, small_via_clips(3)), writer);
         writer.flush();
     }
@@ -512,7 +579,7 @@ TEST(TrajStoreDeterminism, AppendRejectsSamplesThatAreNotTheSteps) {
         engine.collect_teacher_data(small_via_clips(1), sim, short_opc_options());
     ASSERT_FALSE(data.samples.empty());
     data.samples.pop_back();
-    TrajStoreWriter writer(temp_path("trajstore_short.ctrj"));
+    TrajStoreWriter writer(temp_path("trajstore_short.ctrj"), engine.state_dims());
     EXPECT_THROW(core::append_teacher_data(data, writer), std::invalid_argument);
     EXPECT_EQ(writer.trajectories(), 0U);
 }
@@ -526,7 +593,7 @@ TEST(TrajStoreDeterminism, ReplayWeightsByteIdenticalToInMemory) {
     core::CamoEngine mem_engine(tiny_config());
     const core::Phase1Dataset data =
         mem_engine.collect_teacher_data(clips, sim, short_opc_options());
-    TrajStoreWriter writer(store_path);
+    TrajStoreWriter writer(store_path, mem_engine.state_dims());
     core::append_teacher_data(data, writer);
     writer.flush();
     for (int e = 0; e < 4; ++e) mem_engine.run_phase1_epoch(data);
@@ -563,15 +630,6 @@ TEST(TrajStoreDeterminism, LoadValidatesStoreAgainstClips) {
     const std::vector<geo::SegmentedLayout> too_few(clips.begin(), clips.begin() + 1);
     EXPECT_THROW((void)engine.load_teacher_data(reader, too_few), std::invalid_argument);
 
-    // A featureless store cannot feed phase-1 training.
-    const std::string bare_path = temp_path("trajstore_bare.ctrj");
-    TrajStoreWriter bare(bare_path);
-    Rng rng(7);
-    bare.append(random_trajectory(rng, 0, 2, 1));
-    bare.flush();
-    TrajStoreReader bare_reader(bare_path);
-    EXPECT_THROW((void)engine.load_teacher_data(bare_reader, clips), std::invalid_argument);
-
     // Squish-size mismatch between store and engine config.
     core::CamoConfig other_cfg = tiny_config();
     other_cfg.policy.squish_size = 32;
@@ -581,21 +639,18 @@ TEST(TrajStoreDeterminism, LoadValidatesStoreAgainstClips) {
 
     // Right window size, wrong channel count: {1, S, S} features for clip 0,
     // with its real segment count. Rejected at load, not in the first epoch.
-    const int size = tiny_config().squish.size;
-    const int segments = clips[0].num_segments();
-    const Trajectory thin = random_trajectory(rng, 0, segments, 1);
-    const std::vector<nn::Tensor> thin_feats(static_cast<std::size_t>(segments),
-                                             nn::Tensor({1, size, size}));
+    Rng rng(7);
+    const auto size = static_cast<std::uint32_t>(tiny_config().squish.size);
+    const std::array<std::uint32_t, 3> thin_dims{1, size, size};
+    const Trajectory thin = random_trajectory(rng, 0, clips[0].num_segments(), 1);
     const std::string thin_path = temp_path("trajstore_thin.ctrj");
-    TrajStoreWriter thin_writer(thin_path);
-    const std::span<const nn::Tensor> thin_step(thin_feats);
-    thin_writer.append(thin, {&thin_step, 1});
+    TrajStoreWriter thin_writer(thin_path, thin_dims);
+    append(thin_writer, thin, random_features(rng, thin, thin_dims));
     thin_writer.flush();
     TrajStoreReader thin_reader(thin_path);
     EXPECT_THROW((void)engine.load_teacher_data(thin_reader, clips), std::invalid_argument);
 
     std::remove(path.c_str());
-    std::remove(bare_path.c_str());
     std::remove(thin_path.c_str());
 }
 
@@ -605,9 +660,12 @@ TEST(TrajStoreTelemetry, ByteCountersMatchWriterAndReader) {
     const std::string path = temp_path("trajstore_bytes.ctrj");
     obs::reset_metrics();
     obs::set_metrics_enabled(true);
-    TrajStoreWriter writer(path);
+    TrajStoreWriter writer(path, kDims);
     Rng rng(11);
-    for (int i = 0; i < 3; ++i) writer.append(random_trajectory(rng, i, 4, 2));
+    for (int i = 0; i < 3; ++i) {
+        const Trajectory t = random_trajectory(rng, i, 4, 2);
+        append(writer, t, random_features(rng, t));
+    }
     writer.flush();
     const TrajStoreReader reader(path);
     obs::set_metrics_enabled(false);

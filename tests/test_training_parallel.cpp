@@ -163,9 +163,13 @@ TEST(TrainingParallel, TeacherCollectionBitIdenticalAcrossWorkerCounts) {
             EXPECT_EQ(got.trajectories[j].clip_index, ref.trajectories[j].clip_index);
             EXPECT_EQ(got.trajectories[j].initial_bias_nm,
                       ref.trajectories[j].initial_bias_nm);
-            EXPECT_EQ(0, std::memcmp(&got.trajectories[j].final_sum_abs_epe,
-                                     &ref.trajectories[j].final_sum_abs_epe,
-                                     sizeof(double)));
+            ASSERT_EQ(got.trajectories[j].steps.size(), ref.trajectories[j].steps.size());
+            for (std::size_t t = 0; t < ref.trajectories[j].steps.size(); ++t) {
+                EXPECT_EQ(got.trajectories[j].steps[t].offsets_before,
+                          ref.trajectories[j].steps[t].offsets_before);
+                EXPECT_EQ(got.trajectories[j].steps[t].actions,
+                          ref.trajectories[j].steps[t].actions);
+            }
         }
     }
 }

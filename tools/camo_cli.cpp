@@ -991,7 +991,7 @@ int collect_main(int argc, char** argv) {
         const opc::OpcOptions opt = cli.style == "via" ? core::Experiment::via_options()
                                                        : core::Experiment::metal_options();
         core::CamoEngine engine(cfg);
-        rl::TrajStoreWriter writer(cli.store_path, tag);
+        rl::TrajStoreWriter writer(cli.store_path, engine.state_dims(), tag);
         Timer timer;
         core::append_teacher_data(engine.collect_teacher_data(clips, sim, opt), writer);
         writer.flush();
