@@ -1,6 +1,6 @@
 // Deterministic random number generation.
 //
-// Every stochastic component in the library (dataset generation, weight
+// Every randomized component in the library (dataset generation, weight
 // initialization, policy sampling) takes an explicit Rng so that runs are
 // reproducible from a single seed.
 #pragma once

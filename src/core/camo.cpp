@@ -368,29 +368,22 @@ opc::EngineResult CamoEngine::optimize(const geo::SegmentedLayout& layout, litho
 }
 
 opc::EngineResult CamoEngine::infer(const geo::SegmentedLayout& layout, litho::LithoSim& sim,
-                                    const opc::OpcOptions& opt, Rng* rng) const {
-    Rng* const rngs[] = {rng};
-    return std::move(infer_waves({&layout, 1}, {&sim, 1}, opt, rngs).front());
+                                    const opc::OpcOptions& opt) const {
+    return std::move(infer_waves({&layout, 1}, {&sim, 1}, opt).front());
 }
 
 std::vector<opc::EngineResult> CamoEngine::infer_batch(
     std::span<const geo::SegmentedLayout> layouts, std::span<litho::LithoSim> sims,
-    const opc::OpcOptions& opt, std::span<const std::uint64_t> seeds) const {
+    const opc::OpcOptions& opt) const {
     if (sims.size() != layouts.size()) {
         throw std::invalid_argument("CamoEngine::infer_batch: one simulator per clip required");
     }
-    if (!seeds.empty() && seeds.size() != layouts.size()) {
-        throw std::invalid_argument("CamoEngine::infer_batch: seeds must be empty or per-clip");
-    }
-    std::vector<Rng> rngs(seeds.begin(), seeds.end());
-    std::vector<Rng*> rng_ptrs(layouts.size(), nullptr);
-    for (std::size_t c = 0; c < rngs.size(); ++c) rng_ptrs[c] = &rngs[c];
-    return infer_waves(layouts, sims, opt, rng_ptrs);
+    return infer_waves(layouts, sims, opt);
 }
 
 std::vector<opc::EngineResult> CamoEngine::infer_waves(
     std::span<const geo::SegmentedLayout> layouts, std::span<litho::LithoSim> sims,
-    const opc::OpcOptions& opt, std::span<Rng* const> rngs) const {
+    const opc::OpcOptions& opt) const {
     const std::size_t count = layouts.size();
     // Per-clip time accounting: every lap of this clock is charged to the
     // clip that ran in it, or split over a batched forward's clips by node
@@ -412,7 +405,7 @@ std::vector<opc::EngineResult> CamoEngine::infer_waves(
         opc::Rollout rollout(layouts[c], sims[c], opt, cfg_.reward);
         graphs.push_back(build_segment_graph(layouts[c], cfg_.graph_threshold_nm));
         clips.push_back(
-            {.rollout = std::move(rollout), .graph = &graphs.back(), .rng = rngs[c], .feats = {}});
+            {.rollout = std::move(rollout), .graph = &graphs.back(), .rng = nullptr, .feats = {}});
         runtime[c] = take_lap();
     }
 
@@ -435,7 +428,7 @@ std::vector<opc::EngineResult> CamoEngine::infer_waves(
             const std::size_t c = wave[r];
             ClipRollout& clip = clips[c];
             const auto actions = pick_actions(logits[r], clip.rollout.metrics().epe_segment,
-                                              cfg_.modulator, clip.rng);
+                                              cfg_.modulator, nullptr);
             clip.rollout.step(action_moves(actions));
             runtime[c] += forward_s * static_cast<double>(clip.feats.size()) /
                               static_cast<double>(wave_nodes) +

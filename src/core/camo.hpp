@@ -147,24 +147,18 @@ public:
     /// argmax, paper early-exit rules) but const w.r.t. the engine, so one
     /// trained snapshot can serve many batch workers concurrently — each
     /// worker must pass its own simulator (the incremental-evaluation cache
-    /// inside LithoSim is per-instance, not shared). When `rng` is non-null,
-    /// actions are sampled from the modulated distribution instead of
-    /// argmax'd; pass a per-job Rng (seeded from the job index) so results
-    /// stay independent of scheduling. A wave of one through the same
-    /// driver as infer_batch. Throws std::invalid_argument on out-of-bounds
-    /// offset options (see opc::Rollout).
+    /// inside LithoSim is per-instance, not shared). A wave of one through
+    /// the same driver as infer_batch. Throws std::invalid_argument on
+    /// out-of-bounds offset options (see opc::Rollout).
     [[nodiscard]] opc::EngineResult infer(const geo::SegmentedLayout& layout,
-                                          litho::LithoSim& sim, const opc::OpcOptions& opt,
-                                          Rng* rng = nullptr) const;
+                                          litho::LithoSim& sim,
+                                          const opc::OpcOptions& opt) const;
 
     /// Batched inference: roll all clips forward in lockstep waves — at each
     /// step, every clip still running contributes its node set to ONE
     /// batched policy evaluation (PolicyNetwork::infer_batch) instead of N
     /// single-clip forwards. Each clip needs its own simulator (`sims`, one
-    /// per layout; the incremental cache is per-instance). `seeds` selects
-    /// the action rule: empty = modulated argmax (matching infer() with
-    /// rng == nullptr); otherwise seeds[i] seeds clip i's private Rng and
-    /// actions are sampled (matching infer() with Rng(seeds[i])). Per-clip
+    /// per layout; the incremental cache is per-instance). Per-clip
     /// results — offsets, metrics, histories, iteration counts — are
     /// identical to running infer() per clip on the same backend; only
     /// runtime_s differs. It is the clip's own setup, encode, action-pick
@@ -173,7 +167,7 @@ public:
     /// values sum to the call's wall time.
     [[nodiscard]] std::vector<opc::EngineResult> infer_batch(
         std::span<const geo::SegmentedLayout> layouts, std::span<litho::LithoSim> sims,
-        const opc::OpcOptions& opt, std::span<const std::uint64_t> seeds = {}) const;
+        const opc::OpcOptions& opt) const;
 
     /// Two-phase training on a set of fragmented clips. Runs on the
     /// data-parallel training runtime (cfg.train_workers): teacher
@@ -258,12 +252,10 @@ private:
     void optimizer_step(const TrainRuntime& rt);
 
     /// The inference wave driver behind infer and infer_batch: one rollout
-    /// per clip, one batched forward per wave. `rngs` holds one entry per
-    /// clip (null = modulated argmax).
+    /// per clip, one batched forward per wave, modulated argmax actions.
     std::vector<opc::EngineResult> infer_waves(std::span<const geo::SegmentedLayout> layouts,
                                                std::span<litho::LithoSim> sims,
-                                               const opc::OpcOptions& opt,
-                                               std::span<Rng* const> rngs) const;
+                                               const opc::OpcOptions& opt) const;
 
     /// One phase-2 lockstep REINFORCE episode: the inference wave driver
     /// with sampling — each wave, every running clip acts in parallel

@@ -4,7 +4,6 @@
 #include <array>
 #include <bit>
 #include <cmath>
-#include <map>
 #include <numbers>
 #include <stdexcept>
 
@@ -203,17 +202,14 @@ geo::Raster SupportApplicator::apply(std::span<const Complex> support_vals,
 std::pair<geo::Raster, geo::Raster> SupportApplicator::apply_pair(
     std::span<const Complex> support_vals, const SupportApplicator& other,
     std::span<const Complex> other_vals, double pixel_nm) const {
-    if (!pairs_with(other)) {
-        throw std::invalid_argument("SupportApplicator: paired planes need the same grids");
+    if (n_ != other.n_ || m_ != other.m_ || band_src_.size() != other.band_src_.size()) {
+        throw std::invalid_argument(
+            "SupportApplicator: paired planes need the same grids and band");
     }
     std::pair<geo::Raster, geo::Raster> out{geo::Raster(n_, pixel_nm),
                                             geo::Raster(n_, pixel_nm)};
-    // Same grids but different support radii: the wider band holds both
-    // planes' bands (each is a centred square), and the narrower plane's
-    // coarse spectrum beyond its own band is zero in exact arithmetic.
-    const SupportApplicator& wide = band_src_.size() >= other.band_src_.size() ? *this : other;
-    wide.upsample(coarse_intensity(support_vals), other.coarse_intensity(other_vals), out.first,
-                  &out.second);
+    upsample(coarse_intensity(support_vals), other.coarse_intensity(other_vals), out.first,
+             &out.second);
     return out;
 }
 
@@ -221,38 +217,33 @@ std::pair<geo::Raster, geo::Raster> SupportApplicator::apply_pair(
 
 IncrementalEvaluator::IncrementalEvaluator(const LithoConfig& cfg, double threshold,
                                            const KernelSet& nominal, const KernelSet& defocus)
-    : cfg_(cfg),
-      threshold_(threshold),
-      nominal_(nominal, cfg.grid),
-      defocus_(defocus, cfg.grid) {
+    : cfg_(cfg), threshold_(threshold), support_(tcc_support_freqs(cfg)) {
     const int n = cfg_.grid;
+    add_plane(0.0, nominal);
+    add_plane(cfg_.defocus_nm, defocus);
 
-    // Union of both supports with per-condition gather maps. The two
-    // conditions share the pupil support disk, so the union is typically
-    // identical to either, but nothing below assumes it. Extra focus planes
-    // of a window sweep extend the union lazily through union_index().
-    auto add_support = [&](const KernelSet& ks, std::vector<int>& map) {
-        map.reserve(ks.support.size());
-        for (const FreqIndex& f : ks.support) {
-            const auto [it, inserted] = union_lookup_.try_emplace(
-                {f.kx, f.ky}, static_cast<int>(union_kx_.size()));
-            if (inserted) {
-                union_kx_.push_back(wrap(f.kx, n));
-                union_ky_.push_back(wrap(f.ky, n));
-                union_pos_.push_back(wrap(f.ky, n) * n + wrap(f.kx, n));
-            }
-            map.push_back(it->second);
-        }
-    };
-    add_support(nominal, map_nominal_);
-    add_support(defocus, map_defocus_);
-
+    for (const FreqIndex& f : support_) {
+        freq_kx_.push_back(wrap(f.kx, n));
+        freq_ky_.push_back(wrap(f.ky, n));
+        freq_pos_.push_back(wrap(f.ky, n) * n + wrap(f.kx, n));
+    }
     twiddle_.resize(static_cast<std::size_t>(n));
     for (int t = 0; t < n; ++t) {
         const double ang = -2.0 * std::numbers::pi * t / n;
         twiddle_[static_cast<std::size_t>(t)] = {std::cos(ang), std::sin(ang)};
     }
-    spectrum_.assign(union_kx_.size(), {});
+    spectrum_.assign(support_.size(), {});
+}
+
+void IncrementalEvaluator::add_plane(double defocus_nm, const KernelSet& kernels) {
+    const auto same = [](const FreqIndex& a, const FreqIndex& b) {
+        return a.kx == b.kx && a.ky == b.ky;
+    };
+    if (!std::ranges::equal(kernels.support, support_, same)) {
+        throw std::invalid_argument(
+            "IncrementalEvaluator: kernel support differs from tcc_support_freqs(cfg)");
+    }
+    planes_.push_back({defocus_nm, SupportApplicator(kernels, cfg_.grid)});
 }
 
 geo::Polygon IncrementalEvaluator::translated_polygon(const geo::SegmentedLayout& layout, int p,
@@ -323,7 +314,7 @@ void IncrementalEvaluator::rebuild_cache(const geo::SegmentedLayout& layout,
     }
 
     // Prime the support spectrum from one forward FFT pruned to the rows the
-    // mask occupies and the columns the union support reads; the entries
+    // mask occupies and the columns the support reads; the entries
     // read below equal a dense fft2d_forward bit for bit. A row is empty
     // only when every value is +0.0: std::clamp passes -0.0 through, and a
     // row holding -0.0 does not transform to all +0.0.
@@ -336,10 +327,10 @@ void IncrementalEvaluator::rebuild_cache(const geo::SegmentedLayout& layout,
         }
     }
     std::vector<std::uint8_t> col_needed(static_cast<std::size_t>(n), 0);
-    for (const int kx : union_kx_) col_needed[static_cast<std::size_t>(kx)] = 1;
+    for (const int kx : freq_kx_) col_needed[static_cast<std::size_t>(kx)] = 1;
     fft2d_forward_pruned(grid, n, row_nonzero, col_needed);
-    for (std::size_t j = 0; j < union_pos_.size(); ++j) {
-        const Complex v = grid[static_cast<std::size_t>(union_pos_[j])];
+    for (std::size_t j = 0; j < freq_pos_.size(); ++j) {
+        const Complex v = grid[static_cast<std::size_t>(freq_pos_[j])];
         spectrum_[j] = {static_cast<double>(v.real()), static_cast<double>(v.imag())};
     }
 }
@@ -378,9 +369,9 @@ void IncrementalEvaluator::apply_polygon_delta(const geo::Polygon& old_poly,
 void IncrementalEvaluator::update_spectrum(const std::vector<PixelDelta>& deltas) {
     const obs::Span span("litho.delta_dft", delta_dft_hist());
     const int n = cfg_.grid;
-    const std::size_t freqs = union_kx_.size();
-    const int* kx = union_kx_.data();
-    const int* ky = union_ky_.data();
+    const std::size_t freqs = freq_kx_.size();
+    const int* kx = freq_kx_.data();
+    const int* ky = freq_ky_.data();
     std::complex<double>* spec = spectrum_.data();
     for (const PixelDelta& p : deltas) {
         // S[kx, ky] += d * exp(-2*pi*i*(kx*col + ky*row)/n), the same sign
@@ -392,105 +383,40 @@ void IncrementalEvaluator::update_spectrum(const std::vector<PixelDelta>& deltas
     }
 }
 
-std::complex<double> IncrementalEvaluator::cached_spectrum(int kx, int ky) const {
-    const auto it = union_lookup_.find({kx, ky});
-    if (it == union_lookup_.end()) {
-        throw std::out_of_range("cached_spectrum: frequency outside the union support");
-    }
-    return spectrum_[static_cast<std::size_t>(it->second)];
-}
-
-std::vector<Complex> IncrementalEvaluator::support_values(const std::vector<int>& map) const {
-    std::vector<Complex> vals(map.size());
-    for (std::size_t i = 0; i < map.size(); ++i) {
-        const std::complex<double>& v = spectrum_[static_cast<std::size_t>(map[i])];
-        vals[i] = {static_cast<float>(v.real()), static_cast<float>(v.imag())};
-    }
-    return vals;
-}
-
 std::vector<geo::Raster> IncrementalEvaluator::aerials_from_cache(
-    std::span<const PlaneRef> planes) const {
+    std::span<const SupportApplicator* const> planes) const {
+    // Every plane reads the spectrum as cached: one float conversion serves
+    // them all.
+    std::vector<Complex> vals(spectrum_.size());
+    for (std::size_t i = 0; i < vals.size(); ++i) {
+        vals[i] = {static_cast<float>(spectrum_[i].real()),
+                   static_cast<float>(spectrum_[i].imag())};
+    }
     std::vector<geo::Raster> aerials;
     aerials.reserve(planes.size());
-    for (std::size_t i = 0; i < planes.size();) {
-        const auto& [applicator, map] = planes[i];
-        if (i + 1 < planes.size() && applicator->pairs_with(*planes[i + 1].first)) {
-            const auto& [other, other_map] = planes[i + 1];
-            auto [first, second] = applicator->apply_pair(support_values(*map), *other,
-                                                          support_values(*other_map),
-                                                          cfg_.pixel_nm);
-            aerials.push_back(std::move(first));
-            aerials.push_back(std::move(second));
-            i += 2;
-        } else {
-            aerials.push_back(applicator->apply(support_values(*map), cfg_.pixel_nm));
-            i += 1;
-        }
+    for (std::size_t i = 0; i + 1 < planes.size(); i += 2) {
+        auto [first, second] = planes[i]->apply_pair(vals, *planes[i + 1], vals, cfg_.pixel_nm);
+        aerials.push_back(std::move(first));
+        aerials.push_back(std::move(second));
     }
+    if (planes.size() % 2 != 0) aerials.push_back(planes.back()->apply(vals, cfg_.pixel_nm));
     return aerials;
 }
 
 SimMetrics IncrementalEvaluator::metrics_from_cache(const geo::SegmentedLayout& layout) const {
-    const std::array<PlaneRef, 2> planes{PlaneRef{&nominal_, &map_nominal_},
-                                         PlaneRef{&defocus_, &map_defocus_}};
+    const std::array<const SupportApplicator*, 2> planes{&planes_[0].applicator,
+                                                         &planes_[1].applicator};
     const std::vector<geo::Raster> aerials = aerials_from_cache(planes);
     return compute_sim_metrics(layout, aerials[0], aerials[1], threshold_, clip_offset_,
                                cfg_.epe_range_nm, cfg_.dose_min, cfg_.dose_max);
 }
 
-int IncrementalEvaluator::union_index(int kx, int ky) {
-    const auto [it, inserted] =
-        union_lookup_.try_emplace({kx, ky}, static_cast<int>(union_kx_.size()));
-    if (!inserted) return it->second;
-
-    // A focus plane introduced a frequency the standard supports lack
-    // (cannot happen with the cfg-only pupil support, but stays correct if
-    // the optics model ever grows focus-dependent supports): extend the
-    // union and, when a mask is cached, fill the new spectrum entry by a
-    // direct DFT over the clamped coverage. Later sparse updates then keep
-    // it current like every other entry.
-    const int n = cfg_.grid;
-    union_kx_.push_back(wrap(kx, n));
-    union_ky_.push_back(wrap(ky, n));
-    union_pos_.push_back(wrap(ky, n) * n + wrap(kx, n));
-
-    std::complex<double> val{0.0, 0.0};
-    if (cache_valid_) {
-        const int wkx = union_kx_.back();
-        const int wky = union_ky_.back();
-        for (int r = 0; r < n; ++r) {
-            for (int c = 0; c < n; ++c) {
-                const float m = clamped_[static_cast<std::size_t>(r) * n + c];
-                if (m == 0.0F) continue;
-                const int t = (wkx * c + wky * r) % n;
-                val += static_cast<double>(m) * twiddle_[static_cast<std::size_t>(t)];
-            }
-        }
+const SupportApplicator* IncrementalEvaluator::plane_for(double defocus_nm) {
+    for (const FocusPlane& plane : planes_) {
+        if (std::abs(plane.defocus_nm - defocus_nm) < kFocusMatchTolNm) return &plane.applicator;
     }
-    spectrum_.push_back(val);
-    return it->second;
-}
-
-IncrementalEvaluator::PlaneRef IncrementalEvaluator::plane_for(double defocus_nm) {
-    if (std::abs(defocus_nm) < kFocusMatchTolNm) return {&nominal_, &map_nominal_};
-    if (std::abs(defocus_nm - cfg_.defocus_nm) < kFocusMatchTolNm) {
-        return {&defocus_, &map_defocus_};
-    }
-    for (const auto& plane : extra_planes_) {
-        if (std::abs(plane->defocus_nm - defocus_nm) < kFocusMatchTolNm) {
-            return {&plane->applicator, &plane->map};
-        }
-    }
-
-    const auto applicator = acquire_focus_applicator(cfg_, defocus_nm);
-    const KernelSet& ks = applicator->kernels();
-    std::vector<int> map;
-    map.reserve(ks.support.size());
-    for (const FreqIndex& f : ks.support) map.push_back(union_index(f.kx, f.ky));
-    extra_planes_.push_back(std::make_unique<FocusPlane>(
-        defocus_nm, SupportApplicator(ks, cfg_.grid), std::move(map)));
-    return {&extra_planes_.back()->applicator, &extra_planes_.back()->map};
+    add_plane(defocus_nm, acquire_focus_applicator(cfg_, defocus_nm)->kernels());
+    return &planes_.back().applicator;
 }
 
 IncrementalEvaluator::CacheUpdate IncrementalEvaluator::refresh_cache(
@@ -564,10 +490,7 @@ WindowMetrics IncrementalEvaluator::evaluate(const geo::SegmentedLayout& layout,
     const CacheUpdate update = refresh_cache(layout, offsets, refresh);
 
     // One aerial per focus plane from the cached support spectrum, in pairs.
-    // Resolve every plane first: an extra plane may extend the union
-    // spectrum, and the pointers stay valid because extra_planes_ elements
-    // are individually heap-allocated.
-    std::vector<PlaneRef> planes;
+    std::vector<const SupportApplicator*> planes;
     planes.reserve(spec.defocus_nm.size());
     for (double f : spec.defocus_nm) planes.push_back(plane_for(f));
     const std::vector<geo::Raster> aerials = aerials_from_cache(planes);

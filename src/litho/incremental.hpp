@@ -11,10 +11,12 @@
 //     the old polygon's contribution is subtracted exactly — per-pixel
 //     coverage is a pure function of (polygon, pixel), so the cache never
 //     drifts from a from-scratch rasterization beyond double rounding.
-//   * The mask spectrum is cached only at the union of the kernel support
-//     frequencies and updated with a sparse delta-DFT over the pixels whose
-//     clamped coverage changed: O(|delta pixels| * |support|) instead of
-//     O(N^2 log N).
+//   * The mask spectrum is cached only at the kernel support frequencies and
+//     updated with a sparse delta-DFT over the pixels whose clamped coverage
+//     changed: O(|delta pixels| * |support|) instead of O(N^2 log N). Every
+//     kernel set of a configuration, at any focus, shares one support, the
+//     pupil disk tcc_support_freqs(cfg); the cache holds the spectrum in
+//     that order and every focus plane reads it as is.
 //   * Aerial images are produced by SupportApplicator, which evaluates the
 //     SOCS sum on a small coarse grid m >= 4R+2 (R = support radius). The
 //     coherent fields are band-limited to R and the intensity to 2R, so the
@@ -48,8 +50,7 @@
 
 #include <complex>
 #include <cstdint>
-#include <map>
-#include <memory>
+#include <deque>
 #include <span>
 #include <utility>
 #include <vector>
@@ -89,16 +90,11 @@ public:
     /// Two planes through one packed upsample: this applicator's image of
     /// `support_vals` and `other`'s image of `other_vals`. Each equals its
     /// apply() to float rounding (the packed transform rounds differently),
-    /// not bit for bit. Throws std::invalid_argument unless pairs_with(other).
+    /// not bit for bit. Throws std::invalid_argument unless `other` images
+    /// on the same fine and coarse grids through the same band.
     [[nodiscard]] std::pair<geo::Raster, geo::Raster> apply_pair(
         std::span<const Complex> support_vals, const SupportApplicator& other,
         std::span<const Complex> other_vals, double pixel_nm) const;
-
-    /// True when `other` images on the same fine and coarse grids, so
-    /// apply_pair can pack the two planes into one transform.
-    [[nodiscard]] bool pairs_with(const SupportApplicator& other) const {
-        return n_ == other.n_ && m_ == other.m_;
-    }
 
     [[nodiscard]] int support_size() const { return static_cast<int>(mpos_.size()); }
     [[nodiscard]] int coarse_grid() const { return m_; }
@@ -129,6 +125,8 @@ private:
 /// thread-safe (the batch runtime gives each worker its own simulator).
 class IncrementalEvaluator {
 public:
+    /// Throws std::invalid_argument unless both kernel sets (and every extra
+    /// focus plane acquired later) are supported on tcc_support_freqs(cfg).
     IncrementalEvaluator(const LithoConfig& cfg, double threshold, const KernelSet& nominal,
                          const KernelSet& defocus);
 
@@ -154,10 +152,11 @@ public:
                            const WindowSpec& spec, Refresh refresh);
 
     /// The cached effective mask (clamped coverage, row-major n*n) and the
-    /// cached mask spectrum at support frequency (kx, ky), unwrapped as in
-    /// KernelSet::support; throws std::out_of_range for other frequencies.
+    /// cached mask spectrum, entry i at tcc_support_freqs(cfg)[i].
     [[nodiscard]] std::span<const float> cached_mask() const { return clamped_; }
-    [[nodiscard]] std::complex<double> cached_spectrum(int kx, int ky) const;
+    [[nodiscard]] std::span<const std::complex<double>> cached_spectrum() const {
+        return spectrum_;
+    }
 
     [[nodiscard]] long long incremental_count() const { return incremental_count_; }
     [[nodiscard]] long long full_count() const { return full_count_; }
@@ -169,14 +168,10 @@ private:
         double d = 0.0;  ///< change of the clamped coverage value
     };
 
-    /// Lazily-built applicator for one extra focus plane of a window sweep.
+    /// The applicator of one focus plane.
     struct FocusPlane {
         double defocus_nm = 0.0;
         SupportApplicator applicator;
-        std::vector<int> map;  ///< support index -> union spectrum index
-
-        FocusPlane(double f, SupportApplicator app, std::vector<int> m)
-            : defocus_nm(f), applicator(std::move(app)), map(std::move(m)) {}
     };
 
     /// How refresh_cache() brought the cache up to date with `offsets`.
@@ -195,36 +190,27 @@ private:
     [[nodiscard]] geo::Polygon translated_polygon(const geo::SegmentedLayout& layout, int p,
                                                   std::span<const int> offsets) const;
 
-    /// Union-spectrum index of `f`, extending the union (and computing the
-    /// new entry from the cached mask by direct DFT) if a focus plane's
-    /// support introduces a frequency the two standard sets lack.
-    int union_index(int kx, int ky);
-    /// Applicator + gather map of one focus plane.
-    using PlaneRef = std::pair<const SupportApplicator*, const std::vector<int>*>;
-    /// Applicator + gather map for one focus plane (standard planes resolve
-    /// to the members built at construction, extra planes are built lazily).
-    [[nodiscard]] PlaneRef plane_for(double defocus_nm);
+    /// The applicator of the plane at `defocus_nm`: a plane already in
+    /// planes_ (within kFocusMatchTolNm), or one acquired from the registry.
+    [[nodiscard]] const SupportApplicator* plane_for(double defocus_nm);
+    /// Appends a plane after checking that `kernels` share the cached support.
+    void add_plane(double defocus_nm, const KernelSet& kernels);
     /// One aerial per plane from the cached support spectrum, imaged in
-    /// consecutive pairs through apply_pair; a plane whose neighbour does
-    /// not pair with it (or the last of an odd count) is imaged alone.
-    [[nodiscard]] std::vector<geo::Raster> aerials_from_cache(std::span<const PlaneRef> planes) const;
-    /// The cached spectrum gathered at one plane's support.
-    [[nodiscard]] std::vector<Complex> support_values(const std::vector<int>& map) const;
+    /// consecutive pairs through apply_pair; the last of an odd count is
+    /// imaged alone.
+    [[nodiscard]] std::vector<geo::Raster> aerials_from_cache(
+        std::span<const SupportApplicator* const> planes) const;
 
     LithoConfig cfg_;
     double threshold_ = 0.0;
-    SupportApplicator nominal_;
-    SupportApplicator defocus_;
+    std::vector<FreqIndex> support_;  ///< tcc_support_freqs(cfg_)
+    /// Nominal and cfg defocus first, then window sweep planes in order of
+    /// first use; a deque, so the applicators never move.
+    std::deque<FocusPlane> planes_;
 
-    // Union of the kernel supports (the two standard sets plus any extra
-    // focus planes) and per-condition gather maps.
-    std::vector<int> union_kx_;  ///< wrapped kx per union frequency
-    std::vector<int> union_ky_;  ///< wrapped ky per union frequency
-    std::vector<int> union_pos_;  ///< wrapped fine-grid flat index per union frequency
-    std::map<std::pair<int, int>, int> union_lookup_;  ///< (kx, ky) -> union index
-    std::vector<int> map_nominal_;
-    std::vector<int> map_defocus_;
-    std::vector<std::unique_ptr<FocusPlane>> extra_planes_;  ///< window sweep planes
+    std::vector<int> freq_kx_;   ///< wrapped kx per support frequency
+    std::vector<int> freq_ky_;   ///< wrapped ky per support frequency
+    std::vector<int> freq_pos_;  ///< wrapped fine-grid flat index per support frequency
     std::vector<std::complex<double>> twiddle_;  ///< exp(-2*pi*i*t/n), t in [0, n)
 
     // Cache keyed on the layout's content fingerprint (targets + SRAFs +
@@ -238,7 +224,7 @@ private:
     std::vector<geo::Polygon> poly_cache_;  ///< translated mask polygon per target
     std::vector<double> acc_;               ///< unclamped signed coverage accumulator
     std::vector<float> clamped_;            ///< clamp01 of acc_, the effective mask
-    std::vector<std::complex<double>> spectrum_;  ///< mask spectrum at union support
+    std::vector<std::complex<double>> spectrum_;  ///< mask spectrum at support_
     SimMetrics metrics_;                          ///< metrics of the cached state
 
     long long incremental_count_ = 0;

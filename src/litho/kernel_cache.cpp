@@ -15,15 +15,12 @@ constexpr std::uint32_t kMagic = 0x434B524EU;  // "CKRN"
 // Version 3 ends in an FNV-1a seal over everything before it. Version 4
 // holds the same layout for kernels built through the sparse TCC operator:
 // they differ from the dense solver's at rounding level, so a version 3
-// entry would make a cached run differ in bits from a fresh build.
-constexpr std::uint32_t kVersion = 4;
+// entry would make a cached run differ in bits from a fresh build. Version 5
+// drops each set's support list: every set of a configuration is supported
+// on tcc_support_freqs(cfg), so the reader derives it.
+constexpr std::uint32_t kVersion = 5;
 
 void write_kernel_set(BinaryWriter& w, const KernelSet& ks) {
-    w.write_u64(ks.support.size());
-    for (const FreqIndex& f : ks.support) {
-        w.write_u32(static_cast<std::uint32_t>(f.kx));
-        w.write_u32(static_cast<std::uint32_t>(f.ky));
-    }
     w.write_u64(ks.eigenvalues.size());
     for (double e : ks.eigenvalues) w.write_f64(e);
     for (const auto& coeff : ks.coeffs) {
@@ -35,31 +32,22 @@ void write_kernel_set(BinaryWriter& w, const KernelSet& ks) {
     }
 }
 
-// A kernel set as write_kernel_set stored it, or nullopt when the bytes
-// cannot be one. The applicators index kernel coefficients by support
-// position and size their grids from the support radius, so a set must
-// carry at least one kernel, one coefficient per support entry per kernel,
-// and only support frequencies on the grid (|kx|, |ky| <= grid / 2). Every
-// count is checked against the bytes left before it sizes a vector.
-std::optional<KernelSet> read_kernel_set(BinaryReader& r, int grid) {
-    const auto on_grid = [half = grid / 2](int k) { return k >= -half && k <= half; };
+// A kernel set as write_kernel_set stored it over `support`, or nullopt when
+// the bytes cannot be one. The applicators index kernel coefficients by
+// support position, so a set must carry at least one kernel and one
+// coefficient per support entry per kernel. Every count is checked before it
+// sizes a vector.
+std::optional<KernelSet> read_kernel_set(BinaryReader& r, const std::vector<FreqIndex>& support) {
     KernelSet ks;
-    const std::uint64_t ns = r.read_u64();
-    if (ns > r.remaining() / (2 * sizeof(std::uint32_t))) return std::nullopt;
-    ks.support.resize(ns);
-    for (auto& f : ks.support) {
-        f.kx = static_cast<int>(r.read_u32());
-        f.ky = static_cast<int>(r.read_u32());
-        if (!on_grid(f.kx) || !on_grid(f.ky)) return std::nullopt;
-    }
+    ks.support = support;
     const std::uint64_t ne = r.read_u64();
     if (ne == 0 || ne > r.remaining() / sizeof(double)) return std::nullopt;
     ks.eigenvalues.resize(ne);
     for (auto& e : ks.eigenvalues) e = r.read_f64();
     ks.coeffs.resize(ne);
     for (auto& coeff : ks.coeffs) {
-        if (r.read_u64() != ns) return std::nullopt;
-        coeff.resize(ns);
+        if (r.read_u64() != support.size()) return std::nullopt;
+        coeff.resize(support.size());
         for (auto& c : coeff) {
             const float re = r.read_f32();
             const float im = r.read_f32();
@@ -84,9 +72,10 @@ std::optional<CachedKernels> load_kernel_cache(const LithoConfig& cfg) {
         if (r.read_u32() != kMagic || r.read_u32() != kVersion) return std::nullopt;
         const double threshold = r.read_f64();
         if (!(threshold > 0.0) || !std::isfinite(threshold)) return std::nullopt;
-        std::optional<KernelSet> nominal = read_kernel_set(r, cfg.grid);
+        const std::vector<FreqIndex> support = tcc_support_freqs(cfg);
+        std::optional<KernelSet> nominal = read_kernel_set(r, support);
         if (!nominal) return std::nullopt;
-        std::optional<KernelSet> defocus = read_kernel_set(r, cfg.grid);
+        std::optional<KernelSet> defocus = read_kernel_set(r, support);
         if (!defocus) return std::nullopt;
         const std::uint64_t seal = r.hash();
         if (r.read_u64() != seal || !r.at_end()) return std::nullopt;

@@ -25,21 +25,61 @@ obs::MetricId kernel_build_hist() {
     return id;
 }
 
+// Build-once map: the first get() of a key runs `build` while concurrent
+// callers of that key block on its future; later calls return the stored
+// value. A failed build reaches every waiter and drops the entry, so a later
+// get() retries.
+template <typename Key, typename Value>
+class BuildOnce {
+public:
+    template <typename Build>
+    Value get(const Key& key, const Build& build) {
+        std::promise<Value> promise;
+        std::shared_future<Value> future;
+        bool is_builder = false;
+        {
+            std::lock_guard<std::mutex> lock(mu_);
+            auto it = entries_.find(key);
+            if (it != entries_.end()) {
+                future = it->second;
+            } else {
+                is_builder = true;
+                future = promise.get_future().share();
+                entries_.emplace(key, future);
+            }
+        }
+        if (is_builder) {
+            try {
+                promise.set_value(build());
+            } catch (...) {
+                promise.set_exception(std::current_exception());
+                std::lock_guard<std::mutex> lock(mu_);
+                entries_.erase(key);  // waiters still observe the exception
+            }
+        }
+        return future.get();
+    }
+
+    void clear() {
+        std::lock_guard<std::mutex> lock(mu_);
+        entries_.clear();
+    }
+
+private:
+    std::mutex mu_;
+    std::map<Key, std::shared_future<Value>> entries_;
+};
+
 // Keyed on (physics hash, cache_dir): cache_dir does not change the kernels,
 // but it does change the disk side effect (which cache file gets written), so
 // configurations pointing at different cache directories stay distinct.
-using RegistryKey = std::pair<std::uint64_t, std::string>;
-
-std::mutex g_registry_mu;
-std::map<RegistryKey, std::shared_future<SharedKernels>> g_registry;
+BuildOnce<std::pair<std::uint64_t, std::string>, SharedKernels> g_kernels;
 
 // Extra focus planes (process-window sweeps beyond the two standard
 // conditions), keyed on (physics hash, defocus quantized to 1e-3 nm). These
 // never touch the disk cache, so cache_dir is not part of the key.
-using FocusKey = std::pair<std::uint64_t, long long>;
-
-std::mutex g_focus_registry_mu;
-std::map<FocusKey, std::shared_future<std::shared_ptr<const KernelApplicator>>> g_focus_registry;
+BuildOnce<std::pair<std::uint64_t, long long>, std::shared_ptr<const KernelApplicator>>
+    g_focus_planes;
 
 // Threshold = aerial intensity at the edge midpoint of a large isolated
 // square, so large features print at size and small ones under-print.
@@ -86,33 +126,8 @@ SharedKernels build_kernels(const LithoConfig& cfg) {
 }  // namespace
 
 SharedKernels acquire_kernels(const LithoConfig& cfg) {
-    const RegistryKey key{cfg.physics_hash(), cfg.cache_dir};
-
-    std::promise<SharedKernels> promise;
-    std::shared_future<SharedKernels> future;
-    bool is_builder = false;
-    {
-        std::lock_guard<std::mutex> lock(g_registry_mu);
-        auto it = g_registry.find(key);
-        if (it != g_registry.end()) {
-            future = it->second;
-        } else {
-            is_builder = true;
-            future = promise.get_future().share();
-            g_registry.emplace(key, future);
-        }
-    }
-
-    if (is_builder) {
-        try {
-            promise.set_value(build_kernels(cfg));
-        } catch (...) {
-            promise.set_exception(std::current_exception());
-            std::lock_guard<std::mutex> lock(g_registry_mu);
-            g_registry.erase(key);  // waiters still observe the exception
-        }
-    }
-    return future.get();
+    return g_kernels.get({cfg.physics_hash(), cfg.cache_dir},
+                         [&cfg] { return build_kernels(cfg); });
 }
 
 int interpolated_kernel_count(const LithoConfig& cfg, double defocus_nm) {
@@ -135,49 +150,24 @@ std::shared_ptr<const KernelApplicator> acquire_focus_applicator(const LithoConf
         return acquire_kernels(cfg).defocus;
     }
 
-    const FocusKey key{cfg.physics_hash(), std::llround(defocus_nm * 1e3)};
-
-    std::promise<std::shared_ptr<const KernelApplicator>> promise;
-    std::shared_future<std::shared_ptr<const KernelApplicator>> future;
-    bool is_builder = false;
-    {
-        std::lock_guard<std::mutex> lock(g_focus_registry_mu);
-        auto it = g_focus_registry.find(key);
-        if (it != g_focus_registry.end()) {
-            future = it->second;
-        } else {
-            is_builder = true;
-            future = promise.get_future().share();
-            g_focus_registry.emplace(key, future);
-        }
-    }
-
-    if (is_builder) {
-        try {
-            const obs::Span span("kernels.build", kernel_build_hist());
-            obs::counter_add(kernel_build_counter());
-            log_info("building SOCS kernels for focus plane " + std::to_string(defocus_nm) +
-                     " nm (one-time, shared in-process)");
-            KernelSet ks =
-                compute_socs_kernels(cfg, defocus_nm, interpolated_kernel_count(cfg, defocus_nm));
-            promise.set_value(
-                std::make_shared<const KernelApplicator>(std::move(ks), cfg.grid));
-        } catch (...) {
-            promise.set_exception(std::current_exception());
-            std::lock_guard<std::mutex> lock(g_focus_registry_mu);
-            g_focus_registry.erase(key);  // waiters still observe the exception
-        }
-    }
-    return future.get();
+    // The plane is built at its key's defocus, not the caller's, so its
+    // kernels do not depend on which caller within the key came first.
+    const long long key = std::llround(defocus_nm * 1e3);
+    return g_focus_planes.get({cfg.physics_hash(), key}, [&cfg, key] {
+        const double plane_nm = static_cast<double>(key) / 1e3;
+        const obs::Span span("kernels.build", kernel_build_hist());
+        obs::counter_add(kernel_build_counter());
+        log_info("building SOCS kernels for focus plane " + std::to_string(plane_nm) +
+                 " nm (one-time, shared in-process)");
+        KernelSet ks =
+            compute_socs_kernels(cfg, plane_nm, interpolated_kernel_count(cfg, plane_nm));
+        return std::make_shared<const KernelApplicator>(std::move(ks), cfg.grid);
+    });
 }
 
 void clear_kernel_registry() {
-    {
-        std::lock_guard<std::mutex> lock(g_registry_mu);
-        g_registry.clear();
-    }
-    std::lock_guard<std::mutex> lock(g_focus_registry_mu);
-    g_focus_registry.clear();
+    g_kernels.clear();
+    g_focus_planes.clear();
 }
 
 }  // namespace camo::litho

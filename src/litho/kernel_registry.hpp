@@ -33,8 +33,10 @@ SharedKernels acquire_kernels(const LithoConfig& cfg);
 
 /// Acquire the shared kernel applicator for one focus plane of `cfg`. The
 /// two standard planes (0 and cfg.defocus_nm, within 1e-6 nm) resolve to the
-/// acquire_kernels() sets without building anything; every other defocus
-/// builds a SOCS kernel set once per process, with the kernel count
+/// acquire_kernels() sets without building anything; every other defocus is
+/// rounded to 1e-3 nm and builds a SOCS kernel set at that rounded defocus
+/// once per process (so a plane's kernels depend only on the rounded
+/// value, whichever caller came first), with the kernel count
 /// interpolated between kernels_nominal and kernels_defocus by
 /// |defocus| / cfg.defocus_nm (clamped; defocused TCCs concentrate energy in
 /// fewer kernels, so intermediate planes need an intermediate count).

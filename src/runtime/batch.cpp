@@ -298,16 +298,10 @@ BatchResult BatchScheduler::run_camo_batched(const std::vector<geo::SegmentedLay
     csims.reserve(clips.size());
     for (std::size_t i = 0; i < clips.size(); ++i) csims.emplace_back(sims_.front());
 
-    std::vector<std::uint64_t> seeds;
-    if (opt_.stochastic) {
-        seeds.reserve(clips.size());
-        for (std::size_t i = 0; i < clips.size(); ++i) seeds.push_back(derive_seed(opt_.seed, i));
-    }
-
     StreamStats stats;
     try {
         std::vector<opc::EngineResult> engine_results =
-            engine.infer_batch(clips, csims, opt_.opc, seeds);
+            engine.infer_batch(clips, csims, opt_.opc);
         for (std::size_t i = 0; i < clips.size(); ++i) {
             fill_result(results[i], std::move(engine_results[i]), csims[i], clips[i]);
         }
@@ -327,15 +321,11 @@ BatchResult BatchScheduler::run_camo_batched(const std::vector<geo::SegmentedLay
 BatchResult BatchScheduler::run_camo(const std::vector<geo::SegmentedLayout>& clips,
                                      const core::CamoEngine& engine,
                                      const std::vector<std::string>& names) {
-    const bool stochastic = opt_.stochastic;
     return run(
         clips,
-        [&engine, stochastic](const geo::SegmentedLayout& layout, litho::LithoSim& sim,
-                              const opc::OpcOptions& opt, std::uint64_t job_seed) {
-            if (!stochastic) return engine.infer(layout, sim, opt);
-            Rng job_rng(job_seed);
-            return engine.infer(layout, sim, opt, &job_rng);
-        },
+        [&engine](const geo::SegmentedLayout& layout, litho::LithoSim& sim,
+                  const opc::OpcOptions& opt,
+                  std::uint64_t /*job_seed*/) { return engine.infer(layout, sim, opt); },
         names);
 }
 

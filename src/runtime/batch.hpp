@@ -43,7 +43,6 @@ namespace camo::runtime {
 struct BatchOptions {
     int threads = 0;             ///< worker count; <= 0 selects all hardware threads
     std::uint64_t seed = 42;     ///< batch seed; job i runs with derive_seed(seed, i)
-    bool stochastic = false;     ///< CAMO path: sample actions from the per-job Rng
     /// Per-clip OPC protocol (iterations, exits, bias). `opc.window` is the
     /// batch's one process window: the scheduler resolves it once
     /// (litho::WindowSpec::resolved) when `window` is set or the objective
@@ -199,8 +198,7 @@ public:
     /// per clip, all clips advance in lockstep waves on the calling thread
     /// and each wave issues ONE batched policy forward
     /// (CamoEngine::infer_batch) over every clip awaiting an action. Per-clip
-    /// results are identical to run_camo()'s on the same backend — the same
-    /// per-job splitmix seeds drive stochastic action sampling — so this is a
+    /// results are identical to run_camo()'s on the same backend, so this is a
     /// throughput knob for the policy-bound regime (many small clips), not a
     /// semantic switch. BatchResult::threads reports 1: the litho evaluation
     /// is serial here, only the policy math is batched.

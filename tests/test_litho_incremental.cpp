@@ -316,7 +316,7 @@ TEST_F(LithoIncrementalTest, WindowPrimeAfterUpdateMatchesFreshPrimeBitwise) {
 }
 
 // The rebuild primes the support spectrum through the pruned forward FFT;
-// at every union frequency it must equal the dense mask_spectrum of the
+// at every support frequency it must equal the dense mask_spectrum of the
 // cached mask bit for bit.
 TEST_F(LithoIncrementalTest, RebuildSpectrumMatchesDenseMaskSpectrumBitwise) {
     const LithoConfig& cfg = sim_->config();
@@ -336,15 +336,17 @@ TEST_F(LithoIncrementalTest, RebuildSpectrumMatchesDenseMaskSpectrumBitwise) {
         std::copy(cached.begin(), cached.end(), mask.data().begin());
         const std::vector<Complex> dense = mask_spectrum(mask);
 
-        for (const KernelSet* ks : {&sim_->nominal_kernels(), &sim_->defocus_kernels()}) {
-            for (const FreqIndex& f : ks->support) {
-                const std::complex<double> v = eval.cached_spectrum(f.kx, f.ky);
-                const Complex got(static_cast<float>(v.real()), static_cast<float>(v.imag()));
-                const Complex want = dense[static_cast<std::size_t>(
-                    ((f.ky % n + n) % n) * n + (f.kx % n + n) % n)];
-                ASSERT_EQ(std::memcmp(&got, &want, sizeof(Complex)), 0)
-                    << "kx=" << f.kx << " ky=" << f.ky << ": " << got << " vs " << want;
-            }
+        const std::vector<FreqIndex> support = tcc_support_freqs(cfg);
+        const auto spectrum = eval.cached_spectrum();
+        ASSERT_EQ(spectrum.size(), support.size());
+        for (std::size_t i = 0; i < support.size(); ++i) {
+            const FreqIndex& f = support[i];
+            const Complex got(static_cast<float>(spectrum[i].real()),
+                              static_cast<float>(spectrum[i].imag()));
+            const Complex want = dense[static_cast<std::size_t>(
+                ((f.ky % n + n) % n) * n + (f.kx % n + n) % n)];
+            ASSERT_EQ(std::memcmp(&got, &want, sizeof(Complex)), 0)
+                << "kx=" << f.kx << " ky=" << f.ky << ": " << got << " vs " << want;
         }
     }
 }
@@ -556,50 +558,55 @@ TEST_P(SupportApplicatorTest, PackedPairMatchesTwoSingleApplies) {
     const double px = s.config().pixel_nm;
     const KernelSet& nom = s.nominal_kernels();
     const KernelSet& def = s.defocus_kernels();
-    // Same grids, narrower support: apply_pair must scatter the wider band.
-    const KernelSet narrow = truncated(def, support_radius(def) - 1);
     const SupportApplicator nom_app(nom, n);
     const SupportApplicator def_app(def, n);
-    const SupportApplicator narrow_app(narrow, n);
-    ASSERT_TRUE(nom_app.pairs_with(def_app));
-    ASSERT_TRUE(nom_app.pairs_with(narrow_app));
 
     for (const auto& layout : {via_layout(3, 63), metal_layout(24, 64)}) {
         const std::vector<int> offsets(static_cast<std::size_t>(layout.num_segments()), -2);
         const std::vector<Complex> nv = support_values(s, nom, layout, offsets);
-        for (const auto* other : {&def, &narrow}) {
-            const SupportApplicator& other_app = other == &def ? def_app : narrow_app;
-            const std::vector<Complex> ov = support_values(s, *other, layout, offsets);
-            const geo::Raster a = nom_app.apply(nv, px);
-            const geo::Raster b = other_app.apply(ov, px);
-            for (const bool swapped : {false, true}) {
-                const auto [first, second] = swapped ? other_app.apply_pair(ov, nom_app, nv, px)
-                                                     : nom_app.apply_pair(nv, other_app, ov, px);
-                const geo::Raster& pa = swapped ? second : first;
-                const geo::Raster& pb = swapped ? first : second;
-                float peak = 0.0F;
-                for (const float v : a.data()) peak = std::max(peak, v);
-                const float da = max_abs_diff(pa, a);
-                const float db = max_abs_diff(pb, b);
-                EXPECT_LE(da, 1e-6F) << "grid " << n << " nominal, peak " << peak;
-                EXPECT_LE(db, 1e-6F) << "grid " << n << " other, peak " << peak;
-                std::printf("grid %d support radius %d/%d swapped %d: peak %.3f, max |diff| %.2e %.2e\n",
-                            n, support_radius(nom), support_radius(*other), swapped ? 1 : 0,
-                            peak, da, db);
-            }
+        const std::vector<Complex> dv = support_values(s, def, layout, offsets);
+        const geo::Raster a = nom_app.apply(nv, px);
+        const geo::Raster b = def_app.apply(dv, px);
+        for (const bool swapped : {false, true}) {
+            const auto [first, second] = swapped ? def_app.apply_pair(dv, nom_app, nv, px)
+                                                 : nom_app.apply_pair(nv, def_app, dv, px);
+            const geo::Raster& pa = swapped ? second : first;
+            const geo::Raster& pb = swapped ? first : second;
+            float peak = 0.0F;
+            for (const float v : a.data()) peak = std::max(peak, v);
+            const float da = max_abs_diff(pa, a);
+            const float db = max_abs_diff(pb, b);
+            EXPECT_LE(da, 1e-6F) << "grid " << n << " nominal, peak " << peak;
+            EXPECT_LE(db, 1e-6F) << "grid " << n << " defocus, peak " << peak;
+            std::printf("grid %d support radius %d swapped %d: peak %.3f, max |diff| %.2e %.2e\n",
+                        n, support_radius(nom), swapped ? 1 : 0, peak, da, db);
         }
     }
 
     // Different coarse grids do not pair.
     const SupportApplicator small(truncated(nom, support_radius(nom) / 2), n);
     ASSERT_NE(small.coarse_grid(), nom_app.coarse_grid());
-    EXPECT_FALSE(nom_app.pairs_with(small));
     const std::vector<Complex> nv(static_cast<std::size_t>(nom_app.support_size()));
     const std::vector<Complex> sv(static_cast<std::size_t>(small.support_size()));
     EXPECT_THROW((void)nom_app.apply_pair(nv, small, sv, px), std::invalid_argument);
 }
 
 INSTANTIATE_TEST_SUITE_P(Grids, SupportApplicatorTest, ::testing::Values(256, 512));
+
+// The cached spectrum is held in tcc_support_freqs(cfg) order and every
+// plane reads it as is, so a kernel set on any other support is refused.
+TEST_F(LithoIncrementalTest, EvaluatorRejectsKernelSetOffTheConfigSupport) {
+    const LithoConfig& cfg = sim_->config();
+    const KernelSet& nom = sim_->nominal_kernels();
+    const KernelSet& def = sim_->defocus_kernels();
+    EXPECT_NO_THROW(IncrementalEvaluator(cfg, sim_->threshold(), nom, def));
+    EXPECT_THROW(IncrementalEvaluator(cfg, sim_->threshold(),
+                                      truncated(nom, support_radius(nom) - 1), def),
+                 std::invalid_argument);
+    EXPECT_THROW(IncrementalEvaluator(cfg, sim_->threshold(), nom,
+                                      truncated(def, support_radius(def) - 1)),
+                 std::invalid_argument);
+}
 
 // ---- Golden-metrics regression fixtures ------------------------------------
 

@@ -269,16 +269,21 @@ protected:
     }
     void TearDown() override { std::filesystem::remove_all(cfg_.cache_dir); }
 
-    // Two small kernels over a three-frequency support on the 64 grid.
-    static KernelSet kernel_set() {
+    // Two small kernels over the 64 grid's support; the first coefficient
+    // of the first kernel is 1.0F.
+    [[nodiscard]] KernelSet kernel_set() const {
         KernelSet ks;
-        ks.support = {{0, 0}, {1, 0}, {0, -1}};
+        ks.support = tcc_support_freqs(cfg_);
         ks.eigenvalues = {1.0, 0.5};
-        ks.coeffs = {{{1.0F, 0.0F}, {0.5F, 0.25F}, {0.5F, -0.25F}},
-                     {{0.0F, 1.0F}, {0.25F, 0.5F}, {-0.25F, 0.5F}}};
+        ks.coeffs.resize(2);
+        for (std::size_t i = 0; i < ks.support.size(); ++i) {
+            const auto v = static_cast<float>(i);
+            ks.coeffs[0].emplace_back(1.0F / (1.0F + v), 0.25F * v);
+            ks.coeffs[1].emplace_back(-0.5F * v, 1.0F);
+        }
         return ks;
     }
-    static CachedKernels good() { return {kernel_set(), kernel_set(), 0.2}; }
+    [[nodiscard]] CachedKernels good() const { return {kernel_set(), kernel_set(), 0.2}; }
 
     [[nodiscard]] bool loads(const CachedKernels& ck) const {
         store_kernel_cache(cfg_, ck);
@@ -292,9 +297,9 @@ protected:
         std::ofstream(kernel_cache_path(cfg_), std::ios::binary | std::ios::trunc) << b;
     }
 
-    // Byte offset of the nominal set's support count: magic, version and
+    // Byte offset of the nominal set's eigenvalue count: magic, version and
     // threshold come first.
-    static constexpr std::size_t kSupportCountAt = 4 + 4 + 8;
+    static constexpr std::size_t kEigenCountAt = 4 + 4 + 8;
 
     LithoConfig cfg_;
 };
@@ -304,13 +309,20 @@ TEST_F(KernelCacheCorpus, GoodEntryLoads) {
     const auto loaded = load_kernel_cache(cfg_);
     ASSERT_TRUE(loaded.has_value());
     EXPECT_EQ(loaded->threshold, 0.2);
+    const std::vector<FreqIndex> support = tcc_support_freqs(cfg_);
     for (const KernelSet* ks : {&loaded->nominal, &loaded->defocus}) {
-        EXPECT_EQ(ks->support_size(), 3);
+        ASSERT_EQ(ks->support_size(), static_cast<int>(support.size()));
+        for (std::size_t i = 0; i < support.size(); ++i) {
+            EXPECT_EQ(ks->support[i].kx, support[i].kx);
+            EXPECT_EQ(ks->support[i].ky, support[i].ky);
+        }
         EXPECT_EQ(ks->eigenvalues, kernel_set().eigenvalues);
         EXPECT_EQ(ks->coeffs, kernel_set().coeffs);
     }
 }
 
+// The file stores no support: each coefficient count is checked against the
+// size of tcc_support_freqs(cfg).
 TEST_F(KernelCacheCorpus, CoefficientCountDiffersFromSupport) {
     CachedKernels ck = good();
     ck.nominal.coeffs[0].resize(1);
@@ -327,27 +339,16 @@ TEST_F(KernelCacheCorpus, NoKernels) {
     EXPECT_FALSE(loads(ck));
 }
 
-TEST_F(KernelCacheCorpus, SupportFrequencyOffGrid) {
-    for (const FreqIndex f : {FreqIndex{33, 0}, FreqIndex{0, -33},
-                              FreqIndex{std::numeric_limits<int>::min(), 0}}) {
-        CachedKernels ck = good();
-        ck.nominal.support[1] = f;
-        EXPECT_FALSE(loads(ck)) << f.kx << "," << f.ky;
-    }
-    CachedKernels edge = good();
-    edge.nominal.support[1] = {32, -32};  // grid / 2 is still on the grid
-    EXPECT_TRUE(loads(edge));
-}
-
 TEST_F(KernelCacheCorpus, CountLargerThanFileIsRejectedBeforeAllocating) {
     store_kernel_cache(cfg_, good());
     std::string b = bytes();
-    const std::uint64_t huge = std::uint64_t{1} << 22;  // 32 MB of support entries
-    std::memcpy(b.data() + kSupportCountAt, &huge, sizeof huge);
+    const std::uint64_t huge = std::uint64_t{1} << 22;  // 32 MB of eigenvalues
+    std::memcpy(b.data() + kEigenCountAt, &huge, sizeof huge);
     write(b);
     g_largest_new = 0;
     EXPECT_FALSE(load_kernel_cache(cfg_).has_value());
-    // Reading allocates a stream buffer (a few KB), never the count's 32 MB.
+    // Reading allocates a stream buffer (a few KB) and the derived support,
+    // never the count's 32 MB of eigenvalues.
     EXPECT_LT(g_largest_new.load(), std::size_t{1} << 20) << "a count sized a vector unchecked";
 }
 
@@ -369,12 +370,11 @@ TEST_F(KernelCacheCorpus, TrailingBytes) {
 TEST_F(KernelCacheCorpus, CoefficientBitFlipIsRejectedAndRebuilt) {
     store_kernel_cache(cfg_, good());
     std::string b = bytes();
-    // The nominal set's first coefficient: after the support count come
-    // three (kx, ky) pairs, the eigenvalue count, two eigenvalues and the
-    // first kernel's coefficient count. Flipping the lowest mantissa bit of
-    // its real part (1.0F) leaves a structurally valid file that only the
-    // payload seal can tell from the good one.
-    constexpr std::size_t kFirstCoeffAt = kSupportCountAt + 8 + 3 * 8 + 8 + 2 * 8 + 8;
+    // The nominal set's first coefficient: after the eigenvalue count come
+    // two eigenvalues and the first kernel's coefficient count. Flipping the
+    // lowest mantissa bit of its real part (1.0F) leaves a structurally
+    // valid file that only the payload seal can tell from the good one.
+    constexpr std::size_t kFirstCoeffAt = kEigenCountAt + 8 + 2 * 8 + 8;
     float re = 0.0F;
     std::memcpy(&re, b.data() + kFirstCoeffAt, sizeof re);
     ASSERT_EQ(re, 1.0F);
@@ -389,16 +389,16 @@ TEST_F(KernelCacheCorpus, CoefficientBitFlipIsRejectedAndRebuilt) {
 }
 
 TEST_F(KernelCacheCorpus, OlderVersionIsAMissAndRebuilt) {
-    // A well-formed entry of version 3, the last format whose kernels came
-    // from the dense TCC solver: header patched, seal recomputed, so only
-    // the version tells it from a current entry.
+    // A current entry relabelled as version 4, the last format that stored
+    // each set's support: header patched, seal recomputed, so only the
+    // version tells it from a current entry.
     store_kernel_cache(cfg_, good());
     std::string b = bytes();
     constexpr std::size_t kVersionAt = 4;
     std::uint32_t version = 0;
     std::memcpy(&version, b.data() + kVersionAt, sizeof version);
-    ASSERT_EQ(version, 4U);
-    version = 3;
+    ASSERT_EQ(version, 5U);
+    version = 4;
     std::memcpy(b.data() + kVersionAt, &version, sizeof version);
     const std::size_t payload = b.size() - sizeof(std::uint64_t);
     const std::uint64_t seal = fnv1a(kFnv1aBasis, b.data(), payload);
@@ -406,12 +406,12 @@ TEST_F(KernelCacheCorpus, OlderVersionIsAMissAndRebuilt) {
     write(b);
     EXPECT_FALSE(load_kernel_cache(cfg_).has_value());
 
-    // The registry rebuilds the kernels and rewrites the entry as version 4.
+    // The registry rebuilds the kernels and rewrites the entry as version 5.
     const LithoSim sim(cfg_);
     const std::string rebuilt = bytes();
     ASSERT_GE(rebuilt.size(), kVersionAt + sizeof version);
     std::memcpy(&version, rebuilt.data() + kVersionAt, sizeof version);
-    EXPECT_EQ(version, 4U);
+    EXPECT_EQ(version, 5U);
     EXPECT_TRUE(load_kernel_cache(cfg_).has_value());
 }
 

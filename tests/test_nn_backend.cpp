@@ -525,36 +525,32 @@ TEST(PolicyBackend, BatchedMatchesSingleOnEveryScenario) {
     }
 }
 
-TEST(PolicyBackend, BatchedMatchesSingleAcrossRewardModesAndSampling) {
+TEST(PolicyBackend, BatchedMatchesSingleAcrossRewardModes) {
     const core::CamoEngine engine = make_engine();
     const scenario::Scenario sc =
         scenario::Registry::instance().get(scenario::Registry::instance().names().front());
     const std::vector<geo::SegmentedLayout> layouts = sc.layouts(2);
     for (const rl::RewardMode mode : {rl::RewardMode::kNominal, rl::RewardMode::kWorstCorner,
                                       rl::RewardMode::kWeightedCorner}) {
-        for (const bool stochastic : {false, true}) {
-            runtime::BatchOptions bopt;
-            bopt.threads = 1;
-            bopt.stochastic = stochastic;
-            bopt.opc = quick_opc(sc.style);
-            bopt.opc.objective = mode;
-            runtime::BatchScheduler sched(sc.litho, bopt);
-            const runtime::BatchResult single = sched.run_camo(layouts, engine);
-            const runtime::BatchResult batched = sched.run_camo_batched(layouts, engine);
-            ASSERT_EQ(single.clips.size(), batched.clips.size());
-            for (std::size_t i = 0; i < single.clips.size(); ++i) {
-                EXPECT_EQ(single.clips[i].offsets, batched.clips[i].offsets)
-                    << rl::reward_mode_name(mode) << " stochastic=" << stochastic;
-                EXPECT_EQ(single.clips[i].iterations, batched.clips[i].iterations)
-                    << rl::reward_mode_name(mode) << " stochastic=" << stochastic;
-            }
-            // Both paths prime every clip with a full rebuild and then move
-            // the same segments, so the litho work is the same too.
-            EXPECT_EQ(single.litho_evaluations, batched.litho_evaluations)
-                << rl::reward_mode_name(mode) << " stochastic=" << stochastic;
-            EXPECT_EQ(single.incremental_hits, batched.incremental_hits)
-                << rl::reward_mode_name(mode) << " stochastic=" << stochastic;
+        runtime::BatchOptions bopt;
+        bopt.threads = 1;
+        bopt.opc = quick_opc(sc.style);
+        bopt.opc.objective = mode;
+        runtime::BatchScheduler sched(sc.litho, bopt);
+        const runtime::BatchResult single = sched.run_camo(layouts, engine);
+        const runtime::BatchResult batched = sched.run_camo_batched(layouts, engine);
+        ASSERT_EQ(single.clips.size(), batched.clips.size());
+        for (std::size_t i = 0; i < single.clips.size(); ++i) {
+            EXPECT_EQ(single.clips[i].offsets, batched.clips[i].offsets)
+                << rl::reward_mode_name(mode);
+            EXPECT_EQ(single.clips[i].iterations, batched.clips[i].iterations)
+                << rl::reward_mode_name(mode);
         }
+        // Both paths prime every clip with a full rebuild and then move the
+        // same segments, so the litho work is the same too.
+        EXPECT_EQ(single.litho_evaluations, batched.litho_evaluations)
+            << rl::reward_mode_name(mode);
+        EXPECT_EQ(single.incremental_hits, batched.incremental_hits) << rl::reward_mode_name(mode);
     }
 }
 

@@ -149,28 +149,6 @@ TEST(BatchScheduler, SharedCamoEngineDeterministicAcrossThreadCounts) {
     }
 }
 
-TEST(BatchScheduler, StochasticCamoUsesPerJobSeeds) {
-    const auto clips = test_clips(3);
-    core::CamoConfig cfg;
-    const core::CamoEngine engine(cfg);
-
-    BatchOptions opt = batch_options(1);
-    opt.stochastic = true;
-    BatchOptions opt4 = batch_options(4);
-    opt4.stochastic = true;
-
-    BatchScheduler one(test_litho_config(), opt);
-    BatchScheduler four(test_litho_config(), opt4);
-    const BatchResult r1 = one.run_camo(clips, engine);
-    const BatchResult r4 = four.run_camo(clips, engine);
-
-    // Sampled actions come from per-job splitmix streams, never from shared
-    // engine state: identical at any thread count.
-    for (std::size_t i = 0; i < clips.size(); ++i) {
-        EXPECT_EQ(r1.clips[i].offsets, r4.clips[i].offsets) << "clip " << i;
-    }
-}
-
 TEST(BatchScheduler, EmptyBatchSummaryPrintsZerosNotNaN) {
     BatchScheduler scheduler(test_litho_config(), batch_options(2));
     const BatchResult res = scheduler.run_rule({});
