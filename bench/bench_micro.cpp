@@ -7,8 +7,11 @@
 #include <algorithm>
 #include <bit>
 #include <cstdio>
+#include <cstdlib>
+#include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -38,25 +41,81 @@ namespace {
 
 using namespace camo;
 
-// Dense forward 2D FFT at the coarse SOCS grids (64, 128) and the mask
-// grids (256, 512). Each iteration restores the input untimed: repeated
-// in-place transforms would overflow to inf within a few passes.
-void BM_Fft2d(benchmark::State& state) {
-    const int n = static_cast<int>(state.range(0));
-    Rng rng(1);
-    std::vector<litho::Complex> input(static_cast<std::size_t>(n) * n);
-    for (auto& c : input) c = {static_cast<float>(rng.uniform(0, 1)), 0.0F};
+// Times fft(grid) on a copy of `input` per iteration; the copy is untimed:
+// repeated in-place transforms would overflow to inf (forward) or sink into
+// denormals (inverse) within a few passes. Arg 0 picks the line kernel's
+// level: 0 scalar, 1 the detected one.
+template <typename Fft>
+void time_fft(benchmark::State& state, const std::vector<litho::Complex>& input, Fft fft,
+              const std::string& note = {}) {
+    simd::ScopedOverride force(state.range(0) != 0 ? simd::detected_level()
+                                                   : simd::Level::kScalar);
     std::vector<litho::Complex> grid = input;
     for (auto _ : state) {
         state.PauseTiming();
         std::copy(input.begin(), input.end(), grid.begin());
         state.ResumeTiming();
-        litho::fft2d_forward(grid, n);
+        fft(grid);
         benchmark::DoNotOptimize(grid.data());
         benchmark::ClobberMemory();
     }
+    std::string label = simd::level_name(simd::active_level());
+    state.SetLabel(label += note);
 }
-BENCHMARK(BM_Fft2d)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
+
+// Dense forward 2D FFT at the coarse SOCS grids (64, 128) and the mask
+// grids (256, 512); Arg 1 = n.
+void BM_Fft2d(benchmark::State& state) {
+    const int n = static_cast<int>(state.range(1));
+    Rng rng(1);
+    std::vector<litho::Complex> input(static_cast<std::size_t>(n) * n);
+    for (auto& c : input) c = {static_cast<float>(rng.uniform(0, 1)), 0.0F};
+    time_fft(state, input, [n](std::span<litho::Complex> g) { litho::fft2d_forward(g, n); });
+}
+BENCHMARK(BM_Fft2d)->ArgsProduct({{0, 1}, {64, 128, 256, 512}});
+
+// The row-sparse inverses of one production evaluation (the 512 grid, its
+// kernel support of radius R): Arg 1 = 512 is the upsample's inverse, the
+// band |kx|, |ky| <= 2R on the fine grid; Arg 1 = 128 is one SOCS kernel's
+// field on the coarse grid, the support disk. Only the rows the band or
+// disk occupies are transformed.
+void BM_Fft2dInverseRowSparse(benchmark::State& state) {
+    const int n = static_cast<int>(state.range(1));
+    const std::vector<litho::FreqIndex> support =
+        litho::tcc_support_freqs(core::Experiment::litho_config());
+    std::vector<std::pair<int, int>> freqs;  // (ky, kx)
+    if (n == 128) {
+        for (const litho::FreqIndex& f : support) freqs.emplace_back(f.ky, f.kx);
+    } else {
+        int radius = 0;
+        for (const litho::FreqIndex& f : support) {
+            radius = std::max({radius, std::abs(f.kx), std::abs(f.ky)});
+        }
+        for (int ky = -2 * radius; ky <= 2 * radius; ++ky) {
+            for (int kx = -2 * radius; kx <= 2 * radius; ++kx) freqs.emplace_back(ky, kx);
+        }
+    }
+    Rng rng(2);
+    std::vector<litho::Complex> input(static_cast<std::size_t>(n) * n);
+    std::vector<std::uint8_t> row_nonzero(static_cast<std::size_t>(n), 0);
+    for (const auto& [ky, kx] : freqs) {
+        const auto row = static_cast<std::size_t>(((ky % n) + n) % n);
+        const auto col = static_cast<std::size_t>(((kx % n) + n) % n);
+        input[row * static_cast<std::size_t>(n) + col] = {static_cast<float>(rng.uniform(-1, 1)),
+                                                          static_cast<float>(rng.uniform(-1, 1))};
+        row_nonzero[row] = 1;
+    }
+    std::string note = ", ";
+    note += std::to_string(std::count(row_nonzero.begin(), row_nonzero.end(), 1));
+    note += " rows";
+    time_fft(
+        state, input,
+        [n, &row_nonzero](std::span<litho::Complex> g) {
+            litho::fft2d_inverse_rowsparse(g, n, row_nonzero);
+        },
+        note);
+}
+BENCHMARK(BM_Fft2dInverseRowSparse)->ArgsProduct({{0, 1}, {128, 512}});
 
 // The incremental rebuild's mask spectrum: a via-like mask on the
 // production 512 grid, forward-transformed with empty rows skipped and only

@@ -17,6 +17,12 @@ const Ops* avx2_ops();
 const Ops* neon_ops();
 const ExactOps* avx2_exact_ops();
 
+// The scalar FFT line kernel, in simd_scalar_fft.cpp (built without
+// floating-point contraction).
+void scalar_fft_lines(std::complex<float>* data, int n, std::size_t stride,
+                      const std::size_t* starts, std::size_t count, const int* rev,
+                      const float* wr, const float* wi, float scale);
+
 }  // namespace detail
 
 namespace {
@@ -175,8 +181,8 @@ void scalar_conv2d_dx(const float* wt, const float* dy, int in_ch, int in_ch_pad
 }
 
 const ExactOps kScalarExactOps = {
-    Level::kScalar,     scalar_gemm_blocked, scalar_conv2d_packed,
-    scalar_gemm_nn,     scalar_gemm_tn_acc,  scalar_conv2d_dx,
+    Level::kScalar,     scalar_gemm_blocked, scalar_conv2d_packed,    scalar_gemm_nn,
+    scalar_gemm_tn_acc, scalar_conv2d_dx,    detail::scalar_fft_lines,
 };
 
 // ---- Dispatch ---------------------------------------------------------------

@@ -1,14 +1,17 @@
 // Runtime-dispatched SIMD kernels for the policy network and the
 // lithography hot loops (the nn::OpsBackend and litho::SupportApplicator
-// compute cores).
+// compute cores, and the FFT's line kernel behind every litho/fft.hpp
+// transform).
 //
 // Dispatch model: this translation unit is always compiled portably; the
 // vector implementations live in their own translation units
 // (simd_avx2.cpp, built with -mavx2 -mfma on x86; simd_neon.cpp on
 // aarch64, where NEON is baseline; simd_avx2_exact.cpp, the training
-// kernels, built with -mavx2 -ffp-contract=off; the two AVX2 TUs share
-// the GEMM and conv register tiles of simd_avx2_tiles.hpp, each under its
-// own flags). At startup the active kernel table is chosen as
+// kernels and the FFT line kernel, built with -mavx2 -ffp-contract=off; the
+// two AVX2 TUs share the GEMM and conv register tiles of
+// simd_avx2_tiles.hpp, each under its own flags). The scalar FFT line
+// kernel sits in simd_scalar_fft.cpp, built -ffp-contract=off on every
+// ISA. At startup the active kernel table is chosen as
 //
 //     compiled kernels  ∩  CPU capabilities  ∩  CAMO_BACKEND environment
 //
@@ -99,16 +102,17 @@ struct Ops {
                      std::size_t n);
 };
 
-/// Exact-order kernels for training. The forward entries have the same
-/// contracts as their Ops namesakes, and every output is bit-identical to
-/// the scalar table at every level: vector lanes run across output
-/// elements, each with one accumulator fed in the scalar order, and every
-/// product is rounded before it is added (no FMA). The backward entries
-/// reproduce the accumulation orders of the naive per-sample layer loops
-/// (Conv2d/Linear backward in tests/nn_reference_layers.hpp). The AVX2
-/// kernels live in simd_avx2_exact.cpp, built with -mavx2
-/// -ffp-contract=off and without -mfma; where no exact vector kernel
-/// exists (NEON, portable builds) the table is the scalar one.
+/// Exact-order kernels for training and the FFT. The forward entries have
+/// the same contracts as their Ops namesakes, and every output is
+/// bit-identical to the scalar table at every level: vector lanes run across
+/// output elements (FFT lines), each with one accumulator fed in the scalar
+/// order, and every product is rounded before it is added (no FMA). The
+/// backward entries reproduce the accumulation orders of the naive
+/// per-sample layer loops (Conv2d/Linear backward in
+/// tests/nn_reference_layers.hpp). The AVX2 kernels live in
+/// simd_avx2_exact.cpp, built with -mavx2 -ffp-contract=off and without
+/// -mfma; where no exact vector kernel exists (NEON, portable builds) the
+/// table is the scalar one.
 struct ExactOps {
     Level level = Level::kScalar;
 
@@ -139,6 +143,23 @@ struct ExactOps {
     void (*conv2d_dx)(const float* wt, const float* dy, int in_ch, int in_ch_padded, int h,
                       int wdt, int out_ch, int k, int stride, int pad, int oh, int ow,
                       float* dx);
+
+    /// The FFT's line kernel (litho/fft.cpp): transforms in place the
+    /// `count` n-point lines whose element e sits at data[starts[l] + e *
+    /// stride], n a power of two. Each line goes through the textbook
+    /// radix-2 transform: elements in bit-reversed order (element e to
+    /// position rev[e]), then log2 n butterfly stages, the stage spanning
+    /// 2h elements reading its h twiddles w[k] = (wr, wi)[h - 1 + k]. A
+    /// butterfly computes t = v * w in std::complex<float> operation order
+    /// (tr = vr*wr - vi*wi, ti = vr*wi + vi*wr), then v = u - t, u = u + t.
+    /// A nonzero `scale` multiplies both parts of every output. The scalar
+    /// entry runs 8 lines side by side in scratch; the AVX2 entry holds 8
+    /// lines in one register pair, runs two stages per pass and loads
+    /// adjacent columns and whole rows with vector loads. Each element sees
+    /// the same float operations in the same order, so the bits agree.
+    void (*fft_lines)(std::complex<float>* data, int n, std::size_t stride,
+                      const std::size_t* starts, std::size_t count, const int* rev,
+                      const float* wr, const float* wi, float scale);
 };
 
 /// Kernel table of the active level (cheap: one atomic load after init).

@@ -1,10 +1,11 @@
-// AVX2 exact-order kernels for training (simd::ExactOps). Every output is
-// bit-identical to the scalar table: lanes run across output elements, each
-// lane keeps one accumulator fed in the scalar loop's order, and every
-// product is rounded by _mm256_mul_ps before _mm256_add_ps adds it. The
-// forward GEMM and conv are the register tiles of simd_avx2_tiles.hpp (the
-// same tile bodies as the FMA table) with that multiply-then-add step; the
-// backward kernels are below. CMake builds this file with -mavx2
+// AVX2 exact-order kernels for training and the FFT (simd::ExactOps). Every
+// output is bit-identical to the scalar table: lanes run across output
+// elements, each lane keeps one accumulator fed in the scalar loop's order,
+// and every product is rounded by _mm256_mul_ps before _mm256_add_ps adds
+// it. The forward GEMM and conv are the register tiles of
+// simd_avx2_tiles.hpp (the same tile bodies as the FMA table) with that
+// multiply-then-add step; the backward kernels and the FFT line kernel are
+// below. CMake builds this file with -mavx2
 // -ffp-contract=off and without -mfma; with FMA contraction the compiler
 // would fuse the multiply and the add and the bits would change, so those
 // flags are part of the contract. The dispatcher (simd.cpp) only hands this
@@ -16,7 +17,9 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <complex>
 #include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "common/simd_avx2_tiles.hpp"
@@ -179,6 +182,230 @@ void exact_conv2d_dx(const float* wt, const float* dy, int in_ch, int in_ch_padd
     }
 }
 
+// ---- FFT line kernel ---------------------------------------------------------
+// ExactOps::fft_lines on 8 lines at a time. Scratch slot s holds element s
+// (in bit-reversed order) of all 8 lines as two vectors, 8 re parts then 8
+// im parts, so a butterfly is the scalar one on 8 lanes at once.
+
+struct Lines {
+    __m256 re, im;
+};
+
+inline Lines load_slot(const float* x, std::size_t s) {
+    return {_mm256_load_ps(x + 16 * s), _mm256_load_ps(x + 16 * s + 8)};
+}
+
+inline void store_slot(float* x, std::size_t s, Lines v) {
+    _mm256_store_ps(x + 16 * s, v.re);
+    _mm256_store_ps(x + 16 * s + 8, v.im);
+}
+
+// The scalar butterfly on 8 lanes: t = v * w in std::complex order, every
+// product rounded before it is added, then v = u - t and u = u + t.
+inline void butterfly(Lines& u, Lines& v, __m256 wr, __m256 wi) {
+    const __m256 tr = _mm256_sub_ps(_mm256_mul_ps(v.re, wr), _mm256_mul_ps(v.im, wi));
+    const __m256 ti = _mm256_add_ps(_mm256_mul_ps(v.re, wi), _mm256_mul_ps(v.im, wr));
+    v.re = _mm256_sub_ps(u.re, tr);
+    v.im = _mm256_sub_ps(u.im, ti);
+    u.re = _mm256_add_ps(u.re, tr);
+    u.im = _mm256_add_ps(u.im, ti);
+}
+
+// Every stage over the n slots of x, two stages per pass: the stages
+// spanning 2h and 4h elements run on each group of four elements (i + k,
+// + h, + 2h, + 3h) while it sits in registers. An element meets the same
+// butterflies in the same order as stage by stage; a last odd stage runs
+// alone.
+void fft_stages(float* x, std::size_t n, const float* wr, const float* wi) {
+    std::size_t h = 1;
+    for (; 4 * h <= n; h *= 4) {
+        const float* w1r = wr + (h - 1);
+        const float* w1i = wi + (h - 1);
+        const float* w2r = wr + (2 * h - 1);
+        const float* w2i = wi + (2 * h - 1);
+        for (std::size_t i = 0; i < n; i += 4 * h) {
+            for (std::size_t k = 0; k < h; ++k) {
+                const std::size_t s = i + k;
+                Lines a = load_slot(x, s);
+                Lines b = load_slot(x, s + h);
+                Lines c = load_slot(x, s + 2 * h);
+                Lines d = load_slot(x, s + 3 * h);
+                const __m256 ar = _mm256_set1_ps(w1r[k]);
+                const __m256 ai = _mm256_set1_ps(w1i[k]);
+                butterfly(a, b, ar, ai);
+                butterfly(c, d, ar, ai);
+                butterfly(a, c, _mm256_set1_ps(w2r[k]), _mm256_set1_ps(w2i[k]));
+                butterfly(b, d, _mm256_set1_ps(w2r[k + h]), _mm256_set1_ps(w2i[k + h]));
+                store_slot(x, s, a);
+                store_slot(x, s + h, b);
+                store_slot(x, s + 2 * h, c);
+                store_slot(x, s + 3 * h, d);
+            }
+        }
+    }
+    if (h < n) {
+        for (std::size_t k = 0; k < h; ++k) {
+            Lines a = load_slot(x, k);
+            Lines b = load_slot(x, k + h);
+            butterfly(a, b, _mm256_set1_ps(wr[h - 1 + k]), _mm256_set1_ps(wi[h - 1 + k]));
+            store_slot(x, k, a);
+            store_slot(x, k + h, b);
+        }
+    }
+}
+
+// In-register transpose of an 8 x 8 float block: v[k][j] becomes v[j][k].
+inline void transpose8(__m256 (&v)[8]) {
+    __m256 t[8];
+    for (int q = 0; q < 4; ++q) {
+        t[2 * q] = _mm256_unpacklo_ps(v[2 * q], v[2 * q + 1]);
+        t[2 * q + 1] = _mm256_unpackhi_ps(v[2 * q], v[2 * q + 1]);
+    }
+    __m256 u[8];
+    for (int q = 0; q < 2; ++q) {
+        u[4 * q] = _mm256_shuffle_ps(t[4 * q], t[4 * q + 2], 0x44);
+        u[4 * q + 1] = _mm256_shuffle_ps(t[4 * q], t[4 * q + 2], 0xEE);
+        u[4 * q + 2] = _mm256_shuffle_ps(t[4 * q + 1], t[4 * q + 3], 0x44);
+        u[4 * q + 3] = _mm256_shuffle_ps(t[4 * q + 1], t[4 * q + 3], 0xEE);
+    }
+    for (int q = 0; q < 4; ++q) {
+        v[q] = _mm256_permute2f128_ps(u[q], u[q + 4], 0x20);
+        v[q + 4] = _mm256_permute2f128_ps(u[q], u[q + 4], 0x31);
+    }
+}
+
+// Eight rows (stride 1, n >= 4), four elements at a time: one load per row
+// holds the interleaved re/im of four elements, and a transpose turns the
+// eight loads into those elements' re and im vectors. Lanes past a partial
+// group repeat row 0 and are never stored.
+void load_rows(float* x, std::complex<float>* const (&rows)[8], std::size_t n,
+               const int* rev) {
+    for (std::size_t e = 0; e < n; e += 4) {
+        __m256 v[8];
+        for (int j = 0; j < 8; ++j) {
+            v[j] = _mm256_loadu_ps(reinterpret_cast<const float*>(rows[j] + e));
+        }
+        transpose8(v);
+        for (std::size_t q = 0; q < 4; ++q) {
+            store_slot(x, static_cast<std::size_t>(rev[e + q]), {v[2 * q], v[2 * q + 1]});
+        }
+    }
+}
+
+void store_rows(const float* x, std::complex<float>* const (&rows)[8], std::size_t lanes,
+                std::size_t n, float scale) {
+    const __m256 sv = _mm256_set1_ps(scale);
+    for (std::size_t e = 0; e < n; e += 4) {
+        __m256 v[8];
+        for (std::size_t q = 0; q < 4; ++q) {
+            const Lines c = load_slot(x, e + q);
+            v[2 * q] = c.re;
+            v[2 * q + 1] = c.im;
+        }
+        transpose8(v);
+        for (std::size_t j = 0; j < lanes; ++j) {
+            const __m256 out = scale != 0.0F ? _mm256_mul_ps(v[j], sv) : v[j];
+            _mm256_storeu_ps(reinterpret_cast<float*>(rows[j] + e), out);
+        }
+    }
+}
+
+// Eight adjacent columns: element e of all eight is 64 contiguous bytes,
+// two loads split into re and im by one shuffle each. The lanes come out
+// in the order 0 1 4 5 2 3 6 7; the unpacks on the way back undo it.
+void load_cols(float* x, const std::complex<float>* first, std::size_t stride, std::size_t n,
+               const int* rev) {
+    for (std::size_t e = 0; e < n; ++e) {
+        const float* p = reinterpret_cast<const float*>(first + e * stride);
+        const __m256 a = _mm256_loadu_ps(p);
+        const __m256 b = _mm256_loadu_ps(p + 8);
+        store_slot(x, static_cast<std::size_t>(rev[e]),
+                   {_mm256_shuffle_ps(a, b, 0x88), _mm256_shuffle_ps(a, b, 0xDD)});
+    }
+}
+
+void store_cols(const float* x, std::complex<float>* first, std::size_t stride, std::size_t n,
+                float scale) {
+    const __m256 sv = _mm256_set1_ps(scale);
+    for (std::size_t e = 0; e < n; ++e) {
+        Lines c = load_slot(x, e);
+        if (scale != 0.0F) {
+            c.re = _mm256_mul_ps(c.re, sv);
+            c.im = _mm256_mul_ps(c.im, sv);
+        }
+        float* p = reinterpret_cast<float*>(first + e * stride);
+        _mm256_storeu_ps(p, _mm256_unpacklo_ps(c.re, c.im));
+        _mm256_storeu_ps(p + 8, _mm256_unpackhi_ps(c.re, c.im));
+    }
+}
+
+// Any `lanes` <= 8 lines, one element of one line at a time (scattered
+// columns, partial column groups, n < 4); lanes past `lanes` hold +0.0.
+void load_lanes(float* x, const std::complex<float>* data, std::size_t stride,
+                const std::size_t* first, std::size_t lanes, std::size_t n, const int* rev) {
+    if (lanes < 8) std::fill(x, x + 16 * n, 0.0F);
+    for (std::size_t e = 0; e < n; ++e) {
+        const std::complex<float>* src = data + e * stride;
+        float* slot = x + 16 * static_cast<std::size_t>(rev[e]);
+        for (std::size_t j = 0; j < lanes; ++j) {
+            const std::complex<float> c = src[first[j]];
+            slot[j] = c.real();
+            slot[8 + j] = c.imag();
+        }
+    }
+}
+
+void store_lanes(const float* x, std::complex<float>* data, std::size_t stride,
+                 const std::size_t* first, std::size_t lanes, std::size_t n, float scale) {
+    for (std::size_t e = 0; e < n; ++e) {
+        std::complex<float>* dst = data + e * stride;
+        const float* slot = x + 16 * e;
+        for (std::size_t j = 0; j < lanes; ++j) {
+            std::complex<float> c(slot[j], slot[8 + j]);
+            if (scale != 0.0F) c *= scale;
+            dst[first[j]] = c;
+        }
+    }
+}
+
+// Each group of 8 lines takes the widest load its layout allows: rows
+// (stride 1) through the transpose, 8 adjacent columns through the re/im
+// split, anything else lane by lane.
+void exact_fft_lines(std::complex<float>* data, int n, std::size_t stride,
+                     const std::size_t* starts, std::size_t count, const int* rev,
+                     const float* wr, const float* wi, float scale) {
+    const auto len = static_cast<std::size_t>(n);
+    thread_local std::vector<float> scratch;
+    const std::size_t bytes = 16 * len * sizeof(float);
+    if (scratch.size() < 16 * len + 8) scratch.resize(16 * len + 8);
+    void* aligned = scratch.data();
+    std::size_t space = scratch.size() * sizeof(float);
+    float* x = static_cast<float*>(std::align(32, bytes, aligned, space));
+
+    for (std::size_t g = 0; g < count; g += 8) {
+        const std::size_t lanes = std::min<std::size_t>(8, count - g);
+        const std::size_t* first = starts + g;
+        bool adjacent = lanes == 8;
+        for (std::size_t j = 1; adjacent && j < 8; ++j) adjacent = first[j] == first[0] + j;
+
+        if (stride == 1 && len >= 4) {
+            std::complex<float>* rows[8];
+            for (std::size_t j = 0; j < 8; ++j) rows[j] = data + first[j < lanes ? j : 0];
+            load_rows(x, rows, len, rev);
+            fft_stages(x, len, wr, wi);
+            store_rows(x, rows, lanes, len, scale);
+        } else if (adjacent) {
+            load_cols(x, data + first[0], stride, len, rev);
+            fft_stages(x, len, wr, wi);
+            store_cols(x, data + first[0], stride, len, scale);
+        } else {
+            load_lanes(x, data, stride, first, lanes, len, rev);
+            fft_stages(x, len, wr, wi);
+            store_lanes(x, data, stride, first, lanes, len, scale);
+        }
+    }
+}
+
 const ExactOps kAvx2ExactOps = {
     Level::kAvx2,
     tiled_gemm_blocked<MulAddStep>,
@@ -186,6 +413,7 @@ const ExactOps kAvx2ExactOps = {
     exact_gemm_nn,
     exact_gemm_tn_acc,
     exact_conv2d_dx,
+    exact_fft_lines,
 };
 
 }  // namespace

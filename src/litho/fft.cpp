@@ -1,6 +1,5 @@
 #include "litho/fft.hpp"
 
-#include <algorithm>
 #include <array>
 #include <bit>
 #include <cmath>
@@ -8,11 +7,10 @@
 #include <stdexcept>
 #include <string>
 
+#include "common/simd.hpp"
+
 namespace camo::litho {
 namespace {
-
-// Lines (rows or columns) one pass of the 2D transform runs side by side.
-constexpr int kLanes = 8;
 
 // Bit-reversal indices and stage twiddles for one size and direction.
 struct Plan {
@@ -66,81 +64,14 @@ const Plan& plan(int n, bool inverse) {
     return p;
 }
 
-// One butterfly on Lanes independent lines: exactly the reference
-// butterfly per lane, t = v * w in std::complex operation order, then
-// v = u - t and u = u + t. The restrict-qualified parameters let the
-// compiler vectorize across lanes.
-template <int Lanes>
-inline void butterfly(float* __restrict ur, float* __restrict ui, float* __restrict vr,
-                      float* __restrict vi, float wr, float wi) {
-    for (int j = 0; j < Lanes; ++j) {
-        const float tr = vr[j] * wr - vi[j] * wi;
-        const float ti = vr[j] * wi + vi[j] * wr;
-        vr[j] = ur[j] - tr;
-        vi[j] = ui[j] - ti;
-        ur[j] = ur[j] + tr;
-        ui[j] = ui[j] + ti;
-    }
-}
-
-// Every radix-2 stage over Lanes lines stored lane-minor (element e of
-// lane j at [e * Lanes + j]) and already in bit-reversed order.
-template <int Lanes>
-void butterflies(float* re, float* im, int n, const Plan& p) {
-    for (int half = 1; half < n; half <<= 1) {
-        const float* wr = p.wr.data() + (half - 1);
-        const float* wi = p.wi.data() + (half - 1);
-        for (int i = 0; i < n; i += 2 * half) {
-            for (int k = 0; k < half; ++k) {
-                const std::size_t u = static_cast<std::size_t>(i + k) * Lanes;
-                const std::size_t v = u + static_cast<std::size_t>(half) * Lanes;
-                butterfly<Lanes>(re + u, im + u, re + v, im + v, wr[k], wi[k]);
-            }
-        }
-    }
-}
-
 // Transforms the lines whose first elements sit at `starts` (element e of
-// a line at start + e * stride), Lanes at a time: gather into lane-minor
-// scratch in bit-reversed order, run the butterflies, scatter back. A
+// a line at start + e * stride) through the dispatched line kernel. A
 // nonzero `scale` multiplies every output, as the reference's final
 // `c *= scale` does.
-template <int Lanes>
 void transform_lines(Complex* data, int n, std::size_t stride,
                      std::span<const std::size_t> starts, const Plan& p, float scale) {
-    const auto len = static_cast<std::size_t>(n);
-    thread_local std::vector<float> scratch;
-    if (scratch.size() < 2 * len * Lanes) scratch.resize(2 * len * Lanes);
-    float* re = scratch.data();
-    float* im = re + len * Lanes;
-
-    for (std::size_t g = 0; g < starts.size(); g += Lanes) {
-        const std::size_t lanes = std::min<std::size_t>(Lanes, starts.size() - g);
-        const std::size_t* first = starts.data() + g;
-        if (lanes < Lanes) std::fill(re, re + 2 * len * Lanes, 0.0F);
-
-        for (std::size_t e = 0; e < len; ++e) {
-            const Complex* src = data + e * stride;
-            const std::size_t d = static_cast<std::size_t>(p.rev[e]) * Lanes;
-            for (std::size_t j = 0; j < lanes; ++j) {
-                const Complex c = src[first[j]];
-                re[d + j] = c.real();
-                im[d + j] = c.imag();
-            }
-        }
-
-        butterflies<Lanes>(re, im, n, p);
-
-        for (std::size_t e = 0; e < len; ++e) {
-            Complex* dst = data + e * stride;
-            const std::size_t s = e * Lanes;
-            for (std::size_t j = 0; j < lanes; ++j) {
-                Complex c(re[s + j], im[s + j]);
-                if (scale != 0.0F) c *= scale;
-                dst[first[j]] = c;
-            }
-        }
-    }
+    simd::exact_ops().fft_lines(data, n, stride, starts.data(), starts.size(), p.rev.data(),
+                                p.wr.data(), p.wi.data(), scale);
 }
 
 void require_flags(std::span<const std::uint8_t> mask, int n, const char* what) {
@@ -166,14 +97,14 @@ void transform_2d(std::span<Complex> grid, int n, bool inverse,
     for (std::size_t r = 0; r < len; ++r) {
         if (row_mask.empty() || row_mask[r]) starts.push_back(r * len);
     }
-    transform_lines<kLanes>(grid.data(), n, 1, starts, p, 0.0F);
+    transform_lines(grid.data(), n, 1, starts, p, 0.0F);
 
     starts.clear();
     for (std::size_t c = 0; c < len; ++c) {
         if (col_mask.empty() || col_mask[c]) starts.push_back(c);
     }
     const float scale = inverse ? 1.0F / (static_cast<float>(n) * static_cast<float>(n)) : 0.0F;
-    transform_lines<kLanes>(grid.data(), n, len, starts, p, scale);
+    transform_lines(grid.data(), n, len, starts, p, scale);
 }
 
 void transform_1d(std::span<Complex> data, bool inverse) {
@@ -181,7 +112,7 @@ void transform_1d(std::span<Complex> data, bool inverse) {
     if (!is_pow2(n)) throw std::invalid_argument("fft: size must be a power of two");
     const std::size_t start = 0;
     const float scale = inverse ? 1.0F / static_cast<float>(data.size()) : 0.0F;
-    transform_lines<1>(data.data(), n, 1, {&start, 1}, plan(n, inverse), scale);
+    transform_lines(data.data(), n, 1, {&start, 1}, plan(n, inverse), scale);
 }
 
 }  // namespace

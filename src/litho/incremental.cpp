@@ -262,11 +262,11 @@ geo::Polygon IncrementalEvaluator::translated_polygon(const geo::SegmentedLayout
 // the delta path is what makes subtraction an exact reversal: the per-pixel
 // contribution is a pure function of (polygon, pixel), so (-1) undoes (+1)
 // bit for bit in the double accumulator, for any pixel pitch.
-void IncrementalEvaluator::accumulate_polygon(const geo::Polygon& poly, double weight,
-                                              std::vector<float>& scratch) {
+geo::PixelRect IncrementalEvaluator::accumulate_polygon(const geo::Polygon& poly, double weight,
+                                                        std::vector<float>& scratch) {
     const int n = cfg_.grid;
     const geo::PixelRect region = geo::polygon_coverage_rect(poly, cfg_.pixel_nm, n);
-    if (region.empty()) return;
+    if (region.empty()) return region;
     scratch.assign(region.area(), 0.0F);
     geo::add_polygon_region(scratch, region, poly, cfg_.pixel_nm, n);
     std::size_t b = 0;
@@ -276,6 +276,7 @@ void IncrementalEvaluator::accumulate_polygon(const geo::Polygon& poly, double w
             row[c] += weight * static_cast<double>(scratch[b]);
         }
     }
+    return region;
 }
 
 void IncrementalEvaluator::rebuild_cache(const geo::SegmentedLayout& layout,
@@ -291,14 +292,16 @@ void IncrementalEvaluator::rebuild_cache(const geo::SegmentedLayout& layout,
     offsets_.assign(offsets.begin(), offsets.end());
 
     acc_.assign(nn, 0.0);
-    clamped_.assign(nn, 0.0F);
 
+    // Rows outside `covered` (the rows the coverage rects span) keep acc_ at
+    // exactly +0.0.
     std::vector<float> scratch;
+    geo::PixelRect covered;
     poly_cache_.clear();
     poly_cache_.reserve(layout.targets().size());
     for (int p = 0; p < static_cast<int>(layout.targets().size()); ++p) {
         poly_cache_.push_back(translated_polygon(layout, p, offsets));
-        accumulate_polygon(poly_cache_.back(), 1.0, scratch);
+        covered = geo::unite(covered, accumulate_polygon(poly_cache_.back(), 1.0, scratch));
     }
     for (const geo::Polygon& sraf : layout.srafs()) {
         std::vector<geo::Point> verts = sraf.vertices();
@@ -306,26 +309,38 @@ void IncrementalEvaluator::rebuild_cache(const geo::SegmentedLayout& layout,
             v.x += clip_offset_;
             v.y += clip_offset_;
         }
-        accumulate_polygon(geo::Polygon(std::move(verts)), 1.0, scratch);
+        covered = geo::unite(covered,
+                             accumulate_polygon(geo::Polygon(std::move(verts)), 1.0, scratch));
     }
 
-    for (std::size_t i = 0; i < nn; ++i) {
-        clamped_[i] = static_cast<float>(std::clamp(acc_[i], 0.0, 1.0));
+    // Clamp, fill the FFT input and flag occupied rows in one pass over the
+    // covered rows; every other row clamps to +0.0 and is zeroed directly.
+    // A row is empty only when every value is +0.0: std::clamp passes -0.0
+    // through, and a row holding -0.0 does not transform to all +0.0.
+    const std::span<Complex> grid = fine_scratch(nn);
+    std::vector<std::uint8_t> row_nonzero(static_cast<std::size_t>(n), 0);
+    const auto len = static_cast<std::size_t>(n);
+    const std::size_t lo = covered.empty() ? 0 : static_cast<std::size_t>(covered.r0) * len;
+    const std::size_t hi = covered.empty() ? 0 : static_cast<std::size_t>(covered.r1) * len;
+    clamped_.resize(nn);
+    std::fill(clamped_.begin(), clamped_.begin() + static_cast<std::ptrdiff_t>(lo), 0.0F);
+    std::fill(clamped_.begin() + static_cast<std::ptrdiff_t>(hi), clamped_.end(), 0.0F);
+    std::fill(grid.begin(), grid.begin() + static_cast<std::ptrdiff_t>(lo), Complex{});
+    std::fill(grid.begin() + static_cast<std::ptrdiff_t>(hi), grid.end(), Complex{});
+    for (std::size_t row = lo; row < hi; row += len) {
+        std::uint32_t bits = 0;
+        for (std::size_t i = row; i < row + len; ++i) {
+            const float v = static_cast<float>(std::clamp(acc_[i], 0.0, 1.0));
+            clamped_[i] = v;
+            grid[i] = Complex(v, 0.0F);
+            bits |= std::bit_cast<std::uint32_t>(v);
+        }
+        row_nonzero[row / len] = bits != 0 ? 1 : 0;
     }
 
     // Prime the support spectrum from one forward FFT pruned to the rows the
-    // mask occupies and the columns the support reads; the entries
-    // read below equal a dense fft2d_forward bit for bit. A row is empty
-    // only when every value is +0.0: std::clamp passes -0.0 through, and a
-    // row holding -0.0 does not transform to all +0.0.
-    const std::span<Complex> grid = fine_scratch(nn);
-    std::vector<std::uint8_t> row_nonzero(static_cast<std::size_t>(n), 0);
-    for (std::size_t i = 0; i < nn; ++i) {
-        grid[i] = Complex(clamped_[i], 0.0F);
-        if (std::bit_cast<std::uint32_t>(clamped_[i]) != 0) {
-            row_nonzero[i / static_cast<std::size_t>(n)] = 1;
-        }
-    }
+    // mask occupies and the columns the support reads; the entries read
+    // below equal a dense fft2d_forward bit for bit.
     std::vector<std::uint8_t> col_needed(static_cast<std::size_t>(n), 0);
     for (const int kx : freq_kx_) col_needed[static_cast<std::size_t>(kx)] = 1;
     fft2d_forward_pruned(grid, n, row_nonzero, col_needed);

@@ -184,7 +184,9 @@ private:
     void rebuild_cache(const geo::SegmentedLayout& layout, std::span<const int> offsets);
     void apply_polygon_delta(const geo::Polygon& old_poly, const geo::Polygon& new_poly,
                              std::vector<PixelDelta>& deltas);
-    void accumulate_polygon(const geo::Polygon& poly, double weight, std::vector<float>& scratch);
+    /// Returns the polygon's coverage rect, the only pixels it touched.
+    geo::PixelRect accumulate_polygon(const geo::Polygon& poly, double weight,
+                                      std::vector<float>& scratch);
     void update_spectrum(const std::vector<PixelDelta>& deltas);
     [[nodiscard]] SimMetrics metrics_from_cache(const geo::SegmentedLayout& layout) const;
     [[nodiscard]] geo::Polygon translated_polygon(const geo::SegmentedLayout& layout, int p,

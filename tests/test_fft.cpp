@@ -3,14 +3,25 @@
 // radix-2 transform kept below as the reference.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <numbers>
+#include <optional>
+#include <ostream>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "common/rng.hpp"
+#include "common/simd.hpp"
 #include "litho/fft.hpp"
+
+namespace camo::simd {
+// Names the level in gtest's parameter messages.
+void PrintTo(Level level, std::ostream* os) { *os << level_name(level); }
+}  // namespace camo::simd
 
 namespace camo::litho {
 namespace reference {
@@ -278,6 +289,9 @@ TEST(Fft2d, DcComponentIsMean) {
 
 
 // ---- Bit identity with the reference transform ----------------------------
+//
+// Every case runs once per line-kernel level (simd::ExactOps::fft_lines):
+// the scalar entry and, where the build and CPU have one, the vector entry.
 
 ::testing::AssertionResult same_bits(std::span<const Complex> got, std::span<const Complex> want) {
     if (got.size() != want.size()) return ::testing::AssertionFailure() << "size mismatch";
@@ -290,7 +304,7 @@ TEST(Fft2d, DcComponentIsMean) {
     return ::testing::AssertionSuccess();
 }
 
-constexpr int kMaxBitIdentityN = 512;
+constexpr int kMaxBitIdentityN = 1024;
 
 // An n-by-n grid whose rows cycle through the shapes the sparse contract
 // tells apart: random signed values, all +0.0 (flagged empty), values with
@@ -321,7 +335,27 @@ MixedGrid mixed_grid(int n, Rng& rng) {
     return g;
 }
 
-TEST(FftBitIdentity, OneDimensionalEverySize) {
+class FftBitIdentity : public ::testing::TestWithParam<simd::Level> {
+protected:
+    void SetUp() override { level_.emplace(GetParam()); }
+    void TearDown() override { level_.reset(); }
+
+private:
+    std::optional<simd::ScopedOverride> level_;
+};
+
+std::vector<simd::Level> line_kernel_levels() {
+    std::vector<simd::Level> levels{simd::Level::kScalar};
+    if (simd::detected_level() != simd::Level::kScalar) levels.push_back(simd::detected_level());
+    return levels;
+}
+
+INSTANTIATE_TEST_SUITE_P(Levels, FftBitIdentity, ::testing::ValuesIn(line_kernel_levels()),
+                         [](const ::testing::TestParamInfo<simd::Level>& info) {
+                             return std::string(simd::level_name(info.param));
+                         });
+
+TEST_P(FftBitIdentity, OneDimensionalEverySize) {
     Rng rng(101);
     for (int n = 1; n <= kMaxBitIdentityN; n *= 2) {
         auto fwd = random_signal(n, rng);
@@ -339,7 +373,7 @@ TEST(FftBitIdentity, OneDimensionalEverySize) {
     }
 }
 
-TEST(FftBitIdentity, TwoDimensionalEverySize) {
+TEST_P(FftBitIdentity, TwoDimensionalEverySize) {
     Rng rng(202);
     for (int n = 1; n <= kMaxBitIdentityN; n *= 2) {
         const MixedGrid g = mixed_grid(n, rng);
@@ -358,7 +392,7 @@ TEST(FftBitIdentity, TwoDimensionalEverySize) {
     }
 }
 
-TEST(FftBitIdentity, RowSparseInverseEverySize) {
+TEST_P(FftBitIdentity, RowSparseInverseEverySize) {
     Rng rng(303);
     for (int n = 1; n <= kMaxBitIdentityN; n *= 2) {
         MixedGrid g = mixed_grid(n, rng);
@@ -385,7 +419,7 @@ TEST(FftBitIdentity, RowSparseInverseEverySize) {
     }
 }
 
-TEST(FftBitIdentity, PrunedForwardMatchesDenseOnNeededColumns) {
+TEST_P(FftBitIdentity, PrunedForwardMatchesDenseOnNeededColumns) {
     Rng rng(404);
     for (int n = 1; n <= kMaxBitIdentityN; n *= 2) {
         const MixedGrid g = mixed_grid(n, rng);
@@ -407,6 +441,53 @@ TEST(FftBitIdentity, PrunedForwardMatchesDenseOnNeededColumns) {
                 const std::size_t i = static_cast<std::size_t>(r) * n + c;
                 ASSERT_TRUE(same_bits({&got[i], 1}, {&want[i], 1}))
                     << "n=" << n << " row " << r << " col " << c;
+            }
+        }
+    }
+}
+
+// Grids whose flagged rows or needed columns leave a partial group of 8
+// lines: 1 to 7 flagged rows, 3 apart (distinct, since 3 is coprime to n),
+// and scattered needed columns whose groups are rarely adjacent.
+TEST_P(FftBitIdentity, RowSparseInversePartialGroups) {
+    Rng rng(707);
+    for (int n : {4, 8, 64, 512}) {
+        for (int flagged = 1; flagged <= 7 && flagged <= n; ++flagged) {
+            std::vector<Complex> grid = random_signal(n * n, rng);
+            std::vector<std::uint8_t> rows(static_cast<std::size_t>(n), 0);
+            for (int k = 0; k < flagged; ++k) rows[static_cast<std::size_t>((1 + 3 * k) % n)] = 1;
+            auto got = grid;
+            auto want = grid;
+            fft2d_inverse_rowsparse(got, n, rows);
+            reference::fft2d_inverse_rowsparse(want, n, rows);
+            EXPECT_TRUE(same_bits(got, want)) << "n=" << n << " flagged rows " << flagged;
+        }
+    }
+}
+
+TEST_P(FftBitIdentity, PrunedForwardScatteredColumns) {
+    Rng rng(808);
+    for (int n : {8, 64, 512}) {
+        for (int flagged = 1; flagged <= 7; ++flagged) {
+            const MixedGrid g = mixed_grid(n, rng);
+            std::vector<std::uint8_t> rows(static_cast<std::size_t>(n), 0);
+            for (int k = 0; k < flagged; ++k) rows[static_cast<std::size_t>((1 + 3 * k) % n)] = 1;
+            std::vector<std::uint8_t> cols(static_cast<std::size_t>(n), 0);
+            for (int c = 0; c < n; ++c) cols[static_cast<std::size_t>(c)] = rng.uniform(0, 1) < 0.3;
+            // Rows not flagged must be all +0.0 for the pruned transform to
+            // equal the dense one.
+            std::vector<Complex> values = g.values;
+            for (std::size_t i = 0; i < values.size(); ++i) {
+                if (!rows[i / static_cast<std::size_t>(n)]) values[i] = Complex(0.0F, 0.0F);
+            }
+            auto got = values;
+            auto want = values;
+            fft2d_forward_pruned(got, n, rows, cols);
+            reference::fft2d_forward(want, n);
+            for (std::size_t i = 0; i < got.size(); ++i) {
+                if (!cols[i % static_cast<std::size_t>(n)]) continue;
+                ASSERT_TRUE(same_bits({&got[i], 1}, {&want[i], 1}))
+                    << "n=" << n << " flagged rows " << flagged << " at " << i;
             }
         }
     }
@@ -434,13 +515,13 @@ bool sizes_match_reference(const std::vector<int>& sizes, std::uint64_t seed) {
     return ok;
 }
 
-TEST(FftBitIdentity, AlternatingSizesOnOneThread) {
+TEST_P(FftBitIdentity, AlternatingSizesOnOneThread) {
     // SupportApplicator alternates a coarse and a fine size on one thread;
     // the per-thread table cache must serve both.
     EXPECT_TRUE(sizes_match_reference({128, 512, 128, 512, 64, 128, 1, 512, 2}, 505));
 }
 
-TEST(FftBitIdentity, ConcurrentThreads) {
+TEST_P(FftBitIdentity, ConcurrentThreads) {
     const std::vector<std::vector<int>> orders = {
         {64, 128, 512, 64}, {512, 64, 128, 512}, {128, 128, 64, 256}, {256, 512, 32, 128}};
     std::vector<int> ok(orders.size(), 0);
