@@ -566,7 +566,7 @@ core::PolicyConfig bench_policy_config(int squish = 32) {
     return cfg;
 }
 
-// Training forward alone (exact-order kernels, keeps the flat tape), on
+// Training forward alone (keeps the flat tape), on
 // weights packed once, as the trainer packs once per weight update.
 void BM_PolicyForward(benchmark::State& state) {
     core::PolicyNetwork net(bench_policy_config());
@@ -596,11 +596,11 @@ void BM_PolicyTrainStep(benchmark::State& state) {
         net.backward(dlogits);
         benchmark::DoNotOptimize(logits.data().data());
     }
-    state.SetLabel(simd::level_name(simd::exact_ops().level));
+    state.SetLabel(simd::level_name(simd::active_level()));
 }
 BENCHMARK(BM_PolicyTrainStep)->Arg(8)->Arg(12)->Arg(24)->Unit(benchmark::kMillisecond);
 
-// Packed inference of the same clip on the active (FMA) kernel table, at
+// Packed inference of the same clip on the active kernel table, at
 // S = 32 and (the /S64/ rows) at the paper's metal resolution S = 64.
 void BM_PolicyInfer(benchmark::State& state, int squish) {
     const core::PolicyNetwork net(bench_policy_config(squish));
@@ -615,34 +615,21 @@ void BM_PolicyInfer(benchmark::State& state) { BM_PolicyInfer(state, 32); }
 BENCHMARK(BM_PolicyInfer)->Arg(8)->Arg(24)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_PolicyInfer, S64, 64)->Arg(24)->Unit(benchmark::kMillisecond);
 
-// ---- Forward kernels, table by table ---------------------------------------
-// First arg: 0 = scalar reference, 1 = the inference (FMA) table, 2 = the
-// exact training table, both at the best level of this build + CPU.
+// ---- Policy kernels ----------------------------------------------------------
+// First arg: 0 = the scalar table, 1 = the detected level's (whatever
+// CAMO_BACKEND says).
 
-struct KernelTable {
-    decltype(simd::Ops::gemm_blocked) gemm;
-    decltype(simd::Ops::conv2d_packed) conv;
-    std::string label;
-};
-
-KernelTable kernel_table(int table) {
-    if (table == 0) {
-        const simd::Ops& t = simd::scalar_ops();
-        return {t.gemm_blocked, t.conv2d_packed, "scalar"};
-    }
-    if (table == 1) {
-        const simd::Ops& t = simd::ops();
-        return {t.gemm_blocked, t.conv2d_packed, std::string(simd::level_name(t.level)) + " fma"};
-    }
-    const simd::ExactOps& t = simd::exact_ops();
-    return {t.gemm_blocked, t.conv2d_packed, std::string(simd::level_name(t.level)) + " exact"};
+const simd::Ops& kernel_table(benchmark::State& state) {
+    const simd::ScopedOverride force(state.range(0) != 0 ? simd::detected_level()
+                                                         : simd::Level::kScalar);
+    state.SetLabel(simd::level_name(simd::active_level()));
+    return simd::ops();
 }
 
 // One sample through encoder conv 1, 2 or 3 at S = 32 (3x3, stride 2,
 // pad 1): 6 -> 8 channels on 32x32, 8 -> 16 on 16x16, 16 -> 32 on 8x8.
 void BM_ConvPacked(benchmark::State& state) {
-    const simd::ScopedOverride force(simd::detected_level());
-    const KernelTable kt = kernel_table(static_cast<int>(state.range(0)));
+    const simd::Ops& t = kernel_table(state);
     const int layer = static_cast<int>(state.range(1));
     const int in_ch = layer == 1 ? 6 : 8 << (layer - 2);
     const int out_ch = 8 << (layer - 1);
@@ -658,19 +645,17 @@ void BM_ConvPacked(benchmark::State& state) {
     for (float& v : x) v = static_cast<float>(rng.uniform(0, 1));
     std::vector<float> y(static_cast<std::size_t>(out_ch * oh * oh));
     for (auto _ : state) {
-        kt.conv(m.w.data(), m.b.data(), x.data(), in_ch, h, h, out_ch, m.out_ch_padded, 3, 2, 1,
-                y.data(), oh, oh);
+        t.conv2d_packed(m.w.data(), m.b.data(), x.data(), in_ch, h, h, out_ch, m.out_ch_padded, 3,
+                        2, 1, y.data(), oh, oh);
         benchmark::DoNotOptimize(y.data());
     }
-    state.SetLabel(kt.label);
 }
-BENCHMARK(BM_ConvPacked)->ArgsProduct({{0, 1, 2}, {1, 2, 3}});
+BENCHMARK(BM_ConvPacked)->ArgsProduct({{0, 1}, {1, 2, 3}});
 
 // y = x W^T + b at the fc / SAGE shape (second arg 0: 24 rows, 512 -> 256)
 // and as the RNN recurrence's GEMV (1: one row, 64 -> 64, accumulating).
 void BM_GemmBlocked(benchmark::State& state) {
-    const simd::ScopedOverride force(simd::detected_level());
-    const KernelTable kt = kernel_table(static_cast<int>(state.range(0)));
+    const simd::Ops& t = kernel_table(state);
     const bool gemv = state.range(1) != 0;
     const int rows = gemv ? 1 : 24;
     const int in = gemv ? 64 : 512;
@@ -685,27 +670,20 @@ void BM_GemmBlocked(benchmark::State& state) {
     for (float& v : x) v = static_cast<float>(rng.uniform(-1, 1));
     std::vector<float> y(static_cast<std::size_t>(rows * out), 0.0F);
     for (auto _ : state) {
-        kt.gemm(m.w.data(), m.b.data(), x.data(), rows, in, out, m.out_padded, y.data(), gemv);
+        t.gemm_blocked(m.w.data(), m.b.data(), x.data(), rows, in, out, m.out_padded, y.data(),
+                       gemv);
         benchmark::DoNotOptimize(y.data());
     }
-    state.SetLabel(kt.label);
 }
-BENCHMARK(BM_GemmBlocked)->ArgsProduct({{0, 1, 2}, {0, 1}});
+BENCHMARK(BM_GemmBlocked)->ArgsProduct({{0, 1}, {0, 1}});
 
-// One weight-gradient accumulation c += a^T b (ExactOps::gemm_tn_acc) at
-// the training shapes; first arg 0 = scalar reference, 2 = the exact table
-// at the best level of this build + CPU. Second arg: 0 = the fc / SAGE
-// weight gradient (24 nodes, 256 x 512, dy row-major), 1..3 = one node's
-// conv1..conv3 weight gradient (out_ch x taps over the output pixels, dy
-// channel-major). c keeps accumulating across iterations.
+// One weight-gradient accumulation c += a^T b (Ops::gemm_tn_acc) at the
+// training shapes. Second arg: 0 = the fc / SAGE weight gradient (24 nodes, 256 x
+// 512, dy row-major), 1..3 = one node's conv1..conv3 weight gradient
+// (out_ch x taps over the output pixels, dy channel-major). c keeps
+// accumulating across iterations.
 void BM_GemmTnAcc(benchmark::State& state) {
-    const simd::ScopedOverride force(simd::detected_level());
-    const bool exact = state.range(0) != 0;
-    const simd::ExactOps& t = simd::exact_ops();
-    const auto kernel = exact ? t.gemm_tn_acc : [] {
-        const simd::ScopedOverride scalar(simd::Level::kScalar);
-        return simd::exact_ops().gemm_tn_acc;
-    }();
+    const simd::Ops& t = kernel_table(state);
     struct Shape {
         int rows, m, k;
         bool pixels_major;
@@ -722,13 +700,12 @@ void BM_GemmTnAcc(benchmark::State& state) {
     const int row_stride = s.pixels_major ? 1 : s.m;
     const int col_stride = s.pixels_major ? s.rows : 1;
     for (auto _ : state) {
-        kernel(a.data(), row_stride, col_stride, b.data(), s.rows, s.m, s.k, c.data(),
-               !s.pixels_major);
+        t.gemm_tn_acc(a.data(), row_stride, col_stride, b.data(), s.rows, s.m, s.k, c.data(),
+                      !s.pixels_major);
         benchmark::DoNotOptimize(c.data());
     }
-    state.SetLabel(exact ? std::string(simd::level_name(t.level)) + " exact" : "scalar");
 }
-BENCHMARK(BM_GemmTnAcc)->ArgsProduct({{0, 2}, {0, 1, 2, 3}});
+BENCHMARK(BM_GemmTnAcc)->ArgsProduct({{0, 1}, {0, 1, 2, 3}});
 
 // ---- Inference backend (PR 9) ----------------------------------------------
 // Arg(0) on every row: 0 = scalar reference kernels, 1 = the best SIMD level
@@ -751,9 +728,10 @@ void BM_LinearForward(benchmark::State& state) {
     std::vector<float> y(static_cast<std::size_t>(rows) * kOut);
 
     simd::ScopedOverride force(simd_on ? simd::detected_level() : simd::Level::kScalar);
-    const nn::OpsBackend& be = nn::active_backend();
+    const simd::Ops& ops = simd::ops();
     for (auto _ : state) {
-        be.linear(m, x.data(), rows, y.data());
+        ops.gemm_blocked(m.w.data(), m.b.data(), x.data(), rows, kIn, kOut, m.out_padded, y.data(),
+                         false);
         benchmark::DoNotOptimize(y.data());
     }
     state.SetItemsProcessed(state.iterations() * rows);

@@ -5,32 +5,23 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <vector>
 
 namespace camo::simd {
 namespace detail {
 
-// Provided by simd_avx2.cpp / simd_neon.cpp / simd_avx2_exact.cpp. Each
-// returns nullptr when its translation unit was not built with the matching
-// ISA (the files are always compiled; CMake decides whether to pass the
-// vector flags).
+// The AVX2 table, in simd_avx2_exact.cpp; nullptr when that translation
+// unit was built without -mavx2 (every ISA but x86-64).
 const Ops* avx2_ops();
-const Ops* neon_ops();
-const ExactOps* avx2_exact_ops();
-
-// The scalar FFT line kernel, in simd_scalar_fft.cpp (built without
-// floating-point contraction).
-void scalar_fft_lines(std::complex<float>* data, int n, std::size_t stride,
-                      const std::size_t* starts, std::size_t count, const int* rev,
-                      const float* wr, const float* wi, float scale);
 
 }  // namespace detail
 
 namespace {
 
 // ---- Scalar reference kernels ----------------------------------------------
-// These reproduce the legacy loops byte for byte: one accumulator per output
-// element, products added in ascending input order. The blocked weight layout
-// only changes where W[o][i] lives, not the order it is read in.
+// The naive loops: one accumulator per output element, products added in
+// ascending input order. The blocked weight layout only changes where
+// W[o][i] lives, not the order it is read in.
 
 void scalar_gemm_blocked(const float* w, const float* bias, const float* x, int rows, int in,
                          int out, int out_padded, float* y, bool accumulate) {
@@ -103,11 +94,7 @@ void scalar_norm_acc(const std::complex<float>* field, float lambda, float* inte
     for (std::size_t i = 0; i < n; ++i) intensity[i] += lambda * std::norm(field[i]);
 }
 
-const Ops kScalarOps = {
-    Level::kScalar, scalar_gemm_blocked, scalar_conv2d_packed, scalar_cmul, scalar_norm_acc,
-};
-
-// ---- Scalar backward kernels (the exact table's reference) -----------------
+// ---- Scalar backward kernels -------------------------------------------------
 
 void scalar_gemm_nn(const float* x, int rows, int inner, const float* w, int cols, float* y) {
     for (int r = 0; r < rows; ++r) {
@@ -180,9 +167,96 @@ void scalar_conv2d_dx(const float* wt, const float* dy, int in_ch, int in_ch_pad
     }
 }
 
-const ExactOps kScalarExactOps = {
-    Level::kScalar,     scalar_gemm_blocked, scalar_conv2d_packed,    scalar_gemm_nn,
-    scalar_gemm_tn_acc, scalar_conv2d_dx,    detail::scalar_fft_lines,
+// ---- Scalar FFT line kernel --------------------------------------------------
+
+// Lines one group runs side by side.
+constexpr int kLanes = 8;
+
+// One butterfly on kLanes independent lines: exactly the reference
+// butterfly per lane, t = v * w in std::complex operation order, then
+// v = u - t and u = u + t. The restrict-qualified parameters let the
+// compiler vectorize across lanes.
+inline void butterfly(float* __restrict ur, float* __restrict ui, float* __restrict vr,
+                      float* __restrict vi, float wr, float wi) {
+    for (int j = 0; j < kLanes; ++j) {
+        const float tr = vr[j] * wr - vi[j] * wi;
+        const float ti = vr[j] * wi + vi[j] * wr;
+        vr[j] = ur[j] - tr;
+        vi[j] = ui[j] - ti;
+        ur[j] = ur[j] + tr;
+        ui[j] = ui[j] + ti;
+    }
+}
+
+// Every radix-2 stage over kLanes lines stored lane-minor (element e of
+// lane j at [e * kLanes + j]) and already in bit-reversed order. Kept out
+// of line: inlined into scalar_fft_lines, GCC 12 vectorizes only half of
+// each butterfly.
+[[gnu::noinline]] void butterflies(float* re, float* im, int n, const float* wr_all,
+                                   const float* wi_all) {
+    for (int half = 1; half < n; half <<= 1) {
+        const float* wr = wr_all + (half - 1);
+        const float* wi = wi_all + (half - 1);
+        for (int i = 0; i < n; i += 2 * half) {
+            for (int k = 0; k < half; ++k) {
+                const std::size_t u = static_cast<std::size_t>(i + k) * kLanes;
+                const std::size_t v = u + static_cast<std::size_t>(half) * kLanes;
+                butterfly(re + u, im + u, re + v, im + v, wr[k], wi[k]);
+            }
+        }
+    }
+}
+
+// Gathers each group of kLanes lines into lane-minor scratch in bit-reversed
+// order, runs the butterflies and scatters the group back.
+void scalar_fft_lines(std::complex<float>* data, int n, std::size_t stride,
+                      const std::size_t* starts, std::size_t count, const int* rev,
+                      const float* wr, const float* wi, float scale) {
+    const auto len = static_cast<std::size_t>(n);
+    thread_local std::vector<float> scratch;
+    if (scratch.size() < 2 * len * kLanes) scratch.resize(2 * len * kLanes);
+    float* re = scratch.data();
+    float* im = re + len * kLanes;
+
+    for (std::size_t g = 0; g < count; g += kLanes) {
+        const std::size_t lanes = std::min<std::size_t>(kLanes, count - g);
+        const std::size_t* first = starts + g;
+        if (lanes < kLanes) std::fill(re, re + 2 * len * kLanes, 0.0F);
+
+        for (std::size_t e = 0; e < len; ++e) {
+            const std::complex<float>* src = data + e * stride;
+            const std::size_t d = static_cast<std::size_t>(rev[e]) * kLanes;
+            for (std::size_t j = 0; j < lanes; ++j) {
+                const std::complex<float> c = src[first[j]];
+                re[d + j] = c.real();
+                im[d + j] = c.imag();
+            }
+        }
+
+        butterflies(re, im, n, wr, wi);
+
+        for (std::size_t e = 0; e < len; ++e) {
+            std::complex<float>* dst = data + e * stride;
+            const std::size_t s = e * kLanes;
+            for (std::size_t j = 0; j < lanes; ++j) {
+                std::complex<float> c(re[s + j], im[s + j]);
+                if (scale != 0.0F) c *= scale;
+                dst[first[j]] = c;
+            }
+        }
+    }
+}
+
+const Ops kScalarOps = {
+    Level::kScalar,
+    scalar_gemm_blocked,
+    scalar_conv2d_packed,
+    scalar_cmul,
+    scalar_norm_acc,
+    scalar_gemm_nn,
+    scalar_gemm_tn_acc,
+    scalar_conv2d_dx,
+    scalar_fft_lines,
 };
 
 // ---- Dispatch ---------------------------------------------------------------
@@ -191,19 +265,12 @@ const Ops* table_for(Level level) {
     if (level == Level::kAvx2) {
         if (const Ops* t = detail::avx2_ops()) return t;
     }
-    if (level == Level::kNeon) {
-        if (const Ops* t = detail::neon_ops()) return t;
-    }
     return &kScalarOps;
 }
 
 Level compute_detected() {
-    if (detail::neon_ops() != nullptr) return Level::kNeon;  // baseline on aarch64
 #if defined(__x86_64__) || defined(_M_X64)
-    if (detail::avx2_ops() != nullptr && __builtin_cpu_supports("avx2") &&
-        __builtin_cpu_supports("fma")) {
-        return Level::kAvx2;
-    }
+    if (detail::avx2_ops() != nullptr && __builtin_cpu_supports("avx2")) return Level::kAvx2;
 #endif
     return Level::kScalar;
 }
@@ -233,18 +300,7 @@ std::atomic<const Ops*>& active_table() {
 }  // namespace
 
 const char* level_name(Level level) {
-    switch (level) {
-        case Level::kAvx2: return "avx2";
-        case Level::kNeon: return "neon";
-        case Level::kScalar: break;
-    }
-    return "scalar";
-}
-
-Level compiled_level() {
-    if (detail::neon_ops() != nullptr) return Level::kNeon;
-    if (detail::avx2_ops() != nullptr) return Level::kAvx2;
-    return Level::kScalar;
+    return level == Level::kAvx2 ? "avx2" : "scalar";
 }
 
 Level detected_level() {
@@ -257,13 +313,6 @@ Level active_level() { return active_table().load(std::memory_order_relaxed)->le
 const Ops& ops() { return *active_table().load(std::memory_order_relaxed); }
 
 const Ops& scalar_ops() { return kScalarOps; }
-
-const ExactOps& exact_ops() {
-    if (active_level() == Level::kAvx2) {
-        if (const ExactOps* t = detail::avx2_exact_ops()) return *t;
-    }
-    return kScalarExactOps;
-}
 
 ScopedOverride::ScopedOverride(Level level) : prev_(active_level()) {
     // Anything non-scalar clips to what this build + CPU can actually run.

@@ -1,35 +1,27 @@
-// Runtime-dispatched SIMD kernels for the policy network and the
-// lithography hot loops (the nn::OpsBackend and litho::SupportApplicator
-// compute cores, and the FFT's line kernel behind every litho/fft.hpp
-// transform).
+// Runtime-dispatched SIMD kernels for the policy network (its packed layer
+// walk, forward and backward), the lithography hot loops (the
+// litho::SupportApplicator compute core) and the FFT's line kernel behind
+// every litho/fft.hpp transform.
 //
-// Dispatch model: this translation unit is always compiled portably; the
-// vector implementations live in their own translation units
-// (simd_avx2.cpp, built with -mavx2 -mfma on x86; simd_neon.cpp on
-// aarch64, where NEON is baseline; simd_avx2_exact.cpp, the training
-// kernels and the FFT line kernel, built with -mavx2 -ffp-contract=off; the
-// two AVX2 TUs share the GEMM and conv register tiles of
-// simd_avx2_tiles.hpp, each under its own flags). The scalar FFT line
-// kernel sits in simd_scalar_fft.cpp, built -ffp-contract=off on every
-// ISA. At startup the active kernel table is chosen as
+// One table, two levels. simd.cpp is compiled portably and holds the
+// scalar table; the AVX2 table lives in simd_avx2_exact.cpp (its forward
+// GEMM and conv register tiles in simd_avx2_tiles.hpp), built with -mavx2
+// on x86-64 and exporting no table anywhere else. At startup the active
+// table is chosen as
 //
 //     compiled kernels  ∩  CPU capabilities  ∩  CAMO_BACKEND environment
 //
-// CAMO_BACKEND=scalar forces the scalar reference kernels — byte-for-byte
-// the pre-SIMD loops, so the repo's bit-identical determinism contracts
-// (batch results at any thread count, training traces at any worker count)
-// hold end to end exactly as before. CAMO_BACKEND=simd requires a vector
-// level and falls back to scalar (with a one-time warning) when neither
-// the binary nor the CPU provides one. Unset or "auto" picks the best
-// level available.
+// CAMO_BACKEND=scalar forces the scalar table; CAMO_BACKEND=simd requires
+// the vector level and falls back to scalar (with a one-time warning) when
+// the binary or the CPU lacks it. Unset or "auto" picks the best level.
 //
-// Equivalence contract: for every kernel the scalar entry reproduces the
-// legacy accumulation order exactly; the Ops vector entries compute the
-// same sums in the same per-output order but with fused multiply-adds, so
-// results agree to a few ULP — tests/test_nn_backend.cpp fuzzes the bound
-// and pins the end-to-end action-identity guarantee on every registered
-// scenario. The ExactOps vector entries (training) keep the scalar bits
-// exactly.
+// Equivalence contract: every level gives the scalar bits. The scalar
+// entries are the naive loops (one accumulator per output element, terms
+// in ascending order); the AVX2 entries run lanes across output elements,
+// each lane fed in the scalar order, and round every product before it is
+// added (no FMA). The whole tree is built -ffp-contract=off, so no compiler
+// fuses the scalar loops either. tests/test_nn_backend.cpp memcmp's every
+// kernel against the scalar table; CAMO_BACKEND only changes speed.
 #pragma once
 
 #include <complex>
@@ -39,14 +31,10 @@ namespace camo::simd {
 
 enum class Level {
     kScalar,
-    kAvx2,  ///< x86-64 AVX2 + FMA (8-wide float)
-    kNeon,  ///< aarch64 NEON (4-wide float, baseline on that ISA)
+    kAvx2,  ///< x86-64 AVX2 (8-wide float, multiply then add)
 };
 
 const char* level_name(Level level);
-
-/// Highest level this binary carries kernels for (a compile-time fact).
-Level compiled_level();
 
 /// Highest level the running CPU supports among the compiled ones.
 Level detected_level();
@@ -62,13 +50,11 @@ inline constexpr int kBlock = 8;
 
 /// Chain order (gemm_blocked, conv2d_packed). Every output element has one
 /// accumulator chain: it starts from its bias (or, accumulating, its
-/// existing y value) and takes one multiply-add per input term in the
-/// order documented on each entry. Vector levels may run many chains in
-/// lockstep (the AVX2 kernels tile rows x output blocks and pixels x
-/// channel blocks) but never split or reorder one, so tiling never shows
-/// in the bits: the AVX2 entries are memcmp-equal to one-chain-per-block
-/// FMA loops (SimdOps.FmaKernelsBitIdenticalToSingleChainReference), and
-/// the ExactOps entries to the scalar table.
+/// existing y value) and takes one rounded product and one addition per
+/// input term in the order documented on each entry. The AVX2 kernels run
+/// many chains in lockstep (they tile rows x output blocks and pixels x
+/// channel blocks) but never split or reorder one, so tiling never shows in
+/// the bits.
 struct Ops {
     Level level = Level::kScalar;
 
@@ -78,7 +64,7 @@ struct Ops {
     /// `accumulate` is true the products fold into the existing y values
     /// and `bias` is ignored. Row r's accumulation order never depends on
     /// `rows`, so a batched call is bitwise identical to `rows` single-row
-    /// calls at every level. Chain: i = 0 .. in-1 ascending.
+    /// calls. Chain: i = 0 .. in-1 ascending.
     void (*gemm_blocked)(const float* w, const float* bias, const float* x, int rows, int in,
                          int out, int out_padded, float* y, bool accumulate);
 
@@ -93,31 +79,15 @@ struct Ops {
                           float* y, int oh, int ow);
 
     /// out[i] = a[i] * b[i] over contiguous complex floats (the
-    /// SupportApplicator coefficient multiply).
+    /// SupportApplicator coefficient multiply): re = ar*br - ai*bi,
+    /// im = ar*bi + ai*br, each product rounded.
     void (*cmul)(const std::complex<float>* a, const std::complex<float>* b,
                  std::complex<float>* out, std::size_t n);
 
-    /// intensity[i] += lambda * |field[i]|^2 (the SOCS accumulation).
+    /// intensity[i] += lambda * |field[i]|^2 (the SOCS accumulation), with
+    /// |f|^2 = re*re + im*im as std::norm computes it.
     void (*norm_acc)(const std::complex<float>* field, float lambda, float* intensity,
                      std::size_t n);
-};
-
-/// Exact-order kernels for training and the FFT. The forward entries have
-/// the same contracts as their Ops namesakes, and every output is
-/// bit-identical to the scalar table at every level: vector lanes run across
-/// output elements (FFT lines), each with one accumulator fed in the scalar
-/// order, and every product is rounded before it is added (no FMA). The
-/// backward entries reproduce the accumulation orders of the naive
-/// per-sample layer loops (Conv2d/Linear backward in
-/// tests/nn_reference_layers.hpp). The AVX2 kernels live in
-/// simd_avx2_exact.cpp, built with -mavx2 -ffp-contract=off and without
-/// -mfma; where no exact vector kernel exists (NEON, portable builds) the
-/// table is the scalar one.
-struct ExactOps {
-    Level level = Level::kScalar;
-
-    decltype(Ops::gemm_blocked) gemm_blocked;
-    decltype(Ops::conv2d_packed) conv2d_packed;
 
     /// y[r, c] = sum over j ascending of x[r, j] * w[j, c], accumulated from
     /// +0: x row-major [rows, inner], w row-major [inner, cols], y row-major
@@ -140,6 +110,7 @@ struct ExactOps {
     /// input pixel feeds, accumulated from +0 in (oc, oy, ox) ascending
     /// order, zero dy skipped. Weights are packed [oc][ky][kx][in_ch_padded]
     /// (input channel innermost); dy is [out_ch, oh, ow], dx [in_ch, h, wdt].
+    /// (The per-sample Conv2d backward in tests/nn_reference_layers.hpp.)
     void (*conv2d_dx)(const float* wt, const float* dy, int in_ch, int in_ch_padded, int h,
                       int wdt, int out_ch, int k, int stride, int pad, int oh, int ow,
                       float* dx);
@@ -165,12 +136,7 @@ struct ExactOps {
 /// Kernel table of the active level (cheap: one atomic load after init).
 const Ops& ops();
 
-/// Exact-order table of the active level: the AVX2 exact kernels when the
-/// active level is AVX2, the scalar kernels otherwise (so CAMO_BACKEND and
-/// ScopedOverride select it like ops()).
-const ExactOps& exact_ops();
-
-/// The scalar reference table (always available; legacy loop order).
+/// The scalar reference table (always available).
 const Ops& scalar_ops();
 
 /// Test hook: force a level for the current scope (e.g. compare scalar vs

@@ -1,18 +1,17 @@
-// AVX2 exact-order kernels for training and the FFT (simd::ExactOps). Every
-// output is bit-identical to the scalar table: lanes run across output
-// elements, each lane keeps one accumulator fed in the scalar loop's order,
-// and every product is rounded by _mm256_mul_ps before _mm256_add_ps adds
-// it. The forward GEMM and conv are the register tiles of
-// simd_avx2_tiles.hpp (the same tile bodies as the FMA table) with that
-// multiply-then-add step; the backward kernels and the FFT line kernel are
-// below. CMake builds this file with -mavx2
-// -ffp-contract=off and without -mfma; with FMA contraction the compiler
-// would fuse the multiply and the add and the bits would change, so those
-// flags are part of the contract. The dispatcher (simd.cpp) only hands this
-// table out when the active level is AVX2.
+// The AVX2 kernel table (simd::Ops at Level::kAvx2). Every output is
+// bit-identical to the scalar table: lanes run across output elements, each
+// lane keeps one accumulator fed in the scalar loop's order, and every
+// product is rounded by _mm256_mul_ps before _mm256_add_ps adds it. The
+// forward GEMM and conv are the register tiles of simd_avx2_tiles.hpp; the
+// complex multiply, the SOCS accumulation, the backward kernels and the FFT
+// line kernel are below. CMake builds this file with -mavx2 and without
+// -mfma, and the whole tree with -ffp-contract=off: with FMA contraction
+// the compiler would fuse a multiply and its add and the bits would change,
+// so those flags are part of the contract. Built without -mavx2 (any ISA
+// but x86-64), the file exports no table.
 #include "common/simd.hpp"
 
-#if defined(__AVX2__) && !defined(CAMO_SIMD_OFF)
+#if defined(__AVX2__)
 
 #include <immintrin.h>
 
@@ -27,15 +26,52 @@
 namespace camo::simd {
 namespace {
 
-inline __m256 madd(__m256 acc, __m256 a, __m256 b) {
-    return _mm256_add_ps(acc, _mm256_mul_ps(a, b));
+// 4 complex values (8 floats, interleaved re/im) per iteration:
+// (ar+i*ai)(br+i*bi) = (ar*br - ai*bi) + i*(ar*bi + ai*br). Both products
+// of each part are rounded, then addsub subtracts in the even (real) lanes
+// and adds in the odd (imaginary) ones, in the scalar operand order.
+void avx2_cmul(const std::complex<float>* a, const std::complex<float>* b,
+               std::complex<float>* out, std::size_t n) {
+    const float* af = reinterpret_cast<const float*>(a);
+    const float* bf = reinterpret_cast<const float*>(b);
+    float* of = reinterpret_cast<float*>(out);
+    std::size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+        const __m256 av = _mm256_loadu_ps(af + 2 * i);
+        const __m256 bv = _mm256_loadu_ps(bf + 2 * i);
+        const __m256 ar = _mm256_moveldup_ps(av);          // [ar0 ar0 ar1 ar1 ...]
+        const __m256 ai = _mm256_movehdup_ps(av);          // [ai0 ai0 ai1 ai1 ...]
+        const __m256 bswap = _mm256_permute_ps(bv, 0xB1);  // [bi0 br0 bi1 br1 ...]
+        const __m256 res = _mm256_addsub_ps(_mm256_mul_ps(ar, bv), _mm256_mul_ps(ai, bswap));
+        if (_mm256_movemask_ps(_mm256_cmp_ps(res, res, _CMP_UNORD_Q)) == 0) {
+            _mm256_storeu_ps(of + 2 * i, res);
+        } else {
+            // A NaN part: the scalar product may recover an infinity
+            // (C99 Annex G), so these four take the scalar path.
+            for (std::size_t q = i; q < i + 4; ++q) out[q] = a[q] * b[q];
+        }
+    }
+    for (; i < n; ++i) out[i] = a[i] * b[i];
 }
 
-// The forward tiles' step: acc + w * x, the product rounded before the add
-// (the scalar loop's `acc += w * x`).
-struct MulAddStep {
-    static __m256 step(__m256 acc, __m256 x, __m256 w) { return madd(acc, w, x); }
-};
+// 8 complex values per iteration: hadd pairs the rounded squares into
+// re*re + im*im, then lambda * norm is rounded and added to the intensity.
+void avx2_norm_acc(const std::complex<float>* field, float lambda, float* intensity,
+                   std::size_t n) {
+    const float* ff = reinterpret_cast<const float*>(field);
+    const __m256 lam = _mm256_set1_ps(lambda);
+    const __m256i order = _mm256_setr_epi32(0, 1, 4, 5, 2, 3, 6, 7);
+    std::size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        const __m256 v0 = _mm256_loadu_ps(ff + 2 * i);      // c0..c3 interleaved
+        const __m256 v1 = _mm256_loadu_ps(ff + 2 * i + 8);  // c4..c7 interleaved
+        // hadd works on 128-bit halves: [n0 n1 n4 n5 | n2 n3 n6 n7].
+        const __m256 sums = _mm256_hadd_ps(_mm256_mul_ps(v0, v0), _mm256_mul_ps(v1, v1));
+        const __m256 norms = _mm256_permutevar8x32_ps(sums, order);
+        _mm256_storeu_ps(intensity + i, madd(_mm256_loadu_ps(intensity + i), lam, norms));
+    }
+    for (; i < n; ++i) intensity[i] += lambda * std::norm(field[i]);
+}
 
 // One gemm_tn_acc call's operands.
 struct TnAcc {
@@ -110,7 +146,7 @@ void tn_acc_block(const TnAcc& g, int i0, int j0, int width) {
 
 // Column blocks of 32 outermost, so each block's slice of b stays in L1
 // while every row pair of c passes over it.
-void exact_gemm_tn_acc(const float* a, int a_row_stride, int a_col_stride, const float* b,
+void avx2_gemm_tn_acc(const float* a, int a_row_stride, int a_col_stride, const float* b,
                        int rows, int m, int k, float* c, bool descending) {
     const TnAcc g{a, a_row_stride, a_col_stride, b, rows, k, c, descending};
     constexpr int kCols = 4 * kBlock;
@@ -125,16 +161,16 @@ void exact_gemm_tn_acc(const float* a, int a_row_stride, int a_col_stride, const
 // y = x w is the transposed-operand accumulation from zero, with y's rows as
 // c's rows and the reduction running over x's columns (a_row_stride 1,
 // a_col_stride inner) and w's rows, ascending: the same chain per output.
-void exact_gemm_nn(const float* x, int rows, int inner, const float* w, int cols, float* y) {
+void avx2_gemm_nn(const float* x, int rows, int inner, const float* w, int cols, float* y) {
     std::fill(y, y + zu(rows) * zu(cols), 0.0F);
-    exact_gemm_tn_acc(x, 1, inner, w, inner, rows, cols, y, false);
+    avx2_gemm_tn_acc(x, 1, inner, w, inner, rows, cols, y, false);
 }
 
 // Scatter in (oc, oy, ox) order into per-pixel input-channel vectors
 // ([iy][ix][ic_padded]); every input pixel's accumulator sees its terms in
 // exactly that order. The updates of one output pixel hit distinct input
 // pixels, so consecutive updates overlap instead of forming one chain.
-void exact_conv2d_dx(const float* wt, const float* dy, int in_ch, int in_ch_padded, int h,
+void avx2_conv2d_dx(const float* wt, const float* dy, int in_ch, int in_ch_padded, int h,
                      int wdt, int out_ch, int k, int stride, int pad, int oh, int ow,
                      float* dx) {
     const std::size_t in_plane = static_cast<std::size_t>(h) * static_cast<std::size_t>(wdt);
@@ -183,7 +219,7 @@ void exact_conv2d_dx(const float* wt, const float* dy, int in_ch, int in_ch_padd
 }
 
 // ---- FFT line kernel ---------------------------------------------------------
-// ExactOps::fft_lines on 8 lines at a time. Scratch slot s holds element s
+// Ops::fft_lines on 8 lines at a time. Scratch slot s holds element s
 // (in bit-reversed order) of all 8 lines as two vectors, 8 re parts then 8
 // im parts, so a butterfly is the scalar one on 8 lanes at once.
 
@@ -371,7 +407,7 @@ void store_lanes(const float* x, std::complex<float>* data, std::size_t stride,
 // Each group of 8 lines takes the widest load its layout allows: rows
 // (stride 1) through the transpose, 8 adjacent columns through the re/im
 // split, anything else lane by lane.
-void exact_fft_lines(std::complex<float>* data, int n, std::size_t stride,
+void avx2_fft_lines(std::complex<float>* data, int n, std::size_t stride,
                      const std::size_t* starts, std::size_t count, const int* rev,
                      const float* wr, const float* wi, float scale) {
     const auto len = static_cast<std::size_t>(n);
@@ -406,20 +442,22 @@ void exact_fft_lines(std::complex<float>* data, int n, std::size_t stride,
     }
 }
 
-const ExactOps kAvx2ExactOps = {
+const Ops kAvx2Ops = {
     Level::kAvx2,
-    tiled_gemm_blocked<MulAddStep>,
-    tiled_conv2d_packed<MulAddStep>,
-    exact_gemm_nn,
-    exact_gemm_tn_acc,
-    exact_conv2d_dx,
-    exact_fft_lines,
+    tiled_gemm_blocked,
+    tiled_conv2d_packed,
+    avx2_cmul,
+    avx2_norm_acc,
+    avx2_gemm_nn,
+    avx2_gemm_tn_acc,
+    avx2_conv2d_dx,
+    avx2_fft_lines,
 };
 
 }  // namespace
 
 namespace detail {
-const ExactOps* avx2_exact_ops() { return &kAvx2ExactOps; }
+const Ops* avx2_ops() { return &kAvx2Ops; }
 }  // namespace detail
 
 }  // namespace camo::simd
@@ -427,7 +465,7 @@ const ExactOps* avx2_exact_ops() { return &kAvx2ExactOps; }
 #else  // portable build of this TU: export no table
 
 namespace camo::simd::detail {
-const ExactOps* avx2_exact_ops() { return nullptr; }
+const Ops* avx2_ops() { return nullptr; }
 }  // namespace camo::simd::detail
 
 #endif

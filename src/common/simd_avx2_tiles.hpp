@@ -1,31 +1,26 @@
-// Register-tiled AVX2 bodies of the two forward kernels every AVX2 table
-// carries: the row-blocked GEMM (Ops::gemm_blocked) and the packed conv
-// (Ops::conv2d_packed). simd_avx2.cpp instantiates them with an FMA step,
-// simd_avx2_exact.cpp with a rounded multiply then an add; everything else
-// (tile shapes, chain order, tails, stores) is written once, here.
+// Register-tiled AVX2 bodies of the two forward kernels: the row-blocked
+// GEMM (Ops::gemm_blocked) and the packed conv (Ops::conv2d_packed). Only
+// simd_avx2_exact.cpp includes this header; the backward kernels and the
+// FFT line kernel sit in that TU.
 //
-// Why tiles: one accumulator chain per output block leaves the FMA units
-// waiting on the previous FMA's latency. A tile runs R rows x NB output
+// Why tiles: one accumulator chain per output block leaves the vector units
+// waiting on the previous step's latency. A tile runs R rows x NB output
 // blocks (GEMM) or P output pixels x NB output-channel blocks (conv) in
 // lockstep, at least 8 independent chains per step where the shape allows.
 // Tiling only interleaves chains; it never splits one. Every output keeps
 // its single chain, started from its bias (or its existing y) and fed in the
-// reference order, so results are bit-identical to the one-chain loop at any
+// scalar order, so results are bit-identical to the scalar table at any
 // tile shape:
 //   * GEMM: i ascending;
 //   * conv: (ic, ky, kx) ascending, out-of-image taps skipped per pixel
 //     (never zero-padded: a -0 bias or a non-finite weight would otherwise
 //     change bits).
 //
-// The step is a template parameter `Mac` with
-//     static __m256 step(__m256 acc, __m256 x, __m256 w);
-// returning acc + x * w in that TU's rounding. Every loop over a tile's
-// rows, pixels or blocks carries `#pragma GCC unroll`: fully unrolled, the
-// accumulator arrays live in registers, where GCC would otherwise keep them
-// in memory and store every chain on every step. Including TUs keep their own
-// compile flags; everything below has internal linkage on purpose, so each
-// TU links its own copy and the FMA build of a helper can never stand in
-// for the exact one.
+// Each step is madd(acc, w, x): the product rounded by _mm256_mul_ps, then
+// added by _mm256_add_ps, as the scalar loop's `acc += w * x`. Every loop
+// over a tile's rows, pixels or blocks carries `#pragma GCC unroll`: fully
+// unrolled, the accumulator arrays live in registers, where GCC would
+// otherwise keep them in memory and store every chain on every step.
 #pragma once
 
 #if !defined(__AVX2__)
@@ -44,6 +39,11 @@ namespace camo::simd {
 namespace {
 
 inline std::size_t zu(int v) { return static_cast<std::size_t>(v); }
+
+// acc + a * b with the product rounded before the add (never an FMA).
+inline __m256 madd(__m256 acc, __m256 a, __m256 b) {
+    return _mm256_add_ps(acc, _mm256_mul_ps(a, b));
+}
 
 // Lane mask for the first `count` lanes (count in 1..8).
 inline __m256i lane_mask(int count) {
@@ -69,7 +69,7 @@ inline void store_cols(float* p, int width, __m256 v) {
 // ---- GEMM -------------------------------------------------------------------
 
 // Rows r0 .. r0+R-1 x output blocks blk0 .. blk0+NB-1 of y = x W^T (+ b).
-template <class Mac, int R, int NB>
+template <int R, int NB>
 void gemm_tile(const float* w, const float* bias, const float* x, int in, int out, float* y,
                bool accumulate, int r0, int blk0) {
     const float* wb[NB];
@@ -95,7 +95,7 @@ void gemm_tile(const float* w, const float* bias, const float* x, int in, int ou
         for (int q = 0; q < R; ++q) {
             const __m256 xv = _mm256_set1_ps(xr[zu(q) * zu(in) + zu(i)]);
             #pragma GCC unroll 16
-            for (int b = 0; b < NB; ++b) acc[q][b] = Mac::step(acc[q][b], xv, wv[b]);
+            for (int b = 0; b < NB; ++b) acc[q][b] = madd(acc[q][b], wv[b], xv);
         }
     }
     #pragma GCC unroll 16
@@ -108,23 +108,22 @@ void gemm_tile(const float* w, const float* bias, const float* x, int in, int ou
 }
 
 // One row over `nb` <= NB output blocks: the largest tile that fits.
-template <class Mac, int NB>
+template <int NB>
 void gemm_row(int nb, const float* w, const float* bias, const float* x, int in, int out,
               float* y, bool accumulate, int r, int blk0) {
     if constexpr (NB > 1) {
         if (nb < NB) {
-            gemm_row<Mac, NB - 1>(nb, w, bias, x, in, out, y, accumulate, r, blk0);
+            gemm_row<NB - 1>(nb, w, bias, x, in, out, y, accumulate, r, blk0);
             return;
         }
     }
-    gemm_tile<Mac, 1, NB>(w, bias, x, in, out, y, accumulate, r, blk0);
+    gemm_tile<1, NB>(w, bias, x, in, out, y, accumulate, r, blk0);
 }
 
 // The Ops::gemm_blocked contract. Full row quads run 4 x 2 tiles, block
 // pairs outermost so a pair's weight slices stay in L1 while every quad
 // passes over them; the last rows % 4 rows (all of a GEMV, such as the RNN
 // recurrence) run one row against up to 8 blocks.
-template <class Mac>
 void tiled_gemm_blocked(const float* w, const float* bias, const float* x, int rows, int in,
                         int out, int out_padded, float* y, bool accumulate) {
     (void)out_padded;  // blocks past `out` are padding: never computed
@@ -133,15 +132,15 @@ void tiled_gemm_blocked(const float* w, const float* bias, const float* x, int r
     for (int blk = 0; blk < blocks; blk += 2) {
         for (int r = 0; r < quads; r += 4) {
             if (blocks - blk >= 2) {
-                gemm_tile<Mac, 4, 2>(w, bias, x, in, out, y, accumulate, r, blk);
+                gemm_tile<4, 2>(w, bias, x, in, out, y, accumulate, r, blk);
             } else {
-                gemm_tile<Mac, 4, 1>(w, bias, x, in, out, y, accumulate, r, blk);
+                gemm_tile<4, 1>(w, bias, x, in, out, y, accumulate, r, blk);
             }
         }
     }
     for (int r = quads; r < rows; ++r) {
         for (int blk = 0; blk < blocks; blk += 8) {
-            gemm_row<Mac, 8>(blocks - blk, w, bias, x, in, out, y, accumulate, r, blk);
+            gemm_row<8>(blocks - blk, w, bias, x, in, out, y, accumulate, r, blk);
         }
     }
 }
@@ -186,7 +185,7 @@ inline int row_taps(const ConvShape& s, int oy, ConvTap* taps) {
 // Output pixels (oy, ox .. ox+P-1) x channel blocks from oc0, NB blocks
 // wide, over the row's taps. kClip: some pixel of the run has taps outside
 // the input row, which are skipped for that pixel alone.
-template <class Mac, int P, int NB, bool kClip>
+template <int P, int NB, bool kClip>
 void conv_tile(const ConvShape& s, const ConvTap* taps, int ntaps, int oc0, int oy, int ox) {
     std::ptrdiff_t ix[P];  // pixel q's first tap column
     #pragma GCC unroll 16
@@ -210,7 +209,7 @@ void conv_tile(const ConvShape& s, const ConvTap* taps, int ntaps, int oc0, int 
             if (kClip && (ix[q] + tap.kx < 0 || ix[q] + tap.kx >= s.wdt)) continue;
             const __m256 xv = _mm256_set1_ps(s.x[tap.x + ix[q]]);
             #pragma GCC unroll 16
-            for (int b = 0; b < NB; ++b) acc[q][b] = Mac::step(acc[q][b], xv, wv[b]);
+            for (int b = 0; b < NB; ++b) acc[q][b] = madd(acc[q][b], wv[b], xv);
         }
     }
     // y is channel-major [oc][oy][ox]: scatter each lane block.
@@ -230,26 +229,26 @@ void conv_tile(const ConvShape& s, const ConvTap* taps, int ntaps, int oc0, int 
 }
 
 // A run of `run` <= P pixels: the tile of exactly that width.
-template <class Mac, int NB, int P>
+template <int NB, int P>
 void conv_run(int run, bool interior, const ConvShape& s, const ConvTap* taps, int ntaps, int oc0,
               int oy, int ox) {
     if constexpr (P > 1) {
         if (run < P) {
-            conv_run<Mac, NB, P - 1>(run, interior, s, taps, ntaps, oc0, oy, ox);
+            conv_run<NB, P - 1>(run, interior, s, taps, ntaps, oc0, oy, ox);
             return;
         }
     }
     if (interior) {
-        conv_tile<Mac, P, NB, false>(s, taps, ntaps, oc0, oy, ox);
+        conv_tile<P, NB, false>(s, taps, ntaps, oc0, oy, ox);
     } else {
-        conv_tile<Mac, P, NB, true>(s, taps, ntaps, oc0, oy, ox);
+        conv_tile<P, NB, true>(s, taps, ntaps, oc0, oy, ox);
     }
 }
 
 // Output row oy for channel blocks oc0 .. oc0+NB-1, in runs of up to
 // ceil(8 / NB) pixels (conv1's one block: 8 pixels; conv2's two: 4;
 // conv3's four: 2).
-template <class Mac, int NB>
+template <int NB>
 void conv_row(const ConvShape& s, const ConvTap* taps, int ntaps, int oc0, int oy) {
     constexpr int kPix = (8 + NB - 1) / NB;
     for (int ox = 0; ox < s.ow; ox += kPix) {
@@ -257,13 +256,12 @@ void conv_row(const ConvShape& s, const ConvTap* taps, int ntaps, int oc0, int o
         // Tap columns grow with ox: the run is interior iff its ends are.
         const bool interior =
             ox * s.stride - s.pad >= 0 && (ox + run - 1) * s.stride - s.pad + s.k <= s.wdt;
-        conv_run<Mac, NB, kPix>(run, interior, s, taps, ntaps, oc0, oy, ox);
+        conv_run<NB, kPix>(run, interior, s, taps, ntaps, oc0, oy, ox);
     }
 }
 
 // The Ops::conv2d_packed contract: output rows outermost, each row's tap
 // list built once and shared by its channel groups (four blocks at a time).
-template <class Mac>
 void tiled_conv2d_packed(const float* w, const float* bias, const float* x, int in_ch, int h,
                          int wdt, int out_ch, int out_ch_padded, int k, int stride, int pad,
                          float* y, int oh, int ow) {
@@ -275,10 +273,10 @@ void tiled_conv2d_packed(const float* w, const float* bias, const float* x, int 
         for (int blk = 0; blk < blocks; blk += 4) {
             const int oc0 = blk * kBlock;
             switch (std::min(4, blocks - blk)) {
-                case 1: conv_row<Mac, 1>(s, taps.data(), ntaps, oc0, oy); break;
-                case 2: conv_row<Mac, 2>(s, taps.data(), ntaps, oc0, oy); break;
-                case 3: conv_row<Mac, 3>(s, taps.data(), ntaps, oc0, oy); break;
-                default: conv_row<Mac, 4>(s, taps.data(), ntaps, oc0, oy); break;
+                case 1: conv_row<1>(s, taps.data(), ntaps, oc0, oy); break;
+                case 2: conv_row<2>(s, taps.data(), ntaps, oc0, oy); break;
+                case 3: conv_row<3>(s, taps.data(), ntaps, oc0, oy); break;
+                default: conv_row<4>(s, taps.data(), ntaps, oc0, oy); break;
             }
         }
     }

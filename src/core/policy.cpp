@@ -13,7 +13,7 @@
 
 namespace camo::core {
 
-/// Weights repacked for the backend kernels (nn/backend.hpp). infer()'s
+/// Weights repacked for the SIMD kernels (nn/backend.hpp). infer()'s
 /// cached copy is rebuilt whenever weights_version_ moves past `version`.
 struct PackedWeights {
     std::uint64_t version = 0;
@@ -30,7 +30,7 @@ struct PackedWeights {
 
     /// What backward() reads besides the tape, copied at the same moment as
     /// the forward weights (training packs only; infer()'s plan leaves it
-    /// empty): conv2/conv3 repacked for ExactOps::conv2d_dx, and the dense
+    /// empty): conv2/conv3 repacked for Ops::conv2d_dx, and the dense
     /// and RNN weights row-major, as gemm_nn and the BPTT read them.
     struct Backward {
         std::vector<float> conv2_dx, conv3_dx;  // [oc][ky][kx][ic_padded]
@@ -73,10 +73,24 @@ void relu_backward(float* g, const float* y, std::size_t n) {
     for (std::size_t i = 0; i < n; ++i) g[i] = y[i] > 0.0F ? g[i] : 0.0F;
 }
 
+// y[r, :] = x[r, :] W^T + b over `rows` rows; with `accumulate`, y[r, :] +=
+// x[r, :] W^T, resuming each output's chain (the RNN recurrence).
+void linear(const simd::Ops& k, const nn::PackedLinear& m, const float* x, int rows, float* y,
+            bool accumulate = false) {
+    k.gemm_blocked(m.w.data(), m.b.data(), x, rows, m.in, m.out, m.out_padded, y, accumulate);
+}
+
+// One square CHW sample: x [in_ch, h, h] -> y [out_ch, oh, oh].
+void conv(const simd::Ops& k, const nn::PackedConv2d& m, const float* x, int h, float* y) {
+    const int oh = m.out_size(h);
+    k.conv2d_packed(m.w.data(), m.b.data(), x, m.in_ch, h, h, m.out_ch, m.out_ch_padded, m.k,
+                    m.stride, m.pad, y, oh, oh);
+}
+
 // A dense layer's backward over `rows` nodes, in the per-node reference's
 // node order: dW += dy^T x and db += dy, one addition per node per element;
 // dx = dy W when `dx` is non-null, with W the forward's copy `wv`.
-void dense_backward(const simd::ExactOps& k, nn::Parameter& w, nn::Parameter& b,
+void dense_backward(const simd::Ops& k, nn::Parameter& w, nn::Parameter& b,
                     const nn::Tensor& wv, const float* dy, const float* x, int rows,
                     bool descending, float* dx) {
     const int out = w.grad.dim(0);
@@ -90,7 +104,7 @@ void dense_backward(const simd::ExactOps& k, nn::Parameter& w, nn::Parameter& b,
 }
 
 // Convolution weights [oc, ic, k, k] repacked into `wt` as
-// [oc][ky][kx][ic_padded] for ExactOps::conv2d_dx; returns ic_padded.
+// [oc][ky][kx][ic_padded] for Ops::conv2d_dx; returns ic_padded.
 int pack_conv_dx(const nn::Tensor& w, std::vector<float>& wt) {
     const int oc_n = w.dim(0);
     const int ic_n = w.dim(1);
@@ -120,7 +134,7 @@ struct ConvScratch {
 // In the weight gradient, out-of-image taps (im2col zeros) and zero output
 // gradients add exact zeros where the reference skips them: a sum that
 // starts at +0 never becomes -0, so this changes no bit for finite inputs.
-void conv_backward(const simd::ExactOps& k, nn::Parameter& w, nn::Parameter& b,
+void conv_backward(const simd::Ops& k, nn::Parameter& w, nn::Parameter& b,
                    const float* dy, const float* x, int h, int oh, const float* wt,
                    int in_padded, float* dx, ConvScratch& s) {
     const int out_ch = w.grad.dim(0);
@@ -266,8 +280,7 @@ nn::Tensor PolicyNetwork::forward(std::shared_ptr<const PackedWeights> weights,
             "PolicyNetwork::forward: weights not from pack() of this architecture");
     }
     const ClipRequest req{&features, &graph};
-    const std::vector<float> logits =
-        walk(nn::exact_backend(), *weights, {&req, 1}, tape_, true);
+    const std::vector<float> logits = walk(*weights, {&req, 1}, tape_, true);
     tape_.graph = graph;
     tape_.weights = std::move(weights);
     tape_.valid = true;
@@ -339,7 +352,7 @@ std::vector<nn::Tensor> PolicyNetwork::infer_batch(std::span<const ClipRequest> 
     std::vector<float> logits;
     {
         const obs::Span span("core.policy.infer", infer_hist());
-        logits = walk(nn::active_backend(), *ensure_plan(), clips, act, false);
+        logits = walk(*ensure_plan(), clips, act, false);
     }
     std::vector<nn::Tensor> out;
     out.reserve(clips.size());
@@ -353,9 +366,10 @@ std::vector<nn::Tensor> PolicyNetwork::infer_batch(std::span<const ClipRequest> 
     return out;
 }
 
-std::vector<float> PolicyNetwork::walk(const nn::OpsBackend& be, const PackedWeights& weights,
+std::vector<float> PolicyNetwork::walk(const PackedWeights& weights,
                                        std::span<const ClipRequest> clips, FlatTape& act,
                                        bool keep) const {
+    const simd::Ops& k = simd::ops();
     const int S = cfg_.squish_size;
     const int embed = cfg_.embed_dim;
     const int hidden = cfg_.rnn_hidden;
@@ -411,17 +425,17 @@ std::vector<float> PolicyNetwork::walk(const nn::OpsBackend& be, const PackedWei
             if (keep) {
                 std::memcpy(act.x.data() + row * in_size, f.data().data(), in_size * sizeof(float));
             }
-            be.conv2d(weights.conv1, f.data().data(), S, S, a1);
+            conv(k, weights.conv1, f.data().data(), S, a1);
             relu_inplace(a1, size1);
-            be.conv2d(weights.conv2, a1, s1, s1, a2);
+            conv(k, weights.conv2, a1, s1, a2);
             relu_inplace(a2, size2);
-            be.conv2d(weights.conv3, a2, s2, s2, out);
+            conv(k, weights.conv3, a2, s2, out);
             relu_inplace(out, flat);
             ++row;
         }
     }
     act.embed.resize(sz(total) * sz(embed));
-    be.linear(weights.fc, act.flat.data(), total, act.embed.data());
+    linear(k, weights.fc, act.flat.data(), total, act.embed.data());
     relu_inplace(act.embed.data(), act.embed.size());
 
     // Stage 2: GraphSAGE, h_i = ReLU(W [e_i ; mean_{j in N(i)} e_j]). The
@@ -446,7 +460,7 @@ std::vector<float> PolicyNetwork::walk(const nn::OpsBackend& be, const PackedWei
             }
         }
         act.fused.resize(sz(total) * sz(embed));
-        be.linear(weights.sage, act.cat.data(), total, act.fused.data());
+        linear(k, weights.sage, act.cat.data(), total, act.fused.data());
         relu_inplace(act.fused.data(), act.fused.size());
         fused = act.fused.data();
     }
@@ -468,10 +482,10 @@ std::vector<float> PolicyNetwork::walk(const nn::OpsBackend& be, const PackedWei
                 const PackedWeights::RnnCell& cell = weights.rnn[l];
                 float* h = keep ? act.hs.data() + (l * sz(total) + sz(start[c])) * sz(hidden)
                                 : (l % 2 == 0 ? ping : pong).data();
-                be.linear(cell.u, in, n, h);
+                linear(k, cell.u, in, n, h);
                 for (int t = 0; t < n; ++t) {
                     float* ht = h + sz(t) * sz(hidden);
-                    if (t > 0) be.linear_acc(cell.w, ht - hidden, 1, ht);
+                    if (t > 0) linear(k, cell.w, ht - hidden, 1, ht, true);
                     for (int d = 0; d < hidden; ++d) ht[d] = std::tanh(ht[d]);
                 }
                 in = h;
@@ -480,13 +494,13 @@ std::vector<float> PolicyNetwork::walk(const nn::OpsBackend& be, const PackedWei
                         sz(n) * sz(hidden) * sizeof(float));
         }
     } else {
-        be.linear(weights.proj, fused, total, act.ctx.data());
+        linear(k, weights.proj, fused, total, act.ctx.data());
         relu_inplace(act.ctx.data(), act.ctx.size());
     }
 
     // Stage 4: the action head as one wide GEMM.
     std::vector<float> logits(sz(total) * rl::kNumActions);
-    be.linear(weights.head, act.ctx.data(), total, logits.data());
+    linear(k, weights.head, act.ctx.data(), total, logits.data());
     return logits;
 }
 
@@ -502,7 +516,7 @@ void PolicyNetwork::backward(const nn::Tensor& dlogits) {
     // place once every backward of its wave has returned.
     const std::shared_ptr<const PackedWeights> weights = std::move(t.weights);
     const PackedWeights::Backward& wb = weights->back;
-    const simd::ExactOps& k = simd::exact_ops();
+    const simd::Ops& k = simd::ops();
     const int S = cfg_.squish_size;
     const int embed = cfg_.embed_dim;
     const int hidden = cfg_.rnn_hidden;

@@ -23,13 +23,9 @@
 #include "core/graph.hpp"
 #include "nn/tensor.hpp"
 
-namespace camo::nn {
-class OpsBackend;
-}  // namespace camo::nn
-
 namespace camo::core {
 
-/// The network's weights repacked for the backend kernels (see policy.cpp).
+/// The network's weights repacked for the SIMD kernels (see policy.cpp).
 struct PackedWeights;
 
 struct PolicyConfig {
@@ -54,10 +50,11 @@ public:
     /// Training forward over the whole node set; features[i] is node i's
     /// [6,S,S] squish tensor. Returns logits [n, 5] and keeps a flat tape of
     /// the activations for one backward(). Runs the same layer walk as
-    /// infer() on the exact-order kernel table (simd::exact_ops), so the
-    /// logits, and the gradients backward() produces, are bit-identical on
-    /// every backend, CAMO_BACKEND=scalar included. Packs the current
-    /// weights first: forward(pack(), features, graph).
+    /// infer() on the same kernel table (simd::ops), so its logits equal
+    /// infer()'s bit for bit, and they and the gradients backward()
+    /// produces are the same at every SIMD level, CAMO_BACKEND=scalar
+    /// included. Packs the current weights first: forward(pack(), features,
+    /// graph).
     nn::Tensor forward(const std::vector<nn::Tensor>& features, const Graph& graph);
 
     /// This network's current weights, packed for training: the forward
@@ -83,13 +80,11 @@ public:
     nn::Tensor forward(std::shared_ptr<const PackedWeights> weights,
                        const std::vector<nn::Tensor>& features, const Graph& graph);
 
-    /// Inference-only forward through the packed-weight backend
-    /// (nn/backend.hpp): weights are repacked once per version into blocked
-    /// SIMD layouts and the layer walk runs on the active kernel table.
-    /// Under CAMO_BACKEND=scalar the logits are bitwise identical to
-    /// forward(); under a vector backend (FMA) they differ by ULP rounding
-    /// only. Thread-safe on a const (frozen) network; keeps no tape, so no
-    /// backward() may follow.
+    /// Inference-only forward on packed weights (nn/backend.hpp): weights
+    /// are repacked once per version into blocked SIMD layouts and the
+    /// layer walk runs on simd::ops(), as forward() does, so the logits are
+    /// bitwise identical to forward()'s at every SIMD level. Thread-safe on
+    /// a const (frozen) network; keeps no tape, so no backward() may follow.
     [[nodiscard]] nn::Tensor infer(const std::vector<nn::Tensor>& features,
                                    const Graph& graph) const;
 
@@ -105,7 +100,7 @@ public:
     /// (the RNN stays per-clip — it is sequential by construction). Per-row
     /// accumulation order is independent of batch composition, so clip c's
     /// logits are bitwise identical to infer(*clips[c].features,
-    /// *clips[c].graph) on every backend. Returns one [n_c, 5] logits tensor
+    /// *clips[c].graph) at every SIMD level. Returns one [n_c, 5] logits tensor
     /// per clip.
     [[nodiscard]] std::vector<nn::Tensor> infer_batch(
         std::span<const ClipRequest> clips) const;
@@ -205,12 +200,12 @@ private:
     std::vector<nn::Parameter*> param_list();
 
     /// The one layer walk behind forward(), infer() and infer_batch(): runs
-    /// every clip's nodes through `be`'s kernels on the packed `weights`,
+    /// every clip's nodes through simd::ops() on the packed `weights`,
     /// rows concatenated in clip order, and returns logits [rows, 5]. With
     /// `keep`, `act` keeps every row's activations for backward(); without,
     /// its per-node conv buffers hold one row at a time.
-    std::vector<float> walk(const nn::OpsBackend& be, const PackedWeights& weights,
-                            std::span<const ClipRequest> clips, FlatTape& act, bool keep) const;
+    std::vector<float> walk(const PackedWeights& weights, std::span<const ClipRequest> clips,
+                            FlatTape& act, bool keep) const;
 };
 
 }  // namespace camo::core

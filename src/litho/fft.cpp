@@ -70,8 +70,8 @@ const Plan& plan(int n, bool inverse) {
 // `c *= scale` does.
 void transform_lines(Complex* data, int n, std::size_t stride,
                      std::span<const std::size_t> starts, const Plan& p, float scale) {
-    simd::exact_ops().fft_lines(data, n, stride, starts.data(), starts.size(), p.rev.data(),
-                                p.wr.data(), p.wi.data(), scale);
+    simd::ops().fft_lines(data, n, stride, starts.data(), starts.size(), p.rev.data(),
+                          p.wr.data(), p.wi.data(), scale);
 }
 
 void require_flags(std::span<const std::uint8_t> mask, int n, const char* what) {

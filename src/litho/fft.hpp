@@ -9,10 +9,10 @@
 // arithmetic and twiddles rounded from double), applied to rows first and
 // then to columns. tests/test_fft.cpp checks this against a verbatim copy
 // of that reference at every SIMD level. The butterflies run in the
-// dispatched line kernel simd::ExactOps::fft_lines (common/simd.hpp),
-// written out in float arithmetic in the same operation order, so its
-// translation units are compiled without floating-point contraction
-// (-ffp-contract=off, set in CMakeLists.txt).
+// dispatched line kernel simd::Ops::fft_lines (common/simd.hpp), written
+// out in float arithmetic in the same operation order, so the tree is
+// compiled without floating-point contraction (-ffp-contract=off, set in
+// CMakeLists.txt).
 //
 // The sparse variants skip work whose result is known without doing it:
 //   * fft2d_inverse_rowsparse() skips the row pass on rows flagged empty and

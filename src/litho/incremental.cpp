@@ -138,9 +138,8 @@ std::vector<float> SupportApplicator::coarse_intensity(
 
     // The coefficient multiply and the SOCS |field|^2 accumulation are the
     // applicator's contiguous hot loops; both route through the dispatched
-    // SIMD kernels (common/simd.hpp). CAMO_BACKEND=scalar pins the legacy
-    // loop order; the vector kernels differ by ULP rounding only, well
-    // inside the incremental-vs-dense tolerances.
+    // SIMD kernels (common/simd.hpp), which give the scalar bits at every
+    // level.
     const simd::Ops& ops = simd::ops();
     for (int k = 0; k < kernels_; ++k) {
         const Complex* coeff = coeffs_.data() + static_cast<std::size_t>(k) * support;

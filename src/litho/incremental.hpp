@@ -76,8 +76,8 @@ inline constexpr double kIncrementalPvbPixelSlack = 4.0;  ///< border pixels tha
 
 /// Applies one SOCS kernel set to a mask spectrum sampled at the kernel
 /// support only. Kernel coefficients are stored as one contiguous
-/// kernel-major array so the per-kernel multiply is a flat FMA-able complex
-/// multiply-accumulate over contiguous spans.
+/// kernel-major array so the per-kernel multiply is a flat vector complex
+/// multiply over contiguous spans.
 class SupportApplicator {
 public:
     SupportApplicator(const KernelSet& kernels, int grid);

@@ -9,21 +9,6 @@ int pad_up(int n) { return (n + simd::kBlock - 1) / simd::kBlock * simd::kBlock;
 
 }  // namespace
 
-void OpsBackend::linear(const PackedLinear& m, const float* x, int rows, float* y) const {
-    table_().gemm(m.w.data(), m.b.data(), x, rows, m.in, m.out, m.out_padded, y,
-                  /*accumulate=*/false);
-}
-
-void OpsBackend::linear_acc(const PackedLinear& m, const float* x, int rows, float* y) const {
-    table_().gemm(m.w.data(), m.b.data(), x, rows, m.in, m.out, m.out_padded, y,
-                  /*accumulate=*/true);
-}
-
-void OpsBackend::conv2d(const PackedConv2d& m, const float* x, int h, int w, float* y) const {
-    table_().conv(m.w.data(), m.b.data(), x, m.in_ch, h, w, m.out_ch, m.out_ch_padded, m.k,
-                  m.stride, m.pad, y, m.out_size(h), m.out_size(w));
-}
-
 PackedLinear pack_linear(const Tensor& w, const Tensor* b) {
     PackedLinear packed;
     pack_linear(w, b, packed);
@@ -92,22 +77,6 @@ void pack_conv2d(const Tensor& w, const Tensor& b, int stride, int pad, PackedCo
         }
         packed.b[static_cast<std::size_t>(oc)] = b[static_cast<std::size_t>(oc)];
     }
-}
-
-const OpsBackend& active_backend() {
-    static const OpsBackend backend{[] {
-        const simd::Ops& t = simd::ops();
-        return OpsBackend::Kernels{t.gemm_blocked, t.conv2d_packed};
-    }};
-    return backend;
-}
-
-const OpsBackend& exact_backend() {
-    static const OpsBackend backend{[] {
-        const simd::ExactOps& t = simd::exact_ops();
-        return OpsBackend::Kernels{t.gemm_blocked, t.conv2d_packed};
-    }};
-    return backend;
 }
 
 }  // namespace camo::nn

@@ -2,7 +2,7 @@
 // naive per-sample Conv2d, Linear and multi-layer Rnn loops that specify
 // PolicyNetwork's batched forward and backward. Their accumulation orders,
 // run once per graph node (the Rnn once per node sequence), are what the
-// exact-order kernels (common/simd.hpp, simd::ExactOps) and the policy's
+// SIMD kernels (common/simd.hpp, simd::Ops) and the policy's
 // flat BPTT reproduce; tests/test_core_policy_oracle.cpp memcmp's the
 // batched path against them, and the nn tests use them as gradient-check
 // and optimizer fixtures. The ReLU/Tanh/MaxPool2d layers, the Sequential

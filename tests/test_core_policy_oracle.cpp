@@ -415,14 +415,26 @@ INSTANTIATE_TEST_SUITE_P(
                       OracleCase{kBase6, false, true}, OracleCase{kBase6, false, false},
                       OracleCase{kNarrow, true, true}, OracleCase{kNarrow, false, false}));
 
-// The scalar backend's inference equals the training forward bit for bit.
-TEST(PolicyOracle, ScalarInferEqualsTrainingForward) {
-    const simd::ScopedOverride force(simd::Level::kScalar);
+// Inference runs the training forward's walk on the same kernel table, so
+// at every level its logits equal the training forward's, and both equal the
+// scalar level's.
+TEST(PolicyOracle, InferEqualsTrainingForwardAtEveryLevel) {
     PolicyNetwork net(make_config(kBase6, true, true));
     Rng rng(3);
     const std::vector<nn::Tensor> feats = make_features(5, 32, rng);
     const Graph g = make_graph(5);
-    EXPECT_TRUE(bytes_equal(net.forward(feats, g), net.infer(feats, g)));
+    nn::Tensor scalar_logits;
+    {
+        const simd::ScopedOverride force(simd::Level::kScalar);
+        scalar_logits = net.forward(feats, g);
+    }
+    for (const simd::Level level : levels()) {
+        SCOPED_TRACE(simd::level_name(level));
+        const simd::ScopedOverride force(level);
+        const nn::Tensor inferred = net.infer(feats, g);
+        EXPECT_TRUE(bytes_equal(net.forward(feats, g), inferred));
+        EXPECT_TRUE(bytes_equal(scalar_logits, inferred));
+    }
 }
 
 }  // namespace

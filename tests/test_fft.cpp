@@ -290,7 +290,7 @@ TEST(Fft2d, DcComponentIsMean) {
 
 // ---- Bit identity with the reference transform ----------------------------
 //
-// Every case runs once per line-kernel level (simd::ExactOps::fft_lines):
+// Every case runs once per line-kernel level (simd::Ops::fft_lines):
 // the scalar entry and, where the build and CPU have one, the vector entry.
 
 ::testing::AssertionResult same_bits(std::span<const Complex> got, std::span<const Complex> want) {

@@ -1,24 +1,23 @@
-// Inference-backend equivalence suite (PR 9).
+// SIMD kernel-table equivalence suite.
 //
-// Pins the two contracts the SIMD/batched backend ships under:
+// Pins the one contract the kernel tables ship under: every level gives the
+// scalar table's bits.
 //
-//  * kernel equivalence — the vector kernels compute the same sums as the
-//    scalar reference with a different rounding schedule, so outputs agree
-//    to a small relative tolerance (fuzzed here over random shapes), and a
-//    batched call is BITWISE identical to the same rows issued one at a
-//    time on every backend (row accumulation order is row-independent);
-//  * action identity — end to end, the SIMD and batched inference paths
-//    select exactly the actions the scalar single-row path selects, on
-//    every registered scenario and every reward mode. Integer offsets make
-//    this an exact equality check, which is what lets CAMO_BACKEND default
-//    to the fastest level without perturbing any golden result.
+//  * kernel identity — every entry of the detected level's table is
+//    memcmp-equal to the scalar table's, fuzzed over random shapes (lane,
+//    row and pixel tails, image borders, the policy's real shapes) with -0
+//    and ±inf among the inputs, and a batched GEMM is bitwise identical to
+//    the same rows issued one at a time;
+//  * result identity — end to end, CAMO inference and a rule-engine run
+//    (the SOCS apply's cmul + norm_acc loops) return the same EngineResult,
+//    every metric included, bit for bit at the scalar and the detected
+//    level; batched inference selects exactly what per-clip inference does.
 //
-// On a build or CPU without vector kernels (CAMO_SIMD=OFF, pre-AVX2 x86)
-// ScopedOverride clips to scalar and the comparisons degrade to
-// scalar-vs-scalar: still valid, trivially green.
+// On a CPU without AVX2, or a build for another ISA, ScopedOverride clips to
+// scalar and the comparisons degrade to scalar-vs-scalar: still valid,
+// trivially green.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <complex>
 #include <cstring>
 #include <cstddef>
@@ -36,32 +35,72 @@
 #include "runtime/batch.hpp"
 #include "scenario/scenario.hpp"
 
-#include "nn_reference_layers.hpp"
-#include "simd_fma_reference.hpp"
-
 namespace {
 
 using namespace camo;
 
-void fill_uniform(nn::Tensor& t, Rng& rng) {
-    for (float& v : t.data()) v = static_cast<float>(rng.uniform(-1.0, 1.0));
-}
+constexpr float kInf = std::numeric_limits<float>::infinity();
 
-// Relative-ish bound for scalar-vs-vector comparisons: blocked FMA changes
-// the rounding schedule, not the math, so errors stay within a few ULP of
-// the accumulated magnitude.
-void expect_close(const std::vector<float>& a, const std::vector<float>& b) {
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        const float tol = 1e-4F * (1.0F + std::abs(a[i]));
-        EXPECT_NEAR(a[i], b[i], tol) << "element " << i;
+// Uniform values in [-1, 1); with `specials`, about one in 16 is -0, +0,
+// +inf or -inf.
+void fill(float* v, std::size_t n, Rng& rng, bool specials) {
+    const float kSpecial[4] = {-0.0F, 0.0F, kInf, -kInf};
+    for (std::size_t i = 0; i < n; ++i) {
+        v[i] = specials && rng.uniform_int(0, 15) == 0 ? kSpecial[rng.uniform_int(0, 3)]
+                                                       : static_cast<float>(rng.uniform(-1.0, 1.0));
     }
 }
 
-// Byte equality: the exact-order contracts are memcmp, not tolerance.
-bool same(const std::vector<float>& a, const std::vector<float>& b) {
+void fill(nn::Tensor& t, Rng& rng, bool specials = false) {
+    fill(t.data().data(), t.numel(), rng, specials);
+}
+
+// Byte equality: the kernel contract is memcmp, not tolerance.
+template <class T>
+bool same(const std::vector<T>& a, const std::vector<T>& b) {
     return a.size() == b.size() &&
-           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+           (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+bool same(double a, double b) { return std::memcmp(&a, &b, sizeof(double)) == 0; }
+
+void expect_same_metrics(const litho::SimMetrics& a, const litho::SimMetrics& b,
+                         const std::string& ctx) {
+    EXPECT_TRUE(same(a.epe, b.epe)) << ctx;
+    EXPECT_TRUE(same(a.epe_segment, b.epe_segment)) << ctx;
+    EXPECT_TRUE(same(a.sum_abs_epe, b.sum_abs_epe)) << ctx;
+    EXPECT_TRUE(same(a.pvband_nm2, b.pvband_nm2)) << ctx;
+}
+
+// Every EngineResult field except the wall-clock runtime_s, bit for bit.
+void expect_same_result(const opc::EngineResult& a, const opc::EngineResult& b,
+                        const std::string& ctx) {
+    EXPECT_EQ(a.final_offsets, b.final_offsets) << ctx;
+    EXPECT_EQ(a.iterations, b.iterations) << ctx;
+    expect_same_metrics(a.final_metrics, b.final_metrics, ctx);
+    EXPECT_TRUE(same(a.epe_history, b.epe_history)) << ctx;
+    EXPECT_TRUE(same(a.pvb_history, b.pvb_history)) << ctx;
+    ASSERT_EQ(a.final_window.has_value(), b.final_window.has_value()) << ctx;
+    if (!a.final_window) return;
+    const litho::WindowMetrics& wa = *a.final_window;
+    const litho::WindowMetrics& wb = *b.final_window;
+    ASSERT_EQ(wa.corners.size(), wb.corners.size()) << ctx;
+    for (std::size_t c = 0; c < wa.corners.size(); ++c) {
+        expect_same_metrics(wa.corners[c].metrics, wb.corners[c].metrics, ctx);
+        EXPECT_TRUE(same(wa.corners[c].printed_area_nm2, wb.corners[c].printed_area_nm2)) << ctx;
+    }
+    EXPECT_EQ(wa.worst_corner, wb.worst_corner) << ctx;
+    EXPECT_TRUE(same(wa.worst_epe, wb.worst_epe)) << ctx;
+    EXPECT_TRUE(same(wa.cd_min_nm2, wb.cd_min_nm2)) << ctx;
+    EXPECT_TRUE(same(wa.cd_max_nm2, wb.cd_max_nm2)) << ctx;
+    EXPECT_TRUE(same(wa.pv_band_exact_nm2, wb.pv_band_exact_nm2)) << ctx;
+    EXPECT_TRUE(same(wa.pv_band_two_corner_nm2, wb.pv_band_two_corner_nm2)) << ctx;
+}
+
+// The table of the best level this build + CPU run.
+const simd::Ops& detected_ops() {
+    const simd::ScopedOverride force(simd::detected_level());
+    return simd::ops();
 }
 
 opc::OpcOptions quick_opc(scenario::Style style) {
@@ -82,123 +121,88 @@ core::CamoEngine make_engine() {
 
 // ---- kernel-level fuzz ------------------------------------------------------
 
-TEST(SimdOps, GemmBlockedMatchesScalarFuzz) {
-    Rng rng(0xBEEF);
-    for (int trial = 0; trial < 30; ++trial) {
-        const int in = rng.uniform_int(1, 48);
-        const int out = rng.uniform_int(1, 40);  // exercises partial blocks
-        const int rows = rng.uniform_int(1, 6);
-        nn::Tensor w({out, in});
-        nn::Tensor b({out});
-        fill_uniform(w, rng);
-        fill_uniform(b, rng);
-        const nn::PackedLinear m = nn::pack_linear(w, &b);
-        ASSERT_EQ(m.out_padded % simd::kBlock, 0);
-
-        std::vector<float> x(static_cast<std::size_t>(rows) * in);
-        for (float& v : x) v = static_cast<float>(rng.uniform(-1.0, 1.0));
-        std::vector<float> ys(static_cast<std::size_t>(rows) * out, 0.0F);
-        std::vector<float> yv(ys);
-
-        {
-            simd::ScopedOverride force(simd::Level::kScalar);
-            nn::active_backend().linear(m, x.data(), rows, ys.data());
-        }
-        {
-            simd::ScopedOverride force(simd::detected_level());
-            nn::active_backend().linear(m, x.data(), rows, yv.data());
-        }
-        expect_close(ys, yv);
-
-        // Accumulating variant folds into existing values, ignores bias.
-        std::vector<float> as(ys);
-        std::vector<float> av(ys);
-        {
-            simd::ScopedOverride force(simd::Level::kScalar);
-            nn::active_backend().linear_acc(m, x.data(), rows, as.data());
-        }
-        {
-            simd::ScopedOverride force(simd::detected_level());
-            nn::active_backend().linear_acc(m, x.data(), rows, av.data());
-        }
-        expect_close(as, av);
+// gemm_blocked at rows x in -> out, fresh and accumulating, against scalar.
+void check_gemm(int rows, int in, int out, bool specials, Rng& rng) {
+    nn::Tensor w({out, in});
+    nn::Tensor b({out});
+    fill(w, rng, specials);
+    fill(b, rng, specials);
+    if (specials) b[0] = -0.0F;
+    const nn::PackedLinear m = nn::pack_linear(w, &b);
+    ASSERT_EQ(m.out_padded % simd::kBlock, 0);
+    std::vector<float> x(static_cast<std::size_t>(rows) * static_cast<std::size_t>(in));
+    fill(x.data(), x.size(), rng, specials);
+    for (const bool acc : {false, true}) {
+        std::vector<float> ys(static_cast<std::size_t>(rows) * static_cast<std::size_t>(out));
+        fill(ys.data(), ys.size(), rng, specials);
+        std::vector<float> yv = ys;
+        simd::scalar_ops().gemm_blocked(m.w.data(), m.b.data(), x.data(), rows, in, out,
+                                        m.out_padded, ys.data(), acc);
+        detected_ops().gemm_blocked(m.w.data(), m.b.data(), x.data(), rows, in, out,
+                                    m.out_padded, yv.data(), acc);
+        EXPECT_TRUE(same(ys, yv)) << "gemm rows " << rows << " in " << in << " out " << out
+                                  << " accumulate " << acc << " specials " << specials;
     }
 }
 
-TEST(SimdOps, BatchedRowsBitwiseEqualSingleRows) {
-    Rng rng(0xF00D);
-    for (const simd::Level level : {simd::Level::kScalar, simd::detected_level()}) {
-        simd::ScopedOverride force(level);
-        const nn::OpsBackend& be = nn::active_backend();
-        for (int trial = 0; trial < 10; ++trial) {
-            const int in = rng.uniform_int(1, 32);
-            const int out = rng.uniform_int(1, 24);
-            const int rows = rng.uniform_int(2, 8);
-            nn::Tensor w({out, in});
-            nn::Tensor b({out});
-            fill_uniform(w, rng);
-            fill_uniform(b, rng);
-            const nn::PackedLinear m = nn::pack_linear(w, &b);
-
-            std::vector<float> x(static_cast<std::size_t>(rows) * in);
-            for (float& v : x) v = static_cast<float>(rng.uniform(-1.0, 1.0));
-            std::vector<float> batched(static_cast<std::size_t>(rows) * out);
-            std::vector<float> single(batched.size());
-            be.linear(m, x.data(), rows, batched.data());
-            for (int r = 0; r < rows; ++r) {
-                be.linear(m, x.data() + static_cast<std::size_t>(r) * in, 1,
-                          single.data() + static_cast<std::size_t>(r) * out);
-            }
-            // The batching contract is exact, not approximate.
-            EXPECT_EQ(batched, single) << "level " << simd::level_name(level);
-        }
-    }
+// conv2d_packed on one in_ch x h x wdt sample against scalar.
+void check_conv(int in_ch, int out_ch, int k, int stride, int pad, int h, int wdt,
+                bool specials, Rng& rng) {
+    nn::Tensor cw({out_ch, in_ch, k, k});
+    nn::Tensor cb({out_ch});
+    fill(cw, rng, specials);
+    fill(cb, rng, specials);
+    if (specials) cb[0] = -0.0F;
+    const nn::PackedConv2d pc = nn::pack_conv2d(cw, cb, stride, pad);
+    const int oh = pc.out_size(h);
+    const int ow = pc.out_size(wdt);
+    std::vector<float> img(static_cast<std::size_t>(in_ch * h * wdt));
+    fill(img.data(), img.size(), rng, specials);
+    std::vector<float> ys(static_cast<std::size_t>(out_ch * oh * ow));
+    std::vector<float> yv(ys.size());
+    simd::scalar_ops().conv2d_packed(pc.w.data(), pc.b.data(), img.data(), in_ch, h, wdt, out_ch,
+                                     pc.out_ch_padded, k, stride, pad, ys.data(), oh, ow);
+    detected_ops().conv2d_packed(pc.w.data(), pc.b.data(), img.data(), in_ch, h, wdt, out_ch,
+                                 pc.out_ch_padded, k, stride, pad, yv.data(), oh, ow);
+    EXPECT_TRUE(same(ys, yv)) << "conv " << in_ch << "->" << out_ch << " k " << k << " stride "
+                              << stride << " pad " << pad << " " << h << "x" << wdt
+                              << " specials " << specials;
 }
 
-TEST(SimdOps, Conv2dPackedMatchesScalarFuzz) {
-    Rng rng(0xC0DE);
-    for (int trial = 0; trial < 12; ++trial) {
-        const int in_ch = rng.uniform_int(1, 3);
-        const int out_ch = rng.uniform_int(1, 20);  // partial blocks included
-        const int k = 3;
-        const int stride = rng.uniform_int(1, 2);
-        const int h = rng.uniform_int(5, 9);
-        Rng wrng(derive_seed(0xC0DE, static_cast<std::uint64_t>(trial)));
-        nn::Conv2d layer(in_ch, out_ch, k, stride, 1, wrng);
-        const nn::PackedConv2d m =
-            nn::pack_conv2d(layer.weight().value, layer.bias().value, stride, 1);
-
-        nn::Tensor x({in_ch, h, h});
-        fill_uniform(x, rng);
-        const int oh = m.out_size(h);
-        std::vector<float> ys(static_cast<std::size_t>(out_ch) * oh * oh);
-        std::vector<float> yv(ys.size());
-        {
-            simd::ScopedOverride force(simd::Level::kScalar);
-            nn::active_backend().conv2d(m, x.data().data(), h, h, ys.data());
+// cmul and norm_acc over n complex values against scalar.
+void check_complex(std::size_t n, bool specials, Rng& rng) {
+    std::vector<std::complex<float>> a(n);
+    std::vector<std::complex<float>> b(n);
+    fill(reinterpret_cast<float*>(a.data()), 2 * n, rng, specials);
+    fill(reinterpret_cast<float*>(b.data()), 2 * n, rng, specials);
+    if (specials) {
+        // C99 Annex G: the scalar product recovers (inf, inf) * (1, 0) as
+        // (inf, inf) where the textbook formula gives (NaN, NaN). Every
+        // position modulo the vector width gets one.
+        for (std::size_t i = 2; i < n; i += 5) {
+            a[i] = {kInf, kInf};
+            b[i] = {1.0F, 0.0F};
         }
-        {
-            simd::ScopedOverride force(simd::detected_level());
-            nn::active_backend().conv2d(m, x.data().data(), h, h, yv.data());
-        }
-        expect_close(ys, yv);
     }
+    std::vector<std::complex<float>> ps(n);
+    std::vector<std::complex<float>> pv(n);
+    simd::scalar_ops().cmul(a.data(), b.data(), ps.data(), n);
+    detected_ops().cmul(a.data(), b.data(), pv.data(), n);
+    EXPECT_TRUE(same(ps, pv)) << "cmul n " << n << " specials " << specials;
+
+    std::vector<float> is(n, 0.25F);
+    std::vector<float> iv(n, 0.25F);
+    simd::scalar_ops().norm_acc(a.data(), 0.37F, is.data(), n);
+    detected_ops().norm_acc(a.data(), 0.37F, iv.data(), n);
+    EXPECT_TRUE(same(is, iv)) << "norm_acc n " << n << " specials " << specials;
 }
 
-// The exact-order training table must equal the scalar table byte for byte
-// at every shape, lane tails included.
-TEST(SimdOps, ExactKernelsBitIdenticalToScalarFuzz) {
-    const simd::ExactOps* scalar = nullptr;
-    const simd::ExactOps* vec = nullptr;
-    {
-        const simd::ScopedOverride force(simd::Level::kScalar);
-        scalar = &simd::exact_ops();
-    }
-    {
-        const simd::ScopedOverride force(simd::detected_level());
-        vec = &simd::exact_ops();
-    }
-    EXPECT_EQ(scalar->level, simd::Level::kScalar);
+// Every kernel of the detected level's table equals the scalar table byte
+// for byte at random shapes, lane tails included.
+TEST(SimdOps, KernelsBitIdenticalToScalarFuzz) {
+    const simd::Ops& scalar = simd::scalar_ops();
+    const simd::Ops& vec = detected_ops();
+    EXPECT_EQ(scalar.level, simd::Level::kScalar);
     const auto random = [](std::size_t n, Rng& rng, bool zeros) {
         std::vector<float> v(n);
         for (std::size_t i = 0; i < n; ++i) {
@@ -211,28 +215,16 @@ TEST(SimdOps, ExactKernelsBitIdenticalToScalarFuzz) {
         const int rows = rng.uniform_int(1, 9);
         const int in = rng.uniform_int(1, 70);
         const int out = rng.uniform_int(1, 45);
+        check_gemm(rows, in, out, trial % 2 == 1, rng);
 
         nn::Tensor w({out, in});
-        nn::Tensor b({out});
-        fill_uniform(w, rng);
-        fill_uniform(b, rng);
-        const nn::PackedLinear m = nn::pack_linear(w, &b);
+        fill(w, rng);
         const std::vector<float> x = random(static_cast<std::size_t>(rows * in), rng, false);
-        for (const bool acc : {false, true}) {
-            std::vector<float> ys = random(static_cast<std::size_t>(rows * out), rng, false);
-            std::vector<float> yv = ys;
-            scalar->gemm_blocked(m.w.data(), m.b.data(), x.data(), rows, in, out, m.out_padded,
-                                 ys.data(), acc);
-            vec->gemm_blocked(m.w.data(), m.b.data(), x.data(), rows, in, out, m.out_padded,
-                              yv.data(), acc);
-            EXPECT_TRUE(same(ys, yv)) << "gemm_blocked trial " << trial;
-        }
-
         const std::vector<float> dy = random(static_cast<std::size_t>(rows * out), rng, true);
         std::vector<float> dxs(static_cast<std::size_t>(rows * in));
         std::vector<float> dxv(dxs.size());
-        scalar->gemm_nn(dy.data(), rows, out, w.data().data(), in, dxs.data());
-        vec->gemm_nn(dy.data(), rows, out, w.data().data(), in, dxv.data());
+        scalar.gemm_nn(dy.data(), rows, out, w.data().data(), in, dxs.data());
+        vec.gemm_nn(dy.data(), rows, out, w.data().data(), in, dxv.data());
         EXPECT_TRUE(same(dxs, dxv)) << "gemm_nn trial " << trial;
 
         for (const bool descending : {false, true}) {
@@ -242,10 +234,10 @@ TEST(SimdOps, ExactKernelsBitIdenticalToScalarFuzz) {
                 std::vector<float> cv = cs;
                 const int rs = transposed ? 1 : out;
                 const int cstride = transposed ? rows : 1;
-                scalar->gemm_tn_acc(dy.data(), rs, cstride, x.data(), rows, out, in, cs.data(),
-                                    descending);
-                vec->gemm_tn_acc(dy.data(), rs, cstride, x.data(), rows, out, in, cv.data(),
-                                 descending);
+                scalar.gemm_tn_acc(dy.data(), rs, cstride, x.data(), rows, out, in, cs.data(),
+                                   descending);
+                vec.gemm_tn_acc(dy.data(), rs, cstride, x.data(), rows, out, in, cv.data(),
+                                descending);
                 EXPECT_TRUE(same(cs, cv)) << "gemm_tn_acc trial " << trial;
             }
         }
@@ -255,31 +247,43 @@ TEST(SimdOps, ExactKernelsBitIdenticalToScalarFuzz) {
         const int stride = rng.uniform_int(1, 2);
         const int h = rng.uniform_int(3, 12);
         const int oh = (h + 2 - 3) / stride + 1;
-        nn::Tensor cw({out_ch, in_ch, 3, 3});
-        nn::Tensor cb({out_ch});
-        fill_uniform(cw, rng);
-        fill_uniform(cb, rng);
-        const nn::PackedConv2d pc = nn::pack_conv2d(cw, cb, stride, 1);
-        const std::vector<float> img = random(static_cast<std::size_t>(in_ch * h * h), rng, true);
-        std::vector<float> ys(static_cast<std::size_t>(out_ch * oh * oh));
-        std::vector<float> yv(ys.size());
-        scalar->conv2d_packed(pc.w.data(), pc.b.data(), img.data(), in_ch, h, h, out_ch,
-                              pc.out_ch_padded, 3, stride, 1, ys.data(), oh, oh);
-        vec->conv2d_packed(pc.w.data(), pc.b.data(), img.data(), in_ch, h, h, out_ch,
-                           pc.out_ch_padded, 3, stride, 1, yv.data(), oh, oh);
-        EXPECT_TRUE(same(ys, yv)) << "conv2d_packed trial " << trial;
+        check_conv(in_ch, out_ch, 3, stride, 1, h, h, trial % 2 == 0, rng);
 
         const int icp = (in_ch + simd::kBlock - 1) / simd::kBlock * simd::kBlock;
         const std::vector<float> wt =
             random(static_cast<std::size_t>(out_ch * 9 * icp), rng, false);
-        const std::vector<float> cdy = random(ys.size(), rng, true);
-        std::vector<float> gs(img.size());
-        std::vector<float> gv(img.size());
-        scalar->conv2d_dx(wt.data(), cdy.data(), in_ch, icp, h, h, out_ch, 3, stride, 1, oh, oh,
-                          gs.data());
-        vec->conv2d_dx(wt.data(), cdy.data(), in_ch, icp, h, h, out_ch, 3, stride, 1, oh, oh,
-                       gv.data());
+        const std::vector<float> cdy = random(static_cast<std::size_t>(out_ch * oh * oh), rng, true);
+        std::vector<float> gs(static_cast<std::size_t>(in_ch * h * h));
+        std::vector<float> gv(gs.size());
+        scalar.conv2d_dx(wt.data(), cdy.data(), in_ch, icp, h, h, out_ch, 3, stride, 1, oh, oh,
+                         gs.data());
+        vec.conv2d_dx(wt.data(), cdy.data(), in_ch, icp, h, h, out_ch, 3, stride, 1, oh, oh,
+                      gv.data());
         EXPECT_TRUE(same(gs, gv)) << "conv2d_dx trial " << trial;
+    }
+
+    // Narrow GEMMs (partial output blocks, few rows) and small convs.
+    Rng shapes(0xBEEF);
+    for (int trial = 0; trial < 30; ++trial) {
+        const int in = shapes.uniform_int(1, 48);
+        const int out = shapes.uniform_int(1, 40);
+        const int rows = shapes.uniform_int(1, 6);
+        check_gemm(rows, in, out, trial % 2 == 1, shapes);
+    }
+    for (int trial = 0; trial < 12; ++trial) {
+        const int in_ch = shapes.uniform_int(1, 3);
+        const int out_ch = shapes.uniform_int(1, 20);
+        const int stride = shapes.uniform_int(1, 2);
+        const int h = shapes.uniform_int(5, 9);
+        check_conv(in_ch, out_ch, 3, stride, 1, h, h, trial % 2 == 1, shapes);
+    }
+
+    // The SOCS apply's loops: vector bodies, tails and lone elements.
+    Rng values(0xACC);
+    for (const std::size_t n : {std::size_t{1}, std::size_t{7}, std::size_t{64},
+                                std::size_t{1013}}) {
+        check_complex(n, false, values);
+        check_complex(n, true, values);
     }
 }
 
@@ -287,17 +291,9 @@ TEST(SimdOps, ExactKernelsBitIdenticalToScalarFuzz) {
 // fuzz above (rows <= 9, k <= 70) never reaches: every register tile, the
 // masked k tail and the odd last row, byte for byte against the scalar
 // table. gemm_nn runs on the same tiles, so its fc / SAGE shapes ride along.
-TEST(SimdOps, ExactGemmTnAccBitIdenticalAtTrainingShapes) {
-    const simd::ExactOps* scalar = nullptr;
-    const simd::ExactOps* vec = nullptr;
-    {
-        const simd::ScopedOverride force(simd::Level::kScalar);
-        scalar = &simd::exact_ops();
-    }
-    {
-        const simd::ScopedOverride force(simd::detected_level());
-        vec = &simd::exact_ops();
-    }
+TEST(SimdOps, GemmTnAccBitIdenticalAtTrainingShapes) {
+    const simd::Ops& scalar = simd::scalar_ops();
+    const simd::Ops& vec = detected_ops();
     Rng rng(0x7A11);
     const auto random = [&rng](std::size_t n) {
         std::vector<float> v(n);
@@ -315,8 +311,8 @@ TEST(SimdOps, ExactGemmTnAccBitIdenticalAtTrainingShapes) {
         std::vector<float> cv = cs;
         const int rs = channel_major ? 1 : m;
         const int cstride = channel_major ? rows : 1;
-        scalar->gemm_tn_acc(a.data(), rs, cstride, b.data(), rows, m, k, cs.data(), descending);
-        vec->gemm_tn_acc(a.data(), rs, cstride, b.data(), rows, m, k, cv.data(), descending);
+        scalar.gemm_tn_acc(a.data(), rs, cstride, b.data(), rows, m, k, cs.data(), descending);
+        vec.gemm_tn_acc(a.data(), rs, cstride, b.data(), rows, m, k, cv.data(), descending);
         EXPECT_TRUE(same(cs, cv)) << "gemm_tn_acc rows " << rows << " m " << m << " k " << k
                                   << (channel_major ? " channel-major" : " row-major")
                                   << (descending ? " descending" : " ascending");
@@ -340,33 +336,17 @@ TEST(SimdOps, ExactGemmTnAccBitIdenticalAtTrainingShapes) {
         const std::vector<float> w = random(256 * 512);
         std::vector<float> dxs(static_cast<std::size_t>(rows) * 512);
         std::vector<float> dxv(dxs.size(), 1.0F);
-        scalar->gemm_nn(dy.data(), rows, 256, w.data(), 512, dxs.data());
-        vec->gemm_nn(dy.data(), rows, 256, w.data(), 512, dxv.data());
+        scalar.gemm_nn(dy.data(), rows, 256, w.data(), 512, dxs.data());
+        vec.gemm_nn(dy.data(), rows, 256, w.data(), 512, dxv.data());
         EXPECT_TRUE(same(dxs, dxv)) << "gemm_nn rows " << rows;
     }
 }
 
-// The FMA table's register tiles (src/common/simd_avx2_tiles.hpp) interleave
-// accumulator chains but never reorder one, so every output must equal the
-// single-chain kernels kept verbatim in simd_fma_reference.cpp byte for
-// byte: lane tails, row and pixel tails, image borders, -0 and +-inf.
-TEST(SimdOps, FmaKernelsBitIdenticalToSingleChainReference) {
-    const simd::ScopedOverride force(simd::detected_level());
-    if (simd::active_level() != simd::Level::kAvx2 || !simd_ref::fma_reference_available()) {
-        GTEST_SKIP() << "the FMA table is not active on this build/CPU";
-    }
-    const simd::Ops& vec = simd::ops();
-    constexpr float kInf = std::numeric_limits<float>::infinity();
-    // Uniform values; with `specials`, about one in 16 is -0, +0, +inf or -inf.
-    const auto fill = [](float* v, std::size_t n, Rng& rng, bool specials) {
-        const float kSpecial[4] = {-0.0F, 0.0F, kInf, -kInf};
-        for (std::size_t i = 0; i < n; ++i) {
-            v[i] = specials && rng.uniform_int(0, 15) == 0
-                       ? kSpecial[rng.uniform_int(0, 3)]
-                       : static_cast<float>(rng.uniform(-1.0, 1.0));
-        }
-    };
-
+// The forward tiles (src/common/simd_avx2_tiles.hpp) interleave accumulator
+// chains but never reorder one: at the policy's real shapes and every tile
+// edge (lane tails, row and pixel tails, image borders, 3 and 4 + 1 channel
+// blocks), with -0 and ±inf inputs, every output equals the scalar table's.
+TEST(SimdOps, ForwardKernelsBitIdenticalToScalarAtTileEdges) {
     Rng rng(0xF3A);
     struct GemmShape {
         int rows, in, out;
@@ -377,27 +357,7 @@ TEST(SimdOps, FmaKernelsBitIdenticalToSingleChainReference) {
         gemms.push_back({1 + trial % 13, rng.uniform_int(1, 515), rng.uniform_int(1, 261)});
     }
     for (std::size_t t = 0; t < gemms.size(); ++t) {
-        const auto [rows, in, out] = gemms[t];
-        const bool specials = t % 2 == 1;
-        nn::Tensor w({out, in});
-        nn::Tensor b({out});
-        fill(w.data().data(), w.numel(), rng, specials);
-        fill(b.data().data(), b.numel(), rng, specials);
-        if (specials) b[0] = -0.0F;
-        const nn::PackedLinear m = nn::pack_linear(w, &b);
-        std::vector<float> x(static_cast<std::size_t>(rows) * static_cast<std::size_t>(in));
-        fill(x.data(), x.size(), rng, specials);
-        for (const bool acc : {false, true}) {
-            std::vector<float> yr(static_cast<std::size_t>(rows) * static_cast<std::size_t>(out));
-            fill(yr.data(), yr.size(), rng, specials);
-            std::vector<float> yv = yr;
-            simd_ref::avx2_gemm_blocked(m.w.data(), m.b.data(), x.data(), rows, in, out,
-                                        m.out_padded, yr.data(), acc);
-            vec.gemm_blocked(m.w.data(), m.b.data(), x.data(), rows, in, out, m.out_padded,
-                             yv.data(), acc);
-            EXPECT_TRUE(same(yr, yv)) << "gemm rows " << rows << " in " << in << " out " << out
-                                      << " accumulate " << acc << " specials " << specials;
-        }
+        check_gemm(gemms[t].rows, gemms[t].in, gemms[t].out, t % 2 == 1, rng);
     }
 
     // The encoder's three convs, lane tails, and 3 and 4 + 1 channel blocks.
@@ -412,29 +372,8 @@ TEST(SimdOps, FmaKernelsBitIdenticalToSingleChainReference) {
                 for (const int pad : {0, 1}) {
                     for (const auto& [h, wdt] : sizes) {
                         if (h + 2 * pad < k || wdt + 2 * pad < k) continue;
-                        const bool specials = ++case_id % 3 == 0;
-                        nn::Tensor cw({out_ch, in_ch, k, k});
-                        nn::Tensor cb({out_ch});
-                        fill(cw.data().data(), cw.numel(), rng, specials);
-                        fill(cb.data().data(), cb.numel(), rng, specials);
-                        if (specials) cb[0] = -0.0F;
-                        const nn::PackedConv2d pc = nn::pack_conv2d(cw, cb, stride, pad);
-                        const int oh = pc.out_size(h);
-                        const int ow = pc.out_size(wdt);
-                        std::vector<float> img(static_cast<std::size_t>(in_ch * h * wdt));
-                        fill(img.data(), img.size(), rng, specials);
-                        std::vector<float> yr(static_cast<std::size_t>(out_ch * oh * ow));
-                        std::vector<float> yv(yr.size());
-                        simd_ref::avx2_conv2d_packed(pc.w.data(), pc.b.data(), img.data(), in_ch,
-                                                     h, wdt, out_ch, pc.out_ch_padded, k, stride,
-                                                     pad, yr.data(), oh, ow);
-                        vec.conv2d_packed(pc.w.data(), pc.b.data(), img.data(), in_ch, h, wdt,
-                                          out_ch, pc.out_ch_padded, k, stride, pad, yv.data(), oh,
-                                          ow);
-                        EXPECT_TRUE(same(yr, yv))
-                            << "conv " << in_ch << "->" << out_ch << " k " << k << " stride "
-                            << stride << " pad " << pad << " " << h << "x" << wdt
-                            << " specials " << specials;
+                        check_conv(in_ch, out_ch, k, stride, pad, h, wdt, ++case_id % 3 == 0,
+                                   rng);
                     }
                 }
             }
@@ -442,42 +381,39 @@ TEST(SimdOps, FmaKernelsBitIdenticalToSingleChainReference) {
     }
 }
 
-TEST(SimdOps, CmulAndNormAccMatchScalar) {
-    Rng rng(0xACC);
-    for (const std::size_t n : {std::size_t{1}, std::size_t{7}, std::size_t{64},
-                                std::size_t{1013}}) {
-        std::vector<std::complex<float>> a(n);
-        std::vector<std::complex<float>> b(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            a[i] = {static_cast<float>(rng.uniform(-1.0, 1.0)),
-                    static_cast<float>(rng.uniform(-1.0, 1.0))};
-            b[i] = {static_cast<float>(rng.uniform(-1.0, 1.0)),
-                    static_cast<float>(rng.uniform(-1.0, 1.0))};
-        }
-        std::vector<std::complex<float>> ps(n);
-        std::vector<std::complex<float>> pv(n);
-        simd::scalar_ops().cmul(a.data(), b.data(), ps.data(), n);
-        {
-            simd::ScopedOverride force(simd::detected_level());
-            simd::ops().cmul(a.data(), b.data(), pv.data(), n);
-        }
-        for (std::size_t i = 0; i < n; ++i) {
-            EXPECT_NEAR(ps[i].real(), pv[i].real(), 1e-5F) << i;
-            EXPECT_NEAR(ps[i].imag(), pv[i].imag(), 1e-5F) << i;
-        }
+TEST(SimdOps, BatchedRowsBitwiseEqualSingleRows) {
+    Rng rng(0xF00D);
+    for (const simd::Level level : {simd::Level::kScalar, simd::detected_level()}) {
+        simd::ScopedOverride force(level);
+        const simd::Ops& ops = simd::ops();
+        for (int trial = 0; trial < 10; ++trial) {
+            const int in = rng.uniform_int(1, 32);
+            const int out = rng.uniform_int(1, 24);
+            const int rows = rng.uniform_int(2, 8);
+            nn::Tensor w({out, in});
+            nn::Tensor b({out});
+            fill(w, rng);
+            fill(b, rng);
+            const nn::PackedLinear m = nn::pack_linear(w, &b);
 
-        std::vector<float> is(n, 0.25F);
-        std::vector<float> iv(n, 0.25F);
-        simd::scalar_ops().norm_acc(a.data(), 0.37F, is.data(), n);
-        {
-            simd::ScopedOverride force(simd::detected_level());
-            simd::ops().norm_acc(a.data(), 0.37F, iv.data(), n);
+            std::vector<float> x(static_cast<std::size_t>(rows) * in);
+            fill(x.data(), x.size(), rng, false);
+            std::vector<float> batched(static_cast<std::size_t>(rows) * out);
+            std::vector<float> single(batched.size());
+            ops.gemm_blocked(m.w.data(), m.b.data(), x.data(), rows, in, out, m.out_padded,
+                             batched.data(), false);
+            for (int r = 0; r < rows; ++r) {
+                ops.gemm_blocked(m.w.data(), m.b.data(), x.data() + static_cast<std::size_t>(r) * in,
+                                 1, in, out, m.out_padded,
+                                 single.data() + static_cast<std::size_t>(r) * out, false);
+            }
+            // The batching contract is exact, not approximate.
+            EXPECT_TRUE(same(batched, single)) << "level " << simd::level_name(level);
         }
-        for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(is[i], iv[i], 1e-5F) << i;
     }
 }
 
-// ---- end-to-end action identity --------------------------------------------
+// ---- end-to-end result identity ---------------------------------------------
 
 TEST(PolicyBackend, SimdSelectsIdenticalActionsOnEveryScenario) {
     const core::CamoEngine engine = make_engine();
@@ -499,8 +435,7 @@ TEST(PolicyBackend, SimdSelectsIdenticalActionsOnEveryScenario) {
             litho::LithoSim sim(sc.litho);
             simd_res = engine.infer(layouts.front(), sim, opt);
         }
-        EXPECT_EQ(scalar_res.final_offsets, simd_res.final_offsets) << name;
-        EXPECT_EQ(scalar_res.iterations, simd_res.iterations) << name;
+        expect_same_result(scalar_res, simd_res, name);
     }
 }
 
@@ -558,10 +493,9 @@ TEST(PolicyBackend, BatchedMatchesSingleAcrossRewardModes) {
 
 TEST(LithoSimd, SupportApplyBackendEquivalence) {
     // Drive the incremental evaluation path (SupportApplicator's cmul +
-    // norm_acc loops) through a short rule-engine run under both backends.
-    // Decisions are integer threshold tests on nm-scale EPE values, far
-    // above vector ULP noise, so offsets must match exactly; the float
-    // metrics agree to a small relative tolerance.
+    // norm_acc loops, the FFT line kernel) through a short rule-engine run
+    // at both levels: the whole result, every metric included, is the same
+    // bits.
     const scenario::Scenario sc = scenario::Registry::instance().get(
         scenario::Registry::instance().names().front());
     const std::vector<geo::SegmentedLayout> layouts = sc.layouts(1);
@@ -581,10 +515,7 @@ TEST(LithoSimd, SupportApplyBackendEquivalence) {
         litho::LithoSim sim(sc.litho);
         simd_res = eng.optimize(layouts.front(), sim, opt);
     }
-    EXPECT_EQ(scalar_res.final_offsets, simd_res.final_offsets);
-    EXPECT_EQ(scalar_res.iterations, simd_res.iterations);
-    const double tol = 1e-4 * (1.0 + std::abs(scalar_res.final_metrics.sum_abs_epe));
-    EXPECT_NEAR(scalar_res.final_metrics.sum_abs_epe, simd_res.final_metrics.sum_abs_epe, tol);
+    expect_same_result(scalar_res, simd_res, sc.name);
 }
 
 }  // namespace
