@@ -788,7 +788,7 @@ void BM_BatchedInfer(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchedInfer)->Args({0, 8})->Args({1, 8})->Args({0, 32})->Args({1, 32});
 
-// The two SupportApplicator hot loops (litho/incremental.cpp) in isolation:
+// The two KernelApplicator hot loops (litho/aerial.cpp) in isolation:
 // per SOCS kernel, multiply the delta spectrum by the kernel coefficients
 // over the support, then accumulate lambda * |field|^2 into the intensity
 // map. Arg(1) = support size in complex elements (4096 ~ a sparse segment
@@ -824,7 +824,7 @@ BENCHMARK(BM_SupportApply)->Args({0, 4096})->Args({1, 4096})->Args({0, 65536})
     ->Args({1, 65536});
 
 // One incremental evaluation's two aerial images from support values:
-// nominal + i*defocus through one packed SupportApplicator upsample.
+// nominal + i*defocus through one packed KernelApplicator upsample.
 // Arg = fine grid: 256 is shared_sim()'s quick config, 512 the production
 // config of core::Experiment::litho_config() (8 + 6 kernels, coarse grid
 // 128).
@@ -858,8 +858,8 @@ void BM_SupportApplyAerials(benchmark::State& state) {
     const int grid = static_cast<int>(state.range(0));
     const litho::LithoSim& sim = grid == 256 ? shared_sim() : production_sim();
     const double px = sim.config().pixel_nm;
-    const litho::SupportApplicator nominal(sim.nominal_kernels(), grid);
-    const litho::SupportApplicator defocus(sim.defocus_kernels(), grid);
+    const litho::KernelApplicator nominal(sim.nominal_kernels(), grid);
+    const litho::KernelApplicator defocus(sim.defocus_kernels(), grid);
     const std::vector<litho::Complex> nv = via_support_values(sim, sim.nominal_kernels());
     const std::vector<litho::Complex> dv = via_support_values(sim, sim.defocus_kernels());
     for (auto _ : state) {

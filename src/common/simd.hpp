@@ -1,6 +1,6 @@
 // Runtime-dispatched SIMD kernels for the policy network (its packed layer
 // walk, forward and backward), the lithography hot loops (the
-// litho::SupportApplicator compute core) and the FFT's line kernel behind
+// litho::KernelApplicator compute core) and the FFT's line kernel behind
 // every litho/fft.hpp transform.
 //
 // One table, two levels. simd.cpp is compiled portably and holds the
@@ -79,7 +79,7 @@ struct Ops {
                           float* y, int oh, int ow);
 
     /// out[i] = a[i] * b[i] over contiguous complex floats (the
-    /// SupportApplicator coefficient multiply): re = ar*br - ai*bi,
+    /// KernelApplicator coefficient multiply): re = ar*br - ai*bi,
     /// im = ar*bi + ai*br, each product rounded.
     void (*cmul)(const std::complex<float>* a, const std::complex<float>* b,
                  std::complex<float>* out, std::size_t n);

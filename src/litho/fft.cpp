@@ -55,7 +55,7 @@ Plan make_plan(int n, bool inverse) {
 
 // Plans are cached per thread, one per size and direction: the batch
 // runtime calls the FFT from many workers at once, and one
-// SupportApplicator::apply alternates between its coarse and fine sizes.
+// KernelApplicator::apply alternates between its coarse and fine sizes.
 const Plan& plan(int n, bool inverse) {
     thread_local std::array<std::array<Plan, 2>, 31> plans;
     Plan& p = plans[static_cast<std::size_t>(std::countr_zero(static_cast<unsigned>(n)))]

@@ -8,7 +8,6 @@
 #include <stdexcept>
 
 #include "common/file_io.hpp"
-#include "common/simd.hpp"
 #include "litho/aerial.hpp"
 #include "litho/kernel_registry.hpp"
 #include "obs/trace.hpp"
@@ -18,17 +17,6 @@ namespace {
 
 int wrap(int k, int n) { return ((k % n) + n) % n; }
 
-// Registry mirrors of the per-instance hit/full counters: incremented at
-// exactly the same sites, so the registry totals equal the sums over
-// simulators that BatchResult reports.
-obs::MetricId hits_counter() {
-    static const obs::MetricId id = obs::register_counter("litho.incremental.hits");
-    return id;
-}
-obs::MetricId fulls_counter() {
-    static const obs::MetricId id = obs::register_counter("litho.incremental.fulls");
-    return id;
-}
 obs::MetricId delta_dft_hist() {
     static const obs::MetricId id = obs::register_histogram("litho.delta_dft.ns");
     return id;
@@ -36,17 +24,6 @@ obs::MetricId delta_dft_hist() {
 obs::MetricId rebuild_hist() {
     static const obs::MetricId id = obs::register_histogram("litho.incremental.rebuild.ns");
     return id;
-}
-
-// Per-thread N x N complex buffer for the fine-grid transforms: the
-// upsample's inverse FFT and the rebuild's pruned forward FFT. Both fill it
-// before reading, so only the allocation carries over between calls; one
-// buffer per thread (not per evaluator) keeps the simulators of a batch from
-// each holding their own.
-std::span<Complex> fine_scratch(std::size_t size) {
-    thread_local std::vector<Complex> buffer;
-    if (buffer.size() < size) buffer.resize(size);
-    return {buffer.data(), size};
 }
 
 }  // namespace
@@ -72,154 +49,15 @@ std::uint64_t layout_fingerprint(const geo::SegmentedLayout& layout) {
     return h;
 }
 
-// ---- SupportApplicator -----------------------------------------------------
-
-SupportApplicator::SupportApplicator(const KernelSet& kernels, int grid) : n_(grid) {
-    if (!is_pow2(n_)) throw std::invalid_argument("SupportApplicator: grid must be a power of two");
-    const int support = kernels.support_size();
-    kernels_ = kernels.count();
-
-    int radius = 0;
-    for (const FreqIndex& f : kernels.support) {
-        radius = std::max({radius, std::abs(f.kx), std::abs(f.ky)});
-    }
-
-    // Coherent fields are band-limited to `radius`, the intensity (their
-    // squared modulus) to 2 * radius; a coarse grid of 4 * radius + 2 maps
-    // the intensity band injectively, so the coarse image is exact.
-    int m = 1;
-    while (m < 4 * radius + 2) m <<= 1;
-    m_ = std::min(m, n_);
-
-    mpos_.reserve(static_cast<std::size_t>(support));
-    mrow_nonzero_.assign(static_cast<std::size_t>(m_), 0);
-    for (const FreqIndex& f : kernels.support) {
-        const int row = wrap(f.ky, m_);
-        const int col = wrap(f.kx, m_);
-        mpos_.push_back(row * m_ + col);
-        mrow_nonzero_[static_cast<std::size_t>(row)] = 1;
-    }
-
-    eigenvalues_.reserve(static_cast<std::size_t>(kernels_));
-    for (double ev : kernels.eigenvalues) eigenvalues_.push_back(static_cast<float>(ev));
-    coeffs_.resize(static_cast<std::size_t>(kernels_) * static_cast<std::size_t>(support));
-    for (int k = 0; k < kernels_; ++k) {
-        const auto& src = kernels.coeffs[static_cast<std::size_t>(k)];
-        std::copy(src.begin(), src.end(),
-                  coeffs_.begin() + static_cast<std::ptrdiff_t>(k) * support);
-    }
-
-    if (m_ < n_) {
-        const int band = std::min(2 * radius, n_ / 2 - 1);
-        nrow_nonzero_.assign(static_cast<std::size_t>(n_), 0);
-        for (int dy = -band; dy <= band; ++dy) {
-            for (int dx = -band; dx <= band; ++dx) {
-                band_src_.push_back(wrap(dy, m_) * m_ + wrap(dx, m_));
-                band_dst_.push_back(wrap(dy, n_) * n_ + wrap(dx, n_));
-            }
-            nrow_nonzero_[static_cast<std::size_t>(wrap(dy, n_))] = 1;
-        }
-        upsample_scale_ =
-            static_cast<float>(static_cast<double>(m_) * m_ / (static_cast<double>(n_) * n_));
-    }
-}
-
-std::vector<float> SupportApplicator::coarse_intensity(
-    std::span<const Complex> support_vals) const {
-    if (support_vals.size() != mpos_.size()) {
-        throw std::invalid_argument("SupportApplicator: support value count mismatch");
-    }
-    const std::size_t support = mpos_.size();
-    const std::size_t mm = static_cast<std::size_t>(m_) * static_cast<std::size_t>(m_);
-
-    std::vector<Complex> prod(support);
-    std::vector<Complex> field(mm);
-    std::vector<float> intensity(mm, 0.0F);
-
-    // The coefficient multiply and the SOCS |field|^2 accumulation are the
-    // applicator's contiguous hot loops; both route through the dispatched
-    // SIMD kernels (common/simd.hpp), which give the scalar bits at every
-    // level.
-    const simd::Ops& ops = simd::ops();
-    for (int k = 0; k < kernels_; ++k) {
-        const Complex* coeff = coeffs_.data() + static_cast<std::size_t>(k) * support;
-        ops.cmul(coeff, support_vals.data(), prod.data(), support);
-
-        std::fill(field.begin(), field.end(), Complex{});
-        for (std::size_t i = 0; i < support; ++i) field[static_cast<std::size_t>(mpos_[i])] = prod[i];
-        fft2d_inverse_rowsparse(field, m_, mrow_nonzero_);
-
-        const float lambda = eigenvalues_[static_cast<std::size_t>(k)];
-        ops.norm_acc(field.data(), lambda, intensity.data(), mm);
-    }
-    return intensity;
-}
-
-void SupportApplicator::upsample(std::span<const float> re, std::span<const float> im,
-                                 geo::Raster& out_re, geo::Raster* out_im) const {
-    if (m_ == n_) {
-        std::copy(re.begin(), re.end(), out_re.data().begin());
-        if (out_im != nullptr) std::copy(im.begin(), im.end(), out_im->data().begin());
-        return;
-    }
-
-    // Exact band-limited upsample: forward FFT of the coarse intensity,
-    // scatter its band into the fine lattice, inverse FFT at full size. Both
-    // coarse images are real and the band is symmetric (|k| <= 2R < m/2),
-    // so each one's truncated spectrum stays Hermitian: the inverse returns
-    // re's image in the real part and im's in the imaginary part.
-    std::vector<Complex> coarse(re.size());
-    for (std::size_t i = 0; i < coarse.size(); ++i) {
-        coarse[i] = Complex(re[i], im.empty() ? 0.0F : im[i]);
-    }
-    fft2d_forward(coarse, m_);
-
-    const std::span<Complex> fine =
-        fine_scratch(static_cast<std::size_t>(n_) * static_cast<std::size_t>(n_));
-    std::fill(fine.begin(), fine.end(), Complex{});
-    for (std::size_t i = 0; i < band_src_.size(); ++i) {
-        fine[static_cast<std::size_t>(band_dst_[i])] =
-            coarse[static_cast<std::size_t>(band_src_[i])] * upsample_scale_;
-    }
-    fft2d_inverse_rowsparse(fine, n_, nrow_nonzero_);
-
-    const auto dst_re = out_re.data();
-    for (std::size_t i = 0; i < fine.size(); ++i) dst_re[i] = fine[i].real();
-    if (out_im != nullptr) {
-        const auto dst_im = out_im->data();
-        for (std::size_t i = 0; i < fine.size(); ++i) dst_im[i] = fine[i].imag();
-    }
-}
-
-geo::Raster SupportApplicator::apply(std::span<const Complex> support_vals,
-                                     double pixel_nm) const {
-    geo::Raster out(n_, pixel_nm);
-    upsample(coarse_intensity(support_vals), {}, out, nullptr);
-    return out;
-}
-
-std::pair<geo::Raster, geo::Raster> SupportApplicator::apply_pair(
-    std::span<const Complex> support_vals, const SupportApplicator& other,
-    std::span<const Complex> other_vals, double pixel_nm) const {
-    if (n_ != other.n_ || m_ != other.m_ || band_src_.size() != other.band_src_.size()) {
-        throw std::invalid_argument(
-            "SupportApplicator: paired planes need the same grids and band");
-    }
-    std::pair<geo::Raster, geo::Raster> out{geo::Raster(n_, pixel_nm),
-                                            geo::Raster(n_, pixel_nm)};
-    upsample(coarse_intensity(support_vals), other.coarse_intensity(other_vals), out.first,
-             &out.second);
-    return out;
-}
-
 // ---- IncrementalEvaluator --------------------------------------------------
 
 IncrementalEvaluator::IncrementalEvaluator(const LithoConfig& cfg, double threshold,
-                                           const KernelSet& nominal, const KernelSet& defocus)
+                                           std::shared_ptr<const KernelApplicator> nominal,
+                                           std::shared_ptr<const KernelApplicator> defocus)
     : cfg_(cfg), threshold_(threshold), support_(tcc_support_freqs(cfg)) {
     const int n = cfg_.grid;
-    add_plane(0.0, nominal);
-    add_plane(cfg_.defocus_nm, defocus);
+    add_plane(0.0, std::move(nominal));
+    add_plane(cfg_.defocus_nm, std::move(defocus));
 
     for (const FreqIndex& f : support_) {
         freq_kx_.push_back(wrap(f.kx, n));
@@ -234,15 +72,16 @@ IncrementalEvaluator::IncrementalEvaluator(const LithoConfig& cfg, double thresh
     spectrum_.assign(support_.size(), {});
 }
 
-void IncrementalEvaluator::add_plane(double defocus_nm, const KernelSet& kernels) {
+void IncrementalEvaluator::add_plane(double defocus_nm,
+                                     std::shared_ptr<const KernelApplicator> applicator) {
     const auto same = [](const FreqIndex& a, const FreqIndex& b) {
         return a.kx == b.kx && a.ky == b.ky;
     };
-    if (!std::ranges::equal(kernels.support, support_, same)) {
+    if (!std::ranges::equal(applicator->kernels().support, support_, same)) {
         throw std::invalid_argument(
             "IncrementalEvaluator: kernel support differs from tcc_support_freqs(cfg)");
     }
-    planes_.push_back({defocus_nm, SupportApplicator(kernels, cfg_.grid)});
+    planes_.push_back({defocus_nm, std::move(applicator)});
 }
 
 geo::Polygon IncrementalEvaluator::translated_polygon(const geo::SegmentedLayout& layout, int p,
@@ -398,7 +237,7 @@ void IncrementalEvaluator::update_spectrum(const std::vector<PixelDelta>& deltas
 }
 
 std::vector<geo::Raster> IncrementalEvaluator::aerials_from_cache(
-    std::span<const SupportApplicator* const> planes) const {
+    std::span<const KernelApplicator* const> planes) const {
     // Every plane reads the spectrum as cached: one float conversion serves
     // them all.
     std::vector<Complex> vals(spectrum_.size());
@@ -413,24 +252,28 @@ std::vector<geo::Raster> IncrementalEvaluator::aerials_from_cache(
         aerials.push_back(std::move(first));
         aerials.push_back(std::move(second));
     }
-    if (planes.size() % 2 != 0) aerials.push_back(planes.back()->apply(vals, cfg_.pixel_nm));
+    if (planes.size() % 2 != 0) {
+        aerials.push_back(planes.back()->apply_support(vals, cfg_.pixel_nm));
+    }
     return aerials;
 }
 
 SimMetrics IncrementalEvaluator::metrics_from_cache(const geo::SegmentedLayout& layout) const {
-    const std::array<const SupportApplicator*, 2> planes{&planes_[0].applicator,
-                                                         &planes_[1].applicator};
+    const std::array<const KernelApplicator*, 2> planes{planes_[0].applicator.get(),
+                                                        planes_[1].applicator.get()};
     const std::vector<geo::Raster> aerials = aerials_from_cache(planes);
     return compute_sim_metrics(layout, aerials[0], aerials[1], threshold_, clip_offset_,
                                cfg_.epe_range_nm, cfg_.dose_min, cfg_.dose_max);
 }
 
-const SupportApplicator* IncrementalEvaluator::plane_for(double defocus_nm) {
+const KernelApplicator* IncrementalEvaluator::plane_for(double defocus_nm) {
     for (const FocusPlane& plane : planes_) {
-        if (std::abs(plane.defocus_nm - defocus_nm) < kFocusMatchTolNm) return &plane.applicator;
+        if (std::abs(plane.defocus_nm - defocus_nm) < kFocusMatchTolNm) {
+            return plane.applicator.get();
+        }
     }
-    add_plane(defocus_nm, acquire_focus_applicator(cfg_, defocus_nm)->kernels());
-    return &planes_.back().applicator;
+    add_plane(defocus_nm, acquire_focus_applicator(cfg_, defocus_nm));
+    return planes_.back().applicator.get();
 }
 
 IncrementalEvaluator::CacheUpdate IncrementalEvaluator::refresh_cache(
@@ -481,10 +324,8 @@ IncrementalEvaluator::CacheUpdate IncrementalEvaluator::refresh_cache(
 void IncrementalEvaluator::count(CacheUpdate update) {
     if (update == CacheUpdate::kRebuilt) {
         ++full_count_;
-        obs::counter_add(fulls_counter());
     } else {
         ++incremental_count_;
-        obs::counter_add(hits_counter());
     }
 }
 
@@ -504,7 +345,7 @@ WindowMetrics IncrementalEvaluator::evaluate(const geo::SegmentedLayout& layout,
     const CacheUpdate update = refresh_cache(layout, offsets, refresh);
 
     // One aerial per focus plane from the cached support spectrum, in pairs.
-    std::vector<const SupportApplicator*> planes;
+    std::vector<const KernelApplicator*> planes;
     planes.reserve(spec.defocus_nm.size());
     for (double f : spec.defocus_nm) planes.push_back(plane_for(f));
     const std::vector<geo::Raster> aerials = aerials_from_cache(planes);

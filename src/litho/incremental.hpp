@@ -1,9 +1,10 @@
-// Incremental lithography evaluation.
+// Incremental lithography evaluation: the one evaluation path.
 //
-// The full path re-rasterizes the whole clip and runs a dense 2D FFT on
-// every call, yet the SOCS kernels read the mask spectrum only at their
-// small frequency support, and consecutive OPC iterations move only the
-// segments the policy acted on. The incremental path exploits both:
+// The SOCS kernels read the mask spectrum only at their small frequency
+// support, and consecutive OPC iterations move only the segments the policy
+// acted on. The evaluator exploits both; LithoSim::evaluate is a fresh
+// evaluator primed once (Refresh::kPrime), evaluate_incremental keeps one
+// per simulator:
 //
 //   * The mask raster is cached as a double-precision coverage accumulator.
 //     When segments move, only their owning polygons are re-rasterized,
@@ -17,32 +18,28 @@
 //     kernel set of a configuration, at any focus, shares one support, the
 //     pupil disk tcc_support_freqs(cfg); the cache holds the spectrum in
 //     that order and every focus plane reads it as is.
-//   * Aerial images are produced by SupportApplicator, which evaluates the
-//     SOCS sum on a small coarse grid m >= 4R+2 (R = support radius). The
-//     coherent fields are band-limited to R and the intensity to 2R, so the
-//     coarse intensity is an exact band-limited representation. This
-//     replaces the K per-kernel N-grid inverse FFTs of the dense path with K
-//     m-grid ones.
-//   * The full-grid images come from one packed upsample per pair of focus
-//     planes: both coarse intensities are real, so nominal + i*defocus goes
-//     through one forward FFT at m, one band scatter and one row-sparse
-//     inverse FFT at N, and each plane is read back from its own component
-//     (the band is symmetric, so each plane's truncated spectrum stays
-//     Hermitian). A lone plane runs the same routine with a zero imaginary
-//     part. The N x N transform buffers (the upsample's and the rebuild's
+//   * Every aerial image comes from the focus plane's shared
+//     KernelApplicator (litho/aerial.hpp), which evaluates the SOCS sum on
+//     a small coarse grid and upsamples it to the full grid, the two
+//     standard planes through one packed upsample. The applicators are the
+//     registry's (kernel_registry.hpp): every evaluator of a configuration
+//     reads the same immutable objects.
+//   * The N x N transform buffers (the upsample's and the rebuild's
 //     forward FFT's) are per-thread scratch, not per-call allocations.
 //
-// Equivalence contract (tested in tests/test_litho_incremental.cpp): the
-// incremental path is mathematically identical to LithoSim::evaluate but
-// floats through a different (shorter) computation, so metrics agree to
-// float rounding, not bit-for-bit:
+// Equivalence contract (tested in tests/test_litho_incremental.cpp and
+// tests/test_litho_drift.cpp against the dense K-full-grid-FFT reference in
+// tests/litho_dense_reference.hpp): a prime and every sparse update
+// compute the same image as the dense SOCS sum, but float through a
+// different (shorter) computation, so metrics agree to float rounding, not
+// bit-for-bit:
 //   * EPE per segment within kIncrementalEpeTolNm;
 //   * PV band within kIncrementalPvbPixelSlack border pixels. The
 //     epsilon-stable pixel_prints predicate (litho/metrics.hpp) removes the
 //     exact-tie divergence — a pixel whose true intensity sits on
-//     threshold * dose now prints on both paths — so the remaining slack
-//     only covers pixels whose intensity the two float pipelines genuinely
-//     place on opposite sides of the (epsilon-shifted) contour.
+//     threshold * dose prints on both — so the remaining slack only covers
+//     pixels whose intensity the two float pipelines genuinely place on
+//     opposite sides of the (epsilon-shifted) contour.
 // What moved is found by comparing the offsets against the cached ones, so
 // callers pass only the new offsets; with unchanged offsets the cached
 // metrics are returned unchanged (exact).
@@ -50,13 +47,13 @@
 
 #include <complex>
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "geometry/layout.hpp"
 #include "geometry/raster.hpp"
+#include "litho/aerial.hpp"
 #include "litho/config.hpp"
 #include "litho/fft.hpp"
 #include "litho/metrics.hpp"
@@ -65,7 +62,7 @@
 
 namespace camo::litho {
 
-/// Documented equivalence tolerances between the full and incremental paths.
+/// Documented equivalence tolerances against the dense SOCS reference.
 inline constexpr double kIncrementalEpeTolNm = 1e-3;
 inline constexpr double kIncrementalPvbPixelSlack = 4.0;  ///< border pixels that may flip
 
@@ -74,61 +71,16 @@ inline constexpr double kIncrementalPvbPixelSlack = 4.0;  ///< border pixels tha
 /// rasterize alike, whatever their addresses.
 [[nodiscard]] std::uint64_t layout_fingerprint(const geo::SegmentedLayout& layout);
 
-/// Applies one SOCS kernel set to a mask spectrum sampled at the kernel
-/// support only. Kernel coefficients are stored as one contiguous
-/// kernel-major array so the per-kernel multiply is a flat vector complex
-/// multiply over contiguous spans.
-class SupportApplicator {
-public:
-    SupportApplicator(const KernelSet& kernels, int grid);
-
-    /// I(x) from support-sampled spectrum values (support_vals[i] is the
-    /// mask spectrum at kernels().support[i]); returned on the full grid.
-    [[nodiscard]] geo::Raster apply(std::span<const Complex> support_vals,
-                                    double pixel_nm) const;
-
-    /// Two planes through one packed upsample: this applicator's image of
-    /// `support_vals` and `other`'s image of `other_vals`. Each equals its
-    /// apply() to float rounding (the packed transform rounds differently),
-    /// not bit for bit. Throws std::invalid_argument unless `other` images
-    /// on the same fine and coarse grids through the same band.
-    [[nodiscard]] std::pair<geo::Raster, geo::Raster> apply_pair(
-        std::span<const Complex> support_vals, const SupportApplicator& other,
-        std::span<const Complex> other_vals, double pixel_nm) const;
-
-    [[nodiscard]] int support_size() const { return static_cast<int>(mpos_.size()); }
-    [[nodiscard]] int coarse_grid() const { return m_; }
-
-private:
-    /// The SOCS sum on the coarse grid (m*m, row-major).
-    [[nodiscard]] std::vector<float> coarse_intensity(std::span<const Complex> support_vals) const;
-    /// Band-limited upsample of re + i*im into `out_re` and, when `out_im`
-    /// is given, `out_im` (im empty: a lone plane, zero imaginary part).
-    void upsample(std::span<const float> re, std::span<const float> im, geo::Raster& out_re,
-                  geo::Raster* out_im) const;
-
-    int n_ = 0;        ///< fine (mask) grid
-    int m_ = 0;        ///< coarse grid, smallest pow2 >= 4*radius + 2
-    int kernels_ = 0;  ///< kernel count
-    std::vector<float> eigenvalues_;
-    std::vector<Complex> coeffs_;             ///< kernel-major [k * S + i]
-    std::vector<int> mpos_;                   ///< wrapped coarse index per support entry
-    std::vector<std::uint8_t> mrow_nonzero_;  ///< occupied coarse rows
-    // Band-limited upsample m -> n (unused when m_ == n_):
-    std::vector<int> band_src_;               ///< coarse flat index per band frequency
-    std::vector<int> band_dst_;               ///< fine flat index per band frequency
-    std::vector<std::uint8_t> nrow_nonzero_;  ///< occupied fine rows (|ky| <= 2R)
-    float upsample_scale_ = 1.0F;             ///< m^2 / n^2
-};
-
 /// Per-clip incremental evaluation state. One instance per LithoSim; not
 /// thread-safe (the batch runtime gives each worker its own simulator).
 class IncrementalEvaluator {
 public:
-    /// Throws std::invalid_argument unless both kernel sets (and every extra
-    /// focus plane acquired later) are supported on tcc_support_freqs(cfg).
-    IncrementalEvaluator(const LithoConfig& cfg, double threshold, const KernelSet& nominal,
-                         const KernelSet& defocus);
+    /// Throws std::invalid_argument unless both applicators' kernel sets
+    /// (and every extra focus plane acquired later) are supported on
+    /// tcc_support_freqs(cfg).
+    IncrementalEvaluator(const LithoConfig& cfg, double threshold,
+                         std::shared_ptr<const KernelApplicator> nominal,
+                         std::shared_ptr<const KernelApplicator> defocus);
 
     /// Standard two-condition metrics of `offsets`. Refresh::kPrime rebuilds
     /// the cache; Refresh::kUpdate reuses it outright when nothing moved,
@@ -140,13 +92,12 @@ public:
 
     /// Multi-corner window evaluation: the cache is refreshed as above, then
     /// ONE aerial per focus plane is produced from the cached support
-    /// spectrum through per-focus SupportApplicators — no per-corner
+    /// spectrum through the plane's applicator — no per-corner
     /// rasterization or forward FFT. Planes are imaged two at a time in spec
-    /// order through SupportApplicator::apply_pair, so the standard window
-    /// {0, defocus} pairs exactly as the nominal overload does. Extra focus planes acquire their kernel
-    /// sets from the registry on first use and are cached on this evaluator.
-    /// Metrics match the dense window LithoSim::evaluate within the
-    /// incremental tolerances above. Refreshes the cached standard metrics,
+    /// order through KernelApplicator::apply_pair, so the standard window
+    /// {0, defocus} pairs exactly as the nominal overload does. Extra focus
+    /// planes acquire their applicators from the registry on first use and
+    /// are kept on this evaluator. Refreshes the cached standard metrics,
     /// so interleaving with the nominal overload stays consistent.
     WindowMetrics evaluate(const geo::SegmentedLayout& layout, std::span<const int> offsets,
                            const WindowSpec& spec, Refresh refresh);
@@ -168,10 +119,10 @@ private:
         double d = 0.0;  ///< change of the clamped coverage value
     };
 
-    /// The applicator of one focus plane.
+    /// One focus plane and its shared registry applicator.
     struct FocusPlane {
         double defocus_nm = 0.0;
-        SupportApplicator applicator;
+        std::shared_ptr<const KernelApplicator> applicator;
     };
 
     /// How refresh_cache() brought the cache up to date with `offsets`.
@@ -194,21 +145,22 @@ private:
 
     /// The applicator of the plane at `defocus_nm`: a plane already in
     /// planes_ (within kFocusMatchTolNm), or one acquired from the registry.
-    [[nodiscard]] const SupportApplicator* plane_for(double defocus_nm);
-    /// Appends a plane after checking that `kernels` share the cached support.
-    void add_plane(double defocus_nm, const KernelSet& kernels);
+    [[nodiscard]] const KernelApplicator* plane_for(double defocus_nm);
+    /// Appends a plane after checking that its kernels share the cached
+    /// support.
+    void add_plane(double defocus_nm, std::shared_ptr<const KernelApplicator> applicator);
     /// One aerial per plane from the cached support spectrum, imaged in
     /// consecutive pairs through apply_pair; the last of an odd count is
     /// imaged alone.
     [[nodiscard]] std::vector<geo::Raster> aerials_from_cache(
-        std::span<const SupportApplicator* const> planes) const;
+        std::span<const KernelApplicator* const> planes) const;
 
     LithoConfig cfg_;
     double threshold_ = 0.0;
     std::vector<FreqIndex> support_;  ///< tcc_support_freqs(cfg_)
     /// Nominal and cfg defocus first, then window sweep planes in order of
-    /// first use; a deque, so the applicators never move.
-    std::deque<FocusPlane> planes_;
+    /// first use.
+    std::vector<FocusPlane> planes_;
 
     std::vector<int> freq_kx_;   ///< wrapped kx per support frequency
     std::vector<int> freq_ky_;   ///< wrapped ky per support frequency

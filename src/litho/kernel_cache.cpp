@@ -17,8 +17,10 @@ constexpr std::uint32_t kMagic = 0x434B524EU;  // "CKRN"
 // they differ from the dense solver's at rounding level, so a version 3
 // entry would make a cached run differ in bits from a fresh build. Version 5
 // drops each set's support list: every set of a configuration is supported
-// on tcc_support_freqs(cfg), so the reader derives it.
-constexpr std::uint32_t kVersion = 5;
+// on tcc_support_freqs(cfg), so the reader derives it. Version 6 holds the
+// same layout with the threshold calibrated through the band-limited
+// applicator; it differs from version 5's dense one at rounding level.
+constexpr std::uint32_t kVersion = 6;
 
 void write_kernel_set(BinaryWriter& w, const KernelSet& ks) {
     w.write_u64(ks.eigenvalues.size());

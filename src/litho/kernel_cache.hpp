@@ -30,7 +30,7 @@ std::string kernel_cache_path(const LithoConfig& cfg);
 /// on a miss.
 std::optional<CachedKernels> load_kernel_cache(const LithoConfig& cfg);
 
-/// Store a cache entry (format version 5: threshold, then per set its
+/// Store a cache entry (format version 6: threshold, then per set its
 /// eigenvalues and coefficients in support order), sealed with an FNV-1a
 /// footer over its payload (creates the cache directory if needed). No-op
 /// when cfg.cache_dir is empty.

@@ -7,19 +7,18 @@
 // LithoSim::evaluate / evaluate_incremental evaluate a segmented layout at
 // every corner in one call:
 //
-//   * The mask is rasterized and forward-FFT'd ONCE (or, incrementally,
-//     served from the cached support spectrum); every corner reads the same
-//     spectrum.
+//   * The mask is rasterized ONCE (or, on an update, served from the cached
+//     support spectrum); every corner reads the same spectrum.
 //   * One aerial image is computed per focus plane (dose is a pure threshold
 //     scale, so all doses at a focus share its aerial). Per-focus kernel
 //     applicators come from the kernel registry: the two standard planes
 //     reuse the acquire_kernels() sets, extra planes are built once per
 //     process with an interpolated kernel count.
 //   * Per-corner printed images use the shared epsilon-stable pixel_prints
-//     predicate, per-corner EPE the shared compute_epe_profile — so the
-//     (dose 1.0, best focus) corner of the dense path reproduces the nominal
-//     LithoSim::evaluate bit for bit, and the exact PV band is consistent
-//     with LithoSim::printed.
+//     predicate, per-corner EPE the shared compute_epe_profile — so on the
+//     standard window the (dose 1.0, best focus) corner reproduces the
+//     nominal LithoSim::evaluate bit for bit, and the exact PV band is
+//     consistent with LithoSim::printed.
 //
 // The exact PV band is the area between the union and the intersection of
 // the printed images over all corners. The legacy two-corner approximation
@@ -61,8 +60,8 @@ struct WindowSpec {
     }
 
     /// Index of the focus plane matching `defocus` within kFocusMatchTolNm,
-    /// or -1. The one plane matcher, shared by the dense and incremental
-    /// paths so a focus resolves to the same applicator everywhere.
+    /// or -1. The one plane matcher, so a focus resolves to the same
+    /// applicator everywhere.
     [[nodiscard]] int find_focus(double defocus) const;
 
     /// Throws std::invalid_argument on an empty axis, a non-positive or
@@ -118,9 +117,9 @@ struct WindowMetrics {
 };
 
 /// Aggregate WindowMetrics from one aerial image per focus plane
-/// (aerials[f] images spec.defocus_nm[f]). Shared by the dense window path
-/// and the incremental evaluator's so both aggregate through identical
-/// arithmetic. `cfg` supplies dose_min/dose_max/defocus_nm for the legacy
+/// (aerials[f] images spec.defocus_nm[f]). Shared by the evaluator, ILT's
+/// final sweep and the dense test reference, so all aggregate through
+/// identical arithmetic. `cfg` supplies dose_min/dose_max/defocus_nm for the legacy
 /// two-corner band and epe_range_nm for the per-corner EPE search.
 WindowMetrics window_metrics_from_aerials(const geo::SegmentedLayout& layout,
                                           const WindowSpec& spec,

@@ -29,16 +29,32 @@ obs::MetricId window_hist() {
     static const obs::MetricId id = obs::register_histogram("litho.evaluate_window.ns");
     return id;
 }
-obs::MetricId focus_plane_hist() {
-    // The dense sweep's per-plane aerials. The cached sweep images its
-    // planes in pairs (IncrementalEvaluator), timed by litho.evaluate_window.
-    static const obs::MetricId id = obs::register_histogram("window.focus_plane.ns");
+// Registry mirrors of the per-instance hit/full counters, added once per
+// evaluate_incremental call, so the registry totals equal the sums over
+// simulators that BatchResult reports. evaluate()'s throwaway evaluator
+// counts in neither.
+obs::MetricId hits_counter() {
+    static const obs::MetricId id = obs::register_counter("litho.incremental.hits");
+    return id;
+}
+obs::MetricId fulls_counter() {
+    static const obs::MetricId id = obs::register_counter("litho.incremental.fulls");
     return id;
 }
 
 void count_evaluation(std::atomic<long long>& count) {
     count.fetch_add(1, std::memory_order_relaxed);
     obs::counter_add(eval_counter());
+}
+
+// One evaluate_incremental call on `inc`, mirrored into the registry as a
+// hit or a full rebuild.
+template <typename Eval>
+auto counted(IncrementalEvaluator& inc, const Eval& eval) {
+    const long long fulls = inc.full_count();
+    auto result = eval(inc);
+    obs::counter_add(inc.full_count() > fulls ? fulls_counter() : hits_counter());
+    return result;
 }
 
 }  // namespace
@@ -82,44 +98,22 @@ SimMetrics LithoSim::evaluate(const geo::SegmentedLayout& layout,
                               std::span<const int> offsets) const {
     const obs::Span span("litho.evaluate", eval_hist());
     count_evaluation(evaluate_count_);
-    const auto mask_polys = layout.reconstruct_mask(offsets);
-    const geo::Raster mask = rasterize(mask_polys, layout.srafs(), layout.clip_size_nm());
-
-    const std::vector<Complex> spectrum = mask_spectrum(mask);
-    const geo::Raster nom = nominal_->apply(spectrum, cfg_.pixel_nm);
-    const geo::Raster def = defocus_->apply(spectrum, cfg_.pixel_nm);
-
-    return compute_sim_metrics(layout, nom, def, threshold_,
-                               clip_offset_nm(layout.clip_size_nm()), cfg_.epe_range_nm,
-                               cfg_.dose_min, cfg_.dose_max);
+    return IncrementalEvaluator(cfg_, threshold_, nominal_, defocus_)
+        .evaluate(layout, offsets, Refresh::kPrime);
 }
 
 WindowMetrics LithoSim::evaluate(const geo::SegmentedLayout& layout,
                                  std::span<const int> offsets, const WindowSpec& spec) const {
     const obs::Span span("litho.evaluate_window", window_hist());
     count_evaluation(evaluate_count_);
-    spec.validate();  // before any kernel acquisition for the spec's planes
-    const auto mask_polys = layout.reconstruct_mask(offsets);
-    const geo::Raster mask = rasterize(mask_polys, layout.srafs(), layout.clip_size_nm());
-    const std::vector<Complex> spectrum = mask_spectrum(mask);
-
-    std::vector<geo::Raster> aerials;
-    aerials.reserve(spec.defocus_nm.size());
-    for (double f : spec.defocus_nm) {
-        const auto plane = acquire_focus_applicator(cfg_, f);
-        const obs::Span plane_span("window.focus_plane", focus_plane_hist());
-        aerials.push_back(plane->apply(spectrum, cfg_.pixel_nm));
-    }
-    return window_metrics_from_aerials(layout, spec, aerials, threshold_,
-                                       clip_offset_nm(layout.clip_size_nm()), cfg_);
+    return IncrementalEvaluator(cfg_, threshold_, nominal_, defocus_)
+        .evaluate(layout, offsets, spec, Refresh::kPrime);
 }
 
 IncrementalEvaluator& LithoSim::cache() {
     count_evaluation(evaluate_count_);
     if (!incremental_) {
-        incremental_ = std::make_unique<IncrementalEvaluator>(cfg_, threshold_,
-                                                              nominal_->kernels(),
-                                                              defocus_->kernels());
+        incremental_ = std::make_unique<IncrementalEvaluator>(cfg_, threshold_, nominal_, defocus_);
     }
     return *incremental_;
 }
@@ -127,14 +121,18 @@ IncrementalEvaluator& LithoSim::cache() {
 SimMetrics LithoSim::evaluate_incremental(const geo::SegmentedLayout& layout,
                                           std::span<const int> offsets, Refresh refresh) {
     const obs::Span span("litho.evaluate_incremental", eval_incremental_hist());
-    return cache().evaluate(layout, offsets, refresh);
+    return counted(cache(), [&](IncrementalEvaluator& inc) {
+        return inc.evaluate(layout, offsets, refresh);
+    });
 }
 
 WindowMetrics LithoSim::evaluate_incremental(const geo::SegmentedLayout& layout,
                                              std::span<const int> offsets,
                                              const WindowSpec& spec, Refresh refresh) {
     const obs::Span span("litho.evaluate_window", window_hist());
-    return cache().evaluate(layout, offsets, spec, refresh);
+    return counted(cache(), [&](IncrementalEvaluator& inc) {
+        return inc.evaluate(layout, offsets, spec, refresh);
+    });
 }
 
 long long LithoSim::incremental_hit_count() const {

@@ -1,20 +1,22 @@
 // LithoSim: the facade every OPC engine talks to.
 //
 // Construction acquires (builds once per process, or loads from the disk
-// cache) the SOCS kernels for the nominal and defocus conditions and the
-// auto-calibrated resist threshold via the shared kernel registry. One
-// evaluate() call rasterizes the mask implied by per-segment offsets, images
+// cache) the SOCS kernel applicators for the nominal and defocus conditions
+// and the auto-calibrated resist threshold via the shared kernel registry.
+// One evaluation rasterizes the mask implied by per-segment offsets, images
 // it at both focus conditions, and returns EPE per measure point / segment
 // plus the PV band — exactly the quantities the paper's reward (Eq. 3) and
-// result tables consume.
+// result tables consume. Every evaluation runs through one path, the
+// IncrementalEvaluator (litho/incremental.hpp): evaluate() primes a fresh
+// one, evaluate_incremental() keeps one per simulator.
 //
 // Thread-safety contract, carried by the method names: evaluate() is const
-// and touches only immutable shared kernel state plus an atomic call
-// counter, so one LithoSim may be used from many threads concurrently.
-// evaluate_incremental() mutates a per-instance cache and must not be called
-// on one instance from two threads — the batch runtime gives each worker its
-// own (cheap) copy, so per-worker caches and evaluation counts stay
-// contention-free.
+// and touches only immutable shared kernel state, its own throwaway
+// evaluator and an atomic call counter, so one LithoSim may be used from
+// many threads concurrently. evaluate_incremental() mutates a per-instance
+// cache and must not be called on one instance from two threads — the batch
+// runtime gives each worker its own (cheap) copy, so per-worker caches and
+// evaluation counts stay contention-free.
 #pragma once
 
 #include <atomic>
@@ -57,15 +59,18 @@ public:
     [[nodiscard]] geo::Raster aerial_nominal(const geo::Raster& mask) const;
     [[nodiscard]] geo::Raster aerial_defocus(const geo::Raster& mask) const;
 
-    /// Full evaluation of a segmented layout under per-segment offsets.
+    /// Full evaluation of a segmented layout under per-segment offsets: a
+    /// fresh evaluator primed with the layout, bit-identical to
+    /// evaluate_incremental(layout, offsets, Refresh::kPrime).
     [[nodiscard]] SimMetrics evaluate(const geo::SegmentedLayout& layout,
                                       std::span<const int> offsets) const;
 
-    /// Multi-corner process-window evaluation through the dense (exact)
-    /// path: the spec is validated, the mask rasterized and forward-FFT'd
-    /// once, and one aerial image per focus plane (through
-    /// acquire_focus_applicator) serves every dose at that focus. The
-    /// (dose 1.0, best focus) corner is bit-identical to evaluate().
+    /// Multi-corner process-window evaluation, likewise bit-identical to
+    /// the window evaluate_incremental with Refresh::kPrime: the spec is
+    /// validated, the mask rasterized once, and one aerial image per focus
+    /// plane (through acquire_focus_applicator) serves every dose at that
+    /// focus. On the standard window the (dose 1.0, best focus) corner is
+    /// bit-identical to evaluate().
     [[nodiscard]] WindowMetrics evaluate(const geo::SegmentedLayout& layout,
                                          std::span<const int> offsets,
                                          const WindowSpec& spec) const;
@@ -76,16 +81,15 @@ public:
     /// segments moved since the previous call and updates the cached
     /// support spectrum with a sparse delta-DFT, falling back to a rebuild
     /// when the cache holds another layout or too many segments moved
-    /// (cfg.incremental_fallback_fraction). Metrics match evaluate() within
-    /// the tolerances documented in litho/incremental.hpp. Not thread-safe
-    /// on one instance.
+    /// (cfg.incremental_fallback_fraction). A sparse update matches
+    /// evaluate() within the tolerances documented in litho/incremental.hpp.
+    /// Not thread-safe on one instance.
     [[nodiscard]] SimMetrics evaluate_incremental(const geo::SegmentedLayout& layout,
                                                   std::span<const int> offsets, Refresh refresh);
 
     /// Window evaluation through the same cache: refreshed exactly as above,
     /// then every corner is imaged from the cached support spectrum — no
-    /// rasterization or forward FFT. Matches the dense window evaluate()
-    /// within the incremental tolerances. Not thread-safe on one instance.
+    /// rasterization or forward FFT. Not thread-safe on one instance.
     [[nodiscard]] WindowMetrics evaluate_incremental(const geo::SegmentedLayout& layout,
                                                      std::span<const int> offsets,
                                                      const WindowSpec& spec, Refresh refresh);

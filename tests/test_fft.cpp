@@ -516,7 +516,7 @@ bool sizes_match_reference(const std::vector<int>& sizes, std::uint64_t seed) {
 }
 
 TEST_P(FftBitIdentity, AlternatingSizesOnOneThread) {
-    // SupportApplicator alternates a coarse and a fine size on one thread;
+    // KernelApplicator alternates a coarse and a fine size on one thread;
     // the per-thread table cache must serve both.
     EXPECT_TRUE(sizes_match_reference({128, 512, 128, 512, 64, 128, 1, 512, 2}, 505));
 }

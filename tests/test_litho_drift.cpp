@@ -1,6 +1,7 @@
 // Drift oracle for the incremental evaluator: a long random walk on
 // Refresh::kUpdate (500 steps per clip, one via and one metal clip at grid
-// 256) is compared with a dense LithoSim::evaluate at every step. The
+// 256) is compared with the dense SOCS reference (litho_dense_reference.hpp)
+// at every step. The
 // sparse delta-DFT keeps adding into the cached support spectrum and the
 // packed pair upsample re-images it every step, so an error that grows with
 // the walk length would show here long before the 10-12 step equivalence
@@ -22,6 +23,7 @@
 #include "layout/via_gen.hpp"
 #include "litho/incremental.hpp"
 #include "litho/simulator.hpp"
+#include "litho_dense_reference.hpp"
 
 namespace camo::litho {
 namespace {
@@ -106,7 +108,7 @@ DriftResult drift_walk(const LithoSim& dense, const char* name,
             o = std::clamp(o + rng.uniform_int(-2, 2), -15, 15);
         }
         const SimMetrics got = inc.evaluate_incremental(layout, offsets, Refresh::kUpdate);
-        const SimMetrics want = dense.evaluate(layout, offsets);
+        const SimMetrics want = dense_reference::evaluate(dense, layout, offsets);
 
         double epe_err = got.epe_segment.size() == want.epe_segment.size() ? 0.0 : INFINITY;
         for (std::size_t i = 0; i < want.epe_segment.size() && i < got.epe_segment.size(); ++i) {
@@ -139,8 +141,8 @@ DriftResult drift_walk(const LithoSim& dense, const char* name,
     return r;
 }
 
-// The two walks run side by side, each on its own simulator copy (dense
-// evaluate is const and thread-safe).
+// The two walks run side by side, each on its own simulator copy (the dense
+// reference only reads the shared simulator).
 TEST_F(LithoDriftTest, LongUpdateWalksStayWithinTolerance) {
     const geo::SegmentedLayout via = via_layout(3, 21);
     const geo::SegmentedLayout metal = metal_layout(24, 73);

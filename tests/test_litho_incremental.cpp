@@ -1,7 +1,8 @@
 // Equivalence harness for incremental lithography evaluation: randomized
 // clips x random action sequences must produce the same metrics through
-// evaluate_incremental() as through full evaluate(), within the tolerances
-// documented in litho/incremental.hpp. Golden JSON fixtures under
+// evaluate_incremental() as through the dense SOCS reference
+// (litho_dense_reference.hpp), within the tolerances documented in
+// litho/incremental.hpp. Golden JSON fixtures under
 // tests/golden/ pin the absolute metric values of a few seeded clips so
 // future perf work on either path cannot silently drift accuracy
 // (regenerate with CAMO_REGEN_GOLDENS=1 after an intentional change).
@@ -24,7 +25,9 @@
 #include "layout/via_gen.hpp"
 #include "litho/aerial.hpp"
 #include "litho/incremental.hpp"
+#include "litho/kernel_registry.hpp"
 #include "litho/simulator.hpp"
+#include "litho_dense_reference.hpp"
 
 #ifndef CAMO_GOLDEN_DIR
 #define CAMO_GOLDEN_DIR "tests/golden"
@@ -91,7 +94,7 @@ void expect_equivalent(const SimMetrics& inc, const SimMetrics& full, const char
 }
 
 // Random-walk property: an arbitrary action sequence evaluated incrementally
-// tracks a fresh full evaluation at every step.
+// tracks the dense reference at every step.
 void run_equivalence_walk(LithoSim& inc_sim, const LithoSim& full_sim,
                           const geo::SegmentedLayout& layout, std::uint64_t seed, int steps,
                           double dirty_fraction) {
@@ -100,7 +103,7 @@ void run_equivalence_walk(LithoSim& inc_sim, const LithoSim& full_sim,
     std::vector<int> offsets(static_cast<std::size_t>(segments), 3);
 
     SimMetrics inc = inc_sim.evaluate_incremental(layout, offsets, Refresh::kPrime);
-    expect_equivalent(inc, full_sim.evaluate(layout, offsets), "initial");
+    expect_equivalent(inc, dense_reference::evaluate(full_sim, layout, offsets), "initial");
 
     for (int t = 0; t < steps; ++t) {
         const int moves =
@@ -111,7 +114,7 @@ void run_equivalence_walk(LithoSim& inc_sim, const LithoSim& full_sim,
                 offsets[static_cast<std::size_t>(i)] + rng.uniform_int(-2, 2), -15, 15);
         }
         inc = inc_sim.evaluate_incremental(layout, offsets, Refresh::kUpdate);
-        const SimMetrics full = full_sim.evaluate(layout, offsets);
+        const SimMetrics full = dense_reference::evaluate(full_sim, layout, offsets);
         expect_equivalent(inc, full, ("step " + std::to_string(t)).c_str());
     }
 }
@@ -154,7 +157,7 @@ TEST_F(LithoIncrementalTest, EmptyDirtySetReturnsCachedMetricsExactly) {
     EXPECT_EQ(first.sum_abs_epe, again.sum_abs_epe);
     EXPECT_EQ(first.pvband_nm2, again.pvband_nm2);
 
-    expect_equivalent(again, sim_->evaluate(layout, offsets), "empty dirty");
+    expect_equivalent(again, dense_reference::evaluate(*sim_, layout, offsets), "empty dirty");
 }
 
 TEST_F(LithoIncrementalTest, FallbackThresholdBoundary) {
@@ -174,13 +177,13 @@ TEST_F(LithoIncrementalTest, FallbackThresholdBoundary) {
     SimMetrics m = inc_sim.evaluate_incremental(layout, offsets, Refresh::kUpdate);
     EXPECT_EQ(inc_sim.incremental_full_count(), fulls0);
     EXPECT_EQ(inc_sim.incremental_hit_count(), 1);
-    expect_equivalent(m, sim_->evaluate(layout, offsets), "at boundary");
+    expect_equivalent(m, dense_reference::evaluate(*sim_, layout, offsets), "at boundary");
 
     // One past the boundary: full rebuild.
     for (int i = 0; i < 9; ++i) offsets[static_cast<std::size_t>(i)] -= 2;
     m = inc_sim.evaluate_incremental(layout, offsets, Refresh::kUpdate);
     EXPECT_EQ(inc_sim.incremental_full_count(), fulls0 + 1);
-    expect_equivalent(m, sim_->evaluate(layout, offsets), "past boundary");
+    expect_equivalent(m, dense_reference::evaluate(*sim_, layout, offsets), "past boundary");
 }
 
 TEST_F(LithoIncrementalTest, UpdateFindsMovesFromCachedOffsets) {
@@ -194,7 +197,7 @@ TEST_F(LithoIncrementalTest, UpdateFindsMovesFromCachedOffsets) {
     offsets[2] += 4;
     offsets[5] -= 3;
     const SimMetrics m = inc_sim.evaluate_incremental(layout, offsets, Refresh::kUpdate);
-    expect_equivalent(m, sim_->evaluate(layout, offsets), "moves found from cache");
+    expect_equivalent(m, dense_reference::evaluate(*sim_, layout, offsets), "moves found from cache");
 }
 
 TEST_F(LithoIncrementalTest, SameShapeDifferentLayoutIsNotMistakenForCached) {
@@ -213,7 +216,7 @@ TEST_F(LithoIncrementalTest, SameShapeDifferentLayoutIsNotMistakenForCached) {
 
     const SimMetrics m = inc_sim.evaluate_incremental(b, offsets, Refresh::kUpdate);
     EXPECT_EQ(inc_sim.incremental_full_count(), 2);
-    expect_equivalent(m, sim_->evaluate(b, offsets), "same-shape switch");
+    expect_equivalent(m, dense_reference::evaluate(*sim_, b, offsets), "same-shape switch");
 }
 
 TEST_F(LithoIncrementalTest, LayoutSwitchTriggersFullRebuild) {
@@ -226,7 +229,7 @@ TEST_F(LithoIncrementalTest, LayoutSwitchTriggersFullRebuild) {
     (void)inc_sim.evaluate_incremental(a, oa, Refresh::kPrime);
     const SimMetrics m = inc_sim.evaluate_incremental(b, ob, Refresh::kUpdate);
     EXPECT_EQ(inc_sim.incremental_full_count(), 2);
-    expect_equivalent(m, sim_->evaluate(b, ob), "layout switch");
+    expect_equivalent(m, dense_reference::evaluate(*sim_, b, ob), "layout switch");
 }
 
 // ---- Refresh contract ------------------------------------------------------
@@ -249,6 +252,23 @@ void expect_bit_identical(const SimMetrics& got, const SimMetrics& want, const s
     EXPECT_TRUE(same_bits(got.epe_segment, want.epe_segment)) << where << ": epe_segment";
     EXPECT_TRUE(same_bits(got.sum_abs_epe, want.sum_abs_epe)) << where << ": sum_abs_epe";
     EXPECT_TRUE(same_bits(got.pvband_nm2, want.pvband_nm2)) << where << ": pvband_nm2";
+}
+
+void expect_bit_identical(const WindowMetrics& got, const WindowMetrics& want,
+                          const std::string& where) {
+    ASSERT_EQ(got.corners.size(), want.corners.size()) << where;
+    for (std::size_t i = 0; i < want.corners.size(); ++i) {
+        const std::string corner = where + " corner " + std::to_string(i);
+        expect_bit_identical(got.corners[i].metrics, want.corners[i].metrics, corner);
+        EXPECT_TRUE(same_bits(got.corners[i].printed_area_nm2, want.corners[i].printed_area_nm2))
+            << corner;
+    }
+    EXPECT_EQ(got.worst_corner, want.worst_corner) << where;
+    EXPECT_TRUE(same_bits(got.worst_epe, want.worst_epe)) << where;
+    EXPECT_TRUE(same_bits(got.pv_band_exact_nm2, want.pv_band_exact_nm2)) << where;
+    EXPECT_TRUE(same_bits(got.pv_band_two_corner_nm2, want.pv_band_two_corner_nm2)) << where;
+    EXPECT_TRUE(same_bits(got.cd_min_nm2, want.cd_min_nm2)) << where;
+    EXPECT_TRUE(same_bits(got.cd_max_nm2, want.cd_max_nm2)) << where;
 }
 
 struct RefreshWalk {
@@ -293,20 +313,8 @@ TEST_F(LithoIncrementalTest, WindowPrimeAfterUpdateMatchesFreshPrimeBitwise) {
     EXPECT_EQ(used.incremental_full_count(), 2);
 
     LithoSim fresh(*sim_);
-    const WindowMetrics want = fresh.evaluate_incremental(w.layout, w.c, spec, Refresh::kPrime);
-    ASSERT_EQ(got.corners.size(), want.corners.size());
-    for (std::size_t i = 0; i < want.corners.size(); ++i) {
-        const std::string where = "corner " + std::to_string(i);
-        expect_bit_identical(got.corners[i].metrics, want.corners[i].metrics, where);
-        EXPECT_TRUE(same_bits(got.corners[i].printed_area_nm2, want.corners[i].printed_area_nm2))
-            << where;
-    }
-    EXPECT_EQ(got.worst_corner, want.worst_corner);
-    EXPECT_TRUE(same_bits(got.worst_epe, want.worst_epe));
-    EXPECT_TRUE(same_bits(got.pv_band_exact_nm2, want.pv_band_exact_nm2));
-    EXPECT_TRUE(same_bits(got.pv_band_two_corner_nm2, want.pv_band_two_corner_nm2));
-    EXPECT_TRUE(same_bits(got.cd_min_nm2, want.cd_min_nm2));
-    EXPECT_TRUE(same_bits(got.cd_max_nm2, want.cd_max_nm2));
+    expect_bit_identical(got, fresh.evaluate_incremental(w.layout, w.c, spec, Refresh::kPrime),
+                         "window");
 
     // The primed cache also carries C's nominal metrics: an unchanged-offsets
     // nominal update returns them, matching the fresh simulator's bits.
@@ -321,8 +329,8 @@ TEST_F(LithoIncrementalTest, WindowPrimeAfterUpdateMatchesFreshPrimeBitwise) {
 TEST_F(LithoIncrementalTest, RebuildSpectrumMatchesDenseMaskSpectrumBitwise) {
     const LithoConfig& cfg = sim_->config();
     const int n = cfg.grid;
-    IncrementalEvaluator eval(cfg, sim_->threshold(), sim_->nominal_kernels(),
-                              sim_->defocus_kernels());
+    const SharedKernels kernels = acquire_kernels(cfg);
+    IncrementalEvaluator eval(cfg, sim_->threshold(), kernels.nominal, kernels.defocus);
     for (const auto& layout : {via_layout(3, 31), metal_layout(24, 32)}) {
         std::vector<int> offsets(static_cast<std::size_t>(layout.num_segments()));
         for (std::size_t i = 0; i < offsets.size(); ++i) {
@@ -379,11 +387,11 @@ TEST_F(LithoIncrementalTest, NominalCornerBitIdenticalToEvaluate) {
     EXPECT_GT(windowed.incremental_hit_count(), 0);
 }
 
-// ---- SupportApplicator: one packed upsample per pair of planes -------------
+// ---- KernelApplicator: one packed upsample per pair of planes --------------
 
-// Verbatim copy of SupportApplicator's tables and its per-plane apply()
-// from before the upsample packed two planes into one transform: a lone
-// plane must keep these bits.
+// Verbatim copy of the band-limited applicator's tables and its per-plane
+// apply from before the upsample packed two planes into one transform: a
+// lone plane must keep these bits.
 geo::Raster reference_support_apply(const KernelSet& kernels, int grid,
                                     std::span<const Complex> support_vals, double pixel_nm) {
     const auto wrap = [](int k, int n) { return ((k % n) + n) % n; };
@@ -511,37 +519,38 @@ float max_abs_diff(const geo::Raster& a, const geo::Raster& b) {
     return d;
 }
 
-// Param = fine grid. Both grids span the same 1024 nm frame (4 nm and 2 nm
-// pixels), so the kernels keep the 256 grid's support radius and build as
-// fast; the 512 case still runs the upsample at the production fine grid.
-class SupportApplicatorTest : public ::testing::TestWithParam<int> {
-protected:
-    static const LithoSim& sim(int grid) {
-        static std::map<int, std::unique_ptr<LithoSim>> sims;
-        auto& s = sims[grid];
-        if (!s) {
-            LithoConfig cfg;
-            cfg.grid = grid;
-            cfg.pixel_nm = 1024.0 / grid;
-            cfg.kernels_nominal = 6;
-            cfg.kernels_defocus = 5;
-            cfg.cache_dir = "";
-            s = std::make_unique<LithoSim>(cfg);
-        }
-        return *s;
+// A simulator at fine grid 256 or 512. Both grids span the same 1024 nm
+// frame (4 nm and 2 nm pixels), so the kernels keep the 256 grid's support
+// radius and build as fast; the 512 case still runs the upsample at the
+// production fine grid.
+const LithoSim& sim(int grid) {
+    static std::map<int, std::unique_ptr<LithoSim>> sims;
+    auto& s = sims[grid];
+    if (!s) {
+        LithoConfig cfg;
+        cfg.grid = grid;
+        cfg.pixel_nm = 1024.0 / grid;
+        cfg.kernels_nominal = 6;
+        cfg.kernels_defocus = 5;
+        cfg.cache_dir = "";
+        s = std::make_unique<LithoSim>(cfg);
     }
-};
+    return *s;
+}
 
-TEST_P(SupportApplicatorTest, LonePlaneBitIdenticalToPerPlaneReference) {
+// Param = fine grid.
+class KernelApplicatorTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(KernelApplicatorTest, LonePlaneBitIdenticalToPerPlaneReference) {
     const LithoSim& s = sim(GetParam());
     const int n = s.config().grid;
     for (const auto& layout : {via_layout(3, 61), metal_layout(24, 62)}) {
         const std::vector<int> offsets(static_cast<std::size_t>(layout.num_segments()), 2);
         for (const KernelSet* ks : {&s.nominal_kernels(), &s.defocus_kernels()}) {
             const std::vector<Complex> vals = support_values(s, *ks, layout, offsets);
-            const SupportApplicator app(*ks, n);
+            const KernelApplicator app(*ks, n);
             ASSERT_LT(app.coarse_grid(), n);
-            const geo::Raster got = app.apply(vals, s.config().pixel_nm);
+            const geo::Raster got = app.apply_support(vals, s.config().pixel_nm);
             const geo::Raster want = reference_support_apply(*ks, n, vals, s.config().pixel_nm);
             ASSERT_EQ(got.data().size(), want.data().size());
             EXPECT_EQ(std::memcmp(got.data().data(), want.data().data(),
@@ -552,21 +561,21 @@ TEST_P(SupportApplicatorTest, LonePlaneBitIdenticalToPerPlaneReference) {
     }
 }
 
-TEST_P(SupportApplicatorTest, PackedPairMatchesTwoSingleApplies) {
+TEST_P(KernelApplicatorTest, PackedPairMatchesTwoSingleApplies) {
     const LithoSim& s = sim(GetParam());
     const int n = s.config().grid;
     const double px = s.config().pixel_nm;
     const KernelSet& nom = s.nominal_kernels();
     const KernelSet& def = s.defocus_kernels();
-    const SupportApplicator nom_app(nom, n);
-    const SupportApplicator def_app(def, n);
+    const KernelApplicator nom_app(nom, n);
+    const KernelApplicator def_app(def, n);
 
     for (const auto& layout : {via_layout(3, 63), metal_layout(24, 64)}) {
         const std::vector<int> offsets(static_cast<std::size_t>(layout.num_segments()), -2);
         const std::vector<Complex> nv = support_values(s, nom, layout, offsets);
         const std::vector<Complex> dv = support_values(s, def, layout, offsets);
-        const geo::Raster a = nom_app.apply(nv, px);
-        const geo::Raster b = def_app.apply(dv, px);
+        const geo::Raster a = nom_app.apply_support(nv, px);
+        const geo::Raster b = def_app.apply_support(dv, px);
         for (const bool swapped : {false, true}) {
             const auto [first, second] = swapped ? def_app.apply_pair(dv, nom_app, nv, px)
                                                  : nom_app.apply_pair(nv, def_app, dv, px);
@@ -584,27 +593,77 @@ TEST_P(SupportApplicatorTest, PackedPairMatchesTwoSingleApplies) {
     }
 
     // Different coarse grids do not pair.
-    const SupportApplicator small(truncated(nom, support_radius(nom) / 2), n);
+    const KernelApplicator small(truncated(nom, support_radius(nom) / 2), n);
     ASSERT_NE(small.coarse_grid(), nom_app.coarse_grid());
-    const std::vector<Complex> nv(static_cast<std::size_t>(nom_app.support_size()));
-    const std::vector<Complex> sv(static_cast<std::size_t>(small.support_size()));
+    const std::vector<Complex> nv(static_cast<std::size_t>(nom_app.kernels().support_size()));
+    const std::vector<Complex> sv(static_cast<std::size_t>(small.kernels().support_size()));
     EXPECT_THROW((void)nom_app.apply_pair(nv, small, sv, px), std::invalid_argument);
 }
 
-INSTANTIATE_TEST_SUITE_P(Grids, SupportApplicatorTest, ::testing::Values(256, 512));
+INSTANTIATE_TEST_SUITE_P(Grids, KernelApplicatorTest, ::testing::Values(256, 512));
+
+// A full spectrum goes through the same band-limited body: apply() gathers
+// the support values and equals apply_support() on them bit for bit.
+TEST_P(KernelApplicatorTest, FullSpectrumApplyGathersTheSupport) {
+    const LithoSim& s = sim(GetParam());
+    const auto layout = metal_layout(24, 65);
+    const std::vector<int> offsets(static_cast<std::size_t>(layout.num_segments()), 1);
+    const KernelApplicator app(s.nominal_kernels(), s.config().grid);
+    const geo::Raster got =
+        app.apply(dense_reference::spectrum(s, layout, offsets), s.config().pixel_nm);
+    const geo::Raster want = app.apply_support(
+        support_values(s, s.nominal_kernels(), layout, offsets), s.config().pixel_nm);
+    EXPECT_EQ(std::memcmp(got.data().data(), want.data().data(),
+                          got.data().size() * sizeof(float)),
+              0);
+}
+
+// LithoSim::evaluate is a fresh evaluator primed with the layout: both
+// overloads give the bits of evaluate_incremental(..., kPrime) on a fresh
+// simulator, at both grids, on a via and a metal clip, for the standard
+// window and a three-plane one (an odd plane imaged alone).
+TEST(LithoSim, EvaluateEqualsPrimedIncrementalBitwise) {
+    for (const int grid : {256, 512}) {
+        const LithoSim& s = sim(grid);
+        WindowSpec three = WindowSpec::standard(s.config());
+        three.defocus_nm = {0.0, s.config().defocus_nm / 2.0, s.config().defocus_nm};
+        for (const auto& layout : {via_layout(3, 66), metal_layout(24, 67)}) {
+            std::vector<int> offsets(static_cast<std::size_t>(layout.num_segments()));
+            for (std::size_t i = 0; i < offsets.size(); ++i) {
+                offsets[i] = static_cast<int>((i * 3) % 7) - 2;
+            }
+            const std::string where = "grid " + std::to_string(grid) + " " +
+                                      std::to_string(layout.num_segments()) + " segments";
+            LithoSim fresh(s);
+            expect_bit_identical(s.evaluate(layout, offsets),
+                                 fresh.evaluate_incremental(layout, offsets, Refresh::kPrime),
+                                 where);
+            for (const WindowSpec& spec : {WindowSpec::standard(s.config()), three}) {
+                LithoSim fresh_window(s);
+                expect_bit_identical(
+                    s.evaluate(layout, offsets, spec),
+                    fresh_window.evaluate_incremental(layout, offsets, spec, Refresh::kPrime),
+                    where + " " + std::to_string(spec.focus_count()) + " planes");
+            }
+        }
+    }
+}
 
 // The cached spectrum is held in tcc_support_freqs(cfg) order and every
 // plane reads it as is, so a kernel set on any other support is refused.
 TEST_F(LithoIncrementalTest, EvaluatorRejectsKernelSetOffTheConfigSupport) {
     const LithoConfig& cfg = sim_->config();
-    const KernelSet& nom = sim_->nominal_kernels();
-    const KernelSet& def = sim_->defocus_kernels();
-    EXPECT_NO_THROW(IncrementalEvaluator(cfg, sim_->threshold(), nom, def));
-    EXPECT_THROW(IncrementalEvaluator(cfg, sim_->threshold(),
-                                      truncated(nom, support_radius(nom) - 1), def),
+    const SharedKernels kernels = acquire_kernels(cfg);
+    const KernelSet& nom = kernels.nominal->kernels();
+    const KernelSet& def = kernels.defocus->kernels();
+    const auto off_support = [&cfg](const KernelSet& ks) {
+        return std::make_shared<const KernelApplicator>(truncated(ks, support_radius(ks) - 1),
+                                                        cfg.grid);
+    };
+    EXPECT_NO_THROW(IncrementalEvaluator(cfg, sim_->threshold(), kernels.nominal, kernels.defocus));
+    EXPECT_THROW(IncrementalEvaluator(cfg, sim_->threshold(), off_support(nom), kernels.defocus),
                  std::invalid_argument);
-    EXPECT_THROW(IncrementalEvaluator(cfg, sim_->threshold(), nom,
-                                      truncated(def, support_radius(def) - 1)),
+    EXPECT_THROW(IncrementalEvaluator(cfg, sim_->threshold(), kernels.nominal, off_support(def)),
                  std::invalid_argument);
 }
 
@@ -689,7 +748,7 @@ constexpr double kGoldenPvbTolNm2 = 64.0;
 
 TEST_F(LithoIncrementalTest, GoldenMetricsBothPaths) {
     for (const GoldenCase& c : golden_cases()) {
-        const SimMetrics full = sim_->evaluate(c.layout, c.offsets);
+        const SimMetrics full = dense_reference::evaluate(*sim_, c.layout, c.offsets);
 
         if (std::getenv("CAMO_REGEN_GOLDENS") != nullptr) {
             write_golden(c, full);

@@ -10,7 +10,8 @@
 //   * the incremental window path serves every corner from ONE cached
 //     rasterization + spectrum (no rebuild when the cache matches, one
 //     sparse delta when a few segments moved) and agrees with the dense
-//     sweep within the incremental tolerances;
+//     SOCS reference (litho_dense_reference.hpp) within the incremental
+//     tolerances;
 //   * golden JSON fixtures pin a 2x2 window on the via3/metal24 clips
 //     (regenerate with CAMO_REGEN_GOLDENS=1 after an intentional change).
 #include <gtest/gtest.h>
@@ -30,6 +31,7 @@
 #include "litho/incremental.hpp"
 #include "litho/process_window.hpp"
 #include "litho/simulator.hpp"
+#include "litho_dense_reference.hpp"
 
 #ifndef CAMO_GOLDEN_DIR
 #define CAMO_GOLDEN_DIR "tests/golden"
@@ -228,7 +230,7 @@ TEST_F(ProcessWindowTest, OneRasterizationServesAllCorners) {
     for (const WindowMetrics* wm : {&warm, &moved}) {
         const std::vector<int> offs =
             (wm == &warm) ? std::vector<int>(offsets.size(), 3) : offsets;
-        const WindowMetrics dense = sim_->evaluate(layout, offs, spec);
+        const WindowMetrics dense = dense_reference::evaluate(*sim_, layout, offs, spec);
         ASSERT_EQ(wm->corners.size(), dense.corners.size());
         for (std::size_t c = 0; c < dense.corners.size(); ++c) {
             const auto& a = wm->corners[c].metrics.epe_segment;
@@ -245,9 +247,9 @@ TEST_F(ProcessWindowTest, OneRasterizationServesAllCorners) {
 
     // Interleaving: a plain evaluate() after the sweep still sees a
     // consistent cache (unchanged offsets return cached metrics that match a
-    // fresh full evaluation).
+    // fresh dense evaluation).
     const SimMetrics after = inc_sim.evaluate_incremental(layout, offsets, Refresh::kUpdate);
-    const SimMetrics fresh = sim_->evaluate(layout, offsets);
+    const SimMetrics fresh = dense_reference::evaluate(*sim_, layout, offsets);
     ASSERT_EQ(after.epe_segment.size(), fresh.epe_segment.size());
     for (std::size_t i = 0; i < after.epe_segment.size(); ++i) {
         EXPECT_NEAR(after.epe_segment[i], fresh.epe_segment[i], kIncrementalEpeTolNm);
@@ -272,7 +274,7 @@ TEST_F(ProcessWindowTest, IncrementalWindowTracksDenseAcrossWalk) {
         }
         const WindowMetrics inc =
             inc_sim.evaluate_incremental(layout, offsets, spec, Refresh::kUpdate);
-        const WindowMetrics dense = sim_->evaluate(layout, offsets, spec);
+        const WindowMetrics dense = dense_reference::evaluate(*sim_, layout, offsets, spec);
         ASSERT_EQ(inc.corners.size(), dense.corners.size()) << "step " << t;
         for (std::size_t c = 0; c < dense.corners.size(); ++c) {
             EXPECT_NEAR(inc.corners[c].metrics.sum_abs_epe, dense.corners[c].metrics.sum_abs_epe,

@@ -1,10 +1,12 @@
 // Kernel registry: build-once sharing under concurrent acquires, focus-plane
-// keys, and the invariant the incremental evaluator rests on — every kernel
-// set of a configuration, at any focus and however it was obtained, is
-// supported on tcc_support_freqs(cfg).
+// keys, simulators on many threads imaging through the same applicators, and
+// the invariant the incremental evaluator rests on — every kernel set of a
+// configuration, at any focus and however it was obtained, is supported on
+// tcc_support_freqs(cfg).
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstring>
 #include <filesystem>
 #include <latch>
 #include <memory>
@@ -14,6 +16,7 @@
 
 #include "litho/kernel_cache.hpp"
 #include "litho/kernel_registry.hpp"
+#include "litho/simulator.hpp"
 #include "obs/metrics.hpp"
 
 namespace camo::litho {
@@ -111,6 +114,85 @@ TEST(KernelRegistry, FocusPlaneKernelsDependOnlyOnTheirKey) {
     EXPECT_EQ(first, second);  // one key, one build
     EXPECT_NE(second, fresh);
     expect_same_kernels(second->kernels(), fresh->kernels());
+    clear_kernel_registry();
+}
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+bool same_bits(const SimMetrics& a, const SimMetrics& b) {
+    return same_bits(a.epe, b.epe) && same_bits(a.epe_segment, b.epe_segment) &&
+           same_bits(a.sum_abs_epe, b.sum_abs_epe) && same_bits(a.pvband_nm2, b.pvband_nm2);
+}
+
+// A prime, a sparse update and a three-plane window sweep through one
+// simulator copy: every image comes from the registry's applicators.
+struct SimRun {
+    SimMetrics primed;
+    SimMetrics moved;
+    WindowMetrics window;
+};
+
+SimRun run_copy(const LithoSim& shared) {
+    LithoSim sim(shared);
+    const geo::SegmentedLayout layout(
+        {geo::Polygon::from_rect({465, 465, 535, 535}), geo::Polygon::from_rect({615, 465, 685, 535})},
+        {geo::FragmentStyle::kVia, 60}, {}, 1000);
+    std::vector<int> offsets(static_cast<std::size_t>(layout.num_segments()), 2);
+    WindowSpec spec = WindowSpec::standard(sim.config());
+    spec.defocus_nm = {0.0, 12.5, sim.config().defocus_nm};
+
+    SimRun r;
+    r.primed = sim.evaluate_incremental(layout, offsets, Refresh::kPrime);
+    offsets[1] += 2;
+    r.moved = sim.evaluate_incremental(layout, offsets, Refresh::kUpdate);
+    r.window = sim.evaluate_incremental(layout, offsets, spec, Refresh::kUpdate);
+    return r;
+}
+
+// Four threads each copy one simulator and evaluate at once: they share its
+// applicators (the extra plane's too, acquired by the one-thread run), so no
+// thread builds a kernel set, and every result has the one-thread run's bits.
+TEST(KernelRegistry, ConcurrentSimulatorsShareOneApplicator) {
+    clear_kernel_registry();
+    const LithoSim shared(small_config(256));
+    const SimRun want = run_copy(shared);
+    obs::set_metrics_enabled(true);
+    const long long before = kernel_builds();
+
+    constexpr int kThreads = 4;
+    std::vector<SimRun> got(kThreads);
+    {
+        std::latch start(kThreads);
+        std::vector<std::thread> threads;
+        for (int t = 0; t < kThreads; ++t) {
+            threads.emplace_back([&, t] {
+                start.arrive_and_wait();
+                got[static_cast<std::size_t>(t)] = run_copy(shared);
+            });
+        }
+        for (std::thread& th : threads) th.join();
+    }
+    const long long builds = kernel_builds() - before;
+    obs::set_metrics_enabled(false);
+
+    EXPECT_EQ(builds, 0);
+    for (std::size_t i = 0; i < kThreads; ++i) {
+        EXPECT_TRUE(same_bits(got[i].primed, want.primed)) << "thread " << i;
+        EXPECT_TRUE(same_bits(got[i].moved, want.moved)) << "thread " << i;
+        ASSERT_EQ(got[i].window.corners.size(), want.window.corners.size()) << "thread " << i;
+        for (std::size_t c = 0; c < want.window.corners.size(); ++c) {
+            EXPECT_TRUE(same_bits(got[i].window.corners[c].metrics, want.window.corners[c].metrics))
+                << "thread " << i << " corner " << c;
+        }
+        EXPECT_TRUE(same_bits(got[i].window.pv_band_exact_nm2, want.window.pv_band_exact_nm2))
+            << "thread " << i;
+        EXPECT_TRUE(same_bits(got[i].window.worst_epe, want.window.worst_epe)) << "thread " << i;
+    }
     clear_kernel_registry();
 }
 

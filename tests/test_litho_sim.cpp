@@ -389,30 +389,34 @@ TEST_F(KernelCacheCorpus, CoefficientBitFlipIsRejectedAndRebuilt) {
 }
 
 TEST_F(KernelCacheCorpus, OlderVersionIsAMissAndRebuilt) {
-    // A current entry relabelled as version 4, the last format that stored
-    // each set's support: header patched, seal recomputed, so only the
-    // version tells it from a current entry.
-    store_kernel_cache(cfg_, good());
-    std::string b = bytes();
+    // A current entry relabelled as version 5 (the last format whose
+    // threshold was calibrated through the dense applicator) and as version
+    // 4 (the last that stored each set's support): header patched, seal
+    // recomputed, so only the version tells it from a current entry.
     constexpr std::size_t kVersionAt = 4;
-    std::uint32_t version = 0;
-    std::memcpy(&version, b.data() + kVersionAt, sizeof version);
-    ASSERT_EQ(version, 5U);
-    version = 4;
-    std::memcpy(b.data() + kVersionAt, &version, sizeof version);
-    const std::size_t payload = b.size() - sizeof(std::uint64_t);
-    const std::uint64_t seal = fnv1a(kFnv1aBasis, b.data(), payload);
-    std::memcpy(b.data() + payload, &seal, sizeof seal);
-    write(b);
-    EXPECT_FALSE(load_kernel_cache(cfg_).has_value());
+    for (const std::uint32_t old_version : {5U, 4U}) {
+        store_kernel_cache(cfg_, good());
+        std::string b = bytes();
+        std::uint32_t version = 0;
+        std::memcpy(&version, b.data() + kVersionAt, sizeof version);
+        ASSERT_EQ(version, 6U);
+        version = old_version;
+        std::memcpy(b.data() + kVersionAt, &version, sizeof version);
+        const std::size_t payload = b.size() - sizeof(std::uint64_t);
+        const std::uint64_t seal = fnv1a(kFnv1aBasis, b.data(), payload);
+        std::memcpy(b.data() + payload, &seal, sizeof seal);
+        write(b);
+        EXPECT_FALSE(load_kernel_cache(cfg_).has_value()) << "version " << old_version;
 
-    // The registry rebuilds the kernels and rewrites the entry as version 5.
-    const LithoSim sim(cfg_);
-    const std::string rebuilt = bytes();
-    ASSERT_GE(rebuilt.size(), kVersionAt + sizeof version);
-    std::memcpy(&version, rebuilt.data() + kVersionAt, sizeof version);
-    EXPECT_EQ(version, 5U);
-    EXPECT_TRUE(load_kernel_cache(cfg_).has_value());
+        // The registry rebuilds the kernels and rewrites the entry as version 6.
+        clear_kernel_registry();
+        const LithoSim sim(cfg_);
+        const std::string rebuilt = bytes();
+        ASSERT_GE(rebuilt.size(), kVersionAt + sizeof version);
+        std::memcpy(&version, rebuilt.data() + kVersionAt, sizeof version);
+        EXPECT_EQ(version, 6U) << "rewritten from version " << old_version;
+        EXPECT_TRUE(load_kernel_cache(cfg_).has_value());
+    }
 }
 
 }  // namespace

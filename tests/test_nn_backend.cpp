@@ -492,7 +492,7 @@ TEST(PolicyBackend, BatchedMatchesSingleAcrossRewardModes) {
 // ---- litho hot loops --------------------------------------------------------
 
 TEST(LithoSimd, SupportApplyBackendEquivalence) {
-    // Drive the incremental evaluation path (SupportApplicator's cmul +
+    // Drive the incremental evaluation path (KernelApplicator's cmul +
     // norm_acc loops, the FFT line kernel) through a short rule-engine run
     // at both levels: the whole result, every metric included, is the same
     // bits.
